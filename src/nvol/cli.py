@@ -175,10 +175,17 @@ def load_config(path: str) -> ExperimentConfig:
     pde_opts = {}
     if "pde" in cp:
         sec = cp["pde"]
-        for key, cast in (("n_space", int), ("n_time_per_year", int),
-                          ("width_stdevs", float), ("min_time_steps", int)):
+        for key, cast, valid, need in (
+                ("n_space", int, lambda v: v >= 51, ">= 51"),
+                ("n_time_per_year", int, lambda v: v >= 1, ">= 1"),
+                ("width_stdevs", float, lambda v: math.isfinite(v) and v > 0.0,
+                 "finite and > 0"),
+                ("min_time_steps", int, lambda v: v >= 1, ">= 1")):
             if key in sec:
-                pde_opts[key] = _get(sec, key, "[pde]", cast=cast)
+                value = _get(sec, key, "[pde]", cast=cast)
+                if not valid(value):
+                    raise ConfigError(f"[pde]: '{key}' must be {need}, got {value!r}")
+                pde_opts[key] = value
     mc_opts = {}
     if "mc" in cp:
         sec = cp["mc"]

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .bachelier import implied_normal_vol
 from .models import LocalVolModel, MarketSetup
@@ -52,10 +53,6 @@ def default_grid(model: LocalVolModel, setup: MarketSetup, T_max: float,
     k_max = min(s0 + width_stdevs * stdev, hi - eps if math.isfinite(hi) else math.inf)
     if math.isfinite(lo):
         k_min = max(k_min, lo + 1e-9 * (k_max - lo))
-    usable = min(s0 - k_min, k_max - s0) / max(stdev, 1e-300)
-    if usable < 8.0 and usable < width_stdevs - 1e-9:
-        # clipped by the positivity domain; the caller sees the narrower span
-        pass
     return PdeGrid(K_min=k_min, K_max=k_max, n_space=n_space,
                    n_time_per_year=n_time_per_year, min_time_steps=min_time_steps)
 
@@ -119,8 +116,8 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, grid: PdeGrid,
     n = len(ks)
     dx = ks[1] - ks[0]
     sig2 = np.array([model.vol(k) ** 2 for k in ks])
-    if np.any(sig2 <= 0.0):
-        raise ValueError("sigma_D not positive on the whole grid")
+    if not np.all(np.isfinite(sig2) & (sig2 > 0.0)):
+        raise ValueError("sigma_D not finite and positive on the whole grid")
 
     c = np.maximum(setup.S0 - ks, 0.0)
 
@@ -132,33 +129,68 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, grid: PdeGrid,
     times = sorted(set(round(t, 15) for t in times))
 
     diff = 0.5 * sig2 / (dx * dx)          # diffusion coefficient on d2/dK2
+    diff_max = float(np.max(diff))
+    # interior rows of L C = diff*(C[i+1] - 2C[i] + C[i-1]) - mu*(C[i+1] - C[i-1])/(2dx)
+    diff_in = diff[1:-1]
+    mid_c = -2.0 * diff_in
+
+    def off_diagonals(t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
+        adv = setup.drift(0.5 * (t0 + t1)) / (2.0 * dx)  # central first derivative
+        return diff_in + adv, diff_in - adv             # C[i-1], C[i+1]
+
+    def factor(dt: float, theta: float, lo_c: np.ndarray, hi_c: np.ndarray) -> tuple:
+        """LU factors of I - theta dt L; Dirichlet rows stay identity rows."""
+        d = np.ones(n)
+        d[1:-1] = 1.0 - theta * dt * mid_c
+        du = np.zeros(n - 1)
+        du[1:] = -theta * dt * hi_c
+        dl = np.zeros(n - 1)
+        dl[:-1] = -theta * dt * lo_c
+        dl, d, du, du2, ipiv, info = dgttrf(dl, d, du, overwrite_dl=1,
+                                            overwrite_d=1, overwrite_du=1)
+        if info > 0:
+            raise LinAlgError("singular matrix")
+        return dl, d, du, du2, ipiv
+
+    # With mu1 == 0 the operator is the same every step, so each distinct
+    # (dt, theta) is factored once.  The linspace schedule has a dozen or so
+    # step sizes that differ in the last bits; keying on the exact float keeps
+    # every step's matrix, and thus every output bit, as if built afresh.
+    steady = setup.mu1 == 0.0
+    if steady:
+        lo_fixed, hi_fixed = off_diagonals(0.0, 0.0)
+    factors: dict[tuple[float, float], tuple] = {}
+    acc = np.empty(n - 2)
+    tmp = np.empty(n - 2)
     out: dict[float, np.ndarray] = {}
     max_ratio = 0.0
 
     def step(c_in: np.ndarray, t0: float, t1: float, theta: float) -> np.ndarray:
         dt = t1 - t0
-        mu_mid = setup.drift(0.5 * (t0 + t1))
-        adv = mu_mid / (2.0 * dx)          # central first derivative
-        # L C = diff*(C[i+1] - 2C[i] + C[i-1]) - mu*(C[i+1] - C[i-1])/(2dx)
-        lo_c = diff + adv                   # C[i-1]
-        hi_c = diff - adv                   # C[i+1]
-        mid_c = -2.0 * diff
-        # (I - theta dt L) c_new = (I + (1-theta) dt L) c_old  (interior rows)
+        if steady:
+            lo_c, hi_c = lo_fixed, hi_fixed
+            lu = factors.get((dt, theta))
+            if lu is None:
+                lu = factors[(dt, theta)] = factor(dt, theta, lo_c, hi_c)
+        else:
+            lo_c, hi_c = off_diagonals(t0, t1)
+            lu = factor(dt, theta, lo_c, hi_c)
+        # (I - theta dt L) c_new = (I + (1-theta) dt L) c_old  (interior rows),
+        # summed in the order c + w*((lo*c[i-1] + mid*c[i]) + hi*c[i+1])
         rhs = c_in.copy()
         if theta < 1.0:
-            w = (1.0 - theta) * dt
-            rhs[1:-1] = (c_in[1:-1] + w * (lo_c[1:-1] * c_in[:-2]
-                                           + mid_c[1:-1] * c_in[1:-1]
-                                           + hi_c[1:-1] * c_in[2:]))
-        ab = np.zeros((3, n))
-        ab[1, :] = 1.0
-        ab[1, 1:-1] = 1.0 - theta * dt * mid_c[1:-1]
-        ab[0, 2:] = -theta * dt * hi_c[1:-1]
-        ab[2, :-2] = -theta * dt * lo_c[1:-1]
+            np.multiply(lo_c, c_in[:-2], out=acc)
+            np.multiply(mid_c, c_in[1:-1], out=tmp)
+            np.add(acc, tmp, out=acc)
+            np.multiply(hi_c, c_in[2:], out=tmp)
+            np.add(acc, tmp, out=acc)
+            np.multiply(acc, (1.0 - theta) * dt, out=acc)
+            rhs[1:-1] += acc
         # Dirichlet boundaries: deep ITM C = F(t1) - K, far OTM C = 0
         rhs[0] = setup.forward(t1) - ks[0]
         rhs[-1] = 0.0
-        return solve_banded((1, 1), ab, rhs)
+        x, _ = dgttrs(*lu, rhs, overwrite_b=1)
+        return x
 
     t_prev = times[0]
     rannacher_left = 2  # implicit half-steps damping the payoff kink
@@ -170,8 +202,7 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, grid: PdeGrid,
             rannacher_left -= 1
         else:
             c = step(c, t_prev, t_next, theta=0.5)
-        dt = t_next - t_prev
-        max_ratio = max(max_ratio, float(np.max(diff)) * dt)
+        max_ratio = max(max_ratio, diff_max * (t_next - t_prev))
         for t in T_out:
             if abs(t - t_next) <= 1e-12 * max(t, 1.0):
                 out[t] = c.copy()

@@ -2,11 +2,14 @@ import csv
 import io
 import json
 import math
+import pathlib
 from contextlib import redirect_stdout
 
 import pytest
 
 from nvol.cli import main, table1_rows
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 SMILE_CONFIG = """\
 [model]
@@ -123,6 +126,27 @@ def test_unknown_method_exits_2(tmp_path):
     p.write_text(SMILE_CONFIG.replace("asympt0 asympt1 exact", "asympt9"))
     code, _ = run(["smile", "--config", str(p)])
     assert code == 2
+
+
+@pytest.mark.parametrize("option", ["n_space = 10", "n_time_per_year = 0",
+                                    "min_time_steps = 0", "width_stdevs = nan",
+                                    "width_stdevs = -1"])
+def test_bad_pde_option_exits_2(tmp_path, capsys, option):
+    p = tmp_path / "bad.ini"
+    p.write_text(SMILE_CONFIG.replace("asympt0 asympt1 exact", "pde")
+                 + f"\n[pde]\n{option}\n")
+    code, _ = run(["smile", "--config", str(p)])
+    assert code == 2
+    assert option.split()[0] in capsys.readouterr().err
+
+
+def test_smile_fig3_matches_checked_in_csv(tmp_path):
+    # golden file: asympt0 and pde rows of the paper's Fig. 3, byte for byte
+    out = tmp_path / "fig3.csv"
+    code, _ = run(["smile", "--config", str(ROOT / "configs" / "fig3_kink_bL_0.ini"),
+                   "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (ROOT / "out" / "fig3_kink_bL_0.csv").read_bytes()
 
 
 def test_convert_roundtrip():

@@ -1,14 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from nvol.bachelier import NormalQuote, bachelier_call
 from nvol.dupire_pde import (PdeGrid, atm_implied_vol, default_grid,
                              extract_local_vol, implied_smile_from_pde,
                              solve_forward)
 from nvol.models import (MarketSetup, make_piecewise_linear,
-                         make_shifted_lognormal)
+                         make_quadratic_sabr, make_shifted_lognormal)
 
 
 def constant_model(c):
@@ -98,6 +100,67 @@ def test_breakpoint_lands_on_node():
     sol = solve_forward(model, setup, grid, 1.0)
     assert np.min(np.abs(sol.strikes - 0.03)) < 1e-13
     assert np.min(np.abs(sol.strikes - 0.031)) < 1e-13
+
+
+def reference_march(model, setup, ks, T_max, T_out, n_steps):
+    """Rannacher-started CN with the system rebuilt and solved every step."""
+    n, dx = len(ks), ks[1] - ks[0]
+    diff = 0.5 * np.array([model.vol(k) ** 2 for k in ks]) / (dx * dx)
+    times = np.linspace(0.0, T_max, n_steps + 1).tolist() + list(T_out)
+    times = sorted(set(round(t, 15) for t in times))
+
+    def step(c_in, t0, t1, theta):
+        dt = t1 - t0
+        adv = setup.drift(0.5 * (t0 + t1)) / (2.0 * dx)
+        lo_c, hi_c, mid_c = diff + adv, diff - adv, -2.0 * diff
+        rhs = c_in.copy()
+        if theta < 1.0:
+            w = (1.0 - theta) * dt
+            rhs[1:-1] = (c_in[1:-1] + w * (lo_c[1:-1] * c_in[:-2]
+                                           + mid_c[1:-1] * c_in[1:-1]
+                                           + hi_c[1:-1] * c_in[2:]))
+        ab = np.zeros((3, n))
+        ab[1, :] = 1.0
+        ab[1, 1:-1] = 1.0 - theta * dt * mid_c[1:-1]
+        ab[0, 2:] = -theta * dt * hi_c[1:-1]
+        ab[2, :-2] = -theta * dt * lo_c[1:-1]
+        rhs[0] = setup.forward(t1) - ks[0]
+        rhs[-1] = 0.0
+        return solve_banded((1, 1), ab, rhs)
+
+    c = np.maximum(setup.S0 - ks, 0.0)
+    out = []
+    for i, (t0, t1) in enumerate(zip(times[:-1], times[1:])):
+        if i < 2:
+            c = step(step(c, t0, 0.5 * (t0 + t1), 1.0), 0.5 * (t0 + t1), t1, 1.0)
+        else:
+            c = step(c, t0, t1, 0.5)
+        if any(abs(t - t1) <= 1e-12 * max(t, 1.0) for t in T_out):
+            out.append(c.copy())
+    return np.array(out)
+
+
+@pytest.mark.parametrize("model, setup, T_out, n_space", [
+    (make_quadratic_sabr(0.01, 0.3, -0.3, 0.03), MarketSetup(S0=0.03), [1.0], 801),
+    (make_piecewise_linear(0.008, 0.1, 0.2, 0.03),
+     MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001), [0.5, 1.0, 2.0], 201),
+])
+def test_march_bit_identical_to_per_step_banded_solve(model, setup, T_out, n_space):
+    T = T_out[-1]
+    grid = default_grid(model, setup, T, n_space=n_space)
+    sol = solve_forward(model, setup, grid, T, T_out=T_out)
+    want = reference_march(model, setup, sol.strikes, T, T_out,
+                           max(math.ceil(grid.n_time_per_year * T), grid.min_time_steps))
+    assert np.array_equal(sol.prices, want)
+
+
+def test_non_finite_local_vol_rejected():
+    base = constant_model(0.01)
+    model = dataclasses.replace(base, vol=lambda s: math.nan if s > 0.06 else base.vol(s))
+    setup = MarketSetup(S0=0.03)
+    grid = default_grid(model, setup, 1.0, n_space=101)
+    with pytest.raises(ValueError, match="sigma_D not finite and positive"):
+        solve_forward(model, setup, grid, 1.0)
 
 
 def test_grid_validation():
