@@ -3,11 +3,14 @@
 sigma_N(K, T) = sigma_0(K) + sigma_1(K) T + sigma_2(K) T^2 + ...
 
 sigma_0 is the harmonic-type average of the local vol between forward and
-strike; sigma_1 and sigma_2 follow from a recursion whose closed-form
-integrals are evaluated by adaptive quadrature.  Every coefficient has a
-removable 0/0 at the money, so inside a small switch radius the coefficients
-are replaced by their Taylor polynomials in y = K - F0 built from local-vol
-derivatives at the forward.
+strike; sigma_1 and sigma_2 follow from a recursion whose solution is closed
+form in two antiderivatives, J = int dL/sigma_D and the drift integral
+I2 = int (1/sigma_0 - 1/sigma_D)^2, both from F0.  sigma_0 and sigma_1 take
+them from adaptive quadrature; sigma_2 integrates over a fixed node set and
+takes them at all of its nodes from one cumulative pass.  Every coefficient
+has a removable 0/0 at the money, so inside a small switch radius the
+coefficients are replaced by their Taylor polynomials in y = K - F0 built
+from local-vol derivatives at the forward.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 from .models import LocalVolModel, MarketSetup
-from .quadrature import gauss_legendre, integrate
+from .quadrature import gauss_legendre_rule, integrate, legendre_cumulative
 
 
 class DomainError(ValueError):
@@ -129,6 +132,19 @@ def sigma1_series_atm(model: LocalVolModel, F0: float, mu0: float = 0.0
     return (v0, v1, v2)
 
 
+def _sigma0_taylor(series: tuple[float, float, float, float], y):
+    """(sigma0, sigma0', sigma0'') at y from sigma0_series_atm; y may be an ndarray."""
+    s0, s1, s2, s3 = series
+    return (s0 + y * (s1 + y * (0.5 * s2 + y * s3 / 6.0)),
+            s1 + y * (s2 + 0.5 * y * s3), s2 + y * s3)
+
+
+def _sigma1_taylor(series: tuple[float, float, float], y: float):
+    """(sigma1, sigma1', sigma1'') at y from sigma1_series_atm."""
+    v0, v1, v2 = series
+    return (v0 + y * (v1 + 0.5 * y * v2), v1 + y * v2, v2)
+
+
 def sigma0(model: LocalVolModel, F0: float, K: float,
            spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """Leading-order normal vol: (K - F0) / int_{F0}^{K} dL / sigma_D(L)."""
@@ -136,30 +152,18 @@ def sigma0(model: LocalVolModel, F0: float, K: float,
     y = K - F0
     branch = _series_branch(model, F0, y)
     if abs(y) < spec.switch_radius(branch.vol(F0)):
-        s0, s1, s2, s3 = sigma0_series_atm(branch, F0)
-        return s0 + y * (s1 + y * (0.5 * s2 + y * s3 / 6.0))
+        return _sigma0_taylor(sigma0_series_atm(branch, F0), y)[0]
     return y / _inv_vol_integral(model, F0, K, spec)
 
 
-def _sigma0_derivs(model: LocalVolModel, F0: float, K: float, spec: QuadratureSpec,
-                   radius_factor: float = 1.0) -> tuple[float, float, float]:
-    """(sigma0, sigma0', sigma0'') at strike K via the antiderivative J.
+def _sigma0_derivs(model: LocalVolModel, F0: float, K: float, J: float
+                   ) -> tuple[float, float, float]:
+    """(sigma0, sigma0', sigma0'') at strike K off the money, from J(K).
 
-    J = int dL/sigma_D has J' = 1/sigma_D and J'' = -sigma_D'/sigma_D^2, so
-    the derivatives of sigma0 = y/J need no numerical differentiation.
-    Callers that consume the second derivative pass radius_factor > 1: the
-    closed form loses two to four digits per decade as y -> 0, while the
-    Taylor branch stays clean out to a much larger radius.
+    J = int_{F0}^{K} dL/sigma_D has J' = 1/sigma_D and J'' = -sigma_D'/sigma_D^2,
+    so the derivatives of sigma0 = y/J need no numerical differentiation.
     """
     y = K - F0
-    branch = _series_branch(model, F0, y)
-    if abs(y) < radius_factor * spec.switch_radius(branch.vol(F0)):
-        s0, s1, s2, s3 = sigma0_series_atm(branch, F0)
-        val = s0 + y * (s1 + y * (0.5 * s2 + y * s3 / 6.0))
-        dval = s1 + y * (s2 + 0.5 * y * s3)
-        ddval = s2 + y * s3
-        return (val, dval, ddval)
-    J = _inv_vol_integral(model, F0, K, spec)
     Jp = 1.0 / model.vol(K)
     Jpp = -model.deriv(K, 1) / model.vol(K) ** 2
     val = y / J
@@ -193,6 +197,17 @@ def midpoint_approx(model: LocalVolModel, F0: float, K: float) -> MidpointApprox
     return MidpointApprox(value=v, error_bound=bound)
 
 
+def _drift_integral(model: LocalVolModel, F0: float, K: float, spec: QuadratureSpec) -> float:
+    """I2(K) = int_{F0}^{K} (1/sigma0 - 1/sigma_D)^2 by adaptive quadrature."""
+    def integrand(L: float) -> float:
+        d = 1.0 / sigma0(model, F0, L, spec) - 1.0 / model.vol(L)
+        return d * d
+
+    return integrate(integrand, F0, K, breakpoints=model.breakpoints,
+                     rel_tol=max(spec.rel_tol, 1e-9), abs_tol=spec.abs_tol,
+                     max_subdivisions=spec.max_subdivisions)
+
+
 def sigma1(model: LocalVolModel, F0: float, mu0: float, K: float,
            spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """O(T) coefficient at fixed strike.
@@ -201,26 +216,28 @@ def sigma1(model: LocalVolModel, F0: float, mu0: float, K: float,
                               + mu0 * int_{F0}^{K} (1/sigma0 - 1/sigma_D)^2 )
     """
     _require_domain(model, F0, K)
-    return _sigma1_with_derivs(model, F0, mu0, K, spec)[0]
+    y = K - F0
+    branch = _series_branch(model, F0, y)
+    if abs(y) < spec.switch_radius(branch.vol(F0)):
+        return _sigma1_taylor(sigma1_series_atm(branch, F0, mu0), y)[0]
+    s0d = _sigma0_derivs(model, F0, K, _inv_vol_integral(model, F0, K, spec))
+    I2 = _drift_integral(model, F0, K, spec) if mu0 != 0.0 else 0.0
+    return _sigma1_with_derivs(model, F0, mu0, K, s0d, I2)[0]
 
 
 def _sigma1_with_derivs(model: LocalVolModel, F0: float, mu0: float, K: float,
-                        spec: QuadratureSpec, radius_factor: float = 1.0
+                        s0d: tuple[float, float, float], I2: float
                         ) -> tuple[float, float, float]:
-    """(sigma1, sigma1', sigma1'') at strike K, all analytic.
+    """(sigma1, sigma1', sigma1'') at strike K off the money.
 
-    Writing sigma1 = P * G with P = sigma0^3/y^2 and G the bracket
-    (-1/2 log + mu0 integral), both factors differentiate in closed form:
+    s0d is (sigma0, sigma0', sigma0'') from _sigma0_derivs and I2 the drift
+    integral at K.  Writing sigma1 = P * G with P = sigma0^3/y^2 and G the
+    bracket (-1/2 log + mu0 I2), both factors differentiate in closed form:
     the log term needs only sigma0', sigma0'', sigma_D', sigma_D'', and the
-    drift integral's derivative is its integrand.  See _sigma0_derivs for
-    the role of radius_factor.
+    drift integral's derivative is its integrand.
     """
     y = K - F0
-    branch = _series_branch(model, F0, y)
-    if abs(y) < radius_factor * spec.switch_radius(branch.vol(F0)):
-        v0, v1, v2 = sigma1_series_atm(branch, F0, mu0)
-        return (v0 + y * (v1 + 0.5 * y * v2), v1 + y * v2, v2)
-    s0, s0p, s0pp = _sigma0_derivs(model, F0, K, spec, radius_factor)
+    s0, s0p, s0pp = s0d
     sD = model.vol(K)
     sDp = model.deriv(K, 1)
     sDpp = model.deriv(K, 2)
@@ -230,13 +247,6 @@ def _sigma1_with_derivs(model: LocalVolModel, F0: float, mu0: float, K: float,
     Gpp = (-s0pp / s0 + (s0p / s0) ** 2 + 0.5 * sDpp / sD
            - 0.5 * (sDp / sD) ** 2)
     if mu0 != 0.0:
-        def integrand(L: float) -> float:
-            d = 1.0 / sigma0(model, F0, L, spec) - 1.0 / model.vol(L)
-            return d * d
-
-        I2 = integrate(integrand, F0, K, breakpoints=model.breakpoints,
-                       rel_tol=max(spec.rel_tol, 1e-9), abs_tol=spec.abs_tol,
-                       max_subdivisions=spec.max_subdivisions)
         d = 1.0 / s0 - 1.0 / sD
         G += mu0 * I2
         Gp += mu0 * d * d
@@ -248,9 +258,9 @@ def _sigma1_with_derivs(model: LocalVolModel, F0: float, mu0: float, K: float,
     return (P * G, Pp * G + P * Gp, Ppp * G + 2.0 * Pp * Gp + P * Gpp)
 
 
-def _h2_mu(model: LocalVolModel, F0: float, mu0: float, mu1: float, L: float,
-           spec: QuadratureSpec) -> float:
-    """Drift part of the O(T^2) inhomogeneity.
+def _h2_mu(mu0: float, mu1: float, y: float, sD: float,
+           s0d: tuple[float, float, float], s1d: tuple[float, float, float]) -> float:
+    """Drift part of the O(T^2) inhomogeneity at y = L - F0, sigma_D = sD(L).
 
     Obtained by matching the T^2 coefficient of the fixed-strike equation to
     the quadrature template for the second-order coefficient (re-derived and
@@ -258,20 +268,51 @@ def _h2_mu(model: LocalVolModel, F0: float, mu0: float, mu1: float, L: float,
     product term vanishes identically on the driftless first-order solution
     and restores exactness when the drift shifts sigma1.
     """
-    if mu0 == 0.0 and mu1 == 0.0:
-        return 0.0
-    s0, s0p, s0pp = _sigma0_derivs(model, F0, L, spec, _DERIV_RADIUS_FACTOR)
-    N = s0 / model.vol(L)
-    yv = L - F0
-    s1, s1p, _ = _sigma1_with_derivs(model, F0, mu0, L, spec, _DERIV_RADIUS_FACTOR)
+    s0, s0p, s0pp = s0d
+    s1, s1p, _ = s1d
+    N = s0 / sD
     g = s0p / s0
-    A = 2.0 * N * s1 * (N - 1.0) + 2.0 * N * yv * s1p + s0 * s0 * s0pp
-    B = 2.0 * N * s1 * (3.0 * N - 1.0) + 2.0 * N * yv * s1p - s0 * s0 * s0pp
+    A = 2.0 * N * s1 * (N - 1.0) + 2.0 * N * y * s1p + s0 * s0 * s0pp
+    B = 2.0 * N * s1 * (3.0 * N - 1.0) + 2.0 * N * y * s1p - s0 * s0 * s0pp
     return (mu1 * g * (2.0 - 1.0 / N)
             - mu0 * mu0 * g * g / (N * N)
             + 2.0 * mu0 * g / (s0 * N * N)
-            * (s1 * (N * N + 2.0 * N - 1.0) + yv * s1p * (1.0 - N))
+            * (s1 * (N * N + 2.0 * N - 1.0) + y * s1p * (1.0 - N))
             - A * B / (4.0 * N ** 4 * s0 * s0))
+
+
+def _node_antiderivatives(model: LocalVolModel, F0: float, mu0: float, edges, nodes,
+                          taylor0: tuple[float, float, float, float], radius: float):
+    """J and I2 at every node of a composite rule, in one cumulative pass.
+
+    The chain F0 = edges[0], nodes of panel 1, edges[1], nodes of panel 2, ...
+    is walked gap by gap, with an n-point Gauss-Legendre rule on each gap, and
+    the gap integrals are summed.  Every panel edge is a chain point, so no gap
+    straddles a breakpoint or the Taylor handover.  The integrand of I2 needs
+    sigma0 = y/J inside each gap; J there comes from the spectral integration
+    matrix of the same gap samples.  As in sigma0, |y| < radius uses the
+    Taylor coefficients taylor0 instead.  Returns J, I2 shaped like nodes
+    (I2 is zero without drift).
+    """
+    import numpy as np
+
+    t, w, Q = legendre_cumulative(nodes.shape[1])
+    chain = np.concatenate([edges[:-1, None], nodes, edges[1:, None]], axis=1)
+    a, b = chain[:, :-1], chain[:, 1:]
+    half = 0.5 * (b - a)
+    gap_nodes = (0.5 * (a + b))[..., None] + half[..., None] * t
+    inv_vol = 1.0 / model.vol_array(gap_nodes)
+    dJ = half * (inv_vol @ w)
+    J_end = np.cumsum(dJ).reshape(dJ.shape)
+    I2_end = np.zeros_like(J_end)
+    if mu0 != 0.0:
+        J_gap = (J_end - dJ)[..., None] + half[..., None] * (inv_vol @ Q.T)
+        y = gap_nodes - F0
+        s0_gap = np.where(np.abs(y) < radius, _sigma0_taylor(taylor0, y)[0], y / J_gap)
+        d = 1.0 / s0_gap - inv_vol
+        I2_end = np.cumsum(half * ((d * d) @ w)).reshape(dJ.shape)
+    # node k of a panel is the end of the panel's gap k
+    return J_end[:, :-1], I2_end[:, :-1]
 
 
 def sigma2(model: LocalVolModel, F0: float, mu0: float, mu1: float, K: float,
@@ -281,42 +322,55 @@ def sigma2(model: LocalVolModel, F0: float, mu0: float, mu1: float, K: float,
     sigma2 = -sigma0^4/y^3 * int_0^y z^2 dz { 3 sigma1^2/(2 sigma_D sigma0^4)
              - sigma_D^3 sigma0''^2/(8 sigma0^4) - sigma_D sigma1''/(2 sigma0^3)
              + H2_mu/(2 sigma_D sigma0^2) }
+
+    The z-integral is a composite 16-node x 8-panel Gauss-Legendre rule with
+    J and I2 at its nodes from _node_antiderivatives.  Within
+    _DERIV_RADIUS_FACTOR switch radii of the money the integrand takes its
+    Taylor forms: the closed forms of the second derivatives cancel like
+    1/y^2 .. 1/y^4 there.
     """
     _require_domain(model, F0, K)
     y = K - F0
     branch = _series_branch(model, F0, y)
-    if abs(y) < spec.switch_radius(branch.vol(F0)):
+    radius = spec.switch_radius(branch.vol(F0))
+    if abs(y) < radius:
         return sigma2_atm(branch, F0, mu0, mu1)
 
-    inner_spec = QuadratureSpec(rel_tol=max(spec.rel_tol, 1e-10), abs_tol=spec.abs_tol,
-                                max_subdivisions=spec.max_subdivisions,
-                                atm_switch_radius=spec.atm_switch_radius, t_ref=spec.t_ref)
-
-    def integrand(L: float) -> float:
-        z = L - F0
-        sD = model.vol(L)
-        s0, _, s0pp = _sigma0_derivs(model, F0, L, inner_spec, _DERIV_RADIUS_FACTOR)
-        s1, _, s1pp = _sigma1_with_derivs(model, F0, mu0, L, inner_spec,
-                                          _DERIV_RADIUS_FACTOR)
-        core = (1.5 * s1 * s1 / (sD * s0 ** 4)
-                - sD ** 3 * s0pp * s0pp / (8.0 * s0 ** 4)
-                - sD * s1pp / (2.0 * s0 ** 3))
-        if mu0 != 0.0 or mu1 != 0.0:
-            core += _h2_mu(model, F0, mu0, mu1, L, inner_spec) / (2.0 * sD * s0 * s0)
-        return z * z * core
-
     # the Taylor/closed-form handover is a (tiny) jump: pin it to a panel edge
-    r_taylor = _DERIV_RADIUS_FACTOR * spec.switch_radius(branch.vol(F0))
+    r_taylor = _DERIV_RADIUS_FACTOR * radius
     bps = set(model.breakpoints)
     for bp in (F0 + r_taylor, F0 - r_taylor):
         if min(F0, K) < bp < max(F0, K):
             bps.add(bp)
+    edges, nodes, weights = gauss_legendre_rule(F0, K, breakpoints=tuple(sorted(bps)),
+                                                n_nodes=16, n_panels=8)
+    taylor0 = sigma0_series_atm(branch, F0)
+    taylor1 = sigma1_series_atm(branch, F0, mu0)
+    J, I2 = _node_antiderivatives(model, F0, mu0, edges, nodes, taylor0, radius)
+    drift = mu0 != 0.0 or mu1 != 0.0
+
+    def integrand(L: float, J_L: float, I2_L: float) -> float:
+        z = L - F0
+        sD = model.vol(L)
+        if abs(z) < r_taylor:
+            s0d = _sigma0_taylor(taylor0, z)
+            s1d = _sigma1_taylor(taylor1, z)
+        else:
+            s0d = _sigma0_derivs(model, F0, L, J_L)
+            s1d = _sigma1_with_derivs(model, F0, mu0, L, s0d, I2_L)
+        s0, _, s0pp = s0d
+        s1, _, s1pp = s1d
+        core = (1.5 * s1 * s1 / (sD * s0 ** 4)
+                - sD ** 3 * s0pp * s0pp / (8.0 * s0 ** 4)
+                - sD * s1pp / (2.0 * s0 ** 3))
+        if drift:
+            core += _h2_mu(mu0, mu1, z, sD, s0d, s1d) / (2.0 * sD * s0 * s0)
+        return z * z * core
+
+    val = sum(w * integrand(float(L), float(J_L), float(I2_L))
+              for L, J_L, I2_L, w in zip(nodes.flat, J.flat, I2.flat, weights.flat))
     s0K = sigma0(model, F0, K, spec)
-    # fixed-order rule: the integrand inherits a tiny noise floor from the
-    # nested quadratures, which error-driven refinement would chase forever
-    val = gauss_legendre(integrand, F0, K, breakpoints=tuple(sorted(bps)),
-                         n_nodes=16, n_panels=8)
-    return -s0K ** 4 / y ** 3 * val
+    return float(-s0K ** 4 / y ** 3 * val)
 
 
 def sigma2_atm(model: LocalVolModel, F0: float, mu0: float = 0.0, mu1: float = 0.0) -> float:
@@ -353,12 +407,36 @@ def sigma1_jump(model: LocalVolModel, F0: float) -> float:
     return vr - vl
 
 
+def expansion_coefficient(model: LocalVolModel, setup: MarketSetup, K: float, order: int,
+                          spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+    """sigma0, sigma1 or sigma2 at strike K; the coefficients do not depend on T."""
+    F0 = setup.S0
+    if order == 0:
+        return sigma0(model, F0, K, spec)
+    if order == 1:
+        return sigma1(model, F0, setup.mu0, K, spec)
+    if order == 2:
+        return sigma2(model, F0, setup.mu0, setup.mu1, K, spec)
+    raise ValueError("order must be 0, 1 or 2")
+
+
+def smile_from_coefficients(coeffs, T: float) -> float:
+    """sigma0 + sigma1 T + sigma2 T^2 truncated after the coefficients given."""
+    out = coeffs[0]
+    if len(coeffs) > 1:
+        out += coeffs[1] * T
+    if len(coeffs) > 2:
+        out += coeffs[2] * T * T
+    return out
+
+
 def smile(model: LocalVolModel, setup: MarketSetup, K: float, T: float, order: int,
           spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """Truncated fixed-strike expansion sigma0 + sigma1 T + sigma2 T^2.
 
     y = K - F0 throughout; the drift enters through the mu-dependent terms of
-    the coefficients, not through a moving moneyness.
+    the coefficients, not through a moving moneyness.  Warns for models with
+    breakpoints, whose smiles carry sqrt(T) terms the series misses.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
@@ -367,10 +445,5 @@ def smile(model: LocalVolModel, setup: MarketSetup, K: float, T: float, order: i
             "power-series-in-T smile for a non-analytic local vol: the expansion "
             "misses sqrt(T) terms (use the sqrt-T detector)", NonAnalyticWarning,
             stacklevel=2)
-    F0 = setup.S0
-    out = sigma0(model, F0, K, spec)
-    if order >= 1:
-        out += sigma1(model, F0, setup.mu0, K, spec) * T
-    if order >= 2:
-        out += sigma2(model, F0, setup.mu0, setup.mu1, K, spec) * T * T
-    return out
+    coeffs = [expansion_coefficient(model, setup, K, k, spec) for k in range(order + 1)]
+    return smile_from_coefficients(coeffs, T)

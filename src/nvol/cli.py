@@ -21,10 +21,10 @@ import io
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 
-from .asymptotics import DomainError, NonAnalyticWarning, sigma1_jump, smile
+from .asymptotics import (DomainError, expansion_coefficient, sigma1_jump,
+                          smile_from_coefficients)
 from .bachelier import (atm_lognormal_from_normal, atm_normal_from_lognormal,
                         implied_normal_vol)
 from .dupire_pde import (default_grid, extract_local_vol,
@@ -65,9 +65,12 @@ class ExperimentConfig:
 def _floats(raw: str, where: str) -> list[float]:
     toks = [t for t in raw.replace(",", " ").split() if t]
     try:
-        return [float(t) for t in toks]
+        vals = [float(t) for t in toks]
     except ValueError as e:
         raise ConfigError(f"{where}: not a number list: {raw!r}") from e
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"{where}: numbers must be finite: {raw!r}")
+    return vals
 
 
 def _get(section, key: str, where: str, cast=float, default=None):
@@ -76,9 +79,12 @@ def _get(section, key: str, where: str, cast=float, default=None):
             return default
         raise ConfigError(f"{where}: missing key '{key}'")
     try:
-        return cast(section[key])
+        value = cast(section[key])
     except ValueError as e:
         raise ConfigError(f"{where}: bad value for '{key}': {section[key]!r}") from e
+    if cast is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: '{key}' must be finite, got {section[key]!r}")
+    return value
 
 
 def _build_model(kind: str, sec, S0: float) -> tuple[LocalVolModel, dict]:
@@ -235,6 +241,10 @@ def cmd_smile(args) -> int:
     fmt = args.format or cfg.fmt
     rows: list[dict] = []
     current = {"K": None, "T": None, "method": None}
+    # each expansion coefficient once per strike, reused across orders and
+    # maturities; the flag marks the models for which smile() warns
+    coeffs: dict[float, list[float]] = {}
+    asympt_flag = "low_confidence" if cfg.model.breakpoints else "ok"
     try:
         for T in cfg.maturities:
             F = cfg.setup.forward(T)
@@ -245,14 +255,12 @@ def cmd_smile(args) -> int:
                     order = int(method[-1])
                     for K in cfg.strikes:
                         current["K"] = K
-                        with warnings.catch_warnings(record=True) as caught:
-                            warnings.simplefilter("always")
-                            vol = smile(cfg.model, cfg.setup, K, T, order)
-                        flag = ("low_confidence"
-                                if any(issubclass(w.category, NonAnalyticWarning)
-                                       for w in caught) else "ok")
+                        c = coeffs.setdefault(K, [])
+                        while len(c) <= order:
+                            c.append(expansion_coefficient(cfg.model, cfg.setup, K, len(c)))
                         rows.append({"K": K, "T": T, "method": method,
-                                     "sigma_N": vol, "flag": flag})
+                                     "sigma_N": smile_from_coefficients(c[:order + 1], T),
+                                     "flag": asympt_flag})
                 elif method == "pde":
                     current["K"] = cfg.strikes[0]
                     grid = default_grid(cfg.model, cfg.setup, T, **cfg.pde_opts)
@@ -262,10 +270,11 @@ def cmd_smile(args) -> int:
                                      "sigma_N": pt.sigmaN, "flag": pt.flag})
                 elif method == "mc":
                     spec = McSpec(seed=args.seed, **cfg.mc_opts)
-                    for K in cfg.strikes:
+                    current["K"] = cfg.strikes[0]
+                    res = mc_call(cfg.model, cfg.setup, cfg.strikes, T, spec)
+                    for K, price in zip(cfg.strikes, res.price):
                         current["K"] = K
-                        res = mc_call(cfg.model, cfg.setup, K, T, spec)
-                        price, flag = res.price, "ok"
+                        price, flag = float(price), "ok"
                         intrinsic = max(F - K, 0.0)
                         if price < intrinsic:
                             price, flag = intrinsic, "clamped"
@@ -420,8 +429,6 @@ def _surface_from_csv(path: str):
 def cmd_extract_lv(args) -> int:
     try:
         surface, strikes_by_level, ts = _surface_from_csv(args.surface)
-    except ConfigError:
-        raise
     except (OSError, ValueError) as e:
         print(f"extract-lv: cannot read surface: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -35,8 +35,8 @@ class McSpec:
 
 
 class McResult(NamedTuple):
-    price: float
-    std_error: float
+    price: float | np.ndarray  # an array when mc_call was given an array of strikes
+    std_error: float | np.ndarray
     n_boundary_hits: int  # paths that ever left the positivity domain
 
 
@@ -61,7 +61,6 @@ def simulate_terminal(model: LocalVolModel, setup: MarketSetup, T: float,
     pad = 1e-12 * scale
     lo_c = lo + pad if math.isfinite(lo) else lo
     hi_c = hi - pad if math.isfinite(hi) else hi
-    vol = model.vol_vec if model.vol_vec is not None else np.vectorize(model.vol, otypes=[float])
 
     S = np.full(spec.n_paths, setup.S0)
     exited = np.zeros(spec.n_paths, dtype=bool)
@@ -73,18 +72,12 @@ def simulate_terminal(model: LocalVolModel, setup: MarketSetup, T: float,
         outside = (S < lo_c) | (S > hi_c)
         exited |= outside
         S_eval = np.clip(S, lo_c, hi_c)
-        S = S + vol(S_eval) * sqdt * z + setup.drift(t_mid) * dt
+        S = S + model.vol_array(S_eval) * sqdt * z + setup.drift(t_mid) * dt
     return S, int(exited.sum())
 
 
-def mc_call(model: LocalVolModel, setup: MarketSetup, K: float, T: float,
-            spec: McSpec = McSpec()) -> McResult:
-    """Monte-Carlo call price E[(S_T - K)+] with standard error.
-
-    With antithetic pairing the standard error is computed over pair
-    averages, which is the correct estimate for the paired scheme.
-    """
-    S, n_hits = simulate_terminal(model, setup, T, spec)
+def _call_stats(S: np.ndarray, K: float, spec: McSpec) -> tuple[float, float]:
+    """(price, standard error) of the call payoff (S_T - K)+ over the paths S."""
     payoff = np.maximum(S - K, 0.0)
     if spec.antithetic:
         half = spec.n_paths // 2
@@ -92,6 +85,22 @@ def mc_call(model: LocalVolModel, setup: MarketSetup, K: float, T: float,
     else:
         samples = payoff
     n = samples.size
-    price = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(n))
-    return McResult(price=price, std_error=se, n_boundary_hits=n_hits)
+    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n))
+
+
+def mc_call(model: LocalVolModel, setup: MarketSetup, K: float | np.ndarray, T: float,
+            spec: McSpec = McSpec()) -> McResult:
+    """Monte-Carlo call price E[(S_T - K)+] with standard error.
+
+    With antithetic pairing the standard error is computed over pair
+    averages, which is the correct estimate for the paired scheme.  A 1-d
+    array of strikes is priced on one path set, strike by strike, and gives
+    price and std_error arrays equal to the one-strike calls.
+    """
+    S, n_hits = simulate_terminal(model, setup, T, spec)
+    if np.ndim(K) == 0:
+        price, se = _call_stats(S, K, spec)
+        return McResult(price=price, std_error=se, n_boundary_hits=n_hits)
+    stats = np.array([_call_stats(S, k, spec) for k in np.asarray(K, dtype=float)],
+                     dtype=float).reshape(-1, 2)
+    return McResult(price=stats[:, 0], std_error=stats[:, 1], n_boundary_hits=n_hits)

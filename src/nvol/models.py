@@ -26,11 +26,18 @@ class LocalVolModel:
     label: str = ""
     # analytic one-sided branches (left, right) around a single breakpoint
     branches: tuple["LocalVolModel", ...] = field(default=(), repr=False)
-    # optional ndarray-in/ndarray-out evaluation for path simulation
+    # optional ndarray-in/ndarray-out evaluation of vol
     vol_vec: Callable | None = field(default=None, repr=False)
 
     def __call__(self, s: float) -> float:
         return self.vol(s)
+
+    def vol_array(self, s):
+        """sigma_D on an ndarray: vol_vec, or vol element by element."""
+        if self.vol_vec is not None:
+            return self.vol_vec(s)
+        import numpy as np
+        return np.vectorize(self.vol, otypes=[float])(s)
 
     def in_domain(self, s: float) -> bool:
         lo, hi = self.positivity_domain
@@ -55,6 +62,9 @@ class MarketSetup:
     mu0: float = 0.0
     mu1: float = 0.0
 
+    def __post_init__(self):
+        _require_finite(S0=self.S0, mu0=self.mu0, mu1=self.mu1)
+
     def forward(self, T: float) -> float:
         return self.S0 + self.mu0 * T + 0.5 * self.mu1 * T * T
 
@@ -62,8 +72,15 @@ class MarketSetup:
         return self.mu0 + self.mu1 * T
 
 
+def _require_finite(**params: float) -> None:
+    bad = [f"{k}={v!r}" for k, v in params.items() if not math.isfinite(v)]
+    if bad:
+        raise ValueError("parameters must be finite: " + ", ".join(bad))
+
+
 def make_shifted_lognormal(sigma0: float, b: float, S0: float) -> LocalVolModel:
     """sigma_D(S) = sigma0 + 2 b S; exactly solvable by a shift to Black-Scholes."""
+    _require_finite(sigma0=sigma0, b=b, S0=S0)
     if sigma0 + 2.0 * b * S0 <= 0.0:
         raise ValueError("degenerate model: sigma0 + 2*b*S0 must be positive")
 
@@ -94,6 +111,7 @@ def make_quadratic_sabr(sigma0: float, gamma: float, rho: float, S0: float) -> L
     One-dimensional local-vol reduction of a log-normal stochastic-vol model;
     analytic everywhere for |rho| < 1 (negative discriminant).
     """
+    _require_finite(sigma0=sigma0, gamma=gamma, rho=rho, S0=S0)
     if abs(rho) >= 1.0:
         raise ValueError("correlation must satisfy |rho| < 1")
     if sigma0 <= 0.0:
@@ -137,6 +155,7 @@ def make_quadratic_sabr(sigma0: float, gamma: float, rho: float, S0: float) -> L
 
 def make_piecewise_linear(sigma0: float, bL: float, bR: float, S0: float) -> LocalVolModel:
     """Two linear pieces meeting at S0 with a derivative jump 2*(bR - bL)."""
+    _require_finite(sigma0=sigma0, bL=bL, bR=bR, S0=S0)
     if sigma0 <= 0.0:
         raise ValueError("sigma0 must be positive")
     if bL == bR:
@@ -185,6 +204,8 @@ def make_tabulated(samples: Sequence[tuple[float, float]]) -> LocalVolModel:
         raise ValueError("tabulated model needs at least 4 samples")
     s_grid = [p[0] for p in pts]
     vols = [p[1] for p in pts]
+    if not all(math.isfinite(x) for x in s_grid + vols):
+        raise ValueError("tabulated samples must be finite")
     if any(b <= a for a, b in zip(s_grid[:-1], s_grid[1:])):
         raise ValueError("sample grid must be strictly increasing in S")
     if any(v <= 0.0 for v in vols):

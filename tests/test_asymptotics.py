@@ -140,6 +140,40 @@ def test_sigma2_point_values_vs_solver():
         assert sigma2(m, F0, mu0, mu1, F0 - 0.2) == pytest.approx(s2pts[1], rel=2e-4)
 
 
+def counting_model(model):
+    """The model with every sigma_D evaluation counted, scalar or array element."""
+    import dataclasses
+
+    import numpy as np
+    count = [0]
+
+    def counted(fn):
+        def f(s):
+            count[0] += int(np.size(s))
+            return fn(s)
+        return f
+
+    return dataclasses.replace(model, vol=counted(model.vol),
+                               vol_vec=counted(model.vol_vec)), count
+
+
+def test_drifted_sigma2_vol_evaluations():
+    # one drifted sigma2 used to evaluate sigma_D 193,148 times here: adaptive
+    # J four times and the drift integral I2 twice at each of its 256 nodes,
+    # with an adaptive sigma0 inside every I2 integrand call.  The cumulative
+    # pass over the same nodes needs 5,189 evaluations.
+    m, count = counting_model(make_quadratic_sabr(0.01, 0.3, -0.3, 0.03))
+    sigma2(m, 0.03, 0.002, -0.001, 0.025)
+    assert 0 < count[0] <= 193_148 // 20
+
+
+def test_coefficients_are_python_floats():
+    m = make_quadratic_sabr(0.01, 0.3, -0.3, 0.03)
+    setup = MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001)
+    assert type(sigma2(m, 0.03, 0.002, -0.001, 0.035)) is float
+    assert type(smile(m, setup, 0.035, 1.0, 2)) is float
+
+
 def test_sigma2_atm_shifted_ln():
     # driftless: sb b^4 / 40; drift adds -mu1 b/6 + mu0^2 b^2/(6 sb)
     sb, b, S0 = 0.014, 0.1, 0.03

@@ -149,6 +149,77 @@ def test_smile_fig3_matches_checked_in_csv(tmp_path):
     assert out.read_bytes() == (ROOT / "out" / "fig3_kink_bL_0.csv").read_bytes()
 
 
+@pytest.mark.parametrize("section, key, value", [("model", "sigma0", "nan"),
+                                                 ("market", "S0", "inf")])
+def test_non_finite_parameter_exits_2(tmp_path, capsys, section, key, value):
+    lines = [f"{key} = {value}" if ln.startswith(f"{key} =") else ln
+             for ln in SMILE_CONFIG.splitlines()]
+    p = tmp_path / "bad.ini"
+    p.write_text("\n".join(lines) + "\n")
+    code, _ = run(["smile", "--config", str(p)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"[{section}]" in err and f"'{key}'" in err and "finite" in err
+
+
+DRIFTED_SABR = """\
+[model]
+type = quadratic_sabr
+sigma0 = 0.01
+gamma = 0.3
+rho = -0.3
+
+[market]
+S0 = 0.03
+mu0 = 0.002
+mu1 = -0.001
+
+[strikes]
+list = 0.025 0.03 0.0305 0.033
+
+[maturities]
+list = 0.5 1
+
+[methods]
+list = asympt2 asympt0 asympt1
+"""
+
+KINK = DRIFTED_SABR.replace("""type = quadratic_sabr
+sigma0 = 0.01
+gamma = 0.3
+rho = -0.3""", """type = piecewise_linear
+sigma0 = 0.008
+bL = -0.1
+bR = 0.1""")
+
+
+@pytest.mark.parametrize("text, flag", [(DRIFTED_SABR, "ok"), (KINK, "low_confidence")],
+                         ids=["drifted_sabr", "kink"])
+def test_smile_rows_equal_smile_function(tmp_path, text, flag):
+    # coefficients are computed once per strike and reused across orders and
+    # maturities; every row must still be the float smile() gives (JSON
+    # output carries the full repr)
+    import warnings
+
+    from nvol.asymptotics import smile
+    from nvol.cli import load_config
+
+    p = tmp_path / "s.ini"
+    p.write_text(text)
+    out = tmp_path / "s.json"
+    code, _ = run(["smile", "--config", str(p), "--out", str(out), "--format", "json"])
+    assert code == 0
+    cfg = load_config(str(p))
+    rows = json.loads(out.read_text())
+    assert len(rows) == 4 * 2 * 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for r in rows:
+            want = smile(cfg.model, cfg.setup, r["K"], r["T"], int(r["method"][-1]))
+            assert r["sigma_N"] == want
+            assert r["flag"] == flag
+
+
 def test_convert_roundtrip():
     code, out = run(["convert", "0.03", "2.0", "0.25", "--direction", "ln2n"])
     assert code == 0

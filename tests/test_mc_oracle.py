@@ -78,3 +78,16 @@ def test_boundary_hits_counted_near_absorbing_level():
                   McSpec(n_paths=10_000, steps_per_year=1, seed=7))
     assert res.n_boundary_hits > 0
     assert math.isfinite(res.price) and res.price >= 0.0
+
+
+def test_strike_array_equals_one_strike_calls():
+    model = make_shifted_lognormal(0.002, 0.1, 0.03)
+    setup = MarketSetup(S0=0.03, mu0=0.001)
+    spec = McSpec(n_paths=4_000, seed=11)
+    strikes = [0.02, 0.028, 0.03, 0.033, 0.045]
+    res = mc_call(model, setup, np.array(strikes), 0.5, spec)
+    single = [mc_call(model, setup, K, 0.5, spec) for K in strikes]
+    assert np.array_equal(res.price, [r.price for r in single])
+    assert np.array_equal(res.std_error, [r.std_error for r in single])
+    assert res.n_boundary_hits == single[0].n_boundary_hits
+    assert type(single[0].price) is float and type(single[0].std_error) is float

@@ -115,6 +115,35 @@ def test_degenerate_inputs_raise():
         make_tabulated([(0.01, 0.01), (0.01, 0.012), (0.03, 0.013), (0.04, 0.02)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_raise(bad):
+    for build in (lambda: make_shifted_lognormal(bad, 0.1, 0.03),
+                  lambda: make_shifted_lognormal(0.01, bad, 0.03),
+                  lambda: make_quadratic_sabr(0.02, bad, 0.0, 0.05),
+                  lambda: make_quadratic_sabr(0.02, 0.3, bad, 0.05),
+                  lambda: make_quadratic_sabr(0.02, 0.3, 0.0, bad),
+                  lambda: make_piecewise_linear(bad, 0.1, 0.2, 0.03),
+                  lambda: make_piecewise_linear(0.008, 0.1, bad, 0.03),
+                  lambda: make_tabulated([(0.01, 0.01), (0.02, bad), (0.03, 0.013),
+                                          (0.04, 0.02)]),
+                  lambda: make_tabulated([(0.01, 0.01), (0.02, 0.012), (0.03, 0.013),
+                                          (bad, 0.02)]),
+                  lambda: MarketSetup(S0=bad),
+                  lambda: MarketSetup(S0=0.03, mu0=bad),
+                  lambda: MarketSetup(S0=0.03, mu1=bad)):
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_vol_array_matches_scalar_without_vol_vec():
+    import dataclasses
+    m = dataclasses.replace(make_quadratic_sabr(0.02, 0.3, -0.2, 0.05), vol_vec=None)
+    xs = np.linspace(0.0, 0.1, 12).reshape(3, 4)
+    got = m.vol_array(xs)
+    assert got.shape == xs.shape
+    assert np.array_equal(got, np.vectorize(m.vol)(xs))
+
+
 def test_piecewise_branches():
     m = make_piecewise_linear(0.008, 0.1, 0.2, 0.03)
     assert m.breakpoints == (0.03,)

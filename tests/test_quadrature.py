@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nvol.quadrature import (QuadratureError, adaptive_simpson, gauss_legendre,
-                             integrate)
+                             gauss_legendre_rule, integrate, legendre_cumulative)
 
 
 def test_polynomial_exact():
@@ -71,8 +72,37 @@ def test_gauss_legendre_signed_and_breakpoints():
         1.0 - math.e, rel=1e-13)
 
 
+def test_gauss_legendre_rule_edges_and_orientation():
+    edges, nodes, weights = gauss_legendre_rule(2.0, -1.0, breakpoints=(0.0, 5.0),
+                                                n_nodes=4, n_panels=3)
+    # panels run from a to b, 3 per stretch between breakpoints, with 0.0 an edge
+    assert edges[0] == 2.0 and edges[-1] == -1.0 and 0.0 in edges
+    assert len(edges) == 7 and np.all(np.diff(edges) < 0)
+    assert nodes.shape == weights.shape == (6, 4)
+    assert np.all(np.diff(nodes.ravel()) < 0)
+    assert (weights * nodes ** 2).sum() == pytest.approx(-3.0, rel=1e-14)
+
+
+def test_legendre_cumulative_integrates_polynomials():
+    t, w, Q = legendre_cumulative(16)
+    for k in range(16):
+        # int_{-1}^{t} s^k ds, exact for every degree the 16 nodes interpolate
+        want = (t ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+        np.testing.assert_allclose(Q @ t ** k, want, rtol=0, atol=1e-14)
+    assert w.sum() == pytest.approx(2.0, rel=1e-15)
+
+
+def test_gaussian_integral_vs_erf():
+    # the 3- and 5-point Simpson estimates of one panel on this span agree by
+    # coincidence; accepting it alone left a 1.7e-9 relative error
+    b = 1.786614257000826
+    want = 0.5 * math.sqrt(math.pi) * (math.erf(b) - math.erf(-3.0))
+    assert integrate(lambda x: math.exp(-x * x), -3.0, b) == pytest.approx(want, rel=1e-10)
+
+
 @settings(max_examples=50, deadline=None)
 @given(a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0), c=st.floats(-3.0, 3.0))
+@example(a=0.0, b=1.786614257000826, c=-3.0)
 def test_additivity_over_subintervals(a, b, c):
     lo, mid, hi = sorted((a, b, c))
     f = lambda x: math.exp(-x * x)
