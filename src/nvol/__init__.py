@@ -1,11 +1,10 @@
 """Small-maturity asymptotics of the normal implied volatility in local
 volatility models, with PDE / Monte-Carlo / closed-form oracles."""
 
-from .asymptotics import (BreakpointError, DomainError, ExpansionCoeffs,
-                          MidpointApprox, NonAnalyticWarning, QuadratureSpec,
-                          midpoint_approx, sigma0, sigma0_series_atm, sigma1,
-                          sigma1_jump, sigma1_series_atm, sigma2, sigma2_atm,
-                          smile)
+from .asymptotics import (BreakpointError, DomainError, MidpointApprox,
+                          NonAnalyticWarning, QuadratureSpec, midpoint_approx,
+                          sigma0, sigma0_series_atm, sigma1, sigma1_jump,
+                          sigma1_series_atm, sigma2, sigma2_atm, smile)
 from .bachelier import (LognormalQuote, NormalQuote, atm_lognormal_from_normal,
                         atm_normal_from_lognormal, bachelier_call,
                         bachelier_vega, black_scholes_call, implied_normal_vol,
@@ -26,7 +25,7 @@ from .models import (LocalVolModel, MarketSetup, load_tabulated_csv,
 from .quadrature import QuadratureError, adaptive_simpson, integrate
 
 __all__ = [
-    "BreakpointError", "DomainError", "ExpansionCoeffs", "FitReport",
+    "BreakpointError", "DomainError", "FitReport",
     "LocalVolModel", "LognormalQuote", "MarketSetup", "McResult", "McSpec",
     "MidpointApprox", "NonAnalyticWarning", "NormalQuote", "PdeGrid",
     "PdeSolution", "QuadratureError", "QuadratureSpec", "SmilePoint",

@@ -58,15 +58,6 @@ DEFAULT_SPEC = QuadratureSpec()
 _DERIV_RADIUS_FACTOR = 100.0
 
 
-@dataclass(frozen=True)
-class ExpansionCoeffs:
-    """One expansion order evaluated at the forward: value and y-derivatives."""
-
-    order: int
-    atm_value: float
-    atm_derivatives: tuple[float, ...]
-
-
 def _require_domain(model: LocalVolModel, F0: float, K: float) -> None:
     lo, hi = model.positivity_domain
     a, b = (F0, K) if F0 <= K else (K, F0)

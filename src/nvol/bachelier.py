@@ -102,9 +102,65 @@ def implied_normal_vol(price: float, F: float, K: float, T: float) -> float:
         hi *= 2.0
     else:
         raise RuntimeError("implied_normal_vol failed to bracket")
-    from scipy.optimize import brentq
+    return _brentq(obj, 0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
 
-    return float(brentq(obj, 0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200))
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of f in [xa, xb] by Brent's method (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4).
+
+    A step-for-step transcription of scipy's `brentq.c`: the same branches
+    and operation order, so it evaluates f at the same points and returns the
+    same bits as `scipy.optimize.brentq`, without importing scipy.optimize.
+    """
+    xpre, xcur = xa, xb
+    fpre = f(xpre)
+    fcur = f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method failed to converge after {maxiter} iterations, "
+                       f"value is {xcur}")
 
 
 def black_scholes_call(F: float, K: float, sigmaBS: float, T: float) -> float:

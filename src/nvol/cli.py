@@ -235,6 +235,14 @@ def _exact_price(cfg: ExperimentConfig, K: float, T: float) -> float:
                       "piecewise_linear (bL = -bR) model")
 
 
+def _vol_and_flag(price: float, F: float, K: float, T: float) -> tuple[float, str]:
+    """Implied vol and flag of an oracle price; a price with no time value
+    over intrinsic has no implied vol."""
+    if price <= max(F - K, 0.0):
+        return math.nan, "no_time_value"
+    return implied_normal_vol(price, F, K, T), "ok"
+
+
 def cmd_smile(args) -> int:
     cfg = load_config(args.config)
     out = args.out or cfg.out
@@ -274,19 +282,19 @@ def cmd_smile(args) -> int:
                     res = mc_call(cfg.model, cfg.setup, cfg.strikes, T, spec)
                     for K, price in zip(cfg.strikes, res.price):
                         current["K"] = K
-                        price, flag = float(price), "ok"
-                        intrinsic = max(F - K, 0.0)
-                        if price < intrinsic:
-                            price, flag = intrinsic, "clamped"
-                        vol = implied_normal_vol(price, F, K, T)
+                        price = float(price)
+                        if price < max(F - K, 0.0):
+                            vol, flag = 0.0, "clamped"
+                        else:
+                            vol, flag = _vol_and_flag(price, F, K, T)
                         rows.append({"K": K, "T": T, "method": method,
                                      "sigma_N": vol, "flag": flag})
                 elif method == "exact":
                     for K in cfg.strikes:
                         current["K"] = K
-                        vol = implied_normal_vol(_exact_price(cfg, K, T), F, K, T)
+                        vol, flag = _vol_and_flag(_exact_price(cfg, K, T), F, K, T)
                         rows.append({"K": K, "T": T, "method": method,
-                                     "sigma_N": vol, "flag": "ok"})
+                                     "sigma_N": vol, "flag": flag})
     except (DomainError, ArithmeticError, RuntimeError) as e:
         print(f"numerical failure at K={current['K']}, T={current['T']}, "
               f"method={current['method']}: {e}", file=sys.stderr)

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgttrf, dgttrs
+from numpy.linalg import LinAlgError
 
 from .bachelier import implied_normal_vol
 from .models import LocalVolModel, MarketSetup
@@ -106,6 +105,9 @@ def _build_strike_grid(model: LocalVolModel, setup: MarketSetup, grid: PdeGrid) 
 def solve_forward(model: LocalVolModel, setup: MarketSetup, grid: PdeGrid,
                   T_max: float, T_out: Sequence[float] | None = None) -> PdeSolution:
     """Evolve call prices to T_max, storing the levels in T_out (default: T_max)."""
+    # imported on first use: `import nvol` costs numpy only
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     if T_out is None:
         T_out = [T_max]
     T_out = sorted(set(float(t) for t in T_out))
@@ -228,7 +230,8 @@ def implied_smile_from_pde(sol: PdeSolution, setup: MarketSetup, T: float,
 
     Strikes far (> 6 sigma_ATM sqrt(T)) from the forward are flagged
     low_confidence; prices below intrinsic (discretization dust) are clamped
-    and flagged.
+    and flagged; a price equal to intrinsic has no implied vol and is
+    reported as nan, flagged no_time_value.
     """
     prices = sol.price_at(T)
     F = setup.forward(T)
@@ -249,6 +252,10 @@ def implied_smile_from_pde(sol: PdeSolution, setup: MarketSetup, T: float,
         if p < intrinsic:
             p = intrinsic
             flag = "clamped"
+        elif p == intrinsic:
+            pts.append(SmilePoint(strike=float(kk), maturity=T, sigmaN=math.nan,
+                                  flag="no_time_value"))
+            continue
         elif abs(kk - F) > band:
             flag = "low_confidence"
         try:

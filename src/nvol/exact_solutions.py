@@ -11,12 +11,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .bachelier import (NormalQuote, bachelier_call, black_scholes_call,
                         norm_cdf, norm_pdf)
-from .dupire_pde import PdeGrid, atm_implied_vol, default_grid, solve_forward
 from .models import LocalVolModel, MarketSetup
 from .quadrature import integrate
+
+if TYPE_CHECKING:
+    from .dupire_pde import PdeGrid
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -121,8 +124,12 @@ def model2b_density(z: float, t: float, x: float, b: float) -> float:
 def model2b_z_of_y(y: float, sigma0: float, b: float) -> float:
     """z(y) = int_0^y du / (sigma0 + 2b|u|)."""
     if y >= 0.0:
-        return math.log1p(2.0 * b * y / sigma0) / (2.0 * b)
-    return -math.log1p(-2.0 * b * y / sigma0) / (2.0 * b)
+        z = math.log1p(2.0 * b * y / sigma0) / (2.0 * b)
+    else:
+        z = -math.log1p(-2.0 * b * y / sigma0) / (2.0 * b)
+    # for subnormal y the product 2 b y underflows to zero and with it the
+    # sign of z; keep the first-order term y / sigma0 instead
+    return z if z != 0.0 or y == 0.0 else y / sigma0
 
 
 def model2b_y_of_z(z: float, sigma0: float, b: float) -> float:
@@ -200,6 +207,10 @@ def sqrt_t_detector(model: LocalVolModel, setup: MarketSetup,
     derivative jump at the forward give p near 1/2; analytic models give p
     near 1 and the reported sqrt coefficient is then meaningless.
     """
+    # the closed forms above do not need the PDE solver, so only this
+    # analysis imports it
+    from .dupire_pde import atm_implied_vol, default_grid, solve_forward
+
     T_grid = tuple(sorted(T_grid))
     if len(T_grid) < 5:
         raise ValueError("need at least 5 maturities")

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .models import LocalVolModel, MarketSetup
 
@@ -48,6 +47,9 @@ def simulate_terminal(model: LocalVolModel, setup: MarketSetup, T: float,
     (vol frozen at the boundary value for excursions beyond it); the count
     reports how many paths ever needed the clamp.
     """
+    # imported on first use: `import nvol` costs numpy only
+    from scipy.special import ndtri
+
     n_steps = max(1, int(math.ceil(T * spec.steps_per_year)))
     dt = T / n_steps
     sqdt = math.sqrt(dt)

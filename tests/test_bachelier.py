@@ -1,10 +1,13 @@
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.stats import norm
 
+from nvol import bachelier
 from nvol.bachelier import (LognormalQuote, NormalQuote,
                             atm_lognormal_from_normal,
                             atm_normal_from_lognormal, bachelier_call,
@@ -69,6 +72,38 @@ def test_implied_vol_roundtrip(F, h, T, s):
     # deep ITM the time value loses digits to the intrinsic part, limiting
     # the achievable vol resolution to ~|price| eps / vega
     assert implied_normal_vol(p, F, K, T) == pytest.approx(s, rel=1e-7)
+
+
+def _invert_with(solver, price, F, K, T):
+    """implied_normal_vol with its root-finder replaced by `solver`: the
+    result (or the exception type) and every point the objective was
+    evaluated at."""
+    points = []
+
+    def traced(f, a, b, **kw):
+        def g(x):
+            points.append(x)
+            return f(x)
+        return solver(g, a, b, **kw)
+
+    with mock.patch.object(bachelier, "_brentq", traced):
+        try:
+            return implied_normal_vol(price, F, K, T), points
+        except (ValueError, RuntimeError) as e:
+            return type(e), points
+
+
+@settings(max_examples=200, deadline=None)
+@given(F=st.floats(-0.05, 0.1), dK=st.floats(-0.3, 0.3),
+       T=st.floats(1e-3, 30.0), s=st.floats(1e-4, 0.5))
+@example(F=0.03, dK=0.03, T=0.25, s=0.008)   # 7.5 stdevs out of the money
+@example(F=0.03, dK=1e-9, T=1.0, s=0.01)     # next to the money
+def test_brentq_transcription_equals_scipy(F, dK, T, s):
+    K = F + dK
+    p = bachelier_call(NormalQuote(F=F, K=K, T=T, sigmaN=s))
+    ours = _invert_with(bachelier._brentq, p, F, K, T)
+    ref = _invert_with(lambda f, a, b, **kw: float(brentq(f, a, b, **kw)), p, F, K, T)
+    assert ours == ref
 
 
 def test_implied_vol_itm_small_time_value():

@@ -1,12 +1,17 @@
 import csv
+import importlib.util
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
 
+import nvol
 from nvol.cli import main, table1_rows
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -147,6 +152,104 @@ def test_smile_fig3_matches_checked_in_csv(tmp_path):
                    "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (ROOT / "out" / "fig3_kink_bL_0.csv").read_bytes()
+
+
+def test_run_figures_check(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("run_figures",
+                                                  ROOT / "scripts" / "run_figures.py")
+    run_figures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_figures)
+    fig3 = [ROOT / "configs" / "fig3_kink_bL_0.ini"]
+    assert run_figures.check(fig3) == 0
+    # one edited row and one missing row
+    lines = (ROOT / "out" / "fig3_kink_bL_0.csv").read_text().splitlines(keepends=True)
+    lines[1] = lines[1].replace(",", ";", 1)
+    (tmp_path / "fig3_kink_bL_0.csv").write_text("".join(lines[:-1]))
+    capsys.readouterr()
+    assert run_figures.check(fig3, tmp_path) == 1
+    assert "fig3_kink_bL_0.csv: 2 differing rows" in capsys.readouterr().out
+
+
+NO_TIME_VALUE = """\
+[model]
+type = piecewise_linear
+sigma0 = 0.008
+bL = -0.1
+bR = 0.1
+
+[market]
+S0 = 0.03
+
+[strikes]
+list = 0.01 0.03 0.038 0.08
+
+[maturities]
+list = 0.01 1
+
+[methods]
+list = pde mc exact
+
+[mc]
+n_paths = 2000
+"""
+
+
+def test_rows_without_time_value_are_flagged(tmp_path):
+    # a price equal to intrinsic has no implied vol; it used to be reported
+    # as sigma_N = 0 flagged ok (mc, exact) or low_confidence (pde)
+    p = tmp_path / "ntv.ini"
+    p.write_text(NO_TIME_VALUE)
+    out = tmp_path / "ntv.csv"
+    code, _ = run(["smile", "--config", str(p), "--out", str(out)])
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    by = {(r["method"], float(r["K"]), float(r["T"])): r for r in rows}
+    for key in (("mc", 0.08, 1.0), ("exact", 0.01, 0.01), ("pde", 0.038, 0.01)):
+        assert by[key]["flag"] == "no_time_value", key
+    for r in rows:
+        v = float(r["sigma_N"])
+        if r["flag"] in ("ok", "low_confidence"):
+            assert math.isfinite(v) and v > 0.0, r
+        elif r["flag"] == "no_time_value":
+            assert math.isnan(v), r
+
+
+_IMPORT_PROBE = """
+import json, sys
+import nvol, nvol.cli
+
+def loaded():
+    return [m for m in ("scipy.optimize", "scipy.linalg", "scipy.special", "scipy.sparse")
+            if m in sys.modules]
+
+seen = {"import": loaded()}
+for name, config in (("smile", sys.argv[1]), ("pde", sys.argv[2])):
+    assert nvol.cli.main(["smile", "--config", config, "--out", sys.argv[3]]) == 0
+    seen[name] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_import_hygiene(tmp_path):
+    # each command loads only the scipy parts its work calls, in a fresh
+    # interpreter so that nothing imported by the test session counts
+    smile = tmp_path / "smile.ini"
+    smile.write_text(SMILE_CONFIG)
+    pde = tmp_path / "pde.ini"
+    pde.write_text(SMILE_CONFIG.replace("asympt0 asympt1 exact", "pde")
+                   .replace("list = 1 5", "list = 0.25"))
+    src = str(pathlib.Path(nvol.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(smile), str(pde),
+                           str(tmp_path / "out.csv")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["import"] == []
+    assert seen["smile"] == []
+    assert "scipy.linalg" in seen["pde"] and "scipy.optimize" not in seen["pde"]
 
 
 @pytest.mark.parametrize("section, key, value", [("model", "sigma0", "nan"),

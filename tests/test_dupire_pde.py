@@ -85,7 +85,12 @@ def test_smile_flags_and_band():
     sol = solve_forward(model, setup, grid, 1.0)
     pts = implied_smile_from_pde(sol, setup, 1.0)
     flags = {pt.flag for pt in pts}
-    assert flags <= {"ok", "low_confidence", "clamped"}
+    assert flags <= {"ok", "low_confidence", "clamped", "no_time_value"}
+    for pt in pts:
+        if pt.flag == "no_time_value":
+            assert math.isnan(pt.sigmaN)
+        elif pt.flag != "clamped":
+            assert pt.sigmaN > 0.0
     near = [pt for pt in pts if abs(pt.strike - 0.03) < 0.02]
     assert all(pt.flag == "ok" for pt in near)
     assert all(pt.sigmaN == pytest.approx(0.01, abs=5e-5) for pt in near)

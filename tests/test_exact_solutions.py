@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -134,6 +134,7 @@ def test_kink_offstrike_prices_are_sane():
 @settings(max_examples=100, deadline=None)
 @given(y=st.floats(-0.5, 0.5), sigma0=st.floats(0.005, 0.05),
        b=st.floats(0.01, 0.5))
+@example(y=-5e-324, sigma0=0.005, b=0.01)  # 2 b y underflows to -0.0
 def test_kink_coordinate_map_roundtrip(y, sigma0, b):
     z = model2b_z_of_y(y, sigma0, b)
     assert model2b_y_of_z(z, sigma0, b) == pytest.approx(y, rel=1e-10, abs=1e-14)
