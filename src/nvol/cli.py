@@ -195,9 +195,15 @@ def load_config(path: str) -> ExperimentConfig:
     mc_opts = {}
     if "mc" in cp:
         sec = cp["mc"]
-        for key in ("n_paths", "steps_per_year"):
+        # the CLI pairs paths antithetically, so n_paths must be even
+        for key, valid, need in (
+                ("n_paths", lambda v: v >= 2 and v % 2 == 0, "even and >= 2"),
+                ("steps_per_year", lambda v: v >= 1, ">= 1")):
             if key in sec:
-                mc_opts[key] = _get(sec, key, "[mc]", cast=int)
+                value = _get(sec, key, "[mc]", cast=int)
+                if not valid(value):
+                    raise ConfigError(f"[mc]: '{key}' must be {need}, got {value!r}")
+                mc_opts[key] = value
 
     return ExperimentConfig(model=model, model_kind=kind, model_params=params,
                             setup=setup, strikes=strikes, maturities=maturities,
@@ -224,21 +230,25 @@ def _emit_rows(rows: list[dict], out: str | None, fmt: str,
             fh.write(text)
 
 
-def _exact_price(cfg: ExperimentConfig, K: float, T: float) -> float:
+def _exact_price(cfg: ExperimentConfig, K: float, T: float) -> tuple[float, float]:
+    """Closed-form price and the noise level of its time value."""
     p = cfg.model_params
     if cfg.model_kind == "shifted_lognormal":
         return shifted_ln_exact_call(p["sigma0"] - 2.0 * p["b"] * cfg.setup.S0,
-                                     p["b"], cfg.setup.S0, K, T)
+                                     p["b"], cfg.setup.S0, K, T), 0.0
     if cfg.model_kind == "piecewise_linear" and p["bR"] > 0.0 and p["bL"] == -p["bR"]:
-        return model2b_call_by_density(p["sigma0"], p["bR"], cfg.setup.S0, K, T)
+        price = model2b_call_by_density(p["sigma0"], p["bR"], cfg.setup.S0, K, T)
+        # the error target of its quadrature (rel_tol 1e-12, abs_tol 1e-16)
+        return price, max(1e-16, 1e-12 * price)
     raise ConfigError("method 'exact' needs a shifted_lognormal or a symmetric "
                       "piecewise_linear (bL = -bR) model")
 
 
-def _vol_and_flag(price: float, F: float, K: float, T: float) -> tuple[float, str]:
-    """Implied vol and flag of an oracle price; a price with no time value
-    over intrinsic has no implied vol."""
-    if price <= max(F - K, 0.0):
+def _vol_and_flag(price: float, F: float, K: float, T: float,
+                  noise: float = 0.0) -> tuple[float, str]:
+    """Implied vol and flag of an oracle price; a price whose time value over
+    intrinsic is no larger than the price's noise level has no implied vol."""
+    if price - max(F - K, 0.0) <= noise:
         return math.nan, "no_time_value"
     return implied_normal_vol(price, F, K, T), "ok"
 
@@ -253,8 +263,10 @@ def cmd_smile(args) -> int:
     # maturities; the flag marks the models for which smile() warns
     coeffs: dict[float, list[float]] = {}
     asympt_flag = "low_confidence" if cfg.model.breakpoints else "ok"
+    # every maturity's MC result, from one march per step size
+    mc_results = None
     try:
-        for T in cfg.maturities:
+        for i, T in enumerate(cfg.maturities):
             F = cfg.setup.forward(T)
             for method in cfg.methods:
                 current["T"] = T
@@ -277,10 +289,12 @@ def cmd_smile(args) -> int:
                         rows.append({"K": pt.strike, "T": T, "method": method,
                                      "sigma_N": pt.sigmaN, "flag": pt.flag})
                 elif method == "mc":
-                    spec = McSpec(seed=args.seed, **cfg.mc_opts)
                     current["K"] = cfg.strikes[0]
-                    res = mc_call(cfg.model, cfg.setup, cfg.strikes, T, spec)
-                    for K, price in zip(cfg.strikes, res.price):
+                    if mc_results is None:
+                        mc_results = mc_call(cfg.model, cfg.setup, cfg.strikes,
+                                             tuple(cfg.maturities),
+                                             McSpec(seed=args.seed, **cfg.mc_opts))
+                    for K, price in zip(cfg.strikes, mc_results[i].price):
                         current["K"] = K
                         price = float(price)
                         if price < max(F - K, 0.0):
@@ -292,7 +306,8 @@ def cmd_smile(args) -> int:
                 elif method == "exact":
                     for K in cfg.strikes:
                         current["K"] = K
-                        vol, flag = _vol_and_flag(_exact_price(cfg, K, T), F, K, T)
+                        price, noise = _exact_price(cfg, K, T)
+                        vol, flag = _vol_and_flag(price, F, K, T, noise)
                         rows.append({"K": K, "T": T, "method": method,
                                      "sigma_N": vol, "flag": flag})
     except (DomainError, ArithmeticError, RuntimeError) as e:

@@ -180,10 +180,14 @@ def make_piecewise_linear(sigma0: float, bL: float, bR: float, S0: float) -> Loc
 
     lo = left.positivity_domain[0]
     hi = right.positivity_domain[1]
+    import numpy as np
+    slopes = np.array([bR, bL])
+
     def v_vec(s):
-        import numpy as np
         yy = s - S0
-        return sigma0 + 2.0 * np.where(yy < 0.0, bL, bR) * yy
+        # the slope of each level by a two-entry lookup on the sign test
+        # (several times cheaper than np.where with a random mask)
+        return sigma0 + 2.0 * slopes[np.asarray(yy < 0.0).view(np.uint8)] * yy
 
     return LocalVolModel(vol=v, deriv=d, breakpoints=(S0,), positivity_domain=(lo, hi),
                          label=f"piecewise_linear(sigma0={sigma0}, bL={bL}, bR={bR})",

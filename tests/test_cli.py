@@ -145,6 +145,35 @@ def test_bad_pde_option_exits_2(tmp_path, capsys, option):
     assert option.split()[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["n_paths = 3", "n_paths = 0", "n_paths = 1",
+                                    "steps_per_year = 0"])
+def test_bad_mc_option_exits_2(tmp_path, capsys, option):
+    p = tmp_path / "bad.ini"
+    p.write_text(SMILE_CONFIG.replace("asympt0 asympt1 exact", "mc")
+                 + f"\n[mc]\n{option}\n")
+    code, _ = run(["smile", "--config", str(p)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "[mc]" in err and option.split()[0] in err
+
+
+def test_mc_rows_of_shared_march_equal_one_maturity_configs(tmp_path):
+    # 0.25 and 0.5 share the step size 0.005 and so one Euler march
+    def smile(maturities):
+        p = tmp_path / "mc.ini"
+        p.write_text(SMILE_CONFIG.replace("asympt0 asympt1 exact", "exact mc")
+                     .replace("list = 1 5", f"list = {maturities}")
+                     + "\n[mc]\nn_paths = 2000\n")
+        code, out = run(["smile", "--config", str(p), "--seed", "3"])
+        assert code == 0
+        return out.splitlines()
+
+    both = smile("0.25 0.5")
+    one = smile("0.25") + smile("0.5")[1:]
+    assert both == one
+    assert sum(",mc," in line for line in both) == 14
+
+
 def test_smile_fig3_matches_checked_in_csv(tmp_path):
     # golden file: asympt0 and pde rows of the paper's Fig. 3, byte for byte
     out = tmp_path / "fig3.csv"
@@ -181,7 +210,7 @@ bR = 0.1
 S0 = 0.03
 
 [strikes]
-list = 0.01 0.03 0.038 0.08
+list = 0.01 0.02 0.025 0.03 0.038 0.08
 
 [maturities]
 list = 0.01 1
@@ -196,7 +225,9 @@ n_paths = 2000
 
 def test_rows_without_time_value_are_flagged(tmp_path):
     # a price equal to intrinsic has no implied vol; it used to be reported
-    # as sigma_N = 0 flagged ok (mc, exact) or low_confidence (pde)
+    # as sigma_N = 0 flagged ok (mc, exact) or low_confidence (pde).  The kink's
+    # exact time values 1.7e-17 (K=0.02) and 7.3e-34 (K=0.08) at T=0.01 are
+    # below the density quadrature's error target; 2.7e-13 (K=0.025) is not
     p = tmp_path / "ntv.ini"
     p.write_text(NO_TIME_VALUE)
     out = tmp_path / "ntv.csv"
@@ -205,8 +236,10 @@ def test_rows_without_time_value_are_flagged(tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     by = {(r["method"], float(r["K"]), float(r["T"])): r for r in rows}
-    for key in (("mc", 0.08, 1.0), ("exact", 0.01, 0.01), ("pde", 0.038, 0.01)):
+    for key in (("mc", 0.08, 1.0), ("exact", 0.01, 0.01), ("pde", 0.038, 0.01),
+                ("exact", 0.02, 0.01), ("exact", 0.08, 0.01)):
         assert by[key]["flag"] == "no_time_value", key
+    assert by[("exact", 0.025, 0.01)]["flag"] == "ok"
     for r in rows:
         v = float(r["sigma_N"])
         if r["flag"] in ("ok", "low_confidence"):

@@ -6,7 +6,7 @@ import pytest
 from nvol.bachelier import NormalQuote, bachelier_call
 from nvol.exact_solutions import shifted_ln_exact_call
 from nvol.mc_oracle import McSpec, mc_call, simulate_terminal
-from nvol.models import MarketSetup, make_shifted_lognormal
+from nvol.models import MarketSetup, make_piecewise_linear, make_shifted_lognormal
 
 
 def test_spec_validation():
@@ -91,3 +91,72 @@ def test_strike_array_equals_one_strike_calls():
     assert np.array_equal(res.std_error, [r.std_error for r in single])
     assert res.n_boundary_hits == single[0].n_boundary_hits
     assert type(single[0].price) is float and type(single[0].std_error) is float
+
+
+def _reference_terminal(model, setup, T, spec):
+    """The out-of-place Euler march, one array per operation."""
+    from scipy.special import ndtri
+
+    n_steps = max(1, int(math.ceil(T * spec.steps_per_year)))
+    dt = T / n_steps
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    lo, hi = model.positivity_domain
+    pad = 1e-12 * max(1.0, abs(setup.S0), *(abs(x) for x in (lo, hi) if math.isfinite(x)))
+    lo_c, hi_c = lo + pad, hi - pad
+    S = np.full(spec.n_paths, setup.S0)
+    exited = np.zeros(spec.n_paths, dtype=bool)
+    for k in range(n_steps):
+        z = ndtri(rng.random(spec.n_paths // 2 if spec.antithetic else spec.n_paths))
+        if spec.antithetic:
+            z = np.concatenate([z, -z])
+        exited |= (S < lo_c) | (S > hi_c)
+        S = (S + model.vol_array(np.clip(S, lo_c, hi_c)) * math.sqrt(dt) * z
+             + setup.drift((k + 0.5) * dt) * dt)
+    return S, int(exited.sum())
+
+
+@pytest.mark.parametrize("model", [make_shifted_lognormal(-0.002, 0.2, 0.03),
+                                   make_shifted_lognormal(0.012, 0.0, 0.03),
+                                   make_piecewise_linear(0.008, -0.1, 0.1, 0.03)],
+                         ids=["bounded_below", "unbounded", "kink"])
+@pytest.mark.parametrize("antithetic", [True, False])
+def test_in_place_march_equals_reference_bit_for_bit(model, antithetic):
+    setup = MarketSetup(S0=0.006, mu0=0.001, mu1=-0.002)
+    spec = McSpec(n_paths=1_000, steps_per_year=3, seed=5, antithetic=antithetic)
+    S, n_hits = simulate_terminal(model, setup, 2.0, spec)
+    want, want_hits = _reference_terminal(model, setup, 2.0, spec)
+    assert np.array_equal(S, want) and n_hits == want_hits
+
+
+def _assert_same(got, want):
+    assert np.array_equal(got.price, want.price)
+    assert np.array_equal(got.std_error, want.std_error)
+    assert got.n_boundary_hits == want.n_boundary_hits
+
+
+def test_maturity_tuple_equals_one_maturity_calls():
+    model = make_shifted_lognormal(0.002, 0.1, 0.03)
+    setup = MarketSetup(S0=0.03, mu0=0.001, mu1=-0.002)
+    spec = McSpec(n_paths=2_000, seed=13)
+    strikes = np.array([0.02, 0.03, 0.041])
+    # 0.25, 0.5 and 1.0 step by 0.005; 0.1234 has its own step; 0.5 repeats
+    maturities = (0.5, 0.25, 1.0, 0.1234, 0.5)
+    assert 0.1234 / math.ceil(0.1234 * 200) != 0.005
+    res = mc_call(model, setup, strikes, maturities, spec)
+    assert type(res) is tuple and len(res) == len(maturities)
+    for T, r in zip(maturities, res):
+        _assert_same(r, mc_call(model, setup, strikes, T, spec))
+    one = mc_call(model, setup, 0.03, (0.25,), spec)
+    _assert_same(one[0], mc_call(model, setup, 0.03, 0.25, spec))
+
+
+def test_maturity_tuple_counts_boundary_hits_per_maturity():
+    model = make_shifted_lognormal(-0.002, 0.2, 0.03)
+    setup = MarketSetup(S0=0.006)
+    spec = McSpec(n_paths=2_000, steps_per_year=1, seed=7)
+    maturities = (5.0, 2.0, 3.0, 2.5)  # 2.5 steps by 5/6, the others by 1
+    res = mc_call(model, setup, 0.006, maturities, spec)
+    for T, r in zip(maturities, res):
+        _assert_same(r, mc_call(model, setup, 0.006, T, spec))
+    hits = [r.n_boundary_hits for r in res]
+    assert 0 < hits[1] < hits[0]

@@ -88,6 +88,24 @@ def test_vectorized_matches_scalar():
         np.testing.assert_allclose(got, want, rtol=0, atol=0)
 
 
+def test_piecewise_vol_vec_is_elementwise_vol_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for sigma0, bL, bR, S0 in ((0.008, -0.1, 0.1, 0.03), (0.008, 0.1, 0.2, 0.03),
+                               (0.01, 0.3, -0.05, 0.0)):
+        m = make_piecewise_linear(sigma0, bL, bR, S0)
+        xs = S0 + rng.uniform(-0.02, 0.02, 200)
+        xs[:6] = [S0, S0 + 0.0, S0 - 0.0, np.nextafter(S0, -1.0), np.nextafter(S0, 1.0),
+                  np.nan]
+        if S0 == 0.0:
+            xs[6:8] = [0.0, -0.0]  # offsets of +0.0 and -0.0 from S0
+        rng.shuffle(xs)
+        for arr in (xs, xs.reshape(20, 10)):
+            got = m.vol_vec(arr)
+            want = np.array([m.vol(float(x)) for x in arr.flat]).reshape(arr.shape)
+            assert got.shape == arr.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_shifted_ln_domain_boundary():
     m = make_shifted_lognormal(0.01, 0.2, 0.03)
     lo, hi = m.positivity_domain
