@@ -5,12 +5,13 @@ sigma_N(K, T) = sigma_0(K) + sigma_1(K) T + sigma_2(K) T^2 + ...
 sigma_0 is the harmonic-type average of the local vol between forward and
 strike; sigma_1 and sigma_2 follow from a recursion whose solution is closed
 form in two antiderivatives, J = int dL/sigma_D and the drift integral
-I2 = int (1/sigma_0 - 1/sigma_D)^2, both from F0.  sigma_0 and sigma_1 take
-them from adaptive quadrature; sigma_2 integrates over a fixed node set and
-takes them at all of its nodes from one cumulative pass.  Every coefficient
-has a removable 0/0 at the money, so inside a small switch radius the
-coefficients are replaced by their Taylor polynomials in y = K - F0 built
-from local-vol derivatives at the forward.
+I2 = int (1/sigma_0 - 1/sigma_D)^2, both from F0.  All three coefficients
+take them from one composite Gauss-Legendre rule on [F0, K] and one
+cumulative pass over it: sigma_0 and sigma_1 read the values at K, and
+sigma_2 also integrates over the rule's nodes with the values there.  Every
+coefficient has a removable 0/0 at the money, so inside a small switch
+radius the coefficients are replaced by their Taylor polynomials in
+y = K - F0 built from local-vol derivatives at the forward.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 from .models import LocalVolModel, MarketSetup
-from .quadrature import gauss_legendre_rule, integrate, legendre_cumulative
+from .quadrature import gauss_legendre_rule, legendre_cumulative
 
 
 class DomainError(ValueError):
@@ -37,15 +38,14 @@ class NonAnalyticWarning(UserWarning):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 2 ** 16
     atm_switch_radius: float = 1e-4  # fraction of sigma_D(F0)*max(sqrt(t_ref), 1)
     t_ref: float = 1.0
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (math.isfinite(self.atm_switch_radius) and self.atm_switch_radius >= 0.0):
+            raise ValueError("atm_switch_radius must be finite and >= 0")
+        if not (math.isfinite(self.t_ref) and self.t_ref > 0.0):
+            raise ValueError("t_ref must be finite and > 0")
 
     def switch_radius(self, vol_atm: float) -> float:
         return self.atm_switch_radius * vol_atm * max(math.sqrt(self.t_ref), 1.0)
@@ -65,12 +65,6 @@ def _require_domain(model: LocalVolModel, F0: float, K: float) -> None:
         raise DomainError(
             f"[{a}, {b}] leaves the positivity domain ({lo}, {hi}) of {model.label or 'model'}"
         )
-
-
-def _inv_vol_integral(model: LocalVolModel, F0: float, K: float, spec: QuadratureSpec) -> float:
-    return integrate(lambda s: 1.0 / model.vol(s), F0, K, breakpoints=model.breakpoints,
-                     rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
-                     max_subdivisions=spec.max_subdivisions)
 
 
 def _series_branch(model: LocalVolModel, F0: float, y: float) -> LocalVolModel:
@@ -142,9 +136,11 @@ def sigma0(model: LocalVolModel, F0: float, K: float,
     _require_domain(model, F0, K)
     y = K - F0
     branch = _series_branch(model, F0, y)
-    if abs(y) < spec.switch_radius(branch.vol(F0)):
+    radius = spec.switch_radius(branch.vol(F0))
+    if abs(y) < radius:
         return _sigma0_taylor(sigma0_series_atm(branch, F0), y)[0]
-    return y / _inv_vol_integral(model, F0, K, spec)
+    *_, J_K, _ = _node_antiderivatives(model, F0, 0.0, K, branch, radius)
+    return y / J_K
 
 
 def _sigma0_derivs(model: LocalVolModel, F0: float, K: float, J: float
@@ -163,42 +159,6 @@ def _sigma0_derivs(model: LocalVolModel, F0: float, K: float, J: float
     return (val, dval, ddval)
 
 
-@dataclass(frozen=True)
-class MidpointApprox:
-    value: float
-    error_bound: float
-
-
-def midpoint_approx(model: LocalVolModel, F0: float, K: float) -> MidpointApprox:
-    """Rectangular-rule shortcut sigma_N(K) ~ sigma_D((K + F0)/2).
-
-    The reported bound is the degree-2 Newton-Cotes error term with the
-    undetermined interior point taken at the midpoint itself; a heuristic,
-    not a guarantee.
-    """
-    m = 0.5 * (K + F0)
-    if not model.in_domain(m):
-        raise DomainError("midpoint outside positivity domain")
-    v = model.vol(m)
-    vp = model.deriv(m, 1)
-    vpp = model.deriv(m, 2)
-    # (1/sigma_D)'' = (2 sigma_D'^2 - sigma_D sigma_D'') / sigma_D^3
-    curv = (2.0 * vp * vp - v * vpp) / v ** 3
-    bound = (K - F0) ** 2 / 24.0 * v * v * curv
-    return MidpointApprox(value=v, error_bound=bound)
-
-
-def _drift_integral(model: LocalVolModel, F0: float, K: float, spec: QuadratureSpec) -> float:
-    """I2(K) = int_{F0}^{K} (1/sigma0 - 1/sigma_D)^2 by adaptive quadrature."""
-    def integrand(L: float) -> float:
-        d = 1.0 / sigma0(model, F0, L, spec) - 1.0 / model.vol(L)
-        return d * d
-
-    return integrate(integrand, F0, K, breakpoints=model.breakpoints,
-                     rel_tol=max(spec.rel_tol, 1e-9), abs_tol=spec.abs_tol,
-                     max_subdivisions=spec.max_subdivisions)
-
-
 def sigma1(model: LocalVolModel, F0: float, mu0: float, K: float,
            spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """O(T) coefficient at fixed strike.
@@ -209,11 +169,12 @@ def sigma1(model: LocalVolModel, F0: float, mu0: float, K: float,
     _require_domain(model, F0, K)
     y = K - F0
     branch = _series_branch(model, F0, y)
-    if abs(y) < spec.switch_radius(branch.vol(F0)):
+    radius = spec.switch_radius(branch.vol(F0))
+    if abs(y) < radius:
         return _sigma1_taylor(sigma1_series_atm(branch, F0, mu0), y)[0]
-    s0d = _sigma0_derivs(model, F0, K, _inv_vol_integral(model, F0, K, spec))
-    I2 = _drift_integral(model, F0, K, spec) if mu0 != 0.0 else 0.0
-    return _sigma1_with_derivs(model, F0, mu0, K, s0d, I2)[0]
+    *_, J_K, I2_K = _node_antiderivatives(model, F0, mu0, K, branch, radius)
+    s0d = _sigma0_derivs(model, F0, K, J_K)
+    return _sigma1_with_derivs(model, F0, mu0, K, s0d, I2_K)[0]
 
 
 def _sigma1_with_derivs(model: LocalVolModel, F0: float, mu0: float, K: float,
@@ -272,21 +233,28 @@ def _h2_mu(mu0: float, mu1: float, y: float, sD: float,
             - A * B / (4.0 * N ** 4 * s0 * s0))
 
 
-def _node_antiderivatives(model: LocalVolModel, F0: float, mu0: float, edges, nodes,
-                          taylor0: tuple[float, float, float, float], radius: float):
-    """J and I2 at every node of a composite rule, in one cumulative pass.
+def _node_antiderivatives(model: LocalVolModel, F0: float, mu0: float, K: float,
+                          branch: LocalVolModel, radius: float):
+    """The rule on [F0, K], and J and I2 at its nodes and at K, in one cumulative pass.
 
-    The chain F0 = edges[0], nodes of panel 1, edges[1], nodes of panel 2, ...
-    is walked gap by gap, with an n-point Gauss-Legendre rule on each gap, and
-    the gap integrals are summed.  Every panel edge is a chain point, so no gap
-    straddles a breakpoint or the Taylor handover.  The integrand of I2 needs
-    sigma0 = y/J inside each gap; J there comes from the spectral integration
-    matrix of the same gap samples.  As in sigma0, |y| < radius uses the
-    Taylor coefficients taylor0 instead.  Returns J, I2 shaped like nodes
-    (I2 is zero without drift).
+    The rule is the composite 16-node x 8-panel Gauss-Legendre rule with the
+    model's breakpoints and sigma2's Taylor/closed-form handover at
+    F0 +- _DERIV_RADIUS_FACTOR * radius as panel edges; that handover is a
+    (tiny) jump, so it is pinned to an edge.  The chain F0 = edges[0], nodes
+    of panel 1, edges[1], nodes of panel 2, ..., K is walked gap by gap,
+    with a 16-point Gauss-Legendre rule on each gap, and the gap integrals are
+    summed.  Every panel edge is a chain point, so no gap straddles a
+    breakpoint or the handover.  The integrand of I2 needs sigma0 = y/J inside
+    each gap; J there comes from the spectral integration matrix of the same
+    gap samples.  As in sigma0, |y| < radius uses the Taylor coefficients of
+    the analytic branch instead.  Returns (nodes, weights, J, I2, J(K), I2(K))
+    with J and I2 shaped like nodes (I2 is zero without drift).
     """
     import numpy as np
 
+    r_taylor = _DERIV_RADIUS_FACTOR * radius
+    edges, nodes, weights = gauss_legendre_rule(
+        F0, K, breakpoints=(*model.breakpoints, F0 + r_taylor, F0 - r_taylor))
     t, w, Q = legendre_cumulative(nodes.shape[1])
     chain = np.concatenate([edges[:-1, None], nodes, edges[1:, None]], axis=1)
     a, b = chain[:, :-1], chain[:, 1:]
@@ -299,11 +267,13 @@ def _node_antiderivatives(model: LocalVolModel, F0: float, mu0: float, edges, no
     if mu0 != 0.0:
         J_gap = (J_end - dJ)[..., None] + half[..., None] * (inv_vol @ Q.T)
         y = gap_nodes - F0
+        taylor0 = sigma0_series_atm(branch, F0)
         s0_gap = np.where(np.abs(y) < radius, _sigma0_taylor(taylor0, y)[0], y / J_gap)
         d = 1.0 / s0_gap - inv_vol
         I2_end = np.cumsum(half * ((d * d) @ w)).reshape(dJ.shape)
-    # node k of a panel is the end of the panel's gap k
-    return J_end[:, :-1], I2_end[:, :-1]
+    # node k of a panel is the end of the panel's gap k; the last gap ends at K
+    return (nodes, weights, J_end[:, :-1], I2_end[:, :-1],
+            float(J_end[-1, -1]), float(I2_end[-1, -1]))
 
 
 def sigma2(model: LocalVolModel, F0: float, mu0: float, mu1: float, K: float,
@@ -314,8 +284,8 @@ def sigma2(model: LocalVolModel, F0: float, mu0: float, mu1: float, K: float,
              - sigma_D^3 sigma0''^2/(8 sigma0^4) - sigma_D sigma1''/(2 sigma0^3)
              + H2_mu/(2 sigma_D sigma0^2) }
 
-    The z-integral is a composite 16-node x 8-panel Gauss-Legendre rule with
-    J and I2 at its nodes from _node_antiderivatives.  Within
+    The z-integral is the composite 16-node x 8-panel Gauss-Legendre rule of
+    _node_antiderivatives, with J and I2 at its nodes from the same pass.  Within
     _DERIV_RADIUS_FACTOR switch radii of the money the integrand takes its
     Taylor forms: the closed forms of the second derivatives cancel like
     1/y^2 .. 1/y^4 there.
@@ -327,17 +297,10 @@ def sigma2(model: LocalVolModel, F0: float, mu0: float, mu1: float, K: float,
     if abs(y) < radius:
         return sigma2_atm(branch, F0, mu0, mu1)
 
-    # the Taylor/closed-form handover is a (tiny) jump: pin it to a panel edge
     r_taylor = _DERIV_RADIUS_FACTOR * radius
-    bps = set(model.breakpoints)
-    for bp in (F0 + r_taylor, F0 - r_taylor):
-        if min(F0, K) < bp < max(F0, K):
-            bps.add(bp)
-    edges, nodes, weights = gauss_legendre_rule(F0, K, breakpoints=tuple(sorted(bps)),
-                                                n_nodes=16, n_panels=8)
+    nodes, weights, J, I2, J_K, _ = _node_antiderivatives(model, F0, mu0, K, branch, radius)
     taylor0 = sigma0_series_atm(branch, F0)
     taylor1 = sigma1_series_atm(branch, F0, mu0)
-    J, I2 = _node_antiderivatives(model, F0, mu0, edges, nodes, taylor0, radius)
     drift = mu0 != 0.0 or mu1 != 0.0
 
     def integrand(L: float, J_L: float, I2_L: float) -> float:
@@ -360,8 +323,7 @@ def sigma2(model: LocalVolModel, F0: float, mu0: float, mu1: float, K: float,
 
     val = sum(w * integrand(float(L), float(J_L), float(I2_L))
               for L, J_L, I2_L, w in zip(nodes.flat, J.flat, I2.flat, weights.flat))
-    s0K = sigma0(model, F0, K, spec)
-    return float(-s0K ** 4 / y ** 3 * val)
+    return float(-(y / J_K) ** 4 / y ** 3 * val)
 
 
 def sigma2_atm(model: LocalVolModel, F0: float, mu0: float = 0.0, mu1: float = 0.0) -> float:

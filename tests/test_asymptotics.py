@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvol.asymptotics import (BreakpointError, DomainError,
-                              NonAnalyticWarning, midpoint_approx, sigma0,
+                              NonAnalyticWarning, QuadratureSpec, sigma0,
                               sigma0_series_atm, sigma1, sigma1_jump,
                               sigma1_series_atm, sigma2, sigma2_atm, smile)
 from nvol.models import (MarketSetup, make_piecewise_linear,
@@ -240,12 +240,50 @@ def test_smile_orders_and_warning():
         smile(kink, setup, 0.035, 1.0, 0)
 
 
-def test_midpoint_shortcut():
-    m = make_shifted_lognormal(0.002, 0.1, 0.03)
-    approx = midpoint_approx(m, 0.03, 0.05)
-    assert approx.value == pytest.approx(m.vol(0.04), rel=1e-14)
-    # the shortcut sits within its own error bound of the true sigma0
-    assert abs(approx.value - sigma0(m, 0.03, 0.05)) <= 10 * abs(approx.error_bound) + 1e-12
+def test_sigma0_closed_form_inverse_vol_integral():
+    # J = int_{F0}^{K} dL / sigma_D in closed form: log((s0 + 2bK)/(s0 + 2bF0))/(2b)
+    # on each linear piece, summed across the kink of piecewise_linear
+    s0, b, F0 = 0.008, 0.1, 0.03
+    m = make_shifted_lognormal(s0, b, F0)
+    for K in (-0.02, 0.0, 0.02, 0.0299, 0.0301, 0.031, 0.05, 0.1, 0.3):
+        J = math.log((s0 + 2 * b * K) / (s0 + 2 * b * F0)) / (2 * b)
+        assert sigma0(m, F0, K) == pytest.approx((K - F0) / J, rel=1e-12)
+    sk, bL, bR, S0 = 0.008, -0.1, 0.2, 0.03
+    kink = make_piecewise_linear(sk, bL, bR, S0)
+    for F, K in ((0.04, 0.01), (0.02, 0.05), (0.035, 0.025), (0.025, 0.035), (0.031, 0.0)):
+        b_from, b_to = (bR, bL) if F > S0 else (bL, bR)
+        J = (math.log(sk / kink.vol(F)) / (2 * b_from)
+             + math.log(kink.vol(K) / sk) / (2 * b_to))
+        assert sigma0(kink, F, K) == pytest.approx((K - F) / J, rel=1e-12)
+
+
+def test_drifted_sigma1_vs_quad_drift_integral():
+    # the drift adds mu0 sigma0^3/y^2 I2 with I2 = int_{F0}^{K} (1/sigma0 - 1/sigma_D)^2;
+    # the reference takes J and I2 from scipy's adaptive Gauss-Kronrod
+    from scipy.integrate import quad
+
+    F0 = 0.03
+    for m in (make_shifted_lognormal(0.008, 0.1, F0), make_quadratic_sabr(0.01, 0.3, -0.3, F0)):
+        def s0_ref(L):
+            return (L - F0) / quad(lambda s: 1.0 / m.vol(s), F0, L, epsabs=0.0, epsrel=1e-13)[0]
+
+        for K in (0.01, 0.02, 0.025, 0.029, 0.0305, 0.035, 0.05):
+            I2 = quad(lambda L: (1.0 / s0_ref(L) - 1.0 / m.vol(L)) ** 2, F0, K,
+                      epsabs=0.0, epsrel=1e-12)[0]
+            want = s0_ref(K) ** 3 / (K - F0) ** 2 * I2
+            for mu0 in (0.002, -0.003):
+                got = (sigma1(m, F0, mu0, K) - sigma1(m, F0, 0.0, K)) / mu0
+                assert got == pytest.approx(want, rel=1e-10), (m.label, K, mu0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"atm_switch_radius": -1e-4}, {"atm_switch_radius": math.nan},
+    {"atm_switch_radius": math.inf}, {"t_ref": 0.0}, {"t_ref": -1.0},
+    {"t_ref": math.nan}, {"t_ref": math.inf}])
+def test_quadrature_spec_validation(kwargs):
+    with pytest.raises(ValueError):
+        QuadratureSpec(**kwargs)
+    QuadratureSpec(atm_switch_radius=0.0, t_ref=0.5)  # the limits themselves are fine
 
 
 @settings(max_examples=40, deadline=None)

@@ -174,13 +174,14 @@ def test_mc_rows_of_shared_march_equal_one_maturity_configs(tmp_path):
     assert sum(",mc," in line for line in both) == 14
 
 
-def test_smile_fig3_matches_checked_in_csv(tmp_path):
-    # golden file: asympt0 and pde rows of the paper's Fig. 3, byte for byte
-    out = tmp_path / "fig3.csv"
-    code, _ = run(["smile", "--config", str(ROOT / "configs" / "fig3_kink_bL_0.ini"),
+@pytest.mark.parametrize("config", sorted(p.stem for p in (ROOT / "configs").glob("fig*.ini")))
+def test_smile_fig3_matches_checked_in_csv(tmp_path, config):
+    # golden files: the asympt and pde rows of every paper figure, byte for byte
+    out = tmp_path / f"{config}.csv"
+    code, _ = run(["smile", "--config", str(ROOT / "configs" / f"{config}.ini"),
                    "--out", str(out)])
     assert code == 0
-    assert out.read_bytes() == (ROOT / "out" / "fig3_kink_bL_0.csv").read_bytes()
+    assert out.read_bytes() == (ROOT / "out" / f"{config}.csv").read_bytes()
 
 
 def test_run_figures_check(tmp_path, capsys):

@@ -122,6 +122,26 @@ def test_kink_atm_small_time_anomaly():
         assert dev == pytest.approx(c * math.sqrt(t), rel=2e-2)
 
 
+@pytest.mark.parametrize("t", [0.01, 0.25, 1.0])
+def test_kink_density_price_vs_quad(t):
+    # scipy's adaptive Gauss-Kronrod on the same integrand, split at the kink
+    # z = 0; the bound is the noise level the CLI's exact rows are judged by
+    sigma0, b, S0 = 0.008, 0.1, 0.03
+    for K in (0.01, 0.02, 0.025, 0.03, 0.035, 0.05, 0.08):
+        yK = K - S0
+        zK = model2b_z_of_y(yK, sigma0, b)
+        z_hi = b * t + 12.0 * math.sqrt(t)
+
+        def f(u):
+            return (model2b_y_of_z(u, sigma0, b) - yK) * model2b_density(u, t, 0.0, b)
+
+        stops = (zK, 0.0, z_hi) if zK < 0.0 < z_hi else (zK, z_hi)
+        want = sum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                   for lo, hi in zip(stops[:-1], stops[1:]))
+        got = model2b_call_by_density(sigma0, b, S0, K, t)
+        assert abs(got - want) <= max(1e-16, 1e-13 * abs(want)), (K, got, want)
+
+
 def test_kink_offstrike_prices_are_sane():
     sigma0, b, S0, t = 0.008, 0.1, 0.03, 1.0
     atm = model2b_call_by_density(sigma0, b, S0, S0, t)
