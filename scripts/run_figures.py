@@ -1,13 +1,14 @@
-"""Regenerate the smile data files for every checked-in figure config.
+"""Regenerate the data files of every checked-in figure and sqrt-T config.
 
-    python scripts/run_figures.py           # write out/<config>.csv
+    python scripts/run_figures.py           # write out/fig*.csv, out/sqrtt_*.json
     python scripts/run_figures.py --check   # compare with out/, write nothing
 
-Writes one CSV per config into out/ (created next to the repo root).  Each
-file has the columns K,T,method,sigma_N,flag.  With --check the files are
-regenerated into a temporary directory and byte-compared with out/; each
-file that differs is printed with its count of differing rows, and the exit
-code is 1 if any differs.
+Writes one file per config into out/ (created next to the repo root): for
+configs/fig*.ini the `nvol smile` CSV, with the columns K,T,method,sigma_N,
+flag, and for configs/sqrtt_*.ini the `nvol sqrt-t` JSON report.  With
+--check the files are regenerated into a temporary directory and
+byte-compared with out/; each file that differs is printed with its count
+of differing rows, and the exit code is 1 if any differs.
 """
 
 import argparse
@@ -21,12 +22,20 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUT = ROOT / "out"
 
 
+def _output(cfg: pathlib.Path) -> tuple[str, list[str]]:
+    """The output file name of a config and the nvol command that writes it."""
+    if cfg.stem.startswith("sqrtt_"):
+        return cfg.stem + ".json", ["sqrt-t", "--config", str(cfg)]
+    return cfg.stem + ".csv", ["smile", "--config", str(cfg)]
+
+
 def regenerate(configs, dest_dir: pathlib.Path) -> int:
     worst = 0
     for cfg in configs:
-        dest = dest_dir / (cfg.stem + ".csv")
+        name, argv = _output(cfg)
+        dest = dest_dir / name
         print(f"{cfg.name} -> {dest}")
-        rc = main(["smile", "--config", str(cfg), "--out", str(dest)])
+        rc = main(argv + ["--out", str(dest)])
         worst = max(worst, rc)
     return worst
 
@@ -48,7 +57,7 @@ def check(configs, expected_dir: pathlib.Path = OUT) -> int:
         rc = regenerate(configs, pathlib.Path(tmp))
         n_diff = 0
         for cfg in configs:
-            name = cfg.stem + ".csv"
+            name, _ = _output(cfg)
             new, old = _read(pathlib.Path(tmp) / name), _read(expected_dir / name)
             if new != old:
                 print(f"{name}: {differing_rows(old, new)} differing rows")
@@ -62,7 +71,8 @@ def run(argv=None) -> int:
     ap.add_argument("--check", action="store_true",
                     help="byte-compare regenerated files with out/ instead of writing them")
     args = ap.parse_args(argv)
-    configs = sorted((ROOT / "configs").glob("fig*.ini"))
+    configs = [*sorted((ROOT / "configs").glob("fig*.ini")),
+               *sorted((ROOT / "configs").glob("sqrtt_*.ini"))]
     if args.check:
         return check(configs)
     OUT.mkdir(exist_ok=True)

@@ -20,6 +20,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .models import LocalVolModel, MarketSetup
 from .quadrature import gauss_legendre_rule, legendre_cumulative
 
@@ -74,16 +76,18 @@ def _series_branch(model: LocalVolModel, F0: float, y: float) -> LocalVolModel:
     return model
 
 
-def sigma0_series_atm(model: LocalVolModel, F0: float) -> tuple[float, float, float, float]:
-    """(sigma0, sigma0', sigma0'', sigma0''') at K = F0 from sigma_D derivatives."""
+def _atm_derivs(model: LocalVolModel, F0: float, order: int) -> list[float]:
+    """sigma_D(F0) and its derivatives there up to `order`, as Python floats."""
     if any(abs(F0 - bp) < 1e-14 * max(1.0, abs(F0)) for bp in model.breakpoints):
         raise BreakpointError(
             "sigma_D is non-analytic at the forward; expand the one-sided branches instead"
         )
-    a0 = model.vol(F0)
-    a1 = model.deriv(F0, 1)
-    a2 = model.deriv(F0, 2)
-    a3 = model.deriv(F0, 3)
+    return [float(model.vol(F0))] + [float(model.deriv(F0, k)) for k in range(1, order + 1)]
+
+
+def sigma0_series_atm(model: LocalVolModel, F0: float) -> tuple[float, float, float, float]:
+    """(sigma0, sigma0', sigma0'', sigma0''') at K = F0 from sigma_D derivatives."""
+    a0, a1, a2, a3 = _atm_derivs(model, F0, 3)
     s0 = a0
     s1 = 0.5 * a1
     s2 = a2 / 3.0 - a1 * a1 / (6.0 * a0)
@@ -100,15 +104,7 @@ def sigma1_series_atm(model: LocalVolModel, F0: float, mu0: float = 0.0
     the fixed-strike recursion (the shifted-log-normal check gives the
     11 b^4 / (90 sigma) coefficient).
     """
-    if any(abs(F0 - bp) < 1e-14 * max(1.0, abs(F0)) for bp in model.breakpoints):
-        raise BreakpointError(
-            "sigma_D is non-analytic at the forward; expand the one-sided branches instead"
-        )
-    a0 = model.vol(F0)
-    a1 = model.deriv(F0, 1)
-    a2 = model.deriv(F0, 2)
-    a3 = model.deriv(F0, 3)
-    a4 = model.deriv(F0, 4)
+    a0, a1, a2, a3, a4 = _atm_derivs(model, F0, 4)
     v0 = a0 * (2.0 * a0 * a2 - a1 * a1) / 24.0
     v1 = (a0 * a0 * a3 + a0 * a1 * a2 - 0.5 * a1 ** 3) / 24.0 + mu0 * a1 * a1 / (12.0 * a0)
     v2 = (36.0 * a0 ** 4 * a4 + 72.0 * a0 ** 3 * a1 * a3 + 44.0 * a0 ** 3 * a2 * a2
@@ -124,8 +120,8 @@ def _sigma0_taylor(series: tuple[float, float, float, float], y):
             s1 + y * (s2 + 0.5 * y * s3), s2 + y * s3)
 
 
-def _sigma1_taylor(series: tuple[float, float, float], y: float):
-    """(sigma1, sigma1', sigma1'') at y from sigma1_series_atm."""
+def _sigma1_taylor(series: tuple[float, float, float], y):
+    """(sigma1, sigma1', sigma1'') at y from sigma1_series_atm; y may be an ndarray."""
     v0, v1, v2 = series
     return (v0 + y * (v1 + 0.5 * y * v2), v1 + y * v2, v2)
 
@@ -143,16 +139,16 @@ def sigma0(model: LocalVolModel, F0: float, K: float,
     return y / J_K
 
 
-def _sigma0_derivs(model: LocalVolModel, F0: float, K: float, J: float
-                   ) -> tuple[float, float, float]:
-    """(sigma0, sigma0', sigma0'') at strike K off the money, from J(K).
+def _sigma0_derivs(y, J, sDd):
+    """(sigma0, sigma0', sigma0'') at y = K - F0 off the money, from J(K) and
+    sDd = (sigma_D, sigma_D', sigma_D'') at K; every input may be an ndarray.
 
     J = int_{F0}^{K} dL/sigma_D has J' = 1/sigma_D and J'' = -sigma_D'/sigma_D^2,
     so the derivatives of sigma0 = y/J need no numerical differentiation.
     """
-    y = K - F0
-    Jp = 1.0 / model.vol(K)
-    Jpp = -model.deriv(K, 1) / model.vol(K) ** 2
+    sD, sDp, _ = sDd
+    Jp = 1.0 / sD
+    Jpp = -sDp / sD ** 2
     val = y / J
     dval = 1.0 / J - y * Jp / (J * J)
     ddval = -2.0 * Jp / (J * J) + 2.0 * y * Jp * Jp / J ** 3 - y * Jpp / (J * J)
@@ -173,28 +169,24 @@ def sigma1(model: LocalVolModel, F0: float, mu0: float, K: float,
     if abs(y) < radius:
         return _sigma1_taylor(sigma1_series_atm(branch, F0, mu0), y)[0]
     *_, J_K, I2_K = _node_antiderivatives(model, F0, mu0, K, branch, radius)
-    s0d = _sigma0_derivs(model, F0, K, J_K)
-    return _sigma1_with_derivs(model, F0, mu0, K, s0d, I2_K)[0]
+    sDd = (model.vol(K), model.deriv(K, 1), model.deriv(K, 2))
+    s0d = _sigma0_derivs(y, J_K, sDd)
+    return float(_sigma1_with_derivs(mu0, y, s0d, I2_K, sDd, model.vol(F0))[0])
 
 
-def _sigma1_with_derivs(model: LocalVolModel, F0: float, mu0: float, K: float,
-                        s0d: tuple[float, float, float], I2: float
-                        ) -> tuple[float, float, float]:
-    """(sigma1, sigma1', sigma1'') at strike K off the money.
+def _sigma1_with_derivs(mu0: float, y, s0d, I2, sDd, s00):
+    """(sigma1, sigma1', sigma1'') at y = K - F0 off the money; arrays work element-wise.
 
-    s0d is (sigma0, sigma0', sigma0'') from _sigma0_derivs and I2 the drift
-    integral at K.  Writing sigma1 = P * G with P = sigma0^3/y^2 and G the
+    s0d is (sigma0, sigma0', sigma0'') from _sigma0_derivs, I2 the drift
+    integral at K, sDd = (sigma_D, sigma_D', sigma_D'') at K and s00 =
+    sigma_D(F0).  Writing sigma1 = P * G with P = sigma0^3/y^2 and G the
     bracket (-1/2 log + mu0 I2), both factors differentiate in closed form:
     the log term needs only sigma0', sigma0'', sigma_D', sigma_D'', and the
     drift integral's derivative is its integrand.
     """
-    y = K - F0
     s0, s0p, s0pp = s0d
-    sD = model.vol(K)
-    sDp = model.deriv(K, 1)
-    sDpp = model.deriv(K, 2)
-    s00 = model.vol(F0)
-    G = -0.5 * math.log(s0 * s0 / (sD * s00))
+    sD, sDp, sDpp = sDd
+    G = -0.5 * np.log(s0 * s0 / (sD * s00))
     Gp = -s0p / s0 + 0.5 * sDp / sD
     Gpp = (-s0pp / s0 + (s0p / s0) ** 2 + 0.5 * sDpp / sD
            - 0.5 * (sDp / sD) ** 2)
@@ -210,9 +202,9 @@ def _sigma1_with_derivs(model: LocalVolModel, F0: float, mu0: float, K: float,
     return (P * G, Pp * G + P * Gp, Ppp * G + 2.0 * Pp * Gp + P * Gpp)
 
 
-def _h2_mu(mu0: float, mu1: float, y: float, sD: float,
-           s0d: tuple[float, float, float], s1d: tuple[float, float, float]) -> float:
-    """Drift part of the O(T^2) inhomogeneity at y = L - F0, sigma_D = sD(L).
+def _h2_mu(mu0: float, mu1: float, y, sD, s0d, s1d):
+    """Drift part of the O(T^2) inhomogeneity at y = L - F0, sigma_D = sD(L);
+    arrays work element-wise.
 
     Obtained by matching the T^2 coefficient of the fixed-strike equation to
     the quadrature template for the second-order coefficient (re-derived and
@@ -250,8 +242,6 @@ def _node_antiderivatives(model: LocalVolModel, F0: float, mu0: float, K: float,
     the analytic branch instead.  Returns (nodes, weights, J, I2, J(K), I2(K))
     with J and I2 shaped like nodes (I2 is zero without drift).
     """
-    import numpy as np
-
     r_taylor = _DERIV_RADIUS_FACTOR * radius
     edges, nodes, weights = gauss_legendre_rule(
         F0, K, breakpoints=(*model.breakpoints, F0 + r_taylor, F0 - r_taylor))
@@ -260,7 +250,7 @@ def _node_antiderivatives(model: LocalVolModel, F0: float, mu0: float, K: float,
     a, b = chain[:, :-1], chain[:, 1:]
     half = 0.5 * (b - a)
     gap_nodes = (0.5 * (a + b))[..., None] + half[..., None] * t
-    inv_vol = 1.0 / model.vol_array(gap_nodes)
+    inv_vol = 1.0 / model.vol(gap_nodes)
     dJ = half * (inv_vol @ w)
     J_end = np.cumsum(dJ).reshape(dJ.shape)
     I2_end = np.zeros_like(J_end)
@@ -297,32 +287,28 @@ def sigma2(model: LocalVolModel, F0: float, mu0: float, mu1: float, K: float,
     if abs(y) < radius:
         return sigma2_atm(branch, F0, mu0, mu1)
 
-    r_taylor = _DERIV_RADIUS_FACTOR * radius
     nodes, weights, J, I2, J_K, _ = _node_antiderivatives(model, F0, mu0, K, branch, radius)
-    taylor0 = sigma0_series_atm(branch, F0)
-    taylor1 = sigma1_series_atm(branch, F0, mu0)
-    drift = mu0 != 0.0 or mu1 != 0.0
-
-    def integrand(L: float, J_L: float, I2_L: float) -> float:
-        z = L - F0
-        sD = model.vol(L)
-        if abs(z) < r_taylor:
-            s0d = _sigma0_taylor(taylor0, z)
-            s1d = _sigma1_taylor(taylor1, z)
-        else:
-            s0d = _sigma0_derivs(model, F0, L, J_L)
-            s1d = _sigma1_with_derivs(model, F0, mu0, L, s0d, I2_L)
-        s0, _, s0pp = s0d
-        s1, _, s1pp = s1d
-        core = (1.5 * s1 * s1 / (sD * s0 ** 4)
-                - sD ** 3 * s0pp * s0pp / (8.0 * s0 ** 4)
-                - sD * s1pp / (2.0 * s0 ** 3))
-        if drift:
-            core += _h2_mu(mu0, mu1, z, sD, s0d, s1d) / (2.0 * sD * s0 * s0)
-        return z * z * core
-
-    val = sum(w * integrand(float(L), float(J_L), float(I2_L))
-              for L, J_L, I2_L, w in zip(nodes.flat, J.flat, I2.flat, weights.flat))
+    z = nodes - F0
+    sDd = (model.vol(nodes), model.deriv(nodes, 1), model.deriv(nodes, 2))
+    # Gauss nodes never sit on F0, so the closed forms stay finite inside the
+    # Taylor window too, where np.where discards them
+    closed0 = _sigma0_derivs(z, J, sDd)
+    closed1 = _sigma1_with_derivs(mu0, z, closed0, I2, sDd, model.vol(F0))
+    taylor = np.abs(z) < _DERIV_RADIUS_FACTOR * radius
+    s0d = tuple(np.where(taylor, t, c) for t, c in
+                zip(_sigma0_taylor(sigma0_series_atm(branch, F0), z), closed0))
+    s1d = tuple(np.where(taylor, t, c) for t, c in
+                zip(_sigma1_taylor(sigma1_series_atm(branch, F0, mu0), z), closed1))
+    sD = sDd[0]
+    s0, _, s0pp = s0d
+    s1, _, s1pp = s1d
+    core = (1.5 * s1 * s1 / (sD * s0 ** 4)
+            - sD ** 3 * s0pp * s0pp / (8.0 * s0 ** 4)
+            - sD * s1pp / (2.0 * s0 ** 3))
+    if mu0 != 0.0 or mu1 != 0.0:
+        core += _h2_mu(mu0, mu1, z, sD, s0d, s1d) / (2.0 * sD * s0 * s0)
+    # summed node by node, left to right, not by numpy's pairwise sum
+    val = sum((weights * (z * z * core)).ravel().tolist())
     return float(-(y / J_K) ** 4 / y ** 3 * val)
 
 
@@ -339,8 +325,7 @@ def sigma2_atm(model: LocalVolModel, F0: float, mu0: float = 0.0, mu1: float = 0
     base = (-v0 * v0 / (2.0 * s0) + s0 ** 3 * s0pp * s0pp / 24.0
             + s0 * s0 * v2 / 6.0)
     if mu0 != 0.0 or mu1 != 0.0:
-        a0 = model.vol(F0)
-        a1 = model.deriv(F0, 1)
+        a0, a1 = _atm_derivs(model, F0, 1)
         base += -mu1 * a1 / 12.0 + mu0 * mu0 * a1 * a1 / (24.0 * a0)
     return base
 

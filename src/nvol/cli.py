@@ -495,10 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
 
     p = sub.add_parser("smile", help="smiles per (K, T, method) from a config")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
     p.set_defaults(func=cmd_smile)
 
     p = sub.add_parser("table1", help="ATM deviation table, shifted log-normal")

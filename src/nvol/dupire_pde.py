@@ -117,7 +117,9 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, grid: PdeGrid,
     ks = _build_strike_grid(model, setup, grid)
     n = len(ks)
     dx = ks[1] - ks[0]
-    sig2 = np.array([model.vol(k) ** 2 for k in ks])
+    # libm's pow(v, 2) node by node: numpy's array square (v * v) differs
+    # from it in the last bit at a few nodes of a grid
+    sig2 = np.array([v ** 2 for v in model.vol(ks).tolist()])
     if not np.all(np.isfinite(sig2) & (sig2 > 0.0)):
         raise ValueError("sigma_D not finite and positive on the whole grid")
 

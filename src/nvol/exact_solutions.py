@@ -144,14 +144,17 @@ def model2b_call_by_density(sigma0: float, b: float, S0: float, K: float, t: flo
 
     C = int_{z(K)}^inf (y(u) - y_K) p(u, t; z(S0)=0, 0) du with y measured
     from S0.  The upper limit is truncated where the Gaussian factor is
-    below machine precision.  The integrand is analytic on each side of the
-    kink at u = 0, which is a panel edge of the composite Gauss-Legendre rule.
+    below machine precision, so a strike with z(K) at or beyond it is worth
+    0.  The integrand is analytic on each side of the kink at u = 0, which is
+    a panel edge of the composite Gauss-Legendre rule.
     """
     yK = K - S0
     zK = model2b_z_of_y(yK, sigma0, b)
     x = 0.0  # start at the kink
     # p decays like exp(-(z - bt)^2/2t) modulated by e^{-2bz}; 12 stdevs is ample
     z_hi = b * t + 12.0 * math.sqrt(t)
+    if zK >= z_hi:
+        return 0.0
 
     def integrand(u: float) -> float:
         return (model2b_y_of_z(u, sigma0, b) - yK) * model2b_density(u, t, x, b)

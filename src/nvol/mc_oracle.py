@@ -98,9 +98,9 @@ def _march(model: LocalVolModel, setup: MarketSetup, dt: float, stops: Sequence[
             np.greater(S, hi_c, out=outside)
             exited |= outside
             # dS holds the clamped levels until the vol is evaluated on them
-            vol = model.vol_array(np.clip(S, lo_c, hi_c, out=dS))
+            vol = model.vol(np.clip(S, lo_c, hi_c, out=dS))
         else:
-            vol = model.vol_array(S)
+            vol = model.vol(S)
         # S + vol*sqdt*z + drift*dt, in that operand order
         np.multiply(vol, sqdt, out=dS)
         np.multiply(dS, z, out=dS)

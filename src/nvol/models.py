@@ -5,6 +5,11 @@ order 4 where defined, breakpoint metadata for non-analytic models, and the
 interval on which sigma_D stays positive.  Everything downstream (quadrature,
 PDE grids) is clipped to positivity_domain, since 1/sigma_D enters the
 leading-order smile integral.
+
+`vol(s)` and `deriv(s, k)` take a float or an ndarray.  `vol` returns the
+shape of `s`, and a float in gives a float (possibly an `np.float64`) out;
+`deriv` may return a constant that broadcasts against `s`.  An array call
+equals the element-wise scalar calls bit for bit.
 """
 
 from __future__ import annotations
@@ -14,30 +19,20 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class LocalVolModel:
     """Time-homogeneous local volatility sigma_D(S) with derivative metadata."""
 
-    vol: Callable[[float], float]
-    deriv: Callable[[float, int], float]  # k-th derivative, k in 1..4
+    vol: Callable  # sigma_D(s), s a float or an ndarray
+    deriv: Callable  # (s, k) -> k-th derivative, k in 1..4
     breakpoints: tuple[float, ...] = ()
     positivity_domain: tuple[float, float] = (-math.inf, math.inf)
     label: str = ""
     # analytic one-sided branches (left, right) around a single breakpoint
     branches: tuple["LocalVolModel", ...] = field(default=(), repr=False)
-    # optional ndarray-in/ndarray-out evaluation of vol
-    vol_vec: Callable | None = field(default=None, repr=False)
-
-    def __call__(self, s: float) -> float:
-        return self.vol(s)
-
-    def vol_array(self, s):
-        """sigma_D on an ndarray: vol_vec, or vol element by element."""
-        if self.vol_vec is not None:
-            return self.vol_vec(s)
-        import numpy as np
-        return np.vectorize(self.vol, otypes=[float])(s)
 
     def in_domain(self, s: float) -> bool:
         lo, hi = self.positivity_domain
@@ -84,10 +79,10 @@ def make_shifted_lognormal(sigma0: float, b: float, S0: float) -> LocalVolModel:
     if sigma0 + 2.0 * b * S0 <= 0.0:
         raise ValueError("degenerate model: sigma0 + 2*b*S0 must be positive")
 
-    def v(s: float) -> float:
+    def v(s):
         return sigma0 + 2.0 * b * s
 
-    def d(s: float, k: int) -> float:
+    def d(s, k: int):
         if k == 1:
             return 2.0 * b
         if k in (2, 3, 4):
@@ -101,8 +96,7 @@ def make_shifted_lognormal(sigma0: float, b: float, S0: float) -> LocalVolModel:
     else:
         dom = (-math.inf, math.inf)
     return LocalVolModel(vol=v, deriv=d, positivity_domain=dom,
-                         label=f"shifted_lognormal(sigma0={sigma0}, b={b})",
-                         vol_vec=v)
+                         label=f"shifted_lognormal(sigma0={sigma0}, b={b})")
 
 
 def make_quadratic_sabr(sigma0: float, gamma: float, rho: float, S0: float) -> LocalVolModel:
@@ -117,40 +111,34 @@ def make_quadratic_sabr(sigma0: float, gamma: float, rho: float, S0: float) -> L
     if sigma0 <= 0.0:
         raise ValueError("sigma0 must be positive")
 
-    def radicand(s: float) -> float:
+    def radicand(s):
         yy = s - S0
         return sigma0 * sigma0 - 2.0 * rho * gamma * sigma0 * yy + gamma * gamma * yy * yy
 
-    def v(s: float) -> float:
-        return math.sqrt(radicand(s))
+    def v(s):
+        return np.sqrt(radicand(s))
 
-    def d(s: float, k: int) -> float:
+    def d(s, k: int):
         yy = s - S0
         q = radicand(s)
         qp = -2.0 * rho * gamma * sigma0 + 2.0 * gamma * gamma * yy
         qpp = 2.0 * gamma * gamma
-        r = math.sqrt(q)
+        r = np.sqrt(q)
         if k == 1:
             return 0.5 * qp / r
         if k == 2:
             return 0.5 * qpp / r - 0.25 * qp * qp / (q * r)
+        # products, not `**`: numpy's array power is not libm's pow bit for bit
         if k == 3:
-            return -0.75 * qp * qpp / (q * r) + 0.375 * qp ** 3 / (q * q * r)
+            return -0.75 * qp * qpp / (q * r) + 0.375 * qp * qp * qp / (q * q * r)
         if k == 4:
             return (-0.75 * qpp * qpp / (q * r)
                     + 2.25 * qp * qp * qpp / (q * q * r)
-                    - 0.9375 * qp ** 4 / (q ** 3 * r))
+                    - 0.9375 * qp * qp * qp * qp / (q * q * q * r))
         raise ValueError(f"derivative order {k} not exposed")
 
-    def v_vec(s):
-        import numpy as np
-        yy = s - S0
-        return np.sqrt(sigma0 * sigma0 - 2.0 * rho * gamma * sigma0 * yy
-                       + gamma * gamma * yy * yy)
-
     return LocalVolModel(vol=v, deriv=d,
-                         label=f"quadratic_sabr(sigma0={sigma0}, gamma={gamma}, rho={rho})",
-                         vol_vec=v_vec)
+                         label=f"quadratic_sabr(sigma0={sigma0}, gamma={gamma}, rho={rho})")
 
 
 def make_piecewise_linear(sigma0: float, bL: float, bR: float, S0: float) -> LocalVolModel:
@@ -164,34 +152,29 @@ def make_piecewise_linear(sigma0: float, bL: float, bR: float, S0: float) -> Loc
     left = make_shifted_lognormal(sigma0 - 2.0 * bL * S0, bL, S0)
     right = make_shifted_lognormal(sigma0 - 2.0 * bR * S0, bR, S0)
 
-    def v(s: float) -> float:
-        yy = s - S0
-        slope = bL if yy < 0.0 else bR
-        return sigma0 + 2.0 * slope * yy
+    lo = left.positivity_domain[0]
+    hi = right.positivity_domain[1]
+    slopes = np.array([bR, bL])
 
-    def d(s: float, k: int) -> float:
-        # one-sided: the right branch applies at the node itself
-        slope = bL if s < S0 else bR
+    def slope(yy):
+        # a two-entry lookup on the sign test (several times cheaper than
+        # np.where with a random mask); the right branch applies at the node
+        return slopes[np.asarray(yy < 0.0).view(np.uint8)]
+
+    def v(s):
+        yy = s - S0
+        return sigma0 + 2.0 * slope(yy) * yy
+
+    def d(s, k: int):
         if k == 1:
-            return 2.0 * slope
+            return 2.0 * slope(s - S0)
         if k in (2, 3, 4):
             return 0.0
         raise ValueError(f"derivative order {k} not exposed")
 
-    lo = left.positivity_domain[0]
-    hi = right.positivity_domain[1]
-    import numpy as np
-    slopes = np.array([bR, bL])
-
-    def v_vec(s):
-        yy = s - S0
-        # the slope of each level by a two-entry lookup on the sign test
-        # (several times cheaper than np.where with a random mask)
-        return sigma0 + 2.0 * slopes[np.asarray(yy < 0.0).view(np.uint8)] * yy
-
     return LocalVolModel(vol=v, deriv=d, breakpoints=(S0,), positivity_domain=(lo, hi),
                          label=f"piecewise_linear(sigma0={sigma0}, bL={bL}, bR={bR})",
-                         branches=(left, right), vol_vec=v_vec)
+                         branches=(left, right))
 
 
 def make_tabulated(samples: Sequence[tuple[float, float]]) -> LocalVolModel:
@@ -218,18 +201,18 @@ def make_tabulated(samples: Sequence[tuple[float, float]]) -> LocalVolModel:
     interp = PchipInterpolator(s_grid, vols, extrapolate=True)
     derivs = [interp.derivative(k) for k in range(1, 4)]
 
-    def v(s: float) -> float:
-        return float(interp(s))
+    def v(s):
+        return interp(s)[()]
 
-    def d(s: float, k: int) -> float:
+    def d(s, k: int):
         if 1 <= k <= 3:
-            return float(derivs[k - 1](s))
+            return derivs[k - 1](s)[()]
         if k == 4:
             return 0.0  # cubic pieces
         raise ValueError(f"derivative order {k} not exposed")
 
     return LocalVolModel(vol=v, deriv=d, positivity_domain=(s_grid[0], s_grid[-1]),
-                         label=f"tabulated({len(pts)} pts)", vol_vec=interp)
+                         label=f"tabulated({len(pts)} pts)")
 
 
 def load_tabulated_csv(path: str) -> LocalVolModel:

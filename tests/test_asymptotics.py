@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,8 @@ from nvol.asymptotics import (BreakpointError, DomainError,
                               sigma0_series_atm, sigma1, sigma1_jump,
                               sigma1_series_atm, sigma2, sigma2_atm, smile)
 from nvol.models import (MarketSetup, make_piecewise_linear,
-                         make_quadratic_sabr, make_shifted_lognormal)
+                         make_quadratic_sabr, make_shifted_lognormal,
+                         make_tabulated)
 
 F0 = 10.0
 
@@ -141,7 +143,7 @@ def test_sigma2_point_values_vs_solver():
 
 
 def counting_model(model):
-    """The model with every sigma_D evaluation counted, scalar or array element."""
+    """The model with every sigma_D evaluation counted, a float or an array element."""
     import dataclasses
 
     import numpy as np
@@ -153,8 +155,7 @@ def counting_model(model):
             return fn(s)
         return f
 
-    return dataclasses.replace(model, vol=counted(model.vol),
-                               vol_vec=counted(model.vol_vec)), count
+    return dataclasses.replace(model, vol=counted(model.vol)), count
 
 
 def test_drifted_sigma2_vol_evaluations():
@@ -168,10 +169,22 @@ def test_drifted_sigma2_vol_evaluations():
 
 
 def test_coefficients_are_python_floats():
-    m = make_quadratic_sabr(0.01, 0.3, -0.3, 0.03)
+    # numpy scalars from the models must not leak out, on the ATM Taylor
+    # branch (K = F0 and within the switch radius) or off the money
     setup = MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001)
-    assert type(sigma2(m, 0.03, 0.002, -0.001, 0.035)) is float
-    assert type(smile(m, setup, 0.035, 1.0, 2)) is float
+    tab = make_tabulated([(0.0, 0.011), (0.02, 0.0102), (0.04, 0.0101), (0.06, 0.0105),
+                          (0.08, 0.0112)])
+    for m in (make_shifted_lognormal(0.014, 0.1, 0.03),
+              make_quadratic_sabr(0.01, 0.3, -0.3, 0.03),
+              make_piecewise_linear(0.008, 0.1, 0.2, 0.03), tab):
+        for K in (0.03, 0.03 + 1e-8, 0.03 - 1e-8, 0.025, 0.035):
+            for mu0, mu1 in ((0.0, 0.0), (0.002, -0.001)):
+                assert type(sigma0(m, 0.03, K)) is float, (m.label, K)
+                assert type(sigma1(m, 0.03, mu0, K)) is float, (m.label, K, mu0)
+                assert type(sigma2(m, 0.03, mu0, mu1, K)) is float, (m.label, K, mu0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonAnalyticWarning)
+            assert type(smile(m, setup, 0.035, 1.0, 2)) is float, m.label
 
 
 def test_sigma2_atm_shifted_ln():

@@ -118,6 +118,18 @@ def test_missing_config_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["sqrt-t", "--config", "configs/sqrtt_model2b.ini"],
+                                  ["table1"],
+                                  ["extract-lv", "surface.csv", "--s0", "0.03", "--T", "1"]],
+                         ids=["sqrt-t", "table1", "extract-lv"])
+def test_seed_is_a_smile_option_only(argv, capsys):
+    # only `smile` runs Monte-Carlo; elsewhere --seed is an unknown option
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--seed", "1"])
+    assert e.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_empty_strikes_exits_2(tmp_path):
     bad = SMILE_CONFIG.replace("min = 0.02\nmax = 0.05\ncount = 7", "list =")
     p = tmp_path / "bad.ini"

@@ -161,7 +161,7 @@ def test_march_bit_identical_to_per_step_banded_solve(model, setup, T_out, n_spa
 
 def test_non_finite_local_vol_rejected():
     base = constant_model(0.01)
-    model = dataclasses.replace(base, vol=lambda s: math.nan if s > 0.06 else base.vol(s))
+    model = dataclasses.replace(base, vol=lambda s: np.where(s > 0.06, math.nan, base.vol(s)))
     setup = MarketSetup(S0=0.03)
     grid = default_grid(model, setup, 1.0, n_space=101)
     with pytest.raises(ValueError, match="sigma_D not finite and positive"):

@@ -142,6 +142,21 @@ def test_kink_density_price_vs_quad(t):
         assert abs(got - want) <= max(1e-16, 1e-13 * abs(want)), (K, got, want)
 
 
+def test_kink_price_non_increasing_and_zero_beyond_truncation():
+    # beyond z_hi = b t + 12 sqrt(t) the truncated payoff integral is empty;
+    # integrating the reversed interval instead gives a ~1e-35 "price" that
+    # rises with K (K = 0.05 and 0.08)
+    sigma0, b, S0, t = 0.008, 0.1, 0.03, 0.01
+    z_hi = b * t + 12.0 * math.sqrt(t)
+    strikes = [0.035 + 0.0025 * i for i in range(19)]  # 0.035 .. 0.08
+    prices = [model2b_call_by_density(sigma0, b, S0, K, t) for K in strikes]
+    assert all(p1 <= p0 for p0, p1 in zip(prices, prices[1:]))
+    beyond = [model2b_z_of_y(K - S0, sigma0, b) >= z_hi for K in strikes]
+    assert 0 < sum(beyond) < len(strikes)
+    assert all(p == 0.0 for p, out in zip(prices, beyond) if out)
+    assert all(p > 0.0 for p, out in zip(prices, beyond) if not out)
+
+
 def test_kink_offstrike_prices_are_sane():
     sigma0, b, S0, t = 0.008, 0.1, 0.03, 1.0
     atm = model2b_call_by_density(sigma0, b, S0, S0, t)

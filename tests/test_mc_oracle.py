@@ -110,7 +110,7 @@ def _reference_terminal(model, setup, T, spec):
         if spec.antithetic:
             z = np.concatenate([z, -z])
         exited |= (S < lo_c) | (S > hi_c)
-        S = (S + model.vol_array(np.clip(S, lo_c, hi_c)) * math.sqrt(dt) * z
+        S = (S + model.vol(np.clip(S, lo_c, hi_c)) * math.sqrt(dt) * z
              + setup.drift((k + 0.5) * dt) * dt)
     return S, int(exited.sum())
 

@@ -75,35 +75,43 @@ def test_positivity_on_domain():
             assert m.vol(s) > 0.0
 
 
-def test_vectorized_matches_scalar():
-    models = analytic_models() + [
-        make_piecewise_linear(0.008, 0.1, 0.2, 0.03),
-        make_tabulated([(0.01, 0.010), (0.02, 0.012), (0.04, 0.013), (0.08, 0.02)]),
-    ]
-    xs = np.linspace(0.015, 0.07, 23)
-    for m in models:
-        assert m.vol_vec is not None
-        got = np.asarray(m.vol_vec(xs), dtype=float)
-        want = np.array([m.vol(float(x)) for x in xs])
-        np.testing.assert_allclose(got, want, rtol=0, atol=0)
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
 
 
-def test_piecewise_vol_vec_is_elementwise_vol_bit_for_bit():
+def test_array_calls_equal_scalar_calls_bit_for_bit():
+    # vol and deriv take floats and ndarrays of any shape; an array call
+    # equals the element-wise float calls bit for bit, and a float gives a float
+    kinks = [make_piecewise_linear(0.008, -0.1, 0.1, 0.03),
+             make_piecewise_linear(0.008, 0.1, 0.2, 0.03),
+             make_piecewise_linear(0.01, 0.3, -0.05, 0.0)]
+    tab = make_tabulated([(0.01, 0.010), (0.02, 0.012), (0.04, 0.013), (0.08, 0.02)])
     rng = np.random.default_rng(7)
-    for sigma0, bL, bR, S0 in ((0.008, -0.1, 0.1, 0.03), (0.008, 0.1, 0.2, 0.03),
-                               (0.01, 0.3, -0.05, 0.0)):
-        m = make_piecewise_linear(sigma0, bL, bR, S0)
-        xs = S0 + rng.uniform(-0.02, 0.02, 200)
-        xs[:6] = [S0, S0 + 0.0, S0 - 0.0, np.nextafter(S0, -1.0), np.nextafter(S0, 1.0),
-                  np.nan]
-        if S0 == 0.0:
-            xs[6:8] = [0.0, -0.0]  # offsets of +0.0 and -0.0 from S0
+    for m in analytic_models() + kinks + [tab]:
+        if m.breakpoints:
+            S0 = m.breakpoints[0]
+            xs = S0 + rng.uniform(-0.02, 0.02, 200)
+            xs[:6] = [S0, S0 + 0.0, S0 - 0.0, np.nextafter(S0, -1.0),
+                      np.nextafter(S0, 1.0), np.nan]
+            if S0 == 0.0:
+                xs[6:8] = [0.0, -0.0]  # offsets of +0.0 and -0.0 from S0
+        else:
+            xs = rng.uniform(0.015, 0.07, 200)
         rng.shuffle(xs)
         for arr in (xs, xs.reshape(20, 10)):
-            got = m.vol_vec(arr)
-            want = np.array([m.vol(float(x)) for x in arr.flat]).reshape(arr.shape)
-            assert got.shape == arr.shape
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            got = m.vol(arr)
+            assert got.shape == arr.shape, m.label
+            want = [m.vol(float(x)) for x in arr.flat]
+            assert np.array_equal(_bits(got).ravel(), _bits(want)), m.label
+            for k in (1, 2, 3, 4):
+                got = np.broadcast_to(m.deriv(arr, k), arr.shape)
+                want = [m.deriv(float(x), k) for x in arr.flat]
+                assert np.array_equal(_bits(got).ravel(), _bits(want)), (m.label, k)
+        for x in (float(xs[10]), 0.03):
+            assert isinstance(m.vol(x), float) and np.ndim(m.vol(x)) == 0, m.label
+            for k in (1, 2, 3, 4):
+                d = m.deriv(x, k)
+                assert isinstance(d, float) and np.ndim(d) == 0, (m.label, k)
 
 
 def test_shifted_ln_domain_boundary():
@@ -151,15 +159,6 @@ def test_non_finite_parameters_raise(bad):
                   lambda: MarketSetup(S0=0.03, mu1=bad)):
         with pytest.raises(ValueError):
             build()
-
-
-def test_vol_array_matches_scalar_without_vol_vec():
-    import dataclasses
-    m = dataclasses.replace(make_quadratic_sabr(0.02, 0.3, -0.2, 0.05), vol_vec=None)
-    xs = np.linspace(0.0, 0.1, 12).reshape(3, 4)
-    got = m.vol_array(xs)
-    assert got.shape == xs.shape
-    assert np.array_equal(got, np.vectorize(m.vol)(xs))
 
 
 def test_piecewise_branches():
