@@ -79,39 +79,58 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
-def test_array_calls_equal_scalar_calls_bit_for_bit():
+def _assert_array_calls_equal_float_calls(m, xs):
     # vol and deriv take floats and ndarrays of any shape; an array call
     # equals the element-wise float calls bit for bit, and a float gives a float
-    kinks = [make_piecewise_linear(0.008, -0.1, 0.1, 0.03),
-             make_piecewise_linear(0.008, 0.1, 0.2, 0.03),
-             make_piecewise_linear(0.01, 0.3, -0.05, 0.0)]
+    for arr in (xs, xs.reshape(20, 10)):
+        got = m.vol(arr)
+        assert got.shape == arr.shape, m.label
+        want = [m.vol(float(x)) for x in arr.flat]
+        assert np.array_equal(_bits(got).ravel(), _bits(want)), m.label
+        for k in (1, 2, 3, 4):
+            got = np.broadcast_to(m.deriv(arr, k), arr.shape)
+            want = [m.deriv(float(x), k) for x in arr.flat]
+            assert np.array_equal(_bits(got).ravel(), _bits(want)), (m.label, k)
+    for x in (float(xs[10]), 0.03):
+        assert isinstance(m.vol(x), float) and np.ndim(m.vol(x)) == 0, m.label
+        for k in (1, 2, 3, 4):
+            d = m.deriv(x, k)
+            assert isinstance(d, float) and np.ndim(d) == 0, (m.label, k)
+
+
+def test_vectorized_matches_scalar():
     tab = make_tabulated([(0.01, 0.010), (0.02, 0.012), (0.04, 0.013), (0.08, 0.02)])
     rng = np.random.default_rng(7)
-    for m in analytic_models() + kinks + [tab]:
-        if m.breakpoints:
-            S0 = m.breakpoints[0]
-            xs = S0 + rng.uniform(-0.02, 0.02, 200)
-            xs[:6] = [S0, S0 + 0.0, S0 - 0.0, np.nextafter(S0, -1.0),
-                      np.nextafter(S0, 1.0), np.nan]
-            if S0 == 0.0:
-                xs[6:8] = [0.0, -0.0]  # offsets of +0.0 and -0.0 from S0
-        else:
-            xs = rng.uniform(0.015, 0.07, 200)
+    for m in analytic_models() + [make_piecewise_linear(0.008, 0.1, 0.2, 0.03), tab]:
+        xs = rng.uniform(0.015, 0.07, 200)
+        _assert_array_calls_equal_float_calls(m, xs)
+
+
+def test_piecewise_vol_vec_is_elementwise_vol_bit_for_bit():
+    # the kink's array path (vol on an ndarray) at S0, +-0.0 offsets, the
+    # neighbouring floats of S0 and NaN
+    rng = np.random.default_rng(7)
+    for sigma0, bL, bR, S0 in ((0.008, -0.1, 0.1, 0.03), (0.008, 0.1, 0.2, 0.03),
+                               (0.01, 0.3, -0.05, 0.0)):
+        m = make_piecewise_linear(sigma0, bL, bR, S0)
+        assert m.breakpoints == (S0,)
+        xs = S0 + rng.uniform(-0.02, 0.02, 200)
+        xs[:6] = [S0, S0 + 0.0, S0 - 0.0, np.nextafter(S0, -1.0), np.nextafter(S0, 1.0),
+                  np.nan]
+        if S0 == 0.0:
+            xs[6:8] = [0.0, -0.0]  # offsets of +0.0 and -0.0 from S0
         rng.shuffle(xs)
-        for arr in (xs, xs.reshape(20, 10)):
-            got = m.vol(arr)
-            assert got.shape == arr.shape, m.label
-            want = [m.vol(float(x)) for x in arr.flat]
-            assert np.array_equal(_bits(got).ravel(), _bits(want)), m.label
-            for k in (1, 2, 3, 4):
-                got = np.broadcast_to(m.deriv(arr, k), arr.shape)
-                want = [m.deriv(float(x), k) for x in arr.flat]
-                assert np.array_equal(_bits(got).ravel(), _bits(want)), (m.label, k)
-        for x in (float(xs[10]), 0.03):
-            assert isinstance(m.vol(x), float) and np.ndim(m.vol(x)) == 0, m.label
-            for k in (1, 2, 3, 4):
-                d = m.deriv(x, k)
-                assert isinstance(d, float) and np.ndim(d) == 0, (m.label, k)
+        _assert_array_calls_equal_float_calls(m, xs)
+
+
+def test_vol_array_matches_scalar_without_vol_vec():
+    # vol itself is the array path: no separate vectorised field or fallback
+    m = make_quadratic_sabr(0.02, 0.3, -0.2, 0.05)
+    assert not hasattr(m, "vol_vec") and not hasattr(m, "vol_array")
+    xs = np.linspace(0.0, 0.1, 12).reshape(3, 4)
+    got = m.vol(xs)
+    assert got.shape == xs.shape
+    assert np.array_equal(_bits(got), _bits(np.vectorize(m.vol)(xs)))
 
 
 def test_shifted_ln_domain_boundary():
