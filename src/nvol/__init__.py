@@ -2,9 +2,8 @@
 volatility models, with PDE / Monte-Carlo / closed-form oracles."""
 
 from .asymptotics import (BreakpointError, DomainError, NonAnalyticWarning,
-                          QuadratureSpec, sigma0, sigma0_series_atm, sigma1,
-                          sigma1_jump, sigma1_series_atm, sigma2, sigma2_atm,
-                          smile)
+                          sigma0, sigma0_series_atm, sigma1, sigma1_jump,
+                          sigma1_series_atm, sigma2, sigma2_atm, smile)
 from .bachelier import (LognormalQuote, NormalQuote, atm_lognormal_from_normal,
                         atm_normal_from_lognormal, bachelier_call,
                         bachelier_vega, black_scholes_call, implied_normal_vol,
@@ -28,7 +27,7 @@ __all__ = [
     "BreakpointError", "DomainError", "FitReport",
     "LocalVolModel", "LognormalQuote", "MarketSetup", "McResult", "McSpec",
     "NonAnalyticWarning", "NormalQuote", "PdeGrid", "PdeSolution",
-    "QuadratureSpec", "SmilePoint", "atm_implied_vol", "atm_lognormal_from_normal",
+    "SmilePoint", "atm_implied_vol", "atm_lognormal_from_normal",
     "atm_normal_from_lognormal", "bachelier_call", "bachelier_vega",
     "black_scholes_call", "default_grid", "drifted_ln_atm_call",
     "extract_local_vol", "implied_normal_vol", "implied_smile_from_pde",

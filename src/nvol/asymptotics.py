@@ -16,9 +16,7 @@ y = K - F0 built from local-vol derivatives at the forward.
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,22 +36,9 @@ class NonAnalyticWarning(UserWarning):
     """Power-series-in-T output for a model with a derivative jump."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    atm_switch_radius: float = 1e-4  # fraction of sigma_D(F0)*max(sqrt(t_ref), 1)
-    t_ref: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.atm_switch_radius) and self.atm_switch_radius >= 0.0):
-            raise ValueError("atm_switch_radius must be finite and >= 0")
-        if not (math.isfinite(self.t_ref) and self.t_ref > 0.0):
-            raise ValueError("t_ref must be finite and > 0")
-
-    def switch_radius(self, vol_atm: float) -> float:
-        return self.atm_switch_radius * vol_atm * max(math.sqrt(self.t_ref), 1.0)
-
-
-DEFAULT_SPEC = QuadratureSpec()
+# inside this fraction of sigma_D(F0) from the money every coefficient is its
+# Taylor polynomial: the closed forms are a removable 0/0 at K = F0
+_ATM_SWITCH_RADIUS = 1e-4
 
 # second derivatives of sigma0/sigma1 switch to their Taylor forms on a wider
 # window than plain values: the closed forms cancel like 1/y^2 .. 1/y^4
@@ -69,16 +54,21 @@ def _require_domain(model: LocalVolModel, F0: float, K: float) -> None:
         )
 
 
+def _on_breakpoint(model: LocalVolModel, F0: float) -> bool:
+    """True when the forward sits on one of the model's breakpoints."""
+    return any(abs(F0 - bp) < 1e-14 * max(1.0, abs(F0)) for bp in model.breakpoints)
+
+
 def _series_branch(model: LocalVolModel, F0: float, y: float) -> LocalVolModel:
     """Analytic branch to expand around F0 when F0 sits on a breakpoint."""
-    if any(abs(F0 - bp) < 1e-14 * max(1.0, abs(F0)) for bp in model.breakpoints):
+    if _on_breakpoint(model, F0):
         return model.branch_for(1.0 if y >= 0.0 else -1.0)
     return model
 
 
 def _atm_derivs(model: LocalVolModel, F0: float, order: int) -> list[float]:
     """sigma_D(F0) and its derivatives there up to `order`, as Python floats."""
-    if any(abs(F0 - bp) < 1e-14 * max(1.0, abs(F0)) for bp in model.breakpoints):
+    if _on_breakpoint(model, F0):
         raise BreakpointError(
             "sigma_D is non-analytic at the forward; expand the one-sided branches instead"
         )
@@ -126,13 +116,12 @@ def _sigma1_taylor(series: tuple[float, float, float], y):
     return (v0 + y * (v1 + 0.5 * y * v2), v1 + y * v2, v2)
 
 
-def sigma0(model: LocalVolModel, F0: float, K: float,
-           spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def sigma0(model: LocalVolModel, F0: float, K: float) -> float:
     """Leading-order normal vol: (K - F0) / int_{F0}^{K} dL / sigma_D(L)."""
     _require_domain(model, F0, K)
     y = K - F0
     branch = _series_branch(model, F0, y)
-    radius = spec.switch_radius(branch.vol(F0))
+    radius = _ATM_SWITCH_RADIUS * branch.vol(F0)
     if abs(y) < radius:
         return _sigma0_taylor(sigma0_series_atm(branch, F0), y)[0]
     *_, J_K, _ = _node_antiderivatives(model, F0, 0.0, K, branch, radius)
@@ -155,8 +144,7 @@ def _sigma0_derivs(y, J, sDd):
     return (val, dval, ddval)
 
 
-def sigma1(model: LocalVolModel, F0: float, mu0: float, K: float,
-           spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def sigma1(model: LocalVolModel, F0: float, mu0: float, K: float) -> float:
     """O(T) coefficient at fixed strike.
 
     sigma1 = sigma0^3/y^2 * ( -1/2 log(sigma0(K)^2 / (sigma_D(K) sigma0(F0)))
@@ -165,7 +153,7 @@ def sigma1(model: LocalVolModel, F0: float, mu0: float, K: float,
     _require_domain(model, F0, K)
     y = K - F0
     branch = _series_branch(model, F0, y)
-    radius = spec.switch_radius(branch.vol(F0))
+    radius = _ATM_SWITCH_RADIUS * branch.vol(F0)
     if abs(y) < radius:
         return _sigma1_taylor(sigma1_series_atm(branch, F0, mu0), y)[0]
     *_, J_K, I2_K = _node_antiderivatives(model, F0, mu0, K, branch, radius)
@@ -266,8 +254,7 @@ def _node_antiderivatives(model: LocalVolModel, F0: float, mu0: float, K: float,
             float(J_end[-1, -1]), float(I2_end[-1, -1]))
 
 
-def sigma2(model: LocalVolModel, F0: float, mu0: float, mu1: float, K: float,
-           spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def sigma2(model: LocalVolModel, F0: float, mu0: float, mu1: float, K: float) -> float:
     """O(T^2) coefficient at fixed strike.
 
     sigma2 = -sigma0^4/y^3 * int_0^y z^2 dz { 3 sigma1^2/(2 sigma_D sigma0^4)
@@ -283,7 +270,7 @@ def sigma2(model: LocalVolModel, F0: float, mu0: float, mu1: float, K: float,
     _require_domain(model, F0, K)
     y = K - F0
     branch = _series_branch(model, F0, y)
-    radius = spec.switch_radius(branch.vol(F0))
+    radius = _ATM_SWITCH_RADIUS * branch.vol(F0)
     if abs(y) < radius:
         return sigma2_atm(branch, F0, mu0, mu1)
 
@@ -336,7 +323,7 @@ def sigma1_jump(model: LocalVolModel, F0: float) -> float:
     For linear pieces this equals -(bR^2 - bL^2) sigma0 / 6.  Returns 0 for
     models analytic at F0.
     """
-    if not any(abs(F0 - bp) < 1e-14 * max(1.0, abs(F0)) for bp in model.breakpoints):
+    if not _on_breakpoint(model, F0):
         return 0.0
     right = model.branch_for(1.0)
     left = model.branch_for(-1.0)
@@ -345,16 +332,15 @@ def sigma1_jump(model: LocalVolModel, F0: float) -> float:
     return vr - vl
 
 
-def expansion_coefficient(model: LocalVolModel, setup: MarketSetup, K: float, order: int,
-                          spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def expansion_coefficient(model: LocalVolModel, setup: MarketSetup, K: float, order: int) -> float:
     """sigma0, sigma1 or sigma2 at strike K; the coefficients do not depend on T."""
     F0 = setup.S0
     if order == 0:
-        return sigma0(model, F0, K, spec)
+        return sigma0(model, F0, K)
     if order == 1:
-        return sigma1(model, F0, setup.mu0, K, spec)
+        return sigma1(model, F0, setup.mu0, K)
     if order == 2:
-        return sigma2(model, F0, setup.mu0, setup.mu1, K, spec)
+        return sigma2(model, F0, setup.mu0, setup.mu1, K)
     raise ValueError("order must be 0, 1 or 2")
 
 
@@ -368,8 +354,7 @@ def smile_from_coefficients(coeffs, T: float) -> float:
     return out
 
 
-def smile(model: LocalVolModel, setup: MarketSetup, K: float, T: float, order: int,
-          spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def smile(model: LocalVolModel, setup: MarketSetup, K: float, T: float, order: int) -> float:
     """Truncated fixed-strike expansion sigma0 + sigma1 T + sigma2 T^2.
 
     y = K - F0 throughout; the drift enters through the mu-dependent terms of
@@ -383,5 +368,5 @@ def smile(model: LocalVolModel, setup: MarketSetup, K: float, T: float, order: i
             "power-series-in-T smile for a non-analytic local vol: the expansion "
             "misses sqrt(T) terms (use the sqrt-T detector)", NonAnalyticWarning,
             stacklevel=2)
-    coeffs = [expansion_coefficient(model, setup, K, k, spec) for k in range(order + 1)]
+    coeffs = [expansion_coefficient(model, setup, K, k) for k in range(order + 1)]
     return smile_from_coefficients(coeffs, T)

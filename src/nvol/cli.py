@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .asymptotics import (DomainError, expansion_coefficient, sigma1_jump,
                           smile_from_coefficients)
@@ -50,8 +51,7 @@ class ConfigError(Exception):
 @dataclass
 class ExperimentConfig:
     model: LocalVolModel
-    model_kind: str
-    model_params: dict
+    exact_call: Callable[[float, float], tuple[float, float]] | None  # see _build_model
     setup: MarketSetup
     strikes: list[float]
     maturities: list[float]
@@ -87,24 +87,34 @@ def _get(section, key: str, where: str, cast=float, default=None):
     return value
 
 
-def _build_model(kind: str, sec, S0: float) -> tuple[LocalVolModel, dict]:
-    """sigma0 always means the local vol at S0; slopes are the b of 2b(S-S0)."""
+def _build_model(kind: str, sec, S0: float):
+    """The model, and its driftless closed-form pricer (K, T) -> (price, noise
+    level of the time value) or None; sigma0 always means the local vol at S0,
+    slopes are the b of 2b(S-S0)."""
     if kind == "shifted_lognormal":
-        p = {"sigma0": _get(sec, "sigma0", "[model]"), "b": _get(sec, "b", "[model]")}
-        return make_shifted_lognormal(p["sigma0"] - 2.0 * p["b"] * S0, p["b"], S0), p
+        sigma0, b = _get(sec, "sigma0", "[model]"), _get(sec, "b", "[model]")
+        shifted = sigma0 - 2.0 * b * S0
+        return (make_shifted_lognormal(shifted, b, S0),
+                lambda K, T: (shifted_ln_exact_call(shifted, b, S0, K, T), 0.0))
     if kind == "quadratic_sabr":
-        p = {"sigma0": _get(sec, "sigma0", "[model]"),
-             "gamma": _get(sec, "gamma", "[model]"),
-             "rho": _get(sec, "rho", "[model]")}
-        return make_quadratic_sabr(p["sigma0"], p["gamma"], p["rho"], S0), p
+        sigma0, gamma, rho = (_get(sec, key, "[model]") for key in ("sigma0", "gamma", "rho"))
+        return make_quadratic_sabr(sigma0, gamma, rho, S0), None
     if kind == "piecewise_linear":
-        p = {"sigma0": _get(sec, "sigma0", "[model]"),
-             "bL": _get(sec, "bL", "[model]"), "bR": _get(sec, "bR", "[model]")}
-        return make_piecewise_linear(p["sigma0"], p["bL"], p["bR"], S0), p
+        sigma0, bL, bR = (_get(sec, key, "[model]") for key in ("sigma0", "bL", "bR"))
+        model = make_piecewise_linear(sigma0, bL, bR, S0)
+        if not (bR > 0.0 and bL == -bR):
+            return model, None
+
+        def kink_call(K: float, T: float) -> tuple[float, float]:
+            price = model2b_call_by_density(sigma0, bR, S0, K, T)
+            # its rule is within 1.4e-17 absolute and 3.5e-15 relative of
+            # scipy's quad on 48 strikes and maturities; this level is 7x and 30x that
+            return price, max(1e-16, 1e-13 * price)
+        return model, kink_call
     if kind == "tabulated":
         path = _get(sec, "path", "[model]", cast=str)
         try:
-            return load_tabulated_csv(path), {"path": path}
+            return load_tabulated_csv(path), None
         except (OSError, ValueError) as e:
             raise ConfigError(f"[model]: cannot load tabulated vol {path!r}: {e}") from e
     raise ConfigError(f"[model]: unknown type {kind!r} "
@@ -133,7 +143,7 @@ def load_config(path: str) -> ExperimentConfig:
 
     kind = _get(cp["model"], "type", "[model]", cast=str)
     try:
-        model, params = _build_model(kind, cp["model"], setup.S0)
+        model, exact_call = _build_model(kind, cp["model"], setup.S0)
     except ValueError as e:
         raise ConfigError(f"[model]: {e}") from e
 
@@ -170,6 +180,14 @@ def load_config(path: str) -> ExperimentConfig:
     unknown = [m for m in methods if m not in _METHODS]
     if unknown:
         raise ConfigError(f"[methods]: unknown {unknown}; choose from {_METHODS}")
+    if "exact" in methods:
+        if exact_call is None:
+            raise ConfigError("[methods]: 'exact' needs a shifted_lognormal or a symmetric "
+                              "piecewise_linear (bL = -bR > 0) model")
+        for key in ("mu0", "mu1"):
+            if getattr(setup, key) != 0.0:
+                raise ConfigError(f"[market]: method 'exact' prices the driftless model; "
+                                  f"'{key}' must be 0, got {getattr(setup, key)!r}")
 
     out = fmt = None
     if "output" in cp:
@@ -195,7 +213,7 @@ def load_config(path: str) -> ExperimentConfig:
     mc_opts = {}
     if "mc" in cp:
         sec = cp["mc"]
-        # the CLI pairs paths antithetically, so n_paths must be even
+        # every path is paired with its mirror image, so n_paths must be even
         for key, valid, need in (
                 ("n_paths", lambda v: v >= 2 and v % 2 == 0, "even and >= 2"),
                 ("steps_per_year", lambda v: v >= 1, ">= 1")):
@@ -205,10 +223,9 @@ def load_config(path: str) -> ExperimentConfig:
                     raise ConfigError(f"[mc]: '{key}' must be {need}, got {value!r}")
                 mc_opts[key] = value
 
-    return ExperimentConfig(model=model, model_kind=kind, model_params=params,
-                            setup=setup, strikes=strikes, maturities=maturities,
-                            methods=methods, out=out, fmt=fmt or "csv",
-                            pde_opts=pde_opts, mc_opts=mc_opts)
+    return ExperimentConfig(model=model, exact_call=exact_call, setup=setup,
+                            strikes=strikes, maturities=maturities, methods=methods,
+                            out=out, fmt=fmt or "csv", pde_opts=pde_opts, mc_opts=mc_opts)
 
 
 def _emit_rows(rows: list[dict], out: str | None, fmt: str,
@@ -228,21 +245,6 @@ def _emit_rows(rows: list[dict], out: str | None, fmt: str,
     else:
         with open(out, "w") as fh:
             fh.write(text)
-
-
-def _exact_price(cfg: ExperimentConfig, K: float, T: float) -> tuple[float, float]:
-    """Closed-form price and the noise level of its time value."""
-    p = cfg.model_params
-    if cfg.model_kind == "shifted_lognormal":
-        return shifted_ln_exact_call(p["sigma0"] - 2.0 * p["b"] * cfg.setup.S0,
-                                     p["b"], cfg.setup.S0, K, T), 0.0
-    if cfg.model_kind == "piecewise_linear" and p["bR"] > 0.0 and p["bL"] == -p["bR"]:
-        price = model2b_call_by_density(p["sigma0"], p["bR"], cfg.setup.S0, K, T)
-        # its rule is within 1.4e-17 absolute and 3.5e-15 relative of
-        # scipy's quad on 48 strikes and maturities; this level is 7x and 30x that
-        return price, max(1e-16, 1e-13 * price)
-    raise ConfigError("method 'exact' needs a shifted_lognormal or a symmetric "
-                      "piecewise_linear (bL = -bR) model")
 
 
 def _vol_and_flag(price: float, F: float, K: float, T: float,
@@ -307,7 +309,7 @@ def cmd_smile(args) -> int:
                 elif method == "exact":
                     for K in cfg.strikes:
                         current["K"] = K
-                        price, noise = _exact_price(cfg, K, T)
+                        price, noise = cfg.exact_call(K, T)
                         vol, flag = _vol_and_flag(price, F, K, T, noise)
                         rows.append({"K": K, "T": T, "method": method,
                                      "sigma_N": vol, "flag": flag})
@@ -360,7 +362,7 @@ def cmd_sqrt_t(args) -> int:
     cfg = load_config(args.config)
     T_grid = cfg.maturities if len(cfg.maturities) >= 5 else _SQRT_T_GRID
     try:
-        report = sqrt_t_detector(cfg.model, cfg.setup, None, T_grid)
+        report = sqrt_t_detector(cfg.model, cfg.setup, T_grid)
     except (ValueError, RuntimeError) as e:
         print(f"numerical failure in sqrt-t fit: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -372,7 +374,7 @@ def cmd_sqrt_t(args) -> int:
         print(f"analytic (p~1: fitted p={p:.3f})")
     else:
         print(f"unclassified (fitted p={p:.3f})")
-    if cfg.model_kind == "piecewise_linear":
+    if cfg.model.breakpoints:
         jump = sigma1_jump(cfg.model, cfg.setup.S0)
         print(f"sigma1 jump across the forward: {jump:.6g}")
     text = report.to_json() + "\n"

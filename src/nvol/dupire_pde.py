@@ -222,7 +222,6 @@ class SmilePoint:
     strike: float
     maturity: float
     sigmaN: float
-    order_tag: str = "exact"
     flag: str = "ok"
 
 

@@ -11,15 +11,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .bachelier import (NormalQuote, bachelier_call, black_scholes_call,
                         norm_cdf, norm_pdf)
 from .models import LocalVolModel, MarketSetup
 from .quadrature import integrate
-
-if TYPE_CHECKING:
-    from .dupire_pde import PdeGrid
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -181,25 +177,23 @@ class FitReport:
                            "residual": self.residual, "grid": list(self.grid)})
 
 
-def _wls_loglog(ts, ds, weights, exponent=None):
-    """Weighted LS of log d = log c + p log T; returns (c, p)."""
+def _fit_loglog(ts, ds, exponent=None):
+    """Least squares of log d = log c + p log T; returns (c, p)."""
     lt = [math.log(t) for t in ts]
     ld = [math.log(d) for d in ds]
-    w = list(weights)
-    sw = sum(w)
+    n = len(lt)
     if exponent is not None:
-        lc = sum(wi * (di - exponent * ti) for wi, di, ti in zip(w, ld, lt)) / sw
+        lc = sum(di - exponent * ti for di, ti in zip(ld, lt)) / n
         return math.exp(lc), exponent
-    mt = sum(wi * ti for wi, ti in zip(w, lt)) / sw
-    md = sum(wi * di for wi, di in zip(w, ld)) / sw
-    p = (sum(wi * (ti - mt) * (di - md) for wi, ti, di in zip(w, lt, ld))
-         / sum(wi * (ti - mt) ** 2 for wi, ti in zip(w, lt)))
+    mt = sum(lt) / n
+    md = sum(ld) / n
+    p = (sum((ti - mt) * (di - md) for ti, di in zip(lt, ld))
+         / sum((ti - mt) ** 2 for ti in lt))
     lc = md - p * mt
     return math.exp(lc), p
 
 
-def sqrt_t_detector(model: LocalVolModel, setup: MarketSetup,
-                    grid_spec: PdeGrid | None, T_grid) -> FitReport:
+def sqrt_t_detector(model: LocalVolModel, setup: MarketSetup, T_grid) -> FitReport:
     """Classify the small-time ATM behavior and size any sqrt(T) term.
 
     For each maturity the forward-PDE ATM vol is computed on a
@@ -219,31 +213,25 @@ def sqrt_t_detector(model: LocalVolModel, setup: MarketSetup,
     sD0 = model.vol(setup.S0)
     devs = []
     for T in T_grid:
-        if grid_spec is None:
-            # Richardson in the spatial step: the ATM discretization bias is a
-            # nearly T-independent O(dx^2) offset, which would flatten the
-            # power law at the smallest maturities; extrapolating two
-            # resolutions knocks it below 1e-8 absolute vol
-            vols = []
-            for n_space in (801, 1601):
-                grid = default_grid(model, setup, T, n_space=n_space,
-                                    n_time_per_year=4096, width_stdevs=8.0,
-                                    min_time_steps=512)
-                sol = solve_forward(model, setup, grid, T)
-                vols.append(atm_implied_vol(sol, setup, T))
-            atm = (4.0 * vols[1] - vols[0]) / 3.0
-        else:
-            sol = solve_forward(model, setup, grid_spec, T)
-            atm = atm_implied_vol(sol, setup, T)
-        devs.append(atm - sD0)
+        # Richardson in the spatial step: the ATM discretization bias is a
+        # nearly T-independent O(dx^2) offset, which would flatten the power
+        # law at the smallest maturities; extrapolating two resolutions
+        # knocks it below 1e-8 absolute vol
+        vols = []
+        for n_space in (801, 1601):
+            grid = default_grid(model, setup, T, n_space=n_space,
+                                n_time_per_year=4096, width_stdevs=8.0,
+                                min_time_steps=512)
+            sol = solve_forward(model, setup, grid, T)
+            vols.append(atm_implied_vol(sol, setup, T))
+        devs.append((4.0 * vols[1] - vols[0]) / 3.0 - sD0)
     if all(d < 0.0 for d in devs):
         sign, mags = -1.0, [-d for d in devs]
     elif all(d > 0.0 for d in devs):
         sign, mags = 1.0, list(devs)
     else:
         raise ValueError("ATM deviation changes sign or vanishes; nothing to fit")
-    weights = [1.0] * len(T_grid)
-    _, p_free = _wls_loglog(T_grid, mags, weights)
-    c_half, _ = _wls_loglog(T_grid, mags, weights, exponent=0.5)
+    _, p_free = _fit_loglog(T_grid, mags)
+    c_half, _ = _fit_loglog(T_grid, mags, exponent=0.5)
     resid = max(abs(d / (c_half * math.sqrt(t)) - 1.0) for t, d in zip(T_grid, mags))
     return FitReport(coefficient=sign * c_half, exponent=p_free, residual=resid, grid=T_grid)

@@ -31,13 +31,11 @@ class McSpec:
     n_paths: int = 100_000
     steps_per_year: int = 200
     seed: int = 0
-    antithetic: bool = True
 
     def __post_init__(self):
-        if self.n_paths < 2:
-            raise ValueError("n_paths must be >= 2")
-        if self.antithetic and self.n_paths % 2:
-            raise ValueError("antithetic pairing needs an even n_paths")
+        # the second half of the paths mirrors the first: its draws are negated
+        if self.n_paths < 2 or self.n_paths % 2:
+            raise ValueError("n_paths must be even and >= 2")
         if self.steps_per_year < 1:
             raise ValueError("steps_per_year must be >= 1")
 
@@ -67,7 +65,7 @@ def _march(model: LocalVolModel, setup: MarketSetup, dt: float, stops: Sequence[
 
     sqdt = math.sqrt(dt)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    n_draw = spec.n_paths // 2 if spec.antithetic else spec.n_paths
+    n_draw = spec.n_paths // 2
 
     lo, hi = model.positivity_domain
     bounded = math.isfinite(lo) or math.isfinite(hi)
@@ -90,8 +88,7 @@ def _march(model: LocalVolModel, setup: MarketSetup, dt: float, stops: Sequence[
         t_mid = (k + 0.5) * dt
         rng.random(out=z[:n_draw])
         ndtri(z[:n_draw], out=z[:n_draw])
-        if spec.antithetic:
-            np.negative(z[:n_draw], out=z[n_draw:])
+        np.negative(z[:n_draw], out=z[n_draw:])
         if bounded:
             np.less(S, lo_c, out=outside)
             exited |= outside
@@ -120,23 +117,19 @@ def simulate_terminal(model: LocalVolModel, setup: MarketSetup, T: float,
     return S, n_hits
 
 
-def _call_stats(S: np.ndarray, K: float, spec: McSpec) -> tuple[float, float]:
-    """(price, standard error) of the call payoff (S_T - K)+ over the paths S."""
+def _call_stats(S: np.ndarray, K: float) -> tuple[float, float]:
+    """(price, standard error) of the call payoff (S_T - K)+ over mirrored pairs."""
     payoff = np.maximum(S - K, 0.0)
-    if spec.antithetic:
-        half = spec.n_paths // 2
-        samples = 0.5 * (payoff[:half] + payoff[half:])
-    else:
-        samples = payoff
-    n = samples.size
-    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n))
+    half = S.size // 2
+    samples = 0.5 * (payoff[:half] + payoff[half:])
+    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(half))
 
 
-def _price(S: np.ndarray, K: float | np.ndarray, n_hits: int, spec: McSpec) -> McResult:
+def _price(S: np.ndarray, K: float | np.ndarray, n_hits: int) -> McResult:
     if np.ndim(K) == 0:
-        price, se = _call_stats(S, K, spec)
+        price, se = _call_stats(S, K)
         return McResult(price=price, std_error=se, n_boundary_hits=n_hits)
-    stats = np.array([_call_stats(S, k, spec) for k in np.asarray(K, dtype=float)],
+    stats = np.array([_call_stats(S, k) for k in np.asarray(K, dtype=float)],
                      dtype=float).reshape(-1, 2)
     return McResult(price=stats[:, 0], std_error=stats[:, 1], n_boundary_hits=n_hits)
 
@@ -146,10 +139,11 @@ def mc_call(model: LocalVolModel, setup: MarketSetup, K: float | np.ndarray,
             ) -> McResult | tuple[McResult, ...]:
     """Monte-Carlo call price E[(S_T - K)+] with standard error.
 
-    With antithetic pairing the standard error is computed over pair
-    averages, which is the correct estimate for the paired scheme.  A 1-d
-    array of strikes is priced on one path set, strike by strike, and gives
-    price and std_error arrays equal to the one-strike calls.  A tuple of
+    Every path is paired with the path of the negated draws, and the
+    standard error is computed over pair averages, which is the correct
+    estimate for the paired scheme.  A 1-d array of strikes is priced on one
+    path set, strike by strike, and gives price and std_error arrays equal to
+    the one-strike calls.  A tuple of
     maturities gives a tuple of results, one per maturity, each equal to the
     one-maturity call; maturities that share a step size share one march.
     """
@@ -162,7 +156,7 @@ def mc_call(model: LocalVolModel, setup: MarketSetup, K: float | np.ndarray,
     results: list[McResult] = [None] * len(maturities)
     for dt, by_n in groups.items():
         for n, S, n_hits in _march(model, setup, dt, tuple(by_n), spec):
-            res = _price(S, K, n_hits, spec)
+            res = _price(S, K, n_hits)
             for i in by_n[n]:
                 results[i] = res
     return results[0] if np.ndim(T) == 0 else tuple(results)

@@ -5,25 +5,24 @@ prints a single PASS/FAIL line so the whole gate can be read off the pytest
 output with -s.
 """
 
+import importlib.util
 import math
-import random
+import pathlib
 
 import numpy as np
 import pytest
 
 from nvol.asymptotics import sigma1_jump, sigma1_series_atm, sigma2_atm
-from nvol.bachelier import NormalQuote, bachelier_call, implied_normal_vol
 from nvol.cli import _surface_from_csv, table1_rows
 from nvol.dupire_pde import (atm_implied_vol, default_grid, extract_local_vol,
                              solve_forward)
 from nvol.exact_solutions import (drifted_ln_atm_call, model2b_atm_exact,
                                   model2b_call_by_density, model2b_density,
-                                  shifted_ln_atm_exact_vol,
-                                  shifted_ln_exact_call, sqrt_t_detector)
-from nvol.mc_oracle import McSpec, mc_call
+                                  shifted_ln_atm_exact_vol, sqrt_t_detector)
 from nvol.models import (MarketSetup, make_piecewise_linear,
                          make_quadratic_sabr, make_shifted_lognormal)
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 NORM_PDF0 = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -98,12 +97,12 @@ def test_criterion_04_sqrt_t_anomaly():
     grid = tuple(0.25 / 2 ** k for k in reversed(range(7)))  # 1/256 .. 1/4
     setup = MarketSetup(S0=S0)
     kink = make_piecewise_linear(sigma0, -b, b, S0)
-    rep = sqrt_t_detector(kink, setup, None, grid)
+    rep = sqrt_t_detector(kink, setup, grid)
     target = 0.5 * math.sqrt(math.pi / 2.0) * sigma0 * b
     ok = abs(rep.exponent - 0.5) <= 0.05
     ok &= abs(rep.coefficient / target - 1.0) <= 0.05
     control = make_shifted_lognormal(sigma0 - 2.0 * b * S0, b, S0)
-    ok &= sqrt_t_detector(control, setup, None, grid).exponent >= 0.9
+    ok &= sqrt_t_detector(control, setup, grid).exponent >= 0.9
     report(4, "sqrt-T anomaly: p=1/2, c=(1/2)sqrt(pi/2) sigma0 b; analytic control p>=0.9", ok)
 
 
@@ -170,34 +169,12 @@ def test_criterion_07_kink_density():
 
 
 def test_criterion_08_oracle_triangle():
-    rng = random.Random(2024)
-    ok = True
-    for i in range(10):
-        S0 = rng.uniform(0.02, 0.06)
-        sigma0 = rng.uniform(0.005, 0.02)
-        T = rng.uniform(0.25, 2.0)
-        K = S0 + rng.uniform(-1.2, 1.2) * sigma0 * math.sqrt(T)
-        if i % 2 == 0:
-            b = rng.uniform(0.05, 0.2)
-            model = make_shifted_lognormal(sigma0 - 2 * b * S0, b, S0)
-            exact = shifted_ln_exact_call(sigma0 - 2 * b * S0, b, S0, K, T)
-        else:
-            b = rng.uniform(0.05, 0.15)
-            model = make_piecewise_linear(sigma0, -b, b, S0)
-            exact = model2b_call_by_density(sigma0, b, S0, K, T)
-        setup = MarketSetup(S0=S0)
-        mc = mc_call(model, setup, K, T, McSpec(n_paths=100_000, seed=2024 + i))
-        grid = default_grid(model, setup, T, n_space=1601, n_time_per_year=1000)
-        sol = solve_forward(model, setup, grid, T)
-        j = int(np.argmin(np.abs(sol.strikes - K)))
-        F = setup.forward(T)
-        vol = implied_normal_vol(
-            max(sol.price_at(T)[j], max(F - sol.strikes[j], 0.0)),
-            F, float(sol.strikes[j]), T)
-        pde = bachelier_call(NormalQuote(F=F, K=K, T=T, sigmaN=vol))
-        tol = 3.0 * mc.std_error
-        ok &= (abs(mc.price - exact) <= tol and abs(mc.price - pde) <= tol
-               and abs(pde - exact) <= tol)
+    # the script's 10 random cases, each pair of prices within 3 MC standard errors
+    spec = importlib.util.spec_from_file_location(
+        "run_oracle_triangle", ROOT / "scripts" / "run_oracle_triangle.py")
+    triangle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(triangle)
+    ok = triangle.run() == 0
     report(8, "PDE/MC/closed-form triangle, 10 random cases within 3 SE", ok)
 
 

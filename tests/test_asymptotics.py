@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvol.asymptotics import (BreakpointError, DomainError,
-                              NonAnalyticWarning, QuadratureSpec, sigma0,
-                              sigma0_series_atm, sigma1, sigma1_jump,
-                              sigma1_series_atm, sigma2, sigma2_atm, smile)
+                              NonAnalyticWarning, sigma0, sigma0_series_atm,
+                              sigma1, sigma1_jump, sigma1_series_atm, sigma2,
+                              sigma2_atm, smile)
 from nvol.models import (MarketSetup, make_piecewise_linear,
                          make_quadratic_sabr, make_shifted_lognormal,
                          make_tabulated)
@@ -287,16 +287,6 @@ def test_drifted_sigma1_vs_quad_drift_integral():
             for mu0 in (0.002, -0.003):
                 got = (sigma1(m, F0, mu0, K) - sigma1(m, F0, 0.0, K)) / mu0
                 assert got == pytest.approx(want, rel=1e-10), (m.label, K, mu0)
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"atm_switch_radius": -1e-4}, {"atm_switch_radius": math.nan},
-    {"atm_switch_radius": math.inf}, {"t_ref": 0.0}, {"t_ref": -1.0},
-    {"t_ref": math.nan}, {"t_ref": math.inf}])
-def test_quadrature_spec_validation(kwargs):
-    with pytest.raises(ValueError):
-        QuadratureSpec(**kwargs)
-    QuadratureSpec(atm_switch_radius=0.0, t_ref=0.5)  # the limits themselves are fine
 
 
 @settings(max_examples=40, deadline=None)

@@ -196,6 +196,16 @@ def test_smile_fig3_matches_checked_in_csv(tmp_path, config):
     assert out.read_bytes() == (ROOT / "out" / f"{config}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("config", sorted(p.stem for p in (ROOT / "configs").glob("sqrtt_*.ini")))
+def test_sqrt_t_matches_checked_in_json(tmp_path, config):
+    # golden files: the detector's fit reports, byte for byte
+    out = tmp_path / f"{config}.json"
+    code, _ = run(["sqrt-t", "--config", str(ROOT / "configs" / f"{config}.ini"),
+                   "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (ROOT / "out" / f"{config}.json").read_bytes()
+
+
 def test_run_figures_check(tmp_path, capsys):
     spec = importlib.util.spec_from_file_location("run_figures",
                                                   ROOT / "scripts" / "run_figures.py")
@@ -309,6 +319,28 @@ def test_non_finite_parameter_exits_2(tmp_path, capsys, section, key, value):
     assert code == 2
     err = capsys.readouterr().err
     assert f"[{section}]" in err and f"'{key}'" in err and "finite" in err
+
+
+@pytest.mark.parametrize("old, new, cause", [
+    ("S0 = 0.03", "S0 = 0.03\nmu0 = 0.004", ["[market]", "'mu0'"]),
+    ("S0 = 0.03", "S0 = 0.03\nmu1 = -0.001", ["[market]", "'mu1'"]),
+    ("type = shifted_lognormal\nsigma0 = 0.014\nb = 0.1",
+     "type = quadratic_sabr\nsigma0 = 0.008\ngamma = 0.2\nrho = 0.0",
+     ["[methods]", "'exact'", "shifted_lognormal"])],
+                         ids=["mu0", "mu1", "sabr"])
+def test_exact_without_closed_form_exits_2_before_any_work(tmp_path, capsys, old, new, cause):
+    # the closed forms price the driftless shifted log-normal and symmetric
+    # kink only; anything else is refused when the config loads, before the
+    # pde and mc rows are computed
+    p = tmp_path / "bad.ini"
+    p.write_text(SMILE_CONFIG.replace(old, new)
+                 .replace("asympt0 asympt1 exact", "pde mc exact"))
+    out = tmp_path / "rows.csv"
+    code, _ = run(["smile", "--config", str(p), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert all(c in err for c in cause), err
+    assert not out.exists()
 
 
 DRIFTED_SABR = """\

@@ -13,10 +13,10 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         McSpec(n_paths=1)
     with pytest.raises(ValueError):
-        McSpec(n_paths=101, antithetic=True)
+        McSpec(n_paths=101)
     with pytest.raises(ValueError):
         McSpec(steps_per_year=0)
-    McSpec(n_paths=101, antithetic=False)
+    McSpec(n_paths=2, steps_per_year=1)  # the limits themselves are fine
 
 
 def test_seed_determinism_bit_identical():
@@ -106,9 +106,8 @@ def _reference_terminal(model, setup, T, spec):
     S = np.full(spec.n_paths, setup.S0)
     exited = np.zeros(spec.n_paths, dtype=bool)
     for k in range(n_steps):
-        z = ndtri(rng.random(spec.n_paths // 2 if spec.antithetic else spec.n_paths))
-        if spec.antithetic:
-            z = np.concatenate([z, -z])
+        z = ndtri(rng.random(spec.n_paths // 2))
+        z = np.concatenate([z, -z])
         exited |= (S < lo_c) | (S > hi_c)
         S = (S + model.vol(np.clip(S, lo_c, hi_c)) * math.sqrt(dt) * z
              + setup.drift((k + 0.5) * dt) * dt)
@@ -119,10 +118,9 @@ def _reference_terminal(model, setup, T, spec):
                                    make_shifted_lognormal(0.012, 0.0, 0.03),
                                    make_piecewise_linear(0.008, -0.1, 0.1, 0.03)],
                          ids=["bounded_below", "unbounded", "kink"])
-@pytest.mark.parametrize("antithetic", [True, False])
-def test_in_place_march_equals_reference_bit_for_bit(model, antithetic):
+def test_in_place_march_equals_reference_bit_for_bit(model):
     setup = MarketSetup(S0=0.006, mu0=0.001, mu1=-0.002)
-    spec = McSpec(n_paths=1_000, steps_per_year=3, seed=5, antithetic=antithetic)
+    spec = McSpec(n_paths=1_000, steps_per_year=3, seed=5)
     S, n_hits = simulate_terminal(model, setup, 2.0, spec)
     want, want_hits = _reference_terminal(model, setup, 2.0, spec)
     assert np.array_equal(S, want) and n_hits == want_hits
