@@ -8,19 +8,15 @@ import math
 import random
 import sys
 
-from nvol import (McSpec, MarketSetup, atm_implied_vol, bachelier_call,
-                  NormalQuote, default_grid, implied_normal_vol,
-                  make_shifted_lognormal, mc_call, model2b_call_by_density,
-                  make_piecewise_linear, shifted_ln_exact_call, solve_forward)
+from nvol import (McSpec, MarketSetup, default_grid, make_shifted_lognormal, mc_call,
+                  model2b_call_by_density, make_piecewise_linear,
+                  shifted_ln_exact_call, solve_forward)
 
 
 def pde_price(model, setup, K, T):
     grid = default_grid(model, setup, T, n_space=1601, n_time_per_year=1000)
     sol = solve_forward(model, setup, grid, T)
-    j = min(range(len(sol.strikes)), key=lambda i: abs(sol.strikes[i] - K))
-    vol = implied_normal_vol(max(sol.prices[0][j], max(setup.forward(T) - sol.strikes[j], 0.0)),
-                             setup.forward(T), float(sol.strikes[j]), T)
-    return bachelier_call(NormalQuote(F=setup.forward(T), K=K, T=T, sigmaN=vol))
+    return float(sol.price_at_strikes(T, [K])[0])
 
 
 def run(n_cases: int = 10, seed: int = 2024) -> int:

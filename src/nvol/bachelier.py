@@ -94,9 +94,11 @@ def implied_normal_vol(price: float, F: float, K: float, T: float) -> float:
         return bachelier_call(NormalQuote(F=F, K=K, T=T, sigmaN=s)) - price
 
     # lower edge of the bracket: sigma = ATM inverse of the time value prices
-    # below `price` whenever K != F
+    # below `price` whenever K != F.  A time value as small as the least
+    # subnormal double starts it near 1e-323, and 1100 doublings take it
+    # past a vol of 1e8
     hi = tve * math.sqrt(2.0 * math.pi / T)
-    for _ in range(200):
+    for _ in range(1100):
         if obj(hi) > 0.0:
             break
         hi *= 2.0
@@ -144,7 +146,10 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
                 # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                den = dblk * dpre * (fblk - fpre)
+                # C divides by an underflowed zero to an infinite step, which
+                # the test below turns into bisection
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 # good short step
                 spre, scur = scur, stry

@@ -7,11 +7,13 @@ The call-price surface evolves in maturity under
 from the payoff C(K, 0) = (S0 - K)+.  Crank-Nicolson with a Rannacher
 (implicit) start damps the kink oscillation; breakpoints of sigma_D and the
 initial level S0 are snapped onto grid nodes so the derivative jump driving
-the sqrt(T) anomaly is not smeared.
+the sqrt(T) anomaly is not smeared, and a price between nodes is interpolated
+from nodes on one side of them only.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, field
@@ -28,9 +30,11 @@ from .models import LocalVolModel, MarketSetup
 class PdeGrid:
     K_min: float
     K_max: float
-    n_space: int = 801
-    n_time_per_year: int = 400
-    min_time_steps: int = 64
+    n_space: int
+    n_time_per_year: int
+    min_time_steps: int
+    # whether the positivity domain of the model moved (K_min, K_max) inwards
+    clipped: tuple[bool, bool] = (False, False)
 
     def __post_init__(self):
         if self.n_space < 51:
@@ -40,20 +44,22 @@ class PdeGrid:
 
 
 def default_grid(model: LocalVolModel, setup: MarketSetup, T_max: float,
-                 n_space: int = 801, n_time_per_year: int = 400,
+                 n_space: int = 1601, n_time_per_year: int = 40,
                  width_stdevs: float = 10.0, min_time_steps: int = 64) -> PdeGrid:
     """Grid spanning width_stdevs local standard deviations either side of S0,
     clipped to the positivity domain of the model."""
     s0 = setup.S0
     stdev = model.vol(s0) * math.sqrt(T_max)
+    want_min, want_max = s0 - width_stdevs * stdev, s0 + width_stdevs * stdev
     lo, hi = model.positivity_domain
     eps = 1e-12 * max(1.0, abs(s0))
-    k_min = max(s0 - width_stdevs * stdev, lo + eps if math.isfinite(lo) else -math.inf)
-    k_max = min(s0 + width_stdevs * stdev, hi - eps if math.isfinite(hi) else math.inf)
+    k_min = max(want_min, lo + eps if math.isfinite(lo) else -math.inf)
+    k_max = min(want_max, hi - eps if math.isfinite(hi) else math.inf)
     if math.isfinite(lo):
         k_min = max(k_min, lo + 1e-9 * (k_max - lo))
     return PdeGrid(K_min=k_min, K_max=k_max, n_space=n_space,
-                   n_time_per_year=n_time_per_year, min_time_steps=min_time_steps)
+                   n_time_per_year=n_time_per_year, min_time_steps=min_time_steps,
+                   clipped=(k_min != want_min, k_max != want_max))
 
 
 @dataclass(frozen=True)
@@ -63,12 +69,46 @@ class PdeSolution:
     prices: np.ndarray  # shape (n_times, n_space)
     setup: MarketSetup
     meta: dict = field(default_factory=dict)
+    # nodes at S0 and at the breakpoints of sigma_D, where the price has a kink
+    kinks: tuple[int, ...] = ()
 
     def price_at(self, T: float) -> np.ndarray:
         for i, t in enumerate(self.times):
             if abs(t - T) <= 1e-12 * max(T, 1.0):
                 return self.prices[i]
         raise KeyError(f"maturity {T} not among solved levels {self.times}")
+
+    def price_at_strikes(self, T: float, strikes: Sequence[float]) -> np.ndarray:
+        """Prices of level T at arbitrary strikes, nan off the grid.
+
+        Cubic Lagrange interpolation through the 4 nodes around each strike,
+        with the stencil kept on one side of every kink node; a strike on a
+        node gets that node's price exactly.
+        """
+        prices = self.price_at(T)
+        ks = self.strikes
+        n = len(ks)
+        bounds = sorted({0, n - 1, *self.kinks})
+        out = []
+        for k in np.asarray(strikes, dtype=float).tolist():
+            if not ks[0] <= k <= ks[-1]:
+                out.append(math.nan)
+                continue
+            j = min(int(np.searchsorted(ks, k, side="right")) - 1, n - 2)
+            # the stretch [a, b] between kink nodes that holds [ks[j], ks[j+1]]
+            i = bisect.bisect_right(bounds, j)
+            a, b = bounds[i - 1], bounds[i]
+            lo = max(a, min(j - 1, b - 3))
+            nodes = range(lo, min(lo + 4, b + 1))
+            p = 0.0
+            for m in nodes:
+                w = 1.0
+                for q in nodes:
+                    if q != m:
+                        w *= (k - ks[q]) / (ks[m] - ks[q])
+                p += w * prices[m]
+            out.append(p)
+        return np.array(out)
 
     def export_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -85,8 +125,10 @@ class PdeSolution:
                     w.writerow([f"{k:.12g}", f"{t:.12g}", f"{p:.12g}", f"{vol:.12g}"])
 
 
-def _build_strike_grid(model: LocalVolModel, setup: MarketSetup, grid: PdeGrid) -> np.ndarray:
-    """Uniform grid with S0 (and thus any breakpoint placed at S0) on a node."""
+def _build_strike_grid(model: LocalVolModel, setup: MarketSetup,
+                       grid: PdeGrid) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Uniform grid with S0 (and thus any breakpoint placed at S0) on a node,
+    and the indices of the nodes at S0 and at the breakpoints."""
     s0 = setup.S0
     n = grid.n_space
     dx = (grid.K_max - grid.K_min) / (n - 1)
@@ -94,12 +136,14 @@ def _build_strike_grid(model: LocalVolModel, setup: MarketSetup, grid: PdeGrid) 
     offset = (s0 - grid.K_min) / dx
     shift = (offset - round(offset)) * dx
     ks = grid.K_min + shift + dx * np.arange(n)
+    kinks = {int(round((s0 - ks[0]) / dx))}
     # snap remaining breakpoints onto the nearest node
     for bp in model.breakpoints:
         if ks[0] < bp < ks[-1] and abs(bp - s0) > 1e-14:
             j = int(round((bp - ks[0]) / dx))
             ks[j] = bp
-    return ks
+            kinks.add(j)
+    return ks, tuple(sorted(k for k in kinks if 0 <= k < n))
 
 
 def solve_forward(model: LocalVolModel, setup: MarketSetup, grid: PdeGrid,
@@ -114,12 +158,10 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, grid: PdeGrid,
     if T_out[-1] > T_max + 1e-12:
         raise ValueError("requested output level beyond T_max")
 
-    ks = _build_strike_grid(model, setup, grid)
+    ks, kinks = _build_strike_grid(model, setup, grid)
     n = len(ks)
     dx = ks[1] - ks[0]
-    # libm's pow(v, 2) node by node: numpy's array square (v * v) differs
-    # from it in the last bit at a few nodes of a grid
-    sig2 = np.array([v ** 2 for v in model.vol(ks).tolist()])
+    sig2 = model.vol(ks) ** 2
     if not np.all(np.isfinite(sig2) & (sig2 > 0.0)):
         raise ValueError("sigma_D not finite and positive on the whole grid")
 
@@ -213,8 +255,10 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, grid: PdeGrid,
         t_prev = t_next
 
     prices = np.array([out[t] for t in T_out])
-    meta = {"dx": dx, "n_steps": len(times) - 1, "max_diffusion_number": max_ratio}
-    return PdeSolution(strikes=ks, times=tuple(T_out), prices=prices, setup=setup, meta=meta)
+    meta = {"dx": dx, "n_steps": len(times) - 1, "max_diffusion_number": max_ratio,
+            "clipped": grid.clipped}
+    return PdeSolution(strikes=ks, times=tuple(T_out), prices=prices, setup=setup,
+                       meta=meta, kinks=kinks)
 
 
 @dataclass(frozen=True)
@@ -227,43 +271,39 @@ class SmilePoint:
 
 def implied_smile_from_pde(sol: PdeSolution, setup: MarketSetup, T: float,
                            strikes: Sequence[float] | None = None) -> list[SmilePoint]:
-    """Per-strike implied normal vols from a solved price level.
+    """Per-strike implied normal vols from a solved price level, each at its
+    requested strike (the price interpolated by `PdeSolution.price_at_strikes`).
 
-    Strikes far (> 6 sigma_ATM sqrt(T)) from the forward are flagged
-    low_confidence; prices below intrinsic (discretization dust) are clamped
-    and flagged; a price equal to intrinsic has no implied vol and is
-    reported as nan, flagged no_time_value.
+    Strikes off the grid are reported as nan, flagged off_grid; strikes far
+    (> 6 sigma_ATM sqrt(T)) from the forward are flagged low_confidence;
+    prices below intrinsic (discretization dust) are clamped and flagged; a
+    price equal to intrinsic has no implied vol and is reported as nan,
+    flagged no_time_value.
     """
-    prices = sol.price_at(T)
     F = setup.forward(T)
-    pts: list[SmilePoint] = []
-    # ATM vol for the confidence band
-    j_atm = int(np.argmin(np.abs(sol.strikes - F)))
-    intrinsic_atm = max(F - sol.strikes[j_atm], 0.0)
-    vol_atm = implied_normal_vol(max(prices[j_atm], intrinsic_atm), F, sol.strikes[j_atm], T)
-    band = 6.0 * vol_atm * math.sqrt(T)
-
+    band = 6.0 * atm_implied_vol(sol, setup, T) * math.sqrt(T)
     wanted = sol.strikes if strikes is None else np.asarray(strikes, dtype=float)
-    for k in wanted:
-        j = int(np.argmin(np.abs(sol.strikes - k)))
-        p = prices[j]
-        kk = sol.strikes[j]
-        intrinsic = max(F - kk, 0.0)
+    pts: list[SmilePoint] = []
+    for k, p in zip(wanted.tolist(), sol.price_at_strikes(T, wanted).tolist()):
+        if math.isnan(p):
+            pts.append(SmilePoint(strike=k, maturity=T, sigmaN=math.nan, flag="off_grid"))
+            continue
+        intrinsic = max(F - k, 0.0)
         flag = "ok"
         if p < intrinsic:
             p = intrinsic
             flag = "clamped"
         elif p == intrinsic:
-            pts.append(SmilePoint(strike=float(kk), maturity=T, sigmaN=math.nan,
+            pts.append(SmilePoint(strike=k, maturity=T, sigmaN=math.nan,
                                   flag="no_time_value"))
             continue
-        elif abs(kk - F) > band:
+        elif abs(k - F) > band:
             flag = "low_confidence"
         try:
-            vol = implied_normal_vol(p, F, kk, T)
+            vol = implied_normal_vol(p, F, k, T)
         except (ValueError, RuntimeError):
             vol, flag = float("nan"), "clamped"
-        pts.append(SmilePoint(strike=float(kk), maturity=T, sigmaN=vol, flag=flag))
+        pts.append(SmilePoint(strike=k, maturity=T, sigmaN=vol, flag=flag))
     return pts
 
 

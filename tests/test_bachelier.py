@@ -106,6 +106,20 @@ def test_brentq_transcription_equals_scipy(F, dK, T, s):
     assert ours == ref
 
 
+@pytest.mark.parametrize("dK", [0.04, 0.09, 0.13])
+def test_implied_vol_of_vanishing_time_values(dK):
+    # out-of-the-money time values from 1e-33 down to 1e-300 still invert,
+    # with scipy's bits: the bracket used to stop 200 doublings above the
+    # vol of a 1e-78 time value, and Brent's extrapolation step divided by
+    # an underflowed zero
+    F, K, T, s = 0.03, 0.03 + dK, 0.03125, 0.02
+    p = bachelier_call(NormalQuote(F=F, K=K, T=T, sigmaN=s))
+    assert 0.0 < p < 1e-32
+    got = _invert_with(bachelier._brentq, p, F, K, T)
+    assert got == _invert_with(lambda f, a, b, **kw: float(brentq(f, a, b, **kw)), p, F, K, T)
+    assert got[0] == pytest.approx(s, rel=1e-9)
+
+
 def test_implied_vol_itm_small_time_value():
     # regression: moderately in-the-money quotes where the vega underflows at
     # the initial guess used to defeat Newton-style iterations

@@ -10,6 +10,8 @@ import sys
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nvol
 from nvol.cli import main, table1_rows
@@ -269,6 +271,76 @@ def test_rows_without_time_value_are_flagged(tmp_path):
             assert math.isfinite(v) and v > 0.0, r
         elif r["flag"] == "no_time_value":
             assert math.isnan(v), r
+
+
+_MODELS = {"shifted_lognormal": "sigma0 = 0.014\nb = 0.1",
+           "piecewise_linear": "sigma0 = 0.008\nbL = -0.1\nbR = 0.1"}
+
+
+@settings(max_examples=20, deadline=None)
+@given(model=st.sampled_from(sorted(_MODELS)), T=st.floats(0.01, 3.0),
+       strikes=st.lists(st.floats(-0.03, 0.12), min_size=1, max_size=4, unique=True))
+def test_every_row_at_its_strike_and_ok_rows_carry_a_vol(tmp_path_factory, model, T, strikes):
+    # every method reports the configured strike float for float (JSON keeps
+    # the full repr), and an ok row never sits on a zero or non-finite vol;
+    # strikes beyond the PDE grid of a short maturity come back off_grid
+    methods = nvol.cli._METHODS
+    tmp = tmp_path_factory.mktemp("prop")
+    p = tmp / "prop.ini"
+    p.write_text(f"[model]\ntype = {model}\n{_MODELS[model]}\n\n[market]\nS0 = 0.03\n\n"
+                 f"[strikes]\nlist = {' '.join(map(repr, strikes))}\n\n"
+                 f"[maturities]\nlist = {T!r}\n\n[methods]\nlist = {' '.join(methods)}\n\n"
+                 f"[mc]\nn_paths = 200\nsteps_per_year = 50\n")
+    out = tmp / "prop.json"
+    code, _ = run(["smile", "--config", str(p), "--out", str(out), "--format", "json"])
+    assert code == 0
+    rows = json.loads(out.read_text())
+    assert [(r["method"], r["K"]) for r in rows] == [(m, k) for m in methods for k in strikes]
+    for r in rows:
+        if r["flag"] == "ok":
+            assert math.isfinite(r["sigma_N"]) and r["sigma_N"] > 0.0, r
+        if r["flag"] == "off_grid":
+            assert r["method"] == "pde" and math.isnan(r["sigma_N"]), r
+
+
+def test_strikes_off_the_pde_grid_are_flagged(tmp_path):
+    # at T = 0.01 the grid spans 0.03 -+ 10 * 0.01 * 0.1; both strikes used to
+    # come back as its edge node, K=0.04 with sigma_N=0
+    text = SMILE_CONFIG.replace("sigma0 = 0.014", "sigma0 = 0.01")
+    text = text.replace("min = 0.02\nmax = 0.05\ncount = 7", "list = 0.5 5.0")
+    p = tmp_path / "far.ini"
+    p.write_text(text.replace("list = 1 5", "list = 0.01")
+                 .replace("asympt0 asympt1 exact", "pde"))
+    out = tmp_path / "far.csv"
+    code, _ = run(["smile", "--config", str(p), "--out", str(out)])
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["K"], r["T"], r["method"], r["flag"]) for r in rows] == [
+        ("0.5", "0.01", "pde", "off_grid"), ("5", "0.01", "pde", "off_grid")]
+    assert all(math.isnan(float(r["sigma_N"])) for r in rows)
+
+
+@pytest.mark.parametrize("config, bounds", [
+    ("fig1_shifted_lognormal", {10.0: 2e-7, 30.0: 1.5e-6}),
+    ("fig3_kink_bL_m10", {10.0: 1e-6})])
+def test_figure_pde_rows_match_exact(tmp_path, config, bounds):
+    # the pde rows of the default grid against the closed form, row by row;
+    # nearest-node rows were up to 2.7e-5 off at T = 10
+    text = (ROOT / "configs" / f"{config}.ini").read_text()
+    p = tmp_path / f"{config}.ini"
+    p.write_text(text.replace("list = asympt0 pde", "list = pde exact"))
+    out = tmp_path / f"{config}.json"
+    code, _ = run(["smile", "--config", str(p), "--out", str(out), "--format", "json"])
+    assert code == 0
+    rows = json.loads(out.read_text())
+    for T, bound in bounds.items():
+        pde = [r for r in rows if r["method"] == "pde" and r["T"] == T]
+        exact = [r for r in rows if r["method"] == "exact" and r["T"] == T]
+        assert len(pde) == len(exact) > 20
+        assert all(a["flag"] == b["flag"] == "ok" for a, b in zip(pde, exact))
+        worst = max(abs(a["sigma_N"] - b["sigma_N"]) for a, b in zip(pde, exact))
+        assert worst < bound, (T, worst)
 
 
 _IMPORT_PROBE = """

@@ -169,10 +169,52 @@ def test_non_finite_local_vol_rejected():
 
 
 def test_grid_validation():
+    sizes = {"n_time_per_year": 40, "min_time_steps": 64}
     with pytest.raises(ValueError):
-        PdeGrid(K_min=0.0, K_max=0.1, n_space=11)
+        PdeGrid(K_min=0.0, K_max=0.1, n_space=11, **sizes)
     with pytest.raises(ValueError):
-        PdeGrid(K_min=0.2, K_max=0.1)
+        PdeGrid(K_min=0.2, K_max=0.1, n_space=1601, **sizes)
+    # the grid sizes have their defaults in default_grid only
+    with pytest.raises(TypeError):
+        PdeGrid(K_min=0.0, K_max=0.1)
+
+
+def test_positivity_clipping_in_meta():
+    # sigma_D = 0.014 + 0.2 (S - 0.03) vanishes at S = -0.04, inside the
+    # 10-stdev span 0.03 -+ 0.44 at T = 10, so the grid is cut on the left only
+    model = make_shifted_lognormal(0.014 - 0.2 * 0.03, 0.1, 0.03)
+    setup = MarketSetup(S0=0.03)
+    grid = default_grid(model, setup, 10.0, n_space=201)
+    assert grid.clipped == (True, False)
+    assert -0.04 < grid.K_min < -0.0399
+    sol = solve_forward(model, setup, grid, 10.0)
+    assert sol.meta["clipped"] == (True, False)
+    short = default_grid(model, setup, 0.1, n_space=201)
+    assert short.clipped == (False, False)
+    assert solve_forward(model, setup, short, 0.1).meta["clipped"] == (False, False)
+
+
+def test_price_at_strikes_interpolates_within_kink_stretches():
+    # nodes give their own price; a cubic between nodes is exact, and a
+    # stencil never reaches across the kink node at S0
+    model = make_piecewise_linear(0.008, -0.1, 0.1, 0.03)
+    setup = MarketSetup(S0=0.03)
+    grid = default_grid(model, setup, 1.0, n_space=101)
+    sol = solve_forward(model, setup, grid, 1.0)
+    ks = sol.strikes
+    (j0,) = sol.kinks
+    assert abs(ks[j0] - 0.03) < 1e-15
+    assert np.array_equal(sol.price_at_strikes(1.0, ks), sol.price_at(1.0))
+    # a piecewise cubic with its kink at S0 is reproduced to rounding
+    x = ks - ks[j0]
+    cubic = np.where(x < 0.0, 1.0 + x + 2.0 * x ** 3, 1.0 - 3.0 * x + 50.0 * x ** 2)
+    fake = dataclasses.replace(sol, prices=cubic[None, :])
+    mid = 0.5 * (ks[:-1] + ks[1:])
+    y = mid - ks[j0]
+    want = np.where(y < 0.0, 1.0 + y + 2.0 * y ** 3, 1.0 - 3.0 * y + 50.0 * y ** 2)
+    assert np.max(np.abs(fake.price_at_strikes(1.0, mid) - want)) < 1e-14
+    got = sol.price_at_strikes(1.0, [ks[0] - 1e-9, ks[-1] + 1e-9, 0.5, 5.0])
+    assert np.all(np.isnan(got))
 
 
 def test_export_csv_schema(tmp_path):
