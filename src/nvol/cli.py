@@ -361,6 +361,10 @@ _SQRT_T_GRID = tuple(0.25 / 2 ** k for k in reversed(range(7)))  # 1/256 .. 1/4
 def cmd_sqrt_t(args) -> int:
     cfg = load_config(args.config)
     T_grid = cfg.maturities if len(cfg.maturities) >= 5 else _SQRT_T_GRID
+    repeated = sorted({t for t in T_grid if T_grid.count(t) > 1})
+    if repeated:
+        raise ConfigError(f"[maturities]: sqrt-t needs distinct maturities, "
+                          f"repeated: {repeated}")
     try:
         report = sqrt_t_detector(cfg.model, cfg.setup, T_grid)
     except (ValueError, RuntimeError) as e:

@@ -197,34 +197,28 @@ def sqrt_t_detector(model: LocalVolModel, setup: MarketSetup, T_grid) -> FitRepo
     """Classify the small-time ATM behavior and size any sqrt(T) term.
 
     For each maturity the forward-PDE ATM vol is computed on a
-    maturity-adapted grid, sigma_D(F0) is subtracted, and the deviations are
-    fitted to c T^p twice: free p (classification), then p = 1/2
-    (coefficient extraction, which is the value reported).  Models with a
-    derivative jump at the forward give p near 1/2; analytic models give p
-    near 1 and the reported sqrt coefficient is then meaningless.
+    maturity-adapted grid (`atm_implied_vol_richardson`), sigma_D(F0) is
+    subtracted, and the deviations are fitted to c T^p twice: free p
+    (classification), then p = 1/2 (coefficient extraction, which is the
+    value reported).  Models with a derivative jump at the forward give p
+    near 1/2; analytic models give p near 1 and the reported sqrt
+    coefficient is then meaningless.  Repeated maturities are refused
+    before any solve.
     """
     # the closed forms above do not need the PDE solver, so only this
     # analysis imports it
-    from .dupire_pde import atm_implied_vol, default_grid, solve_forward
+    from .dupire_pde import atm_implied_vol_richardson
 
     T_grid = tuple(sorted(T_grid))
     if len(T_grid) < 5:
         raise ValueError("need at least 5 maturities")
+    repeated = sorted({a for a, b in zip(T_grid, T_grid[1:]) if a == b})
+    if repeated:
+        raise ValueError(f"maturities must be distinct, repeated: {repeated}")
     sD0 = model.vol(setup.S0)
-    devs = []
-    for T in T_grid:
-        # Richardson in the spatial step: the ATM discretization bias is a
-        # nearly T-independent O(dx^2) offset, which would flatten the power
-        # law at the smallest maturities; extrapolating two resolutions
-        # knocks it below 1e-8 absolute vol
-        vols = []
-        for n_space in (801, 1601):
-            grid = default_grid(model, setup, T, n_space=n_space,
-                                n_time_per_year=4096, width_stdevs=8.0,
-                                min_time_steps=512)
-            sol = solve_forward(model, setup, grid, T)
-            vols.append(atm_implied_vol(sol, setup, T))
-        devs.append((4.0 * vols[1] - vols[0]) / 3.0 - sD0)
+    # the spatial extrapolation keeps the O(dx^2) ATM bias from flattening
+    # the power law at the smallest maturities
+    devs = [atm_implied_vol_richardson(model, setup, T) - sD0 for T in T_grid]
     if all(d < 0.0 for d in devs):
         sign, mags = -1.0, [-d for d in devs]
     elif all(d > 0.0 for d in devs):

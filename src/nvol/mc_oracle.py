@@ -118,11 +118,13 @@ def simulate_terminal(model: LocalVolModel, setup: MarketSetup, T: float,
 
 
 def _call_stats(S: np.ndarray, K: float) -> tuple[float, float]:
-    """(price, standard error) of the call payoff (S_T - K)+ over mirrored pairs."""
+    """(price, standard error) of the call payoff (S_T - K)+ over mirrored pairs;
+    one pair gives no spread to estimate, so its standard error is nan."""
     payoff = np.maximum(S - K, 0.0)
     half = S.size // 2
     samples = 0.5 * (payoff[:half] + payoff[half:])
-    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(half))
+    se = samples.std(ddof=1) / math.sqrt(half) if half > 1 else math.nan
+    return float(samples.mean()), float(se)
 
 
 def _price(S: np.ndarray, K: float | np.ndarray, n_hits: int) -> McResult:

@@ -6,13 +6,27 @@ integrands are analytic between model breakpoints, so the breakpoints are
 panel edges and the rule integrates each smooth piece to machine precision
 at a fixed node set.  legendre_cumulative gives the same nodes' spectral
 integration matrix, from which one pass yields an antiderivative at every
-node.
+node.  Both build their base rule through one cached leggauss call per node
+count.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Callable, Iterable
+
+
+@lru_cache(maxsize=None)
+def _leggauss(n_nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per n_nodes.
+
+    Every caller shares the cached arrays, so they are read-only.
+    """
+    import numpy as np
+
+    xs, ws = np.polynomial.legendre.leggauss(n_nodes)
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
 
 
 def gauss_legendre_rule(
@@ -33,7 +47,7 @@ def gauss_legendre_rule(
     """
     import numpy as np
 
-    xs, ws = np.polynomial.legendre.leggauss(n_nodes)
+    xs, ws = _leggauss(n_nodes)
     lo, hi = (a, b) if a < b else (b, a)
     cuts = sorted({p for p in breakpoints if lo < p < hi})
     stops = [lo, *cuts, hi]
@@ -53,16 +67,18 @@ def legendre_cumulative(n_nodes: int = 16):
     (Q @ f(t))[k] integrates the degree n-1 interpolant of f(t) from -1 to
     t[k] (spectral integration; Greengard, SIAM J. Numer. Anal. 28, 1991),
     so the n samples that give w @ f(t) over the whole interval also give
-    the antiderivative at every node.
+    the antiderivative at every node.  The arrays are cached and read-only.
     """
     import numpy as np
     from numpy.polynomial import legendre
 
-    t, w = legendre.leggauss(n_nodes)
+    t, w = _leggauss(n_nodes)
     # values at t -> Legendre coefficients -> antiderivative from -1 -> values at t
     to_coef = np.linalg.inv(legendre.legvander(t, n_nodes - 1))
     antider = legendre.legval(t, legendre.legint(np.eye(n_nodes), lbnd=-1.0)).T
-    return t, w, antider @ to_coef
+    Q = antider @ to_coef
+    Q.flags.writeable = False
+    return t, w, Q
 
 
 def integrate(

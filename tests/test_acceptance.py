@@ -14,8 +14,8 @@ import pytest
 
 from nvol.asymptotics import sigma1_jump, sigma1_series_atm, sigma2_atm
 from nvol.cli import _surface_from_csv, table1_rows
-from nvol.dupire_pde import (atm_implied_vol, default_grid, extract_local_vol,
-                             solve_forward)
+from nvol.dupire_pde import (atm_implied_vol, atm_implied_vol_richardson,
+                             default_grid, extract_local_vol, solve_forward)
 from nvol.exact_solutions import (drifted_ln_atm_call, model2b_atm_exact,
                                   model2b_call_by_density, model2b_density,
                                   shifted_ln_atm_exact_vol, sqrt_t_detector)
@@ -29,18 +29,6 @@ NORM_PDF0 = 1.0 / math.sqrt(2.0 * math.pi)
 def report(num, desc, ok):
     print(f"\ncriterion {num:02d} ({desc}): {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {num}: {desc}"
-
-
-def atm_pde_richardson(model, setup, T):
-    """ATM implied vol with spatial Richardson extrapolation (801/1601)."""
-    vols = []
-    for n_space in (801, 1601):
-        grid = default_grid(model, setup, T, n_space=n_space,
-                            n_time_per_year=4096, width_stdevs=8.0,
-                            min_time_steps=512)
-        sol = solve_forward(model, setup, grid, T)
-        vols.append(atm_implied_vol(sol, setup, T))
-    return (4.0 * vols[1] - vols[0]) / 3.0
 
 
 def test_criterion_01_atm_deviation_table():
@@ -83,7 +71,7 @@ def test_criterion_03_expansion_convergence_order():
         s2 = sigma2_atm(model, 0.0)
         e1, e2 = [], []
         for T in Ts:
-            pde = atm_pde_richardson(model, setup, T)
+            pde = atm_implied_vol_richardson(model, setup, T)
             e1.append(abs(s0 + s1 * T - pde))
             e2.append(abs(s0 + s1 * T + s2 * T * T - pde))
         slope1 = math.log(e1[2] / e1[0]) / math.log(Ts[2] / Ts[0])

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stdout
 
 import pytest
@@ -514,6 +515,32 @@ def test_extract_lv_on_synthetic_surface(tmp_path):
     # maturity outside the surface span is a config error
     code, _ = run(["extract-lv", str(path), "--s0", "0.03", "--T", "2.0"])
     assert code == 2
+
+
+def test_sqrt_t_repeated_maturities_exit_2_before_any_work(tmp_path, capsys):
+    p = tmp_path / "dup.ini"
+    p.write_text((ROOT / "configs" / "sqrtt_model2b.ini").read_text().replace(
+        "list = 0.00390625 0.0078125 0.015625 0.03125 0.0625 0.125 0.25",
+        "list = 0.01 0.01 0.02 0.03 0.04"))
+    out = tmp_path / "fit.json"
+    code, _ = run(["sqrt-t", "--config", str(p), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "[maturities]" in err and "repeated: [0.01]" in err, err
+    assert not out.exists()
+
+
+def test_mc_with_one_antithetic_pair_warns_nothing(tmp_path):
+    # n_paths = 2 is one mirrored pair: a price, but no spread to estimate
+    p = tmp_path / "toy.ini"
+    p.write_text("[model]\ntype = piecewise_linear\nsigma0 = 0.008\nbL = -0.1\nbR = 0.1\n"
+                 "[market]\nS0 = 0.03\n[strikes]\nlist = 0.031\n[maturities]\nlist = 0.25\n"
+                 "[methods]\nlist = exact mc\n[mc]\nn_paths = 2\nsteps_per_year = 4\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(["smile", "--config", str(p)])
+    assert code == 0
+    assert [ln.split(",")[2] for ln in text.splitlines()[1:]] == ["exact", "mc"]
 
 
 def test_sqrt_t_report_keys(tmp_path, monkeypatch):

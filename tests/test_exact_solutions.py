@@ -1,20 +1,26 @@
+import configparser
 import json
 import math
+import pathlib
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import nvol.dupire_pde
 from nvol.bachelier import NormalQuote, bachelier_call, implied_normal_vol
+from nvol.cli import load_config
 from nvol.exact_solutions import (FitReport, drifted_ln_atm_call,
                                   model2b_atm_exact, model2b_call_by_density,
                                   model2b_density, model2b_y_of_z,
                                   model2b_z_of_y, shifted_ln_atm_exact_vol,
                                   shifted_ln_atm_series, shifted_ln_drift_atm_call,
-                                  shifted_ln_exact_call)
-from nvol.dupire_pde import default_grid, solve_forward
-from nvol.models import MarketSetup, make_shifted_lognormal
+                                  shifted_ln_exact_call, sqrt_t_detector)
+from nvol.dupire_pde import atm_implied_vol_richardson, default_grid, solve_forward
+from nvol.models import MarketSetup, make_piecewise_linear, make_shifted_lognormal
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_shifted_ln_exact_call_vs_implied_identity():
@@ -187,3 +193,31 @@ def test_fit_report_json_and_validation():
     with pytest.raises(ValueError):
         FitReport(coefficient=1.0, exponent=0.5, residual=0.0,
                   grid=(0.1, 0.2, 0.2, 0.4))
+
+
+@pytest.mark.parametrize("config, exact_vol", [
+    ("sqrtt_control_shifted_ln", shifted_ln_atm_exact_vol), ("sqrtt_model2b", model2b_atm_exact)])
+def test_sqrt_t_atm_vols_vs_closed_forms(config, exact_vol):
+    # the extrapolated ATM vols behind the sqrt-t fit, at its seven default
+    # maturities; what is left is the error of the time step, so a cheaper
+    # grid that costs accuracy fails these bounds
+    path = ROOT / "configs" / f"{config}.ini"
+    cfg = load_config(str(path))
+    ini = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    ini.read(path)
+    sigma0 = cfg.model.vol(cfg.setup.S0)
+    b = float(ini["model"].get("b") or ini["model"]["bR"])
+    assert cfg.maturities == [0.25 / 2 ** k for k in reversed(range(7))]
+    for T in cfg.maturities:
+        err = atm_implied_vol_richardson(cfg.model, cfg.setup, T) - exact_vol(sigma0, b, T)
+        assert abs(err) <= (3e-9 if T <= 0.125 else 8e-10), (T, err)
+
+
+def test_sqrt_t_detector_refuses_repeated_maturities_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a PDE")
+
+    monkeypatch.setattr(nvol.dupire_pde, "solve_forward", no_solve)
+    kink = make_piecewise_linear(0.008, -0.1, 0.1, 0.03)
+    with pytest.raises(ValueError, match=r"repeated: \[0.01\]"):
+        sqrt_t_detector(kink, MarketSetup(S0=0.03), (0.02, 0.01, 0.03, 0.01, 0.04))

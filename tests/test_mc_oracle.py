@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,18 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         McSpec(steps_per_year=0)
     McSpec(n_paths=2, steps_per_year=1)  # the limits themselves are fine
+
+
+def test_one_pair_prices_with_nan_std_error_and_no_warning():
+    model = make_piecewise_linear(0.008, -0.1, 0.1, 0.03)
+    setup = MarketSetup(S0=0.03)
+    spec = McSpec(n_paths=2, steps_per_year=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = mc_call(model, setup, 0.031, 0.25, spec)
+        many = mc_call(model, setup, np.array([0.029, 0.031]), 0.25, spec)
+    assert math.isfinite(one.price) and math.isnan(one.std_error)
+    assert many.price[1] == one.price and np.isnan(many.std_error).all()
 
 
 def test_seed_determinism_bit_identical():

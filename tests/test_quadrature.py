@@ -1,12 +1,18 @@
 import math
+import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nvol import quadrature
+from nvol.cli import main
 from nvol.quadrature import (gauss_legendre, gauss_legendre_rule, integrate,
                              legendre_cumulative)
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_polynomial_exact():
@@ -82,6 +88,41 @@ def test_legendre_cumulative_integrates_polynomials():
         want = (t ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
         np.testing.assert_allclose(Q @ t ** k, want, rtol=0, atol=1e-14)
     assert w.sum() == pytest.approx(2.0, rel=1e-15)
+
+
+def test_cached_rule_is_read_only_and_equals_a_fresh_build():
+    xs, ws = np.polynomial.legendre.leggauss(16)
+    t, w, Q = legendre_cumulative(16)
+    assert t.tobytes() == xs.tobytes() and w.tobytes() == ws.tobytes()
+    for shared in (t, w, Q):
+        with pytest.raises(ValueError):
+            shared[0] = 0.0
+    edges, nodes, weights = gauss_legendre_rule(0.5, -1.0, breakpoints=(0.0,))
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    assert nodes.tobytes() == (mid + half * xs).tobytes()
+    assert weights.tobytes() == (half * ws).tobytes()
+
+
+def test_smile_builds_each_base_rule_once(monkeypatch, tmp_path):
+    calls = Counter()
+    fresh = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        calls[n] += 1
+        return fresh(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    quadrature._leggauss.cache_clear()
+    legendre_cumulative.cache_clear()
+    try:
+        code = main(["smile", "--config", str(ROOT / "configs" / "fig2_sabr_rho_0.ini"),
+                     "--out", str(tmp_path / "fig2.csv")])
+    finally:
+        quadrature._leggauss.cache_clear()
+        legendre_cumulative.cache_clear()
+    assert code == 0
+    assert calls and max(calls.values()) == 1, calls
 
 
 def test_gaussian_integral_vs_erf():
