@@ -107,6 +107,22 @@ def implied_normal_vol(price: float, F: float, K: float, T: float) -> float:
     return _brentq(obj, 0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
 
 
+def implied_vol_and_flag(price: float, F: float, K: float, T: float,
+                         noise: float = 0.0) -> tuple[float, str]:
+    """Implied normal vol and row flag of an oracle price.
+
+    A nan price (a strike the oracle cannot price) gives nan flagged
+    off_grid; a time value over intrinsic no larger than the price's noise
+    level, a price below intrinsic included, has no implied vol and gives nan
+    flagged no_time_value; any other price gives its implied vol flagged ok.
+    """
+    if math.isnan(price):
+        return math.nan, "off_grid"
+    if price - max(F - K, 0.0) <= noise:
+        return math.nan, "no_time_value"
+    return implied_normal_vol(price, F, K, T), "ok"
+
+
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
     """Root of f in [xa, xb] by Brent's method (Brent, *Algorithms for
     Minimization without Derivatives*, 1973, ch. 4).

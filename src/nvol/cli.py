@@ -5,7 +5,7 @@ Subcommands:
   table1      ATM deviation table for the shifted log-normal benchmark
   sqrt-t      small-time power-law fit of the ATM vol deviation
   convert     exact ATM normal <-> log-normal vol conversion
-  extract-lv  local vol extracted from a CSV vol surface
+  extract-lv  local vol from the `nvol smile` CSV of one method
 
 Config files are INI-style (`key = value` sections); see configs/ for the
 checked-in experiment definitions.  Exit codes: 0 ok, 2 config/usage error,
@@ -15,6 +15,7 @@ checked-in experiment definitions.  Exit codes: 0 ok, 2 config/usage error,
 from __future__ import annotations
 
 import argparse
+import bisect
 import configparser
 import csv
 import io
@@ -27,7 +28,7 @@ from typing import Callable
 from .asymptotics import (DomainError, expansion_coefficient, sigma1_jump,
                           smile_from_coefficients)
 from .bachelier import (atm_lognormal_from_normal, atm_normal_from_lognormal,
-                        implied_normal_vol)
+                        implied_vol_and_flag)
 from .dupire_pde import (default_grid, extract_local_vol,
                          implied_smile_from_pde, solve_forward)
 from .exact_solutions import (model2b_call_by_density, shifted_ln_atm_exact_vol,
@@ -40,8 +41,6 @@ from .models import (LocalVolModel, MarketSetup, load_tabulated_csv,
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-_METHODS = ("asympt0", "asympt1", "asympt2", "pde", "mc", "exact")
 
 
 class ConfigError(Exception):
@@ -179,7 +178,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("[methods]: need at least one method")
     unknown = [m for m in methods if m not in _METHODS]
     if unknown:
-        raise ConfigError(f"[methods]: unknown {unknown}; choose from {_METHODS}")
+        raise ConfigError(f"[methods]: unknown {unknown}; choose from {tuple(_METHODS)}")
     if "exact" in methods:
         if exact_call is None:
             raise ConfigError("[methods]: 'exact' needs a shifted_lognormal or a symmetric "
@@ -247,77 +246,73 @@ def _emit_rows(rows: list[dict], out: str | None, fmt: str,
             fh.write(text)
 
 
-def _vol_and_flag(price: float, F: float, K: float, T: float,
-                  noise: float = 0.0) -> tuple[float, str]:
-    """Implied vol and flag of an oracle price; a price whose time value over
-    intrinsic is no larger than the price's noise level has no implied vol."""
-    if price - max(F - K, 0.0) <= noise:
-        return math.nan, "no_time_value"
-    return implied_normal_vol(price, F, K, T), "ok"
+# Each method is a generator function (cfg, seed, coeffs) that yields one
+# block of (sigma_N, flag), in strike order, per maturity of cfg.maturities;
+# `coeffs` maps a strike to its expansion coefficients, shared by the orders.
+
+def _asympt(order: int):
+    def blocks(cfg: ExperimentConfig, seed: int, coeffs: dict):
+        # smile() warns on the models with a breakpoint
+        flag = "low_confidence" if cfg.model.breakpoints else "ok"
+        for T in cfg.maturities:
+            block = []
+            for K in cfg.strikes:
+                c = coeffs.setdefault(K, [])
+                while len(c) <= order:
+                    c.append(expansion_coefficient(cfg.model, cfg.setup, K, len(c)))
+                block.append((smile_from_coefficients(c[:order + 1], T), flag))
+            yield block
+    return blocks
+
+
+def _pde(cfg: ExperimentConfig, seed: int, coeffs: dict):
+    for T in cfg.maturities:
+        grid = default_grid(cfg.model, cfg.setup, T, **cfg.pde_opts)
+        sol = solve_forward(cfg.model, cfg.setup, grid, T)
+        yield implied_smile_from_pde(sol, cfg.setup, T, cfg.strikes)
+
+
+def _mc(cfg: ExperimentConfig, seed: int, coeffs: dict):
+    # every maturity from one march per step size
+    results = mc_call(cfg.model, cfg.setup, cfg.strikes, tuple(cfg.maturities),
+                      McSpec(seed=seed, **cfg.mc_opts))
+    for T, res in zip(cfg.maturities, results):
+        F = cfg.setup.forward(T)
+        yield [implied_vol_and_flag(float(p), F, K, T)
+               for K, p in zip(cfg.strikes, res.price)]
+
+
+def _exact(cfg: ExperimentConfig, seed: int, coeffs: dict):
+    for T in cfg.maturities:
+        F = cfg.setup.forward(T)
+        block = []
+        for K in cfg.strikes:
+            price, noise = cfg.exact_call(K, T)
+            block.append(implied_vol_and_flag(price, F, K, T, noise))
+        yield block
+
+
+_METHODS = {"asympt0": _asympt(0), "asympt1": _asympt(1), "asympt2": _asympt(2),
+            "pde": _pde, "mc": _mc, "exact": _exact}
 
 
 def cmd_smile(args) -> int:
     cfg = load_config(args.config)
-    out = args.out or cfg.out
-    fmt = args.format or cfg.fmt
-    rows: list[dict] = []
-    current = {"K": None, "T": None, "method": None}
-    # each expansion coefficient once per strike, reused across orders and
-    # maturities; the flag marks the models for which smile() warns
     coeffs: dict[float, list[float]] = {}
-    asympt_flag = "low_confidence" if cfg.model.breakpoints else "ok"
-    # every maturity's MC result, from one march per step size
-    mc_results = None
-    try:
-        for i, T in enumerate(cfg.maturities):
-            F = cfg.setup.forward(T)
-            for method in cfg.methods:
-                current["T"] = T
-                current["method"] = method
-                if method.startswith("asympt"):
-                    order = int(method[-1])
-                    for K in cfg.strikes:
-                        current["K"] = K
-                        c = coeffs.setdefault(K, [])
-                        while len(c) <= order:
-                            c.append(expansion_coefficient(cfg.model, cfg.setup, K, len(c)))
-                        rows.append({"K": K, "T": T, "method": method,
-                                     "sigma_N": smile_from_coefficients(c[:order + 1], T),
-                                     "flag": asympt_flag})
-                elif method == "pde":
-                    current["K"] = cfg.strikes[0]
-                    grid = default_grid(cfg.model, cfg.setup, T, **cfg.pde_opts)
-                    sol = solve_forward(cfg.model, cfg.setup, grid, T)
-                    for pt in implied_smile_from_pde(sol, cfg.setup, T, cfg.strikes):
-                        rows.append({"K": pt.strike, "T": T, "method": method,
-                                     "sigma_N": pt.sigmaN, "flag": pt.flag})
-                elif method == "mc":
-                    current["K"] = cfg.strikes[0]
-                    if mc_results is None:
-                        mc_results = mc_call(cfg.model, cfg.setup, cfg.strikes,
-                                             tuple(cfg.maturities),
-                                             McSpec(seed=args.seed, **cfg.mc_opts))
-                    for K, price in zip(cfg.strikes, mc_results[i].price):
-                        current["K"] = K
-                        price = float(price)
-                        if price < max(F - K, 0.0):
-                            vol, flag = 0.0, "clamped"
-                        else:
-                            vol, flag = _vol_and_flag(price, F, K, T)
-                        rows.append({"K": K, "T": T, "method": method,
-                                     "sigma_N": vol, "flag": flag})
-                elif method == "exact":
-                    for K in cfg.strikes:
-                        current["K"] = K
-                        price, noise = cfg.exact_call(K, T)
-                        vol, flag = _vol_and_flag(price, F, K, T, noise)
-                        rows.append({"K": K, "T": T, "method": method,
-                                     "sigma_N": vol, "flag": flag})
-    except (DomainError, ArithmeticError, RuntimeError) as e:
-        print(f"numerical failure at K={current['K']}, T={current['T']}, "
-              f"method={current['method']}: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    _emit_rows(rows, out, fmt, ["K", "T", "method", "sigma_N", "flag"])
+    blocks = [_METHODS[m](cfg, args.seed, coeffs) for m in cfg.methods]
+    rows: list[dict] = []
+    for T in cfg.maturities:
+        for method, gen in zip(cfg.methods, blocks):
+            try:
+                block = next(gen)
+            except (DomainError, ArithmeticError, RuntimeError) as e:
+                print(f"numerical failure at T={T}, method={method}: {e}",
+                      file=sys.stderr)
+                return EXIT_NUMERICAL
+            rows += ({"K": K, "T": T, "method": method, "sigma_N": vol, "flag": flag}
+                     for K, (vol, flag) in zip(cfg.strikes, block))
+    _emit_rows(rows, args.out or cfg.out, args.format or cfg.fmt,
+               ["K", "T", "method", "sigma_N", "flag"])
     return EXIT_OK
 
 
@@ -355,18 +350,15 @@ def cmd_table1(args) -> int:
     return EXIT_OK
 
 
-_SQRT_T_GRID = tuple(0.25 / 2 ** k for k in reversed(range(7)))  # 1/256 .. 1/4
-
-
 def cmd_sqrt_t(args) -> int:
     cfg = load_config(args.config)
-    T_grid = cfg.maturities if len(cfg.maturities) >= 5 else _SQRT_T_GRID
-    repeated = sorted({t for t in T_grid if T_grid.count(t) > 1})
-    if repeated:
-        raise ConfigError(f"[maturities]: sqrt-t needs distinct maturities, "
-                          f"repeated: {repeated}")
+    ts = cfg.maturities
+    repeated = sorted({t for t in ts if ts.count(t) > 1})
+    if repeated or len(ts) < 5:
+        raise ConfigError(f"[maturities]: sqrt-t needs at least 5 distinct maturities, "
+                          f"got {len(set(ts))}, repeated: {repeated}")
     try:
-        report = sqrt_t_detector(cfg.model, cfg.setup, T_grid)
+        report = sqrt_t_detector(cfg.model, cfg.setup, ts)
     except (ValueError, RuntimeError) as e:
         print(f"numerical failure in sqrt-t fit: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -407,7 +399,8 @@ def cmd_convert(args) -> int:
 
 
 def _surface_from_csv(path: str):
-    """(K, T) -> sigmaN interpolator from a `K,T,price,sigmaN` CSV.
+    """(K, T) -> sigma_N interpolator from the CSV `nvol smile` writes, which
+    must hold the rows of exactly one method.
 
     Cubic spline in strike on each maturity level, linear between levels.
     Returns (surface, strikes_by_level, sorted maturities).
@@ -415,41 +408,37 @@ def _surface_from_csv(path: str):
     from scipy.interpolate import CubicSpline
 
     levels: dict[float, list[tuple[float, float]]] = {}
+    methods = set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        need = {"K", "T", "sigmaN"}
+        need = {"K", "T", "method", "sigma_N"}
         if reader.fieldnames is None or not need.issubset(set(reader.fieldnames)):
-            raise ConfigError(f"surface CSV {path!r} must have columns K,T,sigmaN")
+            raise ConfigError(f"surface CSV {path!r} must have columns K,T,method,sigma_N")
         for rec in reader:
-            k, t, v = float(rec["K"]), float(rec["T"]), float(rec["sigmaN"])
-            # drop unusable wings: failed inversions (nan) and strikes with no
-            # time value (vol clamped to zero)
+            methods.add(rec["method"])
+            k, t, v = float(rec["K"]), float(rec["T"]), float(rec["sigma_N"])
+            # drop the rows without a vol (off the PDE grid, no time value)
             if math.isfinite(v) and v > 0.0:
                 levels.setdefault(t, []).append((k, v))
+    if len(methods) != 1:
+        raise ConfigError(f"surface CSV {path!r} must hold one method, "
+                          f"found {sorted(methods)}")
     ts = sorted(levels)
     if len(ts) < 2:
         raise ConfigError("surface needs at least two maturity levels")
     splines = {}
     strikes = {}
     for t in ts:
-        pts = sorted(levels[t])
-        ks = [p[0] for p in pts]
-        vs = [p[1] for p in pts]
+        ks, vs = zip(*sorted(levels[t]))
         if len(ks) < 4:
             raise ConfigError(f"maturity level T={t} has fewer than 4 usable strikes")
         splines[t] = CubicSpline(ks, vs)
         strikes[t] = ks
 
     def surface(K: float, T: float) -> float:
-        if T <= ts[0]:
-            lo, hi = ts[0], ts[1]
-        elif T >= ts[-1]:
-            lo, hi = ts[-2], ts[-1]
-        else:
-            j = max(i for i, t in enumerate(ts) if t <= T)
-            lo, hi = ts[j], ts[min(j + 1, len(ts) - 1)]
-        if hi == lo:
-            return float(splines[lo](K))
+        # the two levels around T, or the first or last two outside them
+        j = min(max(bisect.bisect_right(ts, T) - 1, 0), len(ts) - 2)
+        lo, hi = ts[j], ts[j + 1]
         w = (T - lo) / (hi - lo)
         return float((1.0 - w) * splines[lo](K) + w * splines[hi](K))
 
@@ -525,8 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=("ln2n", "n2ln"), required=True)
     p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("extract-lv", help="local vol from a K,T,price,sigmaN CSV")
-    p.add_argument("surface", help="surface CSV path")
+    p = sub.add_parser("extract-lv",
+                       help="local vol from the `nvol smile` CSV of one method")
+    p.add_argument("surface", help="`nvol smile` CSV path (columns K,T,method,sigma_N)")
     common(p, config_required=False)
     p.add_argument("--s0", type=float, required=True)
     p.add_argument("--mu0", type=float, default=0.0)

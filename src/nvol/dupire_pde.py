@@ -14,7 +14,6 @@ from nodes on one side of them only.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -22,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .bachelier import implied_normal_vol
+from .bachelier import implied_normal_vol, implied_vol_and_flag
 from .models import LocalVolModel, MarketSetup
 
 
@@ -67,7 +66,6 @@ class PdeSolution:
     strikes: np.ndarray
     times: tuple[float, ...]
     prices: np.ndarray  # shape (n_times, n_space)
-    setup: MarketSetup
     meta: dict = field(default_factory=dict)
     # nodes at S0 and at the breakpoints of sigma_D, where the price has a kink
     kinks: tuple[int, ...] = ()
@@ -109,20 +107,6 @@ class PdeSolution:
                 p += w * prices[m]
             out.append(p)
         return np.array(out)
-
-    def export_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["K", "T", "price", "sigmaN"])
-            for i, t in enumerate(self.times):
-                F = self.setup.forward(t)
-                for k, p in zip(self.strikes, self.prices[i]):
-                    intrinsic = max(F - k, 0.0)
-                    try:
-                        vol = implied_normal_vol(max(p, intrinsic), F, k, t)
-                    except (ValueError, RuntimeError):
-                        vol = float("nan")
-                    w.writerow([f"{k:.12g}", f"{t:.12g}", f"{p:.12g}", f"{vol:.12g}"])
 
 
 def _build_strike_grid(model: LocalVolModel, setup: MarketSetup,
@@ -257,68 +241,38 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, grid: PdeGrid,
     prices = np.array([out[t] for t in T_out])
     meta = {"dx": dx, "n_steps": len(times) - 1, "max_diffusion_number": max_ratio,
             "clipped": grid.clipped}
-    return PdeSolution(strikes=ks, times=tuple(T_out), prices=prices, setup=setup,
-                       meta=meta, kinks=kinks)
-
-
-@dataclass(frozen=True)
-class SmilePoint:
-    strike: float
-    maturity: float
-    sigmaN: float
-    flag: str = "ok"
+    return PdeSolution(strikes=ks, times=tuple(T_out), prices=prices, meta=meta,
+                       kinks=kinks)
 
 
 def implied_smile_from_pde(sol: PdeSolution, setup: MarketSetup, T: float,
-                           strikes: Sequence[float] | None = None) -> list[SmilePoint]:
-    """Per-strike implied normal vols from a solved price level, each at its
-    requested strike (the price interpolated by `PdeSolution.price_at_strikes`).
+                           strikes: Sequence[float] | None = None) -> list[tuple[float, str]]:
+    """(sigma_N, flag) per strike (default: the grid nodes) from a solved
+    price level, each at its requested strike (the price interpolated by
+    `PdeSolution.price_at_strikes`) and mapped by `implied_vol_and_flag`.
 
-    Strikes off the grid are reported as nan, flagged off_grid; strikes far
-    (> 6 sigma_ATM sqrt(T)) from the forward are flagged low_confidence;
-    prices below intrinsic (discretization dust) are clamped and flagged; a
-    price equal to intrinsic has no implied vol and is reported as nan,
-    flagged no_time_value.
+    Strikes off the grid come back off_grid, prices at or below intrinsic
+    no_time_value, and ok rows far (> 6 sigma_ATM sqrt(T)) from the forward
+    are flagged low_confidence.
     """
     F = setup.forward(T)
     band = 6.0 * atm_implied_vol(sol, setup, T) * math.sqrt(T)
     wanted = sol.strikes if strikes is None else np.asarray(strikes, dtype=float)
-    pts: list[SmilePoint] = []
+    out = []
     for k, p in zip(wanted.tolist(), sol.price_at_strikes(T, wanted).tolist()):
-        if math.isnan(p):
-            pts.append(SmilePoint(strike=k, maturity=T, sigmaN=math.nan, flag="off_grid"))
-            continue
-        intrinsic = max(F - k, 0.0)
-        flag = "ok"
-        if p < intrinsic:
-            p = intrinsic
-            flag = "clamped"
-        elif p == intrinsic:
-            pts.append(SmilePoint(strike=k, maturity=T, sigmaN=math.nan,
-                                  flag="no_time_value"))
-            continue
-        elif abs(k - F) > band:
+        vol, flag = implied_vol_and_flag(p, F, k, T)
+        # a forward off the grid has no ATM vol, and its band (nan) holds no strike
+        if flag == "ok" and not abs(k - F) <= band:
             flag = "low_confidence"
-        try:
-            vol = implied_normal_vol(p, F, k, T)
-        except (ValueError, RuntimeError):
-            vol, flag = float("nan"), "clamped"
-        pts.append(SmilePoint(strike=k, maturity=T, sigmaN=vol, flag=flag))
-    return pts
+        out.append((vol, flag))
+    return out
 
 
 def atm_implied_vol(sol: PdeSolution, setup: MarketSetup, T: float) -> float:
-    """Implied normal vol at K = F_T, interpolating the price in strike."""
-    prices = sol.price_at(T)
+    """Implied normal vol at K = F_T, the price interpolated in strike by
+    `PdeSolution.price_at_strikes`."""
     F = setup.forward(T)
-    ks = sol.strikes
-    j = int(np.argmin(np.abs(ks - F)))
-    if abs(ks[j] - F) <= 1e-13 * max(1.0, abs(F)):
-        p = prices[j]
-    else:
-        # quartic interpolation through the 5 nearest nodes
-        j0 = min(max(j - 2, 0), len(ks) - 5)
-        p = float(np.polyval(np.polyfit(ks[j0:j0 + 5] - F, prices[j0:j0 + 5], 4), 0.0))
+    p = float(sol.price_at_strikes(T, [F])[0])
     return implied_normal_vol(max(p, 0.0), F, F, T)
 
 

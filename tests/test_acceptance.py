@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from nvol.asymptotics import sigma1_jump, sigma1_series_atm, sigma2_atm
-from nvol.cli import _surface_from_csv, table1_rows
+from nvol.cli import table1_rows
 from nvol.dupire_pde import (atm_implied_vol, atm_implied_vol_richardson,
                              default_grid, extract_local_vol, solve_forward)
 from nvol.exact_solutions import (drifted_ln_atm_call, model2b_atm_exact,
@@ -166,26 +166,20 @@ def test_criterion_08_oracle_triangle():
     report(8, "PDE/MC/closed-form triangle, 10 random cases within 3 SE", ok)
 
 
-def test_criterion_09_local_vol_roundtrip(tmp_path):
-    cases = [make_shifted_lognormal(0.002, 0.15, 0.03),
-             make_quadratic_sabr(0.012, 0.4, -0.3, 0.03),
-             make_piecewise_linear(0.012, 0.05, 0.15, 0.03)]
+def test_criterion_09_local_vol_roundtrip(smile_surface):
+    cases = [("shifted_lognormal", 0.011, "b = 0.15"),
+             ("quadratic_sabr", 0.012, "gamma = 0.4\nrho = -0.3"),
+             ("piecewise_linear", 0.012, "bL = 0.05\nbR = 0.15")]
     S0, T = 0.03, 1.0
+    setup = MarketSetup(S0=S0)
     ok = True
-    for i, model in enumerate(cases):
-        setup = MarketSetup(S0=S0)
-        grid = default_grid(model, setup, 1.2 * T, n_space=1601,
-                            n_time_per_year=800)
-        sol = solve_forward(model, setup, grid, 1.2 * T,
-                            T_out=[0.8 * T, 0.9 * T, T, 1.1 * T, 1.2 * T])
-        path = tmp_path / f"surface_{i}.csv"
-        sol.export_csv(str(path))
-        surface, _, _ = _surface_from_csv(str(path))
+    for kind, sigma0, params in cases:
+        surface, model = smile_surface(kind, sigma0, params, "0.8 0.9 1 1.1 1.2")
         band = 2.0 * model.vol(S0) * math.sqrt(T)
         for K in np.linspace(S0 - band, S0 + band, 9):
             got = extract_local_vol(surface, setup, float(K), T, dT=0.1 * T)
             ok &= abs(got / model.vol(float(K)) - 1.0) <= 0.01
-    report(9, "local vol recovered from exported surfaces within 1%", ok)
+    report(9, "local vol recovered from `nvol smile` pde surfaces within 1%", ok)
 
 
 def test_criterion_10_sigma1_jump():

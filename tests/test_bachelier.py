@@ -12,7 +12,8 @@ from nvol.bachelier import (LognormalQuote, NormalQuote,
                             atm_lognormal_from_normal,
                             atm_normal_from_lognormal, bachelier_call,
                             bachelier_vega, black_scholes_call,
-                            implied_normal_vol, norm_cdf, norm_pdf,
+                            implied_normal_vol, implied_vol_and_flag,
+                            norm_cdf, norm_pdf,
                             short_time_normal_from_lognormal_smile)
 
 
@@ -133,6 +134,20 @@ def test_implied_vol_errors():
         implied_normal_vol(0.005, F=0.03, K=0.02, T=1.0)  # below intrinsic
     with pytest.raises(ValueError):
         implied_normal_vol(0.01, F=0.03, K=0.02, T=-1.0)
+
+
+def test_implied_vol_and_flag_of_oracle_prices():
+    F, T, noise = 0.03, 0.5, 1e-13
+    vol, flag = implied_vol_and_flag(math.nan, F, 0.03, T)
+    assert math.isnan(vol) and flag == "off_grid"
+    # below intrinsic: no vol, where the mc and pde rows used to report 0.0
+    vol, flag = implied_vol_and_flag(0.005, F, 0.02, T)
+    assert math.isnan(vol) and flag == "no_time_value"
+    # out of the money, so the time value is the price, exactly
+    vol, flag = implied_vol_and_flag(noise, F, 0.04, T, noise)
+    assert math.isnan(vol) and flag == "no_time_value"
+    vol, flag = implied_vol_and_flag(math.nextafter(noise, 1.0), F, 0.04, T, noise)
+    assert flag == "ok" and math.isfinite(vol) and vol > 0.0
     assert implied_normal_vol(0.01, F=0.03, K=0.02, T=2.0) > 0.0
     assert implied_normal_vol(0.01, F=0.03, K=0.02 - 1e-18, T=2.0) > 0.0
 

@@ -89,7 +89,7 @@ def test_smile_csv_schema_and_flags(smile_config, tmp_path):
     assert set(rows[0]) == {"K", "T", "method", "sigma_N", "flag"}
     assert len(rows) == 7 * 2 * 3
     for r in rows:
-        assert r["flag"] in ("ok", "low_confidence", "clamped")
+        assert r["flag"] in ("ok", "low_confidence")
         assert math.isfinite(float(r["sigma_N"]))
         assert float(r["sigma_N"]) > 0.0
     # order-1 sits closer to exact than order-0 at the longer maturity
@@ -114,6 +114,16 @@ def test_smile_json_format(smile_config, tmp_path):
     data = json.loads(out.read_text())
     assert isinstance(data, list) and set(data[0]) == {"K", "T", "method",
                                                        "sigma_N", "flag"}
+
+
+def test_numerical_failure_exits_3_naming_method_and_maturity(smile_config, monkeypatch,
+                                                              capsys):
+    def fail(*args):
+        raise RuntimeError("no bracket")
+    monkeypatch.setattr(nvol.cli, "implied_vol_and_flag", fail)
+    code, text = run(["smile", "--config", smile_config])
+    assert code == 3 and text == ""
+    assert "at T=1.0, method=exact: no bracket" in capsys.readouterr().err
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -493,16 +503,21 @@ def test_convert_errors():
     assert code == 3
 
 
+def write_surface(path, methods=("pde",)):
+    # a flat 1.1% implied surface in the CSV `nvol smile` writes
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["K", "T", "method", "sigma_N", "flag"])
+        for T in (0.5, 1.0, 1.5):
+            for method in methods:
+                for i in range(11):
+                    w.writerow([0.02 + 0.002 * i, T, method, 0.011, "ok"])
+
+
 def test_extract_lv_on_synthetic_surface(tmp_path):
     # flat 1.1% implied surface should invert to sigma_D = 1.1% everywhere
     path = tmp_path / "surface.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["K", "T", "price", "sigmaN"])
-        for T in (0.5, 1.0, 1.5):
-            for i in range(11):
-                K = 0.02 + 0.002 * i
-                w.writerow([K, T, 0.0, 0.011])
+    write_surface(path)
     out = tmp_path / "lv.csv"
     code, _ = run(["extract-lv", str(path), "--s0", "0.03", "--T", "1.0",
                    "--K", "0.028", "--K", "0.03", "--out", str(out)])
@@ -515,6 +530,27 @@ def test_extract_lv_on_synthetic_surface(tmp_path):
     # maturity outside the surface span is a config error
     code, _ = run(["extract-lv", str(path), "--s0", "0.03", "--T", "2.0"])
     assert code == 2
+
+
+def test_extract_lv_refuses_a_surface_of_two_methods(tmp_path, capsys):
+    path = tmp_path / "surface.csv"
+    write_surface(path, methods=("pde", "asympt0"))
+    code, text = run(["extract-lv", str(path), "--s0", "0.03", "--T", "1.0"])
+    assert code == 2 and text == ""
+    assert "found ['asympt0', 'pde']" in capsys.readouterr().err
+
+
+def test_sqrt_t_short_maturity_list_exits_2(tmp_path, capsys):
+    # fewer than 5 maturities used to be swapped for 1/256 .. 1/4 silently
+    p = tmp_path / "short.ini"
+    p.write_text((ROOT / "configs" / "sqrtt_model2b.ini").read_text().replace(
+        "list = 0.00390625 0.0078125 0.015625 0.03125 0.0625 0.125 0.25",
+        "list = 0.05 0.1 0.2"))
+    out = tmp_path / "fit.json"
+    code, _ = run(["sqrt-t", "--config", str(p), "--out", str(out)])
+    assert code == 2
+    assert "[maturities]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sqrt_t_repeated_maturities_exit_2_before_any_work(tmp_path, capsys):

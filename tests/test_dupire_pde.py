@@ -83,19 +83,42 @@ def test_smile_flags_and_band():
     setup = MarketSetup(S0=0.03)
     grid = default_grid(model, setup, 1.0, n_space=801)
     sol = solve_forward(model, setup, grid, 1.0)
-    pts = implied_smile_from_pde(sol, setup, 1.0)
-    flags = {pt.flag for pt in pts}
-    assert flags <= {"ok", "low_confidence", "clamped", "no_time_value"}
-    for pt in pts:
-        if pt.flag == "no_time_value":
-            assert math.isnan(pt.sigmaN)
-        elif pt.flag != "clamped":
-            assert pt.sigmaN > 0.0
-    near = [pt for pt in pts if abs(pt.strike - 0.03) < 0.02]
-    assert all(pt.flag == "ok" for pt in near)
-    assert all(pt.sigmaN == pytest.approx(0.01, abs=5e-5) for pt in near)
-    far = [pt for pt in pts if abs(pt.strike - 0.03) > 0.07]
-    assert far and all(pt.flag != "ok" for pt in far)
+    pts = implied_smile_from_pde(sol, setup, 1.0, strikes=sol.strikes)
+    flags = {flag for _, flag in pts}
+    assert flags <= {"ok", "low_confidence", "no_time_value"}
+    for vol, flag in pts:
+        if flag == "no_time_value":
+            assert math.isnan(vol)
+        else:
+            assert vol > 0.0
+    near = [pt for k, pt in zip(sol.strikes, pts) if abs(k - 0.03) < 0.02]
+    assert all(flag == "ok" for _, flag in near)
+    assert all(vol == pytest.approx(0.01, abs=5e-5) for vol, _ in near)
+    far = [pt for k, pt in zip(sol.strikes, pts) if abs(k - 0.03) > 0.07]
+    assert far and all(flag != "ok" for _, flag in far)
+
+
+def test_smile_without_an_atm_vol_is_low_confidence():
+    # the grid is centred on S0: a forward drifted off it has no ATM vol, so
+    # no strike lies in the band
+    model = constant_model(0.01)
+    setup = MarketSetup(S0=0.03, mu0=0.5)
+    sol = solve_forward(model, setup, default_grid(model, setup, 1.0), 1.0)
+    assert math.isnan(atm_implied_vol(sol, setup, 1.0))
+    assert implied_smile_from_pde(sol, setup, 1.0, [0.05])[0][1] == "low_confidence"
+
+
+def test_atm_vol_between_nodes_of_drifted_kink():
+    # on the default grid F_T = 0.0309375 sits between nodes, off the kink at S0;
+    # the 12801-node reference has it on a node
+    model = make_piecewise_linear(0.008, -0.1, 0.1, 0.03)
+    setup = MarketSetup(S0=0.03, mu0=0.004, mu1=-0.002)
+    T = 0.25
+    sols = [solve_forward(model, setup, default_grid(model, setup, T, n_space=n), T)
+            for n in (1601, 12801)]
+    assert not np.any(sols[0].strikes == setup.forward(T))
+    got, ref = (atm_implied_vol(sol, setup, T) for sol in sols)
+    assert abs(got - ref) < 5e-7
 
 
 def test_breakpoint_lands_on_node():
@@ -217,18 +240,6 @@ def test_price_at_strikes_interpolates_within_kink_stretches():
     assert np.all(np.isnan(got))
 
 
-def test_export_csv_schema(tmp_path):
-    model = constant_model(0.01)
-    setup = MarketSetup(S0=0.03)
-    grid = default_grid(model, setup, 0.5, n_space=101)
-    sol = solve_forward(model, setup, grid, 0.5)
-    out = tmp_path / "surface.csv"
-    sol.export_csv(str(out))
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "K,T,price,sigmaN"
-    assert len(lines) == 1 + 101
-
-
 def test_extract_local_vol_flat_surface():
     # a strike- and maturity-independent implied vol inverts to sigma_D = c
     c = 0.011
@@ -237,18 +248,10 @@ def test_extract_local_vol_flat_surface():
     assert got == pytest.approx(c, rel=1e-10)
 
 
-def test_extract_local_vol_roundtrip_shifted_ln(tmp_path):
-    from nvol.cli import _surface_from_csv
-
-    model = make_shifted_lognormal(0.002, 0.15, 0.03)
-    setup = MarketSetup(S0=0.03)
+def test_extract_local_vol_roundtrip_shifted_ln(smile_surface):
     T = 1.0
-    grid = default_grid(model, setup, 1.2 * T, n_space=1601, n_time_per_year=800)
-    sol = solve_forward(model, setup, grid, 1.2 * T,
-                        T_out=[0.8 * T, T, 1.1 * T, 1.2 * T])
-    path = tmp_path / "surface.csv"
-    sol.export_csv(str(path))
-    surface, _, _ = _surface_from_csv(str(path))
+    surface, model = smile_surface("shifted_lognormal", 0.011, "b = 0.15", "0.8 1 1.1 1.2")
+    setup = MarketSetup(S0=0.03)
     for K in (0.025, 0.03, 0.035):
         got = extract_local_vol(surface, setup, K=K, T=T, dT=0.1 * T)
         assert got == pytest.approx(model.vol(K), rel=5e-3)
