@@ -8,14 +8,13 @@ import math
 import random
 import sys
 
-from nvol import (McSpec, MarketSetup, default_grid, make_shifted_lognormal, mc_call,
+from nvol import (McSpec, MarketSetup, make_shifted_lognormal, mc_call,
                   model2b_call_by_density, make_piecewise_linear,
                   shifted_ln_exact_call, solve_forward)
 
 
 def pde_price(model, setup, K, T):
-    grid = default_grid(model, setup, T, n_space=1601, n_time_per_year=1000)
-    sol = solve_forward(model, setup, grid, T)
+    sol = solve_forward(model, setup, T, n_space=1601, n_time_per_year=1000)
     return float(sol.price_at_strikes(T, [K])[0])
 
 

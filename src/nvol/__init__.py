@@ -8,9 +8,8 @@ from .bachelier import (LognormalQuote, NormalQuote, atm_lognormal_from_normal,
                         atm_normal_from_lognormal, bachelier_call,
                         bachelier_vega, black_scholes_call, implied_normal_vol,
                         short_time_normal_from_lognormal_smile)
-from .dupire_pde import (PdeGrid, PdeSolution, atm_implied_vol, default_grid,
-                         extract_local_vol, implied_smile_from_pde,
-                         solve_forward)
+from .dupire_pde import (PdeSolution, atm_implied_vol, extract_local_vol,
+                         implied_smile_from_pde, solve_forward)
 from .exact_solutions import (FitReport, drifted_ln_atm_call,
                               model2b_atm_exact, model2b_call_by_density,
                               model2b_density, model2b_y_of_z, model2b_z_of_y,
@@ -26,10 +25,10 @@ from .quadrature import integrate
 __all__ = [
     "BreakpointError", "DomainError", "FitReport",
     "LocalVolModel", "LognormalQuote", "MarketSetup", "McResult", "McSpec",
-    "NonAnalyticWarning", "NormalQuote", "PdeGrid", "PdeSolution",
+    "NonAnalyticWarning", "NormalQuote", "PdeSolution",
     "atm_implied_vol", "atm_lognormal_from_normal",
     "atm_normal_from_lognormal", "bachelier_call", "bachelier_vega",
-    "black_scholes_call", "default_grid", "drifted_ln_atm_call",
+    "black_scholes_call", "drifted_ln_atm_call",
     "extract_local_vol", "implied_normal_vol", "implied_smile_from_pde",
     "integrate", "load_tabulated_csv", "make_piecewise_linear",
     "make_quadratic_sabr", "make_shifted_lognormal", "make_tabulated",

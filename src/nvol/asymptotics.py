@@ -233,7 +233,7 @@ def _node_antiderivatives(model: LocalVolModel, F0: float, mu0: float, K: float,
     r_taylor = _DERIV_RADIUS_FACTOR * radius
     edges, nodes, weights = gauss_legendre_rule(
         F0, K, breakpoints=(*model.breakpoints, F0 + r_taylor, F0 - r_taylor))
-    t, w, Q = legendre_cumulative(nodes.shape[1])
+    t, w, Q = legendre_cumulative()
     chain = np.concatenate([edges[:-1, None], nodes, edges[1:, None]], axis=1)
     a, b = chain[:, :-1], chain[:, 1:]
     half = 0.5 * (b - a)

@@ -29,8 +29,7 @@ from .asymptotics import (DomainError, expansion_coefficient, sigma1_jump,
                           smile_from_coefficients)
 from .bachelier import (atm_lognormal_from_normal, atm_normal_from_lognormal,
                         implied_vol_and_flag)
-from .dupire_pde import (default_grid, extract_local_vol,
-                         implied_smile_from_pde, solve_forward)
+from .dupire_pde import extract_local_vol, implied_smile_from_pde, solve_forward
 from .exact_solutions import (model2b_call_by_density, shifted_ln_atm_exact_vol,
                               shifted_ln_exact_call, sqrt_t_detector)
 from .mc_oracle import McSpec, mc_call
@@ -267,8 +266,7 @@ def _asympt(order: int):
 
 def _pde(cfg: ExperimentConfig, seed: int, coeffs: dict):
     for T in cfg.maturities:
-        grid = default_grid(cfg.model, cfg.setup, T, **cfg.pde_opts)
-        sol = solve_forward(cfg.model, cfg.setup, grid, T)
+        sol = solve_forward(cfg.model, cfg.setup, T, **cfg.pde_opts)
         yield implied_smile_from_pde(sol, cfg.setup, T, cfg.strikes)
 
 

@@ -21,44 +21,8 @@ from typing import Sequence
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .bachelier import implied_normal_vol, implied_vol_and_flag
+from .bachelier import implied_vol_and_flag
 from .models import LocalVolModel, MarketSetup
-
-
-@dataclass(frozen=True)
-class PdeGrid:
-    K_min: float
-    K_max: float
-    n_space: int
-    n_time_per_year: int
-    min_time_steps: int
-    # whether the positivity domain of the model moved (K_min, K_max) inwards
-    clipped: tuple[bool, bool] = (False, False)
-
-    def __post_init__(self):
-        if self.n_space < 51:
-            raise ValueError("need at least 51 space nodes")
-        if self.K_min >= self.K_max:
-            raise ValueError("K_min must be below K_max")
-
-
-def default_grid(model: LocalVolModel, setup: MarketSetup, T_max: float,
-                 n_space: int = 1601, n_time_per_year: int = 40,
-                 width_stdevs: float = 10.0, min_time_steps: int = 64) -> PdeGrid:
-    """Grid spanning width_stdevs local standard deviations either side of S0,
-    clipped to the positivity domain of the model."""
-    s0 = setup.S0
-    stdev = model.vol(s0) * math.sqrt(T_max)
-    want_min, want_max = s0 - width_stdevs * stdev, s0 + width_stdevs * stdev
-    lo, hi = model.positivity_domain
-    eps = 1e-12 * max(1.0, abs(s0))
-    k_min = max(want_min, lo + eps if math.isfinite(lo) else -math.inf)
-    k_max = min(want_max, hi - eps if math.isfinite(hi) else math.inf)
-    if math.isfinite(lo):
-        k_min = max(k_min, lo + 1e-9 * (k_max - lo))
-    return PdeGrid(K_min=k_min, K_max=k_max, n_space=n_space,
-                   n_time_per_year=n_time_per_year, min_time_steps=min_time_steps,
-                   clipped=(k_min != want_min, k_max != want_max))
 
 
 @dataclass(frozen=True)
@@ -109,17 +73,35 @@ class PdeSolution:
         return np.array(out)
 
 
-def _build_strike_grid(model: LocalVolModel, setup: MarketSetup,
-                       grid: PdeGrid) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Uniform grid with S0 (and thus any breakpoint placed at S0) on a node,
-    and the indices of the nodes at S0 and at the breakpoints."""
+def _build_strike_grid(model: LocalVolModel, setup: MarketSetup, T_max: float,
+                       n_space: int, width_stdevs: float
+                       ) -> tuple[np.ndarray, tuple[int, ...], tuple[bool, bool]]:
+    """Uniform grid spanning width_stdevs local standard deviations either
+    side of S0, clipped to the positivity domain of the model, with S0 (and
+    thus any breakpoint placed at S0) on a node.
+
+    Returns the nodes, the indices of the nodes at S0 and at the breakpoints,
+    and whether the positivity domain moved the left and right ends inwards.
+    """
+    if n_space < 51:
+        raise ValueError("need at least 51 space nodes")
     s0 = setup.S0
-    n = grid.n_space
-    dx = (grid.K_max - grid.K_min) / (n - 1)
+    stdev = model.vol(s0) * math.sqrt(T_max)
+    want_min, want_max = s0 - width_stdevs * stdev, s0 + width_stdevs * stdev
+    lo, hi = model.positivity_domain
+    eps = 1e-12 * max(1.0, abs(s0))
+    k_min = max(want_min, lo + eps if math.isfinite(lo) else -math.inf)
+    k_max = min(want_max, hi - eps if math.isfinite(hi) else math.inf)
+    if math.isfinite(lo):
+        k_min = max(k_min, lo + 1e-9 * (k_max - lo))
+    if k_min >= k_max:
+        raise ValueError("K_min must be below K_max")
+    clipped = (bool(k_min != want_min), bool(k_max != want_max))
+    dx = (k_max - k_min) / (n_space - 1)
     # shift so that s0 lands exactly on a node
-    offset = (s0 - grid.K_min) / dx
+    offset = (s0 - k_min) / dx
     shift = (offset - round(offset)) * dx
-    ks = grid.K_min + shift + dx * np.arange(n)
+    ks = k_min + shift + dx * np.arange(n_space)
     kinks = {int(round((s0 - ks[0]) / dx))}
     # snap remaining breakpoints onto the nearest node
     for bp in model.breakpoints:
@@ -127,22 +109,25 @@ def _build_strike_grid(model: LocalVolModel, setup: MarketSetup,
             j = int(round((bp - ks[0]) / dx))
             ks[j] = bp
             kinks.add(j)
-    return ks, tuple(sorted(k for k in kinks if 0 <= k < n))
+    return ks, tuple(sorted(k for k in kinks if 0 <= k < n_space)), clipped
 
 
-def solve_forward(model: LocalVolModel, setup: MarketSetup, grid: PdeGrid,
-                  T_max: float, T_out: Sequence[float] | None = None) -> PdeSolution:
-    """Evolve call prices to T_max, storing the levels in T_out (default: T_max)."""
+def solve_forward(model: LocalVolModel, setup: MarketSetup, T: float | Sequence[float],
+                  n_space: int = 1601, n_time_per_year: int = 40,
+                  width_stdevs: float = 10.0, min_time_steps: int = 64) -> PdeSolution:
+    """Evolve call prices to the largest maturity in T, storing every level of T.
+
+    The grid has n_space nodes over width_stdevs local stdevs either side of
+    S0 at the largest maturity, clipped to the positivity domain of the
+    model (`meta["clipped"]`); the march takes n_time_per_year steps a year,
+    at least min_time_steps.  The span does not depend on the drift.
+    """
     # imported on first use: `import nvol` costs numpy only
     from scipy.linalg.lapack import dgttrf, dgttrs
 
-    if T_out is None:
-        T_out = [T_max]
-    T_out = sorted(set(float(t) for t in T_out))
-    if T_out[-1] > T_max + 1e-12:
-        raise ValueError("requested output level beyond T_max")
-
-    ks, kinks = _build_strike_grid(model, setup, grid)
+    levels = sorted(set(np.ravel(np.asarray(T, dtype=float)).tolist()))
+    T_max = levels[-1]
+    ks, kinks, clipped = _build_strike_grid(model, setup, T_max, n_space, width_stdevs)
     n = len(ks)
     dx = ks[1] - ks[0]
     sig2 = model.vol(ks) ** 2
@@ -151,11 +136,9 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, grid: PdeGrid,
 
     c = np.maximum(setup.S0 - ks, 0.0)
 
-    n_steps = max(int(math.ceil(grid.n_time_per_year * T_max)), grid.min_time_steps)
+    n_steps = max(int(math.ceil(n_time_per_year * T_max)), min_time_steps)
     # build the step schedule so that every output level is hit exactly
-    times = np.linspace(0.0, T_max, n_steps + 1).tolist()
-    for t in T_out:
-        times.append(t)
+    times = np.linspace(0.0, T_max, n_steps + 1).tolist() + levels
     times = sorted(set(round(t, 15) for t in times))
 
     diff = 0.5 * sig2 / (dx * dx)          # diffusion coefficient on d2/dK2
@@ -163,10 +146,6 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, grid: PdeGrid,
     # interior rows of L C = diff*(C[i+1] - 2C[i] + C[i-1]) - mu*(C[i+1] - C[i-1])/(2dx)
     diff_in = diff[1:-1]
     mid_c = -2.0 * diff_in
-
-    def off_diagonals(t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
-        adv = setup.drift(0.5 * (t0 + t1)) / (2.0 * dx)  # central first derivative
-        return diff_in + adv, diff_in - adv             # C[i-1], C[i+1]
 
     def factor(dt: float, theta: float, lo_c: np.ndarray, hi_c: np.ndarray) -> tuple:
         """LU factors of I - theta dt L; Dirichlet rows stay identity rows."""
@@ -182,13 +161,12 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, grid: PdeGrid,
             raise LinAlgError("singular matrix")
         return dl, d, du, du2, ipiv
 
-    # With mu1 == 0 the operator is the same every step, so each distinct
-    # (dt, theta) is factored once.  The linspace schedule has a dozen or so
-    # step sizes that differ in the last bits; keying on the exact float keeps
-    # every step's matrix, and thus every output bit, as if built afresh.
-    steady = setup.mu1 == 0.0
-    if steady:
-        lo_fixed, hi_fixed = off_diagonals(0.0, 0.0)
+    # The operator changes only with the advection coefficient, so a constant
+    # drift factors each distinct (dt, theta) once and mu1 != 0 every step.
+    # The linspace schedule has a dozen or so step sizes that differ in the
+    # last bits; keying on the exact float keeps every step's matrix, and thus
+    # every output bit, as if built afresh.
+    adv = lo_c = hi_c = None
     factors: dict[tuple[float, float], tuple] = {}
     acc = np.empty(n - 2)
     tmp = np.empty(n - 2)
@@ -196,15 +174,16 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, grid: PdeGrid,
     max_ratio = 0.0
 
     def step(c_in: np.ndarray, t0: float, t1: float, theta: float) -> np.ndarray:
+        nonlocal adv, lo_c, hi_c
         dt = t1 - t0
-        if steady:
-            lo_c, hi_c = lo_fixed, hi_fixed
-            lu = factors.get((dt, theta))
-            if lu is None:
-                lu = factors[(dt, theta)] = factor(dt, theta, lo_c, hi_c)
-        else:
-            lo_c, hi_c = off_diagonals(t0, t1)
-            lu = factor(dt, theta, lo_c, hi_c)
+        adv_step = setup.drift(0.5 * (t0 + t1)) / (2.0 * dx)  # central first derivative
+        if adv_step != adv:
+            adv = adv_step
+            lo_c, hi_c = diff_in + adv, diff_in - adv       # C[i-1], C[i+1]
+            factors.clear()
+        lu = factors.get((dt, theta))
+        if lu is None:
+            lu = factors[(dt, theta)] = factor(dt, theta, lo_c, hi_c)
         # (I - theta dt L) c_new = (I + (1-theta) dt L) c_old  (interior rows),
         # summed in the order c + w*((lo*c[i-1] + mid*c[i]) + hi*c[i+1])
         rhs = c_in.copy()
@@ -233,23 +212,23 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, grid: PdeGrid,
         else:
             c = step(c, t_prev, t_next, theta=0.5)
         max_ratio = max(max_ratio, diff_max * (t_next - t_prev))
-        for t in T_out:
+        for t in levels:
             if abs(t - t_next) <= 1e-12 * max(t, 1.0):
                 out[t] = c.copy()
         t_prev = t_next
 
-    prices = np.array([out[t] for t in T_out])
+    prices = np.array([out[t] for t in levels])
     meta = {"dx": dx, "n_steps": len(times) - 1, "max_diffusion_number": max_ratio,
-            "clipped": grid.clipped}
-    return PdeSolution(strikes=ks, times=tuple(T_out), prices=prices, meta=meta,
+            "clipped": clipped}
+    return PdeSolution(strikes=ks, times=tuple(levels), prices=prices, meta=meta,
                        kinks=kinks)
 
 
 def implied_smile_from_pde(sol: PdeSolution, setup: MarketSetup, T: float,
-                           strikes: Sequence[float] | None = None) -> list[tuple[float, str]]:
-    """(sigma_N, flag) per strike (default: the grid nodes) from a solved
-    price level, each at its requested strike (the price interpolated by
-    `PdeSolution.price_at_strikes`) and mapped by `implied_vol_and_flag`.
+                           strikes: Sequence[float]) -> list[tuple[float, str]]:
+    """(sigma_N, flag) per strike from a solved price level, each at its
+    requested strike (the price interpolated by `PdeSolution.price_at_strikes`)
+    and mapped by `implied_vol_and_flag`.
 
     Strikes off the grid come back off_grid, prices at or below intrinsic
     no_time_value, and ok rows far (> 6 sigma_ATM sqrt(T)) from the forward
@@ -257,7 +236,7 @@ def implied_smile_from_pde(sol: PdeSolution, setup: MarketSetup, T: float,
     """
     F = setup.forward(T)
     band = 6.0 * atm_implied_vol(sol, setup, T) * math.sqrt(T)
-    wanted = sol.strikes if strikes is None else np.asarray(strikes, dtype=float)
+    wanted = np.asarray(strikes, dtype=float)
     out = []
     for k, p in zip(wanted.tolist(), sol.price_at_strikes(T, wanted).tolist()):
         vol, flag = implied_vol_and_flag(p, F, k, T)
@@ -270,10 +249,10 @@ def implied_smile_from_pde(sol: PdeSolution, setup: MarketSetup, T: float,
 
 def atm_implied_vol(sol: PdeSolution, setup: MarketSetup, T: float) -> float:
     """Implied normal vol at K = F_T, the price interpolated in strike by
-    `PdeSolution.price_at_strikes`."""
+    `PdeSolution.price_at_strikes` and mapped by `implied_vol_and_flag`:
+    nan for a forward off the grid or a price without time value."""
     F = setup.forward(T)
-    p = float(sol.price_at_strikes(T, [F])[0])
-    return implied_normal_vol(max(p, 0.0), F, F, T)
+    return implied_vol_and_flag(float(sol.price_at_strikes(T, [F])[0]), F, F, T)[0]
 
 
 def atm_implied_vol_richardson(model: LocalVolModel, setup: MarketSetup, T: float) -> float:
@@ -289,25 +268,24 @@ def atm_implied_vol_richardson(model: LocalVolModel, setup: MarketSetup, T: floa
     """
     vols = []
     for n_space in (401, 801):
-        grid = default_grid(model, setup, T, n_space=n_space, n_time_per_year=4096,
+        sol = solve_forward(model, setup, T, n_space=n_space, n_time_per_year=4096,
                             width_stdevs=8.0, min_time_steps=512)
-        vols.append(atm_implied_vol(solve_forward(model, setup, grid, T), setup, T))
+        vols.append(atm_implied_vol(sol, setup, T))
     return (4.0 * vols[1] - vols[0]) / 3.0
 
 
 def extract_local_vol(surface, setup: MarketSetup, K: float, T: float,
-                      dy: float | None = None, dT: float | None = None) -> float:
+                      dT: float | None = None) -> float:
     """Invert the forward equation for sigma_D(K, T) from a vol surface.
 
-    `surface` maps (K, T) -> sigmaN.  Central differences in strike, forward
-    difference in maturity.  Raises on a non-positive denominator (the
+    `surface` maps (K, T) -> sigmaN.  Central differences in strike (step
+    max(1e-4 |F|, 5e-3 sigmaN sqrt(T))), forward difference in maturity.  Raises on a non-positive denominator (the
     arbitrage-like regime where the inversion is singular).
     """
     F = setup.forward(T)
     y = K - F
     s = surface(K, T)
-    if dy is None:
-        dy = max(1e-4 * max(abs(F), 1e-8), 5e-3 * s * math.sqrt(T))
+    dy = max(1e-4 * max(abs(F), 1e-8), 5e-3 * s * math.sqrt(T))
     if dT is None:
         dT = max(1e-4, 0.05 * T)
     sp = surface(K + dy, T)

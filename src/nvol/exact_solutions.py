@@ -168,10 +168,6 @@ class FitReport:
     residual: float
     grid: tuple[float, ...]
 
-    def __post_init__(self):
-        if len(self.grid) < 4 or any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError("grid must be strictly increasing with >= 4 points")
-
     def to_json(self) -> str:
         return json.dumps({"coefficient": self.coefficient, "exponent": self.exponent,
                            "residual": self.residual, "grid": list(self.grid)})

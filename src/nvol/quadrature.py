@@ -6,8 +6,7 @@ integrands are analytic between model breakpoints, so the breakpoints are
 panel edges and the rule integrates each smooth piece to machine precision
 at a fixed node set.  legendre_cumulative gives the same nodes' spectral
 integration matrix, from which one pass yields an antiderivative at every
-node.  Both build their base rule through one cached leggauss call per node
-count.
+node.  Both build their base rule through one cached leggauss call.
 """
 
 from __future__ import annotations
@@ -15,43 +14,40 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable
 
+N_NODES = 16  # Gauss-Legendre nodes per panel
+N_PANELS = 8  # equal panels per stretch between breakpoints
+
 
 @lru_cache(maxsize=None)
-def _leggauss(n_nodes: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per n_nodes.
+def _leggauss():
+    """The N_NODES Gauss-Legendre nodes and weights on [-1, 1], built once.
 
     Every caller shares the cached arrays, so they are read-only.
     """
     import numpy as np
 
-    xs, ws = np.polynomial.legendre.leggauss(n_nodes)
+    xs, ws = np.polynomial.legendre.leggauss(N_NODES)
     xs.flags.writeable = ws.flags.writeable = False
     return xs, ws
 
 
-def gauss_legendre_rule(
-    a: float,
-    b: float,
-    breakpoints: Iterable[float] = (),
-    n_nodes: int = 16,
-    n_panels: int = 8,
-):
+def gauss_legendre_rule(a: float, b: float, breakpoints: Iterable[float] = ()):
     """Composite fixed-order Gauss-Legendre rule, split at interior breakpoints.
 
-    Each stretch between consecutive breakpoints is cut into n_panels equal
+    Each stretch between consecutive breakpoints is cut into N_PANELS equal
     panels.  Returns (edges, nodes, weights): the panel edges in order from a
-    to b, and one row per panel of nodes (increasing from a towards b) and
-    signed weights, so that (weights * f(nodes)).sum() integrates f from a
-    to b.  For analytic integrands the 16-node rule is far past machine
-    precision at these panel counts.
+    to b, and one row per panel of N_NODES nodes (increasing from a towards
+    b) and signed weights, so that (weights * f(nodes)).sum() integrates f
+    from a to b.  For analytic integrands the 16-node rule is far past
+    machine precision at these panel counts.
     """
     import numpy as np
 
-    xs, ws = _leggauss(n_nodes)
+    xs, ws = _leggauss()
     lo, hi = (a, b) if a < b else (b, a)
     cuts = sorted({p for p in breakpoints if lo < p < hi})
     stops = [lo, *cuts, hi]
-    edges = np.concatenate([np.linspace(x0, x1, n_panels + 1)[:-1]
+    edges = np.concatenate([np.linspace(x0, x1, N_PANELS + 1)[:-1]
                             for x0, x1 in zip(stops[:-1], stops[1:])] + [[hi]])
     if b < a:
         edges = edges[::-1]
@@ -61,21 +57,22 @@ def gauss_legendre_rule(
 
 
 @lru_cache(maxsize=None)
-def legendre_cumulative(n_nodes: int = 16):
+def legendre_cumulative():
     """Gauss-Legendre nodes t, weights w and integration matrix Q on [-1, 1].
 
-    (Q @ f(t))[k] integrates the degree n-1 interpolant of f(t) from -1 to
-    t[k] (spectral integration; Greengard, SIAM J. Numer. Anal. 28, 1991),
-    so the n samples that give w @ f(t) over the whole interval also give
-    the antiderivative at every node.  The arrays are cached and read-only.
+    (Q @ f(t))[k] integrates the degree N_NODES-1 interpolant of f(t) from -1
+    to t[k] (spectral integration; Greengard, SIAM J. Numer. Anal. 28, 1991),
+    so the N_NODES samples that give w @ f(t) over the whole interval also
+    give the antiderivative at every node.  The arrays are cached and
+    read-only.
     """
     import numpy as np
     from numpy.polynomial import legendre
 
-    t, w = _leggauss(n_nodes)
+    t, w = _leggauss()
     # values at t -> Legendre coefficients -> antiderivative from -1 -> values at t
-    to_coef = np.linalg.inv(legendre.legvander(t, n_nodes - 1))
-    antider = legendre.legval(t, legendre.legint(np.eye(n_nodes), lbnd=-1.0)).T
+    to_coef = np.linalg.inv(legendre.legvander(t, N_NODES - 1))
+    antider = legendre.legval(t, legendre.legint(np.eye(N_NODES), lbnd=-1.0)).T
     Q = antider @ to_coef
     Q.flags.writeable = False
     return t, w, Q

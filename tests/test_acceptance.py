@@ -15,7 +15,7 @@ import pytest
 from nvol.asymptotics import sigma1_jump, sigma1_series_atm, sigma2_atm
 from nvol.cli import table1_rows
 from nvol.dupire_pde import (atm_implied_vol, atm_implied_vol_richardson,
-                             default_grid, extract_local_vol, solve_forward)
+                             extract_local_vol, solve_forward)
 from nvol.exact_solutions import (drifted_ln_atm_call, model2b_atm_exact,
                                   model2b_call_by_density, model2b_density,
                                   shifted_ln_atm_exact_vol, sqrt_t_detector)
@@ -50,9 +50,9 @@ def test_criterion_02_pde_vs_erf_atm():
     ok = True
     for T, n_space, width in ((1.0, 1601, 10.0), (10.0, 1601, 10.0),
                               (30.0, 6401, 40.0)):
-        grid = default_grid(model, setup, T, n_space=n_space,
-                            n_time_per_year=400, width_stdevs=width)
-        vol = atm_implied_vol(solve_forward(model, setup, grid, T), setup, T)
+        sol = solve_forward(model, setup, T, n_space=n_space, n_time_per_year=400,
+                            width_stdevs=width)
+        vol = atm_implied_vol(sol, setup, T)
         ok &= abs(vol - shifted_ln_atm_exact_vol(0.03, 0.2, T)) <= 1e-5
     report(2, "PDE ATM vol vs exact Erf formula within 0.001%", ok)
 
@@ -104,11 +104,11 @@ def test_criterion_05_drift_correction():
     res = []
     Ts = (1.0 / 8.0, 1.0 / 4.0, 1.0 / 2.0)
     for T in Ts:
-        grid = default_grid(model, MarketSetup(S0=0.0), T, n_space=1601,
-                            n_time_per_year=4096, min_time_steps=512)
         price = {}
         for mu0 in (0.0, mu):
-            sol = solve_forward(model, MarketSetup(S0=0.0, mu0=mu0), grid, T)
+            # the span does not depend on the drift: both solves share one grid
+            sol = solve_forward(model, MarketSetup(S0=0.0, mu0=mu0), T, n_space=1601,
+                                n_time_per_year=4096, min_time_steps=512)
             j = int(np.argmin(np.abs(sol.strikes)))
             price[mu0] = sol.price_at(T)[j]
         convexity = NORM_PDF0 * (mu * T) ** 2 / (2.0 * sD0 * math.sqrt(T))
@@ -124,8 +124,7 @@ def test_criterion_06_lognormal_with_drift_atm():
 
     def pde_atm(mu, t):
         setup = MarketSetup(S0=x0, mu0=mu)
-        grid = default_grid(model, setup, t, n_space=1601, n_time_per_year=2000)
-        sol = solve_forward(model, setup, grid, t)
+        sol = solve_forward(model, setup, t, n_space=1601, n_time_per_year=2000)
         j = int(np.argmin(np.abs(sol.strikes - x0)))
         return sol.price_at(t)[j]
 

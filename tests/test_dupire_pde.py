@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,9 +7,8 @@ import pytest
 from scipy.linalg import solve_banded
 
 from nvol.bachelier import NormalQuote, bachelier_call
-from nvol.dupire_pde import (PdeGrid, atm_implied_vol, default_grid,
-                             extract_local_vol, implied_smile_from_pde,
-                             solve_forward)
+from nvol.dupire_pde import (atm_implied_vol, extract_local_vol,
+                             implied_smile_from_pde, solve_forward)
 from nvol.models import (MarketSetup, make_piecewise_linear,
                          make_quadratic_sabr, make_shifted_lognormal)
 
@@ -20,9 +20,7 @@ def constant_model(c):
 def atm_error(n_space, n_time_per_year, T=1.0, c=0.01):
     model = constant_model(c)
     setup = MarketSetup(S0=0.03)
-    grid = default_grid(model, setup, T, n_space=n_space,
-                        n_time_per_year=n_time_per_year)
-    sol = solve_forward(model, setup, grid, T)
+    sol = solve_forward(model, setup, T, n_space=n_space, n_time_per_year=n_time_per_year)
     return atm_implied_vol(sol, setup, T) - c
 
 
@@ -41,8 +39,7 @@ def test_digital_limits_at_grid_edges():
     # -dC/dK -> 1 deep ITM and -> 0 deep OTM
     model = constant_model(0.01)
     setup = MarketSetup(S0=0.03)
-    grid = default_grid(model, setup, 1.0, n_space=801)
-    sol = solve_forward(model, setup, grid, 1.0)
+    sol = solve_forward(model, setup, 1.0, n_space=801)
     p = sol.price_at(1.0)
     dk = sol.strikes[1] - sol.strikes[0]
     digital_lo = -(p[1] - p[0]) / dk
@@ -57,8 +54,7 @@ def test_drift_consistency_constant_vol():
     model = constant_model(c)
     setup = MarketSetup(S0=0.03, mu0=mu0, mu1=mu1)
     T = 2.0
-    grid = default_grid(model, setup, T, n_space=1201, n_time_per_year=800)
-    sol = solve_forward(model, setup, grid, T)
+    sol = solve_forward(model, setup, T, n_space=1201, n_time_per_year=800)
     F = setup.forward(T)
     for K in (F - 0.01, F, F + 0.015):
         j = int(np.argmin(np.abs(sol.strikes - K)))
@@ -69,8 +65,7 @@ def test_drift_consistency_constant_vol():
 def test_calendar_monotonicity():
     model = make_shifted_lognormal(0.002, 0.1, 0.03)
     setup = MarketSetup(S0=0.03)
-    grid = default_grid(model, setup, 2.0, n_space=401)
-    sol = solve_forward(model, setup, grid, 2.0, T_out=[0.5, 1.0, 2.0])
+    sol = solve_forward(model, setup, [2.0, 0.5, 1.0], n_space=401)
     assert sol.times == (0.5, 1.0, 2.0)
     interior = slice(40, -40)
     p = sol.prices
@@ -81,8 +76,7 @@ def test_calendar_monotonicity():
 def test_smile_flags_and_band():
     model = constant_model(0.01)
     setup = MarketSetup(S0=0.03)
-    grid = default_grid(model, setup, 1.0, n_space=801)
-    sol = solve_forward(model, setup, grid, 1.0)
+    sol = solve_forward(model, setup, 1.0, n_space=801)
     pts = implied_smile_from_pde(sol, setup, 1.0, strikes=sol.strikes)
     flags = {flag for _, flag in pts}
     assert flags <= {"ok", "low_confidence", "no_time_value"}
@@ -103,9 +97,12 @@ def test_smile_without_an_atm_vol_is_low_confidence():
     # no strike lies in the band
     model = constant_model(0.01)
     setup = MarketSetup(S0=0.03, mu0=0.5)
-    sol = solve_forward(model, setup, default_grid(model, setup, 1.0), 1.0)
+    sol = solve_forward(model, setup, 1.0)
     assert math.isnan(atm_implied_vol(sol, setup, 1.0))
     assert implied_smile_from_pde(sol, setup, 1.0, [0.05])[0][1] == "low_confidence"
+    # a forward on the grid without time value has no ATM vol either
+    dead = dataclasses.replace(sol, prices=np.zeros_like(sol.prices))
+    assert math.isnan(atm_implied_vol(dead, MarketSetup(S0=0.03), 1.0))
 
 
 def test_atm_vol_between_nodes_of_drifted_kink():
@@ -114,8 +111,7 @@ def test_atm_vol_between_nodes_of_drifted_kink():
     model = make_piecewise_linear(0.008, -0.1, 0.1, 0.03)
     setup = MarketSetup(S0=0.03, mu0=0.004, mu1=-0.002)
     T = 0.25
-    sols = [solve_forward(model, setup, default_grid(model, setup, T, n_space=n), T)
-            for n in (1601, 12801)]
+    sols = [solve_forward(model, setup, T, n_space=n) for n in (1601, 12801)]
     assert not np.any(sols[0].strikes == setup.forward(T))
     got, ref = (atm_implied_vol(sol, setup, T) for sol in sols)
     assert abs(got - ref) < 5e-7
@@ -124,17 +120,16 @@ def test_atm_vol_between_nodes_of_drifted_kink():
 def test_breakpoint_lands_on_node():
     model = make_piecewise_linear(0.008, -0.1, 0.1, 0.03)
     setup = MarketSetup(S0=0.031)
-    grid = default_grid(model, setup, 1.0, n_space=401)
-    sol = solve_forward(model, setup, grid, 1.0)
+    sol = solve_forward(model, setup, 1.0, n_space=401)
     assert np.min(np.abs(sol.strikes - 0.03)) < 1e-13
     assert np.min(np.abs(sol.strikes - 0.031)) < 1e-13
 
 
-def reference_march(model, setup, ks, T_max, T_out, n_steps):
+def reference_march(model, setup, ks, T_max, levels, n_steps):
     """Rannacher-started CN with the system rebuilt and solved every step."""
     n, dx = len(ks), ks[1] - ks[0]
     diff = 0.5 * np.array([model.vol(k) ** 2 for k in ks]) / (dx * dx)
-    times = np.linspace(0.0, T_max, n_steps + 1).tolist() + list(T_out)
+    times = np.linspace(0.0, T_max, n_steps + 1).tolist() + list(levels)
     times = sorted(set(round(t, 15) for t in times))
 
     def step(c_in, t0, t1, theta):
@@ -163,43 +158,62 @@ def reference_march(model, setup, ks, T_max, T_out, n_steps):
             c = step(step(c, t0, 0.5 * (t0 + t1), 1.0), 0.5 * (t0 + t1), t1, 1.0)
         else:
             c = step(c, t0, t1, 0.5)
-        if any(abs(t - t1) <= 1e-12 * max(t, 1.0) for t in T_out):
+        if any(abs(t - t1) <= 1e-12 * max(t, 1.0) for t in levels):
             out.append(c.copy())
     return np.array(out)
 
 
-@pytest.mark.parametrize("model, setup, T_out, n_space", [
+KINK = make_piecewise_linear(0.008, 0.1, 0.2, 0.03)
+
+
+@pytest.mark.parametrize("model, setup, levels, n_space", [
     (make_quadratic_sabr(0.01, 0.3, -0.3, 0.03), MarketSetup(S0=0.03), [1.0], 801),
-    (make_piecewise_linear(0.008, 0.1, 0.2, 0.03),
-     MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001), [0.5, 1.0, 2.0], 201),
+    (KINK, MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001), [0.5, 1.0, 2.0], 201),
+    (KINK, MarketSetup(S0=0.03, mu0=0.002), [0.5, 1.0, 2.0], 201),
 ])
-def test_march_bit_identical_to_per_step_banded_solve(model, setup, T_out, n_space):
-    T = T_out[-1]
-    grid = default_grid(model, setup, T, n_space=n_space)
-    sol = solve_forward(model, setup, grid, T, T_out=T_out)
-    want = reference_march(model, setup, sol.strikes, T, T_out,
-                           max(math.ceil(grid.n_time_per_year * T), grid.min_time_steps))
+def test_march_bit_identical_to_per_step_banded_solve(model, setup, levels, n_space):
+    T = levels[-1]
+    sol = solve_forward(model, setup, levels, n_space=n_space)
+    # the default 40 steps a year, at least 64
+    want = reference_march(model, setup, sol.strikes, T, levels, max(math.ceil(40 * T), 64))
     assert np.array_equal(sol.prices, want)
+
+
+@pytest.mark.parametrize("mu0, mu1, factorizations", [
+    (0.0, 0.0, 9), (0.002, 0.0, 9), (0.002, -0.001, 82)])
+def test_march_factors_once_per_operator(monkeypatch, mu0, mu1, factorizations):
+    # a constant drift factors each distinct (dt, theta) once; mu1 != 0
+    # changes the operator every (half-)step
+    from scipy.linalg import lapack
+
+    calls = []
+    dgttrf = lapack.dgttrf
+
+    def counted(*a, **k):
+        calls.append(a[1].size)
+        return dgttrf(*a, **k)
+
+    monkeypatch.setattr(lapack, "dgttrf", counted)
+    solve_forward(KINK, MarketSetup(S0=0.03, mu0=mu0, mu1=mu1), 2.0, n_space=201)
+    assert calls == [201] * factorizations
 
 
 def test_non_finite_local_vol_rejected():
     base = constant_model(0.01)
     model = dataclasses.replace(base, vol=lambda s: np.where(s > 0.06, math.nan, base.vol(s)))
     setup = MarketSetup(S0=0.03)
-    grid = default_grid(model, setup, 1.0, n_space=101)
     with pytest.raises(ValueError, match="sigma_D not finite and positive"):
-        solve_forward(model, setup, grid, 1.0)
+        solve_forward(model, setup, 1.0, n_space=101)
 
 
 def test_grid_validation():
-    sizes = {"n_time_per_year": 40, "min_time_steps": 64}
-    with pytest.raises(ValueError):
-        PdeGrid(K_min=0.0, K_max=0.1, n_space=11, **sizes)
-    with pytest.raises(ValueError):
-        PdeGrid(K_min=0.2, K_max=0.1, n_space=1601, **sizes)
-    # the grid sizes have their defaults in default_grid only
-    with pytest.raises(TypeError):
-        PdeGrid(K_min=0.0, K_max=0.1)
+    model = constant_model(0.01)
+    setup = MarketSetup(S0=0.03)
+    with pytest.raises(ValueError, match="at least 51 space nodes"):
+        solve_forward(model, setup, 1.0, n_space=11)
+    # a zero maturity spans no strikes
+    with pytest.raises(ValueError, match="K_min must be below K_max"):
+        solve_forward(model, setup, 0.0)
 
 
 def test_positivity_clipping_in_meta():
@@ -207,14 +221,22 @@ def test_positivity_clipping_in_meta():
     # 10-stdev span 0.03 -+ 0.44 at T = 10, so the grid is cut on the left only
     model = make_shifted_lognormal(0.014 - 0.2 * 0.03, 0.1, 0.03)
     setup = MarketSetup(S0=0.03)
-    grid = default_grid(model, setup, 10.0, n_space=201)
-    assert grid.clipped == (True, False)
-    assert -0.04 < grid.K_min < -0.0399
-    sol = solve_forward(model, setup, grid, 10.0)
+    sol = solve_forward(model, setup, 10.0, n_space=201)
     assert sol.meta["clipped"] == (True, False)
-    short = default_grid(model, setup, 0.1, n_space=201)
-    assert short.clipped == (False, False)
-    assert solve_forward(model, setup, short, 0.1).meta["clipped"] == (False, False)
+    assert -0.04 < sol.strikes[0] < -0.04 + sol.meta["dx"]
+    assert solve_forward(model, setup, 0.1, n_space=201).meta["clipped"] == (False, False)
+
+
+def test_meta_round_trips_through_json():
+    # sigma_D(S0) is a numpy float for SABR; the clipped flags stay Python bools
+    clipped = solve_forward(make_shifted_lognormal(0.008, 0.1, 0.03),
+                            MarketSetup(S0=0.03), 10.0, n_space=201)
+    sabr = solve_forward(make_quadratic_sabr(0.01, 0.3, -0.3, 0.03),
+                         MarketSetup(S0=0.03), 1.0, n_space=201)
+    for sol, flags in ((clipped, [True, False]), (sabr, [False, False])):
+        back = json.loads(json.dumps(sol.meta))
+        assert back == {**sol.meta, "clipped": flags}
+        assert all(type(f) is bool for f in sol.meta["clipped"])
 
 
 def test_price_at_strikes_interpolates_within_kink_stretches():
@@ -222,8 +244,7 @@ def test_price_at_strikes_interpolates_within_kink_stretches():
     # stencil never reaches across the kink node at S0
     model = make_piecewise_linear(0.008, -0.1, 0.1, 0.03)
     setup = MarketSetup(S0=0.03)
-    grid = default_grid(model, setup, 1.0, n_space=101)
-    sol = solve_forward(model, setup, grid, 1.0)
+    sol = solve_forward(model, setup, 1.0, n_space=101)
     ks = sol.strikes
     (j0,) = sol.kinks
     assert abs(ks[j0] - 0.03) < 1e-15

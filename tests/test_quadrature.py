@@ -71,18 +71,18 @@ def test_gauss_legendre_signed_and_breakpoints():
 
 
 def test_gauss_legendre_rule_edges_and_orientation():
-    edges, nodes, weights = gauss_legendre_rule(2.0, -1.0, breakpoints=(0.0, 5.0),
-                                                n_nodes=4, n_panels=3)
-    # panels run from a to b, 3 per stretch between breakpoints, with 0.0 an edge
-    assert edges[0] == 2.0 and edges[-1] == -1.0 and 0.0 in edges
-    assert len(edges) == 7 and np.all(np.diff(edges) < 0)
-    assert nodes.shape == weights.shape == (6, 4)
+    edges, nodes, weights = gauss_legendre_rule(2.0, -1.0, breakpoints=(0.0, 5.0))
+    # panels run from a to b, 8 per stretch between breakpoints, with 0.0 an
+    # edge and 5.0 (outside the span) none
+    assert edges[0] == 2.0 and edges[8] == 0.0 and edges[-1] == -1.0
+    assert len(edges) == 17 and np.all(np.diff(edges) < 0)
+    assert nodes.shape == weights.shape == (16, 16)
     assert np.all(np.diff(nodes.ravel()) < 0)
     assert (weights * nodes ** 2).sum() == pytest.approx(-3.0, rel=1e-14)
 
 
 def test_legendre_cumulative_integrates_polynomials():
-    t, w, Q = legendre_cumulative(16)
+    t, w, Q = legendre_cumulative()
     for k in range(16):
         # int_{-1}^{t} s^k ds, exact for every degree the 16 nodes interpolate
         want = (t ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
@@ -92,7 +92,7 @@ def test_legendre_cumulative_integrates_polynomials():
 
 def test_cached_rule_is_read_only_and_equals_a_fresh_build():
     xs, ws = np.polynomial.legendre.leggauss(16)
-    t, w, Q = legendre_cumulative(16)
+    t, w, Q = legendre_cumulative()
     assert t.tobytes() == xs.tobytes() and w.tobytes() == ws.tobytes()
     for shared in (t, w, Q):
         with pytest.raises(ValueError):
