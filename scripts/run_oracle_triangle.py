@@ -37,7 +37,7 @@ def run(n_cases: int = 10, seed: int = 2024) -> int:
             exact = model2b_call_by_density(sigma0, b, S0, K, T)
             kind = "kink"
         setup = MarketSetup(S0=S0)
-        mc = mc_call(model, setup, K, T, McSpec(n_paths=100_000, seed=seed + i))
+        mc = mc_call(model, setup, K, T, McSpec(seed=seed + i))
         pde = pde_price(model, setup, K, T)
         tol = 3.0 * mc.std_error
         ok = (abs(mc.price - exact) <= tol and abs(mc.price - pde) <= tol

@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from nvol.bachelier import NormalQuote, bachelier_call
-from nvol.exact_solutions import shifted_ln_exact_call
-from nvol.mc_oracle import McSpec, mc_call, simulate_terminal
+from nvol.bachelier import NormalQuote, bachelier_call, implied_vol_and_flag
+from nvol.exact_solutions import model2b_call_by_density, shifted_ln_exact_call
+from nvol.mc_oracle import McSpec, _march, mc_call, simulate_terminal
 from nvol.models import MarketSetup, make_piecewise_linear, make_shifted_lognormal
 
 
@@ -65,7 +65,7 @@ def test_constant_vol_atm_within_three_se():
     c = 0.012
     model = make_shifted_lognormal(c, 0.0, 0.03)
     setup = MarketSetup(S0=0.03)
-    res = mc_call(model, setup, 0.03, 1.0, McSpec(n_paths=100_000, seed=5))
+    res = mc_call(model, setup, 0.03, 1.0, McSpec(seed=5))
     want = bachelier_call(NormalQuote(F=0.03, K=0.03, T=1.0, sigmaN=c))
     assert abs(res.price - want) <= 3.0 * res.std_error
     assert res.n_boundary_hits == 0
@@ -76,8 +76,10 @@ def test_shifted_ln_prices_within_three_se():
     model = make_shifted_lognormal(sigma0, b, S0)
     setup = MarketSetup(S0=S0)
     cases = [(0.03, 0.5), (0.032, 0.5), (0.028, 1.0), (0.035, 2.0), (0.03, 2.0)]
+    # the default 4096 paths leave the T = 2 errors up to 7% above those of the
+    # old 1e5-path estimator; 8192 paths keep every case at or below them
     for i, (K, T) in enumerate(cases):
-        res = mc_call(model, setup, K, T, McSpec(n_paths=100_000, seed=10 + i))
+        res = mc_call(model, setup, K, T, McSpec(n_paths=8192, seed=10 + i))
         want = shifted_ln_exact_call(sigma0, b, S0, K, T)
         assert abs(res.price - want) <= 3.0 * res.std_error, (K, T)
 
@@ -106,25 +108,36 @@ def test_strike_array_equals_one_strike_calls():
     assert type(single[0].price) is float and type(single[0].std_error) is float
 
 
-def _reference_terminal(model, setup, T, spec):
-    """The out-of-place Euler march, one array per operation."""
+def _reference_paths(model, setup, T, spec):
+    """The out-of-place fine, coarse and shadow marches, one array per operation."""
     from scipy.special import ndtri
 
-    n_steps = max(1, int(math.ceil(T * spec.steps_per_year)))
+    n_steps = 2 * max(1, math.ceil(T * spec.steps_per_year / 2))
     dt = T / n_steps
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     lo, hi = model.positivity_domain
     pad = 1e-12 * max(1.0, abs(setup.S0), *(abs(x) for x in (lo, hi) if math.isfinite(x)))
     lo_c, hi_c = lo + pad, hi - pad
-    S = np.full(spec.n_paths, setup.S0)
+    shadow_vol = float(model.vol(min(max(setup.S0, lo_c), hi_c)))
+    fine = coarse = np.full(spec.n_paths, setup.S0)
+    z_sum = np.zeros(spec.n_paths)
+    drift_sum = 0.0
     exited = np.zeros(spec.n_paths, dtype=bool)
     for k in range(n_steps):
         z = ndtri(rng.random(spec.n_paths // 2))
         z = np.concatenate([z, -z])
-        exited |= (S < lo_c) | (S > hi_c)
-        S = (S + model.vol(np.clip(S, lo_c, hi_c)) * math.sqrt(dt) * z
-             + setup.drift((k + 0.5) * dt) * dt)
-    return S, int(exited.sum())
+        z_sum = z_sum + z
+        drift_dt = setup.drift((k + 0.5) * dt) * dt
+        drift_sum += drift_dt
+        exited |= (fine < lo_c) | (fine > hi_c)
+        fine = fine + model.vol(np.clip(fine, lo_c, hi_c)) * math.sqrt(dt) * z + drift_dt
+        if k % 2:
+            exited |= (coarse < lo_c) | (coarse > hi_c)
+            coarse = (coarse + model.vol(np.clip(coarse, lo_c, hi_c)) * math.sqrt(dt)
+                      * (z_prev + z) + setup.drift(k * dt) * (2.0 * dt))
+        z_prev = z
+    shadow = z_sum * (shadow_vol * math.sqrt(dt)) + setup.S0 + drift_sum
+    return fine, coarse, shadow, int(exited.sum())
 
 
 @pytest.mark.parametrize("model", [make_shifted_lognormal(-0.002, 0.2, 0.03),
@@ -134,9 +147,14 @@ def _reference_terminal(model, setup, T, spec):
 def test_in_place_march_equals_reference_bit_for_bit(model):
     setup = MarketSetup(S0=0.006, mu0=0.001, mu1=-0.002)
     spec = McSpec(n_paths=1_000, steps_per_year=3, seed=5)
-    S, n_hits = simulate_terminal(model, setup, 2.0, spec)
-    want, want_hits = _reference_terminal(model, setup, 2.0, spec)
-    assert np.array_equal(S, want) and n_hits == want_hits
+    (_, paths), = _march(model, setup, 2.0 / 6, (6,), spec)
+    fine, coarse, shadow, n_hits = _reference_paths(model, setup, 2.0, spec)
+    assert np.array_equal(paths.fine, fine) and np.array_equal(paths.coarse, coarse)
+    assert np.array_equal(paths.shadow, shadow) and paths.n_hits == n_hits
+    # the midpoint sum of the linear drift is the forward's drift term
+    assert paths.shadow_forward == pytest.approx(setup.forward(2.0), rel=1e-14)
+    S, hits = simulate_terminal(model, setup, 2.0, spec)
+    assert np.array_equal(S, fine) and hits == n_hits
 
 
 def _assert_same(got, want):
@@ -152,7 +170,7 @@ def test_maturity_tuple_equals_one_maturity_calls():
     strikes = np.array([0.02, 0.03, 0.041])
     # 0.25, 0.5 and 1.0 step by 0.005; 0.1234 has its own step; 0.5 repeats
     maturities = (0.5, 0.25, 1.0, 0.1234, 0.5)
-    assert 0.1234 / math.ceil(0.1234 * 200) != 0.005
+    assert 0.1234 / (2 * math.ceil(0.1234 * 100)) != 0.005
     res = mc_call(model, setup, strikes, maturities, spec)
     assert type(res) is tuple and len(res) == len(maturities)
     for T, r in zip(maturities, res):
@@ -165,9 +183,75 @@ def test_maturity_tuple_counts_boundary_hits_per_maturity():
     model = make_shifted_lognormal(-0.002, 0.2, 0.03)
     setup = MarketSetup(S0=0.006)
     spec = McSpec(n_paths=2_000, steps_per_year=1, seed=7)
-    maturities = (5.0, 2.0, 3.0, 2.5)  # 2.5 steps by 5/6, the others by 1
+    maturities = (6.0, 2.0, 4.0, 2.5)  # 2.5 steps by 5/8, the others by 1
     res = mc_call(model, setup, 0.006, maturities, spec)
     for T, r in zip(maturities, res):
         _assert_same(r, mc_call(model, setup, 0.006, T, spec))
     hits = [r.n_boundary_hits for r in res]
     assert 0 < hits[1] < hits[0]
+
+
+# the perfbench mc_exact models with their closed-form call prices (K, T) -> C
+_CASES = {
+    # sigma_D = 0.008 + 0.2 |S - 0.03|
+    "kink": (make_piecewise_linear(0.008, -0.1, 0.1, 0.03),
+             lambda K, T: model2b_call_by_density(0.008, 0.1, 0.03, K, T)),
+    # sigma_D = 0.014 + 0.2 S
+    "sln": (make_shifted_lognormal(0.014, 0.1, 0.03),
+            lambda K, T: shifted_ln_exact_call(0.014, 0.1, 0.03, K, T)),
+}
+
+
+@pytest.mark.parametrize("case, K", [("kink", 0.026), ("sln", 0.04)])
+def test_extrapolation_cancels_the_euler_bias(case, K):
+    # with the control variate and no extrapolation these two prices sit 9.1
+    # and 8.2 of their standard errors below the closed forms: the O(dt) weak
+    # error of the 200-steps-a-year march, laid bare by the small error
+    model, exact = _CASES[case]
+    res = mc_call(model, MarketSetup(S0=0.03), K, 0.25, McSpec(n_paths=100_000, seed=0))
+    assert abs(res.price - exact(K, 0.25)) <= 3.0 * res.std_error
+
+
+# standard errors of the former estimator (the plain mean of the pair
+# averages of the fine payoff) at 1e5 paths, seed 0, 200 steps a year, on
+# the perfbench mc_exact rows, by (K, T)
+_PLAIN_1E5_SE = {
+    "sln": {
+        (0.020, 0.25): 9.5956e-06, (0.025, 0.25): 1.3236e-05, (0.028, 0.25): 1.4699e-05,
+        (0.032, 0.25): 1.4345e-05, (0.035, 0.25): 1.2646e-05, (0.040, 0.25): 9.0645e-06,
+        (0.020, 0.50): 1.7836e-05, (0.025, 0.50): 2.0980e-05, (0.028, 0.50): 2.1949e-05,
+        (0.032, 0.50): 2.1429e-05, (0.035, 0.50): 1.9966e-05, (0.040, 0.50): 1.6610e-05},
+    "kink": {
+        (0.022, 0.25): 1.3882e-06, (0.026, 0.25): 3.6520e-06, (0.029, 0.25): 5.6336e-06,
+        (0.031, 0.25): 5.6336e-06, (0.034, 0.25): 3.6520e-06, (0.038, 0.25): 1.3882e-06,
+        (0.022, 0.50): 3.9436e-06, (0.026, 0.50): 6.7023e-06, (0.029, 0.50): 8.4480e-06,
+        (0.031, 0.50): 8.4480e-06, (0.034, 0.50): 6.7023e-06, (0.038, 0.50): 3.9436e-06},
+}
+
+
+@pytest.mark.parametrize("case", ["kink", "sln"])
+def test_default_paths_keep_the_former_standard_error(case):
+    model, exact = _CASES[case]
+    old = _PLAIN_1E5_SE[case]
+    strikes = np.array(sorted({K for K, _ in old}))
+    for T, res in zip((0.25, 0.5), mc_call(model, MarketSetup(S0=0.03), strikes, (0.25, 0.5))):
+        for K, price, se in zip(strikes, res.price, res.std_error):
+            assert se <= old[(K, T)], (K, T)
+            assert abs(price - exact(K, T)) <= 3.0 * se, (K, T)
+
+
+def test_strikes_no_pair_straddles_price_without_a_control():
+    # no shadow pair straddles K = -0.02 (12 stdevs below S0) or 0.08: the
+    # control's pair averages are all one value, so it carries no information
+    model, _ = _CASES["kink"]
+    setup = MarketSetup(S0=0.03)
+    T = 0.25
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = mc_call(model, setup, np.array([-0.02, 0.08]), T)
+        vol, flag = implied_vol_and_flag(res.price[1], setup.forward(T), 0.08, T)
+    # far out of the money every payoff is 0: an estimate at intrinsic
+    assert res.price[1] == 0.0 and res.std_error[1] == 0.0
+    assert math.isnan(vol) and flag == "no_time_value"
+    # deep in the money every payoff is linear and the estimate is the forward's
+    assert abs(res.price[0] - (setup.forward(T) + 0.02)) <= 3.0 * res.std_error[0]
