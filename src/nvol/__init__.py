@@ -2,9 +2,10 @@
 volatility models, with PDE / Monte-Carlo / closed-form oracles."""
 
 from .asymptotics import (BreakpointError, DomainError, NonAnalyticWarning,
-                          sigma0, sigma0_series_atm, sigma1, sigma1_jump,
-                          sigma1_series_atm, sigma2, sigma2_atm, smile)
-from .bachelier import (LognormalQuote, NormalQuote, atm_lognormal_from_normal,
+                          expansion, sigma0, sigma0_series_atm, sigma1,
+                          sigma1_jump, sigma1_series_atm, sigma2, sigma2_atm,
+                          smile)
+from .bachelier import (NormalQuote, atm_lognormal_from_normal,
                         atm_normal_from_lognormal, bachelier_call,
                         bachelier_vega, black_scholes_call, implied_normal_vol,
                         short_time_normal_from_lognormal_smile)
@@ -16,7 +17,7 @@ from .exact_solutions import (FitReport, drifted_ln_atm_call,
                               shifted_ln_atm_exact_vol, shifted_ln_atm_series,
                               shifted_ln_drift_atm_call, shifted_ln_exact_call,
                               sqrt_t_detector)
-from .mc_oracle import McResult, McSpec, mc_call, simulate_terminal
+from .mc_oracle import McResult, McSpec, mc_call
 from .models import (LocalVolModel, MarketSetup, load_tabulated_csv,
                      make_piecewise_linear, make_quadratic_sabr,
                      make_shifted_lognormal, make_tabulated)
@@ -24,11 +25,11 @@ from .quadrature import integrate
 
 __all__ = [
     "BreakpointError", "DomainError", "FitReport",
-    "LocalVolModel", "LognormalQuote", "MarketSetup", "McResult", "McSpec",
+    "LocalVolModel", "MarketSetup", "McResult", "McSpec",
     "NonAnalyticWarning", "NormalQuote", "PdeSolution",
     "atm_implied_vol", "atm_lognormal_from_normal",
     "atm_normal_from_lognormal", "bachelier_call", "bachelier_vega",
-    "black_scholes_call", "drifted_ln_atm_call",
+    "black_scholes_call", "drifted_ln_atm_call", "expansion",
     "extract_local_vol", "implied_normal_vol", "implied_smile_from_pde",
     "integrate", "load_tabulated_csv", "make_piecewise_linear",
     "make_quadratic_sabr", "make_shifted_lognormal", "make_tabulated",
@@ -37,7 +38,7 @@ __all__ = [
     "sigma0_series_atm", "sigma1", "sigma1_jump", "sigma1_series_atm",
     "sigma2", "sigma2_atm", "shifted_ln_atm_exact_vol",
     "shifted_ln_atm_series", "shifted_ln_drift_atm_call",
-    "shifted_ln_exact_call", "simulate_terminal", "smile", "solve_forward",
+    "shifted_ln_exact_call", "smile", "solve_forward",
     "sqrt_t_detector",
 ]
 

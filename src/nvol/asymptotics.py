@@ -5,13 +5,14 @@ sigma_N(K, T) = sigma_0(K) + sigma_1(K) T + sigma_2(K) T^2 + ...
 sigma_0 is the harmonic-type average of the local vol between forward and
 strike; sigma_1 and sigma_2 follow from a recursion whose solution is closed
 form in two antiderivatives, J = int dL/sigma_D and the drift integral
-I2 = int (1/sigma_0 - 1/sigma_D)^2, both from F0.  All three coefficients
-take them from one composite Gauss-Legendre rule on [F0, K] and one
-cumulative pass over it: sigma_0 and sigma_1 read the values at K, and
-sigma_2 also integrates over the rule's nodes with the values there.  Every
-coefficient has a removable 0/0 at the money, so inside a small switch
-radius the coefficients are replaced by their Taylor polynomials in
-y = K - F0 built from local-vol derivatives at the forward.
+I2 = int (1/sigma_0 - 1/sigma_D)^2, both from F0.  `expansion` returns the
+coefficients up to a given order from one composite Gauss-Legendre rule on
+[F0, K] and one cumulative pass over it: sigma_0 and sigma_1 read the values
+at K, and sigma_2 also integrates over the rule's nodes with the values
+there.  Every coefficient has a removable 0/0 at the money, so inside a small
+switch radius the coefficients are replaced by their Taylor polynomials in
+y = K - F0 built from local-vol derivatives at the forward.  `sigma0`,
+`sigma1`, `sigma2` and `smile` are views of `expansion`.
 """
 
 from __future__ import annotations
@@ -116,18 +117,6 @@ def _sigma1_taylor(series: tuple[float, float, float], y):
     return (v0 + y * (v1 + 0.5 * y * v2), v1 + y * v2, v2)
 
 
-def sigma0(model: LocalVolModel, F0: float, K: float) -> float:
-    """Leading-order normal vol: (K - F0) / int_{F0}^{K} dL / sigma_D(L)."""
-    _require_domain(model, F0, K)
-    y = K - F0
-    branch = _series_branch(model, F0, y)
-    radius = _ATM_SWITCH_RADIUS * branch.vol(F0)
-    if abs(y) < radius:
-        return _sigma0_taylor(sigma0_series_atm(branch, F0), y)[0]
-    *_, J_K, _ = _node_antiderivatives(model, F0, 0.0, K, branch, radius)
-    return y / J_K
-
-
 def _sigma0_derivs(y, J, sDd):
     """(sigma0, sigma0', sigma0'') at y = K - F0 off the money, from J(K) and
     sDd = (sigma_D, sigma_D', sigma_D'') at K; every input may be an ndarray.
@@ -142,24 +131,6 @@ def _sigma0_derivs(y, J, sDd):
     dval = 1.0 / J - y * Jp / (J * J)
     ddval = -2.0 * Jp / (J * J) + 2.0 * y * Jp * Jp / J ** 3 - y * Jpp / (J * J)
     return (val, dval, ddval)
-
-
-def sigma1(model: LocalVolModel, F0: float, mu0: float, K: float) -> float:
-    """O(T) coefficient at fixed strike.
-
-    sigma1 = sigma0^3/y^2 * ( -1/2 log(sigma0(K)^2 / (sigma_D(K) sigma0(F0)))
-                              + mu0 * int_{F0}^{K} (1/sigma0 - 1/sigma_D)^2 )
-    """
-    _require_domain(model, F0, K)
-    y = K - F0
-    branch = _series_branch(model, F0, y)
-    radius = _ATM_SWITCH_RADIUS * branch.vol(F0)
-    if abs(y) < radius:
-        return _sigma1_taylor(sigma1_series_atm(branch, F0, mu0), y)[0]
-    *_, J_K, I2_K = _node_antiderivatives(model, F0, mu0, K, branch, radius)
-    sDd = (model.vol(K), model.deriv(K, 1), model.deriv(K, 2))
-    s0d = _sigma0_derivs(y, J_K, sDd)
-    return float(_sigma1_with_derivs(mu0, y, s0d, I2_K, sDd, model.vol(F0))[0])
 
 
 def _sigma1_with_derivs(mu0: float, y, s0d, I2, sDd, s00):
@@ -226,7 +197,7 @@ def _node_antiderivatives(model: LocalVolModel, F0: float, mu0: float, K: float,
     summed.  Every panel edge is a chain point, so no gap straddles a
     breakpoint or the handover.  The integrand of I2 needs sigma0 = y/J inside
     each gap; J there comes from the spectral integration matrix of the same
-    gap samples.  As in sigma0, |y| < radius uses the Taylor coefficients of
+    gap samples.  As in expansion, |y| < radius uses the Taylor coefficients of
     the analytic branch instead.  Returns (nodes, weights, J, I2, J(K), I2(K))
     with J and I2 shaped like nodes (I2 is zero without drift).
     """
@@ -254,49 +225,90 @@ def _node_antiderivatives(model: LocalVolModel, F0: float, mu0: float, K: float,
             float(J_end[-1, -1]), float(I2_end[-1, -1]))
 
 
-def sigma2(model: LocalVolModel, F0: float, mu0: float, mu1: float, K: float) -> float:
-    """O(T^2) coefficient at fixed strike.
+def expansion(model: LocalVolModel, setup: MarketSetup, K: float, order: int
+              ) -> tuple[float, ...]:
+    """(sigma0, ..., sigma_order) at strike K for order 0, 1 or 2; none depends on T.
 
+    With y = K - F0 and J = int_{F0}^{K} dL / sigma_D(L):
+
+    sigma0 = y / J(K)
+    sigma1 = sigma0^3/y^2 * ( -1/2 log(sigma0(K)^2 / (sigma_D(K) sigma0(F0)))
+                              + mu0 * int_{F0}^{K} (1/sigma0 - 1/sigma_D)^2 )
     sigma2 = -sigma0^4/y^3 * int_0^y z^2 dz { 3 sigma1^2/(2 sigma_D sigma0^4)
              - sigma_D^3 sigma0''^2/(8 sigma0^4) - sigma_D sigma1''/(2 sigma0^3)
              + H2_mu/(2 sigma_D sigma0^2) }
 
-    The z-integral is the composite 16-node x 8-panel Gauss-Legendre rule of
-    _node_antiderivatives, with J and I2 at its nodes from the same pass.  Within
-    _DERIV_RADIUS_FACTOR switch radii of the money the integrand takes its
-    Taylor forms: the closed forms of the second derivatives cancel like
+    One _node_antiderivatives pass gives J and I2 at K and at the nodes of the
+    rule the z-integral is summed on; order 0 passes it no drift, so it does
+    no I2 work.  Within the ATM switch radius every coefficient is its Taylor
+    polynomial in y instead (sigma2 its ATM value).  Within
+    _DERIV_RADIUS_FACTOR switch radii the sigma2 integrand takes its Taylor
+    forms too: the closed forms of sigma0'' and sigma1'' cancel like
     1/y^2 .. 1/y^4 there.
     """
+    if order not in (0, 1, 2):
+        raise ValueError("order must be 0, 1 or 2")
+    F0, mu1 = setup.S0, setup.mu1
+    mu0 = setup.mu0 if order else 0.0
     _require_domain(model, F0, K)
     y = K - F0
     branch = _series_branch(model, F0, y)
     radius = _ATM_SWITCH_RADIUS * branch.vol(F0)
     if abs(y) < radius:
-        return sigma2_atm(branch, F0, mu0, mu1)
+        coeffs = [_sigma0_taylor(sigma0_series_atm(branch, F0), y)[0]]
+        if order:
+            coeffs.append(_sigma1_taylor(sigma1_series_atm(branch, F0, mu0), y)[0])
+        if order == 2:
+            coeffs.append(sigma2_atm(branch, F0, mu0, mu1))
+        return tuple(float(c) for c in coeffs)
 
-    nodes, weights, J, I2, J_K, _ = _node_antiderivatives(model, F0, mu0, K, branch, radius)
-    z = nodes - F0
-    sDd = (model.vol(nodes), model.deriv(nodes, 1), model.deriv(nodes, 2))
-    # Gauss nodes never sit on F0, so the closed forms stay finite inside the
-    # Taylor window too, where np.where discards them
-    closed0 = _sigma0_derivs(z, J, sDd)
-    closed1 = _sigma1_with_derivs(mu0, z, closed0, I2, sDd, model.vol(F0))
-    taylor = np.abs(z) < _DERIV_RADIUS_FACTOR * radius
-    s0d = tuple(np.where(taylor, t, c) for t, c in
-                zip(_sigma0_taylor(sigma0_series_atm(branch, F0), z), closed0))
-    s1d = tuple(np.where(taylor, t, c) for t, c in
-                zip(_sigma1_taylor(sigma1_series_atm(branch, F0, mu0), z), closed1))
-    sD = sDd[0]
-    s0, _, s0pp = s0d
-    s1, _, s1pp = s1d
-    core = (1.5 * s1 * s1 / (sD * s0 ** 4)
-            - sD ** 3 * s0pp * s0pp / (8.0 * s0 ** 4)
-            - sD * s1pp / (2.0 * s0 ** 3))
-    if mu0 != 0.0 or mu1 != 0.0:
-        core += _h2_mu(mu0, mu1, z, sD, s0d, s1d) / (2.0 * sD * s0 * s0)
-    # summed node by node, left to right, not by numpy's pairwise sum
-    val = sum((weights * (z * z * core)).ravel().tolist())
-    return float(-(y / J_K) ** 4 / y ** 3 * val)
+    nodes, weights, J, I2, J_K, I2_K = _node_antiderivatives(model, F0, mu0, K, branch, radius)
+    coeffs = [y / J_K]
+    if order:
+        sDd = (model.vol(K), model.deriv(K, 1), model.deriv(K, 2))
+        s0d = _sigma0_derivs(y, J_K, sDd)
+        coeffs.append(_sigma1_with_derivs(mu0, y, s0d, I2_K, sDd, model.vol(F0))[0])
+    if order == 2:
+        z = nodes - F0
+        sDd = (model.vol(nodes), model.deriv(nodes, 1), model.deriv(nodes, 2))
+        # Gauss nodes never sit on F0, so the closed forms stay finite inside the
+        # Taylor window too, where np.where discards them
+        closed0 = _sigma0_derivs(z, J, sDd)
+        closed1 = _sigma1_with_derivs(mu0, z, closed0, I2, sDd, model.vol(F0))
+        taylor = np.abs(z) < _DERIV_RADIUS_FACTOR * radius
+        s0d = tuple(np.where(taylor, t, c) for t, c in
+                    zip(_sigma0_taylor(sigma0_series_atm(branch, F0), z), closed0))
+        s1d = tuple(np.where(taylor, t, c) for t, c in
+                    zip(_sigma1_taylor(sigma1_series_atm(branch, F0, mu0), z), closed1))
+        sD = sDd[0]
+        s0, _, s0pp = s0d
+        s1, _, s1pp = s1d
+        core = (1.5 * s1 * s1 / (sD * s0 ** 4)
+                - sD ** 3 * s0pp * s0pp / (8.0 * s0 ** 4)
+                - sD * s1pp / (2.0 * s0 ** 3))
+        if mu0 != 0.0 or mu1 != 0.0:
+            core += _h2_mu(mu0, mu1, z, sD, s0d, s1d) / (2.0 * sD * s0 * s0)
+        # summed node by node, left to right, not by numpy's pairwise sum
+        val = sum((weights * (z * z * core)).ravel().tolist())
+        coeffs.append(-coeffs[0] ** 4 / y ** 3 * val)
+    return tuple(float(c) for c in coeffs)
+
+
+# one-coefficient views of expansion, looked up by the tests and the perfbench tracer
+
+def sigma0(model: LocalVolModel, F0: float, K: float) -> float:
+    """Leading-order normal vol: (K - F0) / int_{F0}^{K} dL / sigma_D(L)."""
+    return expansion(model, MarketSetup(F0), K, 0)[0]
+
+
+def sigma1(model: LocalVolModel, F0: float, mu0: float, K: float) -> float:
+    """O(T) coefficient at fixed strike."""
+    return expansion(model, MarketSetup(F0, mu0), K, 1)[1]
+
+
+def sigma2(model: LocalVolModel, F0: float, mu0: float, mu1: float, K: float) -> float:
+    """O(T^2) coefficient at fixed strike."""
+    return expansion(model, MarketSetup(F0, mu0, mu1), K, 2)[2]
 
 
 def sigma2_atm(model: LocalVolModel, F0: float, mu0: float = 0.0, mu1: float = 0.0) -> float:
@@ -332,18 +344,6 @@ def sigma1_jump(model: LocalVolModel, F0: float) -> float:
     return vr - vl
 
 
-def expansion_coefficient(model: LocalVolModel, setup: MarketSetup, K: float, order: int) -> float:
-    """sigma0, sigma1 or sigma2 at strike K; the coefficients do not depend on T."""
-    F0 = setup.S0
-    if order == 0:
-        return sigma0(model, F0, K)
-    if order == 1:
-        return sigma1(model, F0, setup.mu0, K)
-    if order == 2:
-        return sigma2(model, F0, setup.mu0, setup.mu1, K)
-    raise ValueError("order must be 0, 1 or 2")
-
-
 def smile_from_coefficients(coeffs, T: float) -> float:
     """sigma0 + sigma1 T + sigma2 T^2 truncated after the coefficients given."""
     out = coeffs[0]
@@ -361,12 +361,9 @@ def smile(model: LocalVolModel, setup: MarketSetup, K: float, T: float, order: i
     the coefficients, not through a moving moneyness.  Warns for models with
     breakpoints, whose smiles carry sqrt(T) terms the series misses.
     """
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
     if model.breakpoints:
         warnings.warn(
             "power-series-in-T smile for a non-analytic local vol: the expansion "
             "misses sqrt(T) terms (use the sqrt-T detector)", NonAnalyticWarning,
             stacklevel=2)
-    coeffs = [expansion_coefficient(model, setup, K, k) for k in range(order + 1)]
-    return smile_from_coefficients(coeffs, T)
+    return smile_from_coefficients(expansion(model, setup, K, order), T)

@@ -32,23 +32,6 @@ class NormalQuote:
             raise ValueError(f"normal vol must be >= 0, got {self.sigmaN}")
 
 
-@dataclass(frozen=True)
-class LognormalQuote:
-    F: float
-    K: float
-    T: float
-    sigmaBS: float
-
-    def __post_init__(self):
-        if self.F <= 0.0 or self.K <= 0.0:
-            raise ValueError("forward and strike must be positive for a log-normal quote")
-
-    @property
-    def x(self) -> float:
-        """Log-moneyness log(K/F)."""
-        return math.log(self.K / self.F)
-
-
 def bachelier_call(q: NormalQuote) -> float:
     """Undiscounted call price under a normal terminal distribution."""
     F, K, T, s = q.F, q.K, q.T, q.sigmaN

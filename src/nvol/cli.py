@@ -25,8 +25,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .asymptotics import (DomainError, expansion_coefficient, sigma1_jump,
-                          smile_from_coefficients)
+from .asymptotics import DomainError, expansion, sigma1_jump, smile_from_coefficients
 from .bachelier import (atm_lognormal_from_normal, atm_normal_from_lognormal,
                         implied_vol_and_flag)
 from .dupire_pde import extract_local_vol, implied_smile_from_pde, solve_forward
@@ -144,6 +143,9 @@ def load_config(path: str) -> ExperimentConfig:
         model, exact_call = _build_model(kind, cp["model"], setup.S0)
     except ValueError as e:
         raise ConfigError(f"[model]: {e}") from e
+    if not model.in_domain(setup.S0):
+        raise ConfigError(f"[market]: S0 = {setup.S0!r} lies outside the positivity "
+                          f"domain {model.positivity_domain} of the model")
 
     strikes: list[float] = []
     if "strikes" in cp:
@@ -210,16 +212,12 @@ def load_config(path: str) -> ExperimentConfig:
                 pde_opts[key] = value
     mc_opts = {}
     if "mc" in cp:
-        sec = cp["mc"]
-        # every path is paired with its mirror image, so n_paths must be even
-        for key, valid, need in (
-                ("n_paths", lambda v: v >= 2 and v % 2 == 0, "even and >= 2"),
-                ("steps_per_year", lambda v: v >= 1, ">= 1")):
-            if key in sec:
-                value = _get(sec, key, "[mc]", cast=int)
-                if not valid(value):
-                    raise ConfigError(f"[mc]: '{key}' must be {need}, got {value!r}")
-                mc_opts[key] = value
+        mc_opts = {key: _get(cp["mc"], key, "[mc]", cast=int)
+                   for key in ("n_paths", "steps_per_year") if key in cp["mc"]}
+        try:
+            McSpec(**mc_opts)
+        except ValueError as e:
+            raise ConfigError(f"[mc]: {e}, got {mc_opts}") from e
 
     return ExperimentConfig(model=model, exact_call=exact_call, setup=setup,
                             strikes=strikes, maturities=maturities, methods=methods,
@@ -245,32 +243,26 @@ def _emit_rows(rows: list[dict], out: str | None, fmt: str,
             fh.write(text)
 
 
-# Each method is a generator function (cfg, seed, coeffs) that yields one
-# block of (sigma_N, flag), in strike order, per maturity of cfg.maturities;
-# `coeffs` maps a strike to its expansion coefficients, shared by the orders.
+# Each method is a generator function (cfg, seed) that yields one block of
+# (sigma_N, flag), in strike order, per maturity of cfg.maturities.
 
 def _asympt(order: int):
-    def blocks(cfg: ExperimentConfig, seed: int, coeffs: dict):
+    def blocks(cfg: ExperimentConfig, seed: int):
         # smile() warns on the models with a breakpoint
         flag = "low_confidence" if cfg.model.breakpoints else "ok"
+        coeffs = [expansion(cfg.model, cfg.setup, K, order) for K in cfg.strikes]
         for T in cfg.maturities:
-            block = []
-            for K in cfg.strikes:
-                c = coeffs.setdefault(K, [])
-                while len(c) <= order:
-                    c.append(expansion_coefficient(cfg.model, cfg.setup, K, len(c)))
-                block.append((smile_from_coefficients(c[:order + 1], T), flag))
-            yield block
+            yield [(smile_from_coefficients(c, T), flag) for c in coeffs]
     return blocks
 
 
-def _pde(cfg: ExperimentConfig, seed: int, coeffs: dict):
+def _pde(cfg: ExperimentConfig, seed: int):
     for T in cfg.maturities:
         sol = solve_forward(cfg.model, cfg.setup, T, **cfg.pde_opts)
         yield implied_smile_from_pde(sol, cfg.setup, T, cfg.strikes)
 
 
-def _mc(cfg: ExperimentConfig, seed: int, coeffs: dict):
+def _mc(cfg: ExperimentConfig, seed: int):
     # every maturity from one march per step size
     results = mc_call(cfg.model, cfg.setup, cfg.strikes, tuple(cfg.maturities),
                       McSpec(seed=seed, **cfg.mc_opts))
@@ -280,7 +272,7 @@ def _mc(cfg: ExperimentConfig, seed: int, coeffs: dict):
                for K, p in zip(cfg.strikes, res.price)]
 
 
-def _exact(cfg: ExperimentConfig, seed: int, coeffs: dict):
+def _exact(cfg: ExperimentConfig, seed: int):
     for T in cfg.maturities:
         F = cfg.setup.forward(T)
         block = []
@@ -296,8 +288,7 @@ _METHODS = {"asympt0": _asympt(0), "asympt1": _asympt(1), "asympt2": _asympt(2),
 
 def cmd_smile(args) -> int:
     cfg = load_config(args.config)
-    coeffs: dict[float, list[float]] = {}
-    blocks = [_METHODS[m](cfg, args.seed, coeffs) for m in cfg.methods]
+    blocks = [_METHODS[m](cfg, args.seed) for m in cfg.methods]
     rows: list[dict] = []
     for T in cfg.maturities:
         for method, gen in zip(cfg.methods, blocks):
@@ -320,11 +311,8 @@ _TABLE1_MATURITIES = (1.0, 2.0, 5.0, 10.0, 20.0, 30.0)
 def table1_rows(sigma0bar: float = 0.03, b: float = 0.2,
                 maturities=_TABLE1_MATURITIES) -> list[dict]:
     """ATM deviations (orders 0/1/2 minus exact) for sigma_D = sigma0bar + 2bY."""
-    from .asymptotics import sigma1_series_atm, sigma2_atm
-
     model = make_shifted_lognormal(sigma0bar, b, 0.0)
-    s1 = sigma1_series_atm(model, 0.0)[0]
-    s2 = sigma2_atm(model, 0.0)
+    _, s1, s2 = expansion(model, MarketSetup(0.0), 0.0, 2)
     rows = []
     for T in maturities:
         ex = shifted_ln_atm_exact_vol(sigma0bar, b, T)
@@ -336,7 +324,10 @@ def table1_rows(sigma0bar: float = 0.03, b: float = 0.2,
 
 
 def cmd_table1(args) -> int:
-    rows = table1_rows(args.sigma0bar, args.b)
+    try:
+        rows = table1_rows(args.sigma0bar, args.b)
+    except ValueError as e:
+        raise ConfigError(f"table1: sigma0bar={args.sigma0bar}, b={args.b}: {e}") from e
     print(f"ATM normal-vol deviations, sigma0bar={args.sigma0bar}, b={args.b}")
     print(f"{'T':>4}  {'order0-exact':>13}  {'order1-exact':>13}  {'order2-exact':>13}")
     for r in rows:
@@ -478,6 +469,17 @@ def cmd_extract_lv(args) -> int:
     return EXIT_OK
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="nvol", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -496,9 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="ATM deviation table, shifted log-normal")
     common(p, config_required=False)
-    p.add_argument("--sigma0bar", type=float, default=0.03,
+    p.add_argument("--sigma0bar", type=_finite, default=0.03,
                    help="at-the-money local vol (default 0.03)")
-    p.add_argument("--b", type=float, default=0.2, help="half slope (default 0.2)")
+    p.add_argument("--b", type=_finite, default=0.2, help="half slope (default 0.2)")
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("sqrt-t", help="small-time power-law fit of the ATM deviation")
@@ -506,9 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sqrt_t)
 
     p = sub.add_parser("convert", help="exact ATM normal <-> log-normal vol")
-    p.add_argument("F", type=float, help="forward")
-    p.add_argument("T", type=float, help="maturity")
-    p.add_argument("value", type=float, help="vol to convert")
+    p.add_argument("F", type=_finite, help="forward")
+    p.add_argument("T", type=_finite, help="maturity")
+    p.add_argument("value", type=_finite, help="vol to convert")
     p.add_argument("--direction", choices=("ln2n", "n2ln"), required=True)
     p.set_defaults(func=cmd_convert)
 
@@ -516,11 +518,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="local vol from the `nvol smile` CSV of one method")
     p.add_argument("surface", help="`nvol smile` CSV path (columns K,T,method,sigma_N)")
     common(p, config_required=False)
-    p.add_argument("--s0", type=float, required=True)
-    p.add_argument("--mu0", type=float, default=0.0)
-    p.add_argument("--mu1", type=float, default=0.0)
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--K", type=float, action="append", default=None,
+    p.add_argument("--s0", type=_finite, required=True)
+    p.add_argument("--mu0", type=_finite, default=0.0)
+    p.add_argument("--mu1", type=_finite, default=0.0)
+    p.add_argument("--T", type=_finite, required=True)
+    p.add_argument("--K", type=_finite, action="append", default=None,
                    help="strike (repeatable; default: surface strikes near ATM)")
     p.set_defaults(func=cmd_extract_lv)
     return ap

@@ -167,14 +167,6 @@ def _march(model: LocalVolModel, setup: MarketSetup, dt: float, stops: Sequence[
                             n * dt, n_hits)
 
 
-def simulate_terminal(model: LocalVolModel, setup: MarketSetup, T: float,
-                      spec: McSpec) -> tuple[np.ndarray, int]:
-    """Terminal asset levels S_T of the fine march, plus the boundary-exit count."""
-    n = _n_steps(T, spec)
-    (_, paths), = _march(model, setup, T / n, (n,), spec)
-    return paths.fine, paths.n_hits
-
-
 def _call_stats(p: _Paths, K: float) -> tuple[float, float]:
     """(price, standard error) of the call payoff (S_T - K)+ over mirrored pairs.
 

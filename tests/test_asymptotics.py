@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvol.asymptotics import (BreakpointError, DomainError,
-                              NonAnalyticWarning, sigma0, sigma0_series_atm,
-                              sigma1, sigma1_jump, sigma1_series_atm, sigma2,
-                              sigma2_atm, smile)
+                              NonAnalyticWarning, expansion, sigma0,
+                              sigma0_series_atm, sigma1, sigma1_jump,
+                              sigma1_series_atm, sigma2, sigma2_atm, smile)
 from nvol.models import (MarketSetup, make_piecewise_linear,
                          make_quadratic_sabr, make_shifted_lognormal,
                          make_tabulated)
@@ -170,7 +170,9 @@ def test_drifted_sigma2_vol_evaluations():
 
 def test_coefficients_are_python_floats():
     # numpy scalars from the models must not leak out, on the ATM Taylor
-    # branch (K = F0 and within the switch radius) or off the money
+    # branch (K = F0 and within the switch radius) or off the money; a lower
+    # order is a bit-for-bit prefix of a higher one there, on each branch of
+    # the kink at F0 and with drift
     setup = MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001)
     tab = make_tabulated([(0.0, 0.011), (0.02, 0.0102), (0.04, 0.0101), (0.06, 0.0105),
                           (0.08, 0.0112)])
@@ -182,6 +184,11 @@ def test_coefficients_are_python_floats():
                 assert type(sigma0(m, 0.03, K)) is float, (m.label, K)
                 assert type(sigma1(m, 0.03, mu0, K)) is float, (m.label, K, mu0)
                 assert type(sigma2(m, 0.03, mu0, mu1, K)) is float, (m.label, K, mu0)
+                at = MarketSetup(S0=0.03, mu0=mu0, mu1=mu1)
+                c0, c1, c2 = (expansion(m, at, K, order) for order in range(3))
+                assert type(c2) is tuple and len(c2) == 3
+                assert all(type(c) is float for c in c2), (m.label, K, mu0)
+                assert c1 == c2[:2] and c0 == c2[:1], (m.label, K, mu0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonAnalyticWarning)
             assert type(smile(m, setup, 0.035, 1.0, 2)) is float, m.label
@@ -246,8 +253,14 @@ def test_smile_orders_and_warning():
     v2 = smile(m, setup, 0.035, 1.0, 2)
     assert v0 == pytest.approx(sigma0(m, 0.03, 0.035), rel=1e-14)
     assert abs(v1 - v0) > 0.0 and abs(v2 - v1) < abs(v1 - v0)
+    s0, s1, s2 = expansion(m, setup, 0.035, 2)
+    assert (v0, v1, v2) == (s0, s0 + s1 * 1.0, s0 + s1 * 1.0 + s2 * 1.0 * 1.0)
     with pytest.raises(ValueError):
         smile(m, setup, 0.035, 1.0, 3)
+    with pytest.raises(ValueError, match="order"):
+        expansion(m, setup, 0.035, 3)
+    with pytest.raises(DomainError):
+        expansion(m, setup, -0.05, 0)  # sigma_D vanishes at S = -0.01
     kink = make_piecewise_linear(0.008, -0.1, 0.1, 0.03)
     with pytest.warns(NonAnalyticWarning):
         smile(kink, setup, 0.035, 1.0, 0)

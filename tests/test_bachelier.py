@@ -8,8 +8,7 @@ from scipy.optimize import brentq
 from scipy.stats import norm
 
 from nvol import bachelier
-from nvol.bachelier import (LognormalQuote, NormalQuote,
-                            atm_lognormal_from_normal,
+from nvol.bachelier import (NormalQuote, atm_lognormal_from_normal,
                             atm_normal_from_lognormal, bachelier_call,
                             bachelier_vega, black_scholes_call,
                             implied_normal_vol, implied_vol_and_flag,
@@ -193,10 +192,3 @@ def test_short_time_smile_map():
     direct = sbs * (K - F) / math.log(K / F)
     assert short_time_normal_from_lognormal_smile(K, F, sbs) == pytest.approx(
         direct, rel=1e-12)
-
-
-def test_lognormal_quote_moneyness():
-    q = LognormalQuote(F=0.03, K=0.045, T=1.0, sigmaBS=0.2)
-    assert q.x == pytest.approx(math.log(1.5), rel=1e-14)
-    with pytest.raises(ValueError):
-        LognormalQuote(F=-0.01, K=0.03, T=1.0, sigmaBS=0.2)

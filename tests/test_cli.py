@@ -182,6 +182,23 @@ def test_bad_mc_option_exits_2(tmp_path, capsys, option):
     assert "[mc]" in err and option.split()[0] in err
 
 
+@pytest.mark.parametrize("method", ["pde", "mc", "asympt0"])
+def test_s0_outside_the_positivity_domain_exits_2(tmp_path, capsys, method):
+    # only a tabulated model can get here: the other factories refuse such an
+    # S0; it used to give nan pde rows, a made-up mc vol or an exit 3
+    table = tmp_path / "vol.csv"
+    table.write_text("S,sigma_D\n0,0.011\n0.02,0.0102\n0.04,0.0101\n"
+                     "0.06,0.0105\n0.08,0.0112\n")
+    p = tmp_path / "bad.ini"
+    p.write_text(f"[model]\ntype = tabulated\npath = {table}\n[market]\nS0 = 0.1\n"
+                 f"[strikes]\nlist = 0.03\n[maturities]\nlist = 1\n"
+                 f"[methods]\nlist = {method}\n")
+    code, text = run(["smile", "--config", str(p)])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert "[market]" in err and "(0.0, 0.08)" in err
+
+
 def test_mc_rows_of_shared_march_equal_one_maturity_configs(tmp_path):
     # 0.25 and 0.5 share the step size 0.005 and so one Euler march
     def smile(maturities):
@@ -460,7 +477,7 @@ bR = 0.1""")
 @pytest.mark.parametrize("text, flag", [(DRIFTED_SABR, "ok"), (KINK, "low_confidence")],
                          ids=["drifted_sabr", "kink"])
 def test_smile_rows_equal_smile_function(tmp_path, text, flag):
-    # coefficients are computed once per strike and reused across orders and
+    # each order makes one expansion call per strike, reused across
     # maturities; every row must still be the float smile() gives (JSON
     # output carries the full repr)
     import warnings
@@ -501,6 +518,29 @@ def test_convert_errors():
     code, _ = run(["convert", "0.03", "2.0", f"{cap * 1.01:.12g}",
                    "--direction", "n2ln"])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--sigma0bar", "-0.01"], ["table1", "--sigma0bar", "nan"],
+    ["table1", "--b", "inf"],
+    ["convert", "nan", "1", "0.01", "--direction", "ln2n"],
+    ["convert", "0.03", "inf", "0.2", "--direction", "ln2n"],
+    ["extract-lv", "surface.csv", "--s0", "nan", "--T", "1"],
+    ["extract-lv", "surface.csv", "--s0", "0.03", "--T", "1", "--K", "nan"]],
+                         ids=["table1-degenerate", "table1-nan", "table1-inf", "convert-nan",
+                              "convert-inf", "extract-lv-s0", "extract-lv-K"])
+def test_invalid_numbers_exit_2(tmp_path, capsys, argv):
+    # these used to exit 1 with a traceback or print a nan or 0 row with exit 0
+    if argv[0] == "extract-lv":
+        argv[1] = str(tmp_path / argv[1])
+        write_surface(argv[1])
+    try:
+        code, text = run(argv)
+    except SystemExit as e:  # argparse refuses the value
+        code, text = e.code, ""
+    assert code == 2 and text == ""
+    bad = next(a for a in argv if a in ("nan", "inf", "-0.01"))
+    assert bad in capsys.readouterr().err
 
 
 def write_surface(path, methods=("pde",)):

@@ -6,7 +6,7 @@ import pytest
 
 from nvol.bachelier import NormalQuote, bachelier_call, implied_vol_and_flag
 from nvol.exact_solutions import model2b_call_by_density, shifted_ln_exact_call
-from nvol.mc_oracle import McSpec, _march, mc_call, simulate_terminal
+from nvol.mc_oracle import McSpec, _march, mc_call
 from nvol.models import MarketSetup, make_piecewise_linear, make_shifted_lognormal
 
 
@@ -55,8 +55,10 @@ def test_forward_reproduced():
     model = make_shifted_lognormal(0.002, 0.1, 0.03)
     setup = MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001)
     T = 2.0
-    term, n_hits = simulate_terminal(model, setup, T, McSpec(n_paths=100_000, seed=3))
-    assert n_hits == 0
+    # the 400 fine steps of 2 ceil(T * steps_per_year / 2)
+    (_, paths), = _march(model, setup, T / 400, (400,), McSpec(n_paths=100_000, seed=3))
+    assert paths.n_hits == 0
+    term = paths.fine
     se = float(np.std(term)) / math.sqrt(len(term))
     assert float(np.mean(term)) == pytest.approx(setup.forward(T), abs=3.0 * se)
 
@@ -153,8 +155,6 @@ def test_in_place_march_equals_reference_bit_for_bit(model):
     assert np.array_equal(paths.shadow, shadow) and paths.n_hits == n_hits
     # the midpoint sum of the linear drift is the forward's drift term
     assert paths.shadow_forward == pytest.approx(setup.forward(2.0), rel=1e-14)
-    S, hits = simulate_terminal(model, setup, 2.0, spec)
-    assert np.array_equal(S, fine) and hits == n_hits
 
 
 def _assert_same(got, want):
