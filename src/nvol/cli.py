@@ -259,6 +259,12 @@ def _asympt(order: int):
 def _pde(cfg: ExperimentConfig, seed: int):
     for T in cfg.maturities:
         sol = solve_forward(cfg.model, cfg.setup, T, **cfg.pde_opts)
+        # the grid is centred on S0 whatever the drift
+        F, ks = cfg.setup.forward(T), sol.strikes
+        if not ks[0] <= F <= ks[-1]:
+            raise ConfigError(f"[market]: the forward {F:.6g} at T = {T} lies off the "
+                              f"PDE grid [{ks[0]:.6g}, {ks[-1]:.6g}] around S0; "
+                              f"the drift moves it too far")
         yield implied_smile_from_pde(sol, cfg.setup, T, cfg.strikes)
 
 
@@ -374,6 +380,9 @@ def cmd_sqrt_t(args) -> int:
 def cmd_convert(args) -> int:
     if args.F <= 0.0 or args.T <= 0.0:
         print("convert: F and T must be positive", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.value < 0.0:
+        print(f"convert: the vol must be >= 0, got {args.value!r}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         if args.direction == "ln2n":

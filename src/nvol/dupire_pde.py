@@ -98,9 +98,16 @@ def _build_strike_grid(model: LocalVolModel, setup: MarketSetup, T_max: float,
         raise ValueError("K_min must be below K_max")
     clipped = (bool(k_min != want_min), bool(k_max != want_max))
     dx = (k_max - k_min) / (n_space - 1)
-    # shift so that s0 lands exactly on a node
+    # move the grid so that s0 lands exactly on a node, never out through a
+    # clipped end: shift it inwards from one, shrink dx between two
     offset = (s0 - k_min) / dx
-    shift = (offset - round(offset)) * dx
+    if all(clipped):
+        j = min(max(round(offset), 1), n_space - 2)
+        dx *= min(offset / j, (n_space - 1 - offset) / (n_space - 1 - j))
+        k_min, shift = s0 - j * dx, 0.0
+    else:
+        nearest = math.floor if clipped[0] else math.ceil if clipped[1] else round
+        shift = (offset - nearest(offset)) * dx
     ks = k_min + shift + dx * np.arange(n_space)
     kinks = {int(round((s0 - ks[0]) / dx))}
     # snap remaining breakpoints onto the nearest node
@@ -256,20 +263,20 @@ def atm_implied_vol(sol: PdeSolution, setup: MarketSetup, T: float) -> float:
 
 
 def atm_implied_vol_richardson(model: LocalVolModel, setup: MarketSetup, T: float) -> float:
-    """ATM implied normal vol at T, extrapolated in the space step.
+    """ATM implied normal vol at T, extrapolated in the space and time steps.
 
-    Two solves on 8-stdev grids of 401 and 801 nodes, at 4096 steps a year
-    and at least 512 steps.  The ATM discretization bias is a nearly
-    T-independent O(dx^2) offset; Richardson extrapolation of the two
-    resolutions removes it.  What is left on the configs/sqrtt_*.ini models
-    (-2.7e-9 for T <= 1/8, -6e-10 at T = 1/4) comes from the time step:
-    twice the steps bring the former to -6e-10, while 801 and 1601 nodes
-    leave it at -2.9e-9.
+    Two solves on 8-stdev grids: 401 nodes in 32 steps and 801 nodes in 64
+    steps, whatever T.  The ATM error is about a dx^2 + b dt^2, and halving
+    dx and dt together divides both terms by 4, so (4 fine - coarse) / 3
+    cancels both.  The grid spans a fixed number of stdevs at T, so the
+    problem looks the same at every maturity: on the configs/sqrtt_*.ini
+    models the error left is +3.1e-10 at each of 1/256..1/4 (16 and 32
+    steps leave +2.2e-9; 64 and 128 steps +1.5e-10 at twice the cost).
     """
     vols = []
-    for n_space in (401, 801):
-        sol = solve_forward(model, setup, T, n_space=n_space, n_time_per_year=4096,
-                            width_stdevs=8.0, min_time_steps=512)
+    for n_space, n_steps in ((401, 32), (801, 64)):
+        sol = solve_forward(model, setup, T, n_space=n_space, n_time_per_year=0,
+                            width_stdevs=8.0, min_time_steps=n_steps)
         vols.append(atm_implied_vol(sol, setup, T))
     return (4.0 * vols[1] - vols[0]) / 3.0
 

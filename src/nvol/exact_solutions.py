@@ -192,8 +192,10 @@ def _fit_loglog(ts, ds, exponent=None):
 def sqrt_t_detector(model: LocalVolModel, setup: MarketSetup, T_grid) -> FitReport:
     """Classify the small-time ATM behavior and size any sqrt(T) term.
 
-    For each maturity the forward-PDE ATM vol is computed on a
-    maturity-adapted grid (`atm_implied_vol_richardson`), sigma_D(F0) is
+    For each maturity the forward-PDE ATM vol is extrapolated from two
+    maturity-adapted grids, 401 nodes in 32 steps and 801 nodes in 64
+    (`atm_implied_vol_richardson`, within 5e-10 of the closed forms on
+    configs/sqrtt_*.ini), sigma_D(F0) is
     subtracted, and the deviations are fitted to c T^p twice: free p
     (classification), then p = 1/2 (coefficient extraction, which is the
     value reported).  Models with a derivative jump at the forward give p
@@ -212,7 +214,7 @@ def sqrt_t_detector(model: LocalVolModel, setup: MarketSetup, T_grid) -> FitRepo
     if repeated:
         raise ValueError(f"maturities must be distinct, repeated: {repeated}")
     sD0 = model.vol(setup.S0)
-    # the spatial extrapolation keeps the O(dx^2) ATM bias from flattening
+    # the extrapolation keeps the O(dx^2 + dt^2) ATM bias from flattening
     # the power law at the smallest maturities
     devs = [atm_implied_vol_richardson(model, setup, T) - sD0 for T in T_grid]
     if all(d < 0.0 for d in devs):

@@ -520,6 +520,28 @@ def test_convert_errors():
     assert code == 3
 
 
+@pytest.mark.parametrize("direction, value, code, out", [
+    ("ln2n", "-0.2", 2, ""), ("n2ln", "-0.002", 2, ""),
+    ("ln2n", "0", 0, "0\n"), ("n2ln", "0", 0, "0\n")])
+def test_convert_refuses_a_negative_vol(capsys, direction, value, code, out):
+    # ln2n used to print a negative normal vol with exit 0, n2ln to exit 3
+    assert run(["convert", "0.03", "1", value, "--direction", direction]) == (code, out)
+    assert (value in capsys.readouterr().err) == (code == 2)
+
+
+def test_pde_smile_refuses_a_forward_off_the_grid(tmp_path, capsys):
+    # the grid is 0.03 -+ 0.1 whatever the drift; the forward drifts to 0.53,
+    # where this used to print a 0.0926 vol for a true 0.01 with exit 0
+    p = tmp_path / "drift.ini"
+    p.write_text("[model]\ntype = shifted_lognormal\nsigma0 = 0.01\nb = 0\n"
+                 "[market]\nS0 = 0.03\nmu0 = 0.5\n[strikes]\nlist = 0.03 0.05 0.1\n"
+                 "[maturities]\nlist = 0.001 1\n[methods]\nlist = pde\n")
+    code, text = run(["smile", "--config", str(p)])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert "[market]" in err and "T = 1.0" in err and "0.53" in err, err
+
+
 @pytest.mark.parametrize("argv", [
     ["table1", "--sigma0bar", "-0.01"], ["table1", "--sigma0bar", "nan"],
     ["table1", "--b", "inf"],

@@ -7,7 +7,9 @@ import pytest
 from scipy.linalg import solve_banded
 
 from nvol.bachelier import NormalQuote, bachelier_call
-from nvol.dupire_pde import (atm_implied_vol, extract_local_vol,
+import nvol.dupire_pde
+from nvol.dupire_pde import (_build_strike_grid, atm_implied_vol,
+                             atm_implied_vol_richardson, extract_local_vol,
                              implied_smile_from_pde, solve_forward)
 from nvol.models import (MarketSetup, make_piecewise_linear,
                          make_quadratic_sabr, make_shifted_lognormal)
@@ -198,6 +200,31 @@ def test_march_factors_once_per_operator(monkeypatch, mu0, mu1, factorizations):
     assert calls == [201] * factorizations
 
 
+@pytest.mark.parametrize("T", [1.0 / 256.0, 0.25, 4.0])
+def test_atm_richardson_solves_twice_in_fixed_steps(monkeypatch, T):
+    # 401 nodes in 32 steps and 801 in 64 at every maturity: each step count
+    # plus the two Rannacher half-steps is one dgttrs solve
+    from scipy.linalg import lapack
+
+    grids, solves = [], []
+    solve, dgttrs = solve_forward, lapack.dgttrs
+
+    def recorded(*a, **k):
+        sol = solve(*a, **k)
+        grids.append((sol.strikes.size, sol.meta["n_steps"]))
+        return sol
+
+    def counted(*a, **k):
+        solves.append(a[-1].size)
+        return dgttrs(*a, **k)
+
+    monkeypatch.setattr(nvol.dupire_pde, "solve_forward", recorded)
+    monkeypatch.setattr(lapack, "dgttrs", counted)
+    atm_implied_vol_richardson(KINK, MarketSetup(S0=0.03), T)
+    assert grids == [(401, 32), (801, 64)]
+    assert solves == [401] * (32 + 2) + [801] * (64 + 2)
+
+
 def test_non_finite_local_vol_rejected():
     base = constant_model(0.01)
     model = dataclasses.replace(base, vol=lambda s: np.where(s > 0.06, math.nan, base.vol(s)))
@@ -225,6 +252,31 @@ def test_positivity_clipping_in_meta():
     assert sol.meta["clipped"] == (True, False)
     assert -0.04 < sol.strikes[0] < -0.04 + sol.meta["dx"]
     assert solve_forward(model, setup, 0.1, n_space=201).meta["clipped"] == (False, False)
+
+
+def test_shifted_grid_keeps_every_node_inside_the_domain():
+    # sigma_D = 0.014 + 0.2 (S - 0.03) vanishes at S = -0.04; placing S0 on a
+    # node used to move this left-clipped grid's first node to -0.040937,
+    # where sigma_D < 0
+    model = make_shifted_lognormal(0.008, 0.1, 0.03)
+    setup = MarketSetup(S0=0.03)
+    sol = solve_forward(model, setup, 5.359, n_space=101)
+    assert sol.meta["clipped"] == (True, False)
+    assert -0.04 < sol.strikes[0] < -0.04 + sol.meta["dx"]
+    assert sol.strikes[sol.kinks[0]] == pytest.approx(0.03, abs=1e-15)
+    assert np.all(model.vol(sol.strikes) > 0.0)
+
+
+@pytest.mark.parametrize("n_space", [51, 400, 401])
+def test_grid_clipped_at_both_ends_stays_inside(n_space):
+    # a tent sigma_D = 0.008 - 0.2 |S - 0.03| is positive on (-0.01, 0.07) only
+    model = make_piecewise_linear(0.008, 0.1, -0.1, 0.03)
+    ks, kinks, clipped = _build_strike_grid(model, MarketSetup(S0=0.03), 30.0, n_space, 10.0)
+    assert clipped == (True, True)
+    assert -0.01 < ks[0] and ks[-1] < 0.07 and np.all(model.vol(ks) > 0.0)
+    assert ks[kinks[0]] == pytest.approx(0.03, abs=1e-15)
+    assert np.ptp(np.diff(ks)) < 1e-15
+    assert ks[-1] - ks[0] > (1.0 - 2.0 / n_space) * 0.08
 
 
 def test_meta_round_trips_through_json():
