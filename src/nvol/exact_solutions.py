@@ -192,16 +192,16 @@ def _fit_loglog(ts, ds, exponent=None):
 def sqrt_t_detector(model: LocalVolModel, setup: MarketSetup, T_grid) -> FitReport:
     """Classify the small-time ATM behavior and size any sqrt(T) term.
 
-    For each maturity the forward-PDE ATM vol is extrapolated from two
-    maturity-adapted grids, 401 nodes in 32 steps and 801 nodes in 64
-    (`atm_implied_vol_richardson`, within 5e-10 of the closed forms on
-    configs/sqrtt_*.ini), sigma_D(F0) is
-    subtracted, and the deviations are fitted to c T^p twice: free p
-    (classification), then p = 1/2 (coefficient extraction, which is the
-    value reported).  Models with a derivative jump at the forward give p
-    near 1/2; analytic models give p near 1 and the reported sqrt
-    coefficient is then meaningless.  Repeated maturities are refused
-    before any solve.
+    For each maturity the forward-PDE ATM price is extrapolated from two
+    maturity-adapted grids, 401 nodes in 32 steps and 801 nodes in 64, and
+    inverted once (`atm_implied_vol_richardson`, within 5e-10 of the closed
+    forms on configs/sqrtt_*.ini); sigma_D(S0) is subtracted, and the
+    deviations are fitted to c T^p twice: free p (classification), then
+    p = 1/2 (coefficient extraction, which is the value reported).  Models
+    with a derivative jump at the forward give p near 1/2; analytic models
+    give p near 1 and the reported sqrt coefficient is then meaningless.
+    Repeated maturities are refused before any solve; a forward the drift
+    moves off the grids raises `dupire_pde.ForwardOffGrid`.
     """
     # the closed forms above do not need the PDE solver, so only this
     # analysis imports it

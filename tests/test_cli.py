@@ -158,16 +158,19 @@ def test_unknown_method_exits_2(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("option", ["n_space = 10", "n_time_per_year = 0",
-                                    "min_time_steps = 0", "width_stdevs = nan",
-                                    "width_stdevs = -1"])
-def test_bad_pde_option_exits_2(tmp_path, capsys, option):
-    p = tmp_path / "bad.ini"
-    p.write_text(SMILE_CONFIG.replace("asympt0 asympt1 exact", "pde")
-                 + f"\n[pde]\n{option}\n")
-    code, _ = run(["smile", "--config", str(p)])
-    assert code == 2
-    assert option.split()[0] in capsys.readouterr().err
+def test_pde_section_is_ignored_with_a_note(tmp_path, capsys):
+    # the [pde] grid options are gone; a config that still sets them runs as
+    # one without them, and says so on one stderr line
+    p = tmp_path / "pde.ini"
+    text = SMILE_CONFIG.replace("asympt0 asympt1 exact", "pde")
+    p.write_text(text + "\n[pde]\nn_space = 10\nwidth_stdevs = nan\n")
+    code, rows = run(["smile", "--config", str(p)])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "[pde] section" in err and "ignored" in err, err
+    p.write_text(text)
+    assert run(["smile", "--config", str(p)]) == (0, rows)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("option", ["n_paths = 3", "n_paths = 0", "n_paths = 1",
@@ -350,11 +353,13 @@ def test_strikes_off_the_pde_grid_are_flagged(tmp_path):
 
 
 @pytest.mark.parametrize("config, bounds", [
-    ("fig1_shifted_lognormal", {10.0: 2e-7, 30.0: 1.5e-6}),
-    ("fig3_kink_bL_m10", {10.0: 1e-6})])
+    ("fig1_shifted_lognormal", {10.0: 2e-8, 30.0: 1.5e-6}),
+    ("fig3_kink_bL_m10", {10.0: 1e-7})])
 def test_figure_pde_rows_match_exact(tmp_path, config, bounds):
-    # the pde rows of the default grid against the closed form, row by row;
-    # nearest-node rows were up to 2.7e-5 off at T = 10
+    # the pde rows against the closed form, row by row: 7.5e-9 and 3.4e-8 at
+    # T = 10; at T = 30 the 10-stdev span cuts the fat right tail (1.2e-6).
+    # One 1601-node solve at 40 steps a year left 9.4e-8 and 5.1e-7, and
+    # nearest-node rows were up to 2.7e-5 off
     text = (ROOT / "configs" / f"{config}.ini").read_text()
     p = tmp_path / f"{config}.ini"
     p.write_text(text.replace("list = asympt0 pde", "list = pde exact"))
@@ -369,6 +374,24 @@ def test_figure_pde_rows_match_exact(tmp_path, config, bounds):
         assert all(a["flag"] == b["flag"] == "ok" for a, b in zip(pde, exact))
         worst = max(abs(a["sigma_N"] - b["sigma_N"]) for a, b in zip(pde, exact))
         assert worst < bound, (T, worst)
+
+
+def test_fig2_pde_rows_match_a_finer_pair():
+    # no closed form for SABR: the reference is the same extrapolation from
+    # 3201 nodes in 256 steps and 6401 in 512; the rows are within 7.9e-9
+    from nvol.bachelier import implied_vol_and_flag
+    from nvol.cli import load_config
+    from nvol.dupire_pde import implied_smile_from_pde, solve_forward
+
+    cfg = load_config(str(ROOT / "configs" / "fig2_sabr_rho_p30.ini"))
+    T, F = 10.0, cfg.setup.forward(10.0)
+    coarse, fine = (solve_forward(cfg.model, cfg.setup, T, n_space=n, n_time_per_year=0,
+                                  min_time_steps=steps).price_at_strikes(T, cfg.strikes)
+                    for n, steps in ((3201, 256), (6401, 512)))
+    ref = [implied_vol_and_flag(p, F, k, T) for k, p in zip(cfg.strikes, (4 * fine - coarse) / 3)]
+    got = implied_smile_from_pde(cfg.model, cfg.setup, T, cfg.strikes)
+    assert len(got) == 33 and all(a[1] == b[1] == "ok" for a, b in zip(got, ref))
+    assert max(abs(a[0] - b[0]) for a, b in zip(got, ref)) < 2e-8
 
 
 _IMPORT_PROBE = """
@@ -626,6 +649,57 @@ def test_sqrt_t_repeated_maturities_exit_2_before_any_work(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "[maturities]" in err and "repeated: [0.01]" in err, err
     assert not out.exists()
+
+
+def test_sqrt_t_refuses_a_forward_off_the_grid(tmp_path, capsys):
+    # the 8-stdev grids are centred on S0; with mu0 = 0.5 the forward 0.0456
+    # at T = 1/32 lies off them, where the fit used to exit 3 with "ATM
+    # deviation changes sign or vanishes"
+    p = tmp_path / "drift.ini"
+    p.write_text((ROOT / "configs" / "sqrtt_model2b.ini").read_text()
+                 .replace("S0 = 0.03", "S0 = 0.03\nmu0 = 0.5"))
+    out = tmp_path / "fit.json"
+    code, text = run(["sqrt-t", "--config", str(p), "--out", str(out)])
+    assert code == 2 and text == "" and not out.exists()
+    err = capsys.readouterr().err
+    assert "[market]" in err and "forward 0.045625 at T = 0.03125" in err, err
+
+
+def test_pde_rows_solve_a_fixed_pair_per_maturity(tmp_path, monkeypatch):
+    # each maturity solves 401 nodes in 32 steps and 801 in 64 (each step
+    # count plus the two Rannacher half-steps is one dgttrs solve); at T =
+    # 0.01 the grids span 0.03 -+ 0.008, so K = 0.1 is off them and the
+    # extrapolated price at K = 0.037 is -2.7e-20
+    from scipy.linalg import lapack
+
+    grids, solves = [], []
+    solve, dgttrs = nvol.dupire_pde.solve_forward, lapack.dgttrs
+
+    def recorded(*a, **k):
+        sol = solve(*a, **k)
+        grids.append((sol.strikes.size, sol.meta["n_steps"], sol.times))
+        return sol
+
+    def counted(*a, **k):
+        solves.append(a[-1].size)
+        return dgttrs(*a, **k)
+
+    monkeypatch.setattr(nvol.dupire_pde, "solve_forward", recorded)
+    monkeypatch.setattr(lapack, "dgttrs", counted)
+    p = tmp_path / "pde.ini"
+    p.write_text(NO_TIME_VALUE.replace("0.01 0.02 0.025 0.03 0.038 0.08", "0.03 0.037 0.1")
+                 .replace("0.01 1", "0.01 0.25").replace("pde mc exact", "pde"))
+    out = tmp_path / "pde.json"
+    code, _ = run(["smile", "--config", str(p), "--out", str(out), "--format", "json"])
+    assert code == 0
+    assert grids == [(401, 32, (0.01,)), (801, 64, (0.01,)),
+                     (401, 32, (0.25,)), (801, 64, (0.25,))]
+    assert solves == ([401] * (32 + 2) + [801] * (64 + 2)) * 2
+    rows = json.loads(out.read_text())
+    assert [(r["T"], r["K"], r["flag"]) for r in rows] == [
+        (0.01, 0.03, "ok"), (0.01, 0.037, "no_time_value"), (0.01, 0.1, "off_grid"),
+        (0.25, 0.03, "ok"), (0.25, 0.037, "ok"), (0.25, 0.1, "off_grid")]
+    assert [math.isnan(r["sigma_N"]) for r in rows] == [False, True, True, False, False, True]
 
 
 def test_mc_with_one_antithetic_pair_warns_nothing(tmp_path):

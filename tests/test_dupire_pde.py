@@ -8,9 +8,10 @@ from scipy.linalg import solve_banded
 
 from nvol.bachelier import NormalQuote, bachelier_call
 import nvol.dupire_pde
-from nvol.dupire_pde import (_build_strike_grid, atm_implied_vol,
+from nvol.dupire_pde import (ForwardOffGrid, _build_strike_grid, atm_implied_vol,
                              atm_implied_vol_richardson, extract_local_vol,
-                             implied_smile_from_pde, solve_forward)
+                             implied_smile_from_pde, richardson_prices,
+                             solve_forward)
 from nvol.models import (MarketSetup, make_piecewise_linear,
                          make_quadratic_sabr, make_shifted_lognormal)
 
@@ -76,10 +77,11 @@ def test_calendar_monotonicity():
 
 
 def test_smile_flags_and_band():
+    # the grids span 0.03 -+ 0.1 and the band 0.03 -+ 0.06
     model = constant_model(0.01)
     setup = MarketSetup(S0=0.03)
-    sol = solve_forward(model, setup, 1.0, n_space=801)
-    pts = implied_smile_from_pde(sol, setup, 1.0, strikes=sol.strikes)
+    strikes = np.linspace(-0.0695, 0.1295, 200)
+    pts = implied_smile_from_pde(model, setup, 1.0, strikes)
     flags = {flag for _, flag in pts}
     assert flags <= {"ok", "low_confidence", "no_time_value"}
     for vol, flag in pts:
@@ -87,24 +89,37 @@ def test_smile_flags_and_band():
             assert math.isnan(vol)
         else:
             assert vol > 0.0
-    near = [pt for k, pt in zip(sol.strikes, pts) if abs(k - 0.03) < 0.02]
+    near = [pt for k, pt in zip(strikes, pts) if abs(k - 0.03) < 0.02]
     assert all(flag == "ok" for _, flag in near)
-    assert all(vol == pytest.approx(0.01, abs=5e-5) for vol, _ in near)
-    far = [pt for k, pt in zip(sol.strikes, pts) if abs(k - 0.03) > 0.07]
+    assert all(vol == pytest.approx(0.01, abs=1e-8) for vol, _ in near)
+    far = [pt for k, pt in zip(strikes, pts) if abs(k - 0.03) > 0.07]
     assert far and all(flag != "ok" for _, flag in far)
 
 
-def test_smile_without_an_atm_vol_is_low_confidence():
-    # the grid is centred on S0: a forward drifted off it has no ATM vol, so
-    # no strike lies in the band
+def test_smile_without_an_atm_vol_is_low_confidence(monkeypatch):
+    # an ATM price without time value has no vol, so no strike lies in the band
+    model = constant_model(0.01)
+    setup = MarketSetup(S0=0.03)
+    live = richardson_prices(model, setup, 1.0, [0.05], 10.0)[0]
+    monkeypatch.setattr(nvol.dupire_pde, "richardson_prices",
+                        lambda *a: np.array([live, 0.0]))
+    assert implied_smile_from_pde(model, setup, 1.0, [0.05]) == [
+        (pytest.approx(0.01, abs=1e-8), "low_confidence")]
+    sol = solve_forward(model, setup, 1.0, n_space=101)
+    dead = dataclasses.replace(sol, prices=np.zeros_like(sol.prices))
+    assert math.isnan(atm_implied_vol(dead, setup, 1.0))
+
+
+def test_forward_off_the_grid_raises():
+    # the grids are centred on S0 whatever the drift; F = 0.53 has no price
     model = constant_model(0.01)
     setup = MarketSetup(S0=0.03, mu0=0.5)
-    sol = solve_forward(model, setup, 1.0)
-    assert math.isnan(atm_implied_vol(sol, setup, 1.0))
-    assert implied_smile_from_pde(sol, setup, 1.0, [0.05])[0][1] == "low_confidence"
-    # a forward on the grid without time value has no ATM vol either
-    dead = dataclasses.replace(sol, prices=np.zeros_like(sol.prices))
-    assert math.isnan(atm_implied_vol(dead, MarketSetup(S0=0.03), 1.0))
+    assert math.isnan(atm_implied_vol(solve_forward(model, setup, 1.0, n_space=101),
+                                      setup, 1.0))
+    for call in (lambda: implied_smile_from_pde(model, setup, 1.0, [0.05]),
+                 lambda: atm_implied_vol_richardson(model, setup, 1.0)):
+        with pytest.raises(ForwardOffGrid, match=r"forward 0.53 at T = 1.0"):
+            call()
 
 
 def test_atm_vol_between_nodes_of_drifted_kink():
