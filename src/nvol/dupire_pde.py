@@ -14,9 +14,11 @@ from nodes on one side of them only.
 from __future__ import annotations
 
 import bisect
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -119,6 +121,91 @@ def _build_strike_grid(model: LocalVolModel, setup: MarketSetup, T_max: float,
     return ks, tuple(sorted(k for k in kinks if 0 <= k < n_space)), clipped
 
 
+# numpy's OpenBLAS exports LAPACK with 64-bit integers under these names
+_OPENBLAS_SYMBOLS = ("scipy_dgttrf_64_", "scipy_dgttrs_64_")
+
+
+@functools.cache
+def _tridiagonal() -> tuple[str, Callable, Callable]:
+    """LAPACK's tridiagonal LU, dgttrf and dgttrs, as (source, factor, solver).
+
+    factor(dl, d, du) factors the matrix with sub-, main and super-diagonals
+    dl, d, du in place and returns its LU, whose first item is dgttrf's
+    (dl, d, du, du2, ipiv), or raises LinAlgError if it is singular.
+    solver(b) binds a right-hand-side buffer once and returns solve(lu), which
+    overwrites b with the solution of the factored system.  The routines come
+    through ctypes from the OpenBLAS that numpy has already loaded (source
+    "numpy-openblas"), so the PDE imports no scipy; where that library lacks
+    the symbols (numpy 1.x, Accelerate or MKL builds, Windows) they come from
+    scipy.linalg.lapack (source "scipy"), with the same bits.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        gttrf, gttrs = (getattr(lib, name) for name in _OPENBLAS_SYMBOLS)
+    except (AttributeError, OSError):
+        return ("scipy", *_scipy_tridiagonal())
+    # Fortran ABI: every argument by reference, then the hidden length of
+    # TRANS.  The arguments are ctypes objects built once per factor or
+    # buffer and passed as they are; declaring argtypes would convert all 12
+    # on every dgttrs call, +2 us on a 15 us solve of 801 nodes.
+    gttrf.restype = gttrs.restype = None
+    trans, nrhs, trans_len = ctypes.c_char(b"N"), ctypes.c_int64(1), ctypes.c_size_t(1)
+
+    def address(a: np.ndarray):
+        # through the buffer protocol, which refuses a non-contiguous or
+        # read-only array; about half the cost of a.ctypes.data
+        return ctypes.byref(ctypes.c_char.from_buffer(a))
+
+    def factor(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:
+        if not (dl.dtype == d.dtype == du.dtype == np.float64
+                and dl.size == du.size == d.size - 1):
+            raise ValueError("dgttrf takes float64 diagonals of n - 1, n and n - 1 entries")
+        n, info = ctypes.c_int64(d.size), ctypes.c_int64()
+        arrays = (dl, d, du, np.empty(d.size - 2), np.empty(d.size, dtype=np.int64))
+        pointers = [address(a) for a in arrays]
+        gttrf(ctypes.byref(n), *pointers, ctypes.byref(info))
+        if info.value > 0:
+            raise LinAlgError("singular matrix")
+        # the arrays stay referenced for as long as their pointers are used
+        return arrays, (ctypes.byref(trans), ctypes.byref(n), ctypes.byref(nrhs), *pointers)
+
+    def solver(b: np.ndarray) -> Callable:
+        if b.dtype != np.float64:
+            raise ValueError("dgttrs takes a float64 right-hand side")
+        size = b.size
+        tail = (address(b), ctypes.byref(ctypes.c_int64(size)),
+                ctypes.byref(ctypes.c_int64()), trans_len)
+
+        def solve(lu: tuple) -> None:
+            if lu[0][1].size != size:
+                raise ValueError(f"right-hand side of {size} entries for a system of "
+                                 f"{lu[0][1].size}")
+            gttrs(*lu[1], *tail)
+        return solve
+
+    return "numpy-openblas", factor, solver
+
+
+def _scipy_tridiagonal() -> tuple[Callable, Callable]:
+    """factor and solver of `_tridiagonal` from scipy.linalg.lapack."""
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
+    def factor(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:
+        *arrays, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        if info > 0:
+            raise LinAlgError("singular matrix")
+        return (arrays,)
+
+    def solver(b: np.ndarray) -> Callable:
+        def solve(lu: tuple) -> None:
+            x, _ = dgttrs(*lu[0], b, overwrite_b=1)
+            if x is not b:
+                b[:] = x
+        return solve
+
+    return factor, solver
+
+
 def solve_forward(model: LocalVolModel, setup: MarketSetup, T: float | Sequence[float],
                   n_space: int = 1601, n_time_per_year: int = 40,
                   width_stdevs: float = 10.0, min_time_steps: int = 64) -> PdeSolution:
@@ -129,10 +216,9 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, T: float | Sequence[
     model (`meta["clipped"]`); the march takes n_time_per_year steps a year,
     at least min_time_steps.  The span does not depend on the drift.  The
     `pde` rows and `sqrt-t` fix the step counts via `richardson_prices`.
+    `meta["lapack"]` names where the tridiagonal solver came from.
     """
-    # imported on first use: `import nvol` costs numpy only
-    from scipy.linalg.lapack import dgttrf, dgttrs
-
+    lapack, lu_factor, solver = _tridiagonal()
     levels = sorted(set(np.ravel(np.asarray(T, dtype=float)).tolist()))
     T_max = levels[-1]
     ks, kinks, clipped = _build_strike_grid(model, setup, T_max, n_space, width_stdevs)
@@ -141,8 +227,6 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, T: float | Sequence[
     sig2 = model.vol(ks) ** 2
     if not np.all(np.isfinite(sig2) & (sig2 > 0.0)):
         raise ValueError("sigma_D not finite and positive on the whole grid")
-
-    c = np.maximum(setup.S0 - ks, 0.0)
 
     n_steps = max(int(math.ceil(n_time_per_year * T_max)), min_time_steps)
     # build the step schedule so that every output level is hit exactly
@@ -163,11 +247,7 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, T: float | Sequence[
         du[1:] = -theta * dt * hi_c
         dl = np.zeros(n - 1)
         dl[:-1] = -theta * dt * lo_c
-        dl, d, du, du2, ipiv, info = dgttrf(dl, d, du, overwrite_dl=1,
-                                            overwrite_d=1, overwrite_du=1)
-        if info > 0:
-            raise LinAlgError("singular matrix")
-        return dl, d, du, du2, ipiv
+        return lu_factor(dl, d, du)
 
     # The operator changes only with the advection coefficient, so a constant
     # drift factors each distinct (dt, theta) once and mu1 != 0 every step.
@@ -180,9 +260,13 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, T: float | Sequence[
     tmp = np.empty(n - 2)
     out: dict[float, np.ndarray] = {}
     max_ratio = 0.0
+    # two buffers with their solvers bound once: each step reads the prices
+    # in the first and solves for the next ones in the second, then swaps them
+    buffers = [(b, solver(b)) for b in (np.maximum(setup.S0 - ks, 0.0), np.empty(n))]
 
-    def step(c_in: np.ndarray, t0: float, t1: float, theta: float) -> np.ndarray:
+    def step(t0: float, t1: float, theta: float) -> None:
         nonlocal adv, lo_c, hi_c
+        (c_in, _), (rhs, solve) = buffers
         dt = t1 - t0
         adv_step = setup.drift(0.5 * (t0 + t1)) / (2.0 * dx)  # central first derivative
         if adv_step != adv:
@@ -194,7 +278,6 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, T: float | Sequence[
             lu = factors[(dt, theta)] = factor(dt, theta, lo_c, hi_c)
         # (I - theta dt L) c_new = (I + (1-theta) dt L) c_old  (interior rows),
         # summed in the order c + w*((lo*c[i-1] + mid*c[i]) + hi*c[i+1])
-        rhs = c_in.copy()
         if theta < 1.0:
             np.multiply(lo_c, c_in[:-2], out=acc)
             np.multiply(mid_c, c_in[1:-1], out=tmp)
@@ -202,32 +285,34 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, T: float | Sequence[
             np.multiply(hi_c, c_in[2:], out=tmp)
             np.add(acc, tmp, out=acc)
             np.multiply(acc, (1.0 - theta) * dt, out=acc)
-            rhs[1:-1] += acc
+            np.add(c_in[1:-1], acc, out=rhs[1:-1])
+        else:
+            rhs[1:-1] = c_in[1:-1]
         # Dirichlet boundaries: deep ITM C = F(t1) - K, far OTM C = 0
         rhs[0] = setup.forward(t1) - ks[0]
         rhs[-1] = 0.0
-        x, _ = dgttrs(*lu, rhs, overwrite_b=1)
-        return x
+        solve(lu)
+        buffers.reverse()
 
     t_prev = times[0]
     rannacher_left = 2  # implicit half-steps damping the payoff kink
     for t_next in times[1:]:
         if rannacher_left > 0:
             tm = 0.5 * (t_prev + t_next)
-            c = step(c, t_prev, tm, theta=1.0)
-            c = step(c, tm, t_next, theta=1.0)
+            step(t_prev, tm, theta=1.0)
+            step(tm, t_next, theta=1.0)
             rannacher_left -= 1
         else:
-            c = step(c, t_prev, t_next, theta=0.5)
+            step(t_prev, t_next, theta=0.5)
         max_ratio = max(max_ratio, diff_max * (t_next - t_prev))
         for t in levels:
             if abs(t - t_next) <= 1e-12 * max(t, 1.0):
-                out[t] = c.copy()
+                out[t] = buffers[0][0].copy()
         t_prev = t_next
 
     prices = np.array([out[t] for t in levels])
     meta = {"dx": dx, "n_steps": len(times) - 1, "max_diffusion_number": max_ratio,
-            "clipped": clipped}
+            "clipped": clipped, "lapack": lapack}
     return PdeSolution(strikes=ks, times=tuple(levels), prices=prices, meta=meta,
                        kinks=kinks)
 

@@ -1,6 +1,31 @@
 import pytest
 
+import nvol.dupire_pde
 from nvol.cli import _surface_from_csv, load_config, main
+
+
+@pytest.fixture()
+def lapack_calls(monkeypatch):
+    """Sizes of the systems `solve_forward` factors and solves from now on, in
+    call order: {"factor": [...], "solve": [...]}."""
+    source, factor, solver = nvol.dupire_pde._tridiagonal()
+    calls = {"factor": [], "solve": []}
+
+    def counted_factor(dl, d, du):
+        calls["factor"].append(d.size)
+        return factor(dl, d, du)
+
+    def counted_solver(b):
+        solve = solver(b)
+
+        def counted(lu):
+            calls["solve"].append(b.size)
+            solve(lu)
+        return counted
+
+    monkeypatch.setattr(nvol.dupire_pde, "_tridiagonal",
+                        lambda: (source, counted_factor, counted_solver))
+    return calls
 
 
 @pytest.fixture()

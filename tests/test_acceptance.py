@@ -48,10 +48,13 @@ def test_criterion_02_pde_vs_erf_atm():
     model = make_shifted_lognormal(0.03, 0.2, 0.0)
     setup = MarketSetup(S0=0.0)
     ok = True
-    for T, n_space, width in ((1.0, 1601, 10.0), (10.0, 1601, 10.0),
-                              (30.0, 6401, 40.0)):
-        sol = solve_forward(model, setup, T, n_space=n_space, n_time_per_year=400,
-                            width_stdevs=width)
+    # the error is set by dx: from T = 10 on, 40 steps a year leave it within
+    # 3e-9 of 400 steps a year (3.09e-7 at T = 10, 3.12e-7 at T = 30)
+    for T, n_space, width, steps_per_year in ((1.0, 1601, 10.0, 400),
+                                              (10.0, 1601, 10.0, 40),
+                                              (30.0, 6401, 40.0, 40)):
+        sol = solve_forward(model, setup, T, n_space=n_space,
+                            n_time_per_year=steps_per_year, width_stdevs=width)
         vol = atm_implied_vol(sol, setup, T)
         ok &= abs(vol - shifted_ln_atm_exact_vol(0.03, 0.2, T)) <= 1e-5
     report(2, "PDE ATM vol vs exact Erf formula within 0.001%", ok)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 from scipy.linalg import solve_banded
 
 from nvol.bachelier import NormalQuote, bachelier_call
@@ -198,46 +199,29 @@ def test_march_bit_identical_to_per_step_banded_solve(model, setup, levels, n_sp
 
 @pytest.mark.parametrize("mu0, mu1, factorizations", [
     (0.0, 0.0, 9), (0.002, 0.0, 9), (0.002, -0.001, 82)])
-def test_march_factors_once_per_operator(monkeypatch, mu0, mu1, factorizations):
+def test_march_factors_once_per_operator(lapack_calls, mu0, mu1, factorizations):
     # a constant drift factors each distinct (dt, theta) once; mu1 != 0
     # changes the operator every (half-)step
-    from scipy.linalg import lapack
-
-    calls = []
-    dgttrf = lapack.dgttrf
-
-    def counted(*a, **k):
-        calls.append(a[1].size)
-        return dgttrf(*a, **k)
-
-    monkeypatch.setattr(lapack, "dgttrf", counted)
     solve_forward(KINK, MarketSetup(S0=0.03, mu0=mu0, mu1=mu1), 2.0, n_space=201)
-    assert calls == [201] * factorizations
+    assert lapack_calls["factor"] == [201] * factorizations
 
 
 @pytest.mark.parametrize("T", [1.0 / 256.0, 0.25, 4.0])
-def test_atm_richardson_solves_twice_in_fixed_steps(monkeypatch, T):
+def test_atm_richardson_solves_twice_in_fixed_steps(monkeypatch, lapack_calls, T):
     # 401 nodes in 32 steps and 801 in 64 at every maturity: each step count
     # plus the two Rannacher half-steps is one dgttrs solve
-    from scipy.linalg import lapack
-
-    grids, solves = [], []
-    solve, dgttrs = solve_forward, lapack.dgttrs
+    grids = []
+    solve = solve_forward
 
     def recorded(*a, **k):
         sol = solve(*a, **k)
         grids.append((sol.strikes.size, sol.meta["n_steps"]))
         return sol
 
-    def counted(*a, **k):
-        solves.append(a[-1].size)
-        return dgttrs(*a, **k)
-
     monkeypatch.setattr(nvol.dupire_pde, "solve_forward", recorded)
-    monkeypatch.setattr(lapack, "dgttrs", counted)
     atm_implied_vol_richardson(KINK, MarketSetup(S0=0.03), T)
     assert grids == [(401, 32), (801, 64)]
-    assert solves == [401] * (32 + 2) + [801] * (64 + 2)
+    assert lapack_calls["solve"] == [401] * (32 + 2) + [801] * (64 + 2)
 
 
 def test_non_finite_local_vol_rejected():
@@ -304,6 +288,8 @@ def test_meta_round_trips_through_json():
         back = json.loads(json.dumps(sol.meta))
         assert back == {**sol.meta, "clipped": flags}
         assert all(type(f) is bool for f in sol.meta["clipped"])
+        assert back["lapack"] == nvol.dupire_pde._tridiagonal()[0]
+        assert back["lapack"] in ("numpy-openblas", "scipy")
 
 
 def test_price_at_strikes_interpolates_within_kink_stretches():
@@ -355,3 +341,81 @@ def test_extract_local_vol_singular_raises():
     with pytest.raises(ValueError):
         extract_local_vol(lambda K, T: 0.02 * math.exp(-2.0 * T),
                           setup, K=0.03, T=1.0)
+
+
+@pytest.fixture()
+def both_lapacks(monkeypatch):
+    """{source: (source, factor, solver)} of the numpy-OpenBLAS binding and of
+    the scipy fallback, the latter with the symbol lookup forced to fail."""
+    found = nvol.dupire_pde._tridiagonal.__wrapped__()
+    if found[0] != "numpy-openblas":
+        pytest.skip("numpy's LAPACK library exports no scipy_dgttrf_64_ / "
+                    "scipy_dgttrs_64_, so only the scipy fallback exists here")
+    with monkeypatch.context() as m:
+        m.setattr(nvol.dupire_pde, "_OPENBLAS_SYMBOLS", ("no_dgttrf", "no_dgttrs"))
+        fallback = nvol.dupire_pde._tridiagonal.__wrapped__()
+    assert fallback[0] == "scipy"
+    return {t[0]: t for t in (found, fallback)}
+
+
+def random_tridiagonal(n, seed):
+    # no diagonal dominance: dgttrf swaps rows at about half the steps
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=n - 1), rng.normal(size=n), rng.normal(size=n - 1), rng.normal(size=n)
+
+
+@pytest.mark.parametrize("n", [401, 801, 1601])
+def test_lapack_bindings_factor_and_solve_bit_for_bit(both_lapacks, n):
+    results = []
+    for _, factor, solver in both_lapacks.values():
+        dl, d, du, b = random_tridiagonal(n, seed=n)
+        lu = factor(dl, d, du)
+        solver(b)(lu)
+        results.append((lu[0], b))
+    (lu_a, x_a), (lu_b, x_b) = results
+    assert len(lu_a) == len(lu_b) == 5
+    assert all(np.array_equal(a, b) for a, b in zip(lu_a, lu_b))
+    assert np.array_equal(x_a, x_b)
+    # the solution solves the system
+    dl, d, du, b = random_tridiagonal(n, seed=n)
+    assert np.allclose(d * x_a + np.append(du * x_a[1:], 0.0) + np.append(0.0, dl * x_a[:-1]), b)
+
+
+@pytest.mark.parametrize("model, setup, T, clipped", [
+    (KINK, MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001), [0.5, 2.0], (True, False)),
+    (make_quadratic_sabr(0.01, 0.3, -0.3, 0.03), MarketSetup(S0=0.03), [1.0], (False, False)),
+    (make_shifted_lognormal(0.008, 0.1, 0.03), MarketSetup(S0=0.03), [10.0], (True, False)),
+])
+def test_solve_forward_same_bits_on_either_lapack(monkeypatch, both_lapacks, model, setup,
+                                                  T, clipped):
+    sols = {}
+    for source, lapack in both_lapacks.items():
+        monkeypatch.setattr(nvol.dupire_pde, "_tridiagonal", lambda: lapack)
+        sols[source] = solve_forward(model, setup, T, n_space=401)
+        assert sols[source].meta["lapack"] == source
+        assert sols[source].meta["clipped"] == clipped
+    a, b = sols.values()
+    assert np.array_equal(a.prices, b.prices)
+
+
+def test_singular_system_raises_on_either_lapack(both_lapacks):
+    for _, factor, _ in both_lapacks.values():
+        dl, d, du = np.ones(100), np.ones(101), np.ones(100)
+        # row 50 is zero
+        dl[49] = d[50] = du[50] = 0.0
+        with pytest.raises(LinAlgError):
+            factor(dl, d, du)
+
+
+def test_numpy_lapack_binding_refuses_what_its_pointers_cannot_carry(both_lapacks):
+    _, factor, solver = both_lapacks["numpy-openblas"]
+    dl, d, du, b = random_tridiagonal(101, seed=1)
+    # a short diagonal, a float32 one, a strided one
+    for bad in ((dl[:-1], d, du), (dl, d.astype(np.float32), du),
+                (dl, np.repeat(d, 2)[::2], du)):
+        with pytest.raises((ValueError, TypeError)):
+            factor(*bad)
+    with pytest.raises(ValueError, match="float64"):
+        solver(b.astype(np.float32))
+    with pytest.raises(ValueError, match="right-hand side of 100 entries"):
+        solver(b[:100])(factor(dl, d, du))
