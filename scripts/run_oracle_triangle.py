@@ -14,8 +14,8 @@ from nvol import (McSpec, MarketSetup, make_shifted_lognormal, mc_call,
 
 
 def pde_price(model, setup, K, T):
-    sol = solve_forward(model, setup, T, n_space=1601, n_time_per_year=1000)
-    return float(sol.price_at_strikes(T, [K])[0])
+    sol = solve_forward(model, setup, T, n_space=1601, n_steps=math.ceil(1000 * T))
+    return float(sol.price_at_strikes([K])[0])
 
 
 def run(n_cases: int = 10, seed: int = 2024) -> int:

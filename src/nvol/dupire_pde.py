@@ -5,10 +5,10 @@ The call-price surface evolves in maturity under
     dC/dT = 1/2 sigma_D(K)^2 d2C/dK2 - mu(T) dC/dK
 
 from the payoff C(K, 0) = (S0 - K)+.  Crank-Nicolson with a Rannacher
-(implicit) start damps the kink oscillation; breakpoints of sigma_D and the
-initial level S0 are snapped onto grid nodes so the derivative jump driving
-the sqrt(T) anomaly is not smeared, and a price between nodes is interpolated
-from nodes on one side of them only.
+(implicit) start damps the kink oscillation; the initial level S0, the only
+place inside the grid where sigma_D may have a breakpoint, is a grid node so
+the derivative jump driving the sqrt(T) anomaly is not smeared, and a price
+between nodes is interpolated from nodes on one side of it only.
 """
 
 from __future__ import annotations
@@ -29,27 +29,22 @@ from .models import LocalVolModel, MarketSetup
 
 @dataclass(frozen=True)
 class PdeSolution:
+    """Call prices at maturity T on the strike grid, one per node."""
     strikes: np.ndarray
-    times: tuple[float, ...]
-    prices: np.ndarray  # shape (n_times, n_space)
+    T: float
+    prices: np.ndarray  # shape (n_space,)
     meta: dict = field(default_factory=dict)
-    # nodes at S0 and at the breakpoints of sigma_D, where the price has a kink
+    # the node at S0, where the price has a kink
     kinks: tuple[int, ...] = ()
 
-    def price_at(self, T: float) -> np.ndarray:
-        for i, t in enumerate(self.times):
-            if abs(t - T) <= 1e-12 * max(T, 1.0):
-                return self.prices[i]
-        raise KeyError(f"maturity {T} not among solved levels {self.times}")
-
-    def price_at_strikes(self, T: float, strikes: Sequence[float]) -> np.ndarray:
-        """Prices of level T at arbitrary strikes, nan off the grid.
+    def price_at_strikes(self, strikes: Sequence[float]) -> np.ndarray:
+        """Prices at arbitrary strikes, nan off the grid.
 
         Cubic Lagrange interpolation through the 4 nodes around each strike,
         with the stencil kept on one side of every kink node; a strike on a
         node gets that node's price exactly.
         """
-        prices = self.price_at(T)
+        prices = self.prices
         ks = self.strikes
         n = len(ks)
         bounds = sorted({0, n - 1, *self.kinks})
@@ -75,20 +70,21 @@ class PdeSolution:
         return np.array(out)
 
 
-def _build_strike_grid(model: LocalVolModel, setup: MarketSetup, T_max: float,
+def _build_strike_grid(model: LocalVolModel, setup: MarketSetup, T: float,
                        n_space: int, width_stdevs: float
                        ) -> tuple[np.ndarray, tuple[int, ...], tuple[bool, bool]]:
     """Uniform grid spanning width_stdevs local standard deviations either
-    side of S0, clipped to the positivity domain of the model, with S0 (and
-    thus any breakpoint placed at S0) on a node.
+    side of S0, clipped to the positivity domain of the model, with S0 on a
+    node.  A breakpoint of sigma_D inside the grid but off S0 is refused:
+    the uniform stencil would smear its kink.
 
-    Returns the nodes, the indices of the nodes at S0 and at the breakpoints,
-    and whether the positivity domain moved the left and right ends inwards.
+    Returns the nodes, the index of the node at S0 (as a tuple), and whether
+    the positivity domain moved the left and right ends inwards.
     """
     if n_space < 51:
         raise ValueError("need at least 51 space nodes")
     s0 = setup.S0
-    stdev = model.vol(s0) * math.sqrt(T_max)
+    stdev = model.vol(s0) * math.sqrt(T)
     want_min, want_max = s0 - width_stdevs * stdev, s0 + width_stdevs * stdev
     lo, hi = model.positivity_domain
     eps = 1e-12 * max(1.0, abs(s0))
@@ -111,14 +107,12 @@ def _build_strike_grid(model: LocalVolModel, setup: MarketSetup, T_max: float,
         nearest = math.floor if clipped[0] else math.ceil if clipped[1] else round
         shift = (offset - nearest(offset)) * dx
     ks = k_min + shift + dx * np.arange(n_space)
-    kinks = {int(round((s0 - ks[0]) / dx))}
-    # snap remaining breakpoints onto the nearest node
     for bp in model.breakpoints:
         if ks[0] < bp < ks[-1] and abs(bp - s0) > 1e-14:
-            j = int(round((bp - ks[0]) / dx))
-            ks[j] = bp
-            kinks.add(j)
-    return ks, tuple(sorted(k for k in kinks if 0 <= k < n_space)), clipped
+            raise ValueError(f"sigma_D has a breakpoint at {bp!r}, inside the PDE grid "
+                             f"but off S0 = {s0!r}; only a breakpoint at S0 sits on a node")
+    j0 = int(round((s0 - ks[0]) / dx))
+    return ks, (j0,) if 0 <= j0 < n_space else (), clipped
 
 
 # numpy's OpenBLAS exports LAPACK with 64-bit integers under these names
@@ -206,115 +200,85 @@ def _scipy_tridiagonal() -> tuple[Callable, Callable]:
     return factor, solver
 
 
-def solve_forward(model: LocalVolModel, setup: MarketSetup, T: float | Sequence[float],
-                  n_space: int = 1601, n_time_per_year: int = 40,
-                  width_stdevs: float = 10.0, min_time_steps: int = 64) -> PdeSolution:
-    """Evolve call prices to the largest maturity in T, storing every level of T.
+def solve_forward(model: LocalVolModel, setup: MarketSetup, T: float,
+                  n_space: int = 1601, n_steps: int = 64,
+                  width_stdevs: float = 10.0) -> PdeSolution:
+    """Evolve call prices to maturity T in n_steps equal steps.
 
     The grid has n_space nodes over width_stdevs local stdevs either side of
-    S0 at the largest maturity, clipped to the positivity domain of the
-    model (`meta["clipped"]`); the march takes n_time_per_year steps a year,
-    at least min_time_steps.  The span does not depend on the drift.  The
-    `pde` rows and `sqrt-t` fix the step counts via `richardson_prices`.
-    `meta["lapack"]` names where the tridiagonal solver came from.
+    S0 at T, clipped to the positivity domain of the model
+    (`meta["clipped"]`).  The span does not depend on the drift.  The first
+    two steps are each taken as two implicit half-steps, the rest by
+    Crank-Nicolson.  The `pde` rows and `sqrt-t` fix the sizes via
+    `richardson_prices`.  `meta["lapack"]` names where the tridiagonal
+    solver came from.
     """
     lapack, lu_factor, solver = _tridiagonal()
-    levels = sorted(set(np.ravel(np.asarray(T, dtype=float)).tolist()))
-    T_max = levels[-1]
-    ks, kinks, clipped = _build_strike_grid(model, setup, T_max, n_space, width_stdevs)
+    ks, kinks, clipped = _build_strike_grid(model, setup, T, n_space, width_stdevs)
     n = len(ks)
     dx = ks[1] - ks[0]
     sig2 = model.vol(ks) ** 2
     if not np.all(np.isfinite(sig2) & (sig2 > 0.0)):
         raise ValueError("sigma_D not finite and positive on the whole grid")
 
-    n_steps = max(int(math.ceil(n_time_per_year * T_max)), min_time_steps)
-    # build the step schedule so that every output level is hit exactly
-    times = np.linspace(0.0, T_max, n_steps + 1).tolist() + levels
-    times = sorted(set(round(t, 15) for t in times))
+    dt = T / n_steps
+    times = np.linspace(0.0, T, n_steps + 1).tolist()
+    # (t0, t1, step, theta): two Rannacher (implicit) steps, each in two
+    # halves, damp the payoff kink; Crank-Nicolson after them
+    schedule = []
+    for i, (t0, t1) in enumerate(zip(times, times[1:])):
+        if i < 2:
+            tm = 0.5 * (t0 + t1)
+            schedule += [(t0, tm, 0.5 * dt, 1.0), (tm, t1, 0.5 * dt, 1.0)]
+        else:
+            schedule.append((t0, t1, dt, 0.5))
 
     diff = 0.5 * sig2 / (dx * dx)          # diffusion coefficient on d2/dK2
-    diff_max = float(np.max(diff))
     # interior rows of L C = diff*(C[i+1] - 2C[i] + C[i-1]) - mu*(C[i+1] - C[i-1])/(2dx)
     diff_in = diff[1:-1]
     mid_c = -2.0 * diff_in
-
-    def factor(dt: float, theta: float, lo_c: np.ndarray, hi_c: np.ndarray) -> tuple:
-        """LU factors of I - theta dt L; Dirichlet rows stay identity rows."""
-        d = np.ones(n)
-        d[1:-1] = 1.0 - theta * dt * mid_c
-        du = np.zeros(n - 1)
-        du[1:] = -theta * dt * hi_c
-        dl = np.zeros(n - 1)
-        dl[:-1] = -theta * dt * lo_c
-        return lu_factor(dl, d, du)
-
-    # The operator changes only with the advection coefficient, so a constant
-    # drift factors each distinct (dt, theta) once and mu1 != 0 every step.
-    # The linspace schedule has a dozen or so step sizes that differ in the
-    # last bits; keying on the exact float keeps every step's matrix, and thus
-    # every output bit, as if built afresh.
-    adv = lo_c = hi_c = None
-    factors: dict[tuple[float, float], tuple] = {}
+    # the diagonals of the held operator I - theta h L, refilled in place and
+    # factored again only when (h, theta, advection) changes: twice for a
+    # constant drift, every (half-)step for mu1 != 0
+    dl, d, du = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+    held = None
     acc = np.empty(n - 2)
     tmp = np.empty(n - 2)
-    out: dict[float, np.ndarray] = {}
-    max_ratio = 0.0
-    # two buffers with their solvers bound once: each step reads the prices
-    # in the first and solves for the next ones in the second, then swaps them
-    buffers = [(b, solver(b)) for b in (np.maximum(setup.S0 - ks, 0.0), np.empty(n))]
-
-    def step(t0: float, t1: float, theta: float) -> None:
-        nonlocal adv, lo_c, hi_c
-        (c_in, _), (rhs, solve) = buffers
-        dt = t1 - t0
-        adv_step = setup.drift(0.5 * (t0 + t1)) / (2.0 * dx)  # central first derivative
-        if adv_step != adv:
-            adv = adv_step
+    # one price buffer: each step builds the right-hand side in it and
+    # solves for the next prices there
+    c = np.maximum(setup.S0 - ks, 0.0)
+    solve = solver(c)
+    for t0, t1, h, theta in schedule:
+        adv = setup.drift(0.5 * (t0 + t1)) / (2.0 * dx)  # central first derivative
+        if (h, theta, adv) != held:
+            held = (h, theta, adv)
             lo_c, hi_c = diff_in + adv, diff_in - adv       # C[i-1], C[i+1]
-            factors.clear()
-        lu = factors.get((dt, theta))
-        if lu is None:
-            lu = factors[(dt, theta)] = factor(dt, theta, lo_c, hi_c)
-        # (I - theta dt L) c_new = (I + (1-theta) dt L) c_old  (interior rows),
+            # Dirichlet rows stay identity rows
+            d[0] = d[-1] = 1.0
+            np.multiply(mid_c, theta * h, out=d[1:-1])
+            np.subtract(1.0, d[1:-1], out=d[1:-1])
+            du[0] = dl[-1] = 0.0
+            np.multiply(hi_c, -theta * h, out=du[1:])
+            np.multiply(lo_c, -theta * h, out=dl[:-1])
+            lu = lu_factor(dl, d, du)
+        # (I - theta h L) c_new = (I + (1-theta) h L) c_old  (interior rows),
         # summed in the order c + w*((lo*c[i-1] + mid*c[i]) + hi*c[i+1])
         if theta < 1.0:
-            np.multiply(lo_c, c_in[:-2], out=acc)
-            np.multiply(mid_c, c_in[1:-1], out=tmp)
+            np.multiply(lo_c, c[:-2], out=acc)
+            np.multiply(mid_c, c[1:-1], out=tmp)
             np.add(acc, tmp, out=acc)
-            np.multiply(hi_c, c_in[2:], out=tmp)
+            np.multiply(hi_c, c[2:], out=tmp)
             np.add(acc, tmp, out=acc)
-            np.multiply(acc, (1.0 - theta) * dt, out=acc)
-            np.add(c_in[1:-1], acc, out=rhs[1:-1])
-        else:
-            rhs[1:-1] = c_in[1:-1]
+            np.multiply(acc, (1.0 - theta) * h, out=acc)
+            np.add(c[1:-1], acc, out=c[1:-1])
         # Dirichlet boundaries: deep ITM C = F(t1) - K, far OTM C = 0
-        rhs[0] = setup.forward(t1) - ks[0]
-        rhs[-1] = 0.0
+        c[0] = setup.forward(t1) - ks[0]
+        c[-1] = 0.0
         solve(lu)
-        buffers.reverse()
 
-    t_prev = times[0]
-    rannacher_left = 2  # implicit half-steps damping the payoff kink
-    for t_next in times[1:]:
-        if rannacher_left > 0:
-            tm = 0.5 * (t_prev + t_next)
-            step(t_prev, tm, theta=1.0)
-            step(tm, t_next, theta=1.0)
-            rannacher_left -= 1
-        else:
-            step(t_prev, t_next, theta=0.5)
-        max_ratio = max(max_ratio, diff_max * (t_next - t_prev))
-        for t in levels:
-            if abs(t - t_next) <= 1e-12 * max(t, 1.0):
-                out[t] = buffers[0][0].copy()
-        t_prev = t_next
-
-    prices = np.array([out[t] for t in levels])
-    meta = {"dx": dx, "n_steps": len(times) - 1, "max_diffusion_number": max_ratio,
+    meta = {"dx": dx, "n_steps": n_steps, "max_diffusion_number": float(np.max(diff)) * dt,
             "clipped": clipped, "lapack": lapack}
-    return PdeSolution(strikes=ks, times=tuple(levels), prices=prices, meta=meta,
-                       kinks=kinks)
+    return PdeSolution(strikes=ks, T=T, prices=c, meta=meta, kinks=kinks)
 
 
 class ForwardOffGrid(ValueError):
@@ -332,13 +296,13 @@ def richardson_prices(model: LocalVolModel, setup: MarketSetup, T: float,
     F = setup.forward(T)
     prices = []
     for n_space, n_steps in ((401, 32), (801, 64)):
-        sol = solve_forward(model, setup, T, n_space=n_space, n_time_per_year=0,
-                            width_stdevs=width_stdevs, min_time_steps=n_steps)
+        sol = solve_forward(model, setup, T, n_space=n_space, n_steps=n_steps,
+                            width_stdevs=width_stdevs)
         ks = sol.strikes
         if not ks[0] <= F <= ks[-1]:
             raise ForwardOffGrid(f"the drifted forward {F:.6g} at T = {T} lies off the "
                                  f"PDE grid [{ks[0]:.6g}, {ks[-1]:.6g}] around S0")
-        prices.append(sol.price_at_strikes(T, strikes))
+        prices.append(sol.price_at_strikes(strikes))
     return (4.0 * prices[1] - prices[0]) / 3.0
 
 
@@ -362,12 +326,13 @@ def implied_smile_from_pde(model: LocalVolModel, setup: MarketSetup, T: float,
     return out
 
 
-def atm_implied_vol(sol: PdeSolution, setup: MarketSetup, T: float) -> float:
-    """Implied normal vol at K = F_T, the price interpolated in strike by
+def atm_implied_vol(sol: PdeSolution, setup: MarketSetup) -> float:
+    """Implied normal vol at K = F(sol.T), the price interpolated in strike by
     `PdeSolution.price_at_strikes` and mapped by `implied_vol_and_flag`:
     nan for a forward off the grid or a price without time value."""
+    T = sol.T
     F = setup.forward(T)
-    return implied_vol_and_flag(float(sol.price_at_strikes(T, [F])[0]), F, F, T)[0]
+    return implied_vol_and_flag(float(sol.price_at_strikes([F])[0]), F, F, T)[0]
 
 
 def atm_implied_vol_richardson(model: LocalVolModel, setup: MarketSetup, T: float) -> float:

@@ -50,12 +50,12 @@ def test_criterion_02_pde_vs_erf_atm():
     ok = True
     # the error is set by dx: from T = 10 on, 40 steps a year leave it within
     # 3e-9 of 400 steps a year (3.09e-7 at T = 10, 3.12e-7 at T = 30)
-    for T, n_space, width, steps_per_year in ((1.0, 1601, 10.0, 400),
-                                              (10.0, 1601, 10.0, 40),
-                                              (30.0, 6401, 40.0, 40)):
-        sol = solve_forward(model, setup, T, n_space=n_space,
-                            n_time_per_year=steps_per_year, width_stdevs=width)
-        vol = atm_implied_vol(sol, setup, T)
+    for T, n_space, width, n_steps in ((1.0, 1601, 10.0, 400),
+                                       (10.0, 1601, 10.0, 400),
+                                       (30.0, 6401, 40.0, 1200)):
+        sol = solve_forward(model, setup, T, n_space=n_space, n_steps=n_steps,
+                            width_stdevs=width)
+        vol = atm_implied_vol(sol, setup)
         ok &= abs(vol - shifted_ln_atm_exact_vol(0.03, 0.2, T)) <= 1e-5
     report(2, "PDE ATM vol vs exact Erf formula within 0.001%", ok)
 
@@ -111,9 +111,9 @@ def test_criterion_05_drift_correction():
         for mu0 in (0.0, mu):
             # the span does not depend on the drift: both solves share one grid
             sol = solve_forward(model, MarketSetup(S0=0.0, mu0=mu0), T, n_space=1601,
-                                n_time_per_year=4096, min_time_steps=512)
+                                n_steps=math.ceil(4096 * T))
             j = int(np.argmin(np.abs(sol.strikes)))
-            price[mu0] = sol.price_at(T)[j]
+            price[mu0] = sol.prices[j]
         convexity = NORM_PDF0 * (mu * T) ** 2 / (2.0 * sD0 * math.sqrt(T))
         res.append(abs(price[mu] - price[0.0] - 0.5 * mu * T - convexity))
     slope = math.log(res[2] / res[0]) / math.log(Ts[2] / Ts[0])
@@ -127,9 +127,9 @@ def test_criterion_06_lognormal_with_drift_atm():
 
     def pde_atm(mu, t):
         setup = MarketSetup(S0=x0, mu0=mu)
-        sol = solve_forward(model, setup, t, n_space=1601, n_time_per_year=2000)
+        sol = solve_forward(model, setup, t, n_space=1601, n_steps=math.ceil(2000 * t))
         j = int(np.argmin(np.abs(sol.strikes - x0)))
-        return sol.price_at(t)[j]
+        return sol.prices[j]
 
     disc = max(abs(pde_atm(0.0, t) - drifted_ln_atm_call(x0, 0.0, t))
                for t in (0.25, 1.0))

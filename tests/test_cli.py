@@ -385,8 +385,8 @@ def test_fig2_pde_rows_match_a_finer_pair():
 
     cfg = load_config(str(ROOT / "configs" / "fig2_sabr_rho_p30.ini"))
     T, F = 10.0, cfg.setup.forward(10.0)
-    coarse, fine = (solve_forward(cfg.model, cfg.setup, T, n_space=n, n_time_per_year=0,
-                                  min_time_steps=steps).price_at_strikes(T, cfg.strikes)
+    coarse, fine = (solve_forward(cfg.model, cfg.setup, T, n_space=n,
+                                  n_steps=steps).price_at_strikes(cfg.strikes)
                     for n, steps in ((3201, 256), (6401, 512)))
     ref = [implied_vol_and_flag(p, F, k, T) for k, p in zip(cfg.strikes, (4 * fine - coarse) / 3)]
     got = implied_smile_from_pde(cfg.model, cfg.setup, T, cfg.strikes)
@@ -674,7 +674,7 @@ def test_pde_rows_solve_a_fixed_pair_per_maturity(tmp_path, monkeypatch, lapack_
 
     def recorded(*a, **k):
         sol = solve(*a, **k)
-        grids.append((sol.strikes.size, sol.meta["n_steps"], sol.times))
+        grids.append((sol.strikes.size, sol.meta["n_steps"], sol.T))
         return sol
 
     monkeypatch.setattr(nvol.dupire_pde, "solve_forward", recorded)
@@ -684,8 +684,7 @@ def test_pde_rows_solve_a_fixed_pair_per_maturity(tmp_path, monkeypatch, lapack_
     out = tmp_path / "pde.json"
     code, _ = run(["smile", "--config", str(p), "--out", str(out), "--format", "json"])
     assert code == 0
-    assert grids == [(401, 32, (0.01,)), (801, 64, (0.01,)),
-                     (401, 32, (0.25,)), (801, 64, (0.25,))]
+    assert grids == [(401, 32, 0.01), (801, 64, 0.01), (401, 32, 0.25), (801, 64, 0.25)]
     assert lapack_calls["solve"] == ([401] * (32 + 2) + [801] * (64 + 2)) * 2
     rows = json.loads(out.read_text())
     assert [(r["T"], r["K"], r["flag"]) for r in rows] == [

@@ -21,11 +21,11 @@ def constant_model(c):
     return make_shifted_lognormal(c, 0.0, 0.0)
 
 
-def atm_error(n_space, n_time_per_year, T=1.0, c=0.01):
+def atm_error(n_space, n_steps, T=1.0, c=0.01):
     model = constant_model(c)
     setup = MarketSetup(S0=0.03)
-    sol = solve_forward(model, setup, T, n_space=n_space, n_time_per_year=n_time_per_year)
-    return atm_implied_vol(sol, setup, T) - c
+    sol = solve_forward(model, setup, T, n_space=n_space, n_steps=n_steps)
+    return atm_implied_vol(sol, setup) - c
 
 
 def test_constant_vol_atm_accuracy():
@@ -44,7 +44,7 @@ def test_digital_limits_at_grid_edges():
     model = constant_model(0.01)
     setup = MarketSetup(S0=0.03)
     sol = solve_forward(model, setup, 1.0, n_space=801)
-    p = sol.price_at(1.0)
+    p = sol.prices
     dk = sol.strikes[1] - sol.strikes[0]
     digital_lo = -(p[1] - p[0]) / dk
     digital_hi = -(p[-1] - p[-2]) / dk
@@ -58,23 +58,25 @@ def test_drift_consistency_constant_vol():
     model = constant_model(c)
     setup = MarketSetup(S0=0.03, mu0=mu0, mu1=mu1)
     T = 2.0
-    sol = solve_forward(model, setup, T, n_space=1201, n_time_per_year=800)
+    sol = solve_forward(model, setup, T, n_space=1201, n_steps=1600)
     F = setup.forward(T)
     for K in (F - 0.01, F, F + 0.015):
         j = int(np.argmin(np.abs(sol.strikes - K)))
         want = bachelier_call(NormalQuote(F=F, K=float(sol.strikes[j]), T=T, sigmaN=c))
-        assert sol.price_at(T)[j] == pytest.approx(want, rel=5e-5, abs=1e-9)
+        assert sol.prices[j] == pytest.approx(want, rel=5e-5, abs=1e-9)
 
 
 def test_calendar_monotonicity():
     model = make_shifted_lognormal(0.002, 0.1, 0.03)
     setup = MarketSetup(S0=0.03)
-    sol = solve_forward(model, setup, [2.0, 0.5, 1.0], n_space=401)
-    assert sol.times == (0.5, 1.0, 2.0)
-    interior = slice(40, -40)
-    p = sol.prices
-    assert np.all(p[1][interior] >= p[0][interior] - 1e-12)
-    assert np.all(p[2][interior] >= p[1][interior] - 1e-12)
+    sols = [solve_forward(model, setup, T, n_space=401, n_steps=n)
+            for T, n in ((0.5, 64), (1.0, 64), (2.0, 80))]
+    # the interior nodes of the narrowest grid lie on all three
+    shared = sols[0].strikes[40:-40]
+    p = [sol.price_at_strikes(shared) for sol in sols]
+    assert not np.any(np.isnan(p))
+    assert np.all(p[1] >= p[0] - 1e-12)
+    assert np.all(p[2] >= p[1] - 1e-12)
 
 
 def test_smile_flags_and_band():
@@ -108,15 +110,14 @@ def test_smile_without_an_atm_vol_is_low_confidence(monkeypatch):
         (pytest.approx(0.01, abs=1e-8), "low_confidence")]
     sol = solve_forward(model, setup, 1.0, n_space=101)
     dead = dataclasses.replace(sol, prices=np.zeros_like(sol.prices))
-    assert math.isnan(atm_implied_vol(dead, setup, 1.0))
+    assert math.isnan(atm_implied_vol(dead, setup))
 
 
 def test_forward_off_the_grid_raises():
     # the grids are centred on S0 whatever the drift; F = 0.53 has no price
     model = constant_model(0.01)
     setup = MarketSetup(S0=0.03, mu0=0.5)
-    assert math.isnan(atm_implied_vol(solve_forward(model, setup, 1.0, n_space=101),
-                                      setup, 1.0))
+    assert math.isnan(atm_implied_vol(solve_forward(model, setup, 1.0, n_space=101), setup))
     for call in (lambda: implied_smile_from_pde(model, setup, 1.0, [0.05]),
                  lambda: atm_implied_vol_richardson(model, setup, 1.0)):
         with pytest.raises(ForwardOffGrid, match=r"forward 0.53 at T = 1.0"):
@@ -131,54 +132,55 @@ def test_atm_vol_between_nodes_of_drifted_kink():
     T = 0.25
     sols = [solve_forward(model, setup, T, n_space=n) for n in (1601, 12801)]
     assert not np.any(sols[0].strikes == setup.forward(T))
-    got, ref = (atm_implied_vol(sol, setup, T) for sol in sols)
+    got, ref = (atm_implied_vol(sol, setup) for sol in sols)
     assert abs(got - ref) < 5e-7
 
 
-def test_breakpoint_lands_on_node():
+def test_breakpoint_off_s0_is_refused():
+    # the uniform stencil would smear a kink between nodes; one at S0 sits on
+    # a node, and one off the grid does not reach the march
     model = make_piecewise_linear(0.008, -0.1, 0.1, 0.03)
-    setup = MarketSetup(S0=0.031)
-    sol = solve_forward(model, setup, 1.0, n_space=401)
-    assert np.min(np.abs(sol.strikes - 0.03)) < 1e-13
-    assert np.min(np.abs(sol.strikes - 0.031)) < 1e-13
+    with pytest.raises(ValueError, match=r"breakpoint at 0\.03, .* off S0 = 0\.031"):
+        solve_forward(model, MarketSetup(S0=0.031), 1.0, n_space=401)
+    sol = solve_forward(model, MarketSetup(S0=0.031), 1e-4, n_space=401)
+    assert 0.03 < sol.strikes[0]
+    assert sol.strikes[sol.kinks[0]] == pytest.approx(0.031, abs=1e-15)
 
 
-def reference_march(model, setup, ks, T_max, levels, n_steps):
-    """Rannacher-started CN with the system rebuilt and solved every step."""
+def reference_march(model, setup, ks, T, n_steps):
+    """Rannacher-started CN to T in n_steps steps of T / n_steps, with the
+    system rebuilt and solved every step."""
     n, dx = len(ks), ks[1] - ks[0]
     diff = 0.5 * np.array([model.vol(k) ** 2 for k in ks]) / (dx * dx)
-    times = np.linspace(0.0, T_max, n_steps + 1).tolist() + list(levels)
-    times = sorted(set(round(t, 15) for t in times))
+    times = np.linspace(0.0, T, n_steps + 1).tolist()
+    dt = T / n_steps
 
-    def step(c_in, t0, t1, theta):
-        dt = t1 - t0
+    def step(c_in, t0, t1, h, theta):
         adv = setup.drift(0.5 * (t0 + t1)) / (2.0 * dx)
         lo_c, hi_c, mid_c = diff + adv, diff - adv, -2.0 * diff
         rhs = c_in.copy()
         if theta < 1.0:
-            w = (1.0 - theta) * dt
+            w = (1.0 - theta) * h
             rhs[1:-1] = (c_in[1:-1] + w * (lo_c[1:-1] * c_in[:-2]
                                            + mid_c[1:-1] * c_in[1:-1]
                                            + hi_c[1:-1] * c_in[2:]))
         ab = np.zeros((3, n))
         ab[1, :] = 1.0
-        ab[1, 1:-1] = 1.0 - theta * dt * mid_c[1:-1]
-        ab[0, 2:] = -theta * dt * hi_c[1:-1]
-        ab[2, :-2] = -theta * dt * lo_c[1:-1]
+        ab[1, 1:-1] = 1.0 - theta * h * mid_c[1:-1]
+        ab[0, 2:] = -theta * h * hi_c[1:-1]
+        ab[2, :-2] = -theta * h * lo_c[1:-1]
         rhs[0] = setup.forward(t1) - ks[0]
         rhs[-1] = 0.0
         return solve_banded((1, 1), ab, rhs)
 
     c = np.maximum(setup.S0 - ks, 0.0)
-    out = []
     for i, (t0, t1) in enumerate(zip(times[:-1], times[1:])):
         if i < 2:
-            c = step(step(c, t0, 0.5 * (t0 + t1), 1.0), 0.5 * (t0 + t1), t1, 1.0)
+            tm = 0.5 * (t0 + t1)
+            c = step(step(c, t0, tm, 0.5 * dt, 1.0), tm, t1, 0.5 * dt, 1.0)
         else:
-            c = step(c, t0, t1, 0.5)
-        if any(abs(t - t1) <= 1e-12 * max(t, 1.0) for t in levels):
-            out.append(c.copy())
-    return np.array(out)
+            c = step(c, t0, t1, dt, 0.5)
+    return c
 
 
 KINK = make_piecewise_linear(0.008, 0.1, 0.2, 0.03)
@@ -190,26 +192,29 @@ KINK = make_piecewise_linear(0.008, 0.1, 0.2, 0.03)
     (KINK, MarketSetup(S0=0.03, mu0=0.002), [0.5, 1.0, 2.0], 201),
 ])
 def test_march_bit_identical_to_per_step_banded_solve(model, setup, levels, n_space):
-    T = levels[-1]
-    sol = solve_forward(model, setup, levels, n_space=n_space)
-    # the default 40 steps a year, at least 64
-    want = reference_march(model, setup, sol.strikes, T, levels, max(math.ceil(40 * T), 64))
-    assert np.array_equal(sol.prices, want)
+    # each maturity solved on its own in 40 steps a year, at least 64
+    for T in levels:
+        n_steps = max(math.ceil(40 * T), 64)
+        sol = solve_forward(model, setup, T, n_space=n_space, n_steps=n_steps)
+        want = reference_march(model, setup, sol.strikes, T, n_steps)
+        assert np.array_equal(sol.prices, want)
 
 
 @pytest.mark.parametrize("mu0, mu1, factorizations", [
-    (0.0, 0.0, 9), (0.002, 0.0, 9), (0.002, -0.001, 82)])
+    (0.0, 0.0, 2), (0.002, 0.0, 2), (0.002, -0.001, 82)])
 def test_march_factors_once_per_operator(lapack_calls, mu0, mu1, factorizations):
-    # a constant drift factors each distinct (dt, theta) once; mu1 != 0
-    # changes the operator every (half-)step
-    solve_forward(KINK, MarketSetup(S0=0.03, mu0=mu0, mu1=mu1), 2.0, n_space=201)
+    # a constant drift factors the implicit half-step and the CN step once
+    # each; mu1 != 0 changes the operator every (half-)step
+    solve_forward(KINK, MarketSetup(S0=0.03, mu0=mu0, mu1=mu1), 2.0, n_space=201, n_steps=80)
     assert lapack_calls["factor"] == [201] * factorizations
 
 
-@pytest.mark.parametrize("T", [1.0 / 256.0, 0.25, 4.0])
+
+@pytest.mark.parametrize("T", [1.0 / 256.0, 0.25, 4.0, 0.3])
 def test_atm_richardson_solves_twice_in_fixed_steps(monkeypatch, lapack_calls, T):
     # 401 nodes in 32 steps and 801 in 64 at every maturity: each step count
-    # plus the two Rannacher half-steps is one dgttrs solve
+    # plus the two Rannacher half-steps is one dgttrs solve, and each solve
+    # factors twice, even where T / 32 and T / 64 are inexact (T = 0.3)
     grids = []
     solve = solve_forward
 
@@ -222,6 +227,7 @@ def test_atm_richardson_solves_twice_in_fixed_steps(monkeypatch, lapack_calls, T
     atm_implied_vol_richardson(KINK, MarketSetup(S0=0.03), T)
     assert grids == [(401, 32), (801, 64)]
     assert lapack_calls["solve"] == [401] * (32 + 2) + [801] * (64 + 2)
+    assert lapack_calls["factor"] == [401] * 2 + [801] * 2
 
 
 def test_non_finite_local_vol_rejected():
@@ -247,7 +253,7 @@ def test_positivity_clipping_in_meta():
     # 10-stdev span 0.03 -+ 0.44 at T = 10, so the grid is cut on the left only
     model = make_shifted_lognormal(0.014 - 0.2 * 0.03, 0.1, 0.03)
     setup = MarketSetup(S0=0.03)
-    sol = solve_forward(model, setup, 10.0, n_space=201)
+    sol = solve_forward(model, setup, 10.0, n_space=201, n_steps=400)
     assert sol.meta["clipped"] == (True, False)
     assert -0.04 < sol.strikes[0] < -0.04 + sol.meta["dx"]
     assert solve_forward(model, setup, 0.1, n_space=201).meta["clipped"] == (False, False)
@@ -259,7 +265,7 @@ def test_shifted_grid_keeps_every_node_inside_the_domain():
     # where sigma_D < 0
     model = make_shifted_lognormal(0.008, 0.1, 0.03)
     setup = MarketSetup(S0=0.03)
-    sol = solve_forward(model, setup, 5.359, n_space=101)
+    sol = solve_forward(model, setup, 5.359, n_space=101, n_steps=215)
     assert sol.meta["clipped"] == (True, False)
     assert -0.04 < sol.strikes[0] < -0.04 + sol.meta["dx"]
     assert sol.strikes[sol.kinks[0]] == pytest.approx(0.03, abs=1e-15)
@@ -281,7 +287,7 @@ def test_grid_clipped_at_both_ends_stays_inside(n_space):
 def test_meta_round_trips_through_json():
     # sigma_D(S0) is a numpy float for SABR; the clipped flags stay Python bools
     clipped = solve_forward(make_shifted_lognormal(0.008, 0.1, 0.03),
-                            MarketSetup(S0=0.03), 10.0, n_space=201)
+                            MarketSetup(S0=0.03), 10.0, n_space=201, n_steps=400)
     sabr = solve_forward(make_quadratic_sabr(0.01, 0.3, -0.3, 0.03),
                          MarketSetup(S0=0.03), 1.0, n_space=201)
     for sol, flags in ((clipped, [True, False]), (sabr, [False, False])):
@@ -301,16 +307,16 @@ def test_price_at_strikes_interpolates_within_kink_stretches():
     ks = sol.strikes
     (j0,) = sol.kinks
     assert abs(ks[j0] - 0.03) < 1e-15
-    assert np.array_equal(sol.price_at_strikes(1.0, ks), sol.price_at(1.0))
+    assert np.array_equal(sol.price_at_strikes(ks), sol.prices)
     # a piecewise cubic with its kink at S0 is reproduced to rounding
     x = ks - ks[j0]
     cubic = np.where(x < 0.0, 1.0 + x + 2.0 * x ** 3, 1.0 - 3.0 * x + 50.0 * x ** 2)
-    fake = dataclasses.replace(sol, prices=cubic[None, :])
+    fake = dataclasses.replace(sol, prices=cubic)
     mid = 0.5 * (ks[:-1] + ks[1:])
     y = mid - ks[j0]
     want = np.where(y < 0.0, 1.0 + y + 2.0 * y ** 3, 1.0 - 3.0 * y + 50.0 * y ** 2)
-    assert np.max(np.abs(fake.price_at_strikes(1.0, mid) - want)) < 1e-14
-    got = sol.price_at_strikes(1.0, [ks[0] - 1e-9, ks[-1] + 1e-9, 0.5, 5.0])
+    assert np.max(np.abs(fake.price_at_strikes(mid) - want)) < 1e-14
+    got = sol.price_at_strikes([ks[0] - 1e-9, ks[-1] + 1e-9, 0.5, 5.0])
     assert np.all(np.isnan(got))
 
 
@@ -382,20 +388,23 @@ def test_lapack_bindings_factor_and_solve_bit_for_bit(both_lapacks, n):
 
 
 @pytest.mark.parametrize("model, setup, T, clipped", [
+    # T lists the maturities, each solved in 40 steps a year, at least 64
     (KINK, MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001), [0.5, 2.0], (True, False)),
     (make_quadratic_sabr(0.01, 0.3, -0.3, 0.03), MarketSetup(S0=0.03), [1.0], (False, False)),
     (make_shifted_lognormal(0.008, 0.1, 0.03), MarketSetup(S0=0.03), [10.0], (True, False)),
 ])
 def test_solve_forward_same_bits_on_either_lapack(monkeypatch, both_lapacks, model, setup,
                                                   T, clipped):
-    sols = {}
-    for source, lapack in both_lapacks.items():
-        monkeypatch.setattr(nvol.dupire_pde, "_tridiagonal", lambda: lapack)
-        sols[source] = solve_forward(model, setup, T, n_space=401)
-        assert sols[source].meta["lapack"] == source
-        assert sols[source].meta["clipped"] == clipped
-    a, b = sols.values()
-    assert np.array_equal(a.prices, b.prices)
+    for t in T:
+        sols = {}
+        for source, lapack in both_lapacks.items():
+            monkeypatch.setattr(nvol.dupire_pde, "_tridiagonal", lambda: lapack)
+            sols[source] = solve_forward(model, setup, t, n_space=401,
+                                         n_steps=max(math.ceil(40 * t), 64))
+            assert sols[source].meta["lapack"] == source
+            assert sols[source].meta["clipped"] == clipped
+        a, b = sols.values()
+        assert np.array_equal(a.prices, b.prices)
 
 
 def test_singular_system_raises_on_either_lapack(both_lapacks):

@@ -57,13 +57,13 @@ def test_shifted_ln_exact_vs_pde_20_points():
     model = make_shifted_lognormal(sigma0, b, S0)
     setup = MarketSetup(S0=S0)
     T = 1.0
-    sol = solve_forward(model, setup, T, n_space=1601, n_time_per_year=1000)
+    sol = solve_forward(model, setup, T, n_space=1601, n_steps=1000)
     count = 0
     for i in range(20):
         K = S0 + (i - 9.5) / 9.5 * 1.5 * sb * math.sqrt(T)
         j = min(range(len(sol.strikes)), key=lambda n: abs(sol.strikes[n] - K))
         want = shifted_ln_exact_call(sigma0, b, S0, float(sol.strikes[j]), T)
-        assert sol.price_at(T)[j] == pytest.approx(want, rel=1e-4, abs=1e-9)
+        assert sol.prices[j] == pytest.approx(want, rel=1e-4, abs=1e-9)
         count += 1
     assert count == 20
 
