@@ -476,6 +476,17 @@ def _finite(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type: a non-negative integer, as the generator's seed must be."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="nvol", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -489,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("smile", help="smiles per (K, T, method) from a config")
     common(p)
-    p.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
+    p.add_argument("--seed", type=_seed, default=0, help="Monte-Carlo seed (>= 0)")
     p.set_defaults(func=cmd_smile)
 
     p = sub.add_parser("table1", help="ATM deviation table, shifted log-normal")

@@ -13,12 +13,11 @@ between nodes is interpolated from nodes on one side of it only.
 
 from __future__ import annotations
 
-import bisect
 import ctypes
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -29,34 +28,34 @@ from .models import LocalVolModel, MarketSetup
 
 @dataclass(frozen=True)
 class PdeSolution:
-    """Call prices at maturity T on the strike grid, one per node."""
+    """Call prices at maturity T on the strike grid, one per node, and the
+    index of the node at S0, where the payoff has its kink and the only
+    breakpoint of sigma_D inside the grid may sit."""
     strikes: np.ndarray
     T: float
     prices: np.ndarray  # shape (n_space,)
+    s0_node: int
     meta: dict = field(default_factory=dict)
-    # the node at S0, where the price has a kink
-    kinks: tuple[int, ...] = ()
 
     def price_at_strikes(self, strikes: Sequence[float]) -> np.ndarray:
         """Prices at arbitrary strikes, nan off the grid.
 
         Cubic Lagrange interpolation through the 4 nodes around each strike,
-        with the stencil kept on one side of every kink node; a strike on a
-        node gets that node's price exactly.
+        with the stencil kept on the strike's side of the S0 node; a strike
+        on a node gets that node's price exactly.
         """
         prices = self.prices
         ks = self.strikes
         n = len(ks)
-        bounds = sorted({0, n - 1, *self.kinks})
+        j0 = self.s0_node
         out = []
         for k in np.asarray(strikes, dtype=float).tolist():
             if not ks[0] <= k <= ks[-1]:
                 out.append(math.nan)
                 continue
             j = min(int(np.searchsorted(ks, k, side="right")) - 1, n - 2)
-            # the stretch [a, b] between kink nodes that holds [ks[j], ks[j+1]]
-            i = bisect.bisect_right(bounds, j)
-            a, b = bounds[i - 1], bounds[i]
+            # the stretch [a, b], either side of the S0 node, that holds [ks[j], ks[j+1]]
+            a, b = (0, j0) if j < j0 else (j0, n - 1)
             lo = max(a, min(j - 1, b - 3))
             nodes = range(lo, min(lo + 4, b + 1))
             p = 0.0
@@ -70,20 +69,29 @@ class PdeSolution:
         return np.array(out)
 
 
+class GridTooNarrow(ArithmeticError, ValueError):
+    """The grid's span about S0 rounds away (T too short, or S0 at the edge of
+    the positivity domain): a numerical failure, and invalid input."""
+
+
 def _build_strike_grid(model: LocalVolModel, setup: MarketSetup, T: float,
                        n_space: int, width_stdevs: float
-                       ) -> tuple[np.ndarray, tuple[int, ...], tuple[bool, bool]]:
+                       ) -> tuple[np.ndarray, int, tuple[bool, bool]]:
     """Uniform grid spanning width_stdevs local standard deviations either
     side of S0, clipped to the positivity domain of the model, with S0 on a
-    node.  A breakpoint of sigma_D inside the grid but off S0 is refused:
-    the uniform stencil would smear its kink.
+    node.  An S0 outside that domain is refused, and so is a breakpoint of
+    sigma_D inside the grid but off S0: the uniform stencil would smear its
+    kink.
 
-    Returns the nodes, the index of the node at S0 (as a tuple), and whether
-    the positivity domain moved the left and right ends inwards.
+    Returns the nodes, the index of the node at S0, and whether the
+    positivity domain moved the left and right ends inwards.
     """
     if n_space < 51:
         raise ValueError("need at least 51 space nodes")
     s0 = setup.S0
+    if not model.in_domain(s0):
+        raise ValueError(f"S0 = {s0!r} lies outside the positivity domain "
+                         f"{model.positivity_domain} of the model")
     stdev = model.vol(s0) * math.sqrt(T)
     want_min, want_max = s0 - width_stdevs * stdev, s0 + width_stdevs * stdev
     lo, hi = model.positivity_domain
@@ -93,7 +101,8 @@ def _build_strike_grid(model: LocalVolModel, setup: MarketSetup, T: float,
     if math.isfinite(lo):
         k_min = max(k_min, lo + 1e-9 * (k_max - lo))
     if k_min >= k_max:
-        raise ValueError("K_min must be below K_max")
+        raise GridTooNarrow(f"K_min must be below K_max: the span about S0 = {s0!r} at T = "
+                            f"{T!r}, inside the domain {model.positivity_domain}, rounds away")
     clipped = (bool(k_min != want_min), bool(k_max != want_max))
     dx = (k_max - k_min) / (n_space - 1)
     # move the grid so that s0 lands exactly on a node, never out through a
@@ -111,8 +120,7 @@ def _build_strike_grid(model: LocalVolModel, setup: MarketSetup, T: float,
         if ks[0] < bp < ks[-1] and abs(bp - s0) > 1e-14:
             raise ValueError(f"sigma_D has a breakpoint at {bp!r}, inside the PDE grid "
                              f"but off S0 = {s0!r}; only a breakpoint at S0 sits on a node")
-    j0 = int(round((s0 - ks[0]) / dx))
-    return ks, (j0,) if 0 <= j0 < n_space else (), clipped
+    return ks, int(round((s0 - ks[0]) / dx)), clipped
 
 
 # numpy's OpenBLAS exports LAPACK with 64-bit integers under these names
@@ -120,84 +128,73 @@ _OPENBLAS_SYMBOLS = ("scipy_dgttrf_64_", "scipy_dgttrs_64_")
 
 
 @functools.cache
-def _tridiagonal() -> tuple[str, Callable, Callable]:
-    """LAPACK's tridiagonal LU, dgttrf and dgttrs, as (source, factor, solver).
-
-    factor(dl, d, du) factors the matrix with sub-, main and super-diagonals
-    dl, d, du in place and returns its LU, whose first item is dgttrf's
-    (dl, d, du, du2, ipiv), or raises LinAlgError if it is singular.
-    solver(b) binds a right-hand-side buffer once and returns solve(lu), which
-    overwrites b with the solution of the factored system.  The routines come
-    through ctypes from the OpenBLAS that numpy has already loaded (source
-    "numpy-openblas"), so the PDE imports no scipy; where that library lacks
-    the symbols (numpy 1.x, Accelerate or MKL builds, Windows) they come from
-    scipy.linalg.lapack (source "scipy"), with the same bits.
-    """
+def _openblas_lapack() -> tuple | None:
+    """dgttrf and dgttrs from the OpenBLAS that numpy has already loaded, or
+    None where that library lacks them (numpy 1.x, Accelerate or MKL builds,
+    Windows)."""
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
         gttrf, gttrs = (getattr(lib, name) for name in _OPENBLAS_SYMBOLS)
     except (AttributeError, OSError):
-        return ("scipy", *_scipy_tridiagonal())
-    # Fortran ABI: every argument by reference, then the hidden length of
-    # TRANS.  The arguments are ctypes objects built once per factor or
-    # buffer and passed as they are; declaring argtypes would convert all 12
-    # on every dgttrs call, +2 us on a 15 us solve of 801 nodes.
+        return None
     gttrf.restype = gttrs.restype = None
-    trans, nrhs, trans_len = ctypes.c_char(b"N"), ctypes.c_int64(1), ctypes.c_size_t(1)
-
-    def address(a: np.ndarray):
-        # through the buffer protocol, which refuses a non-contiguous or
-        # read-only array; about half the cost of a.ctypes.data
-        return ctypes.byref(ctypes.c_char.from_buffer(a))
-
-    def factor(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:
-        if not (dl.dtype == d.dtype == du.dtype == np.float64
-                and dl.size == du.size == d.size - 1):
-            raise ValueError("dgttrf takes float64 diagonals of n - 1, n and n - 1 entries")
-        n, info = ctypes.c_int64(d.size), ctypes.c_int64()
-        arrays = (dl, d, du, np.empty(d.size - 2), np.empty(d.size, dtype=np.int64))
-        pointers = [address(a) for a in arrays]
-        gttrf(ctypes.byref(n), *pointers, ctypes.byref(info))
-        if info.value > 0:
-            raise LinAlgError("singular matrix")
-        # the arrays stay referenced for as long as their pointers are used
-        return arrays, (ctypes.byref(trans), ctypes.byref(n), ctypes.byref(nrhs), *pointers)
-
-    def solver(b: np.ndarray) -> Callable:
-        if b.dtype != np.float64:
-            raise ValueError("dgttrs takes a float64 right-hand side")
-        size = b.size
-        tail = (address(b), ctypes.byref(ctypes.c_int64(size)),
-                ctypes.byref(ctypes.c_int64()), trans_len)
-
-        def solve(lu: tuple) -> None:
-            if lu[0][1].size != size:
-                raise ValueError(f"right-hand side of {size} entries for a system of "
-                                 f"{lu[0][1].size}")
-            gttrs(*lu[1], *tail)
-        return solve
-
-    return "numpy-openblas", factor, solver
+    return gttrf, gttrs
 
 
-def _scipy_tridiagonal() -> tuple[Callable, Callable]:
-    """factor and solver of `_tridiagonal` from scipy.linalg.lapack."""
-    from scipy.linalg.lapack import dgttrf, dgttrs
+class _Tridiagonal:
+    """One n x n tridiagonal system, held for a whole march: its float64 sub-,
+    main and super-diagonals dl, d, du, which the march fills in place, the
+    right-hand side b, and dgttrf's pivot storage du2, ipiv.
 
-    def factor(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:
-        *arrays, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    The LAPACK routines come through ctypes from the OpenBLAS that numpy has
+    already loaded (source "numpy-openblas"), so the PDE imports no scipy;
+    where `_openblas_lapack` finds none, from scipy.linalg.lapack (source
+    "scipy"), with the same bits.
+    """
+
+    def __init__(self, n: int):
+        self.dl, self.d, self.du = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+        self.b = np.empty(n)
+        self.du2, self.ipiv = np.empty(n - 2), np.empty(n, dtype=np.int64)
+        lapack = _openblas_lapack()
+        if lapack is None:
+            from scipy.linalg.lapack import dgttrf, dgttrs
+            self.source, self._gttrf, self._gttrs = "scipy", dgttrf, dgttrs
+            return
+        self.source = "numpy-openblas"
+        # Fortran ABI: every argument by reference, then the hidden length of
+        # TRANS.  The pointers into this object's buffers are formed here, once,
+        # and passed as they are; declaring argtypes would convert all 12 on
+        # every dgttrs call, +2 us on a 15 us solve of 801 nodes.
+        self._info = ctypes.c_int64()
+        size, info = ctypes.byref(ctypes.c_int64(n)), ctypes.byref(self._info)
+        *lu, b = (ctypes.byref(ctypes.c_char.from_buffer(a))
+                  for a in (self.dl, self.d, self.du, self.du2, self.ipiv, self.b))
+        gttrf, gttrs = lapack
+        self._gttrf = functools.partial(gttrf, size, *lu, info)
+        self._gttrs = functools.partial(
+            gttrs, ctypes.byref(ctypes.c_char(b"N")), size,
+            ctypes.byref(ctypes.c_int64(1)), *lu, b, size, info, ctypes.c_size_t(1))
+
+    def factor(self) -> None:
+        """Overwrite dl, d, du, du2 and ipiv with dgttrf's LU of the matrix;
+        LinAlgError if it is singular."""
+        if self.source == "scipy":
+            # f2py factors the float64 diagonals in place; the pivots come back new
+            *_, self.du2, self.ipiv, info = self._gttrf(
+                self.dl, self.d, self.du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        else:
+            self._gttrf()
+            info = self._info.value
         if info > 0:
             raise LinAlgError("singular matrix")
-        return (arrays,)
 
-    def solver(b: np.ndarray) -> Callable:
-        def solve(lu: tuple) -> None:
-            x, _ = dgttrs(*lu[0], b, overwrite_b=1)
-            if x is not b:
-                b[:] = x
-        return solve
-
-    return factor, solver
+    def solve(self) -> None:
+        """Overwrite b with the solution of the factored system."""
+        if self.source == "scipy":
+            self._gttrs(self.dl, self.d, self.du, self.du2, self.ipiv, self.b, overwrite_b=1)
+        else:
+            self._gttrs()
 
 
 def solve_forward(model: LocalVolModel, setup: MarketSetup, T: float,
@@ -207,14 +204,15 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, T: float,
 
     The grid has n_space nodes over width_stdevs local stdevs either side of
     S0 at T, clipped to the positivity domain of the model
-    (`meta["clipped"]`).  The span does not depend on the drift.  The first
-    two steps are each taken as two implicit half-steps, the rest by
-    Crank-Nicolson.  The `pde` rows and `sqrt-t` fix the sizes via
-    `richardson_prices`.  `meta["lapack"]` names where the tridiagonal
-    solver came from.
+    (`meta["clipped"]`), with S0 on a node.  The span does not depend on the
+    drift; an S0 outside the domain raises ValueError, and a T too short for
+    the span to hold two strikes GridTooNarrow.  The first two steps are each
+    taken as two implicit half-steps, the rest by Crank-Nicolson, all on one
+    held tridiagonal system, factored again only when the operator changes.
+    The `pde` rows and `sqrt-t` fix the sizes via `richardson_prices`.
+    `meta["lapack"]` names where that system's LAPACK came from.
     """
-    lapack, lu_factor, solver = _tridiagonal()
-    ks, kinks, clipped = _build_strike_grid(model, setup, T, n_space, width_stdevs)
+    ks, s0_node, clipped = _build_strike_grid(model, setup, T, n_space, width_stdevs)
     n = len(ks)
     dx = ks[1] - ks[0]
     sig2 = model.vol(ks) ** 2
@@ -237,17 +235,16 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, T: float,
     # interior rows of L C = diff*(C[i+1] - 2C[i] + C[i-1]) - mu*(C[i+1] - C[i-1])/(2dx)
     diff_in = diff[1:-1]
     mid_c = -2.0 * diff_in
-    # the diagonals of the held operator I - theta h L, refilled in place and
-    # factored again only when (h, theta, advection) changes: twice for a
-    # constant drift, every (half-)step for mu1 != 0
-    dl, d, du = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+    # the held system: its diagonals are those of I - theta h L, refilled in
+    # place and factored again only when (h, theta, advection) changes: twice
+    # for a constant drift, every (half-)step for mu1 != 0.  Each step builds
+    # the right-hand side in its b, the prices, and solves there.
+    system = _Tridiagonal(n)
+    dl, d, du, c = system.dl, system.d, system.du, system.b
     held = None
     acc = np.empty(n - 2)
     tmp = np.empty(n - 2)
-    # one price buffer: each step builds the right-hand side in it and
-    # solves for the next prices there
-    c = np.maximum(setup.S0 - ks, 0.0)
-    solve = solver(c)
+    np.maximum(setup.S0 - ks, 0.0, out=c)
     for t0, t1, h, theta in schedule:
         adv = setup.drift(0.5 * (t0 + t1)) / (2.0 * dx)  # central first derivative
         if (h, theta, adv) != held:
@@ -260,7 +257,7 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, T: float,
             du[0] = dl[-1] = 0.0
             np.multiply(hi_c, -theta * h, out=du[1:])
             np.multiply(lo_c, -theta * h, out=dl[:-1])
-            lu = lu_factor(dl, d, du)
+            system.factor()
         # (I - theta h L) c_new = (I + (1-theta) h L) c_old  (interior rows),
         # summed in the order c + w*((lo*c[i-1] + mid*c[i]) + hi*c[i+1])
         if theta < 1.0:
@@ -274,11 +271,11 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, T: float,
         # Dirichlet boundaries: deep ITM C = F(t1) - K, far OTM C = 0
         c[0] = setup.forward(t1) - ks[0]
         c[-1] = 0.0
-        solve(lu)
+        system.solve()
 
     meta = {"dx": dx, "n_steps": n_steps, "max_diffusion_number": float(np.max(diff)) * dt,
-            "clipped": clipped, "lapack": lapack}
-    return PdeSolution(strikes=ks, T=T, prices=c, meta=meta, kinks=kinks)
+            "clipped": clipped, "lapack": system.source}
+    return PdeSolution(strikes=ks, T=T, prices=c, s0_node=s0_node, meta=meta)
 
 
 class ForwardOffGrid(ValueError):

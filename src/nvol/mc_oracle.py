@@ -59,6 +59,8 @@ class McSpec:
             raise ValueError("n_paths must be even and >= 2")
         if self.steps_per_year < 1:
             raise ValueError("steps_per_year must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 class McResult(NamedTuple):

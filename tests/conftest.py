@@ -8,23 +8,20 @@ from nvol.cli import _surface_from_csv, load_config, main
 def lapack_calls(monkeypatch):
     """Sizes of the systems `solve_forward` factors and solves from now on, in
     call order: {"factor": [...], "solve": [...]}."""
-    source, factor, solver = nvol.dupire_pde._tridiagonal()
+    system = nvol.dupire_pde._Tridiagonal
+    factor, solve = system.factor, system.solve
     calls = {"factor": [], "solve": []}
 
-    def counted_factor(dl, d, du):
-        calls["factor"].append(d.size)
-        return factor(dl, d, du)
+    def counted_factor(self):
+        calls["factor"].append(self.d.size)
+        factor(self)
 
-    def counted_solver(b):
-        solve = solver(b)
+    def counted_solve(self):
+        calls["solve"].append(self.b.size)
+        solve(self)
 
-        def counted(lu):
-            calls["solve"].append(b.size)
-            solve(lu)
-        return counted
-
-    monkeypatch.setattr(nvol.dupire_pde, "_tridiagonal",
-                        lambda: (source, counted_factor, counted_solver))
+    monkeypatch.setattr(system, "factor", counted_factor)
+    monkeypatch.setattr(system, "solve", counted_solve)
     return calls
 
 

@@ -126,6 +126,28 @@ def test_numerical_failure_exits_3_naming_method_and_maturity(smile_config, monk
     assert "at T=1.0, method=exact: no bracket" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_bad_seed_exits_2_naming_it(smile_config, seed, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["smile", "--config", smile_config, "--seed", seed])
+    assert e.value.code == 2
+    assert f"argument --seed: not a non-negative integer: '{seed}'" in capsys.readouterr().err
+
+
+def test_pde_maturity_too_short_for_its_grid_exits_3(tmp_path, capsys):
+    # the other methods print rows at T = 1e-300; the pde grid's span rounds away
+    cfg = tmp_path / "short.ini"
+    cfg.write_text(SMILE_CONFIG.replace("list = 1 5", "list = 1e-300")
+                   .replace("asympt0 asympt1 exact", "asympt2 exact mc"))
+    code, text = run(["smile", "--config", str(cfg)])
+    assert code == 0 and text.count("\n") == 1 + 7 * 3
+    cfg.write_text(cfg.read_text().replace("asympt2 exact mc", "asympt2 pde"))
+    code, text = run(["smile", "--config", str(cfg)])
+    assert code == 3 and text == ""
+    assert ("numerical failure at T=1e-300, method=pde: K_min must be below K_max"
+            in capsys.readouterr().err)
+
+
 def test_missing_config_exits_2(tmp_path):
     code, _ = run(["smile", "--config", str(tmp_path / "nope.ini")])
     assert code == 2

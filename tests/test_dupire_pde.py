@@ -9,12 +9,12 @@ from scipy.linalg import solve_banded
 
 from nvol.bachelier import NormalQuote, bachelier_call
 import nvol.dupire_pde
-from nvol.dupire_pde import (ForwardOffGrid, _build_strike_grid, atm_implied_vol,
-                             atm_implied_vol_richardson, extract_local_vol,
-                             implied_smile_from_pde, richardson_prices,
-                             solve_forward)
-from nvol.models import (MarketSetup, make_piecewise_linear,
-                         make_quadratic_sabr, make_shifted_lognormal)
+from nvol.dupire_pde import (ForwardOffGrid, GridTooNarrow, _build_strike_grid, _Tridiagonal,
+                             atm_implied_vol, atm_implied_vol_richardson,
+                             extract_local_vol, implied_smile_from_pde,
+                             richardson_prices, solve_forward)
+from nvol.models import (MarketSetup, make_piecewise_linear, make_quadratic_sabr,
+                         make_shifted_lognormal, make_tabulated)
 
 
 def constant_model(c):
@@ -144,7 +144,7 @@ def test_breakpoint_off_s0_is_refused():
         solve_forward(model, MarketSetup(S0=0.031), 1.0, n_space=401)
     sol = solve_forward(model, MarketSetup(S0=0.031), 1e-4, n_space=401)
     assert 0.03 < sol.strikes[0]
-    assert sol.strikes[sol.kinks[0]] == pytest.approx(0.031, abs=1e-15)
+    assert sol.strikes[sol.s0_node] == pytest.approx(0.031, abs=1e-15)
 
 
 def reference_march(model, setup, ks, T, n_steps):
@@ -243,9 +243,22 @@ def test_grid_validation():
     setup = MarketSetup(S0=0.03)
     with pytest.raises(ValueError, match="at least 51 space nodes"):
         solve_forward(model, setup, 1.0, n_space=11)
-    # a zero maturity spans no strikes
-    with pytest.raises(ValueError, match="K_min must be below K_max"):
-        solve_forward(model, setup, 0.0)
+    # a zero maturity spans no strikes, nor does one whose span rounds away
+    for T in (0.0, 1e-300):
+        with pytest.raises(GridTooNarrow, match="K_min must be below K_max"):
+            solve_forward(model, setup, T)
+
+
+@pytest.mark.parametrize("model, s0", [
+    # sigma_D = 0.008 + 0.2 (S - 0.03) vanishes at S = -0.01
+    (make_shifted_lognormal(0.008, 0.1, 0.03), -0.05),
+    (make_tabulated([(0.01, 0.01), (0.02, 0.012), (0.03, 0.01), (0.04, 0.011)]), 0.05),
+])
+def test_s0_outside_the_positivity_domain_is_refused(model, s0):
+    lo, hi = model.positivity_domain
+    with pytest.raises(ValueError, match=rf"S0 = {s0!r} lies outside the positivity "
+                                         rf"domain \({lo!r}, {hi!r}\)"):
+        solve_forward(model, MarketSetup(S0=s0), 1.0, n_space=401, n_steps=32)
 
 
 def test_positivity_clipping_in_meta():
@@ -268,7 +281,7 @@ def test_shifted_grid_keeps_every_node_inside_the_domain():
     sol = solve_forward(model, setup, 5.359, n_space=101, n_steps=215)
     assert sol.meta["clipped"] == (True, False)
     assert -0.04 < sol.strikes[0] < -0.04 + sol.meta["dx"]
-    assert sol.strikes[sol.kinks[0]] == pytest.approx(0.03, abs=1e-15)
+    assert sol.strikes[sol.s0_node] == pytest.approx(0.03, abs=1e-15)
     assert np.all(model.vol(sol.strikes) > 0.0)
 
 
@@ -276,10 +289,10 @@ def test_shifted_grid_keeps_every_node_inside_the_domain():
 def test_grid_clipped_at_both_ends_stays_inside(n_space):
     # a tent sigma_D = 0.008 - 0.2 |S - 0.03| is positive on (-0.01, 0.07) only
     model = make_piecewise_linear(0.008, 0.1, -0.1, 0.03)
-    ks, kinks, clipped = _build_strike_grid(model, MarketSetup(S0=0.03), 30.0, n_space, 10.0)
+    ks, j0, clipped = _build_strike_grid(model, MarketSetup(S0=0.03), 30.0, n_space, 10.0)
     assert clipped == (True, True)
     assert -0.01 < ks[0] and ks[-1] < 0.07 and np.all(model.vol(ks) > 0.0)
-    assert ks[kinks[0]] == pytest.approx(0.03, abs=1e-15)
+    assert ks[j0] == pytest.approx(0.03, abs=1e-15)
     assert np.ptp(np.diff(ks)) < 1e-15
     assert ks[-1] - ks[0] > (1.0 - 2.0 / n_space) * 0.08
 
@@ -294,7 +307,7 @@ def test_meta_round_trips_through_json():
         back = json.loads(json.dumps(sol.meta))
         assert back == {**sol.meta, "clipped": flags}
         assert all(type(f) is bool for f in sol.meta["clipped"])
-        assert back["lapack"] == nvol.dupire_pde._tridiagonal()[0]
+        assert back["lapack"] == _Tridiagonal(51).source
         assert back["lapack"] in ("numpy-openblas", "scipy")
 
 
@@ -305,7 +318,7 @@ def test_price_at_strikes_interpolates_within_kink_stretches():
     setup = MarketSetup(S0=0.03)
     sol = solve_forward(model, setup, 1.0, n_space=101)
     ks = sol.strikes
-    (j0,) = sol.kinks
+    j0 = sol.s0_node
     assert abs(ks[j0] - 0.03) < 1e-15
     assert np.array_equal(sol.price_at_strikes(ks), sol.prices)
     # a piecewise cubic with its kink at S0 is reproduced to rounding
@@ -351,40 +364,53 @@ def test_extract_local_vol_singular_raises():
 
 @pytest.fixture()
 def both_lapacks(monkeypatch):
-    """{source: (source, factor, solver)} of the numpy-OpenBLAS binding and of
-    the scipy fallback, the latter with the symbol lookup forced to fail."""
-    found = nvol.dupire_pde._tridiagonal.__wrapped__()
-    if found[0] != "numpy-openblas":
+    """use(source): every `_Tridiagonal` built from then on takes its LAPACK
+    from source, the numpy-OpenBLAS binding or the scipy fallback, the latter
+    with the symbol lookup forced to fail."""
+    found = nvol.dupire_pde._openblas_lapack()
+    if found is None:
         pytest.skip("numpy's LAPACK library exports no scipy_dgttrf_64_ / "
                     "scipy_dgttrs_64_, so only the scipy fallback exists here")
     with monkeypatch.context() as m:
         m.setattr(nvol.dupire_pde, "_OPENBLAS_SYMBOLS", ("no_dgttrf", "no_dgttrs"))
-        fallback = nvol.dupire_pde._tridiagonal.__wrapped__()
-    assert fallback[0] == "scipy"
-    return {t[0]: t for t in (found, fallback)}
+        missing = nvol.dupire_pde._openblas_lapack.__wrapped__()
+    assert missing is None
+    lookups = {"numpy-openblas": found, "scipy": missing}
+
+    def use(source):
+        monkeypatch.setattr(nvol.dupire_pde, "_openblas_lapack", lambda: lookups[source])
+    return use
 
 
-def random_tridiagonal(n, seed):
+SOURCES = ("numpy-openblas", "scipy")
+
+
+def random_system(n, seed, source):
     # no diagonal dominance: dgttrf swaps rows at about half the steps
+    system = _Tridiagonal(n)
+    assert system.source == source
     rng = np.random.default_rng(seed)
-    return rng.normal(size=n - 1), rng.normal(size=n), rng.normal(size=n - 1), rng.normal(size=n)
+    for a in (system.dl, system.d, system.du, system.b):
+        a[:] = rng.normal(size=a.size)
+    return system
 
 
 @pytest.mark.parametrize("n", [401, 801, 1601])
 def test_lapack_bindings_factor_and_solve_bit_for_bit(both_lapacks, n):
-    results = []
-    for _, factor, solver in both_lapacks.values():
-        dl, d, du, b = random_tridiagonal(n, seed=n)
-        lu = factor(dl, d, du)
-        solver(b)(lu)
-        results.append((lu[0], b))
-    (lu_a, x_a), (lu_b, x_b) = results
-    assert len(lu_a) == len(lu_b) == 5
-    assert all(np.array_equal(a, b) for a, b in zip(lu_a, lu_b))
-    assert np.array_equal(x_a, x_b)
-    # the solution solves the system
-    dl, d, du, b = random_tridiagonal(n, seed=n)
-    assert np.allclose(d * x_a + np.append(du * x_a[1:], 0.0) + np.append(0.0, dl * x_a[:-1]), b)
+    systems = []
+    for source in SOURCES:
+        both_lapacks(source)
+        system = random_system(n, n, source)
+        system.factor()
+        system.solve()
+        systems.append(system)
+    a, b = systems
+    for name in ("dl", "d", "du", "du2", "ipiv", "b"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    # the solution solves the system, drawn afresh
+    ref, x = random_system(n, n, "scipy"), a.b
+    assert np.allclose(ref.d * x + np.append(ref.du * x[1:], 0.0)
+                       + np.append(0.0, ref.dl * x[:-1]), ref.b)
 
 
 @pytest.mark.parametrize("model, setup, T, clipped", [
@@ -393,12 +419,11 @@ def test_lapack_bindings_factor_and_solve_bit_for_bit(both_lapacks, n):
     (make_quadratic_sabr(0.01, 0.3, -0.3, 0.03), MarketSetup(S0=0.03), [1.0], (False, False)),
     (make_shifted_lognormal(0.008, 0.1, 0.03), MarketSetup(S0=0.03), [10.0], (True, False)),
 ])
-def test_solve_forward_same_bits_on_either_lapack(monkeypatch, both_lapacks, model, setup,
-                                                  T, clipped):
+def test_solve_forward_same_bits_on_either_lapack(both_lapacks, model, setup, T, clipped):
     for t in T:
         sols = {}
-        for source, lapack in both_lapacks.items():
-            monkeypatch.setattr(nvol.dupire_pde, "_tridiagonal", lambda: lapack)
+        for source in SOURCES:
+            both_lapacks(source)
             sols[source] = solve_forward(model, setup, t, n_space=401,
                                          n_steps=max(math.ceil(40 * t), 64))
             assert sols[source].meta["lapack"] == source
@@ -408,23 +433,31 @@ def test_solve_forward_same_bits_on_either_lapack(monkeypatch, both_lapacks, mod
 
 
 def test_singular_system_raises_on_either_lapack(both_lapacks):
-    for _, factor, _ in both_lapacks.values():
-        dl, d, du = np.ones(100), np.ones(101), np.ones(100)
+    for source in SOURCES:
+        both_lapacks(source)
+        system = _Tridiagonal(101)
+        system.dl[:], system.d[:], system.du[:] = 1.0, 1.0, 1.0
         # row 50 is zero
-        dl[49] = d[50] = du[50] = 0.0
+        system.dl[49] = system.d[50] = system.du[50] = 0.0
         with pytest.raises(LinAlgError):
-            factor(dl, d, du)
+            system.factor()
 
 
-def test_numpy_lapack_binding_refuses_what_its_pointers_cannot_carry(both_lapacks):
-    _, factor, solver = both_lapacks["numpy-openblas"]
-    dl, d, du, b = random_tridiagonal(101, seed=1)
-    # a short diagonal, a float32 one, a strided one
-    for bad in ((dl[:-1], d, du), (dl, d.astype(np.float32), du),
-                (dl, np.repeat(d, 2)[::2], du)):
-        with pytest.raises((ValueError, TypeError)):
-            factor(*bad)
-    with pytest.raises(ValueError, match="float64"):
-        solver(b.astype(np.float32))
-    with pytest.raises(ValueError, match="right-hand side of 100 entries"):
-        solver(b[:100])(factor(dl, d, du))
+def test_drifting_march_refactors_one_system_in_place(monkeypatch, both_lapacks):
+    # mu1 != 0 factors every (half-)step, all into the pivot storage of the
+    # one system the march built
+    both_lapacks("numpy-openblas")
+    seen = []
+    factor = _Tridiagonal.factor
+
+    def recorded(system):
+        seen.append((system, system.du2, system.ipiv))
+        factor(system)
+
+    monkeypatch.setattr(_Tridiagonal, "factor", recorded)
+    sol = solve_forward(KINK, MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001), 2.0,
+                        n_space=801, n_steps=80)
+    assert len(seen) == 82
+    system, du2, ipiv = seen[0]
+    assert all(s is system and a is du2 and p is ipiv for s, a, p in seen)
+    assert sol.prices is system.b

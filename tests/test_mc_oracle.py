@@ -17,7 +17,9 @@ def test_spec_validation():
         McSpec(n_paths=101)
     with pytest.raises(ValueError):
         McSpec(steps_per_year=0)
-    McSpec(n_paths=2, steps_per_year=1)  # the limits themselves are fine
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        McSpec(seed=-1)
+    McSpec(n_paths=2, steps_per_year=1, seed=0)  # the limits themselves are fine
 
 
 def test_one_pair_prices_with_nan_std_error_and_no_warning():
