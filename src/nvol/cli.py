@@ -8,8 +8,11 @@ Subcommands:
   extract-lv  local vol from the `nvol smile` CSV of one method
 
 Config files are INI-style (`key = value` sections); see configs/ for the
-checked-in experiment definitions.  Exit codes: 0 ok, 2 config/usage error,
-3 numerical domain error.
+checked-in experiment definitions.  Every config command reads [model],
+[market] and [maturities]; `smile` also reads [strikes], [methods] and [mc].
+The output goes to stdout or the --out file, as CSV or JSON by --format
+(`sqrt-t` always writes JSON); a config with an [output] section is refused.
+Exit codes: 0 ok, 2 config/usage error, 3 numerical domain error.
 """
 
 from __future__ import annotations
@@ -48,14 +51,14 @@ class ConfigError(Exception):
 
 @dataclass
 class ExperimentConfig:
+    """The sections every command reads; strikes, methods and mc_opts only
+    `smile` reads (load_config)."""
     model: LocalVolModel
     exact_call: Callable[[float, float], tuple[float, float]] | None  # see _build_model
     setup: MarketSetup
-    strikes: list[float]
     maturities: list[float]
-    methods: list[str]
-    out: str | None = None
-    fmt: str = "csv"
+    strikes: list[float] = field(default_factory=list)
+    methods: list[str] = field(default_factory=list)
     mc_opts: dict = field(default_factory=dict)
 
 
@@ -119,7 +122,8 @@ def _build_model(kind: str, sec, S0: float):
                       f"piecewise_linear or tabulated)")
 
 
-def load_config(path: str) -> ExperimentConfig:
+def _read_shared(path: str) -> tuple[configparser.ConfigParser, ExperimentConfig]:
+    """The parsed file and its [model], [market] and [maturities]."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path) as fh:
@@ -132,6 +136,9 @@ def load_config(path: str) -> ExperimentConfig:
     for name in ("model", "market"):
         if name not in cp:
             raise ConfigError(f"missing [{name}] section in {path!r}")
+    if "output" in cp:
+        raise ConfigError(f"[output] in {path!r} is not read: set the output file with "
+                          f"--out and, except for sqrt-t, its format with --format")
 
     mkt = cp["market"]
     setup = MarketSetup(S0=_get(mkt, "S0", "[market]"),
@@ -147,6 +154,23 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"[market]: S0 = {setup.S0!r} lies outside the positivity "
                           f"domain {model.positivity_domain} of the model")
 
+    if "maturities" not in cp or "list" not in cp["maturities"]:
+        raise ConfigError("missing [maturities] list")
+    maturities = _floats(cp["maturities"]["list"], "[maturities] list")
+    if not maturities or any(t <= 0.0 for t in maturities):
+        raise ConfigError("[maturities]: need a non-empty list of positive maturities")
+
+    if "pde" in cp:
+        print(f"note: the [pde] section of {path!r} is ignored; pde rows come from "
+              f"fixed 401- and 801-node grids", file=sys.stderr)
+    return cp, ExperimentConfig(model=model, exact_call=exact_call, setup=setup,
+                                maturities=maturities)
+
+
+def load_config(path: str) -> ExperimentConfig:
+    """A `smile` experiment: the shared sections, then [strikes], [methods] and [mc]."""
+    cp, cfg = _read_shared(path)
+    model, setup = cfg.model, cfg.setup
     strikes: list[float] = []
     if "strikes" in cp:
         sec = cp["strikes"]
@@ -166,12 +190,6 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"[strikes]: outside positivity domain "
                           f"{model.positivity_domain}: {bad}")
 
-    if "maturities" not in cp or "list" not in cp["maturities"]:
-        raise ConfigError("missing [maturities] list")
-    maturities = _floats(cp["maturities"]["list"], "[maturities] list")
-    if not maturities or any(t <= 0.0 for t in maturities):
-        raise ConfigError("[maturities]: need a non-empty list of positive maturities")
-
     if "methods" not in cp or "list" not in cp["methods"]:
         raise ConfigError("missing [methods] list")
     methods = [m.strip() for m in cp["methods"]["list"].replace(",", " ").split() if m.strip()]
@@ -181,7 +199,7 @@ def load_config(path: str) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"[methods]: unknown {unknown}; choose from {tuple(_METHODS)}")
     if "exact" in methods:
-        if exact_call is None:
+        if cfg.exact_call is None:
             raise ConfigError("[methods]: 'exact' needs a shifted_lognormal or a symmetric "
                               "piecewise_linear (bL = -bR > 0) model")
         for key in ("mu0", "mu1"):
@@ -189,16 +207,6 @@ def load_config(path: str) -> ExperimentConfig:
                 raise ConfigError(f"[market]: method 'exact' prices the driftless model; "
                                   f"'{key}' must be 0, got {getattr(setup, key)!r}")
 
-    out = fmt = None
-    if "output" in cp:
-        out = cp["output"].get("path") or None
-        fmt = cp["output"].get("format") or None
-    if fmt is not None and fmt not in ("csv", "json"):
-        raise ConfigError("[output]: format must be csv or json")
-
-    if "pde" in cp:
-        print(f"note: the [pde] section of {path!r} is ignored; pde rows come from "
-              f"fixed 401- and 801-node grids", file=sys.stderr)
     mc_opts = {}
     if "mc" in cp:
         mc_opts = {key: _get(cp["mc"], key, "[mc]", cast=int)
@@ -207,29 +215,31 @@ def load_config(path: str) -> ExperimentConfig:
             McSpec(**mc_opts)
         except ValueError as e:
             raise ConfigError(f"[mc]: {e}, got {mc_opts}") from e
-
-    return ExperimentConfig(model=model, exact_call=exact_call, setup=setup,
-                            strikes=strikes, maturities=maturities, methods=methods,
-                            out=out, fmt=fmt or "csv", mc_opts=mc_opts)
+    cfg.strikes, cfg.methods, cfg.mc_opts = strikes, methods, mc_opts
+    return cfg
 
 
-def _emit_rows(rows: list[dict], out: str | None, fmt: str,
-               columns: list[str]) -> None:
+def _rows_text(rows: list[dict], fmt: str, columns: list[str]) -> str:
     if fmt == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(columns)
-        for r in rows:
-            w.writerow([r[c] if isinstance(r[c], str) else f"{r[c]:.12g}"
-                        for c in columns])
-        text = buf.getvalue()
+        return json.dumps(rows, indent=2) + "\n"
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(columns)
+    for r in rows:
+        w.writerow([r[c] if isinstance(r[c], str) else f"{r[c]:.12g}" for c in columns])
+    return buf.getvalue()
+
+
+def _write(text: str, out: str | None) -> None:
+    """The one output path of every command: the --out file, or stdout."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write --out {out!r}: {e}") from e
 
 
 # Each method is a generator function (cfg, seed) that yields one block of
@@ -247,10 +257,7 @@ def _asympt(order: int):
 
 def _pde(cfg: ExperimentConfig, seed: int):
     for T in cfg.maturities:
-        try:
-            yield implied_smile_from_pde(cfg.model, cfg.setup, T, cfg.strikes)
-        except ForwardOffGrid as e:
-            raise ConfigError(f"[market]: {e}") from e
+        yield implied_smile_from_pde(cfg.model, cfg.setup, T, cfg.strikes)
 
 
 def _mc(cfg: ExperimentConfig, seed: int):
@@ -291,21 +298,19 @@ def cmd_smile(args) -> int:
                 return EXIT_NUMERICAL
             rows += ({"K": K, "T": T, "method": method, "sigma_N": vol, "flag": flag}
                      for K, (vol, flag) in zip(cfg.strikes, block))
-    _emit_rows(rows, args.out or cfg.out, args.format or cfg.fmt,
-               ["K", "T", "method", "sigma_N", "flag"])
+    _write(_rows_text(rows, args.format, ["K", "T", "method", "sigma_N", "flag"]), args.out)
     return EXIT_OK
 
 
 _TABLE1_MATURITIES = (1.0, 2.0, 5.0, 10.0, 20.0, 30.0)
 
 
-def table1_rows(sigma0bar: float = 0.03, b: float = 0.2,
-                maturities=_TABLE1_MATURITIES) -> list[dict]:
+def table1_rows(sigma0bar: float = 0.03, b: float = 0.2) -> list[dict]:
     """ATM deviations (orders 0/1/2 minus exact) for sigma_D = sigma0bar + 2bY."""
     model = make_shifted_lognormal(sigma0bar, b, 0.0)
     _, s1, s2 = expansion(model, MarketSetup(0.0), 0.0, 2)
     rows = []
-    for T in maturities:
+    for T in _TABLE1_MATURITIES:
         ex = shifted_ln_atm_exact_vol(sigma0bar, b, T)
         rows.append({"T": T,
                      "dev_order0": sigma0bar - ex,
@@ -325,13 +330,13 @@ def cmd_table1(args) -> int:
         print(f"{r['T']:4.0f}  {100*r['dev_order0']:12.4f}%  "
               f"{100*r['dev_order1']:12.4f}%  {100*r['dev_order2']:12.4f}%")
     if args.out:
-        _emit_rows(rows, args.out, args.format or "csv",
-                   ["T", "dev_order0", "dev_order1", "dev_order2"])
+        _write(_rows_text(rows, args.format, ["T", "dev_order0", "dev_order1", "dev_order2"]),
+               args.out)
     return EXIT_OK
 
 
 def cmd_sqrt_t(args) -> int:
-    cfg = load_config(args.config)
+    _, cfg = _read_shared(args.config)
     ts = cfg.maturities
     repeated = sorted({t for t in ts if ts.count(t) > 1})
     if repeated or len(ts) < 5:
@@ -339,8 +344,8 @@ def cmd_sqrt_t(args) -> int:
                           f"got {len(set(ts))}, repeated: {repeated}")
     try:
         report = sqrt_t_detector(cfg.model, cfg.setup, ts)
-    except ForwardOffGrid as e:
-        raise ConfigError(f"[market]: {e}") from e
+    except ForwardOffGrid:
+        raise  # a config error, reported by main
     except (ValueError, RuntimeError) as e:
         print(f"numerical failure in sqrt-t fit: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -355,12 +360,7 @@ def cmd_sqrt_t(args) -> int:
     if cfg.model.breakpoints:
         jump = sigma1_jump(cfg.model, cfg.setup.S0)
         print(f"sigma1 jump across the forward: {jump:.6g}")
-    text = report.to_json() + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(report.to_json() + "\n", args.out)
     return EXIT_OK
 
 
@@ -461,7 +461,7 @@ def cmd_extract_lv(args) -> int:
     except ValueError as e:
         print(f"extract-lv: numerical failure at K={K}, T={T}: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    _emit_rows(rows, args.out, args.format or "csv", ["K", "T", "sigma_D"])
+    _write(_rows_text(rows, args.format, ["K", "T", "sigma_D"]), args.out)
     return EXIT_OK
 
 
@@ -492,11 +492,12 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    def common(p, config_required=True, formats=True):
         if config_required:
             p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        if formats:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("smile", help="smiles per (K, T, method) from a config")
     common(p)
@@ -511,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("sqrt-t", help="small-time power-law fit of the ATM deviation")
-    common(p)
+    common(p, formats=False)
     p.set_defaults(func=cmd_sqrt_t)
 
     p = sub.add_parser("convert", help="exact ATM normal <-> log-normal vol")
@@ -539,8 +540,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
+    except (ConfigError, ForwardOffGrid) as e:
+        where = "[market]: " if isinstance(e, ForwardOffGrid) else ""
+        print(f"config error: {where}{e}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -686,6 +686,79 @@ def test_sqrt_t_refuses_a_forward_off_the_grid(tmp_path, capsys):
     assert "[market]" in err and "forward 0.045625 at T = 0.03125" in err, err
 
 
+def _sqrtt_model2b_without_smile_sections() -> str:
+    text = (ROOT / "configs" / "sqrtt_model2b.ini").read_text()
+    for section in ("[strikes]\nlist = 0.03\n", "[methods]\nlist = asympt0\n"):
+        assert section in text
+        text = text.replace(section, "")
+    return text
+
+
+def test_sqrt_t_reads_only_model_market_and_maturities(tmp_path):
+    # [strikes] and [methods] are smile's; sqrt-t used to require both
+    p = tmp_path / "fit.ini"
+    p.write_text(_sqrtt_model2b_without_smile_sections())
+    out = tmp_path / "fit.json"
+    assert run(["sqrt-t", "--config", str(p), "--out", str(out)])[0] == 0
+    assert out.read_bytes() == (ROOT / "out" / "sqrtt_model2b.json").read_bytes()
+
+
+def test_sqrt_t_ignores_a_method_it_never_runs(tmp_path):
+    # 'exact' on a model without a closed form is smile's error; sqrt-t used to exit 2
+    p = tmp_path / "fit.ini"
+    p.write_text(_sqrtt_model2b_without_smile_sections().replace("bL = -0.1", "bL = 0.0")
+                 + "\n[methods]\nlist = exact\n")
+    code, text = run(["sqrt-t", "--config", str(p)])
+    assert code == 0 and '"exponent"' in text
+
+
+def test_sqrt_t_has_no_format_option(capsys):
+    # it was parsed and never read: --format csv printed JSON
+    with pytest.raises(SystemExit) as e:
+        main(["sqrt-t", "--config", str(ROOT / "configs" / "sqrtt_model2b.ini"),
+              "--format", "csv"])
+    assert e.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["smile", "sqrt-t"])
+def test_output_section_is_refused_naming_the_flags(tmp_path, capsys, command):
+    # [output] was a second way to set --out/--format
+    base = SMILE_CONFIG if command == "smile" else _sqrtt_model2b_without_smile_sections()
+    p = tmp_path / "out.ini"
+    p.write_text(base + "\n[output]\nformat = json\n")
+    code, text = run([command, "--config", str(p)])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert "[output]" in err and "--out" in err and "--format" in err, err
+
+
+@pytest.mark.parametrize("argv", [["smile", "--config", "smile.ini"], ["table1"],
+                                  ["sqrt-t", "--config", str(ROOT / "configs" / "sqrtt_model2b.ini")],
+                                  ["extract-lv", "surface.csv", "--s0", "0.03", "--T", "1",
+                                   "--K", "0.03"]],
+                         ids=["smile", "table1", "sqrt-t", "extract-lv"])
+def test_unwritable_out_exits_2_naming_it(tmp_path, capsys, argv):
+    # these used to end in a FileNotFoundError traceback with exit 1
+    (tmp_path / "smile.ini").write_text(SMILE_CONFIG)
+    write_surface(tmp_path / "surface.csv")
+    argv = [str(tmp_path / a) if a in ("smile.ini", "surface.csv") else a for a in argv]
+    out = tmp_path / "no_such_dir" / "out.csv"
+    code, _ = run(argv + ["--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write --out {str(out)!r}: " in err, err
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in (ROOT / "configs").glob("*.ini")))
+def test_load_config_accepts_every_checked_in_config(config):
+    # the benchmark's set-up parses each of them with load_config
+    from nvol.cli import load_config
+
+    cfg = load_config(str(ROOT / "configs" / config))
+    assert cfg.strikes and cfg.maturities and cfg.methods
+
+
 def test_pde_rows_solve_a_fixed_pair_per_maturity(tmp_path, monkeypatch, lapack_calls):
     # each maturity solves 401 nodes in 32 steps and 801 in 64 (each step
     # count plus the two Rannacher half-steps is one dgttrs solve); at T =
