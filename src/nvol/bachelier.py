@@ -6,6 +6,13 @@ import math
 from dataclasses import dataclass
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_SQRT_2PI = math.log(_SQRT_2PI)
+_SQRT_HALF = math.sqrt(0.5)
+_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
+# implied_normal_vol: the cut-over from the erfc form of u q(u) to its
+# asymptotic series, and a Newton step cap far above the 5 steps it takes
+_SERIES_CUT = 10.0
+_NEWTON_MAXITER = 20
 
 
 def norm_cdf(x: float) -> float:
@@ -56,11 +63,18 @@ def bachelier_vega(q: NormalQuote) -> float:
 def implied_normal_vol(price: float, F: float, K: float, T: float) -> float:
     """Invert the Bachelier formula for sigmaN.
 
-    Bracketed Brent root-find on sigmaN.  The time value is strictly
-    increasing in sigmaN and bounded by stdev/sqrt(2*pi), so doubling the ATM
-    inverse of the time value always closes a bracket; Newton variants are
-    fragile here because the vega underflows for deep in/out quotes.
+    With x = |F - K| and u = x / (sigmaN sqrt(T)), the time value v over
+    intrinsic is x Psi(u), Psi(u) = phi(u)/u - Phi(-u) = phi(u) w(u) / u,
+    where w = u q(u) = 1 - u R(u) and R is the Mills ratio (Jaeckel,
+    "Implied Normal Volatility", Wilmott 2017).  Newton's method in s = log u
+    solves g(s) = log Psi(e^s) - log(v/x) = 0, with g'(s) = -1/w: g is concave
+    and decreasing, so Newton overshoots the root at most once and then falls
+    monotonically onto it, and no bracket is needed.  g is evaluated in logs,
+    so nothing underflows down to the least subnormal time value (u ~ 38).
     """
+    for name, value in (("price", price), ("F", F), ("K", K), ("T", T)):
+        if not math.isfinite(value):
+            raise ValueError(f"implied_normal_vol: {name} must be finite, got {value}")
     if not (T > 0.0):
         raise ValueError("maturity must be positive")
     intrinsic = max(F - K, 0.0)
@@ -71,23 +85,53 @@ def implied_normal_vol(price: float, F: float, K: float, T: float) -> float:
     if F == K:
         return price * math.sqrt(2.0 * math.pi / T)
 
-    tve = price - intrinsic  # time value, > 0
-
-    def obj(s: float) -> float:
-        return bachelier_call(NormalQuote(F=F, K=K, T=T, sigmaN=s)) - price
-
-    # lower edge of the bracket: sigma = ATM inverse of the time value prices
-    # below `price` whenever K != F.  A time value as small as the least
-    # subnormal double starts it near 1e-323, and 1100 doublings take it
-    # past a vol of 1e8
-    hi = tve * math.sqrt(2.0 * math.pi / T)
-    for _ in range(1100):
-        if obj(hi) > 0.0:
-            break
-        hi *= 2.0
+    x = abs(F - K)
+    v = price - intrinsic  # time value, > 0
+    # Psi(1) ~ 1/12, so v/x > 1/12 puts the root below u = 1.  There the start
+    # solves phi(0)/u - 1/2 = v/x and lies left of the root, as Psi exceeds
+    # phi(0)/u - 1/2; else it solves phi(u) = v/x, u > 1.7, and lies right of
+    # the root, as Psi(u) < phi(u)/u^3 for every u.  The iterate is the
+    # stdev x/u, which stays a normal float where u may be subnormal
+    if v > x / 12.0:
+        stdev = _SQRT_2PI * (v + 0.5 * x)
     else:
-        raise RuntimeError("implied_normal_vol failed to bracket")
-    return _brentq(obj, 0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+        stdev = x / math.sqrt(2.0 * (math.log(x) - math.log(v) - _LOG_SQRT_2PI))
+    for _ in range(_NEWTON_MAXITER):
+        u = x / stdev
+        if u < _SERIES_CUT:
+            w = 1.0 - u * _SQRT_HALF_PI * math.exp(0.5 * u * u) * math.erfc(u * _SQRT_HALF)
+            log_ratio = math.log(stdev / v)
+        else:
+            # asymptotic series of u q(u); stdev / v may overflow out here
+            w = _wing_uq(u)
+            log_ratio = math.log(stdev) - math.log(v)
+        ds = (log_ratio + math.log(w) - 0.5 * u * u - _LOG_SQRT_2PI) * w
+        stdev *= math.exp(-ds)
+        # quadratic convergence: the error left after this step is below ds**2
+        if abs(ds) < 1e-8:
+            return stdev / math.sqrt(T)
+    raise RuntimeError(f"implied_normal_vol: Newton did not converge after "
+                       f"{_NEWTON_MAXITER} steps (price {price}, F {F}, K {K}, T {T})")
+
+
+def _wing_uq(u: float) -> float:
+    """u q(u) = sum_k (-1)^k (2k+1)!! / u^(2k+2), summed to double precision.
+
+    The asymptotic series reaches double precision only for u above ~9.5.
+    Below `_SERIES_CUT` the erfc form 1 - u R(u) is used instead; it loses
+    ~u^4 eps of u q(u) to cancellation, ~u^2 eps of the vol.  Against a
+    50-digit inverse of 800 seeded out-of-the-money quotes, a cut-over at
+    u = 10 gave a worst error of 63 eps (just under the cut-over), 11 and 12
+    gave 65 and 122 eps.
+    """
+    r = 1.0 / (u * u)
+    term = total = 1.0
+    k = 1
+    while abs(term) > 1e-17:
+        term *= -(2 * k + 1) * r
+        total += term
+        k += 1
+    return total * r
 
 
 def implied_vol_and_flag(price: float, F: float, K: float, T: float,
@@ -104,67 +148,6 @@ def implied_vol_and_flag(price: float, F: float, K: float, T: float,
     if price - max(F - K, 0.0) <= noise:
         return math.nan, "no_time_value"
     return implied_normal_vol(price, F, K, T), "ok"
-
-
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
-    """Root of f in [xa, xb] by Brent's method (Brent, *Algorithms for
-    Minimization without Derivatives*, 1973, ch. 4).
-
-    A step-for-step transcription of scipy's `brentq.c`: the same branches
-    and operation order, so it evaluates f at the same points and returns the
-    same bits as `scipy.optimize.brentq`, without importing scipy.optimize.
-    """
-    xpre, xcur = xa, xb
-    fpre = f(xpre)
-    fcur = f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                # C divides by an underflowed zero to an infinite step, which
-                # the test below turns into bisection
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError(f"Brent's method failed to converge after {maxiter} iterations, "
-                       f"value is {xcur}")
 
 
 def black_scholes_call(F: float, K: float, sigmaBS: float, T: float) -> float:

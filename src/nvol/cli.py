@@ -247,7 +247,7 @@ def _write(text: str, out: str | None) -> None:
 
 def _asympt(order: int):
     def blocks(cfg: ExperimentConfig, seed: int):
-        # smile() warns on the models with a breakpoint
+        # expansion does not warn on a breakpoint: this flag is the only signal
         flag = "low_confidence" if cfg.model.breakpoints else "ok"
         coeffs = [expansion(cfg.model, cfg.setup, K, order) for K in cfg.strikes]
         for T in cfg.maturities:

@@ -1,9 +1,10 @@
 """Euler-Maruyama Monte-Carlo oracle for dS = sigma_D(S) dW + mu(t) dt.
 
 Deliberately independent of the PDE machinery: explicit path simulation with
-a seeded counter-based generator and inverse-cdf normals, so runs are
-bit-reproducible across platforms.  Euler rather than Milstein because the
-kinked models have no well-defined sigma_D' at the breakpoint.
+normals drawn by numpy's seeded PCG64 generator (`standard_normal`), so a
+seed gives the same bits on every run with a given numpy version; numpy
+does not promise that stream across versions.  Euler rather than Milstein
+because the kinked models have no well-defined sigma_D' at the breakpoint.
 
 Every draw drives three paths at once:
 
@@ -95,9 +96,6 @@ def _march(model: LocalVolModel, setup: MarketSetup, dt: float, stops: Sequence[
     positivity domain (vol frozen at the boundary value for excursions
     beyond it); the exit count reports how many paths ever needed the clamp.
     """
-    # imported on first use: `import nvol` costs numpy only
-    from scipy.special import ndtri
-
     sqdt = math.sqrt(dt)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     n_draw = spec.n_paths // 2
@@ -143,8 +141,7 @@ def _march(model: LocalVolModel, setup: MarketSetup, dt: float, stops: Sequence[
     drift_sum = 0.0
     pending = sorted(set(stops), reverse=True)
     for k in range(pending[0]):
-        rng.random(out=z[:n_draw])
-        ndtri(z[:n_draw], out=z[:n_draw])
+        rng.standard_normal(out=z[:n_draw])
         np.negative(z[:n_draw], out=z[n_draw:])
         np.add(z_sum, z, out=z_sum)
         drift_dt = setup.drift((k + 0.5) * dt) * dt

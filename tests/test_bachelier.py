@@ -1,19 +1,20 @@
 import math
-from unittest import mock
+import random
 
+import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 from scipy.stats import norm
 
-from nvol import bachelier
 from nvol.bachelier import (NormalQuote, atm_lognormal_from_normal,
                             atm_normal_from_lognormal, bachelier_call,
                             bachelier_vega, black_scholes_call,
                             implied_normal_vol, implied_vol_and_flag,
                             norm_cdf, norm_pdf,
                             short_time_normal_from_lognormal_smile)
+
+_EPS = 2.0 ** -52
 
 
 def test_norm_cdf_pdf_vs_scipy():
@@ -74,50 +75,63 @@ def test_implied_vol_roundtrip(F, h, T, s):
     assert implied_normal_vol(p, F, K, T) == pytest.approx(s, rel=1e-7)
 
 
-def _invert_with(solver, price, F, K, T):
-    """implied_normal_vol with its root-finder replaced by `solver`: the
-    result (or the exception type) and every point the objective was
-    evaluated at."""
-    points = []
-
-    def traced(f, a, b, **kw):
-        def g(x):
-            points.append(x)
-            return f(x)
-        return solver(g, a, b, **kw)
-
-    with mock.patch.object(bachelier, "_brentq", traced):
-        try:
-            return implied_normal_vol(price, F, K, T), points
-        except (ValueError, RuntimeError) as e:
-            return type(e), points
-
-
-@settings(max_examples=200, deadline=None)
-@given(F=st.floats(-0.05, 0.1), dK=st.floats(-0.3, 0.3),
-       T=st.floats(1e-3, 30.0), s=st.floats(1e-4, 0.5))
-@example(F=0.03, dK=0.03, T=0.25, s=0.008)   # 7.5 stdevs out of the money
-@example(F=0.03, dK=1e-9, T=1.0, s=0.01)     # next to the money
-def test_brentq_transcription_equals_scipy(F, dK, T, s):
-    K = F + dK
-    p = bachelier_call(NormalQuote(F=F, K=K, T=T, sigmaN=s))
-    ours = _invert_with(bachelier._brentq, p, F, K, T)
-    ref = _invert_with(lambda f, a, b, **kw: float(brentq(f, a, b, **kw)), p, F, K, T)
-    assert ours == ref
-
-
 @pytest.mark.parametrize("dK", [0.04, 0.09, 0.13])
 def test_implied_vol_of_vanishing_time_values(dK):
-    # out-of-the-money time values from 1e-33 down to 1e-300 still invert,
-    # with scipy's bits: the bracket used to stop 200 doublings above the
-    # vol of a 1e-78 time value, and Brent's extrapolation step divided by
-    # an underflowed zero
+    # out-of-the-money time values from 1e-33 down to 1e-300 still invert
     F, K, T, s = 0.03, 0.03 + dK, 0.03125, 0.02
     p = bachelier_call(NormalQuote(F=F, K=K, T=T, sigmaN=s))
     assert 0.0 < p < 1e-32
-    got = _invert_with(bachelier._brentq, p, F, K, T)
-    assert got == _invert_with(lambda f, a, b, **kw: float(brentq(f, a, b, **kw)), p, F, K, T)
-    assert got[0] == pytest.approx(s, rel=1e-9)
+    assert implied_normal_vol(p, F, K, T) == pytest.approx(s, rel=1e-9)
+
+
+def test_implied_vol_at_the_ends_of_the_double_range():
+    # the least subnormal time value, u ~ 38: its 50-digit inverse
+    assert implied_normal_vol(5e-324, 0.03, 0.5, 1.0) == pytest.approx(
+        0.0122850648373029, rel=1e-14)
+    # a strike one subnormal from the forward inverts like the money
+    assert implied_normal_vol(0.01, 0.0, 5e-324, 1.0) == pytest.approx(
+        0.01 * math.sqrt(2.0 * math.pi), rel=1e-15)
+
+
+def _quotes_to_u37():
+    """Seeded out-of-the-money (F, K, T, sigma), u = (K - F) / (sigma sqrt T)
+    uniform on (0, 37) or log-uniform down to 1e-9, and two fixed quotes."""
+    rnd = random.Random(20170101)
+    quotes = [(0.03, 0.06, 0.25, 0.008),     # 7.5 stdevs out of the money
+              (0.03, 0.03 + 1e-9, 1.0, 0.01)]  # next to the money
+    while len(quotes) < 80:
+        F, T = rnd.uniform(-0.05, 0.1), 10.0 ** rnd.uniform(-3.0, 1.5)
+        s = 10.0 ** rnd.uniform(-4.0, math.log10(0.5))
+        u = rnd.uniform(0.0, 37.0) if len(quotes) % 4 else 10.0 ** rnd.uniform(-9.0, 0.0)
+        K = F + u * s * math.sqrt(T)
+        if K > F:
+            quotes.append((F, K, T, s))
+    return quotes
+
+
+def _log_psi(u):
+    """log(phi(u)/u - Phi(-u)), the time value over |F - K| at u, in mpmath."""
+    return mpmath.log(mpmath.npdf(u) / u - mpmath.ncdf(-u))
+
+
+def test_implied_vol_against_50_digit_inverse():
+    # each float price (the 50-digit price, rounded) is compared with its
+    # exact inverse, a 50-digit root of log Psi(u) = log(price / (K - F));
+    # below u = 10 the inversion loses ~u^2 eps to cancellation in
+    # 1 - u R(u), whence the bound 8 eps (1 + u^2)
+    with mpmath.workdps(50):
+        for F, K, T, s in _quotes_to_u37():
+            x = mpmath.mpf(K) - mpmath.mpf(F)
+            sqrt_T = mpmath.sqrt(mpmath.mpf(T))
+            price = float(x * mpmath.exp(_log_psi(x / (mpmath.mpf(s) * sqrt_T))))
+            assert price > 0.0
+            got = implied_normal_vol(price, F, K, T)
+            target = mpmath.log(mpmath.mpf(price) / x)
+            u = mpmath.exp(mpmath.findroot(lambda t: _log_psi(mpmath.exp(t)) - target,
+                                           mpmath.log(x / (mpmath.mpf(got) * sqrt_T))))
+            ref = x / (u * sqrt_T)
+            err = float(abs(got - ref) / ref)
+            assert err <= 8.0 * _EPS * (1.0 + float(u) ** 2), (F, K, T, s, float(u), err)
 
 
 def test_implied_vol_itm_small_time_value():
@@ -133,6 +147,17 @@ def test_implied_vol_errors():
         implied_normal_vol(0.005, F=0.03, K=0.02, T=1.0)  # below intrinsic
     with pytest.raises(ValueError):
         implied_normal_vol(0.01, F=0.03, K=0.02, T=-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["price", "F", "K", "T"])
+def test_implied_vol_non_finite_input(name, bad):
+    # named, where a nan price used to blame bachelier_call and F == K with
+    # T = inf returned 0.0
+    args = dict(price=0.004, F=0.03, K=0.03, T=1.0)
+    args[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        implied_normal_vol(**args)
 
 
 def test_implied_vol_and_flag_of_oracle_prices():

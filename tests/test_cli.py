@@ -424,25 +424,29 @@ def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 seen = {"import": loaded()}
-for name, config in (("smile", sys.argv[1]), ("pde", sys.argv[2])):
-    assert nvol.cli.main(["smile", "--config", config, "--out", sys.argv[3]]) == 0
+for name, config in zip(("smile", "pde", "mc"), sys.argv[1:4]):
+    assert nvol.cli.main(["smile", "--config", config, "--out", sys.argv[4]]) == 0
     seen[name] = loaded()
 print(json.dumps(seen))
 """
 
 
 def test_import_hygiene(tmp_path):
-    # neither the expansion and exact rows nor the PDE load any scipy module,
-    # in a fresh interpreter so that nothing imported by the test session counts
+    # neither the expansion and exact rows nor the PDE nor the Monte Carlo
+    # load any scipy module, in a fresh interpreter so that nothing imported
+    # by the test session counts
     smile = tmp_path / "smile.ini"
     smile.write_text(SMILE_CONFIG)
     pde = tmp_path / "pde.ini"
     pde.write_text(SMILE_CONFIG.replace("asympt0 asympt1 exact", "pde")
                    .replace("list = 1 5", "list = 0.25"))
+    mc = tmp_path / "mc.ini"
+    mc.write_text(SMILE_CONFIG.replace("asympt0 asympt1 exact", "mc")
+                  .replace("list = 1 5", "list = 0.25") + "\n[mc]\nn_paths = 256\n")
     src = str(pathlib.Path(nvol.__file__).resolve().parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(smile), str(pde),
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(smile), str(pde), str(mc),
                            str(tmp_path / "out.csv")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -450,6 +454,7 @@ def test_import_hygiene(tmp_path):
     assert seen["import"] == []
     assert seen["smile"] == []
     assert seen["pde"] == []
+    assert seen["mc"] == []
 
 
 @pytest.mark.parametrize("section, key, value", [("model", "sigma0", "nan"),
