@@ -6,13 +6,14 @@ sigma_0 is the harmonic-type average of the local vol between forward and
 strike; sigma_1 and sigma_2 follow from a recursion whose solution is closed
 form in two antiderivatives, J = int dL/sigma_D and the drift integral
 I2 = int (1/sigma_0 - 1/sigma_D)^2, both from F0.  `expansion` returns the
-coefficients up to a given order from one composite Gauss-Legendre rule on
-[F0, K] and one cumulative pass over it: sigma_0 and sigma_1 read the values
-at K, and sigma_2 also integrates over the rule's nodes with the values
-there.  Every coefficient has a removable 0/0 at the money, so inside a small
-switch radius the coefficients are replaced by their Taylor polynomials in
-y = K - F0 built from local-vol derivatives at the forward.  `sigma0`,
-`sigma1`, `sigma2` and `smile` are views of `expansion`.
+coefficients of an array of strikes from one composite Gauss-Legendre rule
+per side of F0, with every strike on a panel edge, and one cumulative pass
+over it: sigma_0 and sigma_1 read the values at each strike, and sigma_2 a
+cumulative sum over the rule's nodes.  Every coefficient has a removable 0/0
+at the money, so inside a small switch radius the coefficients are replaced
+by their Taylor polynomials in y = K - F0 built from local-vol derivatives
+at the forward.  `sigma0`, `sigma1`, `sigma2` and `smile` are one-strike
+views of `expansion` that return floats.
 """
 
 from __future__ import annotations
@@ -46,25 +47,18 @@ _ATM_SWITCH_RADIUS = 1e-4
 _DERIV_RADIUS_FACTOR = 100.0
 
 
-def _require_domain(model: LocalVolModel, F0: float, K: float) -> None:
+def _require_domain(model: LocalVolModel, F0: float, strikes) -> None:
     lo, hi = model.positivity_domain
-    a, b = (F0, K) if F0 <= K else (K, F0)
-    if not (lo < a and b < hi):
-        raise DomainError(
-            f"[{a}, {b}] leaves the positivity domain ({lo}, {hi}) of {model.label or 'model'}"
-        )
+    for K in strikes:
+        a, b = (F0, K) if F0 <= K else (K, F0)
+        if not (lo < a and b < hi):
+            raise DomainError(f"[{a}, {b}] leaves the positivity domain ({lo}, {hi}) "
+                              f"of {model.label or 'model'}")
 
 
 def _on_breakpoint(model: LocalVolModel, F0: float) -> bool:
     """True when the forward sits on one of the model's breakpoints."""
     return any(abs(F0 - bp) < 1e-14 * max(1.0, abs(F0)) for bp in model.breakpoints)
-
-
-def _series_branch(model: LocalVolModel, F0: float, y: float) -> LocalVolModel:
-    """Analytic branch to expand around F0 when F0 sits on a breakpoint."""
-    if _on_breakpoint(model, F0):
-        return model.branch_for(1.0 if y >= 0.0 else -1.0)
-    return model
 
 
 def _atm_derivs(model: LocalVolModel, F0: float, order: int) -> list[float]:
@@ -184,26 +178,16 @@ def _h2_mu(mu0: float, mu1: float, y, sD, s0d, s1d):
             - A * B / (4.0 * N ** 4 * s0 * s0))
 
 
-def _node_antiderivatives(model: LocalVolModel, F0: float, mu0: float, K: float,
-                          branch: LocalVolModel, radius: float):
-    """The rule on [F0, K], and J and I2 at its nodes and at K, in one cumulative pass.
+def _chain(model: LocalVolModel, F0: float, mu0: float, far: float, cuts, series0, radius: float):
+    """The rule on [F0, far] with `cuts` as panel edges, and J and I2 along it.
 
-    The rule is the composite 16-node x 8-panel Gauss-Legendre rule with the
-    model's breakpoints and sigma2's Taylor/closed-form handover at
-    F0 +- _DERIV_RADIUS_FACTOR * radius as panel edges; that handover is a
-    (tiny) jump, so it is pinned to an edge.  The chain F0 = edges[0], nodes
-    of panel 1, edges[1], nodes of panel 2, ..., K is walked gap by gap,
-    with a 16-point Gauss-Legendre rule on each gap, and the gap integrals are
-    summed.  Every panel edge is a chain point, so no gap straddles a
-    breakpoint or the handover.  The integrand of I2 needs sigma0 = y/J inside
-    each gap; J there comes from the spectral integration matrix of the same
-    gap samples.  As in expansion, |y| < radius uses the Taylor coefficients of
-    the analytic branch instead.  Returns (nodes, weights, J, I2, J(K), I2(K))
-    with J and I2 shaped like nodes (I2 is zero without drift).
+    One cumulative pass over 16-point Gauss-Legendre gaps between consecutive
+    edges and nodes; the I2 integrand takes sigma0 = y/J in each gap from the
+    spectral integration matrix, or from series0 if |y| < radius.  J and I2
+    are (panels, 17): column k < 16 at node k, column 16 at the panel's end.
+    The (panels, 17, 16) gap arrays are released on return.
     """
-    r_taylor = _DERIV_RADIUS_FACTOR * radius
-    edges, nodes, weights = gauss_legendre_rule(
-        F0, K, breakpoints=(*model.breakpoints, F0 + r_taylor, F0 - r_taylor))
+    edges, nodes, weights = gauss_legendre_rule(F0, far, breakpoints=cuts)
     t, w, Q = legendre_cumulative()
     chain = np.concatenate([edges[:-1, None], nodes, edges[1:, None]], axis=1)
     a, b = chain[:, :-1], chain[:, 1:]
@@ -211,23 +195,26 @@ def _node_antiderivatives(model: LocalVolModel, F0: float, mu0: float, K: float,
     gap_nodes = (0.5 * (a + b))[..., None] + half[..., None] * t
     inv_vol = 1.0 / model.vol(gap_nodes)
     dJ = half * (inv_vol @ w)
-    J_end = np.cumsum(dJ).reshape(dJ.shape)
-    I2_end = np.zeros_like(J_end)
+    J = np.cumsum(dJ).reshape(dJ.shape)
+    I2 = np.zeros_like(J)
     if mu0 != 0.0:
-        J_gap = (J_end - dJ)[..., None] + half[..., None] * (inv_vol @ Q.T)
+        J_gap = (J - dJ)[..., None] + half[..., None] * (inv_vol @ Q.T)
         y = gap_nodes - F0
-        taylor0 = sigma0_series_atm(branch, F0)
-        s0_gap = np.where(np.abs(y) < radius, _sigma0_taylor(taylor0, y)[0], y / J_gap)
+        s0_gap = y / J_gap
+        near = np.abs(y) < radius
+        s0_gap[near] = _sigma0_taylor(series0, y[near])[0]
         d = 1.0 / s0_gap - inv_vol
-        I2_end = np.cumsum(half * ((d * d) @ w)).reshape(dJ.shape)
-    # node k of a panel is the end of the panel's gap k; the last gap ends at K
-    return (nodes, weights, J_end[:, :-1], I2_end[:, :-1],
-            float(J_end[-1, -1]), float(I2_end[-1, -1]))
+        I2 = np.cumsum(half * ((d * d) @ w)).reshape(dJ.shape)
+    return edges, nodes, weights, J, I2
 
 
-def expansion(model: LocalVolModel, setup: MarketSetup, K: float, order: int
-              ) -> tuple[float, ...]:
-    """(sigma0, ..., sigma_order) at strike K for order 0, 1 or 2; none depends on T.
+# the closed forms are 0/0 at K = F0 and along a chain of zero length, where
+# np.where keeps the Taylor values instead
+@np.errstate(divide="ignore", invalid="ignore")
+def expansion(model: LocalVolModel, setup: MarketSetup, strikes, order: int
+              ) -> tuple[np.ndarray, ...]:
+    """(sigma0, ..., sigma_order) for order 0, 1 or 2, one float64 array per
+    order over `strikes` (a 1-d sequence); none depends on T.
 
     With y = K - F0 and J = int_{F0}^{K} dL / sigma_D(L):
 
@@ -238,77 +225,88 @@ def expansion(model: LocalVolModel, setup: MarketSetup, K: float, order: int
              - sigma_D^3 sigma0''^2/(8 sigma0^4) - sigma_D sigma1''/(2 sigma0^3)
              + H2_mu/(2 sigma_D sigma0^2) }
 
-    One _node_antiderivatives pass gives J and I2 at K and at the nodes of the
-    rule the z-integral is summed on; order 0 passes it no drift, so it does
-    no I2 work.  Within the ATM switch radius every coefficient is its Taylor
-    polynomial in y instead (sigma2 its ATM value).  Within
-    _DERIV_RADIUS_FACTOR switch radii the sigma2 integrand takes its Taylor
-    forms too: the closed forms of sigma0'' and sigma1'' cancel like
-    1/y^2 .. 1/y^4 there.
+    The integrals start at F0 and the z-integrand does not depend on K, so one
+    _chain per side of F0 gives every strike's values at its panel's end; its
+    edges are the strikes, the breakpoints and sigma2's Taylor handover at
+    _DERIV_RADIUS_FACTOR switch radii, inside which the closed forms of
+    sigma0'' and sigma1'' cancel like 1/y^2 .. 1/y^4.  Within the switch
+    radius every coefficient is its Taylor polynomial in y (sigma2 its ATM
+    value) on the analytic branch of the strike's side.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
+    K = np.asarray(strikes, dtype=float)
+    if K.ndim != 1:
+        raise ValueError("strikes must be a 1-d sequence")
     F0, mu1 = setup.S0, setup.mu1
     mu0 = setup.mu0 if order else 0.0
-    _require_domain(model, F0, K)
-    y = K - F0
-    branch = _series_branch(model, F0, y)
-    radius = _ATM_SWITCH_RADIUS * branch.vol(F0)
-    if abs(y) < radius:
-        coeffs = [_sigma0_taylor(sigma0_series_atm(branch, F0), y)[0]]
+    _require_domain(model, F0, K.tolist())
+    coeffs = np.empty((order + 1, K.size))
+    for sign in (1.0, -1.0):
+        side = K >= F0 if sign > 0 else K < F0
+        if not side.any():
+            continue
+        Ks = K[side]
+        y = Ks - F0
+        branch = model.branch_for(sign) if _on_breakpoint(model, F0) else model
+        radius = _ATM_SWITCH_RADIUS * branch.vol(F0)
+        r_taylor = _DERIV_RADIUS_FACTOR * radius
+        near = np.abs(y) < radius
+        series0 = sigma0_series_atm(branch, F0)
+        # a strike that takes its Taylor values is no edge, so it does not
+        # move the others' panels
+        edges, nodes, weights, J, I2 = _chain(
+            model, F0, mu0, float(Ks.max() if sign > 0 else Ks.min()),
+            (*model.breakpoints, F0 + r_taylor, F0 - r_taylor, *Ks[~near].tolist()),
+            series0, radius)
+        # the panel each strike ends; a strike within the radius reads a value
+        # that np.where drops
+        at = np.searchsorted(sign * edges, sign * Ks) - 1
+        coeffs[0, side] = s0K = np.where(near, _sigma0_taylor(series0, y)[0], y / J[at, -1])
         if order:
-            coeffs.append(_sigma1_taylor(sigma1_series_atm(branch, F0, mu0), y)[0])
+            sDd = (model.vol(Ks), model.deriv(Ks, 1), model.deriv(Ks, 2))
+            s0d = _sigma0_derivs(y, J[at, -1], sDd)
+            closed = _sigma1_with_derivs(mu0, y, s0d, I2[at, -1], sDd, model.vol(F0))[0]
+            series1 = sigma1_series_atm(branch, F0, mu0)
+            coeffs[1, side] = np.where(near, _sigma1_taylor(series1, y)[0], closed)
         if order == 2:
-            coeffs.append(sigma2_atm(branch, F0, mu0, mu1))
-        return tuple(float(c) for c in coeffs)
-
-    nodes, weights, J, I2, J_K, I2_K = _node_antiderivatives(model, F0, mu0, K, branch, radius)
-    coeffs = [y / J_K]
-    if order:
-        sDd = (model.vol(K), model.deriv(K, 1), model.deriv(K, 2))
-        s0d = _sigma0_derivs(y, J_K, sDd)
-        coeffs.append(_sigma1_with_derivs(mu0, y, s0d, I2_K, sDd, model.vol(F0))[0])
-    if order == 2:
-        z = nodes - F0
-        sDd = (model.vol(nodes), model.deriv(nodes, 1), model.deriv(nodes, 2))
-        # Gauss nodes never sit on F0, so the closed forms stay finite inside the
-        # Taylor window too, where np.where discards them
-        closed0 = _sigma0_derivs(z, J, sDd)
-        closed1 = _sigma1_with_derivs(mu0, z, closed0, I2, sDd, model.vol(F0))
-        taylor = np.abs(z) < _DERIV_RADIUS_FACTOR * radius
-        s0d = tuple(np.where(taylor, t, c) for t, c in
-                    zip(_sigma0_taylor(sigma0_series_atm(branch, F0), z), closed0))
-        s1d = tuple(np.where(taylor, t, c) for t, c in
-                    zip(_sigma1_taylor(sigma1_series_atm(branch, F0, mu0), z), closed1))
-        sD = sDd[0]
-        s0, _, s0pp = s0d
-        s1, _, s1pp = s1d
-        core = (1.5 * s1 * s1 / (sD * s0 ** 4)
-                - sD ** 3 * s0pp * s0pp / (8.0 * s0 ** 4)
-                - sD * s1pp / (2.0 * s0 ** 3))
-        if mu0 != 0.0 or mu1 != 0.0:
-            core += _h2_mu(mu0, mu1, z, sD, s0d, s1d) / (2.0 * sD * s0 * s0)
-        # summed node by node, left to right, not by numpy's pairwise sum
-        val = sum((weights * (z * z * core)).ravel().tolist())
-        coeffs.append(-coeffs[0] ** 4 / y ** 3 * val)
-    return tuple(float(c) for c in coeffs)
+            z = nodes - F0
+            sDd = (model.vol(nodes), model.deriv(nodes, 1), model.deriv(nodes, 2))
+            closed0 = _sigma0_derivs(z, J[:, :-1], sDd)
+            closed1 = _sigma1_with_derivs(mu0, z, closed0, I2[:, :-1], sDd, model.vol(F0))
+            taylor = np.abs(z) < r_taylor
+            s0d = tuple(np.where(taylor, t, c)
+                        for t, c in zip(_sigma0_taylor(series0, z), closed0))
+            s1d = tuple(np.where(taylor, t, c)
+                        for t, c in zip(_sigma1_taylor(series1, z), closed1))
+            (s0, _, s0pp), (s1, _, s1pp), sD = s0d, s1d, sDd[0]
+            core = (1.5 * s1 * s1 / (sD * s0 ** 4)
+                    - sD ** 3 * s0pp * s0pp / (8.0 * s0 ** 4)
+                    - sD * s1pp / (2.0 * s0 ** 3))
+            if mu0 != 0.0 or mu1 != 0.0:
+                core += _h2_mu(mu0, mu1, z, sD, s0d, s1d) / (2.0 * sD * s0 * s0)
+            # summed node by node outwards from F0, as np.cumsum is sequential
+            zint = np.cumsum(weights * (z * z * core)).reshape(z.shape)[at, -1]
+            coeffs[2, side] = np.where(near, sigma2_atm(branch, F0, mu0, mu1),
+                                       -s0K ** 4 / y ** 3 * zint)
+    return tuple(coeffs)
 
 
 # one-coefficient views of expansion, looked up by the tests and the perfbench tracer
 
 def sigma0(model: LocalVolModel, F0: float, K: float) -> float:
     """Leading-order normal vol: (K - F0) / int_{F0}^{K} dL / sigma_D(L)."""
-    return expansion(model, MarketSetup(F0), K, 0)[0]
+    return float(expansion(model, MarketSetup(F0), [K], 0)[0][0])
 
 
 def sigma1(model: LocalVolModel, F0: float, mu0: float, K: float) -> float:
     """O(T) coefficient at fixed strike."""
-    return expansion(model, MarketSetup(F0, mu0), K, 1)[1]
+    return float(expansion(model, MarketSetup(F0, mu0), [K], 1)[1][0])
 
 
 def sigma2(model: LocalVolModel, F0: float, mu0: float, mu1: float, K: float) -> float:
     """O(T^2) coefficient at fixed strike."""
-    return expansion(model, MarketSetup(F0, mu0, mu1), K, 2)[2]
+    return float(expansion(model, MarketSetup(F0, mu0, mu1), [K], 2)[2][0])
 
 
 def sigma2_atm(model: LocalVolModel, F0: float, mu0: float = 0.0, mu1: float = 0.0) -> float:
@@ -344,13 +342,14 @@ def sigma1_jump(model: LocalVolModel, F0: float) -> float:
     return vr - vl
 
 
-def smile_from_coefficients(coeffs, T: float) -> float:
-    """sigma0 + sigma1 T + sigma2 T^2 truncated after the coefficients given."""
+def smile_from_coefficients(coeffs, T: float):
+    """sigma0 + sigma1 T + sigma2 T^2 truncated after the coefficients given,
+    floats or arrays; nothing is added in place, so arrays stay unchanged."""
     out = coeffs[0]
     if len(coeffs) > 1:
-        out += coeffs[1] * T
+        out = out + coeffs[1] * T
     if len(coeffs) > 2:
-        out += coeffs[2] * T * T
+        out = out + coeffs[2] * T * T
     return out
 
 
@@ -366,4 +365,4 @@ def smile(model: LocalVolModel, setup: MarketSetup, K: float, T: float, order: i
             "power-series-in-T smile for a non-analytic local vol: the expansion "
             "misses sqrt(T) terms (use the sqrt-T detector)", NonAnalyticWarning,
             stacklevel=2)
-    return smile_from_coefficients(expansion(model, setup, K, order), T)
+    return float(smile_from_coefficients(expansion(model, setup, [K], order), T)[0])

@@ -249,9 +249,9 @@ def _asympt(order: int):
     def blocks(cfg: ExperimentConfig, seed: int):
         # expansion does not warn on a breakpoint: this flag is the only signal
         flag = "low_confidence" if cfg.model.breakpoints else "ok"
-        coeffs = [expansion(cfg.model, cfg.setup, K, order) for K in cfg.strikes]
+        coeffs = expansion(cfg.model, cfg.setup, cfg.strikes, order)
         for T in cfg.maturities:
-            yield [(smile_from_coefficients(c, T), flag) for c in coeffs]
+            yield [(vol, flag) for vol in smile_from_coefficients(coeffs, T).tolist()]
     return blocks
 
 
@@ -308,7 +308,7 @@ _TABLE1_MATURITIES = (1.0, 2.0, 5.0, 10.0, 20.0, 30.0)
 def table1_rows(sigma0bar: float = 0.03, b: float = 0.2) -> list[dict]:
     """ATM deviations (orders 0/1/2 minus exact) for sigma_D = sigma0bar + 2bY."""
     model = make_shifted_lognormal(sigma0bar, b, 0.0)
-    _, s1, s2 = expansion(model, MarketSetup(0.0), 0.0, 2)
+    _, s1, s2 = (float(c[0]) for c in expansion(model, MarketSetup(0.0), [0.0], 2))
     rows = []
     for T in _TABLE1_MATURITIES:
         ex = shifted_ln_atm_exact_vol(sigma0bar, b, T)

@@ -46,9 +46,8 @@ def gauss_legendre_rule(a: float, b: float, breakpoints: Iterable[float] = ()):
     xs, ws = _leggauss()
     lo, hi = (a, b) if a < b else (b, a)
     cuts = sorted({p for p in breakpoints if lo < p < hi})
-    stops = [lo, *cuts, hi]
-    edges = np.concatenate([np.linspace(x0, x1, N_PANELS + 1)[:-1]
-                            for x0, x1 in zip(stops[:-1], stops[1:])] + [[hi]])
+    stops = np.array([lo, *cuts, hi])
+    edges = np.append(np.linspace(stops[:-1], stops[1:], N_PANELS + 1, axis=1)[:, :-1], hi)
     if b < a:
         edges = edges[::-1]
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]

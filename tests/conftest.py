@@ -1,7 +1,25 @@
+import importlib.util
+import pathlib
+import sys
+
 import pytest
 
 import nvol.dupire_pde
 from nvol.cli import _surface_from_csv, load_config, main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="session")
+def perfbench_workloads():
+    """perfbench/workloads.py loaded from its file: the benchmark's configs and
+    gates, read by the tests and never edited by them."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture()

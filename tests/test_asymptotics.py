@@ -1,19 +1,25 @@
 import math
+import pathlib
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvol.asymptotics import (BreakpointError, DomainError,
+from nvol.asymptotics import (_ATM_SWITCH_RADIUS, _DERIV_RADIUS_FACTOR,
+                              BreakpointError, DomainError,
                               NonAnalyticWarning, expansion, sigma0,
                               sigma0_series_atm, sigma1, sigma1_jump,
-                              sigma1_series_atm, sigma2, sigma2_atm, smile)
+                              sigma1_series_atm, sigma2, sigma2_atm, smile,
+                              smile_from_coefficients)
+from nvol.cli import load_config
 from nvol.models import (MarketSetup, make_piecewise_linear,
                          make_quadratic_sabr, make_shifted_lognormal,
                          make_tabulated)
 
 F0 = 10.0
+CONFIGS = sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
 
 
 def poly_model(a0, a1, a2, a3, a4, domain=(F0 - 0.55, F0 + 2.0)):
@@ -143,15 +149,16 @@ def test_sigma2_point_values_vs_solver():
 
 
 def counting_model(model):
-    """The model with every sigma_D evaluation counted, a float or an array element."""
+    """The model with its sigma_D evaluations counted: count[0] floats or array
+    elements, count[1] calls."""
     import dataclasses
 
-    import numpy as np
-    count = [0]
+    count = [0, 0]
 
     def counted(fn):
         def f(s):
             count[0] += int(np.size(s))
+            count[1] += 1
             return fn(s)
         return f
 
@@ -185,10 +192,11 @@ def test_coefficients_are_python_floats():
                 assert type(sigma1(m, 0.03, mu0, K)) is float, (m.label, K, mu0)
                 assert type(sigma2(m, 0.03, mu0, mu1, K)) is float, (m.label, K, mu0)
                 at = MarketSetup(S0=0.03, mu0=mu0, mu1=mu1)
-                c0, c1, c2 = (expansion(m, at, K, order) for order in range(3))
+                c0, c1, c2 = (expansion(m, at, [K], order) for order in range(3))
                 assert type(c2) is tuple and len(c2) == 3
-                assert all(type(c) is float for c in c2), (m.label, K, mu0)
-                assert c1 == c2[:2] and c0 == c2[:1], (m.label, K, mu0)
+                assert all(c.dtype == np.float64 and c.shape == (1,) for c in c2)
+                assert ([c.tobytes() for c in c1] == [c.tobytes() for c in c2[:2]]
+                        and c0[0].tobytes() == c2[0].tobytes()), (m.label, K, mu0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonAnalyticWarning)
             assert type(smile(m, setup, 0.035, 1.0, 2)) is float, m.label
@@ -253,17 +261,84 @@ def test_smile_orders_and_warning():
     v2 = smile(m, setup, 0.035, 1.0, 2)
     assert v0 == pytest.approx(sigma0(m, 0.03, 0.035), rel=1e-14)
     assert abs(v1 - v0) > 0.0 and abs(v2 - v1) < abs(v1 - v0)
-    s0, s1, s2 = expansion(m, setup, 0.035, 2)
+    (s0,), (s1,), (s2,) = expansion(m, setup, [0.035], 2)
     assert (v0, v1, v2) == (s0, s0 + s1 * 1.0, s0 + s1 * 1.0 + s2 * 1.0 * 1.0)
     with pytest.raises(ValueError):
         smile(m, setup, 0.035, 1.0, 3)
     with pytest.raises(ValueError, match="order"):
-        expansion(m, setup, 0.035, 3)
+        expansion(m, setup, [0.035], 3)
+    with pytest.raises(ValueError, match="1-d"):
+        expansion(m, setup, 0.035, 0)
     with pytest.raises(DomainError):
-        expansion(m, setup, -0.05, 0)  # sigma_D vanishes at S = -0.01
+        expansion(m, setup, [-0.05], 0)  # sigma_D vanishes at S = -0.01
     kink = make_piecewise_linear(0.008, -0.1, 0.1, 0.03)
     with pytest.warns(NonAnalyticWarning):
         smile(kink, setup, 0.035, 1.0, 0)
+
+
+def _assert_array_call_matches_one_strike_calls(model, setup, strikes):
+    # every strike is a panel edge of its side's chain, so a strike's panels,
+    # and the rounding of its integrals, depend on its neighbours: sigma0 keeps
+    # 1e-14 relative, and the near-money cancellation of the sigma1 and sigma2
+    # closed forms leaves them within 1e-11 and 1e-6 of the largest coefficient
+    got = expansion(model, setup, strikes, 2)
+    want = np.array([[c[0] for c in expansion(model, setup, [K], 2)] for K in strikes]).T
+    assert np.all(np.abs(got[0] - want[0]) <= 1e-14 * np.abs(want[0])), model.label
+    for g, w, tol in zip(got[1:], want[1:], (1e-11, 1e-6)):
+        assert np.max(np.abs(g - w)) <= tol * np.max(np.abs(w)), model.label
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_array_call_matches_one_strike_calls(path):
+    cfg = load_config(str(path))
+    _assert_array_call_matches_one_strike_calls(cfg.model, cfg.setup, cfg.strikes)
+
+
+def test_drifted_array_call_matches_one_strike_calls(tmp_path, perfbench_workloads):
+    for case in perfbench_workloads.EXPANSION_CASES:
+        path = tmp_path / f"{case}.ini"
+        path.write_text(perfbench_workloads.expansion_config(case))
+        cfg = load_config(str(path))
+        _assert_array_call_matches_one_strike_calls(cfg.model, cfg.setup, cfg.strikes)
+
+
+def test_array_call_strike_sets():
+    # unsorted and repeated strikes on both sides of a kink at F0, F0 itself,
+    # strikes inside the ATM switch radius and on the sigma2 handover
+    m = make_piecewise_linear(0.008, 0.1, 0.2, 0.03)
+    handover = [0.03 + side * _DERIV_RADIUS_FACTOR
+                * (_ATM_SWITCH_RADIUS * m.branch_for(side).vol(0.03)) for side in (1.0, -1.0)]
+    strikes = [0.035, 0.025, 0.03, 0.035, 0.03 + 1e-8, 0.03 - 1e-8, *handover, 0.028]
+    for setup in (MarketSetup(0.03), MarketSetup(0.03, 0.002, -0.001)):
+        _assert_array_call_matches_one_strike_calls(m, setup, strikes)
+        got = expansion(m, setup, strikes, 2)
+        assert all(c[0] == c[3] for c in got)
+
+
+def test_vol_calls_do_not_grow_with_strikes():
+    # one vectorised chain per side of F0, whatever the number of strikes
+    setup = MarketSetup(0.03, 0.002, -0.001)
+    calls = []
+    for strikes in ([0.025, 0.035], np.linspace(0.02, 0.04, 33)):
+        m, count = counting_model(make_quadratic_sabr(0.01, 0.3, -0.3, 0.03))
+        expansion(m, setup, strikes, 2)
+        calls.append(count[1])
+    assert calls[0] == calls[1] > 0
+
+
+def test_array_with_a_strike_off_the_domain_raises():
+    m = make_shifted_lognormal(0.01, 0.2, 0.03)  # vol vanishes at S = -0.025
+    with pytest.raises(DomainError, match=r"\[-0.05, 0.03\]"):
+        expansion(m, MarketSetup(0.03), [0.025, -0.05, 0.035], 1)
+
+
+def test_smile_from_coefficients_leaves_its_arrays_unchanged():
+    coeffs = expansion(make_quadratic_sabr(0.01, 0.3, -0.3, 0.03), MarketSetup(0.03),
+                       [0.025, 0.03, 0.035], 2)
+    before = [c.copy() for c in coeffs]
+    first = smile_from_coefficients(coeffs, 30.0)
+    assert np.array_equal(smile_from_coefficients(coeffs, 30.0), first)
+    assert all(np.array_equal(c, b) for c, b in zip(coeffs, before))
 
 
 def test_sigma0_closed_form_inverse_vol_integral():

@@ -10,6 +10,7 @@ import sys
 import warnings
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -526,12 +527,14 @@ bR = 0.1""")
 @pytest.mark.parametrize("text, flag", [(DRIFTED_SABR, "ok"), (KINK, "low_confidence")],
                          ids=["drifted_sabr", "kink"])
 def test_smile_rows_equal_smile_function(tmp_path, text, flag):
-    # each order makes one expansion call per strike, reused across
-    # maturities; every row must still be the float smile() gives (JSON
-    # output carries the full repr)
+    # each order makes one expansion call over the config's strikes, reused
+    # across maturities: every row is that call's smile bit for bit (JSON
+    # output carries the full repr); the one-strike smile() differs only by
+    # the rounding of the strike's panels, within 1e-14 of sigma0 and 1e-11,
+    # 1e-6 of the largest sigma1, sigma2 times T, T^2
     import warnings
 
-    from nvol.asymptotics import smile
+    from nvol.asymptotics import expansion, smile, smile_from_coefficients
     from nvol.cli import load_config
 
     p = tmp_path / "s.ini"
@@ -542,12 +545,31 @@ def test_smile_rows_equal_smile_function(tmp_path, text, flag):
     cfg = load_config(str(p))
     rows = json.loads(out.read_text())
     assert len(rows) == 4 * 2 * 3
+    coeffs = [expansion(cfg.model, cfg.setup, cfg.strikes, order) for order in range(3)]
+    largest = [np.max(np.abs(c)) for c in coeffs[2]]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for r in rows:
-            want = smile(cfg.model, cfg.setup, r["K"], r["T"], int(r["method"][-1]))
-            assert r["sigma_N"] == want
+            order, i, T = int(r["method"][-1]), cfg.strikes.index(r["K"]), r["T"]
+            assert r["sigma_N"] == smile_from_coefficients(coeffs[order], T)[i]
+            tol = 1e-14 * abs(coeffs[0][0][i]) + sum(
+                rel * largest[k] * T ** k for k, rel in ((1, 1e-11), (2, 1e-6)) if k <= order)
+            want = smile(cfg.model, cfg.setup, r["K"], T, order)
+            assert abs(r["sigma_N"] - want) <= tol
             assert r["flag"] == flag
+
+
+def test_expansion_drift_rows_pass_the_benchmark_gate(tmp_path, perfbench_workloads):
+    # the benchmark's drifted asympt0/1/2 smiles, gated against
+    # perfbench/reference/expansion_drift.json at the coefficient tolerances
+    import random
+
+    plan = perfbench_workloads.expansion_drift(ROOT, tmp_path, random.Random(0))
+    assert plan.invocations
+    for inv in plan.invocations:
+        code, _ = run(inv.argv)
+        attempted, failed, msgs = inv.gate(code, inv.out.read_bytes() if code == 0 else b"")
+        assert attempted > 0 and failed == 0, msgs
 
 
 def test_convert_roundtrip():
