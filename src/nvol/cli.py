@@ -21,6 +21,7 @@ import argparse
 import bisect
 import configparser
 import csv
+import functools
 import io
 import json
 import math
@@ -60,6 +61,14 @@ class ExperimentConfig:
     strikes: list[float] = field(default_factory=list)
     methods: list[str] = field(default_factory=list)
     mc_opts: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def coefficients(self) -> tuple:
+        """(sigma0, ..., sigma_top) over the strikes, top the highest order
+        of the asymptK methods: one `expansion` call per config, whose first
+        K + 1 arrays are those of an order-K call bit for bit."""
+        top = max(int(m[-1]) for m in self.methods if m.startswith("asympt"))
+        return expansion(self.model, self.setup, self.strikes, top)
 
 
 def _floats(raw: str, where: str) -> list[float]:
@@ -249,15 +258,15 @@ def _asympt(order: int):
     def blocks(cfg: ExperimentConfig, seed: int):
         # expansion does not warn on a breakpoint: this flag is the only signal
         flag = "low_confidence" if cfg.model.breakpoints else "ok"
-        coeffs = expansion(cfg.model, cfg.setup, cfg.strikes, order)
+        coeffs = cfg.coefficients[:order + 1]
         for T in cfg.maturities:
             yield [(vol, flag) for vol in smile_from_coefficients(coeffs, T).tolist()]
     return blocks
 
 
 def _pde(cfg: ExperimentConfig, seed: int):
-    for T in cfg.maturities:
-        yield implied_smile_from_pde(cfg.model, cfg.setup, T, cfg.strikes)
+    # every maturity from one march per grid size
+    yield from implied_smile_from_pde(cfg.model, cfg.setup, tuple(cfg.maturities), cfg.strikes)
 
 
 def _mc(cfg: ExperimentConfig, seed: int):
@@ -293,7 +302,9 @@ def cmd_smile(args) -> int:
             try:
                 block = next(gen)
             except (DomainError, ArithmeticError, RuntimeError) as e:
-                print(f"numerical failure at T={T}, method={method}: {e}",
+                # pde and mc price every maturity in their first block, so
+                # they fail there; a PDE grid that fails names its maturity
+                print(f"numerical failure at T={getattr(e, 'T', T)}, method={method}: {e}",
                       file=sys.stderr)
                 return EXIT_NUMERICAL
             rows += ({"K": K, "T": T, "method": method, "sigma_N": vol, "flag": flag}
@@ -536,8 +547,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one `build_parser()` of this process: each parse_args call makes
+    a new namespace from its defaults."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ForwardOffGrid) as e:

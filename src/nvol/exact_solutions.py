@@ -195,9 +195,12 @@ def sqrt_t_detector(model: LocalVolModel, setup: MarketSetup, T_grid) -> FitRepo
     For each maturity the forward-PDE ATM price is extrapolated from two
     maturity-adapted grids, 401 nodes in 32 steps and 801 nodes in 64, and
     inverted once (`atm_implied_vol_richardson`, within 5e-10 of the closed
-    forms on configs/sqrtt_*.ini); sigma_D(S0) is subtracted, and the
-    deviations are fitted to c T^p twice: free p (classification), then
-    p = 1/2 (coefficient extraction, which is the value reported).  Models
+    forms on configs/sqrtt_*.ini).  One call takes the whole grid, so each
+    grid size is one march with every maturity a block of one tridiagonal
+    system: two marches in all, each block priced bit for bit as its maturity
+    alone.  sigma_D(S0) is subtracted, and the deviations are fitted to
+    c T^p twice: free p (classification), then p = 1/2 (coefficient
+    extraction, which is the value reported).  Models
     with a derivative jump at the forward give p near 1/2; analytic models
     give p near 1 and the reported sqrt coefficient is then meaningless.
     Repeated maturities are refused before any solve; a forward the drift
@@ -216,7 +219,7 @@ def sqrt_t_detector(model: LocalVolModel, setup: MarketSetup, T_grid) -> FitRepo
     sD0 = model.vol(setup.S0)
     # the extrapolation keeps the O(dx^2 + dt^2) ATM bias from flattening
     # the power law at the smallest maturities
-    devs = [atm_implied_vol_richardson(model, setup, T) - sD0 for T in T_grid]
+    devs = [vol - sD0 for vol in atm_implied_vol_richardson(model, setup, T_grid)]
     if all(d < 0.0 for d in devs):
         sign, mags = -1.0, [-d for d in devs]
     elif all(d > 0.0 for d in devs):

@@ -149,6 +149,19 @@ def test_pde_maturity_too_short_for_its_grid_exits_3(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_pde_failure_names_the_maturity_whose_grid_fails(tmp_path, capsys):
+    # both maturities are priced by one march per grid size, which fails at
+    # the second, shorter maturity; the asympt2 rows at T = 1 are not written
+    cfg = tmp_path / "short.ini"
+    cfg.write_text(SMILE_CONFIG.replace("list = 1 5", "list = 1 1e-300")
+                   .replace("asympt0 asympt1 exact", "asympt2 pde"))
+    code, text = run(["smile", "--config", str(cfg)])
+    assert code == 3 and text == ""
+    err = capsys.readouterr().err
+    assert "numerical failure at T=1e-300, method=pde: K_min must be below K_max" in err
+    assert "T = 1e-300" in err and "T=1," not in err
+
+
 def test_missing_config_exits_2(tmp_path):
     code, _ = run(["smile", "--config", str(tmp_path / "nope.ini")])
     assert code == 2
@@ -559,6 +572,37 @@ def test_smile_rows_equal_smile_function(tmp_path, text, flag):
             assert r["flag"] == flag
 
 
+@pytest.mark.parametrize("text", [DRIFTED_SABR, KINK], ids=["drifted_sabr", "kink"])
+def test_smile_makes_one_expansion_call_at_its_highest_order(tmp_path, monkeypatch, text):
+    # asympt0, asympt1 and asympt2 read the first K + 1 arrays of one order-2
+    # call, and write the bytes of configs that list one order each
+    import nvol.cli as cli
+
+    orders = []
+    expansion = cli.expansion
+
+    def counted(model, setup, strikes, order):
+        orders.append(order)
+        return expansion(model, setup, strikes, order)
+
+    monkeypatch.setattr(cli, "expansion", counted)
+    p = tmp_path / "s.ini"
+    p.write_text(text.replace("asympt2 asympt0 asympt1", "asympt0 asympt1 asympt2"))
+    code, together = run(["smile", "--config", str(p)])
+    assert code == 0 and orders == [2]
+    alone = []
+    for order in range(3):
+        p.write_text(text.replace("asympt2 asympt0 asympt1", f"asympt{order}"))
+        code, out = run(["smile", "--config", str(p)])
+        assert code == 0
+        alone.append(out.splitlines())
+    assert orders == [2, 0, 1, 2]
+    # rows by maturity, then method, then strike: 4 strikes at each of 2 maturities
+    want = [alone[0][0]] + [line for block in range(2) for rows in alone
+                            for line in rows[1 + 4 * block:5 + 4 * block]]
+    assert together.splitlines() == want
+
+
 def test_expansion_drift_rows_pass_the_benchmark_gate(tmp_path, perfbench_workloads):
     # the benchmark's drifted asympt0/1/2 smiles, gated against
     # perfbench/reference/expansion_drift.json at the coefficient tolerances
@@ -663,6 +707,27 @@ def test_extract_lv_on_synthetic_surface(tmp_path):
     # maturity outside the surface span is a config error
     code, _ = run(["extract-lv", str(path), "--s0", "0.03", "--T", "2.0"])
     assert code == 2
+
+
+def test_main_calls_share_no_parsed_state(tmp_path):
+    # the parser is built once per process; each call parses afresh, so a
+    # second extract-lv takes the default strikes and the default format
+    import nvol.cli as cli
+
+    path = tmp_path / "surface.csv"
+    write_surface(path)
+    first = tmp_path / "first.json"
+    code, _ = run(["extract-lv", str(path), "--s0", "0.03", "--T", "1.0", "--K", "0.028",
+                   "--K", "0.03", "--format", "json", "--out", str(first)])
+    assert code == 0
+    assert [r["K"] for r in json.loads(first.read_text())] == [0.028, 0.03]
+    code, text = run(["extract-lv", str(path), "--s0", "0.03", "--T", "1.0"])
+    assert code == 0
+    lines = text.splitlines()
+    # every surface strike lies within 2 stdev (0.022) of the forward
+    assert lines[0] == "K,T,sigma_D" and len(lines) == 1 + 11
+    assert lines[1].startswith("0.02,1,") and lines[-1].startswith("0.04,1,")
+    assert cli._parser() is cli._parser()
 
 
 def test_extract_lv_refuses_a_surface_of_two_methods(tmp_path, capsys):
@@ -787,27 +852,29 @@ def test_load_config_accepts_every_checked_in_config(config):
 
 
 def test_pde_rows_solve_a_fixed_pair_per_maturity(tmp_path, monkeypatch, lapack_calls):
-    # each maturity solves 401 nodes in 32 steps and 801 in 64 (each step
-    # count plus the two Rannacher half-steps is one dgttrs solve); at T =
-    # 0.01 the grids span 0.03 -+ 0.008, so K = 0.1 is off them and the
-    # extrapolated price at K = 0.037 is -2.7e-20
+    # one march on 401 nodes in 32 steps and one on 801 in 64, each with
+    # every maturity a block of one system (each step count plus the two
+    # Rannacher half-steps is one dgttrs solve); at T = 0.01 the grids span
+    # 0.03 -+ 0.008, so K = 0.1 is off them and the extrapolated price at
+    # K = 0.037 is -2.7e-20
     grids = []
-    solve = nvol.dupire_pde.solve_forward
+    march = nvol.dupire_pde.march
 
     def recorded(*a, **k):
-        sol = solve(*a, **k)
-        grids.append((sol.strikes.size, sol.meta["n_steps"], sol.T))
-        return sol
+        sols = march(*a, **k)
+        grids.append([(sol.strikes.size, sol.meta["n_steps"], sol.T) for sol in sols])
+        return sols
 
-    monkeypatch.setattr(nvol.dupire_pde, "solve_forward", recorded)
+    monkeypatch.setattr(nvol.dupire_pde, "march", recorded)
     p = tmp_path / "pde.ini"
     p.write_text(NO_TIME_VALUE.replace("0.01 0.02 0.025 0.03 0.038 0.08", "0.03 0.037 0.1")
                  .replace("0.01 1", "0.01 0.25").replace("pde mc exact", "pde"))
     out = tmp_path / "pde.json"
     code, _ = run(["smile", "--config", str(p), "--out", str(out), "--format", "json"])
     assert code == 0
-    assert grids == [(401, 32, 0.01), (801, 64, 0.01), (401, 32, 0.25), (801, 64, 0.25)]
-    assert lapack_calls["solve"] == ([401] * (32 + 2) + [801] * (64 + 2)) * 2
+    assert grids == [[(401, 32, 0.01), (401, 32, 0.25)], [(801, 64, 0.01), (801, 64, 0.25)]]
+    assert lapack_calls["solve"] == [2 * 401] * (32 + 2) + [2 * 801] * (64 + 2)
+    assert lapack_calls["factor"] == [2 * 401] * 2 + [2 * 801] * 2
     rows = json.loads(out.read_text())
     assert [(r["T"], r["K"], r["flag"]) for r in rows] == [
         (0.01, 0.03, "ok"), (0.01, 0.037, "no_time_value"), (0.01, 0.1, "off_grid"),

@@ -9,9 +9,10 @@ from scipy.linalg import solve_banded
 
 from nvol.bachelier import NormalQuote, bachelier_call
 import nvol.dupire_pde
-from nvol.dupire_pde import (ForwardOffGrid, GridTooNarrow, _build_strike_grid, _Tridiagonal,
+from nvol.dupire_pde import (ForwardOffGrid, GridTooNarrow, PdeSolution, _build_strike_grid,
+                             _Tridiagonal,
                              atm_implied_vol, atm_implied_vol_richardson,
-                             extract_local_vol, implied_smile_from_pde,
+                             extract_local_vol, implied_smile_from_pde, march,
                              richardson_prices, solve_forward)
 from nvol.models import (MarketSetup, make_piecewise_linear, make_quadratic_sabr,
                          make_shifted_lognormal, make_tabulated)
@@ -104,8 +105,9 @@ def test_smile_without_an_atm_vol_is_low_confidence(monkeypatch):
     model = constant_model(0.01)
     setup = MarketSetup(S0=0.03)
     live = richardson_prices(model, setup, 1.0, [0.05], 10.0)[0]
+    # one price array per maturity, the strikes then the forward
     monkeypatch.setattr(nvol.dupire_pde, "richardson_prices",
-                        lambda *a: np.array([live, 0.0]))
+                        lambda *a: (np.array([live, 0.0]),))
     assert implied_smile_from_pde(model, setup, 1.0, [0.05]) == [
         (pytest.approx(0.01, abs=1e-8), "low_confidence")]
     sol = solve_forward(model, setup, 1.0, n_space=101)
@@ -200,6 +202,47 @@ def test_march_bit_identical_to_per_step_banded_solve(model, setup, levels, n_sp
         assert np.array_equal(sol.prices, want)
 
 
+@pytest.mark.parametrize("model, setup, maturities, clipped", [
+    # unsorted, with the kink at S0 and mu1 != 0: one factorisation per
+    # step; sigma_D vanishes at S = -0.01, which clips the grids from T = 0.5
+    (KINK, MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001), (2.0, 0.1, 0.5), (True, False, True)),
+    # sigma_D vanishes at S = -0.04, which clips the grid at T = 10 only
+    (make_shifted_lognormal(0.008, 0.1, 0.03), MarketSetup(S0=0.03), (0.1, 10.0, 0.05),
+     (False, True, False)),
+    (make_quadratic_sabr(0.01, 0.3, -0.3, 0.03), MarketSetup(S0=0.03, mu0=0.002),
+     (1.0, 0.25), (False, False)),
+])
+def test_march_blocks_equal_one_maturity_solves(lapack_calls, model, setup, maturities,
+                                                clipped):
+    # every block factors and solves to the bits it gets alone
+    sols = march(model, setup, maturities, n_space=201, n_steps=40)
+    steps = 40 + 2
+    factors = steps if setup.mu1 else 2
+    assert lapack_calls["factor"] == [len(maturities) * 201] * factors
+    assert lapack_calls["solve"] == [len(maturities) * 201] * steps
+    assert tuple(sol.meta["clipped"][0] for sol in sols) == clipped
+    for T, sol in zip(maturities, sols):
+        one = solve_forward(model, setup, T, n_space=201, n_steps=40)
+        assert sol.T == one.T == T and sol.s0_node == one.s0_node
+        assert np.array_equal(sol.strikes, one.strikes)
+        assert np.array_equal(sol.prices, one.prices)
+        assert sol.meta == one.meta
+
+
+def test_tuple_of_maturities_equals_one_maturity_calls():
+    model, setup = KINK, MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001)
+    maturities = (0.25, 0.0625, 1.0)
+    strikes = [0.025, 0.03, 0.031, 0.04]
+    prices = richardson_prices(model, setup, maturities, strikes, 10.0)
+    smiles = implied_smile_from_pde(model, setup, maturities, strikes)
+    vols = atm_implied_vol_richardson(model, setup, maturities)
+    assert len(prices) == len(smiles) == len(vols) == 3
+    for i, T in enumerate(maturities):
+        assert np.array_equal(prices[i], richardson_prices(model, setup, T, strikes, 10.0))
+        assert smiles[i] == implied_smile_from_pde(model, setup, T, strikes)
+        assert vols[i] == atm_implied_vol_richardson(model, setup, T)
+
+
 @pytest.mark.parametrize("mu0, mu1, factorizations", [
     (0.0, 0.0, 2), (0.002, 0.0, 2), (0.002, -0.001, 82)])
 def test_march_factors_once_per_operator(lapack_calls, mu0, mu1, factorizations):
@@ -212,22 +255,32 @@ def test_march_factors_once_per_operator(lapack_calls, mu0, mu1, factorizations)
 
 @pytest.mark.parametrize("T", [1.0 / 256.0, 0.25, 4.0, 0.3])
 def test_atm_richardson_solves_twice_in_fixed_steps(monkeypatch, lapack_calls, T):
-    # 401 nodes in 32 steps and 801 in 64 at every maturity: each step count
-    # plus the two Rannacher half-steps is one dgttrs solve, and each solve
-    # factors twice, even where T / 32 and T / 64 are inexact (T = 0.3)
+    # two marches, 401 nodes in 32 steps and 801 in 64, whatever the
+    # maturities: each step count plus the two Rannacher half-steps is one
+    # dgttrs solve, and each march factors twice, even where T / 32 and
+    # T / 64 are inexact (T = 0.3); a tuple stacks one block per maturity
     grids = []
-    solve = solve_forward
 
     def recorded(*a, **k):
-        sol = solve(*a, **k)
-        grids.append((sol.strikes.size, sol.meta["n_steps"]))
-        return sol
+        sols = march(*a, **k)
+        grids.append([(sol.strikes.size, sol.meta["n_steps"], sol.T) for sol in sols])
+        return sols
 
-    monkeypatch.setattr(nvol.dupire_pde, "solve_forward", recorded)
-    atm_implied_vol_richardson(KINK, MarketSetup(S0=0.03), T)
-    assert grids == [(401, 32), (801, 64)]
+    monkeypatch.setattr(nvol.dupire_pde, "march", recorded)
+    setup = MarketSetup(S0=0.03)
+    vol = atm_implied_vol_richardson(KINK, setup, T)
+    assert grids == [[(401, 32, T)], [(801, 64, T)]]
     assert lapack_calls["solve"] == [401] * (32 + 2) + [801] * (64 + 2)
     assert lapack_calls["factor"] == [401] * 2 + [801] * 2
+
+    grids.clear()
+    lapack_calls["solve"].clear()
+    lapack_calls["factor"].clear()
+    assert atm_implied_vol_richardson(KINK, setup, (0.5, T, 1.0 / 64.0))[1] == vol
+    assert grids == [[(401, 32, t) for t in (0.5, T, 1.0 / 64.0)],
+                     [(801, 64, t) for t in (0.5, T, 1.0 / 64.0)]]
+    assert lapack_calls["solve"] == [3 * 401] * (32 + 2) + [3 * 801] * (64 + 2)
+    assert lapack_calls["factor"] == [3 * 401] * 2 + [3 * 801] * 2
 
 
 def test_non_finite_local_vol_rejected():
@@ -331,6 +384,52 @@ def test_price_at_strikes_interpolates_within_kink_stretches():
     assert np.max(np.abs(fake.price_at_strikes(mid) - want)) < 1e-14
     got = sol.price_at_strikes([ks[0] - 1e-9, ks[-1] + 1e-9, 0.5, 5.0])
     assert np.all(np.isnan(got))
+
+
+def lagrange_reference(sol, strikes):
+    """price_at_strikes strike by strike: the 4 nodes around each strike
+    within its stretch of the S0 node, fewer where the stretch is shorter."""
+    ks, n, j0 = sol.strikes, len(sol.strikes), sol.s0_node
+    out = []
+    for k in strikes:
+        if not ks[0] <= k <= ks[-1]:
+            out.append(math.nan)
+            continue
+        j = min(int(np.searchsorted(ks, k, side="right")) - 1, n - 2)
+        a, b = (0, j0) if j < j0 else (j0, n - 1)
+        lo = max(a, min(j - 1, b - 3))
+        nodes = range(lo, min(lo + 4, b + 1))
+        p = 0.0
+        for m in nodes:
+            w = 1.0
+            for q in nodes:
+                if q != m:
+                    w *= (k - ks[q]) / (ks[m] - ks[q])
+            p += w * sol.prices[m]
+        out.append(p)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("b, s0, T, j0", [
+    # S0 1, 2 and 3 nodes from a clipped left end, then from a clipped right
+    # end: stretches of 2, 3 and 4 nodes between S0 and the end
+    (0.1, -0.0099, 144.0, 1), (0.1, -0.0099, 100.0, 2), (0.1, -0.0099, 50.0, 3),
+    (-0.1, 0.0099, 144.0, 49), (-0.1, 0.0099, 100.0, 48), (-0.1, 0.0099, 50.0, 47)])
+def test_price_at_strikes_equals_the_scalar_stencils(b, s0, T, j0):
+    model = make_shifted_lognormal(0.008, b, 0.03)
+    ks, node, clipped = _build_strike_grid(model, MarketSetup(S0=s0), T, 51, 10.0)
+    assert node == j0 and clipped == (b > 0, b < 0)
+    rng = np.random.default_rng(j0)
+    # signed prices with zeros of both signs, whose sums keep the loop's sign of zero
+    prices = rng.normal(size=ks.size) * rng.integers(0, 2, size=ks.size)
+    prices[::7] = -0.0
+    sol = PdeSolution(strikes=ks, T=T, prices=prices, s0_node=j0)
+    strikes = np.concatenate([ks, 0.5 * (ks[1:] + ks[:-1]), rng.uniform(ks[0], ks[-1], 200),
+                              [ks[0] - 1e-9, ks[-1] + 1e-9, math.nan, math.inf, -math.inf]])
+    got, want = sol.price_at_strikes(strikes), lagrange_reference(sol, strikes.tolist())
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(got[:ks.size], prices)
 
 
 def test_extract_local_vol_flat_surface():
@@ -460,4 +559,5 @@ def test_drifting_march_refactors_one_system_in_place(monkeypatch, both_lapacks)
     assert len(seen) == 82
     system, du2, ipiv = seen[0]
     assert all(s is system and a is du2 and p is ipiv for s, a, p in seen)
-    assert sol.prices is system.b
+    # the prices are the system's right-hand side, its one block of 801 rows
+    assert sol.prices.base is system.b and sol.prices.size == system.b.size

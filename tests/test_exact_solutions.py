@@ -211,7 +211,9 @@ def test_sqrt_t_detector_refuses_repeated_maturities_before_solving(monkeypatch)
     def no_solve(*args, **kwargs):
         raise AssertionError("solved a PDE")
 
-    monkeypatch.setattr(nvol.dupire_pde, "solve_forward", no_solve)
+    # the detector's one call, and the march under it
+    for name in ("atm_implied_vol_richardson", "march"):
+        monkeypatch.setattr(nvol.dupire_pde, name, no_solve)
     kink = make_piecewise_linear(0.008, -0.1, 0.1, 0.03)
     with pytest.raises(ValueError, match=r"repeated: \[0.01\]"):
         sqrt_t_detector(kink, MarketSetup(S0=0.03), (0.02, 0.01, 0.03, 0.01, 0.04))
