@@ -55,7 +55,8 @@ class ExperimentConfig:
     """The sections every command reads; strikes, methods and mc_opts only
     `smile` reads (load_config)."""
     model: LocalVolModel
-    exact_call: Callable[[float, float], tuple[float, float]] | None  # see _build_model
+    # see _build_model
+    exact_call: Callable[[list[float], float], list[tuple[float, float]]] | None
     setup: MarketSetup
     maturities: list[float]
     strikes: list[float] = field(default_factory=list)
@@ -97,14 +98,15 @@ def _get(section, key: str, where: str, cast=float, default=None):
 
 
 def _build_model(kind: str, sec, S0: float):
-    """The model, and its driftless closed-form pricer (K, T) -> (price, noise
-    level of the time value) or None; sigma0 always means the local vol at S0,
-    slopes are the b of 2b(S-S0)."""
+    """The model, and its driftless closed-form pricer (strikes, T) -> one
+    (price, noise level of the time value) per strike, or None; sigma0 always
+    means the local vol at S0, slopes are the b of 2b(S-S0)."""
     if kind == "shifted_lognormal":
         sigma0, b = _get(sec, "sigma0", "[model]"), _get(sec, "b", "[model]")
         shifted = sigma0 - 2.0 * b * S0
         return (make_shifted_lognormal(shifted, b, S0),
-                lambda K, T: (shifted_ln_exact_call(shifted, b, S0, K, T), 0.0))
+                lambda strikes, T: [(shifted_ln_exact_call(shifted, b, S0, K, T), 0.0)
+                                    for K in strikes])
     if kind == "quadratic_sabr":
         sigma0, gamma, rho = (_get(sec, key, "[model]") for key in ("sigma0", "gamma", "rho"))
         return make_quadratic_sabr(sigma0, gamma, rho, S0), None
@@ -114,11 +116,11 @@ def _build_model(kind: str, sec, S0: float):
         if not (bR > 0.0 and bL == -bR):
             return model, None
 
-        def kink_call(K: float, T: float) -> tuple[float, float]:
-            price = model2b_call_by_density(sigma0, bR, S0, K, T)
+        def kink_call(strikes: list[float], T: float) -> list[tuple[float, float]]:
+            prices = model2b_call_by_density(sigma0, bR, S0, strikes, T).tolist()
             # its rule is within 1.4e-17 absolute and 3.5e-15 relative of
             # scipy's quad on 48 strikes and maturities; this level is 7x and 30x that
-            return price, max(1e-16, 1e-13 * price)
+            return [(price, max(1e-16, 1e-13 * price)) for price in prices]
         return model, kink_call
     if kind == "tabulated":
         path = _get(sec, "path", "[model]", cast=str)
@@ -282,11 +284,8 @@ def _mc(cfg: ExperimentConfig, seed: int):
 def _exact(cfg: ExperimentConfig, seed: int):
     for T in cfg.maturities:
         F = cfg.setup.forward(T)
-        block = []
-        for K in cfg.strikes:
-            price, noise = cfg.exact_call(K, T)
-            block.append(implied_vol_and_flag(price, F, K, T, noise))
-        yield block
+        yield [implied_vol_and_flag(price, F, K, T, noise)
+               for K, (price, noise) in zip(cfg.strikes, cfg.exact_call(cfg.strikes, T))]
 
 
 _METHODS = {"asympt0": _asympt(0), "asympt1": _asympt(1), "asympt2": _asympt(2),

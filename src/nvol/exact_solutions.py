@@ -12,10 +12,12 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bachelier import (NormalQuote, bachelier_call, black_scholes_call,
                         norm_cdf, norm_pdf)
 from .models import LocalVolModel, MarketSetup
-from .quadrature import integrate
+from .quadrature import N_NODES, N_PANELS, gauss_legendre_rule
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -135,7 +137,8 @@ def model2b_y_of_z(z: float, sigma0: float, b: float) -> float:
     return -sigma0 / (2.0 * b) * math.expm1(-2.0 * b * z)
 
 
-def model2b_call_by_density(sigma0: float, b: float, S0: float, K: float, t: float) -> float:
+def model2b_call_by_density(sigma0: float, b: float, S0: float, K: float | np.ndarray,
+                            t: float) -> float | np.ndarray:
     """Call price by integrating the payoff against the kink-model density.
 
     C = int_{z(K)}^inf (y(u) - y_K) p(u, t; z(S0)=0, 0) du with y measured
@@ -143,20 +146,45 @@ def model2b_call_by_density(sigma0: float, b: float, S0: float, K: float, t: flo
     below machine precision, so a strike with z(K) at or beyond it is worth
     0.  The integrand is analytic on each side of the kink at u = 0, which is
     a panel edge of the composite Gauss-Legendre rule.
+
+    K is a float (a float is returned) or a 1-d array (an array of prices,
+    each equal to the float call).  Every strike keeps its own rule; the
+    integrand, `model2b_y_of_z` times `model2b_density` started at x = 0, is
+    evaluated on all nodes in one array pass, and each strike's weighted
+    terms are summed from 0 in node order.
     """
-    yK = K - S0
-    zK = model2b_z_of_y(yK, sigma0, b)
-    x = 0.0  # start at the kink
+    strikes = np.asarray(K, dtype=float).reshape(-1)
+    yK = strikes - S0
     # p decays like exp(-(z - bt)^2/2t) modulated by e^{-2bz}; 12 stdevs is ample
     z_hi = b * t + 12.0 * math.sqrt(t)
-    if zK >= z_hi:
-        return 0.0
-
-    def integrand(u: float) -> float:
-        return (model2b_y_of_z(u, sigma0, b) - yK) * model2b_density(u, t, x, b)
-
-    bps = (0.0,) if zK < 0.0 < z_hi else ()
-    return integrate(integrand, zK, z_hi, breakpoints=bps)
+    # row i holds strike i's nodes, and its weights after a column of zeros
+    # for the sum to start from; the row of a strike at or beyond z_hi, and
+    # the tail of an 8-panel row, keep weight 0 at node 0
+    n_max = 2 * N_PANELS * N_NODES
+    nodes = np.zeros((strikes.size, n_max))
+    terms = np.zeros((strikes.size, n_max + 1))
+    for i, y in enumerate(yK.tolist()):
+        zK = model2b_z_of_y(y, sigma0, b)
+        if zK < z_hi:
+            _, u, w = gauss_legendre_rule(zK, z_hi, (0.0,) if zK < 0.0 < z_hi else ())
+            nodes[i, :u.size] = u.flat
+            terms[i, 1:1 + w.size] = w.flat
+    # the two branches of y(u) and of p(u) meet in |u|: with x = 0 each
+    # operation below is the one of the branch of u's sign (numpy's exp and
+    # expm1 may differ from libm's in the last bit)
+    au = np.abs(nodes)
+    y_u = np.where(nodes >= 0.0, sigma0 / (2.0 * b), -sigma0 / (2.0 * b)) * np.expm1(
+        2.0 * b * au)
+    rt = math.sqrt(t)
+    bt = b * t
+    a = (au + bt) / rt
+    # norm_cdf((bt - |u|) / rt) with math.erfc node by node: numpy has no erfc
+    erfc = map(math.erfc, ((au - bt) / rt / math.sqrt(2.0)).ravel().tolist())
+    cdf = 0.5 * np.fromiter(erfc, float, au.size).reshape(au.shape)
+    dens = np.exp(-0.5 * a * a) / SQRT_2PI / rt + b * np.exp(-2.0 * b * au) * cdf
+    terms[:, 1:] *= (y_u - yK[:, None]) * dens
+    prices = np.add.accumulate(terms, axis=1)[:, -1]
+    return float(prices[0]) if np.ndim(K) == 0 else prices
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,18 @@ X = (B - K)+ as a control variate: price = mean(Y) - beta (mean(X) - E[X]),
 beta the regression slope of Y on X over the same samples.  The shadow is
 the small-time limit of the path, so it absorbs most of the payoff's
 variance; `std_error` is the standard error of this estimator, over the
-pair averages of Y - beta X.  The default 4096 paths give every row of the
-`mc_exact` benchmark a smaller standard error than the plain mean of the
-fine payoff had at 1e5 paths, and without the extrapolation the control
-would expose Euler's bias: two of those rows would sit 8-9 standard errors
-off their closed forms at 1e5 paths.
+pair averages of Y - beta X.  An array of strikes is priced in one pass
+over a (strikes, pairs) layout, each row equal to the one-strike call.
+The default 4096 paths give every row of the `mc_exact` benchmark a
+smaller standard error than the plain mean of the fine payoff had at 1e5
+paths, and without the extrapolation the control would expose Euler's
+bias: two of those rows would sit 8-9 standard errors off their closed
+forms at 1e5 paths.
+
+On a model whose positivity domain is bounded, each Euler step evaluates
+the vol on levels clamped to the domain, and keeps every path's running
+minimum and maximum over both marches; the exit count `n_boundary_hits`
+is the number of paths whose extremes ever left the domain.
 
 A maturity T is marched in n = 2 ceil(T * steps_per_year / 2) steps of
 dt = T / n (n is even, so the coarse march takes whole steps), and every
@@ -94,7 +101,8 @@ def _march(model: LocalVolModel, setup: MarketSetup, dt: float, stops: Sequence[
     The arrays are the march's own buffers: read them before asking for the
     next stop.  The local vol is evaluated on levels clamped to the
     positivity domain (vol frozen at the boundary value for excursions
-    beyond it); the exit count reports how many paths ever needed the clamp.
+    beyond it); the exit count, read from the running extremes at each
+    stop, reports how many paths ever needed the clamp.
     """
     sqdt = math.sqrt(dt)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
@@ -117,18 +125,20 @@ def _march(model: LocalVolModel, setup: MarketSetup, dt: float, stops: Sequence[
     z_sum = np.zeros(spec.n_paths)
     dS = np.empty(spec.n_paths)
     if bounded:
-        exited = np.zeros(spec.n_paths, dtype=bool)
-        outside = np.empty(spec.n_paths, dtype=bool)
+        # per-path running extremes over both marches, so a stop reads which
+        # paths ever left the domain
+        low = np.full(spec.n_paths, setup.S0)
+        high = np.full(spec.n_paths, setup.S0)
 
     def euler(S, dW, drift_dt):
         """S + vol*sqdt*dW + drift_dt in place, in that operand order; returns vol."""
         if bounded:
-            np.less(S, lo_c, out=outside)
-            np.logical_or(exited, outside, out=exited)
-            np.greater(S, hi_c, out=outside)
-            np.logical_or(exited, outside, out=exited)
+            # fmin/fmax skip a nan level, as the comparisons < and > would
+            np.fmin(low, S, out=low)
+            np.fmax(high, S, out=high)
             # dS holds the clamped levels until the vol is evaluated on them
-            vol = model.vol(np.clip(S, lo_c, hi_c, out=dS))
+            np.maximum(S, lo_c, out=dS)
+            vol = model.vol(np.minimum(dS, hi_c, out=dS))
         else:
             vol = model.vol(S)
         np.multiply(vol, sqdt, out=dS)
@@ -161,42 +171,48 @@ def _march(model: LocalVolModel, setup: MarketSetup, dt: float, stops: Sequence[
             np.add(shadow, setup.S0, out=shadow)
             np.add(shadow, drift_sum, out=shadow)
             if bounded:
-                n_hits = int(exited.sum())
+                n_hits = int(np.count_nonzero((low < lo_c) | (high > hi_c)))
             yield n, _Paths(fine, coarse, shadow, setup.S0 + drift_sum, shadow_vol,
                             n * dt, n_hits)
 
 
-def _call_stats(p: _Paths, K: float) -> tuple[float, float]:
-    """(price, standard error) of the call payoff (S_T - K)+ over mirrored pairs.
-
-    Unless some shadow pair straddles K, the control's pair averages all take
-    one value (0, or the shadow's forward less K), so it carries no
-    information and its slope is 0; one pair gives no spread to estimate, so
-    its standard error is nan.
-    """
-    half = p.fine.size // 2
-    y = 2.0 * np.maximum(p.fine - K, 0.0) - np.maximum(p.coarse - K, 0.0)
-    y = 0.5 * (y[:half] + y[half:])
-    x = np.maximum(p.shadow - K, 0.0)
-    x = 0.5 * (x[:half] + x[half:])
-    beta = 0.0
-    if half > 1 and np.any((p.shadow[:half] > K) != (p.shadow[half:] > K)):
-        dx = x - x.mean()
-        beta = float(np.dot(dx, y - y.mean()) / np.dot(dx, dx))
-    exact = bachelier_call(NormalQuote(F=p.shadow_forward, K=K, T=p.T,
-                                       sigmaN=p.shadow_vol))
-    price = float(y.mean()) - beta * (float(x.mean()) - exact)
-    se = (y - beta * x).std(ddof=1) / math.sqrt(half) if half > 1 else math.nan
-    return price, float(se)
-
-
 def _price(p: _Paths, K: float | np.ndarray) -> McResult:
+    """Price and standard error of the call payoff (S_T - K)+ over mirrored
+    pairs, for every strike at once: one row of pair averages per strike.
+
+    Unless some shadow pair straddles a strike, the control's pair averages
+    on its row all take one value (0, or the shadow's forward less K), so it
+    carries no information and its slope is 0; one pair gives no spread to
+    estimate, so its standard error is nan.
+    """
+    strikes = np.asarray(K, dtype=float).reshape(-1)
+    Ks = strikes[:, None]
+    half = p.fine.size // 2
+    y = 2.0 * np.maximum(p.fine - Ks, 0.0) - np.maximum(p.coarse - Ks, 0.0)
+    y = 0.5 * (y[:, :half] + y[:, half:])
+    x = np.maximum(p.shadow - Ks, 0.0)
+    x = 0.5 * (x[:, :half] + x[:, half:])
+    y_mean = y.mean(axis=1)
+    x_mean = x.mean(axis=1)
+    beta = np.zeros(strikes.size)
+    if half > 1:
+        straddles = ((p.shadow[:half] > Ks) != (p.shadow[half:] > Ks)).any(axis=1)
+        # one dot per row: a batched product would sum in another order
+        for i in np.flatnonzero(straddles):
+            dx = x[i] - x_mean[i]
+            beta[i] = np.dot(dx, y[i] - y_mean[i]) / np.dot(dx, dx)
+    exact = np.array([bachelier_call(NormalQuote(F=p.shadow_forward, K=k, T=p.T,
+                                                 sigmaN=p.shadow_vol))
+                      for k in strikes.tolist()])
+    price = y_mean - beta * (x_mean - exact)
+    if half > 1:
+        se = (y - beta[:, None] * x).std(axis=1, ddof=1) / math.sqrt(half)
+    else:
+        se = np.full(strikes.size, math.nan)
     if np.ndim(K) == 0:
-        price, se = _call_stats(p, K)
-        return McResult(price=price, std_error=se, n_boundary_hits=p.n_hits)
-    stats = np.array([_call_stats(p, k) for k in np.asarray(K, dtype=float)],
-                     dtype=float).reshape(-1, 2)
-    return McResult(price=stats[:, 0], std_error=stats[:, 1], n_boundary_hits=p.n_hits)
+        return McResult(price=float(price[0]), std_error=float(se[0]),
+                        n_boundary_hits=p.n_hits)
+    return McResult(price=price, std_error=se, n_boundary_hits=p.n_hits)
 
 
 def mc_call(model: LocalVolModel, setup: MarketSetup, K: float | np.ndarray,
@@ -207,10 +223,10 @@ def mc_call(model: LocalVolModel, setup: MarketSetup, K: float | np.ndarray,
     The price is the extrapolated, control-variate estimator of the module
     docstring.  Every path is paired with the path of the negated draws, and
     the standard error is that of the estimator, computed over pair averages
-    of Y - beta X.  A 1-d array of strikes is priced on one path set,
-    strike by strike, and gives price and std_error arrays equal to the
-    one-strike calls.  A tuple of maturities gives a tuple of results, one
-    per maturity, each equal to the one-maturity call; maturities that share
+    of Y - beta X.  A 1-d array of strikes is priced on one path set, in
+    one pass, and gives price and std_error arrays equal to the one-strike
+    calls.  A tuple of maturities gives a tuple of results, one per
+    maturity, each equal to the one-maturity call; maturities that share
     a step size share one march.
     """
     maturities = (T,) if np.ndim(T) == 0 else tuple(T)

@@ -155,6 +155,10 @@ def make_piecewise_linear(sigma0: float, bL: float, bR: float, S0: float) -> Loc
     lo = left.positivity_domain[0]
     hi = right.positivity_domain[1]
     slopes = np.array([bR, bL])
+    two_bL, two_bR = 2.0 * bL, 2.0 * bR
+    # on either side of S0 that side's line is the higher of the two on a
+    # convex kink (bR > bL) and the lower on a concave one: no sign test
+    pick = np.maximum if bR > bL else np.minimum
 
     def slope(yy):
         # a two-entry lookup on the sign test (several times cheaper than
@@ -163,7 +167,7 @@ def make_piecewise_linear(sigma0: float, bL: float, bR: float, S0: float) -> Loc
 
     def v(s):
         yy = s - S0
-        return sigma0 + 2.0 * slope(yy) * yy
+        return sigma0 + pick(two_bR * yy, two_bL * yy)
 
     def d(s, k: int):
         if k == 1:

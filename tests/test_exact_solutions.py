@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -132,7 +133,12 @@ def test_kink_density_price_vs_quad(t):
     # scipy's adaptive Gauss-Kronrod on the same integrand, split at the kink
     # z = 0; the bound is the noise level the CLI's exact rows are judged by
     sigma0, b, S0 = 0.008, 0.1, 0.03
-    for K in (0.01, 0.02, 0.025, 0.03, 0.035, 0.05, 0.08):
+    strikes = (0.01, 0.02, 0.025, 0.03, 0.035, 0.05, 0.08)
+    # one call prices the whole array, each strike as its own float call does
+    prices = model2b_call_by_density(sigma0, b, S0, np.array(strikes), t)
+    assert np.array_equal(prices, [model2b_call_by_density(sigma0, b, S0, K, t)
+                                   for K in strikes])
+    for K, got in zip(strikes, prices.tolist()):
         yK = K - S0
         zK = model2b_z_of_y(yK, sigma0, b)
         z_hi = b * t + 12.0 * math.sqrt(t)
@@ -143,7 +149,6 @@ def test_kink_density_price_vs_quad(t):
         stops = (zK, 0.0, z_hi) if zK < 0.0 < z_hi else (zK, z_hi)
         want = sum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                    for lo, hi in zip(stops[:-1], stops[1:]))
-        got = model2b_call_by_density(sigma0, b, S0, K, t)
         assert abs(got - want) <= max(1e-16, 1e-13 * abs(want)), (K, got, want)
 
 
@@ -155,6 +160,8 @@ def test_kink_price_non_increasing_and_zero_beyond_truncation():
     z_hi = b * t + 12.0 * math.sqrt(t)
     strikes = [0.035 + 0.0025 * i for i in range(19)]  # 0.035 .. 0.08
     prices = [model2b_call_by_density(sigma0, b, S0, K, t) for K in strikes]
+    assert all(type(p) is float for p in prices)
+    assert np.array_equal(model2b_call_by_density(sigma0, b, S0, np.array(strikes), t), prices)
     assert all(p1 <= p0 for p0, p1 in zip(prices, prices[1:]))
     beyond = [model2b_z_of_y(K - S0, sigma0, b) >= z_hi for K in strikes]
     assert 0 < sum(beyond) < len(strikes)

@@ -6,7 +6,7 @@ import pytest
 
 from nvol.bachelier import NormalQuote, bachelier_call, implied_vol_and_flag
 from nvol.exact_solutions import model2b_call_by_density, shifted_ln_exact_call
-from nvol.mc_oracle import McSpec, _march, mc_call
+from nvol.mc_oracle import McSpec, _march, _price, mc_call
 from nvol.models import MarketSetup, make_piecewise_linear, make_shifted_lognormal
 
 
@@ -143,9 +143,11 @@ def _reference_paths(model, setup, T, spec):
 
 
 @pytest.mark.parametrize("model", [make_shifted_lognormal(-0.002, 0.2, 0.03),
+                                   # sigma_D = 0.0028 - 0.4 S vanishes at 0.007
+                                   make_shifted_lognormal(0.0028, -0.2, 0.006),
                                    make_shifted_lognormal(0.012, 0.0, 0.03),
                                    make_piecewise_linear(0.008, -0.1, 0.1, 0.03)],
-                         ids=["bounded_below", "unbounded", "kink"])
+                         ids=["bounded_below", "bounded_above", "unbounded", "kink"])
 def test_in_place_march_equals_reference_bit_for_bit(model):
     setup = MarketSetup(S0=0.006, mu0=0.001, mu1=-0.002)
     spec = McSpec(n_paths=1_000, steps_per_year=3, seed=5)
@@ -153,8 +155,55 @@ def test_in_place_march_equals_reference_bit_for_bit(model):
     fine, coarse, shadow, n_hits = _reference_paths(model, setup, 2.0, spec)
     assert np.array_equal(paths.fine, fine) and np.array_equal(paths.coarse, coarse)
     assert np.array_equal(paths.shadow, shadow) and paths.n_hits == n_hits
+    # a bounded model's paths reach its boundary: the exit count and the
+    # clamp on that side are exercised
+    lo, hi = model.positivity_domain
+    assert (n_hits > 0) == (math.isfinite(lo) or math.isfinite(hi))
     # the midpoint sum of the linear drift is the forward's drift term
     assert paths.shadow_forward == pytest.approx(setup.forward(2.0), rel=1e-14)
+
+
+def _call_stats(p, K):
+    """(price, standard error) of one strike, the estimator of the module
+    docstring computed on one-dimensional arrays."""
+    half = p.fine.size // 2
+    y = 2.0 * np.maximum(p.fine - K, 0.0) - np.maximum(p.coarse - K, 0.0)
+    y = 0.5 * (y[:half] + y[half:])
+    x = np.maximum(p.shadow - K, 0.0)
+    x = 0.5 * (x[:half] + x[half:])
+    beta = 0.0
+    if half > 1 and np.any((p.shadow[:half] > K) != (p.shadow[half:] > K)):
+        dx = x - x.mean()
+        beta = float(np.dot(dx, y - y.mean()) / np.dot(dx, dx))
+    exact = bachelier_call(NormalQuote(F=p.shadow_forward, K=K, T=p.T,
+                                       sigmaN=p.shadow_vol))
+    price = float(y.mean()) - beta * (float(x.mean()) - exact)
+    se = (y - beta * x).std(ddof=1) / math.sqrt(half) if half > 1 else math.nan
+    return price, float(se)
+
+
+@pytest.mark.parametrize("n_paths", [2, 1_000])
+def test_strike_batch_equals_scalar_statistics(n_paths):
+    model = make_piecewise_linear(0.008, -0.1, 0.1, 0.03)
+    spec = McSpec(n_paths=n_paths, seed=3)
+    (_, paths), = _march(model, MarketSetup(S0=0.03, mu0=0.001), 0.005, (50,), spec)
+    # 12 stdevs below and above S0, and strikes that shadow pairs straddle
+    strikes = [-0.02, 0.022, 0.029, 0.03, 0.031, 0.038, 0.08]
+    res = _price(paths, np.array(strikes))
+    want = np.array([_call_stats(paths, K) for K in strikes])
+    assert np.array_equal(res.price, want[:, 0])
+    assert np.array_equal(res.std_error, want[:, 1], equal_nan=True)
+    one = _price(paths, 0.031)
+    assert type(one.price) is float and type(one.std_error) is float
+    assert np.array_equal([one.price, one.std_error], _call_stats(paths, 0.031), equal_nan=True)
+    if n_paths == 2:
+        assert np.isnan(res.std_error).all()
+        return
+    half = n_paths // 2
+    straddled = [bool(np.any((paths.shadow[:half] > K) != (paths.shadow[half:] > K)))
+                 for K in strikes]
+    assert any(straddled) and not all(straddled)
+    assert res.price[-1] == 0.0 and res.std_error[-1] == 0.0
 
 
 def _assert_same(got, want):
