@@ -8,15 +8,15 @@ import math
 import random
 import sys
 
-from nvol import (McSpec, MarketSetup, make_shifted_lognormal, mc_call,
-                  model2b_call_by_density, make_piecewise_linear,
-                  shifted_ln_exact_call)
 from nvol.dupire_pde import richardson_prices
+from nvol.exact_solutions import model2b_call_by_density, shifted_ln_exact_call
+from nvol.mc_oracle import McSpec, mc_call
+from nvol.models import MarketSetup, make_piecewise_linear, make_shifted_lognormal
 
 
 def pde_price(model, setup, K, T):
     # the rule of the `pde` rows: the 401/801-node pair over 10 stdevs, extrapolated
-    return float(richardson_prices(model, setup, T, [K], 10.0)[0])
+    return float(richardson_prices(model, setup, (T,), [K], 10.0)[0][0])
 
 
 def run(n_cases: int = 10, seed: int = 2024) -> int:
@@ -35,7 +35,7 @@ def run(n_cases: int = 10, seed: int = 2024) -> int:
         else:
             b = rng.uniform(0.05, 0.15)
             model = make_piecewise_linear(sigma0, -b, b, S0)
-            exact = model2b_call_by_density(sigma0, b, S0, K, T)
+            exact = float(model2b_call_by_density(sigma0, b, S0, [K], T)[0])
             kind = "kink"
         setup = MarketSetup(S0=S0)
         mc = mc_call(model, setup, K, T, McSpec(seed=seed + i))

@@ -342,9 +342,11 @@ def sigma1_jump(model: LocalVolModel, F0: float) -> float:
     return vr - vl
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def smile_from_coefficients(coeffs, T: float):
     """sigma0 + sigma1 T + sigma2 T^2 truncated after the coefficients given,
-    floats or arrays; nothing is added in place, so arrays stay unchanged."""
+    floats or arrays; nothing is added in place, so arrays stay unchanged.
+    A T large enough to overflow a term gives +-inf or nan, not a warning."""
     out = coeffs[0]
     if len(coeffs) > 1:
         out = out + coeffs[1] * T

@@ -58,7 +58,7 @@ class ExperimentConfig:
     # see _build_model
     exact_call: Callable[[list[float], float], list[tuple[float, float]]] | None
     setup: MarketSetup
-    maturities: list[float]
+    maturities: tuple[float, ...]
     strikes: list[float] = field(default_factory=list)
     methods: list[str] = field(default_factory=list)
     mc_opts: dict = field(default_factory=dict)
@@ -164,10 +164,14 @@ def _read_shared(path: str) -> tuple[configparser.ConfigParser, ExperimentConfig
     if not model.in_domain(setup.S0):
         raise ConfigError(f"[market]: S0 = {setup.S0!r} lies outside the positivity "
                           f"domain {model.positivity_domain} of the model")
+    s0_vol = float(model.vol(setup.S0))
+    if not 0.0 < s0_vol < math.inf:
+        raise ConfigError(f"[model]: sigma_D(S0) = {s0_vol!r} at S0 = {setup.S0!r}; "
+                          f"it must be finite and positive")
 
     if "maturities" not in cp or "list" not in cp["maturities"]:
         raise ConfigError("missing [maturities] list")
-    maturities = _floats(cp["maturities"]["list"], "[maturities] list")
+    maturities = tuple(_floats(cp["maturities"]["list"], "[maturities] list"))
     if not maturities or any(t <= 0.0 for t in maturities):
         raise ConfigError("[maturities]: need a non-empty list of positive maturities")
 
@@ -222,10 +226,16 @@ def load_config(path: str) -> ExperimentConfig:
     if "mc" in cp:
         mc_opts = {key: _get(cp["mc"], key, "[mc]", cast=int)
                    for key in ("n_paths", "steps_per_year") if key in cp["mc"]}
-        try:
-            McSpec(**mc_opts)
-        except ValueError as e:
-            raise ConfigError(f"[mc]: {e}, got {mc_opts}") from e
+    try:
+        spec = McSpec(**mc_opts)
+    except ValueError as e:
+        raise ConfigError(f"[mc]: {e}, got {mc_opts}") from e
+    if "mc" in methods:
+        for T in cfg.maturities:
+            try:
+                spec.steps(T)
+            except ValueError as e:
+                raise ConfigError(f"[mc] steps_per_year: {e}") from e
     cfg.strikes, cfg.methods, cfg.mc_opts = strikes, methods, mc_opts
     return cfg
 
@@ -258,22 +268,24 @@ def _write(text: str, out: str | None) -> None:
 
 def _asympt(order: int):
     def blocks(cfg: ExperimentConfig, seed: int):
-        # expansion does not warn on a breakpoint: this flag is the only signal
-        flag = "low_confidence" if cfg.model.breakpoints else "ok"
+        # low_confidence on a breakpoint, which expansion does not warn about,
+        # and on a value a truncated series left off the positive reals
+        kink = bool(cfg.model.breakpoints)
         coeffs = cfg.coefficients[:order + 1]
         for T in cfg.maturities:
-            yield [(vol, flag) for vol in smile_from_coefficients(coeffs, T).tolist()]
+            yield [(vol, "ok" if 0.0 < vol < math.inf and not kink else "low_confidence")
+                   for vol in smile_from_coefficients(coeffs, T).tolist()]
     return blocks
 
 
 def _pde(cfg: ExperimentConfig, seed: int):
     # every maturity from one march per grid size
-    yield from implied_smile_from_pde(cfg.model, cfg.setup, tuple(cfg.maturities), cfg.strikes)
+    yield from implied_smile_from_pde(cfg.model, cfg.setup, cfg.maturities, cfg.strikes)
 
 
 def _mc(cfg: ExperimentConfig, seed: int):
     # every maturity from one march per step size
-    results = mc_call(cfg.model, cfg.setup, cfg.strikes, tuple(cfg.maturities),
+    results = mc_call(cfg.model, cfg.setup, cfg.strikes, cfg.maturities,
                       McSpec(seed=seed, **cfg.mc_opts))
     for T, res in zip(cfg.maturities, results):
         F = cfg.setup.forward(T)

@@ -13,9 +13,8 @@ between nodes is interpolated from nodes on one side of it only.
 `march` takes every maturity of a config at once: each maturity's grid is one
 block of a single tridiagonal system, so one march per grid size prices them
 all, each block to the bits it gets alone.  `richardson_prices`,
-`implied_smile_from_pde` and `atm_implied_vol_richardson` take a float or a
-tuple of maturities, as `mc_oracle.mc_call` does: a tuple gives one result
-per maturity, equal to the one-maturity call.
+`implied_smile_from_pde` and `atm_implied_vol_richardson` take a tuple of
+maturities and give one result per maturity, equal to the one-maturity call.
 """
 
 from __future__ import annotations
@@ -333,22 +332,15 @@ class ForwardOffGrid(ValueError):
     """The forward at T lies off the strike grid, which is centred on S0."""
 
 
-def _maturities(T: float | Sequence[float]) -> tuple[float, ...]:
-    """The maturities of a float-or-tuple argument, as a tuple."""
-    return (T,) if np.ndim(T) == 0 else tuple(T)
-
-
 def richardson_prices(model: LocalVolModel, setup: MarketSetup,
-                      T: float | tuple[float, ...], strikes: Sequence[float],
-                      width_stdevs: float) -> np.ndarray | tuple[np.ndarray, ...]:
-    """Call prices at T and the requested strikes, nan off either grid, from
-    two marches over width_stdevs stdevs: 401 nodes in 32 steps and 801 in
-    64, whatever T.  The error is about a dx^2 + b dt^2; halving dx and dt
-    together divides both terms by 4, so (4 fine - coarse) / 3 cancels both.
-    A tuple of maturities gives one price array per maturity, each from the
-    same two marches.  A forward off a grid raises ForwardOffGrid.
+                      maturities: tuple[float, ...], strikes: Sequence[float],
+                      width_stdevs: float) -> tuple[np.ndarray, ...]:
+    """Call prices at the requested strikes, nan off either grid, one array
+    per maturity, from two marches over width_stdevs stdevs: 401 nodes in 32
+    steps and 801 in 64, whatever T.  The error is about a dx^2 + b dt^2;
+    halving dx and dt together divides both terms by 4, so (4 fine - coarse)
+    / 3 cancels both.  A forward off a grid raises ForwardOffGrid.
     """
-    maturities = _maturities(T)
     prices = []
     for n_space, n_steps in ((401, 32), (801, 64)):
         sols = march(model, setup, maturities, n_space=n_space, n_steps=n_steps,
@@ -359,19 +351,17 @@ def richardson_prices(model: LocalVolModel, setup: MarketSetup,
                 raise ForwardOffGrid(f"the drifted forward {F:.6g} at T = {sol.T} lies off "
                                      f"the PDE grid [{ks[0]:.6g}, {ks[-1]:.6g}] around S0")
         prices.append([sol.price_at_strikes(strikes) for sol in sols])
-    out = tuple((4.0 * fine - coarse) / 3.0 for coarse, fine in zip(*prices))
-    return out[0] if np.ndim(T) == 0 else out
+    return tuple((4.0 * fine - coarse) / 3.0 for coarse, fine in zip(*prices))
 
 
 def implied_smile_from_pde(model: LocalVolModel, setup: MarketSetup,
-                           T: float | tuple[float, ...], strikes: Sequence[float]
-                           ) -> list[tuple[float, str]] | tuple[list[tuple[float, str]], ...]:
-    """(sigma_N, flag) per strike at T, the `pde` rows of `nvol smile`: the
-    `richardson_prices` over 10 stdevs mapped by `implied_vol_and_flag`, and
-    ok rows far (> 6 sigma_ATM sqrt(T)) from the forward low_confidence.
-    A tuple of maturities gives one list per maturity.
+                           maturities: tuple[float, ...], strikes: Sequence[float]
+                           ) -> tuple[list[tuple[float, str]], ...]:
+    """(sigma_N, flag) per strike, one list per maturity T, the `pde` rows of
+    `nvol smile`: the `richardson_prices` over 10 stdevs mapped by
+    `implied_vol_and_flag`, and ok rows far (> 6 sigma_ATM sqrt(T)) from the
+    forward low_confidence.
     """
-    maturities = _maturities(T)
     forwards = [setup.forward(t) for t in maturities]
     wanted = np.asarray(strikes, dtype=float)
     # every maturity's prices come at every forward; each reads its own
@@ -388,7 +378,7 @@ def implied_smile_from_pde(model: LocalVolModel, setup: MarketSetup,
                 flag = "low_confidence"
             smile.append((vol, flag))
         smiles.append(smile)
-    return smiles[0] if np.ndim(T) == 0 else tuple(smiles)
+    return tuple(smiles)
 
 
 def atm_implied_vol(sol: PdeSolution, setup: MarketSetup) -> float:
@@ -401,17 +391,15 @@ def atm_implied_vol(sol: PdeSolution, setup: MarketSetup) -> float:
 
 
 def atm_implied_vol_richardson(model: LocalVolModel, setup: MarketSetup,
-                               T: float | tuple[float, ...]) -> float | tuple[float, ...]:
-    """ATM implied normal vol at T, the `richardson_prices` price over 8 stdevs
-    inverted once: +3.1e-10 from the closed forms of configs/sqrtt_*.ini at
-    each T in 1/256..1/4 (16/32 steps leave +2.2e-9, 64/128 steps +1.5e-10).
-    A tuple of maturities gives one vol per maturity."""
-    maturities = _maturities(T)
+                               maturities: tuple[float, ...]) -> tuple[float, ...]:
+    """ATM implied normal vol at each T, the `richardson_prices` price over 8
+    stdevs inverted once: +3.1e-10 from the closed forms of
+    configs/sqrtt_*.ini at each T in 1/256..1/4 (16/32 steps leave +2.2e-9,
+    64/128 steps +1.5e-10)."""
     forwards = [setup.forward(t) for t in maturities]
     prices = richardson_prices(model, setup, maturities, forwards, 8.0)
-    vols = tuple(implied_vol_and_flag(float(p[i]), F, F, t)[0]
+    return tuple(implied_vol_and_flag(float(p[i]), F, F, t)[0]
                  for i, (t, F, p) in enumerate(zip(maturities, forwards, prices)))
-    return vols[0] if np.ndim(T) == 0 else vols
 
 
 def extract_local_vol(surface, setup: MarketSetup, K: float, T: float,

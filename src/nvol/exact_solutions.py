@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -137,8 +138,8 @@ def model2b_y_of_z(z: float, sigma0: float, b: float) -> float:
     return -sigma0 / (2.0 * b) * math.expm1(-2.0 * b * z)
 
 
-def model2b_call_by_density(sigma0: float, b: float, S0: float, K: float | np.ndarray,
-                            t: float) -> float | np.ndarray:
+def model2b_call_by_density(sigma0: float, b: float, S0: float, strikes: Sequence[float],
+                            t: float) -> np.ndarray:
     """Call price by integrating the payoff against the kink-model density.
 
     C = int_{z(K)}^inf (y(u) - y_K) p(u, t; z(S0)=0, 0) du with y measured
@@ -147,22 +148,20 @@ def model2b_call_by_density(sigma0: float, b: float, S0: float, K: float | np.nd
     0.  The integrand is analytic on each side of the kink at u = 0, which is
     a panel edge of the composite Gauss-Legendre rule.
 
-    K is a float (a float is returned) or a 1-d array (an array of prices,
-    each equal to the float call).  Every strike keeps its own rule; the
-    integrand, `model2b_y_of_z` times `model2b_density` started at x = 0, is
-    evaluated on all nodes in one array pass, and each strike's weighted
-    terms are summed from 0 in node order.
+    One price per strike of the 1-d sequence, each strike with its own rule;
+    the integrand, `model2b_y_of_z` times `model2b_density` started at
+    x = 0, is evaluated on all nodes in one array pass, and each strike's
+    weighted terms are summed from 0 in node order.
     """
-    strikes = np.asarray(K, dtype=float).reshape(-1)
-    yK = strikes - S0
+    yK = np.asarray(strikes, dtype=float) - S0
     # p decays like exp(-(z - bt)^2/2t) modulated by e^{-2bz}; 12 stdevs is ample
     z_hi = b * t + 12.0 * math.sqrt(t)
     # row i holds strike i's nodes, and its weights after a column of zeros
     # for the sum to start from; the row of a strike at or beyond z_hi, and
     # the tail of an 8-panel row, keep weight 0 at node 0
     n_max = 2 * N_PANELS * N_NODES
-    nodes = np.zeros((strikes.size, n_max))
-    terms = np.zeros((strikes.size, n_max + 1))
+    nodes = np.zeros((yK.size, n_max))
+    terms = np.zeros((yK.size, n_max + 1))
     for i, y in enumerate(yK.tolist()):
         zK = model2b_z_of_y(y, sigma0, b)
         if zK < z_hi:
@@ -183,8 +182,7 @@ def model2b_call_by_density(sigma0: float, b: float, S0: float, K: float | np.nd
     cdf = 0.5 * np.fromiter(erfc, float, au.size).reshape(au.shape)
     dens = np.exp(-0.5 * a * a) / SQRT_2PI / rt + b * np.exp(-2.0 * b * au) * cdf
     terms[:, 1:] *= (y_u - yK[:, None]) * dens
-    prices = np.add.accumulate(terms, axis=1)[:, -1]
-    return float(prices[0]) if np.ndim(K) == 0 else prices
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 @dataclass(frozen=True)

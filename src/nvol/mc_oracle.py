@@ -34,7 +34,8 @@ minimum and maximum over both marches; the exit count `n_boundary_hits`
 is the number of paths whose extremes ever left the domain.
 
 A maturity T is marched in n = 2 ceil(T * steps_per_year / 2) steps of
-dt = T / n (n is even, so the coarse march takes whole steps), and every
+dt = T / n (n is even, so the coarse march takes whole steps; more than
+MAX_STEPS is refused before any march), and every
 march starts the generator afresh from the seed, so the march to a shorter
 maturity with the same float dt is a bit-for-bit prefix of the march to a
 longer one (with 200 steps a year, T = 0.25, 0.3, 0.5 and 1.0 all step by
@@ -54,6 +55,10 @@ import numpy as np
 from .bachelier import NormalQuote, bachelier_call
 from .models import LocalVolModel, MarketSetup
 
+# the most Euler steps one march may take: about 5000 years at the default
+# 200 steps a year
+MAX_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class McSpec:
@@ -69,6 +74,15 @@ class McSpec:
             raise ValueError("steps_per_year must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+
+    def steps(self, T: float) -> int:
+        """The even step count n = 2 ceil(T steps_per_year / 2) of a march to
+        T; ValueError where it exceeds MAX_STEPS."""
+        half = T * self.steps_per_year / 2
+        if not half <= MAX_STEPS // 2:
+            raise ValueError(f"T = {T!r} at {self.steps_per_year} steps a year needs more "
+                             f"than {MAX_STEPS} Euler steps in one march")
+        return 2 * max(1, math.ceil(half))
 
 
 class McResult(NamedTuple):
@@ -87,10 +101,6 @@ class _Paths(NamedTuple):
     shadow_vol: float
     T: float
     n_hits: int  # paths that left the positivity domain in either march
-
-
-def _n_steps(T: float, spec: McSpec) -> int:
-    return 2 * max(1, math.ceil(T * spec.steps_per_year / 2))
 
 
 def _march(model: LocalVolModel, setup: MarketSetup, dt: float, stops: Sequence[int],
@@ -233,7 +243,7 @@ def mc_call(model: LocalVolModel, setup: MarketSetup, K: float | np.ndarray,
     # maturity indices by step count, grouped by the exact float step size
     groups: dict[float, dict[int, list[int]]] = {}
     for i, t in enumerate(maturities):
-        n = _n_steps(t, spec)
+        n = spec.steps(t)
         groups.setdefault(t / n, {}).setdefault(n, []).append(i)
     results: list[McResult] = [None] * len(maturities)
     for dt, by_n in groups.items():

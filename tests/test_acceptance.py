@@ -74,7 +74,7 @@ def test_criterion_03_expansion_convergence_order():
         s2 = sigma2_atm(model, 0.0)
         e1, e2 = [], []
         for T in Ts:
-            pde = atm_implied_vol_richardson(model, setup, T)
+            pde, = atm_implied_vol_richardson(model, setup, (T,))
             e1.append(abs(s0 + s1 * T - pde))
             e2.append(abs(s0 + s1 * T + s2 * T * T - pde))
         slope1 = math.log(e1[2] / e1[0]) / math.log(Ts[2] / Ts[0])
@@ -153,7 +153,7 @@ def test_criterion_07_kink_density():
         ok &= abs(neg + pos - 1.0) <= 1e-8
     for t in (0.25, 1.0, 4.0):
         want = model2b_atm_exact(sigma0, b, t) * math.sqrt(t / (2.0 * math.pi))
-        got = model2b_call_by_density(sigma0, b, S0, S0, t)
+        got, = model2b_call_by_density(sigma0, b, S0, [S0], t)
         ok &= abs(got / want - 1.0) <= 1e-6
     report(7, "kink density: unit mass to 1e-8, ATM price to rel 1e-6", ok)
 

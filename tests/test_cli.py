@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import redirect_stdout
 
@@ -315,6 +316,85 @@ n_paths = 2000
 """
 
 
+LONG_SABR = """\
+[model]
+type = quadratic_sabr
+sigma0 = 0.008
+gamma = 2
+rho = 0.5
+
+[market]
+S0 = 0.03
+
+[strikes]
+list = 0 0.02 0.03 0.04 0.06
+
+[maturities]
+list = 30
+
+[methods]
+list = asympt0 asympt1 asympt2
+"""
+
+
+@pytest.mark.parametrize("gamma, T, bad", [
+    ("2", "30", {"-0.0338311247925", "-0.178574199023"}),
+    ("1e6", "1e300", {"-inf", "inf", "nan"})], ids=["negative", "overflow"])
+def test_asympt_rows_off_the_positive_reals_are_low_confidence(tmp_path, gamma, T, bad):
+    # a truncated series can leave the positive reals (asympt1 at K = 0 and
+    # asympt2 at K = 0.04 for T = 30), and at T = 1e300 its terms overflow
+    # to +-inf and nan; these rows were flagged ok, next to numpy's overflow
+    # and invalid-value warnings
+    p = tmp_path / "sabr.ini"
+    p.write_text(LONG_SABR.replace("gamma = 2", f"gamma = {gamma}")
+                 .replace("list = 30", f"list = {T}"))
+    out = tmp_path / "rows.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run(["smile", "--config", str(p), "--out", str(out)])
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 15
+    off = [r for r in rows if not 0.0 < float(r["sigma_N"]) < math.inf]
+    assert {r["sigma_N"] for r in off} == bad
+    assert all(r["flag"] == "low_confidence" for r in off)
+    assert all(r["flag"] == "ok" for r in rows if r not in off)
+
+
+@pytest.mark.parametrize("old, new, vol", [("sigma0 = 0.008", "sigma0 = 1e300", "inf"),
+                                          ("gamma = 2", "gamma = 1e200", "nan")])
+def test_non_finite_local_vol_at_s0_exits_2(tmp_path, capsys, old, new, vol):
+    # sigma0^2 overflows to inf; gamma^2 overflows and inf * 0 is nan at S0.
+    # The PDE grid's width is then nan, which was a traceback from int(nan)
+    p = tmp_path / "bad.ini"
+    p.write_text(LONG_SABR.replace(old, new).replace("asympt0 asympt1 asympt2", "pde"))
+    code, text = run(["smile", "--config", str(p)])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert "[model]" in err and f"sigma_D(S0) = {vol}" in err, err
+
+
+def test_mc_step_count_above_the_cap_exits_2_before_any_march(tmp_path, capsys, monkeypatch):
+    # T = 1e5 at 200 steps a year asks for 2e7 Euler steps, a march that did
+    # not finish; the cap refuses it when the config loads
+    import nvol.mc_oracle
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("marched")
+
+    monkeypatch.setattr(nvol.mc_oracle, "_march", no_march)
+    p = tmp_path / "long.ini"
+    p.write_text(SMILE_CONFIG.replace("asympt0 asympt1 exact", "asympt0 mc")
+                 .replace("list = 1 5", "list = 1 1e5"))
+    start = time.perf_counter()
+    code, text = run(["smile", "--config", str(p)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert "[mc] steps_per_year" in err and "T = 100000.0" in err, err
+
+
 def test_rows_without_time_value_are_flagged(tmp_path):
     # a price equal to intrinsic has no implied vol; it used to be reported
     # as sigma_N = 0 flagged ok (mc, exact) or low_confidence (pde).  The kink's
@@ -425,19 +505,21 @@ def test_fig2_pde_rows_match_a_finer_pair():
                                   n_steps=steps).price_at_strikes(cfg.strikes)
                     for n, steps in ((3201, 256), (6401, 512)))
     ref = [implied_vol_and_flag(p, F, k, T) for k, p in zip(cfg.strikes, (4 * fine - coarse) / 3)]
-    got = implied_smile_from_pde(cfg.model, cfg.setup, T, cfg.strikes)
+    got, = implied_smile_from_pde(cfg.model, cfg.setup, (T,), cfg.strikes)
     assert len(got) == 33 and all(a[1] == b[1] == "ok" for a, b in zip(got, ref))
     assert max(abs(a[0] - b[0]) for a, b in zip(got, ref)) < 2e-8
 
 
 _IMPORT_PROBE = """
 import json, sys
-import nvol, nvol.cli
+import nvol
+bare = sorted(m for m in sys.modules if m.startswith("nvol.") or m.split(".")[0] == "numpy")
+import nvol.cli
 
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-seen = {"import": loaded()}
+seen = {"bare": bare, "import": loaded()}
 for name, config in zip(("smile", "pde", "mc"), sys.argv[1:4]):
     assert nvol.cli.main(["smile", "--config", config, "--out", sys.argv[4]]) == 0
     seen[name] = loaded()
@@ -446,9 +528,10 @@ print(json.dumps(seen))
 
 
 def test_import_hygiene(tmp_path):
-    # neither the expansion and exact rows nor the PDE nor the Monte Carlo
-    # load any scipy module, in a fresh interpreter so that nothing imported
-    # by the test session counts
+    # a bare `import nvol` loads no submodule and no numpy, and neither the
+    # expansion and exact rows nor the PDE nor the Monte Carlo load any scipy
+    # module, in a fresh interpreter so that nothing imported by the test
+    # session counts
     smile = tmp_path / "smile.ini"
     smile.write_text(SMILE_CONFIG)
     pde = tmp_path / "pde.ini"
@@ -465,6 +548,7 @@ def test_import_hygiene(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
+    assert seen["bare"] == []
     assert seen["import"] == []
     assert seen["smile"] == []
     assert seen["pde"] == []

@@ -85,7 +85,7 @@ def test_smile_flags_and_band():
     model = constant_model(0.01)
     setup = MarketSetup(S0=0.03)
     strikes = np.linspace(-0.0695, 0.1295, 200)
-    pts = implied_smile_from_pde(model, setup, 1.0, strikes)
+    pts, = implied_smile_from_pde(model, setup, (1.0,), strikes)
     flags = {flag for _, flag in pts}
     assert flags <= {"ok", "low_confidence", "no_time_value"}
     for vol, flag in pts:
@@ -104,12 +104,12 @@ def test_smile_without_an_atm_vol_is_low_confidence(monkeypatch):
     # an ATM price without time value has no vol, so no strike lies in the band
     model = constant_model(0.01)
     setup = MarketSetup(S0=0.03)
-    live = richardson_prices(model, setup, 1.0, [0.05], 10.0)[0]
+    live = richardson_prices(model, setup, (1.0,), [0.05], 10.0)[0][0]
     # one price array per maturity, the strikes then the forward
     monkeypatch.setattr(nvol.dupire_pde, "richardson_prices",
                         lambda *a: (np.array([live, 0.0]),))
-    assert implied_smile_from_pde(model, setup, 1.0, [0.05]) == [
-        (pytest.approx(0.01, abs=1e-8), "low_confidence")]
+    assert implied_smile_from_pde(model, setup, (1.0,), [0.05]) == ([
+        (pytest.approx(0.01, abs=1e-8), "low_confidence")],)
     sol = solve_forward(model, setup, 1.0, n_space=101)
     dead = dataclasses.replace(sol, prices=np.zeros_like(sol.prices))
     assert math.isnan(atm_implied_vol(dead, setup))
@@ -120,8 +120,8 @@ def test_forward_off_the_grid_raises():
     model = constant_model(0.01)
     setup = MarketSetup(S0=0.03, mu0=0.5)
     assert math.isnan(atm_implied_vol(solve_forward(model, setup, 1.0, n_space=101), setup))
-    for call in (lambda: implied_smile_from_pde(model, setup, 1.0, [0.05]),
-                 lambda: atm_implied_vol_richardson(model, setup, 1.0)):
+    for call in (lambda: implied_smile_from_pde(model, setup, (1.0,), [0.05]),
+                 lambda: atm_implied_vol_richardson(model, setup, (1.0,))):
         with pytest.raises(ForwardOffGrid, match=r"forward 0.53 at T = 1.0"):
             call()
 
@@ -238,9 +238,10 @@ def test_tuple_of_maturities_equals_one_maturity_calls():
     vols = atm_implied_vol_richardson(model, setup, maturities)
     assert len(prices) == len(smiles) == len(vols) == 3
     for i, T in enumerate(maturities):
-        assert np.array_equal(prices[i], richardson_prices(model, setup, T, strikes, 10.0))
-        assert smiles[i] == implied_smile_from_pde(model, setup, T, strikes)
-        assert vols[i] == atm_implied_vol_richardson(model, setup, T)
+        one_prices, = richardson_prices(model, setup, (T,), strikes, 10.0)
+        assert np.array_equal(prices[i], one_prices)
+        assert (smiles[i],) == implied_smile_from_pde(model, setup, (T,), strikes)
+        assert (vols[i],) == atm_implied_vol_richardson(model, setup, (T,))
 
 
 @pytest.mark.parametrize("mu0, mu1, factorizations", [
@@ -268,7 +269,7 @@ def test_atm_richardson_solves_twice_in_fixed_steps(monkeypatch, lapack_calls, T
 
     monkeypatch.setattr(nvol.dupire_pde, "march", recorded)
     setup = MarketSetup(S0=0.03)
-    vol = atm_implied_vol_richardson(KINK, setup, T)
+    vol, = atm_implied_vol_richardson(KINK, setup, (T,))
     assert grids == [[(401, 32, T)], [(801, 64, T)]]
     assert lapack_calls["solve"] == [401] * (32 + 2) + [801] * (64 + 2)
     assert lapack_calls["factor"] == [401] * 2 + [801] * 2

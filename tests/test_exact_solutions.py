@@ -115,7 +115,7 @@ def test_kink_atm_price_density_vs_closed_form():
     for t in (0.25, 1.0, 4.0):
         vol = model2b_atm_exact(sigma0, b, t)
         want = vol * math.sqrt(t / (2.0 * math.pi))
-        got = model2b_call_by_density(sigma0, b, S0, S0, t)
+        got, = model2b_call_by_density(sigma0, b, S0, [S0], t)
         assert got == pytest.approx(want, rel=1e-6)
 
 
@@ -134,9 +134,9 @@ def test_kink_density_price_vs_quad(t):
     # z = 0; the bound is the noise level the CLI's exact rows are judged by
     sigma0, b, S0 = 0.008, 0.1, 0.03
     strikes = (0.01, 0.02, 0.025, 0.03, 0.035, 0.05, 0.08)
-    # one call prices the whole array, each strike as its own float call does
+    # one call prices the whole array, each strike as its own one-strike call does
     prices = model2b_call_by_density(sigma0, b, S0, np.array(strikes), t)
-    assert np.array_equal(prices, [model2b_call_by_density(sigma0, b, S0, K, t)
+    assert np.array_equal(prices, [model2b_call_by_density(sigma0, b, S0, [K], t)[0]
                                    for K in strikes])
     for K, got in zip(strikes, prices.tolist()):
         yK = K - S0
@@ -159,9 +159,8 @@ def test_kink_price_non_increasing_and_zero_beyond_truncation():
     sigma0, b, S0, t = 0.008, 0.1, 0.03, 0.01
     z_hi = b * t + 12.0 * math.sqrt(t)
     strikes = [0.035 + 0.0025 * i for i in range(19)]  # 0.035 .. 0.08
-    prices = [model2b_call_by_density(sigma0, b, S0, K, t) for K in strikes]
-    assert all(type(p) is float for p in prices)
-    assert np.array_equal(model2b_call_by_density(sigma0, b, S0, np.array(strikes), t), prices)
+    prices = model2b_call_by_density(sigma0, b, S0, strikes, t).tolist()
+    assert prices == [model2b_call_by_density(sigma0, b, S0, [K], t)[0] for K in strikes]
     assert all(p1 <= p0 for p0, p1 in zip(prices, prices[1:]))
     beyond = [model2b_z_of_y(K - S0, sigma0, b) >= z_hi for K in strikes]
     assert 0 < sum(beyond) < len(strikes)
@@ -171,9 +170,7 @@ def test_kink_price_non_increasing_and_zero_beyond_truncation():
 
 def test_kink_offstrike_prices_are_sane():
     sigma0, b, S0, t = 0.008, 0.1, 0.03, 1.0
-    atm = model2b_call_by_density(sigma0, b, S0, S0, t)
-    itm = model2b_call_by_density(sigma0, b, S0, S0 - 0.004, t)
-    otm = model2b_call_by_density(sigma0, b, S0, S0 + 0.004, t)
+    atm, itm, otm = model2b_call_by_density(sigma0, b, S0, [S0, S0 - 0.004, S0 + 0.004], t)
     assert itm > atm > otm > 0.0
     assert itm > 0.004  # above intrinsic
 
@@ -208,9 +205,10 @@ def test_sqrt_t_atm_vols_vs_closed_forms(config, exact_vol):
     ini.read(path)
     sigma0 = cfg.model.vol(cfg.setup.S0)
     b = float(ini["model"].get("b") or ini["model"]["bR"])
-    assert cfg.maturities == [0.25 / 2 ** k for k in reversed(range(7))]
-    for T in cfg.maturities:
-        err = atm_implied_vol_richardson(cfg.model, cfg.setup, T) - exact_vol(sigma0, b, T)
+    assert cfg.maturities == tuple(0.25 / 2 ** k for k in reversed(range(7)))
+    vols = atm_implied_vol_richardson(cfg.model, cfg.setup, cfg.maturities)
+    for T, vol in zip(cfg.maturities, vols):
+        err = vol - exact_vol(sigma0, b, T)
         assert abs(err) <= 5e-10, (T, err)
 
 

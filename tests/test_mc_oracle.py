@@ -6,7 +6,7 @@ import pytest
 
 from nvol.bachelier import NormalQuote, bachelier_call, implied_vol_and_flag
 from nvol.exact_solutions import model2b_call_by_density, shifted_ln_exact_call
-from nvol.mc_oracle import McSpec, _march, _price, mc_call
+from nvol.mc_oracle import MAX_STEPS, McSpec, _march, _price, mc_call
 from nvol.models import MarketSetup, make_piecewise_linear, make_shifted_lognormal
 
 
@@ -20,6 +20,11 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="seed must be >= 0"):
         McSpec(seed=-1)
     McSpec(n_paths=2, steps_per_year=1, seed=0)  # the limits themselves are fine
+    # a march takes at most MAX_STEPS steps
+    assert McSpec(steps_per_year=1).steps(float(MAX_STEPS)) == MAX_STEPS
+    for T in (MAX_STEPS + 2.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="Euler steps"):
+            McSpec(steps_per_year=1).steps(T)
 
 
 def test_one_pair_prices_with_nan_std_error_and_no_warning():
@@ -244,7 +249,7 @@ def test_maturity_tuple_counts_boundary_hits_per_maturity():
 _CASES = {
     # sigma_D = 0.008 + 0.2 |S - 0.03|
     "kink": (make_piecewise_linear(0.008, -0.1, 0.1, 0.03),
-             lambda K, T: model2b_call_by_density(0.008, 0.1, 0.03, K, T)),
+             lambda K, T: float(model2b_call_by_density(0.008, 0.1, 0.03, [K], T)[0])),
     # sigma_D = 0.014 + 0.2 S
     "sln": (make_shifted_lognormal(0.014, 0.1, 0.03),
             lambda K, T: shifted_ln_exact_call(0.014, 0.1, 0.03, K, T)),
