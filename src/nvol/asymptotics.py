@@ -11,9 +11,9 @@ per side of F0, with every strike on a panel edge, and one cumulative pass
 over it: sigma_0 and sigma_1 read the values at each strike, and sigma_2 a
 cumulative sum over the rule's nodes.  Every coefficient has a removable 0/0
 at the money, so inside a small switch radius the coefficients are replaced
-by their Taylor polynomials in y = K - F0 built from local-vol derivatives
-at the forward.  `sigma0`, `sigma1`, `sigma2` and `smile` are one-strike
-views of `expansion` that return floats.
+by their Taylor polynomials in y = K - F0 built from the local vol's jet
+at the forward, `atm_jet`.  `sigma0`, `sigma1`, `sigma2` and `smile` are
+one-strike views of `expansion` that return floats.
 """
 
 from __future__ import annotations
@@ -61,35 +61,34 @@ def _on_breakpoint(model: LocalVolModel, F0: float) -> bool:
     return any(abs(F0 - bp) < 1e-14 * max(1.0, abs(F0)) for bp in model.breakpoints)
 
 
-def _atm_derivs(model: LocalVolModel, F0: float, order: int) -> list[float]:
-    """sigma_D(F0) and its derivatives there up to `order`, as Python floats."""
+def atm_jet(model: LocalVolModel, F0: float, side: float = 0.0) -> tuple[float, ...]:
+    """(sigma_D, sigma_D', ..., sigma_D^(4)) at F0 as Python floats.  On a
+    breakpoint it is the kink jet of the piece on `side` of it (side > 0 the
+    right one), and side 0 raises BreakpointError."""
     if _on_breakpoint(model, F0):
-        raise BreakpointError(
-            "sigma_D is non-analytic at the forward; expand the one-sided branches instead"
-        )
-    return [float(model.vol(F0))] + [float(model.deriv(F0, k)) for k in range(1, order + 1)]
+        if side == 0.0 or not model.kink_jets:
+            raise BreakpointError(
+                "sigma_D is non-analytic at the forward; expand the one-sided jets instead")
+        return model.kink_jets[1] if side > 0.0 else model.kink_jets[0]
+    return tuple(float(a) for a in model.jet(F0, 4))
 
 
-def sigma0_series_atm(model: LocalVolModel, F0: float) -> tuple[float, float, float, float]:
-    """(sigma0, sigma0', sigma0'', sigma0''') at K = F0 from sigma_D derivatives."""
-    a0, a1, a2, a3 = _atm_derivs(model, F0, 3)
-    s0 = a0
-    s1 = 0.5 * a1
-    s2 = a2 / 3.0 - a1 * a1 / (6.0 * a0)
-    s3 = a3 / 4.0 - a1 * a2 / (2.0 * a0) + a1 ** 3 / (4.0 * a0 * a0)
-    return (s0, s1, s2, s3)
+def sigma0_series_atm(jet) -> tuple[float, float, float, float]:
+    """(sigma0, sigma0', sigma0'', sigma0''') at K = F0 from atm_jet."""
+    a0, a1, a2, a3 = jet[:4]
+    return (a0, 0.5 * a1, a2 / 3.0 - a1 * a1 / (6.0 * a0),
+            a3 / 4.0 - a1 * a2 / (2.0 * a0) + a1 ** 3 / (4.0 * a0 * a0))
 
 
-def sigma1_series_atm(model: LocalVolModel, F0: float, mu0: float = 0.0
-                      ) -> tuple[float, float, float]:
-    """(sigma1, sigma1', sigma1'') at K = F0, including the drift terms.
+def sigma1_series_atm(jet, mu0: float = 0.0) -> tuple[float, float, float]:
+    """(sigma1, sigma1', sigma1'') at K = F0 from atm_jet, including the drift terms.
 
     The value and slope reduce to rational combinations of sigma_D
     derivatives; the curvature is taken from an independent re-derivation of
     the fixed-strike recursion (the shifted-log-normal check gives the
     11 b^4 / (90 sigma) coefficient).
     """
-    a0, a1, a2, a3, a4 = _atm_derivs(model, F0, 4)
+    a0, a1, a2, a3, a4 = jet
     v0 = a0 * (2.0 * a0 * a2 - a1 * a1) / 24.0
     v1 = (a0 * a0 * a3 + a0 * a1 * a2 - 0.5 * a1 ** 3) / 24.0 + mu0 * a1 * a1 / (12.0 * a0)
     v2 = (36.0 * a0 ** 4 * a4 + 72.0 * a0 ** 3 * a1 * a3 + 44.0 * a0 ** 3 * a2 * a2
@@ -209,8 +208,9 @@ def _chain(model: LocalVolModel, F0: float, mu0: float, far: float, cuts, series
 
 
 # the closed forms are 0/0 at K = F0 and along a chain of zero length, where
-# np.where keeps the Taylor values instead
-@np.errstate(divide="ignore", invalid="ignore")
+# np.where keeps the Taylor values instead; a value that overflows is
+# left to the callers' row flags
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def expansion(model: LocalVolModel, setup: MarketSetup, strikes, order: int
               ) -> tuple[np.ndarray, ...]:
     """(sigma0, ..., sigma_order) for order 0, 1 or 2, one float64 array per
@@ -231,7 +231,7 @@ def expansion(model: LocalVolModel, setup: MarketSetup, strikes, order: int
     _DERIV_RADIUS_FACTOR switch radii, inside which the closed forms of
     sigma0'' and sigma1'' cancel like 1/y^2 .. 1/y^4.  Within the switch
     radius every coefficient is its Taylor polynomial in y (sigma2 its ATM
-    value) on the analytic branch of the strike's side.
+    value) from atm_jet on the strike's side.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
@@ -242,17 +242,24 @@ def expansion(model: LocalVolModel, setup: MarketSetup, strikes, order: int
     mu0 = setup.mu0 if order else 0.0
     _require_domain(model, F0, K.tolist())
     coeffs = np.empty((order + 1, K.size))
+    s00 = model.vol(F0)
     for sign in (1.0, -1.0):
         side = K >= F0 if sign > 0 else K < F0
         if not side.any():
             continue
         Ks = K[side]
         y = Ks - F0
-        branch = model.branch_for(sign) if _on_breakpoint(model, F0) else model
-        radius = _ATM_SWITCH_RADIUS * branch.vol(F0)
+        jet = atm_jet(model, F0, sign)
+        try:
+            series0 = sigma0_series_atm(jet)
+            series1 = sigma1_series_atm(jet, mu0) if order else None
+            atm2 = sigma2_atm(jet, mu0, mu1) if order == 2 else None
+        except OverflowError as e:
+            raise DomainError(f"the ATM series overflow at sigma_D(F0) = {jet[0]!r} "
+                              f"of {model.label or 'model'}") from e
+        radius = _ATM_SWITCH_RADIUS * jet[0]
         r_taylor = _DERIV_RADIUS_FACTOR * radius
         near = np.abs(y) < radius
-        series0 = sigma0_series_atm(branch, F0)
         # a strike that takes its Taylor values is no edge, so it does not
         # move the others' panels
         edges, nodes, weights, J, I2 = _chain(
@@ -264,16 +271,15 @@ def expansion(model: LocalVolModel, setup: MarketSetup, strikes, order: int
         at = np.searchsorted(sign * edges, sign * Ks) - 1
         coeffs[0, side] = s0K = np.where(near, _sigma0_taylor(series0, y)[0], y / J[at, -1])
         if order:
-            sDd = (model.vol(Ks), model.deriv(Ks, 1), model.deriv(Ks, 2))
+            sDd = model.jet(Ks, 2)
             s0d = _sigma0_derivs(y, J[at, -1], sDd)
-            closed = _sigma1_with_derivs(mu0, y, s0d, I2[at, -1], sDd, model.vol(F0))[0]
-            series1 = sigma1_series_atm(branch, F0, mu0)
+            closed = _sigma1_with_derivs(mu0, y, s0d, I2[at, -1], sDd, s00)[0]
             coeffs[1, side] = np.where(near, _sigma1_taylor(series1, y)[0], closed)
         if order == 2:
             z = nodes - F0
-            sDd = (model.vol(nodes), model.deriv(nodes, 1), model.deriv(nodes, 2))
+            sDd = model.jet(nodes, 2)
             closed0 = _sigma0_derivs(z, J[:, :-1], sDd)
-            closed1 = _sigma1_with_derivs(mu0, z, closed0, I2[:, :-1], sDd, model.vol(F0))
+            closed1 = _sigma1_with_derivs(mu0, z, closed0, I2[:, :-1], sDd, s00)
             taylor = np.abs(z) < r_taylor
             s0d = tuple(np.where(taylor, t, c)
                         for t, c in zip(_sigma0_taylor(series0, z), closed0))
@@ -287,8 +293,7 @@ def expansion(model: LocalVolModel, setup: MarketSetup, strikes, order: int
                 core += _h2_mu(mu0, mu1, z, sD, s0d, s1d) / (2.0 * sD * s0 * s0)
             # summed node by node outwards from F0, as np.cumsum is sequential
             zint = np.cumsum(weights * (z * z * core)).reshape(z.shape)[at, -1]
-            coeffs[2, side] = np.where(near, sigma2_atm(branch, F0, mu0, mu1),
-                                       -s0K ** 4 / y ** 3 * zint)
+            coeffs[2, side] = np.where(near, atm2, -s0K ** 4 / y ** 3 * zint)
     return tuple(coeffs)
 
 
@@ -309,37 +314,33 @@ def sigma2(model: LocalVolModel, F0: float, mu0: float, mu1: float, K: float) ->
     return float(expansion(model, MarketSetup(F0, mu0, mu1), [K], 2)[2][0])
 
 
-def sigma2_atm(model: LocalVolModel, F0: float, mu0: float = 0.0, mu1: float = 0.0) -> float:
-    """ATM value of the O(T^2) coefficient (no integration needed).
+def sigma2_atm(jet, mu0: float = 0.0, mu1: float = 0.0) -> float:
+    """ATM value of the O(T^2) coefficient from atm_jet (no integration needed).
 
     Drift-free part: -sigma1(0)^2/(2 sigma0) + sigma0^3 sigma0''(0)^2/24
     + sigma0^2 sigma1''(0)/6.  The drift adds -mu1 sigma_D'(F0)/12
     + mu0^2 sigma_D'(F0)^2/(24 sigma_D(F0)); the terms linear in mu0 cancel
     at the money.
     """
-    s0, _, s0pp, _ = sigma0_series_atm(model, F0)
-    v0, _, v2 = sigma1_series_atm(model, F0, mu0=0.0)
+    s0, _, s0pp, _ = sigma0_series_atm(jet)
+    v0, _, v2 = sigma1_series_atm(jet)
     base = (-v0 * v0 / (2.0 * s0) + s0 ** 3 * s0pp * s0pp / 24.0
             + s0 * s0 * v2 / 6.0)
     if mu0 != 0.0 or mu1 != 0.0:
-        a0, a1 = _atm_derivs(model, F0, 1)
+        a0, a1 = jet[:2]
         base += -mu1 * a1 / 12.0 + mu0 * mu0 * a1 * a1 / (24.0 * a0)
     return base
 
 
 def sigma1_jump(model: LocalVolModel, F0: float) -> float:
-    """One-sided difference sigma1(0+) - sigma1(0-) across a breakpoint at F0.
+    """One-sided difference sigma1(0+) - sigma1(0-) across a breakpoint at F0,
+    from its two kink jets.
 
-    For linear pieces this equals -(bR^2 - bL^2) sigma0 / 6.  Returns 0 for
-    models analytic at F0.
+    For linear pieces this equals -(bR^2 - bL^2) sigma0 / 6.  It is 0 for
+    models analytic at F0, whose jet is the same on either side.
     """
-    if not _on_breakpoint(model, F0):
-        return 0.0
-    right = model.branch_for(1.0)
-    left = model.branch_for(-1.0)
-    vr, _, _ = sigma1_series_atm(right, F0, mu0=0.0)
-    vl, _, _ = sigma1_series_atm(left, F0, mu0=0.0)
-    return vr - vl
+    return (sigma1_series_atm(atm_jet(model, F0, 1.0))[0]
+            - sigma1_series_atm(atm_jet(model, F0, -1.0))[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .asymptotics import DomainError, expansion, sigma1_jump, smile_from_coefficients
+from .asymptotics import expansion, sigma1_jump, smile_from_coefficients
 from .bachelier import (atm_lognormal_from_normal, atm_normal_from_lognormal,
                         implied_vol_and_flag)
 from .dupire_pde import (ForwardOffGrid, extract_local_vol, implied_smile_from_pde,
@@ -312,7 +312,9 @@ def cmd_smile(args) -> int:
         for method, gen in zip(cfg.methods, blocks):
             try:
                 block = next(gen)
-            except (DomainError, ArithmeticError, RuntimeError) as e:
+            except ForwardOffGrid:
+                raise  # a config error, reported by main
+            except (ValueError, ArithmeticError, RuntimeError) as e:
                 # pde and mc price every maturity in their first block, so
                 # they fail there; a PDE grid that fails names its maturity
                 print(f"numerical failure at T={getattr(e, 'T', T)}, method={method}: {e}",

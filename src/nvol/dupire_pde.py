@@ -77,8 +77,8 @@ class PdeSolution:
 
 class GridTooNarrow(ArithmeticError, ValueError):
     """The grid's span about S0 at maturity T rounds away (T too short, or S0
-    at the edge of the positivity domain): a numerical failure, and invalid
-    input."""
+    at the edge of the positivity domain) or overflows: a numerical failure,
+    and invalid input."""
 
     def __init__(self, message: str, T: float):
         super().__init__(message)
@@ -103,7 +103,8 @@ def _build_strike_grid(model: LocalVolModel, setup: MarketSetup, T: float,
     if not model.in_domain(s0):
         raise ValueError(f"S0 = {s0!r} lies outside the positivity domain "
                          f"{model.positivity_domain} of the model")
-    stdev = model.vol(s0) * math.sqrt(T)
+    s0_vol = float(model.vol(s0))
+    stdev = s0_vol * math.sqrt(T)
     want_min, want_max = s0 - width_stdevs * stdev, s0 + width_stdevs * stdev
     lo, hi = model.positivity_domain
     eps = 1e-12 * max(1.0, abs(s0))
@@ -111,6 +112,9 @@ def _build_strike_grid(model: LocalVolModel, setup: MarketSetup, T: float,
     k_max = min(want_max, hi - eps if math.isfinite(hi) else math.inf)
     if math.isfinite(lo):
         k_min = max(k_min, lo + 1e-9 * (k_max - lo))
+    if not math.isfinite(k_max - k_min):
+        raise GridTooNarrow(f"the span about S0 = {s0!r} is not finite: sigma_D(S0) = "
+                            f"{s0_vol!r} at T = {T!r}", T)
     if k_min >= k_max:
         raise GridTooNarrow(f"K_min must be below K_max: the span about S0 = {s0!r} at T = "
                             f"{T!r}, inside the domain {model.positivity_domain}, rounds away", T)
@@ -256,7 +260,8 @@ def march(model: LocalVolModel, setup: MarketSetup, maturities: Sequence[float],
     m, n = len(grids), n_space
     ks = np.array([g[0] for g in grids])
     dx = ks[:, 1:2] - ks[:, :1]
-    sig2 = model.vol(ks) ** 2
+    with np.errstate(over="ignore"):  # the check below refuses an overflow
+        sig2 = model.vol(ks) ** 2
     if not np.all(np.isfinite(sig2) & (sig2 > 0.0)):
         raise ValueError("sigma_D not finite and positive on the whole grid")
 

@@ -26,16 +26,21 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 def shifted_ln_exact_call(sigma0: float, b: float, S0: float, K: float, T: float) -> float:
     """Driftless price in the model sigma_D(S) = sigma0 + 2 b S.
 
-    The shifted asset S + sigma0/(2b) is an exact log-normal with volatility
-    2b, so the price is a Black-Scholes call on shifted arguments.  Small
-    |b| sqrt(T) falls back to the Bachelier limit.
+    For b > 0 the shifted asset S + sigma0/(2b) is an exact log-normal with
+    volatility 2b, so the price is a Black-Scholes call on shifted arguments.
+    For b < 0 that holds for -(S + sigma0/(2b)), with volatility -2b, and the
+    call on S is a put on it: the call with forward and strike swapped.
+    Small |b| sqrt(T) falls back to the Bachelier limit.
     """
     if abs(b) * math.sqrt(T) < 1e-8:
         return bachelier_call(NormalQuote(F=S0, K=K, T=T, sigmaN=sigma0 + 2.0 * b * S0))
     shift = sigma0 / (2.0 * b)
-    if K + shift <= 0.0 or S0 + shift <= 0.0:
+    fwd, strike = S0 + shift, K + shift
+    if b < 0.0:
+        fwd, strike = -strike, -fwd
+    if fwd <= 0.0 or strike <= 0.0:
         raise ValueError("shifted strike/forward must be positive")
-    return black_scholes_call(S0 + shift, K + shift, 2.0 * b, T)
+    return black_scholes_call(fwd, strike, 2.0 * abs(b), T)
 
 
 _ATM_SERIES = (1.0, -1.0 / 6.0, 1.0 / 40.0, -1.0 / 336.0, 1.0 / 3456.0)

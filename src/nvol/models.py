@@ -1,22 +1,23 @@
 """Local volatility models: dS = sigma_D(S) dW + mu(t) dt.
 
-A model is an immutable bundle of the vol function, its derivatives up to
-order 4 where defined, breakpoint metadata for non-analytic models, and the
+A model is an immutable bundle of the vol function, its jet, breakpoint
+metadata and the one-sided jets at a kink for non-analytic models, and the
 interval on which sigma_D stays positive.  Everything downstream (quadrature,
 PDE grids) is clipped to positivity_domain, since 1/sigma_D enters the
 leading-order smile integral.
 
-`vol(s)` and `deriv(s, k)` take a float or an ndarray.  `vol` returns the
-shape of `s`, and a float in gives a float (possibly an `np.float64`) out;
-`deriv` may return a constant that broadcasts against `s`.  An array call
-equals the element-wise scalar calls bit for bit.
+`vol(s)` and `jet(s, n)` take a float or an ndarray.  `vol` returns the
+shape of `s`, and a float in gives a float (possibly an `np.float64`) out.
+`jet` returns (sigma_D, sigma_D', ..., sigma_D^(n)) for n <= 4, `vol(s)`
+first, and a derivative may be a constant that broadcasts against `s`.  An
+array call equals the element-wise scalar calls bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,29 +25,19 @@ import numpy as np
 
 @dataclass(frozen=True)
 class LocalVolModel:
-    """Time-homogeneous local volatility sigma_D(S) with derivative metadata."""
+    """Time-homogeneous local volatility sigma_D(S) with its jet."""
 
     vol: Callable  # sigma_D(s), s a float or an ndarray
-    deriv: Callable  # (s, k) -> k-th derivative, k in 1..4
+    jet: Callable  # (s, n) -> (sigma_D, sigma_D', ..., sigma_D^(n)), n <= 4
     breakpoints: tuple[float, ...] = ()
     positivity_domain: tuple[float, float] = (-math.inf, math.inf)
     label: str = ""
-    # analytic one-sided branches (left, right) around a single breakpoint
-    branches: tuple["LocalVolModel", ...] = field(default=(), repr=False)
+    # the order-4 jets (left, right) of the analytic pieces at a single breakpoint
+    kink_jets: tuple[tuple[float, ...], ...] = ()
 
     def in_domain(self, s: float) -> bool:
         lo, hi = self.positivity_domain
         return lo < s < hi
-
-    def branch_for(self, side: float) -> "LocalVolModel":
-        """Analytic branch on the given side of the (single) breakpoint.
-
-        side > 0 selects the right branch.  For models without breakpoints the
-        model itself is returned.
-        """
-        if not self.branches:
-            return self
-        return self.branches[1] if side > 0 else self.branches[0]
 
 
 @dataclass(frozen=True)
@@ -82,12 +73,8 @@ def make_shifted_lognormal(sigma0: float, b: float, S0: float) -> LocalVolModel:
     def v(s):
         return sigma0 + 2.0 * b * s
 
-    def d(s, k: int):
-        if k == 1:
-            return 2.0 * b
-        if k in (2, 3, 4):
-            return 0.0
-        raise ValueError(f"derivative order {k} not exposed")
+    def jet(s, n: int):
+        return (v(s), 2.0 * b, 0.0, 0.0, 0.0)[:n + 1]
 
     if b > 0.0:
         dom = (-sigma0 / (2.0 * b), math.inf)
@@ -95,7 +82,7 @@ def make_shifted_lognormal(sigma0: float, b: float, S0: float) -> LocalVolModel:
         dom = (-math.inf, -sigma0 / (2.0 * b))
     else:
         dom = (-math.inf, math.inf)
-    return LocalVolModel(vol=v, deriv=d, positivity_domain=dom,
+    return LocalVolModel(vol=v, jet=jet, positivity_domain=dom,
                          label=f"shifted_lognormal(sigma0={sigma0}, b={b})")
 
 
@@ -118,26 +105,27 @@ def make_quadratic_sabr(sigma0: float, gamma: float, rho: float, S0: float) -> L
     def v(s):
         return np.sqrt(radicand(s))
 
-    def d(s, k: int):
-        yy = s - S0
+    def jet(s, n: int):
         q = radicand(s)
-        qp = -2.0 * rho * gamma * sigma0 + 2.0 * gamma * gamma * yy
-        qpp = 2.0 * gamma * gamma
         r = np.sqrt(q)
-        if k == 1:
-            return 0.5 * qp / r
-        if k == 2:
-            return 0.5 * qpp / r - 0.25 * qp * qp / (q * r)
+        out = [r]
+        if n >= 1:
+            qp = -2.0 * rho * gamma * sigma0 + 2.0 * gamma * gamma * (s - S0)
+            out.append(0.5 * qp / r)
+        if n >= 2:
+            qpp = 2.0 * gamma * gamma
+            qr = q * r
+            out.append(0.5 * qpp / r - 0.25 * qp * qp / qr)
         # products, not `**`: numpy's array power is not libm's pow bit for bit
-        if k == 3:
-            return -0.75 * qp * qpp / (q * r) + 0.375 * qp * qp * qp / (q * q * r)
-        if k == 4:
-            return (-0.75 * qpp * qpp / (q * r)
-                    + 2.25 * qp * qp * qpp / (q * q * r)
-                    - 0.9375 * qp * qp * qp * qp / (q * q * q * r))
-        raise ValueError(f"derivative order {k} not exposed")
+        if n >= 3:
+            qqr = q * q * r
+            out.append(-0.75 * qp * qpp / qr + 0.375 * qp * qp * qp / qqr)
+        if n >= 4:
+            out.append(-0.75 * qpp * qpp / qr + 2.25 * qp * qp * qpp / qqr
+                       - 0.9375 * qp * qp * qp * qp / (q * q * q * r))
+        return tuple(out)
 
-    return LocalVolModel(vol=v, deriv=d,
+    return LocalVolModel(vol=v, jet=jet,
                          label=f"quadratic_sabr(sigma0={sigma0}, gamma={gamma}, rho={rho})")
 
 
@@ -169,16 +157,12 @@ def make_piecewise_linear(sigma0: float, bL: float, bR: float, S0: float) -> Loc
         yy = s - S0
         return sigma0 + pick(two_bR * yy, two_bL * yy)
 
-    def d(s, k: int):
-        if k == 1:
-            return 2.0 * slope(s - S0)
-        if k in (2, 3, 4):
-            return 0.0
-        raise ValueError(f"derivative order {k} not exposed")
+    def jet(s, n: int):
+        return (v(s), 2.0 * slope(s - S0), 0.0, 0.0, 0.0)[:n + 1]
 
-    return LocalVolModel(vol=v, deriv=d, breakpoints=(S0,), positivity_domain=(lo, hi),
+    return LocalVolModel(vol=v, jet=jet, breakpoints=(S0,), positivity_domain=(lo, hi),
                          label=f"piecewise_linear(sigma0={sigma0}, bL={bL}, bR={bR})",
-                         branches=(left, right))
+                         kink_jets=(left.jet(S0, 4), right.jet(S0, 4)))
 
 
 def make_tabulated(samples: Sequence[tuple[float, float]]) -> LocalVolModel:
@@ -208,14 +192,11 @@ def make_tabulated(samples: Sequence[tuple[float, float]]) -> LocalVolModel:
     def v(s):
         return interp(s)[()]
 
-    def d(s, k: int):
-        if 1 <= k <= 3:
-            return derivs[k - 1](s)[()]
-        if k == 4:
-            return 0.0  # cubic pieces
-        raise ValueError(f"derivative order {k} not exposed")
+    def jet(s, n: int):
+        # the fourth derivative of cubic pieces is 0
+        return (v(s), *(d(s)[()] for d in derivs[:n]), 0.0)[:n + 1]
 
-    return LocalVolModel(vol=v, deriv=d, positivity_domain=(s_grid[0], s_grid[-1]),
+    return LocalVolModel(vol=v, jet=jet, positivity_domain=(s_grid[0], s_grid[-1]),
                          label=f"tabulated({len(pts)} pts)")
 
 

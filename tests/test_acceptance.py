@@ -12,7 +12,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from nvol.asymptotics import sigma1_jump, sigma1_series_atm, sigma2_atm
+from nvol.asymptotics import atm_jet, sigma1_jump, sigma1_series_atm, sigma2_atm
 from nvol.cli import table1_rows
 from nvol.dupire_pde import (atm_implied_vol, atm_implied_vol_richardson,
                              extract_local_vol, solve_forward)
@@ -70,8 +70,8 @@ def test_criterion_03_expansion_convergence_order():
     for model in cases:
         setup = MarketSetup(S0=0.0)
         s0 = model.vol(0.0)
-        s1 = sigma1_series_atm(model, 0.0)[0]
-        s2 = sigma2_atm(model, 0.0)
+        s1 = sigma1_series_atm(atm_jet(model, 0.0))[0]
+        s2 = sigma2_atm(atm_jet(model, 0.0))
         e1, e2 = [], []
         for T in Ts:
             pde, = atm_implied_vol_richardson(model, setup, (T,))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nvol.asymptotics import (_ATM_SWITCH_RADIUS, _DERIV_RADIUS_FACTOR,
                               BreakpointError, DomainError,
-                              NonAnalyticWarning, expansion, sigma0,
+                              NonAnalyticWarning, atm_jet, expansion, sigma0,
                               sigma0_series_atm, sigma1, sigma1_jump,
                               sigma1_series_atm, sigma2, sigma2_atm, smile,
                               smile_from_coefficients)
@@ -31,19 +31,13 @@ def poly_model(a0, a1, a2, a3, a4, domain=(F0 - 0.55, F0 + 2.0)):
         y = s - F0
         return c[0] + y * (c[1] + y * (c[2] + y * (c[3] + y * c[4])))
 
-    def deriv(s, k):
+    def jet(s, n):
         y = s - F0
-        if k == 1:
-            return c[1] + y * (2 * c[2] + y * (3 * c[3] + y * 4 * c[4]))
-        if k == 2:
-            return 2 * c[2] + y * (6 * c[3] + y * 12 * c[4])
-        if k == 3:
-            return 6 * c[3] + y * 24 * c[4]
-        if k == 4:
-            return 24.0 * c[4]
-        raise ValueError(k)
+        return (vol(s), c[1] + y * (2 * c[2] + y * (3 * c[3] + y * 4 * c[4])),
+                2 * c[2] + y * (6 * c[3] + y * 12 * c[4]), 6 * c[3] + y * 24 * c[4],
+                24.0 * c[4])[:n + 1]
 
-    return LocalVolModel(vol=vol, deriv=deriv, positivity_domain=domain,
+    return LocalVolModel(vol=vol, jet=jet, positivity_domain=domain,
                          label="poly")
 
 
@@ -87,7 +81,7 @@ def test_sigma0_atm_series_vs_quadrature():
     # the closed-form derivatives must agree with the quadrature evaluation:
     # the Taylor prediction at small y matches sigma0 to O(y^4)
     m = poly_model(2, 3, 5, 7, 11)
-    s0, s1, s2, s3 = sigma0_series_atm(m, F0)
+    s0, s1, s2, s3 = sigma0_series_atm(atm_jet(m, F0))
     assert s0 == pytest.approx(2.0, rel=1e-14)
     assert s1 == pytest.approx(3.0 / 2.0, rel=1e-14)
     for y in (0.01, -0.01, 0.02, -0.02):
@@ -108,7 +102,7 @@ def test_sigma1_series_vs_solver():
         if mu1 != 0.0:
             continue  # sigma1 has no mu1 dependence
         m = poly_model(2, 3, 5, 7, 11)
-        v0, v1, v2 = sigma1_series_atm(m, F0, mu0)
+        v0, v1, v2 = sigma1_series_atm(atm_jet(m, F0), mu0)
         assert v0 == pytest.approx(s1c[0], rel=1e-13)
         assert v1 == pytest.approx(s1c[1], rel=1e-13)
         assert v2 == pytest.approx(2 * s1c[2], rel=1e-13)
@@ -128,7 +122,7 @@ def test_sigma1_shifted_ln_series():
     #             + mu0 (b^2/(3 sb) y - 2 b^3/(3 sb^2) y^2 / 2 ...)
     sb, b, S0, mu0 = 0.014, 0.1, 0.03, 0.002
     m = make_shifted_lognormal(sb - 2 * b * S0, b, S0)
-    v0, v1, v2 = sigma1_series_atm(m, S0, mu0)
+    v0, v1, v2 = sigma1_series_atm(atm_jet(m, S0), mu0)
     assert v0 == pytest.approx(-b * b * sb / 6.0, rel=1e-13)
     assert v1 == pytest.approx(-b ** 3 / 6.0 + mu0 * b * b / (3.0 * sb), rel=1e-13)
     assert v2 == pytest.approx(11.0 * b ** 4 / (90.0 * sb)
@@ -138,7 +132,7 @@ def test_sigma1_shifted_ln_series():
 def test_sigma2_atm_vs_solver():
     m = poly_model(2, 3, 5, 7, 11)
     for (mu0, mu1), (_, s2_atm, _, _) in SOLVER_CASES.items():
-        assert sigma2_atm(m, F0, mu0, mu1) == pytest.approx(s2_atm, rel=1e-13)
+        assert sigma2_atm(atm_jet(m, F0), mu0, mu1) == pytest.approx(s2_atm, rel=1e-13)
 
 
 def test_sigma2_point_values_vs_solver():
@@ -206,16 +200,16 @@ def test_sigma2_atm_shifted_ln():
     # driftless: sb b^4 / 40; drift adds -mu1 b/6 + mu0^2 b^2/(6 sb)
     sb, b, S0 = 0.014, 0.1, 0.03
     m = make_shifted_lognormal(sb - 2 * b * S0, b, S0)
-    assert sigma2_atm(m, S0) == pytest.approx(sb * b ** 4 / 40.0, rel=1e-12)
+    assert sigma2_atm(atm_jet(m, S0)) == pytest.approx(sb * b ** 4 / 40.0, rel=1e-12)
     mu0, mu1 = 0.003, 0.001
     expected = (sb * b ** 4 / 40.0 - mu1 * 2 * b / 12.0
                 + mu0 * mu0 * 4 * b * b / (24.0 * sb))
-    assert sigma2_atm(m, S0, mu0, mu1) == pytest.approx(expected, rel=1e-12)
+    assert sigma2_atm(atm_jet(m, S0), mu0, mu1) == pytest.approx(expected, rel=1e-12)
 
 
 def test_sigma2_continuous_at_atm_switch():
     m = make_quadratic_sabr(0.02, 0.2, -0.3, 0.05)
-    atm = sigma2_atm(m, 0.05)
+    atm = sigma2_atm(atm_jet(m, 0.05))
     near = sigma2(m, 0.05, 0.0, 0.0, 0.05 + 5e-5)
     assert near == pytest.approx(atm, rel=5e-3)
 
@@ -236,11 +230,11 @@ def test_sigma1_jump_piecewise():
 def test_breakpoint_errors():
     m = make_piecewise_linear(0.008, 0.1, 0.2, 0.03)
     with pytest.raises(BreakpointError):
-        sigma0_series_atm(m, 0.03)
-    with pytest.raises(BreakpointError):
-        sigma1_series_atm(m, 0.03)
-    # the one-sided branches are fine
-    sigma0_series_atm(m.branch_for(1.0), 0.03)
+        atm_jet(m, 0.03)
+    # the one-sided jets are fine, and off the breakpoint the side is ignored
+    assert atm_jet(m, 0.03, 1.0) == m.kink_jets[1] and atm_jet(m, 0.03, -1.0) == m.kink_jets[0]
+    sigma0_series_atm(atm_jet(m, 0.03, 1.0))
+    assert atm_jet(m, 0.04, -1.0) == atm_jet(m, 0.04) == tuple(map(float, m.jet(0.04, 4)))
 
 
 def test_domain_errors():
@@ -307,7 +301,7 @@ def test_array_call_strike_sets():
     # strikes inside the ATM switch radius and on the sigma2 handover
     m = make_piecewise_linear(0.008, 0.1, 0.2, 0.03)
     handover = [0.03 + side * _DERIV_RADIUS_FACTOR
-                * (_ATM_SWITCH_RADIUS * m.branch_for(side).vol(0.03)) for side in (1.0, -1.0)]
+                * (_ATM_SWITCH_RADIUS * atm_jet(m, 0.03, side)[0]) for side in (1.0, -1.0)]
     strikes = [0.035, 0.025, 0.03, 0.035, 0.03 + 1e-8, 0.03 - 1e-8, *handover, 0.028]
     for setup in (MarketSetup(0.03), MarketSetup(0.03, 0.002, -0.001)):
         _assert_array_call_matches_one_strike_calls(m, setup, strikes)
@@ -324,6 +318,41 @@ def test_vol_calls_do_not_grow_with_strikes():
         expansion(m, setup, strikes, 2)
         calls.append(count[1])
     assert calls[0] == calls[1] > 0
+
+
+def test_one_atm_jet_read_per_side(monkeypatch):
+    # an order-2 call reads sigma_D's jet at the forward once per side of F0
+    # that has strikes (the kink's from its one-sided jets), and every series
+    # of that side comes from it; the strikes and the nodes take one array
+    # jet each
+    import dataclasses
+
+    import nvol.asymptotics
+
+    reads, jets = [], []
+    atm_jet_of = nvol.asymptotics.atm_jet
+
+    def counted_atm_jet(model, F0, side=0.0):
+        reads.append((F0, side))
+        return atm_jet_of(model, F0, side)
+
+    monkeypatch.setattr(nvol.asymptotics, "atm_jet", counted_atm_jet)
+    setup = MarketSetup(0.03, 0.002, -0.001)
+    for model in (make_quadratic_sabr(0.01, 0.3, -0.3, 0.03),
+                  make_piecewise_linear(0.008, 0.1, 0.2, 0.03)):
+        def jet(s, n, model=model):
+            jets.append((np.ndim(s), n))
+            return model.jet(s, n)
+
+        m = dataclasses.replace(model, jet=jet)
+        for strikes, sides in (([0.025, 0.03, 0.035, 0.03 + 1e-8, 0.0299], (1.0, -1.0)),
+                               ([0.031, 0.04], (1.0,))):
+            reads.clear()
+            jets.clear()
+            expansion(m, setup, strikes, 2)
+            assert reads == [(0.03, side) for side in sides], model.label
+            at_forward = [(0, 4)] if not model.breakpoints else []
+            assert jets == [*at_forward, (1, 2), (2, 2)] * len(sides), model.label
 
 
 def test_array_with_a_strike_off_the_domain_raises():

@@ -375,6 +375,49 @@ def test_non_finite_local_vol_at_s0_exits_2(tmp_path, capsys, old, new, vol):
     assert "[model]" in err and f"sigma_D(S0) = {vol}" in err, err
 
 
+HUGE_KINK = """\
+[model]
+type = piecewise_linear
+sigma0 = {sigma0}
+bL = -0.1
+bR = 0.1
+
+[market]
+S0 = 0.03
+
+[strikes]
+list = 0.02 0.03 0.04
+
+[maturities]
+list = {T}
+
+[methods]
+list = {methods}
+"""
+
+
+@pytest.mark.parametrize("sigma0, T, methods, cause", [
+    ("1e200", "1", "pde", "T=1.0, method=pde: sigma_D not finite and positive on the whole grid"),
+    ("1e300", "1e300", "pde", "T=1e+300, method=pde: the span about S0 = 0.03 is not finite: "
+                              "sigma_D(S0) = 1e+300 at T = 1e+300"),
+    ("1e300", "1", "asympt0 asympt2",
+     "T=1.0, method=asympt0: the ATM series overflow at sigma_D(F0) = 1e+300 of "
+     "piecewise_linear(sigma0=1e+300, bL=-0.1, bR=0.1)")],
+    ids=["grid_vol_overflows", "grid_span_overflows", "atm_series_overflow"])
+def test_overflowing_kink_exits_3_naming_the_cause(tmp_path, capsys, sigma0, T, methods, cause):
+    # a finite sigma_D(S0) so large that sigma_D^2 on the PDE grid, the grid's
+    # span or the ATM series overflow: these were a traceback (exit 1), or an
+    # exit 3 with a bare errno tuple after numpy's overflow warnings
+    p = tmp_path / "huge.ini"
+    p.write_text(HUGE_KINK.format(sigma0=sigma0, T=T, methods=methods))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(["smile", "--config", str(p)])
+    assert code == 3 and text == ""
+    err = capsys.readouterr().err
+    assert err == f"numerical failure at {cause}\n"
+
+
 def test_mc_step_count_above_the_cap_exits_2_before_any_march(tmp_path, capsys, monkeypatch):
     # T = 1e5 at 200 steps a year asks for 2e7 Euler steps, a march that did
     # not finish; the cap refuses it when the config loads
@@ -420,21 +463,37 @@ def test_rows_without_time_value_are_flagged(tmp_path):
             assert math.isnan(v), r
 
 
-_MODELS = {"shifted_lognormal": "sigma0 = 0.014\nb = 0.1",
-           "piecewise_linear": "sigma0 = 0.008\nbL = -0.1\nbR = 0.1"}
+# [model] section and the highest strike: the falling shifted log-normal's
+# vol vanishes at 0.10, and SABR has no closed-form price for `exact`
+_MODELS = {"shifted_lognormal": ("type = shifted_lognormal\nsigma0 = 0.014\nb = 0.1", 0.12),
+           "shifted_lognormal_falling": ("type = shifted_lognormal\nsigma0 = 0.014\nb = -0.1",
+                                         0.0999),
+           "piecewise_linear": ("type = piecewise_linear\nsigma0 = 0.008\nbL = -0.1\nbR = 0.1",
+                                0.12),
+           "sabr_rho_p30": ("type = quadratic_sabr\nsigma0 = 0.008\ngamma = 0.2\nrho = 0.3",
+                            0.12),
+           "sabr_rho_m30": ("type = quadratic_sabr\nsigma0 = 0.008\ngamma = 0.2\nrho = -0.3",
+                            0.12)}
+
+
+@st.composite
+def _model_and_strikes(draw):
+    model = draw(st.sampled_from(sorted(_MODELS)))
+    top = _MODELS[model][1]
+    return model, draw(st.lists(st.floats(-0.03, top), min_size=1, max_size=4, unique=True))
 
 
 @settings(max_examples=20, deadline=None)
-@given(model=st.sampled_from(sorted(_MODELS)), T=st.floats(0.01, 3.0),
-       strikes=st.lists(st.floats(-0.03, 0.12), min_size=1, max_size=4, unique=True))
-def test_every_row_at_its_strike_and_ok_rows_carry_a_vol(tmp_path_factory, model, T, strikes):
+@given(case=_model_and_strikes(), T=st.floats(0.01, 30.0))
+def test_every_row_at_its_strike_and_ok_rows_carry_a_vol(tmp_path_factory, case, T):
     # every method reports the configured strike float for float (JSON keeps
     # the full repr), and an ok row never sits on a zero or non-finite vol;
     # strikes beyond the PDE grid of a short maturity come back off_grid
-    methods = nvol.cli._METHODS
+    model, strikes = case
+    methods = [m for m in nvol.cli._METHODS if m != "exact" or not model.startswith("sabr")]
     tmp = tmp_path_factory.mktemp("prop")
     p = tmp / "prop.ini"
-    p.write_text(f"[model]\ntype = {model}\n{_MODELS[model]}\n\n[market]\nS0 = 0.03\n\n"
+    p.write_text(f"[model]\n{_MODELS[model][0]}\n\n[market]\nS0 = 0.03\n\n"
                  f"[strikes]\nlist = {' '.join(map(repr, strikes))}\n\n"
                  f"[maturities]\nlist = {T!r}\n\n[methods]\nlist = {' '.join(methods)}\n\n"
                  f"[mc]\nn_paths = 200\nsteps_per_year = 50\n")

@@ -18,7 +18,7 @@ from nvol.exact_solutions import (FitReport, drifted_ln_atm_call,
                                   model2b_z_of_y, shifted_ln_atm_exact_vol,
                                   shifted_ln_atm_series, shifted_ln_drift_atm_call,
                                   shifted_ln_exact_call, sqrt_t_detector)
-from nvol.dupire_pde import atm_implied_vol_richardson, solve_forward
+from nvol.dupire_pde import atm_implied_vol_richardson, richardson_prices, solve_forward
 from nvol.models import MarketSetup, make_piecewise_linear, make_shifted_lognormal
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -50,6 +50,24 @@ def test_shifted_ln_small_b_bachelier_limit():
     p = shifted_ln_exact_call(0.01, 1e-10, 0.03, 0.035, 1.0)
     want = bachelier_call(NormalQuote(F=0.03, K=0.035, T=1.0, sigmaN=0.01))
     assert p == pytest.approx(want, rel=1e-8)
+
+
+def test_shifted_ln_exact_call_with_falling_vol():
+    # b < 0: the vol falls to 0 at -sigma0/(2b) = 0.08 (0.13), where this
+    # raised.  Mirrored through S -> -S the model is the b > 0 one, whose put
+    # is C(-K) + S0 - K by parity; the PDE's Richardson prices agree to 5e-10
+    S0, strikes = 0.03, np.linspace(0.0, 0.06, 13)
+    for b in (-0.1, -0.05):
+        sigma0 = 0.01 - 2 * b * S0
+        model = make_shifted_lognormal(sigma0, b, S0)
+        for T in (1.0, 5.0):
+            got = np.array([shifted_ln_exact_call(sigma0, b, S0, K, T) for K in strikes])
+            mirror = [shifted_ln_exact_call(sigma0, -b, -S0, -K, T) + S0 - K for K in strikes]
+            assert np.max(np.abs(got - mirror)) <= 1e-16, (b, T)
+            pde, = richardson_prices(model, MarketSetup(S0), (T,), strikes, 10.0)
+            assert np.max(np.abs(got - pde)) <= 5e-10, (b, T)
+    with pytest.raises(ValueError, match="must be positive"):
+        shifted_ln_exact_call(0.016, -0.1, S0, 0.08, 1.0)  # a strike at the vol's zero
 
 
 def test_shifted_ln_exact_vs_pde_20_points():

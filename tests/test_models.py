@@ -22,8 +22,8 @@ def analytic_models():
 
 
 def richardson_order(model, s, k):
-    """Observed convergence order of central differences toward deriv(s, k)."""
-    exact = model.deriv(s, k)
+    """Observed convergence order of central differences toward jet(s, k)[k]."""
+    exact = model.jet(s, k)[k]
     errs = []
     for h in (1e-3, 5e-4):
         if k == 1:
@@ -48,10 +48,10 @@ def test_higher_derivatives_sabr():
     # orders 3 and 4 against finite differences of the analytic order-2
     m = make_quadratic_sabr(0.02, 0.3, 0.2, 0.05)
     h = 1e-4
-    fd3 = (m.deriv(0.06 + h, 2) - m.deriv(0.06 - h, 2)) / (2 * h)
-    fd4 = (m.deriv(0.06 + h, 3) - m.deriv(0.06 - h, 3)) / (2 * h)
-    assert m.deriv(0.06, 3) == pytest.approx(fd3, rel=1e-4)
-    assert m.deriv(0.06, 4) == pytest.approx(fd4, rel=1e-4)
+    (_, _, d2p, d3p), (_, _, d2m, d3m) = m.jet(0.06 + h, 3), m.jet(0.06 - h, 3)
+    _, _, _, d3, d4 = m.jet(0.06, 4)
+    assert d3 == pytest.approx((d2p - d2m) / (2 * h), rel=1e-4)
+    assert d4 == pytest.approx((d3p - d3m) / (2 * h), rel=1e-4)
 
 
 def test_piecewise_degenerates_to_shifted_ln():
@@ -59,8 +59,8 @@ def test_piecewise_degenerates_to_shifted_ln():
     b = make_shifted_lognormal(0.008 - 2 * 0.1 * 0.03, 0.1, 0.03)
     for s in (0.0, 0.01, 0.03, 0.05, 0.2):
         assert a.vol(s) == b.vol(s)
-        assert a.deriv(s, 1) == b.deriv(s, 1)
-    assert a.breakpoints == ()
+        assert a.jet(s, 4) == b.jet(s, 4)
+    assert a.breakpoints == () and a.kink_jets == ()
 
 
 def test_positivity_on_domain():
@@ -80,21 +80,25 @@ def _bits(x):
 
 
 def _assert_array_calls_equal_float_calls(m, xs):
-    # vol and deriv take floats and ndarrays of any shape; an array call
-    # equals the element-wise float calls bit for bit, and a float gives a float
+    # vol and jet take floats and ndarrays of any shape; an array call equals
+    # the element-wise float calls bit for bit, and a float gives floats.
+    # jet(s, n) has n + 1 entries, the first vol(s), each one the same bits
+    # in every jet(s, n) that has it
     for arr in (xs, xs.reshape(20, 10)):
         got = m.vol(arr)
         assert got.shape == arr.shape, m.label
         want = [m.vol(float(x)) for x in arr.flat]
         assert np.array_equal(_bits(got).ravel(), _bits(want)), m.label
-        for k in (1, 2, 3, 4):
-            got = np.broadcast_to(m.deriv(arr, k), arr.shape)
-            want = [m.deriv(float(x), k) for x in arr.flat]
-            assert np.array_equal(_bits(got).ravel(), _bits(want)), (m.label, k)
+        for n in range(5):
+            jet = m.jet(arr, n)
+            assert len(jet) == n + 1 and np.array_equal(_bits(jet[0]), _bits(m.vol(arr)))
+            for k, got in enumerate(jet):
+                got = np.broadcast_to(got, arr.shape)
+                want = [m.jet(float(x), 4)[k] for x in arr.flat]
+                assert np.array_equal(_bits(got).ravel(), _bits(want)), (m.label, n, k)
     for x in (float(xs[10]), 0.03):
         assert isinstance(m.vol(x), float) and np.ndim(m.vol(x)) == 0, m.label
-        for k in (1, 2, 3, 4):
-            d = m.deriv(x, k)
+        for k, d in enumerate(m.jet(x, 4)):
             assert isinstance(d, float) and np.ndim(d) == 0, (m.label, k)
 
 
@@ -181,14 +185,20 @@ def test_non_finite_parameters_raise(bad):
 
 
 def test_piecewise_branches():
+    # the jets of the two linear pieces at the kink: the value of each piece
+    # at S0 as its own shifted log-normal gives it, and its slope 2b
     m = make_piecewise_linear(0.008, 0.1, 0.2, 0.03)
     assert m.breakpoints == (0.03,)
-    left, right = m.branch_for(-1.0), m.branch_for(1.0)
-    assert left.vol(0.02) == pytest.approx(m.vol(0.02), rel=1e-14)
-    assert right.vol(0.04) == pytest.approx(m.vol(0.04), rel=1e-14)
-    # branches are analytic continuations across the kink
-    assert left.vol(0.04) == pytest.approx(0.008 + 2 * 0.1 * 0.01, rel=1e-14)
-    assert right.vol(0.02) == pytest.approx(0.008 - 2 * 0.2 * 0.01, rel=1e-14)
+    left, right = m.kink_jets
+    assert left == (make_shifted_lognormal(0.008 - 2 * 0.1 * 0.03, 0.1, 0.03).vol(0.03),
+                    2 * 0.1, 0.0, 0.0, 0.0)
+    assert right == (make_shifted_lognormal(0.008 - 2 * 0.2 * 0.03, 0.2, 0.03).vol(0.03),
+                     2 * 0.2, 0.0, 0.0, 0.0)
+    assert all(type(a) is float for a in left + right)
+    assert left[0] == pytest.approx(0.008, rel=1e-14)
+    assert right[0] == pytest.approx(0.008, rel=1e-14)
+    # off the kink the model's jet is that of the piece it lies on
+    assert m.jet(0.02, 4)[1:] == left[1:] and m.jet(0.04, 4)[1:] == right[1:]
 
 
 def test_tabulated_interpolates_nodes_and_stays_positive():
