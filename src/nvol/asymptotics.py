@@ -9,7 +9,11 @@ I2 = int (1/sigma_0 - 1/sigma_D)^2, both from F0.  `expansion` returns the
 coefficients of an array of strikes from one composite Gauss-Legendre rule
 per side of F0, with every strike on a panel edge, and one cumulative pass
 over it: sigma_0 and sigma_1 read the values at each strike, and sigma_2 a
-cumulative sum over the rule's nodes.  Every coefficient has a removable 0/0
+cumulative sum over the rule's nodes.  The pass walks the rule in blocks of
+at most _BLOCK_POINTS evaluation points, so its working set does not grow
+with the number of strikes; each running sum carries its last value into the
+next block's np.cumsum, which adds in sequence, so every sum has the bits of
+one pass over the whole rule.  Every coefficient has a removable 0/0
 at the money, so inside a small switch radius the coefficients are replaced
 by their Taylor polynomials in y = K - F0 built from the local vol's jet
 at the forward, `atm_jet`.  `sigma0`, `sigma1`, `sigma2` and `smile` are
@@ -18,12 +22,13 @@ one-strike views of `expansion` that return floats.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 
 from .models import LocalVolModel, MarketSetup
-from .quadrature import gauss_legendre_rule, legendre_cumulative
+from .quadrature import N_NODES, gauss_legendre_rule, legendre_cumulative
 
 
 class DomainError(ValueError):
@@ -177,6 +182,30 @@ def _h2_mu(mu0: float, mu1: float, y, sD, s0d, s1d):
             - A * B / (4.0 * N ** 4 * s0 * s0))
 
 
+# evaluation points per block of a chain walk: 16 panels of the gap section
+# (17 gaps of N_NODES points each), 272 of sigma2's node section, so the
+# working set is the same whatever the number of strikes
+_BLOCK_POINTS = 16 * (N_NODES + 1) * N_NODES
+
+
+def _blocks(panels: int, points_per_panel: int):
+    """Slices of consecutive panels, at most _BLOCK_POINTS points (one panel
+    at least) each, in order outwards from F0."""
+    step = max(1, _BLOCK_POINTS // points_per_panel)
+    return (slice(i, i + step) for i in range(0, panels, step))
+
+
+def _running_sum(carry: float, d: np.ndarray) -> np.ndarray:
+    """carry + d[0], carry + d[0] + d[1], ... over d in C order, in d's shape.
+
+    np.cumsum adds in sequence, so starting it from the previous block's last
+    sum gives each element the bits of one cumsum over the whole chain; adding
+    the carry after a block-local cumsum would round differently.  A chain
+    starts from -0.0, which leaves every first term as it is.
+    """
+    return np.cumsum(np.concatenate([(carry,), d.ravel()]))[1:].reshape(d.shape)
+
+
 def _chain(model: LocalVolModel, F0: float, mu0: float, far: float, cuts, series0, radius: float):
     """The rule on [F0, far] with `cuts` as panel edges, and J and I2 along it.
 
@@ -184,27 +213,68 @@ def _chain(model: LocalVolModel, F0: float, mu0: float, far: float, cuts, series
     edges and nodes; the I2 integrand takes sigma0 = y/J in each gap from the
     spectral integration matrix, or from series0 if |y| < radius.  J and I2
     are (panels, 17): column k < 16 at node k, column 16 at the panel's end.
-    The (panels, 17, 16) gap arrays are released on return.
+    The pass walks _blocks of 16 panels, so its gap arrays are (16, 17, 16)
+    whatever the number of panels; J and I2 carry their running sums from
+    one block into the next.
     """
     edges, nodes, weights = gauss_legendre_rule(F0, far, breakpoints=cuts)
     t, w, Q = legendre_cumulative()
-    chain = np.concatenate([edges[:-1, None], nodes, edges[1:, None]], axis=1)
-    a, b = chain[:, :-1], chain[:, 1:]
-    half = 0.5 * (b - a)
-    gap_nodes = (0.5 * (a + b))[..., None] + half[..., None] * t
-    inv_vol = 1.0 / model.vol(gap_nodes)
-    dJ = half * (inv_vol @ w)
-    J = np.cumsum(dJ).reshape(dJ.shape)
+    starts, ends = edges[:-1, None], edges[1:, None]
+    J = np.empty((len(nodes), N_NODES + 1))
     I2 = np.zeros_like(J)
-    if mu0 != 0.0:
-        J_gap = (J - dJ)[..., None] + half[..., None] * (inv_vol @ Q.T)
-        y = gap_nodes - F0
-        s0_gap = y / J_gap
-        near = np.abs(y) < radius
-        s0_gap[near] = _sigma0_taylor(series0, y[near])[0]
-        d = 1.0 / s0_gap - inv_vol
-        I2 = np.cumsum(half * ((d * d) @ w)).reshape(dJ.shape)
+    J_end = I2_end = -0.0
+    for blk in _blocks(len(nodes), (N_NODES + 1) * N_NODES):
+        chain = np.concatenate([starts[blk], nodes[blk], ends[blk]], axis=1)
+        a, b = chain[:, :-1], chain[:, 1:]
+        half = 0.5 * (b - a)
+        gap_nodes = (0.5 * (a + b))[..., None] + half[..., None] * t
+        inv_vol = 1.0 / model.vol(gap_nodes)
+        dJ = half * (inv_vol @ w)
+        J[blk] = Jb = _running_sum(J_end, dJ)
+        J_end = Jb[-1, -1]
+        if mu0 != 0.0:
+            J_gap = (Jb - dJ)[..., None] + half[..., None] * (inv_vol @ Q.T)
+            y = gap_nodes - F0
+            s0_gap = y / J_gap
+            near = np.abs(y) < radius
+            s0_gap[near] = _sigma0_taylor(series0, y[near])[0]
+            d = 1.0 / s0_gap - inv_vol
+            I2[blk] = I2b = _running_sum(I2_end, half * ((d * d) @ w))
+            I2_end = I2b[-1, -1]
     return edges, nodes, weights, J, I2
+
+
+def _z_integral(model: LocalVolModel, F0: float, mu0: float, mu1: float, nodes, weights,
+                J, I2, s00, series0, series1, r_taylor: float) -> np.ndarray:
+    """sigma2's z-integral from F0 to each panel's end of a _chain.
+
+    At each node z = L - F0 it takes sigma0 and sigma1 with their derivatives
+    from the closed forms, or from the Taylor series within r_taylor, and sums
+    node by node outwards from F0.  The nodes are walked in _blocks of 272
+    panels, and the sum carries from one block into the next.
+    """
+    ends = np.empty(len(nodes))
+    total = -0.0
+    for blk in _blocks(len(nodes), N_NODES):
+        z = nodes[blk] - F0
+        sDd = model.jet(nodes[blk], 2)
+        closed0 = _sigma0_derivs(z, J[blk, :-1], sDd)
+        closed1 = _sigma1_with_derivs(mu0, z, closed0, I2[blk, :-1], sDd, s00)
+        taylor = np.abs(z) < r_taylor
+        s0d = tuple(np.where(taylor, t, c)
+                    for t, c in zip(_sigma0_taylor(series0, z), closed0))
+        s1d = tuple(np.where(taylor, t, c)
+                    for t, c in zip(_sigma1_taylor(series1, z), closed1))
+        (s0, _, s0pp), (s1, _, s1pp), sD = s0d, s1d, sDd[0]
+        core = (1.5 * s1 * s1 / (sD * s0 ** 4)
+                - sD ** 3 * s0pp * s0pp / (8.0 * s0 ** 4)
+                - sD * s1pp / (2.0 * s0 ** 3))
+        if mu0 != 0.0 or mu1 != 0.0:
+            core += _h2_mu(mu0, mu1, z, sD, s0d, s1d) / (2.0 * sD * s0 * s0)
+        sums = _running_sum(total, weights[blk] * (z * z * core))
+        ends[blk] = sums[:, -1]
+        total = sums[-1, -1]
+    return ends
 
 
 # the closed forms are 0/0 at K = F0 and along a chain of zero length, where
@@ -276,23 +346,8 @@ def expansion(model: LocalVolModel, setup: MarketSetup, strikes, order: int
             closed = _sigma1_with_derivs(mu0, y, s0d, I2[at, -1], sDd, s00)[0]
             coeffs[1, side] = np.where(near, _sigma1_taylor(series1, y)[0], closed)
         if order == 2:
-            z = nodes - F0
-            sDd = model.jet(nodes, 2)
-            closed0 = _sigma0_derivs(z, J[:, :-1], sDd)
-            closed1 = _sigma1_with_derivs(mu0, z, closed0, I2[:, :-1], sDd, s00)
-            taylor = np.abs(z) < r_taylor
-            s0d = tuple(np.where(taylor, t, c)
-                        for t, c in zip(_sigma0_taylor(series0, z), closed0))
-            s1d = tuple(np.where(taylor, t, c)
-                        for t, c in zip(_sigma1_taylor(series1, z), closed1))
-            (s0, _, s0pp), (s1, _, s1pp), sD = s0d, s1d, sDd[0]
-            core = (1.5 * s1 * s1 / (sD * s0 ** 4)
-                    - sD ** 3 * s0pp * s0pp / (8.0 * s0 ** 4)
-                    - sD * s1pp / (2.0 * s0 ** 3))
-            if mu0 != 0.0 or mu1 != 0.0:
-                core += _h2_mu(mu0, mu1, z, sD, s0d, s1d) / (2.0 * sD * s0 * s0)
-            # summed node by node outwards from F0, as np.cumsum is sequential
-            zint = np.cumsum(weights * (z * z * core)).reshape(z.shape)[at, -1]
+            zint = _z_integral(model, F0, mu0, mu1, nodes, weights, J, I2, s00,
+                               series0, series1, r_taylor)[at]
             coeffs[2, side] = np.where(near, atm2, -s0K ** 4 / y ** 3 * zint)
     return tuple(coeffs)
 
@@ -341,6 +396,21 @@ def sigma1_jump(model: LocalVolModel, F0: float) -> float:
     """
     return (sigma1_series_atm(atm_jet(model, F0, 1.0))[0]
             - sigma1_series_atm(atm_jet(model, F0, -1.0))[0])
+
+
+def sqrt_t_coefficient(model: LocalVolModel, F0: float) -> float:
+    """The paper's sqrt(T) coefficient c of the ATM normal vol at a kink,
+    sigma_N(F0, T) = sigma_D(F0) + c sqrt(T) + O(T).
+
+    A first-order (Duhamel) expansion around the Bachelier model with vol
+    sigma_D(F0) gives c = (sqrt(2 pi)/16) sigma_D(F0) [sigma_D'], with
+    [sigma_D'] the jump of sigma_D' across F0 from its two kink jets.  It is
+    0 for models analytic at F0.
+    """
+    if not _on_breakpoint(model, F0):
+        return 0.0
+    left, right = atm_jet(model, F0, -1.0), atm_jet(model, F0, 1.0)
+    return math.sqrt(2.0 * math.pi) / 16.0 * right[0] * (right[1] - left[1])
 
 
 @np.errstate(over="ignore", invalid="ignore")

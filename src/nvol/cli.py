@@ -287,10 +287,13 @@ def _mc(cfg: ExperimentConfig, seed: int):
     # every maturity from one march per step size
     results = mc_call(cfg.model, cfg.setup, cfg.strikes, cfg.maturities,
                       McSpec(seed=seed, **cfg.mc_opts))
+    # a time value within 3 standard errors has no implied vol, and an Euler
+    # march that exploded leaves a price that is not finite
     for T, res in zip(cfg.maturities, results):
         F = cfg.setup.forward(T)
-        yield [implied_vol_and_flag(float(p), F, K, T)
-               for K, p in zip(cfg.strikes, res.price)]
+        yield [implied_vol_and_flag(p, F, K, T, 3.0 * se) if math.isfinite(p)
+               else (math.nan, "low_confidence")
+               for K, p, se in zip(cfg.strikes, res.price.tolist(), res.std_error.tolist())]
 
 
 def _exact(cfg: ExperimentConfig, seed: int):

@@ -140,6 +140,9 @@ def _march(model: LocalVolModel, setup: MarketSetup, dt: float, stops: Sequence[
         low = np.full(spec.n_paths, setup.S0)
         high = np.full(spec.n_paths, setup.S0)
 
+    # a march that explodes overflows to inf and then nan; the callers see the
+    # non-finite price and flag its rows
+    @np.errstate(over="ignore", invalid="ignore")
     def euler(S, dW, drift_dt):
         """S + vol*sqdt*dW + drift_dt in place, in that operand order; returns vol."""
         if bounded:

@@ -1,5 +1,6 @@
 import math
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,16 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nvol.asymptotics
 from nvol.asymptotics import (_ATM_SWITCH_RADIUS, _DERIV_RADIUS_FACTOR,
                               BreakpointError, DomainError,
                               NonAnalyticWarning, atm_jet, expansion, sigma0,
                               sigma0_series_atm, sigma1, sigma1_jump,
                               sigma1_series_atm, sigma2, sigma2_atm, smile,
-                              smile_from_coefficients)
+                              smile_from_coefficients, sqrt_t_coefficient)
 from nvol.cli import load_config
+from nvol.exact_solutions import model2b_atm_exact, sqrt_t_detector
 from nvol.models import (MarketSetup, make_piecewise_linear,
                          make_quadratic_sabr, make_shifted_lognormal,
                          make_tabulated)
+from nvol.quadrature import N_PANELS
 
 F0 = 10.0
 CONFIGS = sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
@@ -227,6 +231,24 @@ def test_sigma1_jump_piecewise():
     assert sigma1_jump(make_shifted_lognormal(0.01, 0.1, 0.03), 0.03) == 0.0
 
 
+def test_sqrt_t_coefficient_of_the_symmetric_kink():
+    # sigma_D = 0.008 + 0.2 |S - F0|: the closed-form ATM vol's
+    # (sigma - sigma0) / sqrt(T) is 1.0004 c at T = 1/4096
+    m = make_piecewise_linear(0.008, -0.1, 0.1, 0.03)
+    c = sqrt_t_coefficient(m, 0.03)
+    T = 1.0 / 4096
+    assert (model2b_atm_exact(0.008, 0.1, T) - 0.008) / math.sqrt(T) / c == pytest.approx(1.0, abs=1e-3)
+    # the sqrt-t fit of its config, 5.0429e-4
+    cfg = load_config(str(CONFIGS[0].parent / "sqrtt_model2b.ini"))
+    fit = sqrt_t_detector(cfg.model, cfg.setup, cfg.maturities).coefficient
+    assert fit == pytest.approx(sqrt_t_coefficient(cfg.model, cfg.setup.S0), rel=1e-2)
+    # an asymmetric kink's jump is 2 (bR - bL); no sqrt(T) term off a kink
+    assert sqrt_t_coefficient(make_piecewise_linear(0.008, 0.1, 0.2, 0.03), 0.03) == (
+        pytest.approx(math.sqrt(2.0 * math.pi) / 16.0 * 0.008 * 0.2, rel=1e-14))
+    assert sqrt_t_coefficient(m, 0.031) == 0.0
+    assert sqrt_t_coefficient(make_shifted_lognormal(0.01, 0.1, 0.03), 0.03) == 0.0
+
+
 def test_breakpoint_errors():
     m = make_piecewise_linear(0.008, 0.1, 0.2, 0.03)
     with pytest.raises(BreakpointError):
@@ -296,28 +318,76 @@ def test_drifted_array_call_matches_one_strike_calls(tmp_path, perfbench_workloa
         _assert_array_call_matches_one_strike_calls(cfg.model, cfg.setup, cfg.strikes)
 
 
-def test_array_call_strike_sets():
-    # unsorted and repeated strikes on both sides of a kink at F0, F0 itself,
-    # strikes inside the ATM switch radius and on the sigma2 handover
+def _kink_strike_set():
+    """A kink at F0 = 0.03 and unsorted, repeated strikes on both sides of it:
+    F0 itself, strikes inside the ATM switch radius and on the sigma2 handover."""
     m = make_piecewise_linear(0.008, 0.1, 0.2, 0.03)
     handover = [0.03 + side * _DERIV_RADIUS_FACTOR
                 * (_ATM_SWITCH_RADIUS * atm_jet(m, 0.03, side)[0]) for side in (1.0, -1.0)]
-    strikes = [0.035, 0.025, 0.03, 0.035, 0.03 + 1e-8, 0.03 - 1e-8, *handover, 0.028]
+    return m, [0.035, 0.025, 0.03, 0.035, 0.03 + 1e-8, 0.03 - 1e-8, *handover, 0.028]
+
+
+def test_array_call_strike_sets():
+    m, strikes = _kink_strike_set()
     for setup in (MarketSetup(0.03), MarketSetup(0.03, 0.002, -0.001)):
         _assert_array_call_matches_one_strike_calls(m, setup, strikes)
         got = expansion(m, setup, strikes, 2)
         assert all(c[0] == c[3] for c in got)
 
 
-def test_vol_calls_do_not_grow_with_strikes():
-    # one vectorised chain per side of F0, whatever the number of strikes
+def test_vol_calls_one_per_chain_block():
+    # sigma_D(F0), then one call per block of 16 panels on each side of F0; a
+    # side has N_PANELS panels per stretch between its off-money strikes, F0
+    # and the sigma2 handover: 1 + 1 + 1 calls for 2 strikes, 1 + 9 + 9 for 33
     setup = MarketSetup(0.03, 0.002, -0.001)
-    calls = []
-    for strikes in ([0.025, 0.035], np.linspace(0.02, 0.04, 33)):
+    for strikes, want in ((np.array([0.025, 0.035]), 3), (np.linspace(0.02, 0.04, 33), 19)):
         m, count = counting_model(make_quadratic_sabr(0.01, 0.3, -0.3, 0.03))
         expansion(m, setup, strikes, 2)
-        calls.append(count[1])
-    assert calls[0] == calls[1] > 0
+        panels = [N_PANELS * (np.count_nonzero(side) + 1)
+                  for side in (strikes > 0.03, strikes < 0.03)]
+        assert count[1] == want == 1 + sum(math.ceil(p / 16) for p in panels)
+
+
+def _expansion_cases(tmp_path, workloads):
+    """(model, setup, strikes): every config, the benchmark's drifted smiles,
+    the kink strike set with and without drift, and 401 drifted SABR strikes."""
+    paths = list(CONFIGS)
+    for case in workloads.EXPANSION_CASES:
+        paths.append(tmp_path / f"{case}.ini")
+        paths[-1].write_text(workloads.expansion_config(case))
+    cases = [(cfg.model, cfg.setup, cfg.strikes) for cfg in map(load_config, map(str, paths))]
+    drift = MarketSetup(0.03, 0.002, -0.001)
+    kink, strikes = _kink_strike_set()
+    cases += [(kink, MarketSetup(0.03), strikes), (kink, drift, strikes),
+              (make_quadratic_sabr(0.01, 0.3, -0.3, 0.03), drift, np.linspace(0.02, 0.04, 401))]
+    return cases
+
+
+def test_chain_blocks_keep_every_bit(tmp_path, perfbench_workloads, monkeypatch):
+    # the running sums carry from block to block, so one panel per block and
+    # one block per side give the default blocks' arrays bit for bit (order 1
+    # is order 2's first two arrays)
+    cases = _expansion_cases(tmp_path, perfbench_workloads)
+    want = [expansion(*case, order) for case in cases for order in (0, 2)]
+    for points in (1, 10 ** 9):
+        monkeypatch.setattr(nvol.asymptotics, "_BLOCK_POINTS", points)
+        got = [expansion(*case, order) for case in cases for order in (0, 2)]
+        assert all(np.array_equal(g, w) for gs, ws in zip(got, want) for g, w in zip(gs, ws))
+
+
+def test_expansion_peak_memory_on_201_strikes():
+    # one order-2 drifted SABR call on 201 strikes peaked at 15.6 MB when the
+    # whole chain was one block, and at 1.55 MB in blocks
+    m, setup = make_quadratic_sabr(0.01, 0.3, -0.3, 0.03), MarketSetup(0.03, 0.002, -0.001)
+    strikes = np.linspace(0.02, 0.04, 201)
+    expansion(m, setup, strikes, 2)  # the cached base rule is built once
+    tracemalloc.start()
+    try:
+        expansion(m, setup, strikes, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 def test_one_atm_jet_read_per_side(monkeypatch):

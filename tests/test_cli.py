@@ -222,6 +222,24 @@ def test_bad_mc_option_exits_2(tmp_path, capsys, option):
     assert "[mc]" in err and option.split()[0] in err
 
 
+def test_mc_rows_of_an_exploded_euler_march(tmp_path, capsys):
+    # SABR with gamma = 50 explodes under the Euler march: at T = 1 the price
+    # was 1.2e71 with a standard error of 1.1e71 and gave sigma_N = 3.0e71
+    # flagged ok; at T = 30 the paths overflow to nan, which printed three
+    # RuntimeWarnings and rows flagged off_grid
+    p = tmp_path / "exploding.ini"
+    p.write_text("[model]\ntype = quadratic_sabr\nsigma0 = 0.008\ngamma = 50\nrho = 0.5\n"
+                 "[market]\nS0 = 0.03\n[strikes]\nlist = 0.02 0.03 0.05\n"
+                 "[maturities]\nlist = 1 30\n[methods]\nlist = mc\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(["smile", "--config", str(p)])
+    assert code == 0 and capsys.readouterr().err == ""
+    rows = [ln.split(",") for ln in text.splitlines()[1:]]
+    assert [(T, vol, flag) for _, T, _, vol, flag in rows] == (
+        [("1", "nan", "no_time_value")] * 3 + [("30", "nan", "low_confidence")] * 3)
+
+
 @pytest.mark.parametrize("method", ["pde", "mc", "asympt0"])
 def test_s0_outside_the_positivity_domain_exits_2(tmp_path, capsys, method):
     # only a tabulated model can get here: the other factories refuse such an
