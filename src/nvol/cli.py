@@ -10,6 +10,7 @@ Subcommands:
 Config files are INI-style (`key = value` sections); see configs/ for the
 checked-in experiment definitions.  Every config command reads [model],
 [market] and [maturities]; `smile` also reads [strikes], [methods] and [mc].
+A key that the command does not read in one of those sections is refused.
 The output goes to stdout or the --out file, as CSV or JSON by --format
 (`sqrt-t` always writes JSON); a config with an [output] section is refused.
 Exit codes: 0 ok, 2 config/usage error, 3 numerical domain error.
@@ -29,7 +30,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .asymptotics import expansion, sigma1_jump, smile_from_coefficients
+from .asymptotics import (expansion, sigma1_jump, smile_from_coefficients,
+                          sqrt_t_coefficient)
 from .bachelier import (atm_lognormal_from_normal, atm_normal_from_lognormal,
                         implied_vol_and_flag)
 from .dupire_pde import (ForwardOffGrid, extract_local_vol, implied_smile_from_pde,
@@ -44,6 +46,11 @@ from .models import (LocalVolModel, MarketSetup, load_tabulated_csv,
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# `[strikes] count` at most this many strikes, and an `mc` run at most this
+# many n_paths x strikes, so one (strikes, pairs) payoff array stays <= 128 MB
+MAX_STRIKES = 10_000
+MAX_MC_ELEMENTS = 2**25
 
 
 class ConfigError(Exception):
@@ -97,40 +104,57 @@ def _get(section, key: str, where: str, cast=float, default=None):
     return value
 
 
+def _refuse_unread(sec, where: str, keys: tuple[str, ...]) -> None:
+    """ConfigError naming a key of the section that is not among `keys`, the
+    ones the command reads (configparser lower-cases the keys it stores)."""
+    read = {k.lower() for k in keys}
+    unread = [key for key in sec if key not in read]
+    if unread:
+        raise ConfigError(f"{where}: key {unread[0]!r} is not read "
+                          f"(the keys are {', '.join(keys)})")
+
+
+# the keys of [model] besides `type`, by type
+_MODEL_KEYS = {"shifted_lognormal": ("sigma0", "b"),
+               "quadratic_sabr": ("sigma0", "gamma", "rho"),
+               "piecewise_linear": ("sigma0", "bL", "bR"), "tabulated": ("path",)}
+
+
 def _build_model(kind: str, sec, S0: float):
     """The model, and its driftless closed-form pricer (strikes, T) -> one
     (price, noise level of the time value) per strike, or None; sigma0 always
     means the local vol at S0, slopes are the b of 2b(S-S0)."""
-    if kind == "shifted_lognormal":
-        sigma0, b = _get(sec, "sigma0", "[model]"), _get(sec, "b", "[model]")
-        shifted = sigma0 - 2.0 * b * S0
-        return (make_shifted_lognormal(shifted, b, S0),
-                lambda strikes, T: [(shifted_ln_exact_call(shifted, b, S0, K, T), 0.0)
-                                    for K in strikes])
-    if kind == "quadratic_sabr":
-        sigma0, gamma, rho = (_get(sec, key, "[model]") for key in ("sigma0", "gamma", "rho"))
-        return make_quadratic_sabr(sigma0, gamma, rho, S0), None
-    if kind == "piecewise_linear":
-        sigma0, bL, bR = (_get(sec, key, "[model]") for key in ("sigma0", "bL", "bR"))
-        model = make_piecewise_linear(sigma0, bL, bR, S0)
-        if not (bR > 0.0 and bL == -bR):
-            return model, None
-
-        def kink_call(strikes: list[float], T: float) -> list[tuple[float, float]]:
-            prices = model2b_call_by_density(sigma0, bR, S0, strikes, T).tolist()
-            # its rule is within 1.4e-17 absolute and 3.5e-15 relative of
-            # scipy's quad on 48 strikes and maturities; this level is 7x and 30x that
-            return [(price, max(1e-16, 1e-13 * price)) for price in prices]
-        return model, kink_call
+    if kind not in _MODEL_KEYS:
+        raise ConfigError(f"[model]: unknown type {kind!r} "
+                          f"(expected shifted_lognormal, quadratic_sabr, "
+                          f"piecewise_linear or tabulated)")
+    _refuse_unread(sec, "[model]", ("type",) + _MODEL_KEYS[kind])
     if kind == "tabulated":
         path = _get(sec, "path", "[model]", cast=str)
         try:
             return load_tabulated_csv(path), None
         except (OSError, ValueError) as e:
             raise ConfigError(f"[model]: cannot load tabulated vol {path!r}: {e}") from e
-    raise ConfigError(f"[model]: unknown type {kind!r} "
-                      f"(expected shifted_lognormal, quadratic_sabr, "
-                      f"piecewise_linear or tabulated)")
+    params = [_get(sec, key, "[model]") for key in _MODEL_KEYS[kind]]
+    if kind == "shifted_lognormal":
+        sigma0, b = params
+        shifted = sigma0 - 2.0 * b * S0
+        return (make_shifted_lognormal(shifted, b, S0),
+                lambda strikes, T: [(shifted_ln_exact_call(shifted, b, S0, K, T), 0.0)
+                                    for K in strikes])
+    if kind == "quadratic_sabr":
+        return make_quadratic_sabr(*params, S0), None
+    sigma0, bL, bR = params
+    model = make_piecewise_linear(sigma0, bL, bR, S0)
+    if not (bR > 0.0 and bL == -bR):
+        return model, None
+
+    def kink_call(strikes: list[float], T: float) -> list[tuple[float, float]]:
+        prices = model2b_call_by_density(sigma0, bR, S0, strikes, T).tolist()
+        # its rule is within 1.4e-17 absolute and 3.5e-15 relative of
+        # scipy's quad on 48 strikes and maturities; this level is 7x and 30x that
+        return [(price, max(1e-16, 1e-13 * price)) for price in prices]
+    return model, kink_call
 
 
 def _read_shared(path: str) -> tuple[configparser.ConfigParser, ExperimentConfig]:
@@ -152,6 +176,7 @@ def _read_shared(path: str) -> tuple[configparser.ConfigParser, ExperimentConfig
                           f"--out and, except for sqrt-t, its format with --format")
 
     mkt = cp["market"]
+    _refuse_unread(mkt, "[market]", ("S0", "mu0", "mu1"))
     setup = MarketSetup(S0=_get(mkt, "S0", "[market]"),
                         mu0=_get(mkt, "mu0", "[market]", default=0.0),
                         mu1=_get(mkt, "mu1", "[market]", default=0.0))
@@ -171,6 +196,7 @@ def _read_shared(path: str) -> tuple[configparser.ConfigParser, ExperimentConfig
 
     if "maturities" not in cp or "list" not in cp["maturities"]:
         raise ConfigError("missing [maturities] list")
+    _refuse_unread(cp["maturities"], "[maturities]", ("list",))
     maturities = tuple(_floats(cp["maturities"]["list"], "[maturities] list"))
     if not maturities or any(t <= 0.0 for t in maturities):
         raise ConfigError("[maturities]: need a non-empty list of positive maturities")
@@ -187,17 +213,20 @@ def load_config(path: str) -> ExperimentConfig:
     cp, cfg = _read_shared(path)
     model, setup = cfg.model, cfg.setup
     strikes: list[float] = []
-    if "strikes" in cp:
-        sec = cp["strikes"]
-        if "list" in sec:
-            strikes = _floats(sec["list"], "[strikes] list")
-        elif "min" in sec or "max" in sec or "count" in sec:
-            lo = _get(sec, "min", "[strikes]")
-            hi = _get(sec, "max", "[strikes]")
-            n = _get(sec, "count", "[strikes]", cast=int)
-            if n < 2 or hi <= lo:
-                raise ConfigError("[strikes]: need count >= 2 and max > min")
-            strikes = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    sec = cp["strikes"] if "strikes" in cp else {}
+    if "list" in sec:
+        _refuse_unread(sec, "[strikes] with a list", ("list",))
+        strikes = _floats(sec["list"], "[strikes] list")
+    elif sec:
+        _refuse_unread(sec, "[strikes]", ("list", "min", "max", "count"))
+        lo = _get(sec, "min", "[strikes]")
+        hi = _get(sec, "max", "[strikes]")
+        n = _get(sec, "count", "[strikes]", cast=int)
+        if n < 2 or hi <= lo:
+            raise ConfigError("[strikes]: need count >= 2 and max > min")
+        if n > MAX_STRIKES:
+            raise ConfigError(f"[strikes]: count = {n} is above the cap of {MAX_STRIKES}")
+        strikes = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     if not strikes:
         raise ConfigError("[strikes]: empty strike list")
     bad = [k for k in strikes if not model.in_domain(k)]
@@ -207,6 +236,7 @@ def load_config(path: str) -> ExperimentConfig:
 
     if "methods" not in cp or "list" not in cp["methods"]:
         raise ConfigError("missing [methods] list")
+    _refuse_unread(cp["methods"], "[methods]", ("list",))
     methods = [m.strip() for m in cp["methods"]["list"].replace(",", " ").split() if m.strip()]
     if not methods:
         raise ConfigError("[methods]: need at least one method")
@@ -224,6 +254,7 @@ def load_config(path: str) -> ExperimentConfig:
 
     mc_opts = {}
     if "mc" in cp:
+        _refuse_unread(cp["mc"], "[mc]", ("n_paths", "steps_per_year"))
         mc_opts = {key: _get(cp["mc"], key, "[mc]", cast=int)
                    for key in ("n_paths", "steps_per_year") if key in cp["mc"]}
     try:
@@ -231,6 +262,9 @@ def load_config(path: str) -> ExperimentConfig:
     except ValueError as e:
         raise ConfigError(f"[mc]: {e}, got {mc_opts}") from e
     if "mc" in methods:
+        if spec.n_paths * len(strikes) > MAX_MC_ELEMENTS:
+            raise ConfigError(f"[mc]: n_paths = {spec.n_paths} times {len(strikes)} strikes "
+                              f"is above the cap of {MAX_MC_ELEMENTS} path-strike elements")
         for T in cfg.maturities:
             try:
                 spec.steps(T)
@@ -263,44 +297,49 @@ def _write(text: str, out: str | None) -> None:
         raise ConfigError(f"cannot write --out {out!r}: {e}") from e
 
 
-# Each method is a generator function (cfg, seed) that yields one block of
-# (sigma_N, flag), in strike order, per maturity of cfg.maturities.
+# A method maps (cfg, seed) to one list of (sigma_N, flag) per maturity, in strike order.
 
 def _asympt(order: int):
-    def blocks(cfg: ExperimentConfig, seed: int):
+    def smiles(cfg: ExperimentConfig, seed: int):
         # low_confidence on a breakpoint, which expansion does not warn about,
         # and on a value a truncated series left off the positive reals
         kink = bool(cfg.model.breakpoints)
-        coeffs = cfg.coefficients[:order + 1]
-        for T in cfg.maturities:
-            yield [(vol, "ok" if 0.0 < vol < math.inf and not kink else "low_confidence")
-                   for vol in smile_from_coefficients(coeffs, T).tolist()]
-    return blocks
+        return [[(vol, "ok" if 0.0 < vol < math.inf and not kink else "low_confidence")
+                 for vol in smile_from_coefficients(cfg.coefficients[:order + 1], T).tolist()]
+                for T in cfg.maturities]
+    return smiles
 
 
 def _pde(cfg: ExperimentConfig, seed: int):
     # every maturity from one march per grid size
-    yield from implied_smile_from_pde(cfg.model, cfg.setup, cfg.maturities, cfg.strikes)
+    return implied_smile_from_pde(cfg.model, cfg.setup, cfg.maturities, cfg.strikes)
+
+
+def _oracle_smile(cfg: ExperimentConfig, T: float, priced, hits: int = 0
+                  ) -> list[tuple[float, str]]:
+    """The rows at T of one (price, noise level) per strike; a price that is
+    not finite, as from an Euler march that exploded, is nan low_confidence,
+    and so is an ok row whose paths left the model's domain (`hits` > 0)."""
+    F = cfg.setup.forward(T)
+    rows = []
+    for K, (price, noise) in zip(cfg.strikes, priced):
+        vol, flag = (implied_vol_and_flag(price, F, K, T, noise) if math.isfinite(price)
+                     else (math.nan, "low_confidence"))
+        rows.append((vol, "low_confidence" if flag == "ok" and hits else flag))
+    return rows
 
 
 def _mc(cfg: ExperimentConfig, seed: int):
-    # every maturity from one march per step size
+    # one march per step size; a time value within 3 standard errors has no vol
     results = mc_call(cfg.model, cfg.setup, cfg.strikes, cfg.maturities,
                       McSpec(seed=seed, **cfg.mc_opts))
-    # a time value within 3 standard errors has no implied vol, and an Euler
-    # march that exploded leaves a price that is not finite
-    for T, res in zip(cfg.maturities, results):
-        F = cfg.setup.forward(T)
-        yield [implied_vol_and_flag(p, F, K, T, 3.0 * se) if math.isfinite(p)
-               else (math.nan, "low_confidence")
-               for K, p, se in zip(cfg.strikes, res.price.tolist(), res.std_error.tolist())]
+    return [_oracle_smile(cfg, T, zip(res.price.tolist(), (3.0 * res.std_error).tolist()),
+                          res.n_boundary_hits)
+            for T, res in zip(cfg.maturities, results)]
 
 
 def _exact(cfg: ExperimentConfig, seed: int):
-    for T in cfg.maturities:
-        F = cfg.setup.forward(T)
-        yield [implied_vol_and_flag(price, F, K, T, noise)
-               for K, (price, noise) in zip(cfg.strikes, cfg.exact_call(cfg.strikes, T))]
+    return [_oracle_smile(cfg, T, cfg.exact_call(cfg.strikes, T)) for T in cfg.maturities]
 
 
 _METHODS = {"asympt0": _asympt(0), "asympt1": _asympt(1), "asympt2": _asympt(2),
@@ -309,22 +348,20 @@ _METHODS = {"asympt0": _asympt(0), "asympt1": _asympt(1), "asympt2": _asympt(2),
 
 def cmd_smile(args) -> int:
     cfg = load_config(args.config)
-    blocks = [_METHODS[m](cfg, args.seed) for m in cfg.methods]
-    rows: list[dict] = []
-    for T in cfg.maturities:
-        for method, gen in zip(cfg.methods, blocks):
-            try:
-                block = next(gen)
-            except ForwardOffGrid:
-                raise  # a config error, reported by main
-            except (ValueError, ArithmeticError, RuntimeError) as e:
-                # pde and mc price every maturity in their first block, so
-                # they fail there; a PDE grid that fails names its maturity
-                print(f"numerical failure at T={getattr(e, 'T', T)}, method={method}: {e}",
-                      file=sys.stderr)
-                return EXIT_NUMERICAL
-            rows += ({"K": K, "T": T, "method": method, "sigma_N": vol, "flag": flag}
-                     for K, (vol, flag) in zip(cfg.strikes, block))
+    smiles = []
+    for method in cfg.methods:
+        try:
+            smiles.append(_METHODS[method](cfg, args.seed))
+        except ForwardOffGrid:
+            raise  # a config error, reported by main
+        except (ValueError, ArithmeticError, RuntimeError) as e:
+            T = getattr(e, "T", cfg.maturities[0])  # a PDE grid that fails names its T
+            print(f"numerical failure at T={T}, method={method}: {e}", file=sys.stderr)
+            return EXIT_NUMERICAL
+    rows = [{"K": K, "T": T, "method": method, "sigma_N": vol, "flag": flag}
+            for i, T in enumerate(cfg.maturities)
+            for method, by_T in zip(cfg.methods, smiles)
+            for K, (vol, flag) in zip(cfg.strikes, by_T[i])]
     _write(_rows_text(rows, args.format, ["K", "T", "method", "sigma_N", "flag"]), args.out)
     return EXIT_OK
 
@@ -334,16 +371,11 @@ _TABLE1_MATURITIES = (1.0, 2.0, 5.0, 10.0, 20.0, 30.0)
 
 def table1_rows(sigma0bar: float = 0.03, b: float = 0.2) -> list[dict]:
     """ATM deviations (orders 0/1/2 minus exact) for sigma_D = sigma0bar + 2bY."""
-    model = make_shifted_lognormal(sigma0bar, b, 0.0)
-    _, s1, s2 = (float(c[0]) for c in expansion(model, MarketSetup(0.0), [0.0], 2))
-    rows = []
-    for T in _TABLE1_MATURITIES:
-        ex = shifted_ln_atm_exact_vol(sigma0bar, b, T)
-        rows.append({"T": T,
-                     "dev_order0": sigma0bar - ex,
-                     "dev_order1": sigma0bar + s1 * T - ex,
-                     "dev_order2": sigma0bar + s1 * T + s2 * T * T - ex})
-    return rows
+    coeffs = expansion(make_shifted_lognormal(sigma0bar, b, 0.0), MarketSetup(0.0), [0.0], 2)
+    exact = {T: shifted_ln_atm_exact_vol(sigma0bar, b, T) for T in _TABLE1_MATURITIES}
+    return [{"T": T, **{f"dev_order{k}": float(smile_from_coefficients(coeffs[:k + 1], T)[0])
+                        - ex for k in range(3)}}
+            for T, ex in exact.items()]
 
 
 def cmd_table1(args) -> int:
@@ -384,6 +416,10 @@ def cmd_sqrt_t(args) -> int:
         print(f"analytic (p~1: fitted p={p:.3f})")
     else:
         print(f"unclassified (fitted p={p:.3f})")
+    predicted = sqrt_t_coefficient(cfg.model, cfg.setup.S0)
+    if predicted:
+        print(f"predicted c={predicted:.6g} (kink at S0), "
+              f"fitted/predicted={report.coefficient / predicted:.4g}")
     if cfg.model.breakpoints:
         jump = sigma1_jump(cfg.model, cfg.setup.S0)
         print(f"sigma1 jump across the forward: {jump:.6g}")
@@ -514,7 +550,10 @@ def _seed(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: each parse_args call makes a new
+    namespace from its defaults."""
     ap = argparse.ArgumentParser(prog="nvol", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -561,13 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="strike (repeatable; default: surface strikes near ATM)")
     p.set_defaults(func=cmd_extract_lv)
     return ap
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one `build_parser()` of this process: each parse_args call makes
-    a new namespace from its defaults."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

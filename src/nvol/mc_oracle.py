@@ -58,6 +58,8 @@ from .models import LocalVolModel, MarketSetup
 # the most Euler steps one march may take: about 5000 years at the default
 # 200 steps a year
 MAX_STEPS = 10**6
+# the most paths one march may take: each of its ~9 path arrays is then 32 MB
+MAX_PATHS = 2**22
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,8 @@ class McSpec:
         # the second half of the paths mirrors the first: its draws are negated
         if self.n_paths < 2 or self.n_paths % 2:
             raise ValueError("n_paths must be even and >= 2")
+        if self.n_paths > MAX_PATHS:
+            raise ValueError(f"n_paths must be at most MAX_PATHS = {MAX_PATHS}")
         if self.steps_per_year < 1:
             raise ValueError("steps_per_year must be >= 1")
         if self.seed < 0:

@@ -288,10 +288,14 @@ def test_smile_fig3_matches_checked_in_csv(tmp_path, config):
 def test_sqrt_t_matches_checked_in_json(tmp_path, config):
     # golden files: the detector's fit reports, byte for byte
     out = tmp_path / f"{config}.json"
-    code, _ = run(["sqrt-t", "--config", str(ROOT / "configs" / f"{config}.ini"),
-                   "--out", str(out)])
+    code, text = run(["sqrt-t", "--config", str(ROOT / "configs" / f"{config}.ini"),
+                      "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (ROOT / "out" / f"{config}.json").read_bytes()
+    # the paper's c for a kink at S0 next to the fit; the analytic control has none
+    predicted = [ln for ln in text.splitlines() if ln.startswith("predicted c=")]
+    assert predicted == (["predicted c=0.000501326 (kink at S0), fitted/predicted=1.006"]
+                         if config == "sqrtt_model2b" else [])
 
 
 def test_run_figures_check(tmp_path, capsys):
@@ -820,13 +824,13 @@ def test_pde_smile_refuses_a_forward_off_the_grid(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["table1", "--sigma0bar", "-0.01"], ["table1", "--sigma0bar", "nan"],
-    ["table1", "--b", "inf"],
+    ["table1", "--b", "inf"], ["table1", "--b", "x"],
     ["convert", "nan", "1", "0.01", "--direction", "ln2n"],
     ["convert", "0.03", "inf", "0.2", "--direction", "ln2n"],
     ["extract-lv", "surface.csv", "--s0", "nan", "--T", "1"],
     ["extract-lv", "surface.csv", "--s0", "0.03", "--T", "1", "--K", "nan"]],
-                         ids=["table1-degenerate", "table1-nan", "table1-inf", "convert-nan",
-                              "convert-inf", "extract-lv-s0", "extract-lv-K"])
+                         ids=["table1-degenerate", "table1-nan", "table1-inf", "table1-text",
+                              "convert-nan", "convert-inf", "extract-lv-s0", "extract-lv-K"])
 def test_invalid_numbers_exit_2(tmp_path, capsys, argv):
     # these used to exit 1 with a traceback or print a nan or 0 row with exit 0
     if argv[0] == "extract-lv":
@@ -837,19 +841,21 @@ def test_invalid_numbers_exit_2(tmp_path, capsys, argv):
     except SystemExit as e:  # argparse refuses the value
         code, text = e.code, ""
     assert code == 2 and text == ""
-    bad = next(a for a in argv if a in ("nan", "inf", "-0.01"))
+    bad = next(a for a in argv if a in ("nan", "inf", "-0.01", "x"))
     assert bad in capsys.readouterr().err
 
 
+def _surface_csv(vols: dict, strikes=tuple(0.02 + 0.002 * i for i in range(11)),
+                 methods=("pde",), header: str = "K,T,method,sigma_N,flag") -> str:
+    """The CSV `nvol smile` writes, for flat smiles: one vol per maturity."""
+    return "\n".join([header] + [f"{K},{T},{method},{v},ok" for T, v in vols.items()
+                                 for method in methods for K in strikes]) + "\n"
+
+
 def write_surface(path, methods=("pde",)):
-    # a flat 1.1% implied surface in the CSV `nvol smile` writes
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["K", "T", "method", "sigma_N", "flag"])
-        for T in (0.5, 1.0, 1.5):
-            for method in methods:
-                for i in range(11):
-                    w.writerow([0.02 + 0.002 * i, T, method, 0.011, "ok"])
+    # a flat 1.1% implied surface
+    pathlib.Path(path).write_text(_surface_csv({0.5: 0.011, 1.0: 0.011, 1.5: 0.011},
+                                               methods=methods))
 
 
 def test_extract_lv_on_synthetic_surface(tmp_path):
@@ -957,10 +963,12 @@ def test_sqrt_t_reads_only_model_market_and_maturities(tmp_path):
 
 
 def test_sqrt_t_ignores_a_method_it_never_runs(tmp_path):
-    # 'exact' on a model without a closed form is smile's error; sqrt-t used to exit 2
+    # 'exact' on a model without a closed form is smile's error; sqrt-t used to exit 2,
+    # and it checks no key of the sections it does not read
     p = tmp_path / "fit.ini"
     p.write_text(_sqrtt_model2b_without_smile_sections().replace("bL = -0.1", "bL = 0.0")
-                 + "\n[methods]\nlist = exact\n")
+                 + "\n[methods]\nlist = exact\nlst = mc\n[strikes]\nlist = 0.03\nmin = 0.02\n"
+                 "[mc]\nnpaths = 64\n")
     code, text = run(["sqrt-t", "--config", str(p)])
     assert code == 0 and '"exponent"' in text
 
@@ -1089,5 +1097,154 @@ list = asympt0
     assert code == 0
     assert "sqrt-T anomaly" in text
     assert "sigma1 jump" in text
+    # c = (1/2) sqrt(pi/2) sigma0 b for the symmetric kink, after the classification
+    lines = text.splitlines()
+    assert lines[1] == "predicted c=0.000501326 (kink at S0), fitted/predicted=0.9974"
     d = json.loads(out.read_text())
     assert set(d) == {"coefficient", "exponent", "residual", "grid"}
+
+
+def _smile_config(old: str = "", new: str = "") -> str:
+    assert old in SMILE_CONFIG
+    return SMILE_CONFIG.replace(old, new)
+
+
+_SQRTT_KINK = ("[model]\ntype = piecewise_linear\nsigma0 = 0.008\nbL = {bL}\nbR = {bR}\n"
+               "[market]\nS0 = 0.03\n[maturities]\n"
+               "list = 0.00390625 0.0078125 0.015625 0.03125 0.0625 0.125 0.25\n")
+_SLN = "type = shifted_lognormal\nsigma0 = 0.014\nb = 0.1\n"
+
+
+@pytest.mark.parametrize("command, text, code, cause", [
+    # a key no command reads used to be ignored: mu_0 gave driftless rows flagged ok
+    pytest.param("smile", _smile_config("S0 = 0.03", "S0 = 0.03\nmu_0 = 0.01"), 2,
+                 "[market]: key 'mu_0' is not read (the keys are S0, mu0, mu1)", id="market-typo"),
+    pytest.param("smile", SMILE_CONFIG + "[mc]\nnpaths = 64\n", 2,
+                 "[mc]: key 'npaths' is not read", id="mc-typo"),
+    pytest.param("smile", _smile_config("min = 0.02", "list = 0.03\nmin = 0.02"), 2,
+                 "[strikes] with a list: key 'min' is not read (the keys are list)",
+                 id="strikes-list-and-range"),
+    pytest.param("smile", _smile_config("count = 7", "cont = 7"), 2,
+                 "[strikes]: key 'cont' is not read (the keys are list, min, max, count)",
+                 id="strikes-typo"),
+    pytest.param("smile", _smile_config("b = 0.1", "b = 0.1\ngamma = 0.3"), 2,
+                 "[model]: key 'gamma' is not read (the keys are type, sigma0, b)",
+                 id="model-key-of-another-type"),
+    pytest.param("smile", _smile_config("list = 1 5", "list = 1 5\nlast = 30"), 2,
+                 "[maturities]: key 'last' is not read", id="maturities-typo"),
+    pytest.param("smile", SMILE_CONFIG + "order = 2\n", 2,
+                 "[methods]: key 'order' is not read", id="methods-typo"),
+    pytest.param("sqrt-t", _SQRTT_KINK.format(bL=-0.1, bR=0.1).replace(
+        "S0 = 0.03", "S0 = 0.03\nmu_0 = 0.01"), 2, "[market]: key 'mu_0'", id="sqrt-t-typo"),
+    # the config errors that no other test reaches
+    pytest.param("smile", _smile_config("list = 1 5", "list = 1 x"), 2,
+                 "[maturities] list: not a number list: '1 x'", id="not-a-number"),
+    pytest.param("smile", _smile_config("list = 1 5", "list = 1 inf"), 2,
+                 "[maturities] list: numbers must be finite", id="not-finite"),
+    pytest.param("smile", _smile_config("b = 0.1\n"), 2, "[model]: missing key 'b'",
+                 id="missing-key"),
+    pytest.param("smile", _smile_config("b = 0.1", "b = x"), 2,
+                 "[model]: bad value for 'b': 'x'", id="bad-value"),
+    pytest.param("smile", _smile_config("type = shifted_lognormal", "type = lognormal"), 2,
+                 "[model]: unknown type 'lognormal'", id="unknown-type"),
+    pytest.param("smile", _smile_config(_SLN, "type = quadratic_sabr\nsigma0 = 0.014\n"
+                                              "gamma = 2\nrho = 1.5\n"), 2,
+                 "[model]: correlation must satisfy |rho| < 1", id="model-refuses-its-values"),
+    pytest.param("smile", _smile_config(_SLN, "type = tabulated\npath = {tmp}/no_such.csv\n"), 2,
+                 "[model]: cannot load tabulated vol", id="tabulated-unreadable"),
+    pytest.param("smile", _smile_config(_SLN, "type = tabulated\npath = {tmp}/bad_table.csv\n"),
+                 2, "tabulated CSV must have header 'S,sigma_D'", id="tabulated-malformed"),
+    pytest.param("smile", "S0 = 0.03\n" + SMILE_CONFIG, 2, "config parse error",
+                 id="parse-error"),
+    pytest.param("smile", _smile_config("[model]", "[models]"), 2, "missing [model] section",
+                 id="missing-model"),
+    pytest.param("smile", _smile_config("[market]", "[markets]"), 2,
+                 "missing [market] section", id="missing-market"),
+    pytest.param("smile", _smile_config("[maturities]", "[maturity]"), 2,
+                 "missing [maturities] list", id="missing-maturities"),
+    pytest.param("smile", _smile_config("[methods]", "[method]"), 2,
+                 "missing [methods] list", id="missing-methods"),
+    pytest.param("smile", _smile_config("list = 1 5", "list = 1 0"), 2,
+                 "[maturities]: need a non-empty list of positive maturities",
+                 id="non-positive-maturity"),
+    pytest.param("smile", _smile_config("count = 7", "count = 1"), 2,
+                 "[strikes]: need count >= 2 and max > min", id="one-strike-count"),
+    pytest.param("smile", _smile_config("max = 0.05", "max = 0.02"), 2,
+                 "[strikes]: need count >= 2 and max > min", id="max-not-above-min"),
+    pytest.param("smile", _smile_config("min = 0.02", "min = -0.05"), 2,
+                 "[strikes]: outside positivity domain", id="strike-outside-domain"),
+    pytest.param("smile", _smile_config("list = asympt0 asympt1 exact", "list = ,"), 2,
+                 "[methods]: need at least one method", id="no-method"),
+    # sqrt-t's numerical exit and its third class
+    pytest.param("sqrt-t", _SQRTT_KINK.format(bL=0.5, bR=0.52), 3,
+                 "numerical failure in sqrt-t fit: ATM deviation changes sign or vanishes",
+                 id="sqrt-t-sign-change"),
+    pytest.param("sqrt-t", _SQRTT_KINK.format(bL=0.3, bR=0.35), 0,
+                 "unclassified (fitted p=0.333)", id="sqrt-t-unclassified"),
+    # extract-lv reads a surface CSV in place of a config
+    pytest.param("extract-lv", None, 2, "extract-lv: cannot read surface",
+                 id="extract-lv-no-file"),
+    pytest.param("extract-lv", _surface_csv({0.5: 0.011, 1.5: 0.011}, header="K,T,method,vol"),
+                 2, "must have columns K,T,method,sigma_N", id="extract-lv-columns"),
+    pytest.param("extract-lv", _surface_csv({1.0: 0.011}), 2,
+                 "surface needs at least two maturity levels", id="extract-lv-one-level"),
+    pytest.param("extract-lv", _surface_csv({0.5: 0.011, 1.5: 0.011}, strikes=(0.02, 0.03, 0.04)),
+                 2, "maturity level T=0.5 has fewer than 4 usable strikes",
+                 id="extract-lv-three-strikes"),
+    pytest.param("extract-lv", _surface_csv({0.5: 0.011, 1.5: 0.011},
+                                            strikes=(0.1, 0.11, 0.12, 0.13)), 2,
+                 "no surface strikes within 2 stdev of the forward", id="extract-lv-far-strikes"),
+    pytest.param("extract-lv", _surface_csv({0.5: 0.02, 1.0: 0.02, 1.5: 0.005}), 3,
+                 "extract-lv: numerical failure at K=", id="extract-lv-falling-variance"),
+])
+def test_bad_input_exits_naming_its_cause(tmp_path, capsys, command, text, code, cause):
+    (tmp_path / "bad_table.csv").write_text("S,vol\n0,0.01\n0.04,0.01\n")
+    path = tmp_path / ("surface.csv" if command == "extract-lv" else "config.ini")
+    if text is not None:
+        path.write_text(text.replace("{tmp}", str(tmp_path)))
+    argv = ([command, str(path), "--s0", "0.03", "--T", "1.0"] if command == "extract-lv"
+            else [command, "--config", str(path)])
+    got, out = run(argv)
+    err = capsys.readouterr().err
+    assert got == code and cause in (out if code == 0 else err), (out, err)
+    assert code == 0 or out == ""
+
+
+@pytest.mark.parametrize("module, cap, size, text, cause", [
+    ("cli", "MAX_STRIKES", 7, SMILE_CONFIG, "[strikes]: count = 7 is above the cap of 6"),
+    ("mc_oracle", "MAX_PATHS", 64, _smile_config("exact", "mc") + "[mc]\nn_paths = 64\n",
+     "[mc]: n_paths must be at most MAX_PATHS = 63, got {'n_paths': 64}"),
+    ("cli", "MAX_MC_ELEMENTS", 7 * 64, _smile_config("exact", "mc") + "[mc]\nn_paths = 64\n",
+     "[mc]: n_paths = 64 times 7 strikes is above the cap of 447 path-strike elements"),
+], ids=["strike-count", "n-paths", "mc-elements"])
+def test_config_values_above_a_memory_cap_exit_2(tmp_path, capsys, monkeypatch, module, cap,
+                                                 size, text, cause):
+    # `count` and `n_paths` size arrays that used to be built before any check;
+    # the caps are set small here, so no array of a real cap's size is made.
+    # A cap one below the config's size refuses it, a cap at its size runs it.
+    p = tmp_path / "big.ini"
+    p.write_text(text)
+    monkeypatch.setattr(getattr(nvol, module), cap, size - 1)
+    assert run(["smile", "--config", str(p)]) == (2, "")
+    assert cause in capsys.readouterr().err
+    monkeypatch.setattr(getattr(nvol, module), cap, size)
+    assert run(["smile", "--config", str(p)])[0] == 0
+
+
+def test_mc_rows_whose_paths_left_the_table_are_low_confidence(tmp_path):
+    # sigma_D is tabulated on [0, 0.08] only; the Euler step freezes it at the
+    # ends. At T = 5, 132 of 1024 paths leave that range, and the rows there
+    # were flagged ok (K = 0.02 read 0.0087098 +- 4e-6 at 65536 paths against
+    # 0.0086087 from pde); at T = 0.5 none leaves.
+    table = tmp_path / "vol.csv"
+    table.write_text("S,sigma_D\n0,0.012\n0.02,0.009\n0.04,0.008\n0.06,0.0095\n0.08,0.012\n")
+    p = tmp_path / "table.ini"
+    p.write_text(f"[model]\ntype = tabulated\npath = {table}\n[market]\nS0 = 0.03\n"
+                 f"[strikes]\nlist = 0.02 0.03 0.04\n[maturities]\nlist = 0.5 5\n"
+                 f"[methods]\nlist = mc\n[mc]\nn_paths = 1024\n")
+    code, text = run(["smile", "--config", str(p)])
+    assert code == 0
+    rows = [ln.split(",") for ln in text.splitlines()[1:]]
+    assert [(T, flag) for _, T, _, _, flag in rows] == (
+        [("0.5", "ok")] * 3 + [("5", "low_confidence")] * 3)
+    assert all(0.008 < float(vol) < 0.0095 for _, _, _, vol, _ in rows)
