@@ -10,7 +10,8 @@ Subcommands:
 Config files are INI-style (`key = value` sections); see configs/ for the
 checked-in experiment definitions.  Every config command reads [model],
 [market] and [maturities]; `smile` also reads [strikes], [methods] and [mc].
-A key that the command does not read in one of those sections is refused.
+A key that the command does not read in one of those sections is refused,
+and so is a section that no command reads.
 The output goes to stdout or the --out file, as CSV or JSON by --format
 (`sqrt-t` always writes JSON); a config with an [output] section is refused.
 Exit codes: 0 ok, 2 config/usage error, 3 numerical domain error.
@@ -38,7 +39,6 @@ from .dupire_pde import (ForwardOffGrid, extract_local_vol, implied_smile_from_p
                          solve_forward)  # unused here; perfbench's self-check reads it
 from .exact_solutions import (model2b_call_by_density, shifted_ln_atm_exact_vol,
                               shifted_ln_exact_call, sqrt_t_detector)
-from .mc_oracle import McSpec, mc_call
 from .models import (LocalVolModel, MarketSetup, load_tabulated_csv,
                      make_piecewise_linear, make_quadratic_sabr,
                      make_shifted_lognormal)
@@ -102,6 +102,19 @@ def _get(section, key: str, where: str, cast=float, default=None):
     if cast is float and not math.isfinite(value):
         raise ConfigError(f"{where}: '{key}' must be finite, got {section[key]!r}")
     return value
+
+
+# the sections some command reads; [pde] is ignored with a note, [output] refused
+_SECTIONS = ("model", "market", "strikes", "maturities", "methods", "mc")
+
+
+def _refuse_unknown_sections(cp: configparser.ConfigParser, path: str) -> None:
+    """ConfigError naming a section of the file that no command reads; called
+    after the command's required-section checks, which name a misspelt one."""
+    unknown = [name for name in cp.sections() if name not in (*_SECTIONS, "pde")]
+    if unknown:
+        raise ConfigError(f"[{unknown[0]}] in {path!r} is not read by any command "
+                          f"(the sections are {', '.join(_SECTIONS)})")
 
 
 def _refuse_unread(sec, where: str, keys: tuple[str, ...]) -> None:
@@ -236,6 +249,7 @@ def load_config(path: str) -> ExperimentConfig:
 
     if "methods" not in cp or "list" not in cp["methods"]:
         raise ConfigError("missing [methods] list")
+    _refuse_unknown_sections(cp, path)
     _refuse_unread(cp["methods"], "[methods]", ("list",))
     methods = [m.strip() for m in cp["methods"]["list"].replace(",", " ").split() if m.strip()]
     if not methods:
@@ -253,23 +267,27 @@ def load_config(path: str) -> ExperimentConfig:
                                   f"'{key}' must be 0, got {getattr(setup, key)!r}")
 
     mc_opts = {}
-    if "mc" in cp:
-        _refuse_unread(cp["mc"], "[mc]", ("n_paths", "steps_per_year"))
-        mc_opts = {key: _get(cp["mc"], key, "[mc]", cast=int)
-                   for key in ("n_paths", "steps_per_year") if key in cp["mc"]}
-    try:
-        spec = McSpec(**mc_opts)
-    except ValueError as e:
-        raise ConfigError(f"[mc]: {e}, got {mc_opts}") from e
-    if "mc" in methods:
-        if spec.n_paths * len(strikes) > MAX_MC_ELEMENTS:
-            raise ConfigError(f"[mc]: n_paths = {spec.n_paths} times {len(strikes)} strikes "
-                              f"is above the cap of {MAX_MC_ELEMENTS} path-strike elements")
-        for T in cfg.maturities:
-            try:
-                spec.steps(T)
-            except ValueError as e:
-                raise ConfigError(f"[mc] steps_per_year: {e}") from e
+    if "mc" in cp or "mc" in methods:
+        from .mc_oracle import McSpec  # the MC layer loads only where a config uses it
+
+        if "mc" in cp:
+            _refuse_unread(cp["mc"], "[mc]", ("n_paths", "steps_per_year"))
+            mc_opts = {key: _get(cp["mc"], key, "[mc]", cast=int)
+                       for key in ("n_paths", "steps_per_year") if key in cp["mc"]}
+        try:
+            spec = McSpec(**mc_opts)
+        except ValueError as e:
+            raise ConfigError(f"[mc]: {e}, got {mc_opts}") from e
+        if "mc" in methods:
+            if spec.n_paths * len(strikes) > MAX_MC_ELEMENTS:
+                raise ConfigError(f"[mc]: n_paths = {spec.n_paths} times {len(strikes)} "
+                                  f"strikes is above the cap of {MAX_MC_ELEMENTS} path-strike "
+                                  f"elements")
+            for T in cfg.maturities:
+                try:
+                    spec.steps(T)
+                except ValueError as e:
+                    raise ConfigError(f"[mc] steps_per_year: {e}") from e
     cfg.strikes, cfg.methods, cfg.mc_opts = strikes, methods, mc_opts
     return cfg
 
@@ -330,6 +348,8 @@ def _oracle_smile(cfg: ExperimentConfig, T: float, priced, hits: int = 0
 
 
 def _mc(cfg: ExperimentConfig, seed: int):
+    from .mc_oracle import McSpec, mc_call
+
     # one march per step size; a time value within 3 standard errors has no vol
     results = mc_call(cfg.model, cfg.setup, cfg.strikes, cfg.maturities,
                       McSpec(seed=seed, **cfg.mc_opts))
@@ -395,7 +415,8 @@ def cmd_table1(args) -> int:
 
 
 def cmd_sqrt_t(args) -> int:
-    _, cfg = _read_shared(args.config)
+    cp, cfg = _read_shared(args.config)
+    _refuse_unknown_sections(cp, args.config)
     ts = cfg.maturities
     repeated = sorted({t for t in ts if ts.count(t) > 1})
     if repeated or len(ts) < 5:

@@ -6,7 +6,9 @@ integrands are analytic between model breakpoints, so the breakpoints are
 panel edges and the rule integrates each smooth piece to machine precision
 at a fixed node set.  legendre_cumulative gives the same nodes' spectral
 integration matrix, from which one pass yields an antiderivative at every
-node.  Both build their base rule through one cached leggauss call.
+node.  Both read one literal table of the 16-node rule; Q is built from it
+with elementwise numpy alone, so neither loads numpy.polynomial or calls
+LAPACK.
 """
 
 from __future__ import annotations
@@ -18,15 +20,33 @@ N_NODES = 16  # Gauss-Legendre nodes per panel
 N_PANELS = 8  # equal panels per stretch between breakpoints
 
 
+# The N_NODES Gauss-Legendre nodes and weights on [-1, 1], as repr writes
+# numpy.polynomial.legendre.leggauss(16) under numpy 2.4 (tests/test_quadrature
+# checks them against it); the table spares every process the numpy.polynomial
+# import and an eigen-solve
+_NODES = (-0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+          -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+          -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+          0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+          0.755404408355003, 0.8656312023878318, 0.9445750230732326,
+          0.9894009349916499)
+_WEIGHTS = (0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+            0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+            0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
+            0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+            0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+            0.027152459411754176)
+
+
 @lru_cache(maxsize=None)
 def _leggauss():
-    """The N_NODES Gauss-Legendre nodes and weights on [-1, 1], built once.
+    """The N_NODES Gauss-Legendre nodes and weights on [-1, 1] as arrays.
 
     Every caller shares the cached arrays, so they are read-only.
     """
     import numpy as np
 
-    xs, ws = np.polynomial.legendre.leggauss(N_NODES)
+    xs, ws = np.array(_NODES), np.array(_WEIGHTS)
     xs.flags.writeable = ws.flags.writeable = False
     return xs, ws
 
@@ -66,13 +86,17 @@ def legendre_cumulative():
     read-only.
     """
     import numpy as np
-    from numpy.polynomial import legendre
 
     t, w = _leggauss()
-    # values at t -> Legendre coefficients -> antiderivative from -1 -> values at t
-    to_coef = np.linalg.inv(legendre.legvander(t, N_NODES - 1))
-    antider = legendre.legval(t, legendre.legint(np.eye(N_NODES), lbnd=-1.0)).T
-    Q = antider @ to_coef
+    # Q[k, j] integrates the Lagrange basis polynomial l_j of the nodes from
+    # -1 to t[k] by the rule mapped onto [-1, t[k]], exact as l_j has degree
+    # N_NODES - 1; l_j(s) = prod over i != j of (s - t[i]) / (t[j] - t[i])
+    half = 0.5 * (t + 1.0)
+    s = half[:, None] * (t + 1.0) - 1.0  # (k, m): the mapped nodes
+    off = ~np.eye(N_NODES, dtype=bool)  # (j, i): the factors i != j
+    gaps = np.where(off, t[:, None] - t, 1.0)
+    factors = np.where(off, (s[:, :, None, None] - t) / gaps, 1.0)  # (k, m, j, i)
+    Q = half[:, None] * (w[:, None] * factors.prod(axis=-1)).sum(axis=1)
     Q.flags.writeable = False
     return t, w, Q
 

@@ -190,6 +190,29 @@ def test_atm_conversion_roundtrip(F, sbs, T):
     assert atm_lognormal_from_normal(F, sn, T) == pytest.approx(sbs, rel=1e-10)
 
 
+def test_erfinv_vs_scipy_and_mpmath():
+    # the Newton inverse of math.erf against scipy's erfinv on 20 000 points
+    # of [0, 1) and 500 up to 1 - 1e-15: they differ by up to 3 ulp, at 6
+    # points more than 2, where the Newton inverse is within 1.6 ulp of a
+    # 200-bit erfinv and scipy's within 2.8
+    import numpy as np
+    from scipy.special import erfinv
+
+    from nvol.bachelier import _erfinv
+
+    rs = np.concatenate([np.linspace(0.0, 1.0, 20000, endpoint=False),
+                         1.0 - np.logspace(-15, -0.3, 500)])
+    got = np.array([_erfinv(r) for r in rs.tolist()])
+    want = erfinv(rs)
+    ulps = np.abs(got - want) / np.spacing(np.maximum(got, want))
+    assert ulps.max() <= 3.0, rs[ulps.argmax()]
+    with mpmath.workprec(200):
+        for r in rs[ulps > 2.0].tolist() + [1e-300, 1e-8, 0.5, 1.0 - 2.0 ** -53]:
+            true = mpmath.erfinv(mpmath.mpf(r))
+            assert abs(_erfinv(r) - true) <= 2.0 * math.ulp(float(true)), r
+    assert _erfinv(0.0) == 0.0
+
+
 def test_conversion_saturation_bound():
     F, T = 0.03, 1.0
     cap = F * math.sqrt(2.0 * math.pi / T)

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import importlib.util
 import io
 import json
@@ -592,27 +593,34 @@ def test_fig2_pde_rows_match_a_finer_pair():
 
 
 _IMPORT_PROBE = """
-import json, sys
+import contextlib, io, json, sys
 import nvol
 bare = sorted(m for m in sys.modules if m.startswith("nvol.") or m.split(".")[0] == "numpy")
 import nvol.cli
 
 def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                  or m.startswith(("numpy.polynomial", "numpy.random", "nvol.mc_oracle")))
 
 seen = {"bare": bare, "import": loaded()}
-for name, config in zip(("smile", "pde", "mc"), sys.argv[1:4]):
-    assert nvol.cli.main(["smile", "--config", config, "--out", sys.argv[4]]) == 0
+for name, config in zip(("smile", "pde", "fig2", "mc"), sys.argv[1:5]):
+    assert nvol.cli.main(["smile", "--config", config, "--out", sys.argv[5]]) == 0
     seen[name] = loaded()
+    if name == "fig2":
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert nvol.cli.main(["convert", "0.03", "2", "0.004", "--direction", "n2ln"]) == 0
+        seen["convert"] = loaded()
 print(json.dumps(seen))
 """
 
 
 def test_import_hygiene(tmp_path):
-    # a bare `import nvol` loads no submodule and no numpy, and neither the
-    # expansion and exact rows nor the PDE nor the Monte Carlo load any scipy
-    # module, in a fresh interpreter so that nothing imported by the test
-    # session counts
+    # a bare `import nvol` loads no submodule and no numpy; the expansion and
+    # exact rows, the PDE (configs/fig2_sabr_rho_0.ini too) and `convert`
+    # load no scipy, no numpy.polynomial, no numpy.random and no MC layer,
+    # and the Monte Carlo loads no scipy; in a fresh interpreter, so that
+    # nothing imported by the test session counts.  The runs share the
+    # process, so each list holds what the runs up to it loaded
     smile = tmp_path / "smile.ini"
     smile.write_text(SMILE_CONFIG)
     pde = tmp_path / "pde.ini"
@@ -624,16 +632,17 @@ def test_import_hygiene(tmp_path):
     src = str(pathlib.Path(nvol.__file__).resolve().parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(smile), str(pde), str(mc),
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(smile), str(pde),
+                           str(ROOT / "configs" / "fig2_sabr_rho_0.ini"), str(mc),
                            str(tmp_path / "out.csv")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert seen["bare"] == []
-    assert seen["import"] == []
-    assert seen["smile"] == []
-    assert seen["pde"] == []
-    assert seen["mc"] == []
+    for name in ("import", "smile", "pde", "fig2", "convert"):
+        assert seen[name] == [], (name, seen[name])
+    assert "nvol.mc_oracle" in seen["mc"]
+    assert not [m for m in seen["mc"] if m.split(".")[0] == "scipy"], seen["mc"]
 
 
 @pytest.mark.parametrize("section, key, value", [("model", "sigma0", "nan"),
@@ -1164,6 +1173,11 @@ _SLN = "type = shifted_lognormal\nsigma0 = 0.014\nb = 0.1\n"
                  "missing [maturities] list", id="missing-maturities"),
     pytest.param("smile", _smile_config("[methods]", "[method]"), 2,
                  "missing [methods] list", id="missing-methods"),
+    pytest.param("smile", SMILE_CONFIG + "[MC]\nn_paths = 64\n", 2,
+                 "[MC] in", id="unread-section"),
+    pytest.param("sqrt-t", _SQRTT_KINK.format(bL=-0.1, bR=0.1) + "[plot]\nwidth = 4\n", 2,
+                 "is not read by any command (the sections are model, market, strikes, "
+                 "maturities, methods, mc)", id="sqrt-t-unread-section"),
     pytest.param("smile", _smile_config("list = 1 5", "list = 1 0"), 2,
                  "[maturities]: need a non-empty list of positive maturities",
                  id="non-positive-maturity"),
@@ -1224,10 +1238,10 @@ def test_config_values_above_a_memory_cap_exit_2(tmp_path, capsys, monkeypatch, 
     # A cap one below the config's size refuses it, a cap at its size runs it.
     p = tmp_path / "big.ini"
     p.write_text(text)
-    monkeypatch.setattr(getattr(nvol, module), cap, size - 1)
+    monkeypatch.setattr(importlib.import_module(f"nvol.{module}"), cap, size - 1)
     assert run(["smile", "--config", str(p)]) == (2, "")
     assert cause in capsys.readouterr().err
-    monkeypatch.setattr(getattr(nvol, module), cap, size)
+    monkeypatch.setattr(importlib.import_module(f"nvol.{module}"), cap, size)
     assert run(["smile", "--config", str(p)])[0] == 0
 
 

@@ -1,6 +1,5 @@
 import math
 import pathlib
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -86,7 +85,7 @@ def test_legendre_cumulative_integrates_polynomials():
     for k in range(16):
         # int_{-1}^{t} s^k ds, exact for every degree the 16 nodes interpolate
         want = (t ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
-        np.testing.assert_allclose(Q @ t ** k, want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(Q @ t ** k, want, rtol=0, atol=1e-15)
     assert w.sum() == pytest.approx(2.0, rel=1e-15)
 
 
@@ -104,15 +103,13 @@ def test_cached_rule_is_read_only_and_equals_a_fresh_build():
     assert weights.tobytes() == (half * ws).tobytes()
 
 
-def test_smile_builds_each_base_rule_once(monkeypatch, tmp_path):
-    calls = Counter()
-    fresh = np.polynomial.legendre.leggauss
+def test_smile_needs_neither_leggauss_nor_a_matrix_inverse(monkeypatch, tmp_path):
+    # the base rule is a literal table and Q is built from it elementwise
+    def refuse(*args, **kwargs):
+        raise AssertionError("the 16-node rule was rebuilt")
 
-    def counted(n):
-        calls[n] += 1
-        return fresh(n)
-
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
     quadrature._leggauss.cache_clear()
     legendre_cumulative.cache_clear()
     try:
@@ -122,7 +119,25 @@ def test_smile_builds_each_base_rule_once(monkeypatch, tmp_path):
         quadrature._leggauss.cache_clear()
         legendre_cumulative.cache_clear()
     assert code == 0
-    assert calls and max(calls.values()) == 1, calls
+    want = (ROOT / "out" / "fig2_sabr_rho_0.csv").read_bytes()
+    assert (tmp_path / "fig2.csv").read_bytes() == want
+
+
+def test_literal_rule_is_leggauss_16():
+    xs, ws = np.polynomial.legendre.leggauss(16)
+    t, w = quadrature._leggauss()
+    # on a mismatch, the literals to paste into quadrature.py
+    regenerated = (f"\n_NODES = {tuple(map(float, xs))!r}"
+                   f"\n_WEIGHTS = {tuple(map(float, ws))!r}")
+    for got, want in ((t, xs), (w, ws)):
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want))), regenerated
+    assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.diff(t) > 0) and np.all(w > 0)
+    for k in range(32):
+        # the 16-node rule integrates every monomial of degree <= 31 exactly,
+        # so its weights sum to 2
+        assert (w * t ** k).sum() == pytest.approx((1.0 - (-1.0) ** (k + 1)) / (k + 1),
+                                                   rel=0, abs=1e-15), k
 
 
 def test_gaussian_integral_vs_erf():
