@@ -324,8 +324,9 @@ def expansion(model: LocalVolModel, setup: MarketSetup, strikes, order: int
             series0 = sigma0_series_atm(jet)
             series1 = sigma1_series_atm(jet, mu0) if order else None
             atm2 = sigma2_atm(jet, mu0, mu1) if order == 2 else None
-        except OverflowError as e:
-            raise DomainError(f"the ATM series overflow at sigma_D(F0) = {jet[0]!r} "
+        except ArithmeticError as e:  # sigma_D(F0)^2 overflows, or underflows to 0
+            what = "overflow" if isinstance(e, OverflowError) else "underflow"
+            raise DomainError(f"the ATM series {what} at sigma_D(F0) = {jet[0]!r} "
                               f"of {model.label or 'model'}") from e
         radius = _ATM_SWITCH_RADIUS * jet[0]
         r_taylor = _DERIV_RADIUS_FACTOR * radius

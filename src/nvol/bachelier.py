@@ -172,19 +172,28 @@ def atm_normal_from_lognormal(F: float, sigmaBS: float, T: float) -> float:
     """
     if F <= 0.0 or T <= 0.0:
         raise ValueError("forward and maturity must be positive")
-    return F * math.sqrt(2.0 * math.pi / T) * math.erf(sigmaBS * math.sqrt(T) / (2.0 * math.sqrt(2.0)))
+    sigmaN = F * math.sqrt(2.0 * math.pi / T) * math.erf(sigmaBS * math.sqrt(T) / math.sqrt(8.0))
+    if sigmaN == 0.0 < sigmaBS:
+        raise ValueError(f"the Erf argument or the normal vol underflows at sigmaBS = {sigmaBS!r}")
+    return sigmaN
 
 
 def atm_lognormal_from_normal(F: float, sigmaN: float, T: float) -> float:
     """Inverse of atm_normal_from_lognormal (closed form via inverse erf)."""
     if F <= 0.0 or T <= 0.0:
         raise ValueError("forward and maturity must be positive")
-    r = sigmaN / (F * math.sqrt(2.0 * math.pi / T))
+    cap = F * math.sqrt(2.0 * math.pi / T)
+    if cap == 0.0:
+        raise ValueError("the Erf saturation bound F*sqrt(2*pi/T) underflows to 0")
+    r = sigmaN / cap
     if r >= 1.0:
         raise ValueError("normal vol at or above the Erf saturation bound F*sqrt(2*pi/T)")
     if r < 0.0:
         raise ValueError("normal vol must be >= 0")
-    return _erfinv(r) * 2.0 * math.sqrt(2.0) / math.sqrt(T)
+    sigmaBS = _erfinv(r) * 2.0 * math.sqrt(2.0) / math.sqrt(T)
+    if sigmaBS == 0.0 < sigmaN:
+        raise ValueError(f"the log-normal vol underflows to 0 at sigmaN = {sigmaN!r}")
+    return sigmaBS
 
 
 def _erfinv(r: float) -> float:

@@ -164,8 +164,8 @@ def _build_model(kind: str, sec, S0: float):
 
     def kink_call(strikes: list[float], T: float) -> list[tuple[float, float]]:
         prices = model2b_call_by_density(sigma0, bR, S0, strikes, T).tolist()
-        # its rule is within 1.4e-17 absolute and 3.5e-15 relative of
-        # scipy's quad on 48 strikes and maturities; this level is 7x and 30x that
+        # its rule is within 6.9e-18 absolute and 6.4e-15 relative of
+        # scipy's quad on 48 strikes and maturities; this level is 14x and 15x that
         return [(price, max(1e-16, 1e-13 * price)) for price in prices]
     return model, kink_call
 
@@ -486,6 +486,9 @@ def _surface_from_csv(path: str):
         for rec in reader:
             methods.add(rec["method"])
             k, t, v = float(rec["K"]), float(rec["T"]), float(rec["sigma_N"])
+            if not (math.isfinite(k) and math.isfinite(t) and t > 0.0):
+                raise ConfigError(f"surface CSV {path!r} line {reader.line_num}: K = {k!r} "
+                                  f"and T = {t!r} must be finite and T > 0")
             # drop the rows without a vol (off the PDE grid, no time value)
             if math.isfinite(v) and v > 0.0:
                 levels.setdefault(t, []).append((k, v))

@@ -76,9 +76,9 @@ class PdeSolution:
 
 
 class GridTooNarrow(ArithmeticError, ValueError):
-    """The grid's span about S0 at maturity T rounds away (T too short, or S0
-    at the edge of the positivity domain) or overflows: a numerical failure,
-    and invalid input."""
+    """The grid's span or node spacing about S0 at maturity T rounds away (T
+    too short for |S0|, or S0 at the edge of the positivity domain) or
+    overflows: a numerical failure, and invalid input."""
 
     def __init__(self, message: str, T: float):
         super().__init__(message)
@@ -131,6 +131,8 @@ def _build_strike_grid(model: LocalVolModel, setup: MarketSetup, T: float,
         nearest = math.floor if clipped[0] else math.ceil if clipped[1] else round
         shift = (offset - nearest(offset)) * dx
     ks = k_min + shift + dx * np.arange(n_space)
+    if not np.all(ks[1:] > ks[:-1]):
+        raise GridTooNarrow(f"the node spacing {dx!r} rounds away at S0 = {s0!r}, T = {T!r}", T)
     for bp in model.breakpoints:
         if ks[0] < bp < ks[-1] and abs(bp - s0) > 1e-14:
             raise ValueError(f"sigma_D has a breakpoint at {bp!r}, inside the PDE grid "
@@ -245,7 +247,7 @@ def march(model: LocalVolModel, setup: MarketSetup, maturities: Sequence[float],
     S0 at its T, clipped to the positivity domain of the model
     (`meta["clipped"]`), with S0 on a node.  The span does not depend on the
     drift; an S0 outside the domain raises ValueError, and a T too short for
-    the span to hold two strikes GridTooNarrow.  The first two steps are each
+    n_space distinct nodes GridTooNarrow.  The first two steps are each
     taken as two implicit half-steps, the rest by Crank-Nicolson.
 
     Every grid is one block of n_space rows of one held tridiagonal system,

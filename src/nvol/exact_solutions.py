@@ -18,7 +18,7 @@ import numpy as np
 from .bachelier import (NormalQuote, bachelier_call, black_scholes_call,
                         norm_cdf, norm_pdf)
 from .models import LocalVolModel, MarketSetup
-from .quadrature import N_NODES, N_PANELS, gauss_legendre_rule
+from .quadrature import gauss_legendre_rule
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -147,47 +147,33 @@ def model2b_call_by_density(sigma0: float, b: float, S0: float, strikes: Sequenc
                             t: float) -> np.ndarray:
     """Call price by integrating the payoff against the kink-model density.
 
-    C = int_{z(K)}^inf (y(u) - y_K) p(u, t; z(S0)=0, 0) du with y measured
-    from S0.  The upper limit is truncated where the Gaussian factor is
-    below machine precision, so a strike with z(K) at or beyond it is worth
-    0.  The integrand is analytic on each side of the kink at u = 0, which is
-    a panel edge of the composite Gauss-Legendre rule.
+    The driftless model is symmetric about S0, so a strike d = |K - S0| away
+    is worth the out-of-the-money call C(S0 + d) plus max(S0 - K, 0).  That
+    call is int_{z(d)}^inf (y(u) - d) p(u, t; z(S0)=0, 0) du, y measured from
+    S0, over u >= 0 only, where y and p are analytic.  The upper limit is
+    truncated where the Gaussian factor is below machine precision, so a
+    strike with z(d) at or beyond it is worth its intrinsic value.
 
-    One price per strike of the 1-d sequence, each strike with its own rule;
-    the integrand, `model2b_y_of_z` times `model2b_density` started at
-    x = 0, is evaluated on all nodes in one array pass, and each strike's
-    weighted terms are summed from 0 in node order.
+    One price per strike of the 1-d sequence: the rule of
+    gauss_legendre_rule(0, 1) is mapped onto each strike's [z(d), z_hi] and
+    the integrand is evaluated on all nodes in one array pass.
     """
-    yK = np.asarray(strikes, dtype=float) - S0
+    K = np.asarray(strikes, dtype=float)
+    d = np.abs(K - S0)
     # p decays like exp(-(z - bt)^2/2t) modulated by e^{-2bz}; 12 stdevs is ample
     z_hi = b * t + 12.0 * math.sqrt(t)
-    # row i holds strike i's nodes, and its weights after a column of zeros
-    # for the sum to start from; the row of a strike at or beyond z_hi, and
-    # the tail of an 8-panel row, keep weight 0 at node 0
-    n_max = 2 * N_PANELS * N_NODES
-    nodes = np.zeros((yK.size, n_max))
-    terms = np.zeros((yK.size, n_max + 1))
-    for i, y in enumerate(yK.tolist()):
-        zK = model2b_z_of_y(y, sigma0, b)
-        if zK < z_hi:
-            _, u, w = gauss_legendre_rule(zK, z_hi, (0.0,) if zK < 0.0 < z_hi else ())
-            nodes[i, :u.size] = u.flat
-            terms[i, 1:1 + w.size] = w.flat
-    # the two branches of y(u) and of p(u) meet in |u|: with x = 0 each
-    # operation below is the one of the branch of u's sign (numpy's exp and
-    # expm1 may differ from libm's in the last bit)
-    au = np.abs(nodes)
-    y_u = np.where(nodes >= 0.0, sigma0 / (2.0 * b), -sigma0 / (2.0 * b)) * np.expm1(
-        2.0 * b * au)
+    z_d = np.log1p(2.0 * b * d / sigma0) / (2.0 * b)
+    span = np.maximum(z_hi - z_d, 0.0)
+    _, s, w = gauss_legendre_rule(0.0, 1.0)
+    u = z_d[:, None] + span[:, None] * s.ravel()
     rt = math.sqrt(t)
-    bt = b * t
-    a = (au + bt) / rt
-    # norm_cdf((bt - |u|) / rt) with math.erfc node by node: numpy has no erfc
-    erfc = map(math.erfc, ((au - bt) / rt / math.sqrt(2.0)).ravel().tolist())
-    cdf = 0.5 * np.fromiter(erfc, float, au.size).reshape(au.shape)
-    dens = np.exp(-0.5 * a * a) / SQRT_2PI / rt + b * np.exp(-2.0 * b * au) * cdf
-    terms[:, 1:] *= (y_u - yK[:, None]) * dens
-    return np.add.accumulate(terms, axis=1)[:, -1]
+    a = (u + b * t) / rt
+    # norm_cdf((bt - u) / rt) with math.erfc node by node: numpy has no erfc
+    erfc = map(math.erfc, ((u - b * t) / (rt * math.sqrt(2.0))).ravel().tolist())
+    cdf = 0.5 * np.fromiter(erfc, float, u.size).reshape(u.shape)
+    dens = np.exp(-0.5 * a * a) / (SQRT_2PI * rt) + b * np.exp(-2.0 * b * u) * cdf
+    payoff = sigma0 / (2.0 * b) * np.expm1(2.0 * b * u) - d[:, None]
+    return span * (payoff * dens * w.ravel()).sum(axis=1) + np.maximum(S0 - K, 0.0)
 
 
 @dataclass(frozen=True)
@@ -251,11 +237,9 @@ def sqrt_t_detector(model: LocalVolModel, setup: MarketSetup, T_grid) -> FitRepo
     # the extrapolation keeps the O(dx^2 + dt^2) ATM bias from flattening
     # the power law at the smallest maturities
     devs = [vol - sD0 for vol in atm_implied_vol_richardson(model, setup, T_grid)]
-    if all(d < 0.0 for d in devs):
-        sign, mags = -1.0, [-d for d in devs]
-    elif all(d > 0.0 for d in devs):
-        sign, mags = 1.0, list(devs)
-    else:
+    sign = math.copysign(1.0, devs[0])
+    mags = [sign * d for d in devs]
+    if not all(m > 0.0 for m in mags):
         raise ValueError("ATM deviation changes sign or vanishes; nothing to fit")
     _, p_free = _fit_loglog(T_grid, mags)
     c_half, _ = _fit_loglog(T_grid, mags, exponent=0.5)

@@ -164,6 +164,47 @@ def test_pde_failure_names_the_maturity_whose_grid_fails(tmp_path, capsys):
     assert "T = 1e-300" in err and "T=1," not in err
 
 
+def test_pde_node_spacing_that_rounds_away_exits_3_naming_its_maturity(tmp_path, capsys):
+    # at S0 = 1e10 the span at T = 1e-12 is wider than one ulp of S0 but its
+    # node spacing is not: march divided by dx = 0 (two RuntimeWarnings) and
+    # then blamed T = 0.01 for a singular matrix
+    cfg = tmp_path / "far.ini"
+    cfg.write_text("[model]\ntype = quadratic_sabr\nsigma0 = 5\ngamma = 0.999999\nrho = 0\n"
+                   "[market]\nS0 = 1e10\n[strikes]\nlist = 0.02 0 0.03\n"
+                   "[maturities]\nlist = 0.01 1e-12\n[methods]\nlist = pde\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(["smile", "--config", str(cfg)])
+    assert code == 3 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure at T=1e-12, method=pde: the node spacing "), err
+    assert "rounds away at S0 = 10000000000.0, T = 1e-12" in err, err
+
+
+def test_table1_underflowing_atm_series_exits_2(capsys):
+    # sigma0bar^2 underflows to 0 in sigma0_series_atm: a ZeroDivisionError
+    # traceback
+    code, text = run(["table1", "--sigma0bar", "1e-300"])
+    assert code == 2 and text == ""
+    assert "the ATM series underflow at sigma_D(F0) = 1e-300" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, cause", [
+    # F sqrt(2 pi / T) underflows: a ZeroDivisionError traceback
+    (["1e-300", "1e300", "0.01", "--direction", "n2ln"],
+     "the Erf saturation bound F*sqrt(2*pi/T) underflows to 0"),
+    # the Erf argument underflows: printed 0 with exit 0, for a true 3e-302
+    (["0.03", "1e-300", "1e-300", "--direction", "ln2n"],
+     "the Erf argument or the normal vol underflows at sigmaBS = 1e-300"),
+    # F sqrt(2 pi / T) overflows, so the log-normal vol's ratio is 0
+    (["1e300", "1e-300", "1e-300", "--direction", "n2ln"],
+     "the log-normal vol underflows to 0 at sigmaN = 1e-300")],
+    ids=["n2ln-bound", "ln2n-erf", "n2ln-result"])
+def test_convert_underflow_exits_3_naming_it(capsys, argv, cause):
+    assert run(["convert", *argv]) == (3, "")
+    assert capsys.readouterr().err == f"convert: {cause}\n"
+
+
 def test_missing_config_exits_2(tmp_path):
     code, _ = run(["smile", "--config", str(tmp_path / "nope.ini")])
     assert code == 2
@@ -904,6 +945,20 @@ def test_main_calls_share_no_parsed_state(tmp_path):
     assert lines[0] == "K,T,sigma_D" and len(lines) == 1 + 11
     assert lines[1].startswith("0.02,1,") and lines[-1].startswith("0.04,1,")
     assert cli._parser() is cli._parser()
+
+
+@pytest.mark.parametrize("vols, T, cause", [
+    # a level at T = -1 ended in a math domain error, one at T = 0 in a
+    # ZeroDivisionError
+    ({-1.0: 0.011, 1.5: 0.011}, "-0.5", "line 2: K = 0.02 and T = -1.0"),
+    ({0.0: 0.011, 1.5: 0.011}, "0", "line 2: K = 0.02 and T = 0.0"),
+    ({0.5: 0.011, "inf": 0.011, 1.5: 0.011}, "1", "line 13: K = 0.02 and T = inf")],
+    ids=["negative", "zero", "infinite"])
+def test_extract_lv_refuses_a_row_at_a_bad_maturity(tmp_path, capsys, vols, T, cause):
+    path = tmp_path / "surface.csv"
+    path.write_text(_surface_csv(vols))
+    assert run(["extract-lv", str(path), "--s0", "0.03", "--T", T]) == (2, "")
+    assert f"{cause} must be finite and T > 0" in capsys.readouterr().err
 
 
 def test_extract_lv_refuses_a_surface_of_two_methods(tmp_path, capsys):

@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -191,6 +192,55 @@ def test_kink_offstrike_prices_are_sane():
     atm, itm, otm = model2b_call_by_density(sigma0, b, S0, [S0, S0 - 0.004, S0 + 0.004], t)
     assert itm > atm > otm > 0.0
     assert itm > 0.004  # above intrinsic
+
+
+@pytest.mark.parametrize("t", [1.0 / 256.0, 1.0, 10.0])
+def test_kink_call_mirror_identity(t):
+    # dyadic S0 and d, so that |K - S0| is d exactly on both sides: the
+    # in-the-money call is the mirrored out-of-the-money one plus d, as computed
+    sigma0, b, S0 = 0.008, 0.1, 0.03125
+    ds = [0.0, 2.0 ** -12, 2.0 ** -9, 2.0 ** -7, 2.0 ** -5, 2.0 ** -3, 2.0 ** 20]
+    itm = model2b_call_by_density(sigma0, b, S0, [S0 - d for d in ds], t).tolist()
+    otm = model2b_call_by_density(sigma0, b, S0, [S0 + d for d in ds], t).tolist()
+    assert itm == [c + d for c, d in zip(otm, ds)]
+    assert otm[-1] == 0.0 < otm[0]  # beyond the truncation only the intrinsic value
+
+
+def _kink_call_mpmath(sigma0, b, S0, K, t):
+    """The kink call in closed form at 50 digits: with A = sigma0/(2b),
+    x = (z(d) - bt)/sqrt(t), the out-of-the-money call is
+    A (Phi(-x) + b sqrt(t) (phi(x) - x Phi(-x)))
+    - (A + d) (Phi(-(z(d) + bt)/sqrt(t)) + I3), I3 the e^{-2bu} Phi term
+    integrated by parts; the intrinsic value is added."""
+    with mpmath.workdps(50):
+        sigma0, b, S0, K, t = map(mpmath.mpf, (sigma0, b, S0, K, t))
+        d, A, rt = abs(K - S0), sigma0 / (2 * b), mpmath.sqrt(t)
+        zd = mpmath.log1p(2 * b * d / sigma0) / (2 * b)
+        x = (zd - b * t) / rt
+        i0 = mpmath.ncdf(-(zd + b * t) / rt)
+        i3 = (mpmath.exp(-2 * b * zd) * mpmath.ncdf(-x) - i0) / 2
+        otm = (A * (mpmath.ncdf(-x) + b * rt * (mpmath.npdf(x) - x * mpmath.ncdf(-x)))
+               - (A + d) * (i0 + i3))
+        return otm + max(S0 - K, 0)
+
+
+@pytest.mark.parametrize("sigma0, b", [(0.008, 0.1), (0.008, 0.01), (0.008, 1e-5),
+                                       (0.02, 0.5)])
+def test_kink_call_vs_mpmath(sigma0, b):
+    # 9 strikes at 0, +-0.1, +-1, +-3 and +-6 local stdevs, 5 maturities:
+    # measured worst 8.3e-15 relative and 5.5e-17 absolute
+    S0 = 0.03
+    for t in (1.0 / 256.0, 1.0 / 16.0, 0.25, 1.0, 10.0):
+        atm = _kink_call_mpmath(sigma0, b, S0, S0, t)
+        # the reference agrees with the ATM decomposition
+        assert float(atm) == pytest.approx(
+            model2b_atm_exact(sigma0, b, t) * math.sqrt(t / (2.0 * math.pi)), rel=1e-12)
+        strikes = [S0 + m * sigma0 * math.sqrt(t) for m in (0, 0.1, -0.1, 1, -1, 3, -3, 6, -6)]
+        prices = model2b_call_by_density(sigma0, b, S0, strikes, t).tolist()
+        for K, got in zip(strikes, prices):
+            want = _kink_call_mpmath(sigma0, b, S0, K, t)
+            err = abs(mpmath.mpf(got) - want)
+            assert err <= 2e-14 * want and err <= 1e-16, (t, K, got, want)
 
 
 @settings(max_examples=100, deadline=None)
