@@ -63,7 +63,7 @@ class ExperimentConfig:
     `smile` reads (load_config)."""
     model: LocalVolModel
     # see _build_model
-    exact_call: Callable[[list[float], float], list[tuple[float, float]]] | None
+    exact_call: Callable[[list[float], float], list[float]] | None
     setup: MarketSetup
     maturities: tuple[float, ...]
     strikes: list[float] = field(default_factory=list)
@@ -134,9 +134,8 @@ _MODEL_KEYS = {"shifted_lognormal": ("sigma0", "b"),
 
 
 def _build_model(kind: str, sec, S0: float):
-    """The model, and its driftless closed-form pricer (strikes, T) -> one
-    (price, noise level of the time value) per strike, or None; sigma0 always
-    means the local vol at S0, slopes are the b of 2b(S-S0)."""
+    """The model, and its driftless closed-form pricer (strikes, T) -> prices, or
+    None; sigma0 always means the local vol at S0, slopes are the b of 2b(S-S0)."""
     if kind not in _MODEL_KEYS:
         raise ConfigError(f"[model]: unknown type {kind!r} "
                           f"(expected shifted_lognormal, quadratic_sabr, "
@@ -153,7 +152,7 @@ def _build_model(kind: str, sec, S0: float):
         sigma0, b = params
         shifted = sigma0 - 2.0 * b * S0
         return (make_shifted_lognormal(shifted, b, S0),
-                lambda strikes, T: [(shifted_ln_exact_call(shifted, b, S0, K, T), 0.0)
+                lambda strikes, T: [shifted_ln_exact_call(shifted, b, S0, K, T)
                                     for K in strikes])
     if kind == "quadratic_sabr":
         return make_quadratic_sabr(*params, S0), None
@@ -161,13 +160,8 @@ def _build_model(kind: str, sec, S0: float):
     model = make_piecewise_linear(sigma0, bL, bR, S0)
     if not (bR > 0.0 and bL == -bR):
         return model, None
-
-    def kink_call(strikes: list[float], T: float) -> list[tuple[float, float]]:
-        prices = model2b_call_by_density(sigma0, bR, S0, strikes, T).tolist()
-        # its rule is within 6.9e-18 absolute and 6.4e-15 relative of
-        # scipy's quad on 48 strikes and maturities; this level is 14x and 15x that
-        return [(price, max(1e-16, 1e-13 * price)) for price in prices]
-    return model, kink_call
+    return model, lambda strikes, T: model2b_call_by_density(
+        sigma0, bR, S0, strikes, T).tolist()
 
 
 def _read_shared(path: str) -> tuple[configparser.ConfigParser, ExperimentConfig]:
@@ -359,7 +353,13 @@ def _mc(cfg: ExperimentConfig, seed: int):
 
 
 def _exact(cfg: ExperimentConfig, seed: int):
-    return [_oracle_smile(cfg, T, cfg.exact_call(cfg.strikes, T)) for T in cfg.maturities]
+    # one noise level for both closed forms, each an out-of-the-money price plus the
+    # intrinsic value: on K = 0.01 .. 0.08 x T = 0.01 .. 1, S0 = 0.03, the kink (0.008, 0.1)
+    # is within 6.9e-18 absolute, 6.4e-15 relative of scipy's quad, the shifted log-normal
+    # (0.014, +-0.1) 7.9e-18, 2.8e-15 (price > 1e-3) of 50 digits; the level is 13x to 36x these
+    return [_oracle_smile(cfg, T, [(price, max(1e-16, 1e-13 * price))
+                                   for price in cfg.exact_call(cfg.strikes, T)])
+            for T in cfg.maturities]
 
 
 _METHODS = {"asympt0": _asympt(0), "asympt1": _asympt(1), "asympt2": _asympt(2),

@@ -26,21 +26,20 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 def shifted_ln_exact_call(sigma0: float, b: float, S0: float, K: float, T: float) -> float:
     """Driftless price in the model sigma_D(S) = sigma0 + 2 b S.
 
-    For b > 0 the shifted asset S + sigma0/(2b) is an exact log-normal with
-    volatility 2b, so the price is a Black-Scholes call on shifted arguments.
-    For b < 0 that holds for -(S + sigma0/(2b)), with volatility -2b, and the
-    call on S is a put on it: the call with forward and strike swapped.
-    Small |b| sqrt(T) falls back to the Bachelier limit.
+    For either sign of b, sign(b) (S + sigma0/(2b)) is a log-normal with
+    volatility 2|b|, and the out-of-the-money option is a Black-Scholes call
+    on it with the lower of the mapped S0 and K as forward (a put is the call
+    with the two swapped).  The price is that option plus max(S0 - K, 0), as
+    in model2b_call_by_density; small |b| sqrt(T) takes the Bachelier limit.
     """
     if abs(b) * math.sqrt(T) < 1e-8:
-        return bachelier_call(NormalQuote(F=S0, K=K, T=T, sigmaN=sigma0 + 2.0 * b * S0))
-    shift = sigma0 / (2.0 * b)
-    fwd, strike = S0 + shift, K + shift
-    if b < 0.0:
-        fwd, strike = -strike, -fwd
-    if fwd <= 0.0 or strike <= 0.0:
-        raise ValueError("shifted strike/forward must be positive")
-    return black_scholes_call(fwd, strike, 2.0 * abs(b), T)
+        otm = bachelier_call(NormalQuote(F=min(S0, K), K=max(S0, K), T=T,
+                                         sigmaN=sigma0 + 2.0 * b * S0))
+    else:
+        sign, shift = math.copysign(1.0, b), sigma0 / (2.0 * b)
+        x, y = sign * (S0 + shift), sign * (K + shift)
+        otm = black_scholes_call(min(x, y), max(x, y), 2.0 * abs(b), T)
+    return otm + max(S0 - K, 0.0)
 
 
 _ATM_SERIES = (1.0, -1.0 / 6.0, 1.0 / 40.0, -1.0 / 336.0, 1.0 / 3456.0)
@@ -156,7 +155,8 @@ def model2b_call_by_density(sigma0: float, b: float, S0: float, strikes: Sequenc
 
     One price per strike of the 1-d sequence: the rule of
     gauss_legendre_rule(0, 1) is mapped onto each strike's [z(d), z_hi] and
-    the integrand is evaluated on all nodes in one array pass.
+    the integrand is evaluated on all nodes in one array pass.  It is not the
+    closed form in Phi and phi, whose sigma0/(2b) terms cancel as b sqrt(t) -> 0.
     """
     K = np.asarray(strikes, dtype=float)
     d = np.abs(K - S0)

@@ -506,7 +506,8 @@ def test_rows_without_time_value_are_flagged(tmp_path):
     # a price equal to intrinsic has no implied vol; it used to be reported
     # as sigma_N = 0 flagged ok (mc, exact) or low_confidence (pde).  The kink's
     # exact time values 1.7e-17 (K=0.02) and 7.3e-34 (K=0.08) at T=0.01 are
-    # below the density quadrature's error target; 2.7e-13 (K=0.025) is not
+    # below the one noise level of exact rows, max(1e-16, 1e-13 price);
+    # 2.7e-13 (K=0.025) is not
     p = tmp_path / "ntv.ini"
     p.write_text(NO_TIME_VALUE)
     out = tmp_path / "ntv.csv"

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 
 import nvol.dupire_pde
 from nvol.bachelier import NormalQuote, bachelier_call, implied_normal_vol
-from nvol.cli import load_config
+from nvol.cli import _exact, load_config
 from nvol.exact_solutions import (FitReport, drifted_ln_atm_call,
                                   model2b_atm_exact, model2b_call_by_density,
                                   model2b_density, model2b_y_of_z,
@@ -69,6 +69,64 @@ def test_shifted_ln_exact_call_with_falling_vol():
             assert np.max(np.abs(got - pde)) <= 5e-10, (b, T)
     with pytest.raises(ValueError, match="must be positive"):
         shifted_ln_exact_call(0.016, -0.1, S0, 0.08, 1.0)  # a strike at the vol's zero
+
+
+def _shifted_ln_row_vol_mpmath(sigma0, b, S0, K, T):
+    """The normal vol, at 50 digits, whose time value is that of the
+    out-of-the-money option in the model sigma0 + 2 b S, a Black-Scholes
+    option on sign(b) (S + sigma0/(2b)); nan where that time value underflows
+    a double, which no row can resolve."""
+    with mpmath.workdps(50):
+        sigma0, b_, S0_, K_, T_ = map(mpmath.mpf, (sigma0, b, S0, K, T))
+        x, y = (mpmath.sign(b_) * (v + sigma0 / (2 * b_)) for v in (S0_, K_))
+        F, X, sd = min(x, y), max(x, y), 2 * abs(b_) * mpmath.sqrt(T_)
+        d1 = mpmath.log(F / X) / sd + sd / 2
+        tv = F * mpmath.ncdf(d1) - X * mpmath.ncdf(d1 - sd)
+        if float(tv) == 0.0:
+            return math.nan
+        d = abs(K_ - S0_)
+
+        def bachelier_tv(vol):
+            st = vol * mpmath.sqrt(T_)
+            return st * mpmath.npdf(d / st) - d * mpmath.ncdf(-d / st) - tv
+        # the double inversion of the time value starts the 50-digit root
+        start = implied_normal_vol(float(tv), min(S0, K), max(S0, K), T)
+        return float(mpmath.findroot(bachelier_tv, mpmath.mpf(start)))
+
+
+@pytest.mark.parametrize("b, K_max", [(0.1, 0.12), (-0.1, 0.0999)])
+def test_exact_rows_have_no_time_value_or_the_50_digit_vol(tmp_path, b, K_max):
+    # sigma_D(S0) = 0.014, S0 = 0.03, strikes from -0.02 to K_max (b = -0.1:
+    # the vol vanishes at 0.10).  Each price is the out-of-the-money option
+    # plus the intrinsic value, judged at the one noise level of `exact`
+    # rows; an in-the-money time value below it has no vol.  Read off
+    # F N(d1) - K N(d2) at noise 0, 25 (b = 0.1) and 7 (b = -0.1) rows here
+    # were flagged ok and missed by more than 1e-5, by up to 2.8x, some with
+    # a true time value that underflows.  Measured worst: 2.8e-6 (b = 0.1) and
+    # 4.9e-6 (b = -0.1) relative
+    S0 = 0.03
+    sigma0 = 0.014 - 2 * b * S0  # the local vol at 0, as the config's model has it
+    p = tmp_path / "sln.ini"
+    p.write_text(f"[model]\ntype = shifted_lognormal\nsigma0 = 0.014\nb = {b}\n"
+                 f"[market]\nS0 = {S0}\n[strikes]\nmin = -0.02\nmax = {K_max}\n"
+                 f"count = 49\n[maturities]\nlist = 0.01 0.05 1\n[methods]\nlist = exact\n")
+    cfg = load_config(str(p))
+    flags = []
+    for T, rows in zip(cfg.maturities, _exact(cfg, 0)):
+        for K, (vol, flag) in zip(cfg.strikes, rows):
+            flags.append(flag)
+            if flag == "ok":
+                want = _shifted_ln_row_vol_mpmath(sigma0, b, S0, K, T)
+                assert vol == pytest.approx(want, rel=1e-5), (K, T, vol, want)
+            else:
+                assert flag == "no_time_value" and math.isnan(vol), (K, T, flag, vol)
+        # the in-the-money call less its intrinsic value is the out-of-the-money
+        # put, the call of the mirrored model at -K, up to the rounding of the price
+        for K in (k for k in cfg.strikes if k < S0):
+            call = shifted_ln_exact_call(sigma0, b, S0, K, T)
+            put = shifted_ln_exact_call(sigma0, -b, -S0, -K, T)
+            assert abs(call - (S0 - K) - put) <= np.finfo(float).eps * call, (K, T)
+    assert flags.count("ok") > 60 and flags.count("no_time_value") > 60
 
 
 def test_shifted_ln_exact_vs_pde_20_points():
