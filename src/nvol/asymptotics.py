@@ -7,13 +7,13 @@ strike; sigma_1 and sigma_2 follow from a recursion whose solution is closed
 form in two antiderivatives, J = int dL/sigma_D and the drift integral
 I2 = int (1/sigma_0 - 1/sigma_D)^2, both from F0.  `expansion` returns the
 coefficients of an array of strikes from one composite Gauss-Legendre rule
-per side of F0, with every strike on a panel edge, and one cumulative pass
-over it: sigma_0 and sigma_1 read the values at each strike, and sigma_2 a
-cumulative sum over the rule's nodes.  The pass walks the rule in blocks of
-at most _BLOCK_POINTS evaluation points, so its working set does not grow
-with the number of strikes; each running sum carries its last value into the
-next block's np.cumsum, which adds in sequence, so every sum has the bits of
-one pass over the whole rule.  Every coefficient has a removable 0/0
+per side of F0, with every strike on a panel edge, and one cumulative walk
+over it that sums J, I2 and sigma_2's z-integrand together: each
+coefficient reads its sums at the strike.  The walk takes blocks of at most
+_BLOCK_PANELS panels, so its working set does not grow with the number of
+strikes; each running sum carries its last value into the next block's
+np.cumsum, which adds in sequence, so every sum has the bits of one pass
+over the whole rule.  Every coefficient has a removable 0/0
 at the money, so inside a small switch radius the coefficients are replaced
 by their Taylor polynomials in y = K - F0 built from the local vol's jet
 at the forward, `atm_jet`.  `sigma0`, `sigma1`, `sigma2` and `smile` are
@@ -182,17 +182,16 @@ def _h2_mu(mu0: float, mu1: float, y, sD, s0d, s1d):
             - A * B / (4.0 * N ** 4 * s0 * s0))
 
 
-# evaluation points per block of a chain walk: 16 panels of the gap section
-# (17 gaps of N_NODES points each), 272 of sigma2's node section, so the
-# working set is the same whatever the number of strikes
-_BLOCK_POINTS = 16 * (N_NODES + 1) * N_NODES
+# panels per block of a chain walk, so its working set is the same whatever
+# the number of strikes: 32 x 17 gaps of N_NODES points for J and I2, and
+# 32 x N_NODES nodes for sigma2
+_BLOCK_PANELS = 32
 
 
-def _blocks(panels: int, points_per_panel: int):
-    """Slices of consecutive panels, at most _BLOCK_POINTS points (one panel
-    at least) each, in order outwards from F0."""
-    step = max(1, _BLOCK_POINTS // points_per_panel)
-    return (slice(i, i + step) for i in range(0, panels, step))
+def _blocks(panels: int):
+    """Slices of at most _BLOCK_PANELS consecutive panels, in order outwards
+    from F0."""
+    return (slice(i, i + _BLOCK_PANELS) for i in range(0, panels, _BLOCK_PANELS))
 
 
 def _running_sum(carry: float, d: np.ndarray) -> np.ndarray:
@@ -206,32 +205,36 @@ def _running_sum(carry: float, d: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate([(carry,), d.ravel()]))[1:].reshape(d.shape)
 
 
-def _chain(model: LocalVolModel, F0: float, mu0: float, far: float, cuts, series0, radius: float):
-    """The rule on [F0, far] with `cuts` as panel edges, and J and I2 along it.
+def _chain(model: LocalVolModel, F0: float, mu0: float, mu1: float, far: float, cuts,
+           s00: float, series0, series1, radius: float, r_taylor: float, order: int):
+    """The rule on [F0, far] with `cuts` as panel edges, and J, I2 and sigma2's
+    z-integral along it.
 
-    One cumulative pass over 16-point Gauss-Legendre gaps between consecutive
+    One cumulative pass outwards from F0 in _blocks of panels.  Each block
+    takes J and I2 over 16-point Gauss-Legendre gaps between consecutive
     edges and nodes; the I2 integrand takes sigma0 = y/J in each gap from the
-    spectral integration matrix, or from series0 if |y| < radius.  J and I2
-    are (panels, 17): column k < 16 at node k, column 16 at the panel's end.
-    The pass walks _blocks of 16 panels, so its gap arrays are (16, 17, 16)
-    whatever the number of panels; J and I2 carry their running sums from
-    one block into the next.
+    spectral integration matrix, or from series0 if |y| < radius.  For order
+    2 the block then sums sigma2's z-integrand at its own nodes, reading J
+    and I2 there, with sigma0 and sigma1 and their derivatives from the
+    closed forms, or from the Taylor series within r_taylor.  J, I2 and the
+    z-sum carry their running sums from one block into the next.  Returns
+    the edges and J, I2 and the z-integral at each panel's end.
     """
     edges, nodes, weights = gauss_legendre_rule(F0, far, breakpoints=cuts)
     t, w, Q = legendre_cumulative()
     starts, ends = edges[:-1, None], edges[1:, None]
-    J = np.empty((len(nodes), N_NODES + 1))
-    I2 = np.zeros_like(J)
-    J_end = I2_end = -0.0
-    for blk in _blocks(len(nodes), (N_NODES + 1) * N_NODES):
+    J, I2, zint = np.empty(len(nodes)), np.zeros(len(nodes)), np.empty(len(nodes))
+    J_end = I2_end = z_end = -0.0
+    for blk in _blocks(len(nodes)):
         chain = np.concatenate([starts[blk], nodes[blk], ends[blk]], axis=1)
         a, b = chain[:, :-1], chain[:, 1:]
         half = 0.5 * (b - a)
         gap_nodes = (0.5 * (a + b))[..., None] + half[..., None] * t
         inv_vol = 1.0 / model.vol(gap_nodes)
         dJ = half * (inv_vol @ w)
-        J[blk] = Jb = _running_sum(J_end, dJ)
-        J_end = Jb[-1, -1]
+        Jb = _running_sum(J_end, dJ)
+        J[blk], J_end = Jb[:, -1], Jb[-1, -1]
+        I2b = np.zeros_like(Jb)
         if mu0 != 0.0:
             J_gap = (Jb - dJ)[..., None] + half[..., None] * (inv_vol @ Q.T)
             y = gap_nodes - F0
@@ -239,42 +242,27 @@ def _chain(model: LocalVolModel, F0: float, mu0: float, far: float, cuts, series
             near = np.abs(y) < radius
             s0_gap[near] = _sigma0_taylor(series0, y[near])[0]
             d = 1.0 / s0_gap - inv_vol
-            I2[blk] = I2b = _running_sum(I2_end, half * ((d * d) @ w))
-            I2_end = I2b[-1, -1]
-    return edges, nodes, weights, J, I2
-
-
-def _z_integral(model: LocalVolModel, F0: float, mu0: float, mu1: float, nodes, weights,
-                J, I2, s00, series0, series1, r_taylor: float) -> np.ndarray:
-    """sigma2's z-integral from F0 to each panel's end of a _chain.
-
-    At each node z = L - F0 it takes sigma0 and sigma1 with their derivatives
-    from the closed forms, or from the Taylor series within r_taylor, and sums
-    node by node outwards from F0.  The nodes are walked in _blocks of 272
-    panels, and the sum carries from one block into the next.
-    """
-    ends = np.empty(len(nodes))
-    total = -0.0
-    for blk in _blocks(len(nodes), N_NODES):
-        z = nodes[blk] - F0
-        sDd = model.jet(nodes[blk], 2)
-        closed0 = _sigma0_derivs(z, J[blk, :-1], sDd)
-        closed1 = _sigma1_with_derivs(mu0, z, closed0, I2[blk, :-1], sDd, s00)
-        taylor = np.abs(z) < r_taylor
-        s0d = tuple(np.where(taylor, t, c)
-                    for t, c in zip(_sigma0_taylor(series0, z), closed0))
-        s1d = tuple(np.where(taylor, t, c)
-                    for t, c in zip(_sigma1_taylor(series1, z), closed1))
-        (s0, _, s0pp), (s1, _, s1pp), sD = s0d, s1d, sDd[0]
-        core = (1.5 * s1 * s1 / (sD * s0 ** 4)
-                - sD ** 3 * s0pp * s0pp / (8.0 * s0 ** 4)
-                - sD * s1pp / (2.0 * s0 ** 3))
-        if mu0 != 0.0 or mu1 != 0.0:
-            core += _h2_mu(mu0, mu1, z, sD, s0d, s1d) / (2.0 * sD * s0 * s0)
-        sums = _running_sum(total, weights[blk] * (z * z * core))
-        ends[blk] = sums[:, -1]
-        total = sums[-1, -1]
-    return ends
+            I2b = _running_sum(I2_end, half * ((d * d) @ w))
+            I2[blk], I2_end = I2b[:, -1], I2b[-1, -1]
+        if order == 2:
+            z = nodes[blk] - F0
+            sDd = model.jet(nodes[blk], 2)
+            closed0 = _sigma0_derivs(z, Jb[:, :-1], sDd)
+            closed1 = _sigma1_with_derivs(mu0, z, closed0, I2b[:, :-1], sDd, s00)
+            taylor = np.abs(z) < r_taylor
+            s0d = tuple(np.where(taylor, tv, cv)
+                        for tv, cv in zip(_sigma0_taylor(series0, z), closed0))
+            s1d = tuple(np.where(taylor, tv, cv)
+                        for tv, cv in zip(_sigma1_taylor(series1, z), closed1))
+            (s0, _, s0pp), (s1, _, s1pp), sD = s0d, s1d, sDd[0]
+            core = (1.5 * s1 * s1 / (sD * s0 ** 4)
+                    - sD ** 3 * s0pp * s0pp / (8.0 * s0 ** 4)
+                    - sD * s1pp / (2.0 * s0 ** 3))
+            if mu0 != 0.0 or mu1 != 0.0:
+                core += _h2_mu(mu0, mu1, z, sD, s0d, s1d) / (2.0 * sD * s0 * s0)
+            sums = _running_sum(z_end, weights[blk] * (z * z * core))
+            zint[blk], z_end = sums[:, -1], sums[-1, -1]
+    return edges, J, I2, zint
 
 
 # the closed forms are 0/0 at K = F0 and along a chain of zero length, where
@@ -333,23 +321,21 @@ def expansion(model: LocalVolModel, setup: MarketSetup, strikes, order: int
         near = np.abs(y) < radius
         # a strike that takes its Taylor values is no edge, so it does not
         # move the others' panels
-        edges, nodes, weights, J, I2 = _chain(
-            model, F0, mu0, float(Ks.max() if sign > 0 else Ks.min()),
+        edges, J, I2, zint = _chain(
+            model, F0, mu0, mu1, float(Ks.max() if sign > 0 else Ks.min()),
             (*model.breakpoints, F0 + r_taylor, F0 - r_taylor, *Ks[~near].tolist()),
-            series0, radius)
+            s00, series0, series1, radius, r_taylor, order)
         # the panel each strike ends; a strike within the radius reads a value
         # that np.where drops
         at = np.searchsorted(sign * edges, sign * Ks) - 1
-        coeffs[0, side] = s0K = np.where(near, _sigma0_taylor(series0, y)[0], y / J[at, -1])
+        coeffs[0, side] = s0K = np.where(near, _sigma0_taylor(series0, y)[0], y / J[at])
         if order:
             sDd = model.jet(Ks, 2)
-            s0d = _sigma0_derivs(y, J[at, -1], sDd)
-            closed = _sigma1_with_derivs(mu0, y, s0d, I2[at, -1], sDd, s00)[0]
+            s0d = _sigma0_derivs(y, J[at], sDd)
+            closed = _sigma1_with_derivs(mu0, y, s0d, I2[at], sDd, s00)[0]
             coeffs[1, side] = np.where(near, _sigma1_taylor(series1, y)[0], closed)
         if order == 2:
-            zint = _z_integral(model, F0, mu0, mu1, nodes, weights, J, I2, s00,
-                               series0, series1, r_taylor)[at]
-            coeffs[2, side] = np.where(near, atm2, -s0K ** 4 / y ** 3 * zint)
+            coeffs[2, side] = np.where(near, atm2, -s0K ** 4 / y ** 3 * zint[at])
     return tuple(coeffs)
 
 

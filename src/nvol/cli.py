@@ -331,13 +331,18 @@ def _oracle_smile(cfg: ExperimentConfig, T: float, priced, hits: int = 0
                   ) -> list[tuple[float, str]]:
     """The rows at T of one (price, noise level) per strike; a price that is
     not finite, as from an Euler march that exploded, is nan low_confidence,
-    and so is an ok row whose paths left the model's domain (`hits` > 0)."""
+    and so is an ok row whose paths left the model's domain (`hits` > 0).
+    A failure carries T, which cmd_smile names."""
     F = cfg.setup.forward(T)
     rows = []
-    for K, (price, noise) in zip(cfg.strikes, priced):
-        vol, flag = (implied_vol_and_flag(price, F, K, T, noise) if math.isfinite(price)
-                     else (math.nan, "low_confidence"))
-        rows.append((vol, "low_confidence" if flag == "ok" and hits else flag))
+    try:
+        for K, (price, noise) in zip(cfg.strikes, priced):
+            vol, flag = (implied_vol_and_flag(price, F, K, T, noise) if math.isfinite(price)
+                         else (math.nan, "low_confidence"))
+            rows.append((vol, "low_confidence" if flag == "ok" and hits else flag))
+    except (ValueError, ArithmeticError, RuntimeError) as e:
+        e.T = T
+        raise
     return rows
 
 
@@ -375,8 +380,9 @@ def cmd_smile(args) -> int:
         except ForwardOffGrid:
             raise  # a config error, reported by main
         except (ValueError, ArithmeticError, RuntimeError) as e:
-            T = getattr(e, "T", cfg.maturities[0])  # a PDE grid that fails names its T
-            print(f"numerical failure at T={T}, method={method}: {e}", file=sys.stderr)
+            # a failure names a maturity only when it failed at one
+            at = f" at T={e.T}" if hasattr(e, "T") else ""
+            print(f"numerical failure{at}, method={method}: {e}", file=sys.stderr)
             return EXIT_NUMERICAL
     rows = [{"K": K, "T": T, "method": method, "sigma_N": vol, "flag": flag}
             for i, T in enumerate(cfg.maturities)

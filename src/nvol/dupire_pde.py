@@ -75,14 +75,18 @@ class PdeSolution:
         return np.where(on, p, math.nan)
 
 
-class GridTooNarrow(ArithmeticError, ValueError):
-    """The grid's span or node spacing about S0 at maturity T rounds away (T
-    too short for |S0|, or S0 at the edge of the positivity domain) or
-    overflows: a numerical failure, and invalid input."""
+class GridFailure(ValueError):
+    """No PDE grid at maturity T can be marched; the error carries that T."""
 
     def __init__(self, message: str, T: float):
         super().__init__(message)
         self.T = T
+
+
+class GridTooNarrow(GridFailure, ArithmeticError):
+    """The grid's span or node spacing about S0 at maturity T rounds away (T
+    too short for |S0|, or S0 at the edge of the positivity domain) or
+    overflows: a numerical failure, and invalid input."""
 
 
 def _build_strike_grid(model: LocalVolModel, setup: MarketSetup, T: float,
@@ -246,9 +250,11 @@ def march(model: LocalVolModel, setup: MarketSetup, maturities: Sequence[float],
     Each grid has n_space nodes over width_stdevs local stdevs either side of
     S0 at its T, clipped to the positivity domain of the model
     (`meta["clipped"]`), with S0 on a node.  The span does not depend on the
-    drift; an S0 outside the domain raises ValueError, and a T too short for
-    n_space distinct nodes GridTooNarrow.  The first two steps are each
-    taken as two implicit half-steps, the rest by Crank-Nicolson.
+    drift; an S0 outside the domain raises ValueError, a T too short for
+    n_space distinct nodes GridTooNarrow, and a grid on which sigma_D^2 is
+    not finite and positive GridFailure, each naming the first T that
+    fails.  The first two steps are each taken as two implicit half-steps,
+    the rest by Crank-Nicolson.
 
     Every grid is one block of n_space rows of one held tridiagonal system,
     factored again only when some block's operator changes.  A block's first
@@ -264,8 +270,10 @@ def march(model: LocalVolModel, setup: MarketSetup, maturities: Sequence[float],
     dx = ks[:, 1:2] - ks[:, :1]
     with np.errstate(over="ignore"):  # the check below refuses an overflow
         sig2 = model.vol(ks) ** 2
-    if not np.all(np.isfinite(sig2) & (sig2 > 0.0)):
-        raise ValueError("sigma_D not finite and positive on the whole grid")
+    bad = ~np.all(np.isfinite(sig2) & (sig2 > 0.0), axis=1)
+    if bad.any():  # the first maturity whose grid fails
+        raise GridFailure("sigma_D not finite and positive on the whole grid",
+                          maturities[int(bad.argmax())])
 
     diff = 0.5 * sig2 / (dx * dx)          # diffusion coefficient on d2/dK2
     diff_in = diff[:, 1:-1]

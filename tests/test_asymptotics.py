@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nvol.asymptotics
-from nvol.asymptotics import (_ATM_SWITCH_RADIUS, _DERIV_RADIUS_FACTOR,
-                              BreakpointError, DomainError,
-                              NonAnalyticWarning, atm_jet, expansion, sigma0,
-                              sigma0_series_atm, sigma1, sigma1_jump,
-                              sigma1_series_atm, sigma2, sigma2_atm, smile,
-                              smile_from_coefficients, sqrt_t_coefficient)
+from nvol.asymptotics import (_ATM_SWITCH_RADIUS, _BLOCK_PANELS,
+                              _DERIV_RADIUS_FACTOR, BreakpointError,
+                              DomainError, NonAnalyticWarning, atm_jet,
+                              expansion, sigma0, sigma0_series_atm, sigma1,
+                              sigma1_jump, sigma1_series_atm, sigma2,
+                              sigma2_atm, smile, smile_from_coefficients,
+                              sqrt_t_coefficient)
 from nvol.cli import load_config
 from nvol.dupire_pde import atm_implied_vol_richardson
 from nvol.exact_solutions import model2b_atm_exact, sqrt_t_detector
@@ -145,6 +146,35 @@ def test_sigma2_point_values_vs_solver():
     for (mu0, mu1), (_, _, _, s2pts) in SOLVER_CASES.items():
         assert sigma2(m, F0, mu0, mu1, F0 + 0.2) == pytest.approx(s2pts[0], rel=2e-4)
         assert sigma2(m, F0, mu0, mu1, F0 - 0.2) == pytest.approx(s2pts[1], rel=2e-4)
+
+
+# sigma2 of configs/fig1_shifted_lognormal.ini (sigma_D(S) = 0.008 + 0.2 S,
+# F0 = 0.03, driftless) at its 24 strikes, from an independent 60-digit
+# mpmath evaluation: J = log(sigma_D(K)/sigma_D(F0))/(2b) in closed form,
+# sigma0'' and sigma1'' by mpmath.diff, and the z-integral by mpmath.quad
+# with method="gauss-legendre" (tanh-sinh fails at z -> 0); at K = F0 the
+# mean of K = F0 +- 1e-10.  A 90-digit run agrees to 39 digits.
+FIG1_SIGMA2 = (
+    2.8196661988957578e-08, 2.9662411263264097e-08, 3.106835500145475e-08,
+    3.2422548834937886e-08, 3.3731376758024733e-08, 3.500000000000001e-08,
+    3.62326619559845e-08, 3.7432901836522896e-08, 3.860370834876068e-08,
+    3.974763277361591e-08, 4.0866873823758686e-08, 4.1963342437680254e-08,
+    4.303871201895444e-08, 4.409445792716136e-08, 4.513188890388321e-08,
+    4.615217235982277e-08, 4.715635492810137e-08, 4.814537932390457e-08,
+    4.912009829089038e-08, 5.00812862270967e-08, 5.1029648945625387e-08,
+    5.196583192343663e-08, 5.2890427315105315e-08, 5.380397995039655e-08)
+
+
+def test_sigma2_vs_60_digit_reference():
+    # measured relative errors: 2.4e-6 at K = 0.035, 5.0e-7 at 0.025, 3.4e-7
+    # at 0.04 and at most 1.1e-7 elsewhere, largest next to the money, where
+    # the closed forms of sigma0'' and sigma1'' cancel; the bounds are ~2x
+    cfg = load_config(str(CONFIGS[0].parent / "fig1_shifted_lognormal.ini"))
+    got = expansion(cfg.model, cfg.setup, cfg.strikes, 2)[2]
+    assert len(got) == len(FIG1_SIGMA2) == 24
+    bounds = {0.035: 5e-6, 0.025: 1e-6, 0.04: 7e-7}
+    for K, g, want in zip(cfg.strikes, got.tolist(), FIG1_SIGMA2):
+        assert abs(g / want - 1.0) < bounds.get(round(K, 6), 2.5e-7), K
 
 
 def counting_model(model):
@@ -351,16 +381,17 @@ def test_array_call_strike_sets():
 
 
 def test_vol_calls_one_per_chain_block():
-    # sigma_D(F0), then one call per block of 16 panels on each side of F0; a
-    # side has N_PANELS panels per stretch between its off-money strikes, F0
-    # and the sigma2 handover: 1 + 1 + 1 calls for 2 strikes, 1 + 9 + 9 for 33
+    # sigma_D(F0), then one call per block of _BLOCK_PANELS panels on each side
+    # of F0; a side has N_PANELS panels per stretch between its off-money
+    # strikes, F0 and the sigma2 handover: 1 + 1 + 1 calls for 2 strikes,
+    # 1 + 5 + 5 for 33
     setup = MarketSetup(0.03, 0.002, -0.001)
-    for strikes, want in ((np.array([0.025, 0.035]), 3), (np.linspace(0.02, 0.04, 33), 19)):
+    for strikes, want in ((np.array([0.025, 0.035]), 3), (np.linspace(0.02, 0.04, 33), 11)):
         m, count = counting_model(make_quadratic_sabr(0.01, 0.3, -0.3, 0.03))
         expansion(m, setup, strikes, 2)
         panels = [N_PANELS * (np.count_nonzero(side) + 1)
                   for side in (strikes > 0.03, strikes < 0.03)]
-        assert count[1] == want == 1 + sum(math.ceil(p / 16) for p in panels)
+        assert count[1] == want == 1 + sum(math.ceil(p / _BLOCK_PANELS) for p in panels)
 
 
 def _expansion_cases(tmp_path, workloads):
@@ -384,15 +415,16 @@ def test_chain_blocks_keep_every_bit(tmp_path, perfbench_workloads, monkeypatch)
     # is order 2's first two arrays)
     cases = _expansion_cases(tmp_path, perfbench_workloads)
     want = [expansion(*case, order) for case in cases for order in (0, 2)]
-    for points in (1, 10 ** 9):
-        monkeypatch.setattr(nvol.asymptotics, "_BLOCK_POINTS", points)
+    for panels in (1, 10 ** 9):
+        monkeypatch.setattr(nvol.asymptotics, "_BLOCK_PANELS", panels)
         got = [expansion(*case, order) for case in cases for order in (0, 2)]
         assert all(np.array_equal(g, w) for gs, ws in zip(got, want) for g, w in zip(gs, ws))
 
 
 def test_expansion_peak_memory_on_201_strikes():
     # one order-2 drifted SABR call on 201 strikes peaked at 15.6 MB when the
-    # whole chain was one block, and at 1.55 MB in blocks
+    # whole chain was one block, at 1.55 MB when sigma2's z-integral walked
+    # the chain a second time, and at 1.10 MB in one walk
     m, setup = make_quadratic_sabr(0.01, 0.3, -0.3, 0.03), MarketSetup(0.03, 0.002, -0.001)
     strikes = np.linspace(0.02, 0.04, 201)
     expansion(m, setup, strikes, 2)  # the cached base rule is built once
@@ -402,14 +434,14 @@ def test_expansion_peak_memory_on_201_strikes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3e6
+    assert peak < 1.5e6
 
 
 def test_one_atm_jet_read_per_side(monkeypatch):
     # an order-2 call reads sigma_D's jet at the forward once per side of F0
     # that has strikes (the kink's from its one-sided jets), and every series
-    # of that side comes from it; the strikes and the nodes take one array
-    # jet each
+    # of that side comes from it; the nodes, then the strikes, take one array
+    # jet each (each side here is one chain block)
     import dataclasses
 
     import nvol.asymptotics
@@ -437,7 +469,7 @@ def test_one_atm_jet_read_per_side(monkeypatch):
             expansion(m, setup, strikes, 2)
             assert reads == [(0.03, side) for side in sides], model.label
             at_forward = [(0, 4)] if not model.breakpoints else []
-            assert jets == [*at_forward, (1, 2), (2, 2)] * len(sides), model.label
+            assert jets == [*at_forward, (2, 2), (1, 2)] * len(sides), model.label
 
 
 def test_array_with_a_strike_off_the_domain_raises():

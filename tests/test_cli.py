@@ -461,17 +461,23 @@ list = {methods}
 
 
 @pytest.mark.parametrize("sigma0, T, methods, cause", [
-    ("1e200", "1", "pde", "T=1.0, method=pde: sigma_D not finite and positive on the whole grid"),
-    ("1e300", "1e300", "pde", "T=1e+300, method=pde: the span about S0 = 0.03 is not finite: "
-                              "sigma_D(S0) = 1e+300 at T = 1e+300"),
+    ("1e200", "1", "pde", " at T=1.0, method=pde: sigma_D not finite and positive on the "
+                          "whole grid"),
+    ("1e150", "1 1e10", "pde", " at T=10000000000.0, method=pde: sigma_D not finite and "
+                               "positive on the whole grid"),
+    ("1e300", "1e300", "pde", " at T=1e+300, method=pde: the span about S0 = 0.03 is not "
+                              "finite: sigma_D(S0) = 1e+300 at T = 1e+300"),
     ("1e300", "1", "asympt0 asympt2",
-     "T=1.0, method=asympt0: the ATM series overflow at sigma_D(F0) = 1e+300 of "
+     ", method=asympt0: the ATM series overflow at sigma_D(F0) = 1e+300 of "
      "piecewise_linear(sigma0=1e+300, bL=-0.1, bR=0.1)")],
-    ids=["grid_vol_overflows", "grid_span_overflows", "atm_series_overflow"])
+    ids=["grid_vol_overflows", "second_grid_vol_overflows", "grid_span_overflows",
+         "atm_series_overflow"])
 def test_overflowing_kink_exits_3_naming_the_cause(tmp_path, capsys, sigma0, T, methods, cause):
     # a finite sigma_D(S0) so large that sigma_D^2 on the PDE grid, the grid's
     # span or the ATM series overflow: these were a traceback (exit 1), or an
-    # exit 3 with a bare errno tuple after numpy's overflow warnings
+    # exit 3 with a bare errno tuple after numpy's overflow warnings.  The
+    # message names the maturity whose grid failed (T = 1 alone runs at
+    # sigma0 = 1e150), and none for the expansion, which does not depend on T
     p = tmp_path / "huge.ini"
     p.write_text(HUGE_KINK.format(sigma0=sigma0, T=T, methods=methods))
     with warnings.catch_warnings():
@@ -479,7 +485,7 @@ def test_overflowing_kink_exits_3_naming_the_cause(tmp_path, capsys, sigma0, T, 
         code, text = run(["smile", "--config", str(p)])
     assert code == 3 and text == ""
     err = capsys.readouterr().err
-    assert err == f"numerical failure at {cause}\n"
+    assert err == f"numerical failure{cause}\n"
 
 
 def test_mc_step_count_above_the_cap_exits_2_before_any_march(tmp_path, capsys, monkeypatch):
