@@ -94,12 +94,18 @@ def sigma1_series_atm(jet, mu0: float = 0.0) -> tuple[float, float, float]:
     11 b^4 / (90 sigma) coefficient).
     """
     a0, a1, a2, a3, a4 = jet
-    v0 = a0 * (2.0 * a0 * a2 - a1 * a1) / 24.0
+    v0 = _sigma1_at_money(jet)
     v1 = (a0 * a0 * a3 + a0 * a1 * a2 - 0.5 * a1 ** 3) / 24.0 + mu0 * a1 * a1 / (12.0 * a0)
     v2 = (36.0 * a0 ** 4 * a4 + 72.0 * a0 ** 3 * a1 * a3 + 44.0 * a0 ** 3 * a2 * a2
           - 44.0 * a0 * a0 * a1 * a1 * a2 + 11.0 * a0 * a1 ** 4
           + 240.0 * a0 * a1 * a2 * mu0 - 120.0 * a1 ** 3 * mu0) / (1440.0 * a0 * a0)
     return (v0, v1, v2)
+
+
+def _sigma1_at_money(jet) -> float:
+    """sigma1(F0) = sigma_D (2 sigma_D sigma_D'' - sigma_D'^2) / 24 from atm_jet."""
+    a0, a1, a2 = jet[:3]
+    return a0 * (2.0 * a0 * a2 - a1 * a1) / 24.0
 
 
 def _sigma0_taylor(series: tuple[float, float, float, float], y):
@@ -376,13 +382,14 @@ def sigma2_atm(jet, mu0: float = 0.0, mu1: float = 0.0) -> float:
 
 def sigma1_jump(model: LocalVolModel, F0: float) -> float:
     """One-sided difference sigma1(0+) - sigma1(0-) across a breakpoint at F0,
-    from its two kink jets.
+    from its two kink jets; only the values are read, not sigma1_series_atm's
+    curvature, whose sigma_D^4 overflows first.
 
     For linear pieces this equals -(bR^2 - bL^2) sigma0 / 6.  It is 0 for
     models analytic at F0, whose jet is the same on either side.
     """
-    return (sigma1_series_atm(atm_jet(model, F0, 1.0))[0]
-            - sigma1_series_atm(atm_jet(model, F0, -1.0))[0])
+    return (_sigma1_at_money(atm_jet(model, F0, 1.0))
+            - _sigma1_at_money(atm_jet(model, F0, -1.0)))
 
 
 def sqrt_t_coefficient(model: LocalVolModel, F0: float) -> float:

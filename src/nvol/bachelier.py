@@ -172,9 +172,12 @@ def atm_normal_from_lognormal(F: float, sigmaBS: float, T: float) -> float:
     """
     if F <= 0.0 or T <= 0.0:
         raise ValueError("forward and maturity must be positive")
-    sigmaN = F * math.sqrt(2.0 * math.pi / T) * math.erf(sigmaBS * math.sqrt(T) / math.sqrt(8.0))
+    # F times the rest: F sqrt(2 pi / T) alone overflows where sigmaN is finite
+    sigmaN = F * (math.sqrt(2.0 * math.pi / T) * math.erf(sigmaBS * math.sqrt(T) / math.sqrt(8.0)))
     if sigmaN == 0.0 < sigmaBS:
         raise ValueError(f"the Erf argument or the normal vol underflows at sigmaBS = {sigmaBS!r}")
+    if not math.isfinite(sigmaN):
+        raise ValueError(f"the normal vol overflows at sigmaBS = {sigmaBS!r}")
     return sigmaN
 
 
@@ -182,10 +185,10 @@ def atm_lognormal_from_normal(F: float, sigmaN: float, T: float) -> float:
     """Inverse of atm_normal_from_lognormal (closed form via inverse erf)."""
     if F <= 0.0 or T <= 0.0:
         raise ValueError("forward and maturity must be positive")
-    cap = F * math.sqrt(2.0 * math.pi / T)
-    if cap == 0.0:
+    if F * math.sqrt(2.0 * math.pi / T) == 0.0:
         raise ValueError("the Erf saturation bound F*sqrt(2*pi/T) underflows to 0")
-    r = sigmaN / cap
+    # sigmaN / (F sqrt(2 pi / T)), whose bound overflows where the ratio is finite
+    r = (sigmaN / F) * math.sqrt(T / (2.0 * math.pi))
     if r >= 1.0:
         raise ValueError("normal vol at or above the Erf saturation bound F*sqrt(2*pi/T)")
     if r < 0.0:

@@ -148,20 +148,23 @@ def _build_model(kind: str, sec, S0: float):
         except (OSError, ValueError) as e:
             raise ConfigError(f"[model]: cannot load tabulated vol {path!r}: {e}") from e
     params = [_get(sec, key, "[model]") for key in _MODEL_KEYS[kind]]
-    if kind == "shifted_lognormal":
-        sigma0, b = params
-        shifted = sigma0 - 2.0 * b * S0
-        return (make_shifted_lognormal(shifted, b, S0),
-                lambda strikes, T: [shifted_ln_exact_call(shifted, b, S0, K, T)
-                                    for K in strikes])
     if kind == "quadratic_sabr":
         return make_quadratic_sabr(*params, S0), None
-    sigma0, bL, bR = params
-    model = make_piecewise_linear(sigma0, bL, bR, S0)
-    if not (bR > 0.0 and bL == -bR):
-        return model, None
-    return model, lambda strikes, T: model2b_call_by_density(
-        sigma0, bR, S0, strikes, T).tolist()
+    if kind == "shifted_lognormal":
+        sigma0, b = params
+        model = make_shifted_lognormal(sigma0 - 2.0 * b * S0, b, S0)
+    else:
+        sigma0, b, bR = params  # b is bL
+        model = make_piecewise_linear(sigma0, b, bR, S0)
+        if bR > 0.0 and b == -bR:
+            return model, lambda strikes, T: model2b_call_by_density(
+                sigma0, bR, S0, strikes, T).tolist()
+        if b != bR:
+            return model, None
+    # a shifted log-normal, as make_piecewise_linear builds it for bL = bR
+    shifted = sigma0 - 2.0 * b * S0
+    return model, lambda strikes, T: [shifted_ln_exact_call(shifted, b, S0, K, T)
+                                      for K in strikes]
 
 
 def _read_shared(path: str) -> tuple[configparser.ConfigParser, ExperimentConfig]:
@@ -253,8 +256,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"[methods]: unknown {unknown}; choose from {tuple(_METHODS)}")
     if "exact" in methods:
         if cfg.exact_call is None:
-            raise ConfigError("[methods]: 'exact' needs a shifted_lognormal or a symmetric "
-                              "piecewise_linear (bL = -bR > 0) model")
+            raise ConfigError("[methods]: 'exact' needs a shifted_lognormal, or a "
+                              "piecewise_linear with bL = bR or bL = -bR < 0")
         for key in ("mu0", "mu1"):
             if getattr(setup, key) != 0.0:
                 raise ConfigError(f"[market]: method 'exact' prices the driftless model; "
@@ -435,21 +438,27 @@ def cmd_sqrt_t(args) -> int:
     except (ValueError, RuntimeError) as e:
         print(f"numerical failure in sqrt-t fit: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    # the whole report is built before its first line is printed
     p = report.exponent
     if abs(p - 0.5) <= 0.15:
-        print(f"sqrt-T anomaly (p~1/2: fitted p={p:.3f}, "
-              f"c={report.coefficient:.6g})")
+        lines = [f"sqrt-T anomaly (p~1/2: fitted p={p:.3f}, c={report.coefficient:.6g})"]
     elif p >= 0.8:
-        print(f"analytic (p~1: fitted p={p:.3f})")
+        lines = [f"analytic (p~1: fitted p={p:.3f})"]
     else:
-        print(f"unclassified (fitted p={p:.3f})")
-    predicted = sqrt_t_coefficient(cfg.model, cfg.setup.S0)
-    if predicted:
-        print(f"predicted c={predicted:.6g} (kink at S0), "
-              f"fitted/predicted={report.coefficient / predicted:.4g}")
-    if cfg.model.breakpoints:
-        jump = sigma1_jump(cfg.model, cfg.setup.S0)
-        print(f"sigma1 jump across the forward: {jump:.6g}")
+        lines = [f"unclassified (fitted p={p:.3f})"]
+    try:
+        predicted = sqrt_t_coefficient(cfg.model, cfg.setup.S0)
+        if predicted:
+            lines.append(f"predicted c={predicted:.6g} (kink at S0), "
+                         f"fitted/predicted={report.coefficient / predicted:.4g}")
+        if cfg.model.breakpoints:
+            jump = sigma1_jump(cfg.model, cfg.setup.S0)
+            lines.append(f"sigma1 jump across the forward: {jump:.6g}")
+    except ArithmeticError as e:
+        print(f"numerical failure in the sqrt-t report: {type(e).__name__}: {e}",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
+    print("\n".join(lines))
     _write(report.to_json() + "\n", args.out)
     return EXIT_OK
 
@@ -534,17 +543,25 @@ def cmd_extract_lv(args) -> int:
     if not ts[0] <= T < ts[-1]:
         raise ConfigError(f"T={T} must lie in [{ts[0]}, {ts[-1]}) so the "
                           f"maturity derivative can look forward")
+    # the strikes every level covers: outside them a spline extrapolates
+    k_lo = max(ks[0] for ks in strikes_by_level.values())
+    k_hi = min(ks[-1] for ks in strikes_by_level.values())
     if args.K:
         strikes = args.K
+        outside = [K for K in strikes if not k_lo <= K <= k_hi]
+        if outside:
+            raise ConfigError(f"--K {outside[0]!r} lies outside [{k_lo}, {k_hi}], the "
+                              f"strike range that every maturity level covers")
     else:
         level = min(ts, key=lambda t: abs(t - T))
         F = setup.forward(T)
         s_atm = surface(F, T)
         band = 2.0 * s_atm * math.sqrt(T)
-        strikes = [k for k in strikes_by_level[level] if abs(k - F) <= band]
+        strikes = [k for k in strikes_by_level[level]
+                   if abs(k - F) <= band and k_lo <= k <= k_hi]
         if not strikes:
-            raise ConfigError("no surface strikes within 2 stdev of the forward; "
-                              "pass explicit --K values")
+            raise ConfigError(f"no surface strikes within 2 stdev of the forward and in "
+                              f"[{k_lo}, {k_hi}]; pass explicit --K values")
     dT = min(0.05 * T, 0.5 * (ts[-1] - T))
     rows = []
     try:

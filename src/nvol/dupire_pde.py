@@ -331,7 +331,6 @@ def march(model: LocalVolModel, setup: MarketSetup, maturities: Sequence[float],
     return tuple(
         PdeSolution(strikes=ks[i], T=T, prices=c[i], s0_node=s0_node,
                     meta={"dx": dx[i, 0], "n_steps": n_steps,
-                          "max_diffusion_number": float(np.max(diff[i])) * (T / n_steps),
                           "clipped": clipped, "lapack": system.source})
         for i, (T, (_, s0_node, clipped)) in enumerate(zip(maturities, grids)))
 
@@ -422,8 +421,9 @@ def extract_local_vol(surface, setup: MarketSetup, K: float, T: float,
     """Invert the forward equation for sigma_D(K, T) from a vol surface.
 
     `surface` maps (K, T) -> sigmaN.  Central differences in strike (step
-    max(1e-4 |F|, 5e-3 sigmaN sqrt(T))), forward difference in maturity.  Raises on a non-positive denominator (the
-    arbitrage-like regime where the inversion is singular).
+    max(1e-4 |F|, 5e-3 sigmaN sqrt(T))), forward difference in maturity.  Raises
+    ValueError on a non-positive denominator (the arbitrage-like regime where
+    the inversion is singular) and on a local vol that is not finite.
     """
     F = setup.forward(T)
     y = K - F
@@ -445,4 +445,7 @@ def extract_local_vol(surface, setup: MarketSetup, K: float, T: float,
         raise ValueError("singular surface: non-positive denominator in local-vol extraction")
     if num <= 0.0:
         raise ValueError("negative total-variance slope in local-vol extraction")
-    return math.sqrt(num / den)
+    vol = math.sqrt(num / den)
+    if not math.isfinite(vol):
+        raise ValueError(f"the local vol {vol!r} is not finite")
+    return vol

@@ -42,22 +42,12 @@ def shifted_ln_exact_call(sigma0: float, b: float, S0: float, K: float, T: float
     return otm + max(S0 - K, 0.0)
 
 
-_ATM_SERIES = (1.0, -1.0 / 6.0, 1.0 / 40.0, -1.0 / 336.0, 1.0 / 3456.0)
-
-
-def shifted_ln_atm_series(sigma0bar: float, b: float, T: float, n_terms: int = 3) -> float:
-    """Truncated ATM vol series sigma0bar * sum_k c_k (b^2 T)^k."""
-    if not 1 <= n_terms <= 5:
-        raise ValueError("n_terms must be in 1..5")
-    x = b * b * T
-    return sigma0bar * sum(c * x ** k for k, c in enumerate(_ATM_SERIES[:n_terms]))
-
-
 def shifted_ln_atm_exact_vol(sigma0bar: float, b: float, T: float) -> float:
     """Exact ATM normal vol: sigma0bar sqrt(pi/2) Erf(b sqrt(T)/sqrt(2))/(b sqrt(T))."""
     u = b * math.sqrt(T)
     if abs(u) < 1e-8:
-        return shifted_ln_atm_series(sigma0bar, b, T, n_terms=3)
+        # the series sigma0bar (1 - u^2/6 + u^4/40 - ...) rounds to its first term
+        return sigma0bar
     return sigma0bar * math.sqrt(math.pi / 2.0) * math.erf(u / math.sqrt(2.0)) / u
 
 
@@ -71,20 +61,6 @@ def drifted_ln_atm_call(x0: float, mu: float, t: float) -> float:
     if mu < 0.0:
         raise ValueError("mu must be non-negative")
     return x0 * math.erf(math.sqrt(t) / (2.0 * math.sqrt(2.0))) + 0.5 * mu * t
-
-
-def shifted_ln_drift_atm_call(sigma0: float, b: float, S0: float, mu: float, T: float) -> float:
-    """K = S0 price with constant drift mu, to first order in mu.
-
-    Mapped form of drifted_ln_atm_call under the time/level rescaling that
-    turns sigma0 + 2 b S dynamics into the unit log-normal.
-    """
-    if mu < 0.0:
-        raise ValueError("mu must be non-negative")
-    if b <= 0.0:
-        raise ValueError("b must be positive")
-    return ((sigma0 + 2.0 * b * S0) / (2.0 * b)
-            * math.erf(b * math.sqrt(T) / math.sqrt(2.0)) + 0.5 * mu * T)
 
 
 def model2b_atm_exact(sigma0: float, b: float, t: float) -> float:

@@ -137,11 +137,10 @@ def make_piecewise_linear(sigma0: float, bL: float, bR: float, S0: float) -> Loc
     if bL == bR:
         return make_shifted_lognormal(sigma0 - 2.0 * bL * S0, bL, S0)
 
-    left = make_shifted_lognormal(sigma0 - 2.0 * bL * S0, bL, S0)
-    right = make_shifted_lognormal(sigma0 - 2.0 * bR * S0, bR, S0)
-
-    lo = left.positivity_domain[0]
-    hi = right.positivity_domain[1]
+    # where a falling left or a rising right line reaches 0, by the arithmetic
+    # of make_shifted_lognormal's domain for the shift sigma0 - 2b S0
+    lo = -(sigma0 - 2.0 * bL * S0) / (2.0 * bL) if bL > 0.0 else -math.inf
+    hi = -(sigma0 - 2.0 * bR * S0) / (2.0 * bR) if bR < 0.0 else math.inf
     slopes = np.array([bR, bL])
     two_bL, two_bR = 2.0 * bL, 2.0 * bR
     # on either side of S0 that side's line is the higher of the two on a
@@ -162,7 +161,8 @@ def make_piecewise_linear(sigma0: float, bL: float, bR: float, S0: float) -> Loc
 
     return LocalVolModel(vol=v, jet=jet, breakpoints=(S0,), positivity_domain=(lo, hi),
                          label=f"piecewise_linear(sigma0={sigma0}, bL={bL}, bR={bR})",
-                         kink_jets=(left.jet(S0, 4), right.jet(S0, 4)))
+                         kink_jets=((sigma0, two_bL, 0.0, 0.0, 0.0),
+                                    (sigma0, two_bR, 0.0, 0.0, 0.0)))
 
 
 def make_tabulated(samples: Sequence[tuple[float, float]]) -> LocalVolModel:

@@ -16,6 +16,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable
 
+import numpy as np
+
 N_NODES = 16  # Gauss-Legendre nodes per panel
 N_PANELS = 8  # equal panels per stretch between breakpoints
 
@@ -44,8 +46,6 @@ def _leggauss():
 
     Every caller shares the cached arrays, so they are read-only.
     """
-    import numpy as np
-
     xs, ws = np.array(_NODES), np.array(_WEIGHTS)
     xs.flags.writeable = ws.flags.writeable = False
     return xs, ws
@@ -61,8 +61,6 @@ def gauss_legendre_rule(a: float, b: float, breakpoints: Iterable[float] = ()):
     from a to b.  For analytic integrands the 16-node rule is far past
     machine precision at these panel counts.
     """
-    import numpy as np
-
     xs, ws = _leggauss()
     lo, hi = (a, b) if a < b else (b, a)
     cuts = sorted({p for p in breakpoints if lo < p < hi})
@@ -85,8 +83,6 @@ def legendre_cumulative():
     give the antiderivative at every node.  The arrays are cached and
     read-only.
     """
-    import numpy as np
-
     t, w = _leggauss()
     # Q[k, j] integrates the Lagrange basis polynomial l_j of the nodes from
     # -1 to t[k] by the rule mapped onto [-1, t[k]], exact as l_j has degree

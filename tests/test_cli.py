@@ -488,6 +488,29 @@ def test_overflowing_kink_exits_3_naming_the_cause(tmp_path, capsys, sigma0, T, 
     assert err == f"numerical failure{cause}\n"
 
 
+def test_tiny_kink_loads_and_its_pde_exits_3_naming_the_cause(tmp_path, capsys):
+    # the kink was built from two shifted log-normals whose sigma0 + 2 b S0
+    # cancelled to 0 at sigma0 = 1e-80, so the config was refused with
+    # "degenerate model: sigma0 + 2*b*S0 must be positive", a sum it never set
+    from nvol.cli import load_config
+    from nvol.dupire_pde import GridTooNarrow, implied_smile_from_pde
+
+    p = tmp_path / "tiny.ini"
+    p.write_text(HUGE_KINK.format(sigma0="1e-80", T="1", methods="asympt0 pde"))
+    cfg = load_config(str(p))
+    assert cfg.model.positivity_domain == (-math.inf, math.inf)
+    with pytest.raises(GridTooNarrow):
+        implied_smile_from_pde(cfg.model, cfg.setup, cfg.maturities, cfg.strikes)
+    assert run(["smile", "--config", str(p)]) == (3, "")
+    assert capsys.readouterr().err == (
+        "numerical failure at T=1.0, method=pde: K_min must be below K_max: the span "
+        "about S0 = 0.03 at T = 1.0, inside the domain (-inf, inf), rounds away\n")
+    p.write_text(HUGE_KINK.format(sigma0="1e-80", T="1", methods="asympt0"))
+    code, text = run(["smile", "--config", str(p)])
+    assert code == 0
+    assert [row.split(",")[-1] for row in text.splitlines()[1:]] == ["low_confidence"] * 3
+
+
 def test_mc_step_count_above_the_cap_exits_2_before_any_march(tmp_path, capsys, monkeypatch):
     # T = 1e5 at 200 steps a year asks for 2e7 Euler steps, a march that did
     # not finish; the cap refuses it when the config loads
@@ -728,6 +751,20 @@ def test_exact_without_closed_form_exits_2_before_any_work(tmp_path, capsys, old
     assert not out.exists()
 
 
+def test_exact_rows_of_a_kink_with_bl_equal_to_br(tmp_path):
+    # bL = bR builds make_piecewise_linear's shifted log-normal, but 'exact'
+    # was refused for it; its rows are those of the shifted_lognormal config
+    shifted = SMILE_CONFIG.replace("asympt0 asympt1 exact", "exact pde")
+    kink = (shifted.replace("type = shifted_lognormal", "type = piecewise_linear")
+            .replace("b = 0.1", "bL = 0.1\nbR = 0.1"))
+    rows = []
+    for text in (shifted, kink):
+        p = tmp_path / "model.ini"
+        p.write_text(text)
+        rows.append(run(["smile", "--config", str(p)]))
+    assert rows[0][0] == 0 and "exact" in rows[0][1] and rows[1] == rows[0]
+
+
 DRIFTED_SABR = """\
 [model]
 type = quadratic_sabr
@@ -866,6 +903,19 @@ def test_convert_refuses_a_negative_vol(capsys, direction, value, code, out):
     assert (value in capsys.readouterr().err) == (code == 2)
 
 
+@pytest.mark.parametrize("argv, code, out, err", [
+    # F sqrt(2 pi / T) overflows where the answer is finite: ln2n printed inf,
+    # n2ln said the log-normal vol underflows to 0
+    (["1e300", "1e-300", "0.1", "--direction", "ln2n"], 0, "1e+299\n", ""),
+    (["1e300", "1e-300", "1e299", "--direction", "n2ln"], 0, "0.1\n", ""),
+    (["1e308", "1e-10", "10", "--direction", "ln2n"], 3, "",
+     "convert: the normal vol overflows at sigmaBS = 10.0\n")],
+    ids=["ln2n", "n2ln", "ln2n-overflow"])
+def test_convert_where_the_erf_bound_overflows(capsys, argv, code, out, err):
+    assert run(["convert", *argv]) == (code, out)
+    assert capsys.readouterr().err == err
+
+
 def test_pde_smile_refuses_a_forward_off_the_grid(tmp_path, capsys):
     # the grid is 0.03 -+ 0.1 whatever the drift; the forward drifts to 0.53,
     # where this used to print a 0.0926 vol for a true 0.01 with exit 0
@@ -974,6 +1024,35 @@ def test_extract_lv_refuses_a_surface_of_two_methods(tmp_path, capsys):
     code, text = run(["extract-lv", str(path), "--s0", "0.03", "--T", "1.0"])
     assert code == 2 and text == ""
     assert "found ['asympt0', 'pde']" in capsys.readouterr().err
+
+
+def test_extract_lv_reads_only_strikes_that_every_level_covers(tmp_path, capsys):
+    # a strike off a level was read off its cubic's extrapolation: --K 1e300
+    # printed 1e+300,0.5,nan with exit 0
+    path = tmp_path / "surface.csv"
+    path.write_text(_surface_csv({0.5: 0.02}, strikes=(0.01, 0.02, 0.03, 0.04, 0.05))
+                    + _surface_csv({1.0: 0.02}, strikes=(0.02, 0.03, 0.04, 0.05))
+                    .split("\n", 1)[1])
+    for K in ("1e300", "0.01"):
+        assert run(["extract-lv", str(path), "--s0", "0.03", "--T", "0.5",
+                    "--K", "0.03", "--K", K]) == (2, "")
+        assert (f"--K {float(K)!r} lies outside [0.02, 0.05], the strike range that every "
+                f"maturity level covers") in capsys.readouterr().err
+    # the default strikes within 2 stdev of the forward, less K = 0.01
+    code, text = run(["extract-lv", str(path), "--s0", "0.03", "--T", "0.5"])
+    assert code == 0
+    assert [row.split(",")[0] for row in text.splitlines()[1:]] == ["0.02", "0.03", "0.04",
+                                                                    "0.05"]
+
+
+def test_extract_lv_refuses_a_local_vol_that_is_not_finite(tmp_path, capsys):
+    # sigma_N^2 overflows on a flat 1e200 surface: the row was nan with exit 0
+    path = tmp_path / "surface.csv"
+    path.write_text(_surface_csv({0.5: 1e200, 1.0: 1e200}))
+    assert run(["extract-lv", str(path), "--s0", "0.03", "--T", "0.5",
+                "--K", "0.03"]) == (3, "")
+    assert capsys.readouterr().err == ("extract-lv: numerical failure at K=0.03, T=0.5: "
+                                       "the local vol nan is not finite\n")
 
 
 def test_sqrt_t_short_maturity_list_exits_2(tmp_path, capsys):
@@ -1173,6 +1252,39 @@ list = asympt0
     assert lines[1] == "predicted c=0.000501326 (kink at S0), fitted/predicted=0.9974"
     d = json.loads(out.read_text())
     assert set(d) == {"coefficient", "exponent", "residual", "grid"}
+
+
+@pytest.mark.parametrize("sigma0, bL, jump", [("1e80", "0.0", "-1.66667e+77"),
+                                             ("1e150", "-0.1", "0")])
+def test_sqrt_t_reports_the_sigma1_jump_of_a_huge_kink(tmp_path, sigma0, bL, jump):
+    # sigma1_jump read sigma1_series_atm's curvature too, whose sigma_D^4
+    # overflowed: an OverflowError traceback (exit 1) after two printed lines
+    p = tmp_path / "huge.ini"
+    p.write_text(HUGE_KINK.format(sigma0=sigma0, T="0.001 0.002 0.004 0.008 0.016",
+                                  methods="asympt0").replace("bL = -0.1", f"bL = {bL}"))
+    code, text = run(["sqrt-t", "--config", str(p)])
+    assert code == 0
+    assert text.splitlines()[2] == f"sigma1 jump across the forward: {jump}"
+
+
+def test_sqrt_t_report_failure_exits_3_before_any_line(tmp_path, capsys, monkeypatch):
+    # the report is built whole before it is printed, so a failure in it
+    # leaves no partial report on stdout
+    import nvol.cli as cli
+    from nvol.exact_solutions import FitReport
+
+    def overflow(model, F0):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "sqrt_t_detector", lambda *a: FitReport(
+        coefficient=5e-4, exponent=0.51, residual=0.02, grid=a[2]))
+    monkeypatch.setattr(cli, "sigma1_jump", overflow)
+    p = tmp_path / "kink.ini"
+    p.write_text(HUGE_KINK.format(sigma0="0.008", T="0.015625 0.03125 0.0625 0.125 0.25",
+                                  methods="asympt0"))
+    assert run(["sqrt-t", "--config", str(p)]) == (3, "")
+    assert capsys.readouterr().err == ("numerical failure in the sqrt-t report: "
+                                       "OverflowError: math range error\n")
 
 
 def _smile_config(old: str = "", new: str = "") -> str:

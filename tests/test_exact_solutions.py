@@ -17,7 +17,6 @@ from nvol.exact_solutions import (FitReport, drifted_ln_atm_call,
                                   model2b_atm_exact, model2b_call_by_density,
                                   model2b_density, model2b_y_of_z,
                                   model2b_z_of_y, shifted_ln_atm_exact_vol,
-                                  shifted_ln_atm_series, shifted_ln_drift_atm_call,
                                   shifted_ln_exact_call, sqrt_t_detector)
 from nvol.dupire_pde import atm_implied_vol_richardson, richardson_prices, solve_forward
 from nvol.models import MarketSetup, make_piecewise_linear, make_shifted_lognormal
@@ -26,24 +25,17 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_shifted_ln_exact_call_vs_implied_identity():
-    # the exact ATM vol formula must be the implied vol of the exact price
-    sb, b, S0, T = 0.03, 0.2, 0.05, 10.0
-    sigma0 = sb - 2 * b * S0
-    p = shifted_ln_exact_call(sigma0, b, S0, S0, T)
-    assert implied_normal_vol(p, S0, S0, T) == pytest.approx(
-        shifted_ln_atm_exact_vol(sb, b, T), rel=1e-12)
-
-
-def test_shifted_ln_series_converges_to_exact():
-    sb, b = 0.03, 0.2
-    for T in (0.5, 2.0, 5.0):
-        exact = shifted_ln_atm_exact_vol(sb, b, T)
-        errs = [abs(shifted_ln_atm_series(sb, b, T, n_terms=n) - exact)
-                for n in (1, 2, 3, 4, 5)]
-        assert all(a > b_ for a, b_ in zip(errs, errs[1:]))
-        assert errs[4] < 1e-8 * sb  # next term is ~ sb (b^2 T)^5 / 4e4
-    with pytest.raises(ValueError):
-        shifted_ln_atm_series(sb, b, 1.0, n_terms=0)
+    # the exact ATM vol formula must be the implied vol of the exact price;
+    # at b = 0 and below |b sqrt(T)| = 1e-8 it is sigma0bar itself, to which
+    # the series sigma0bar (1 - b^2 T/6 + ...) rounds
+    sb, S0, T = 0.03, 0.05, 10.0
+    for b in (0.2, 0.0, -0.0, 3e-9, -3e-9):
+        sigma0 = sb - 2 * b * S0
+        p = shifted_ln_exact_call(sigma0, b, S0, S0, T)
+        assert implied_normal_vol(p, S0, S0, T) == pytest.approx(
+            shifted_ln_atm_exact_vol(sb, b, T), rel=1e-12)
+        if abs(b) < 1e-8:
+            assert shifted_ln_atm_exact_vol(sb, b, T) == sb
 
 
 def test_shifted_ln_small_b_bachelier_limit():
@@ -147,18 +139,22 @@ def test_shifted_ln_exact_vs_pde_20_points():
 
 
 def test_drift_atm_first_order_in_mu():
-    # the mu-linear ATM formula matches its driftless limit exactly
+    # the mu-linear ATM formula, mapped from dx = x dW + mu' dt onto
+    # sigma0 + 2 b S dynamics (x0 = sigma0bar / 2b, t = 4 b^2 T, mu' = mu / 4b^2),
+    # matches its driftless limit exactly
     sb, b, S0, T = 0.03, 0.2, 0.05, 4.0
     sigma0 = sb - 2 * b * S0
-    assert shifted_ln_drift_atm_call(sigma0, b, S0, 0.0, T) == pytest.approx(
+
+    def mapped(mu):
+        return drifted_ln_atm_call(sb / (2 * b), mu / (4 * b * b), 4 * b * b * T)
+
+    assert mapped(0.0) == pytest.approx(
         shifted_ln_exact_call(sigma0, b, S0, S0, T), rel=1e-13)
     # and the drift shifts the price by mu T / 2 at first order
     mu = 1e-3
-    diff = (shifted_ln_drift_atm_call(sigma0, b, S0, mu, T)
-            - shifted_ln_drift_atm_call(sigma0, b, S0, 0.0, T))
-    assert diff == pytest.approx(0.5 * mu * T, rel=1e-13)
+    assert mapped(mu) - mapped(0.0) == pytest.approx(0.5 * mu * T, rel=1e-13)
     with pytest.raises(ValueError):
-        shifted_ln_drift_atm_call(sigma0, b, S0, -1e-4, T)
+        mapped(-1e-4)
     with pytest.raises(ValueError):
         drifted_ln_atm_call(-1.0, 0.0, 1.0)
 

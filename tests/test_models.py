@@ -185,20 +185,24 @@ def test_non_finite_parameters_raise(bad):
 
 
 def test_piecewise_branches():
-    # the jets of the two linear pieces at the kink: the value of each piece
-    # at S0 as its own shifted log-normal gives it, and its slope 2b
+    # the jets of the two linear pieces at the kink: the model's value sigma0
+    # at S0 and each piece's slope 2b
     m = make_piecewise_linear(0.008, 0.1, 0.2, 0.03)
     assert m.breakpoints == (0.03,)
     left, right = m.kink_jets
-    assert left == (make_shifted_lognormal(0.008 - 2 * 0.1 * 0.03, 0.1, 0.03).vol(0.03),
-                    2 * 0.1, 0.0, 0.0, 0.0)
-    assert right == (make_shifted_lognormal(0.008 - 2 * 0.2 * 0.03, 0.2, 0.03).vol(0.03),
-                     2 * 0.2, 0.0, 0.0, 0.0)
-    assert all(type(a) is float for a in left + right)
-    assert left[0] == pytest.approx(0.008, rel=1e-14)
-    assert right[0] == pytest.approx(0.008, rel=1e-14)
+    assert left == (m.vol(0.03), 2 * 0.1, 0.0, 0.0, 0.0)
+    assert right == (m.vol(0.03), 2 * 0.2, 0.0, 0.0, 0.0)
+    assert all(type(a) is float for a in left + right) and left[0] == 0.008
     # off the kink the model's jet is that of the piece it lies on
     assert m.jet(0.02, 4)[1:] == left[1:] and m.jet(0.04, 4)[1:] == right[1:]
+    # a rising left or a falling right piece bounds the domain where that
+    # piece, as a shifted log-normal, reaches 0
+    assert m.positivity_domain == (
+        make_shifted_lognormal(0.008 - 2 * 0.1 * 0.03, 0.1, 0.03).positivity_domain[0], math.inf)
+    falling = make_piecewise_linear(0.008, 0.3, -0.1, 0.05)
+    assert falling.positivity_domain == (
+        make_shifted_lognormal(0.008 - 2 * 0.3 * 0.05, 0.3, 0.05).positivity_domain[0],
+        make_shifted_lognormal(0.008 + 2 * 0.1 * 0.05, -0.1, 0.05).positivity_domain[1])
 
 
 def test_tabulated_interpolates_nodes_and_stays_positive():
