@@ -6,18 +6,18 @@ sigma_0 is the harmonic-type average of the local vol between forward and
 strike; sigma_1 and sigma_2 follow from a recursion whose solution is closed
 form in two antiderivatives, J = int dL/sigma_D and the drift integral
 I2 = int (1/sigma_0 - 1/sigma_D)^2, both from F0.  `expansion` returns the
-coefficients of an array of strikes from one composite Gauss-Legendre rule
-per side of F0, with every strike on a panel edge, and one cumulative walk
-over it that sums J, I2 and sigma_2's z-integrand together: each
-coefficient reads its sums at the strike.  The walk takes blocks of at most
-_BLOCK_PANELS panels, so its working set does not grow with the number of
-strikes; each running sum carries its last value into the next block's
-np.cumsum, which adds in sequence, so every sum has the bits of one pass
-over the whole rule.  Every coefficient has a removable 0/0
-at the money, so inside a small switch radius the coefficients are replaced
-by their Taylor polynomials in y = K - F0 built from the local vol's jet
-at the forward, `atm_jet`.  `sigma0`, `sigma1`, `sigma2` and `smile` are
-one-strike views of `expansion` that return floats.
+coefficients of an array of strikes from one walk per side of F0 over
+panels whose edges the model sets (_edges): on each panel one 16-node
+Gauss-Legendre rule and its spectral integration matrix give J, I2 and
+sigma_2's z-integral at the nodes, and one np.cumsum of the panel totals
+gives them at the edges.  A strike reads them at the start of its panel and
+adds one 16-node panel from there to itself, so a coefficient depends on its
+own strike alone, bit for bit; strikes go through in chunks of _CHUNK, so
+the working set does not grow with their number.  Every coefficient has a
+removable 0/0 at the money, so inside a small switch radius the
+coefficients are replaced by their Taylor polynomials in y = K - F0 built
+from the local vol's jet at the forward, `atm_jet`.  `sigma0`, `sigma1`,
+`sigma2` and `smile` are one-strike views of `expansion` that return floats.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import warnings
 import numpy as np
 
 from .models import LocalVolModel, MarketSetup
-from .quadrature import N_NODES, gauss_legendre_rule, legendre_cumulative
+from .quadrature import legendre_cumulative
 
 
 class DomainError(ValueError):
@@ -188,92 +188,45 @@ def _h2_mu(mu0: float, mu1: float, y, sD, s0d, s1d):
             - A * B / (4.0 * N ** 4 * s0 * s0))
 
 
-# panels per block of a chain walk, so its working set is the same whatever
-# the number of strikes: 32 x 17 gaps of N_NODES points for J and I2, and
-# 32 x N_NODES nodes for sigma2
-_BLOCK_PANELS = 32
+# strikes per chunk of the strike pass, so its working set is the same
+# whatever the number of strikes
+_CHUNK = 256
 
 
-def _blocks(panels: int):
-    """Slices of at most _BLOCK_PANELS consecutive panels, in order outwards
-    from F0."""
-    return (slice(i, i + _BLOCK_PANELS) for i in range(0, panels, _BLOCK_PANELS))
+def _edges(F0: float, sign: float, far: float, r_taylor: float, model: LocalVolModel):
+    """One side's panel edges as offsets y = S - F0, set by the model alone.
 
-
-def _running_sum(carry: float, d: np.ndarray) -> np.ndarray:
-    """carry + d[0], carry + d[0] + d[1], ... over d in C order, in d's shape.
-
-    np.cumsum adds in sequence, so starting it from the previous block's last
-    sum gives each element the bits of one cumsum over the whole chain; adding
-    the carry after a block-local cumsum would round differently.  A chain
-    starts from -0.0, which leaves every first term as it is.
+    In u = sign * y they are 0, r_taylor, then each panel as long as the
+    distance already walked, capped at half the distance left to a finite
+    end of the positivity domain; a breakpoint is an edge too.  The walk
+    stops at the first edge at or past `far`, or where an edge no longer
+    moves in floating point.
     """
-    return np.cumsum(np.concatenate([(carry,), d.ravel()]))[1:].reshape(d.shape)
+    lo, hi = model.positivity_domain
+    end = hi - F0 if sign > 0 else F0 - lo
+    cuts = sorted(u for u in (sign * (p - F0) for p in model.breakpoints) if u > 0.0)
+    u, edges = 0.0, [0.0]
+    while u < far:
+        nxt = min(u + (u or r_taylor), u + 0.5 * (end - u), *(c for c in cuts if c > u))
+        if not nxt > u:
+            break
+        edges.append(nxt)
+        u = nxt
+    return sign * np.array(edges)
 
 
-def _chain(model: LocalVolModel, F0: float, mu0: float, mu1: float, far: float, cuts,
-           s00: float, series0, series1, radius: float, r_taylor: float, order: int):
-    """The rule on [F0, far] with `cuts` as panel edges, and J, I2 and sigma2's
-    z-integral along it.
-
-    One cumulative pass outwards from F0 in _blocks of panels.  Each block
-    takes J and I2 over 16-point Gauss-Legendre gaps between consecutive
-    edges and nodes; the I2 integrand takes sigma0 = y/J in each gap from the
-    spectral integration matrix, or from series0 if |y| < radius.  For order
-    2 the block then sums sigma2's z-integrand at its own nodes, reading J
-    and I2 there, with sigma0 and sigma1 and their derivatives from the
-    closed forms, or from the Taylor series within r_taylor.  J, I2 and the
-    z-sum carry their running sums from one block into the next.  Returns
-    the edges and J, I2 and the z-integral at each panel's end.
-    """
-    edges, nodes, weights = gauss_legendre_rule(F0, far, breakpoints=cuts)
-    t, w, Q = legendre_cumulative()
-    starts, ends = edges[:-1, None], edges[1:, None]
-    J, I2, zint = np.empty(len(nodes)), np.zeros(len(nodes)), np.empty(len(nodes))
-    J_end = I2_end = z_end = -0.0
-    for blk in _blocks(len(nodes)):
-        chain = np.concatenate([starts[blk], nodes[blk], ends[blk]], axis=1)
-        a, b = chain[:, :-1], chain[:, 1:]
-        half = 0.5 * (b - a)
-        gap_nodes = (0.5 * (a + b))[..., None] + half[..., None] * t
-        inv_vol = 1.0 / model.vol(gap_nodes)
-        dJ = half * (inv_vol @ w)
-        Jb = _running_sum(J_end, dJ)
-        J[blk], J_end = Jb[:, -1], Jb[-1, -1]
-        I2b = np.zeros_like(Jb)
-        if mu0 != 0.0:
-            J_gap = (Jb - dJ)[..., None] + half[..., None] * (inv_vol @ Q.T)
-            y = gap_nodes - F0
-            s0_gap = y / J_gap
-            near = np.abs(y) < radius
-            s0_gap[near] = _sigma0_taylor(series0, y[near])[0]
-            d = 1.0 / s0_gap - inv_vol
-            I2b = _running_sum(I2_end, half * ((d * d) @ w))
-            I2[blk], I2_end = I2b[:, -1], I2b[-1, -1]
-        if order == 2:
-            z = nodes[blk] - F0
-            sDd = model.jet(nodes[blk], 2)
-            closed0 = _sigma0_derivs(z, Jb[:, :-1], sDd)
-            closed1 = _sigma1_with_derivs(mu0, z, closed0, I2b[:, :-1], sDd, s00)
-            taylor = np.abs(z) < r_taylor
-            s0d = tuple(np.where(taylor, tv, cv)
-                        for tv, cv in zip(_sigma0_taylor(series0, z), closed0))
-            s1d = tuple(np.where(taylor, tv, cv)
-                        for tv, cv in zip(_sigma1_taylor(series1, z), closed1))
-            (s0, _, s0pp), (s1, _, s1pp), sD = s0d, s1d, sDd[0]
-            core = (1.5 * s1 * s1 / (sD * s0 ** 4)
-                    - sD ** 3 * s0pp * s0pp / (8.0 * s0 ** 4)
-                    - sD * s1pp / (2.0 * s0 ** 3))
-            if mu0 != 0.0 or mu1 != 0.0:
-                core += _h2_mu(mu0, mu1, z, sD, s0d, s1d) / (2.0 * sD * s0 * s0)
-            sums = _running_sum(z_end, weights[blk] * (z * z * core))
-            zint[blk], z_end = sums[:, -1], sums[-1, -1]
-    return edges, J, I2, zint
+def _cumulative(f: np.ndarray, half: np.ndarray):
+    """For f at the 16 nodes of one panel per row: half times its integral
+    from the panel's start to each node, and over the panel.  Each row takes
+    its own vector-matrix product, whose bits do not depend on the other
+    rows; one 2-d product rounds differently as the row count changes."""
+    _, w, Q = legendre_cumulative()
+    out = half * (f[:, None, :] @ np.column_stack([Q.T, w]))[:, 0]
+    return out[:, :-1], out[:, -1]
 
 
-# the closed forms are 0/0 at K = F0 and along a chain of zero length, where
-# np.where keeps the Taylor values instead; a value that overflows is
-# left to the callers' row flags
+# the closed forms are 0/0 at K = F0, where np.where keeps the Taylor values
+# instead; a value that overflows is left to the callers' row flags
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def expansion(model: LocalVolModel, setup: MarketSetup, strikes, order: int
               ) -> tuple[np.ndarray, ...]:
@@ -289,13 +242,15 @@ def expansion(model: LocalVolModel, setup: MarketSetup, strikes, order: int
              - sigma_D^3 sigma0''^2/(8 sigma0^4) - sigma_D sigma1''/(2 sigma0^3)
              + H2_mu/(2 sigma_D sigma0^2) }
 
-    The integrals start at F0 and the z-integrand does not depend on K, so one
-    _chain per side of F0 gives every strike's values at its panel's end; its
-    edges are the strikes, the breakpoints and sigma2's Taylor handover at
-    _DERIV_RADIUS_FACTOR switch radii, inside which the closed forms of
-    sigma0'' and sigma1'' cancel like 1/y^2 .. 1/y^4.  Within the switch
-    radius every coefficient is its Taylor polynomial in y (sigma2 its ATM
-    value) from atm_jet on the strike's side.
+    The integrals start at F0 and their integrands do not depend on K.  Per
+    side of F0 one walk over the panels of _edges gives J, I2 (the drift
+    integral) and the z-integral at every edge; a strike reads them at the
+    start of its panel and adds one panel from there to itself, so every
+    coefficient depends on its own strike alone.  Within the switch radius
+    every coefficient is its Taylor polynomial in y (sigma2 its ATM value)
+    from atm_jet on the strike's side; sigma2's integrand takes the Taylor
+    forms of sigma0 and sigma1 within _DERIV_RADIUS_FACTOR switch radii,
+    its first edge, where their closed forms cancel like 1/y^2 .. 1/y^4.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
@@ -307,12 +262,11 @@ def expansion(model: LocalVolModel, setup: MarketSetup, strikes, order: int
     _require_domain(model, F0, K.tolist())
     coeffs = np.empty((order + 1, K.size))
     s00 = model.vol(F0)
+    t = legendre_cumulative()[0]
     for sign in (1.0, -1.0):
-        side = K >= F0 if sign > 0 else K < F0
-        if not side.any():
+        side = np.flatnonzero(K >= F0 if sign > 0 else K < F0)
+        if not side.size:
             continue
-        Ks = K[side]
-        y = Ks - F0
         jet = atm_jet(model, F0, sign)
         try:
             series0 = sigma0_series_atm(jet)
@@ -324,24 +278,66 @@ def expansion(model: LocalVolModel, setup: MarketSetup, strikes, order: int
                               f"of {model.label or 'model'}") from e
         radius = _ATM_SWITCH_RADIUS * jet[0]
         r_taylor = _DERIV_RADIUS_FACTOR * radius
-        near = np.abs(y) < radius
-        # a strike that takes its Taylor values is no edge, so it does not
-        # move the others' panels
-        edges, J, I2, zint = _chain(
-            model, F0, mu0, mu1, float(Ks.max() if sign > 0 else Ks.min()),
-            (*model.breakpoints, F0 + r_taylor, F0 - r_taylor, *Ks[~near].tolist()),
-            s00, series0, series1, radius, r_taylor, order)
-        # the panel each strike ends; a strike within the radius reads a value
-        # that np.where drops
-        at = np.searchsorted(sign * edges, sign * Ks) - 1
-        coeffs[0, side] = s0K = np.where(near, _sigma0_taylor(series0, y)[0], y / J[at])
-        if order:
-            sDd = model.jet(Ks, 2)
-            s0d = _sigma0_derivs(y, J[at], sDd)
-            closed = _sigma1_with_derivs(mu0, y, s0d, I2[at], sDd, s00)[0]
-            coeffs[1, side] = np.where(near, _sigma1_taylor(series1, y)[0], closed)
-        if order == 2:
-            coeffs[2, side] = np.where(near, atm2, -s0K ** 4 / y ** 3 * zint[at])
+
+        def panels(a, b, start):
+            """J, I2 and the z-integral at the ends of the panels [a, b] (offset
+            arrays); start(i, totals) gives quantity i at each panel's start."""
+            half = 0.5 * (b - a)[:, None]
+            z = 0.5 * (a + b)[:, None] + half * t
+            sDd = model.jet(F0 + z, 2) if order == 2 else (model.vol(F0 + z),)
+            inv_vol = 1.0 / sDd[0]
+            at_node, total = _cumulative(inv_vol, half)
+            J0 = start(0, total)
+            J, I2, ends = J0[:, None] + at_node, 0.0, [J0 + total, 0.0, None]
+            if mu0 != 0.0:
+                s0 = np.where(np.abs(z) < radius, _sigma0_taylor(series0, z)[0], z / J)
+                d = 1.0 / s0 - inv_vol
+                at_node, total = _cumulative(d * d, half)
+                I0 = start(1, total)
+                I2, ends[1] = I0[:, None] + at_node, I0 + total
+            if order == 2:
+                closed0 = _sigma0_derivs(z, J, sDd)
+                closed1 = _sigma1_with_derivs(mu0, z, closed0, I2, sDd, s00)
+                taylor = np.abs(z) < r_taylor
+                s0d = tuple(np.where(taylor, tv, cv)
+                            for tv, cv in zip(_sigma0_taylor(series0, z), closed0))
+                s1d = tuple(np.where(taylor, tv, cv)
+                            for tv, cv in zip(_sigma1_taylor(series1, z), closed1))
+                (s0, _, s0pp), (s1, _, s1pp), sD = s0d, s1d, sDd[0]
+                core = (1.5 * s1 * s1 / (sD * s0 ** 4)
+                        - sD ** 3 * s0pp * s0pp / (8.0 * s0 ** 4)
+                        - sD * s1pp / (2.0 * s0 ** 3))
+                if mu0 != 0.0 or mu1 != 0.0:
+                    core += _h2_mu(mu0, mu1, z, sD, s0d, s1d) / (2.0 * sD * s0 * s0)
+                total = _cumulative(z * z * core, half)[1]
+                ends[2] = start(2, total) + total
+            return ends
+
+        # the walk sets each quantity at every edge by one np.cumsum of its
+        # panel totals, from -0.0, which leaves the first total as it is
+        at_edges = [None] * 3
+
+        def walk_start(i, totals):
+            at_edges[i] = np.cumsum(np.concatenate([(-0.0,), totals]))
+            return at_edges[i][:-1]
+
+        y = K[side] - F0
+        edges = _edges(F0, sign, float(np.max(sign * y)), r_taylor, model)
+        panels(edges[:-1], edges[1:], walk_start)
+        # the edge each strike's panel starts at
+        first = np.searchsorted(sign * edges, sign * y, side="right") - 1
+        for c in range(0, side.size, _CHUNK):
+            idx, yc, at = side[c:c + _CHUNK], y[c:c + _CHUNK], first[c:c + _CHUNK]
+            J, I2, zint = panels(edges[at], yc, lambda i, _: at_edges[i][at])
+            near = np.abs(yc) < radius
+            coeffs[0, idx] = s0K = np.where(near, _sigma0_taylor(series0, yc)[0], yc / J)
+            if order:
+                sDd = model.jet(K[idx], 2)
+                s0d = _sigma0_derivs(yc, J, sDd)
+                closed = _sigma1_with_derivs(mu0, yc, s0d, I2, sDd, s00)[0]
+                coeffs[1, idx] = np.where(near, _sigma1_taylor(series1, yc)[0], closed)
+            if order == 2:
+                coeffs[2, idx] = np.where(near, atm2, -s0K ** 4 / yc ** 3 * zint)
     return tuple(coeffs)
 
 

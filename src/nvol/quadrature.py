@@ -1,14 +1,15 @@
-"""Composite Gauss-Legendre quadrature with mandatory panel boundaries.
+"""Fixed 16-node Gauss-Legendre quadrature: a composite rule and spectral
+integration.
 
-All 1-d integrals in the package go through one fixed rule: 16 Gauss-Legendre
-nodes on each of 8 equal panels per stretch between breakpoints.  The
-integrands are analytic between model breakpoints, so the breakpoints are
-panel edges and the rule integrates each smooth piece to machine precision
-at a fixed node set.  legendre_cumulative gives the same nodes' spectral
-integration matrix, from which one pass yields an antiderivative at every
-node.  Both read one literal table of the 16-node rule; Q is built from it
-with elementwise numpy alone, so neither loads numpy.polynomial or calls
-LAPACK.
+gauss_legendre_rule cuts each stretch between breakpoints into 8 equal
+panels of 16 nodes; the kink's `exact` pricer and `integrate` use it.  Their
+integrands are analytic between the breakpoints, which are panel edges, so
+the rule integrates each smooth piece to machine precision at a fixed node
+set.  legendre_cumulative gives the 16 nodes' spectral integration matrix,
+from which one pass yields an antiderivative at every node; the expansion
+applies it on panels its model sets.  Both read one literal table of the
+16-node rule; Q is built from it with elementwise numpy alone, so neither
+loads numpy.polynomial or calls LAPACK.
 """
 
 from __future__ import annotations

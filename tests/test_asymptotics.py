@@ -8,21 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import nvol.asymptotics
-from nvol.asymptotics import (_ATM_SWITCH_RADIUS, _BLOCK_PANELS,
+from nvol.asymptotics import (_ATM_SWITCH_RADIUS, _CHUNK,
                               _DERIV_RADIUS_FACTOR, BreakpointError,
                               DomainError, NonAnalyticWarning, atm_jet,
                               expansion, sigma0, sigma0_series_atm, sigma1,
                               sigma1_jump, sigma1_series_atm, sigma2,
                               sigma2_atm, smile, smile_from_coefficients,
                               sqrt_t_coefficient)
-from nvol.cli import load_config
+from nvol.cli import MAX_STRIKES, load_config
 from nvol.dupire_pde import atm_implied_vol_richardson
 from nvol.exact_solutions import model2b_atm_exact, sqrt_t_detector
 from nvol.models import (MarketSetup, make_piecewise_linear,
                          make_quadratic_sabr, make_shifted_lognormal,
                          make_tabulated)
-from nvol.quadrature import N_PANELS
 
 F0 = 10.0
 CONFIGS = sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
@@ -165,16 +163,59 @@ FIG1_SIGMA2 = (
     5.196583192343663e-08, 5.2890427315105315e-08, 5.380397995039655e-08)
 
 
+def _fig1_sigma2_60_digits(K: float):
+    """sigma2 of fig1's model (sigma_D(S) = 0.008 + 0.2 S, F0 = 0.03,
+    driftless) at K != F0 from its closed forms at 60 digits: sigma0 = y/J
+    with J = log(sigma_D(K)/sigma_D(F0))/(2b), sigma1 from sigma0, their
+    second derivatives by mpmath.diff and the z-integral by mpmath.quad
+    with method="gauss-legendre" (tanh-sinh fails at z -> 0)."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        a, b, F0 = mp.mpf("0.008"), mp.mpf("0.1"), mp.mpf("0.03")
+        s00 = a + 2 * b * F0
+
+        def s0(L):
+            return (L - F0) / (mp.log((a + 2 * b * L) / s00) / (2 * b))
+
+        def s1(L):
+            return s0(L) ** 3 / (L - F0) ** 2 * -mp.log(s0(L) ** 2 / ((a + 2 * b * L) * s00)) / 2
+
+        def integrand(z):
+            L = F0 + z
+            sD, v0, v1 = a + 2 * b * L, s0(L), s1(L)
+            return z * z * (1.5 * v1 * v1 / (sD * v0 ** 4)
+                            - sD ** 3 * mp.diff(s0, L, 2) ** 2 / (8 * v0 ** 4)
+                            - sD * mp.diff(s1, L, 2) / (2 * v0 ** 3))
+
+        y = mp.mpf(K) - F0
+        return -s0(F0 + y) ** 4 / y ** 3 * mp.quad(integrand, [0, y], method="gauss-legendre")
+
+
 def test_sigma2_vs_60_digit_reference():
-    # measured relative errors: 2.4e-6 at K = 0.035, 5.0e-7 at 0.025, 3.4e-7
-    # at 0.04 and at most 1.1e-7 elsewhere, largest next to the money, where
-    # the closed forms of sigma0'' and sigma1'' cancel; the bounds are ~2x
+    # the error comes from the closed forms of sigma0'' and sigma1'', which
+    # cancel like 1/y^2 .. 1/y^4 outside the Taylor handover (1.4e-4 from F0)
+    # and falls with |y|: measured 1.1e-4 / 1.8e-5 at K = 0.0295 / 0.0305,
+    # 2.4e-5 / 1.5e-5 at 0.029 / 0.031, 2.2e-7 / 1.8e-7 at 0.025 / 0.035 and
+    # 1.1e-10 at 0.12; the bounds are ~2x
     cfg = load_config(str(CONFIGS[0].parent / "fig1_shifted_lognormal.ini"))
+    grid = [0.0225 + 0.0005 * i for i in range(31)]
+    got = expansion(cfg.model, cfg.setup, grid, 2)[2]
+    for K, g in zip(grid, got.tolist()):
+        y = K - 0.03
+        if abs(y) < 1e-9:
+            assert g == pytest.approx(0.014 * 0.1 ** 4 / 40.0, rel=1e-14)
+            continue
+        bound = {-0.0005: 2.5e-4, 0.0005: 4e-5}.get(round(y, 6), 5e-14 / abs(y) ** 3
+                                                     + 1e-12 / y ** 2)
+        assert abs(g / _fig1_sigma2_60_digits(K) - 1.0) < bound, K
+    # the config's own strikes, from FIG1_SIGMA2
     got = expansion(cfg.model, cfg.setup, cfg.strikes, 2)[2]
     assert len(got) == len(FIG1_SIGMA2) == 24
-    bounds = {0.035: 5e-6, 0.025: 1e-6, 0.04: 7e-7}
     for K, g, want in zip(cfg.strikes, got.tolist(), FIG1_SIGMA2):
-        assert abs(g / want - 1.0) < bounds.get(round(K, 6), 2.5e-7), K
+        y = K - 0.03
+        bound = 1e-14 if abs(y) < 1e-9 else 5e-14 / abs(y) ** 3 + 1e-12 / y ** 2
+        assert abs(g / want - 1.0) < bound, K
 
 
 def counting_model(model):
@@ -338,15 +379,13 @@ def test_smile_orders_and_warning():
 
 
 def _assert_array_call_matches_one_strike_calls(model, setup, strikes):
-    # every strike is a panel edge of its side's chain, so a strike's panels,
-    # and the rounding of its integrals, depend on its neighbours: sigma0 keeps
-    # 1e-14 relative, and the near-money cancellation of the sigma1 and sigma2
-    # closed forms leaves them within 1e-11 and 1e-6 of the largest coefficient
+    # a strike reads the walk at the start of its own panel and adds one
+    # panel up to itself, so each coefficient equals its one-strike call bit
+    # for bit (order 1 and 0 are order 2's first arrays)
     got = expansion(model, setup, strikes, 2)
-    want = np.array([[c[0] for c in expansion(model, setup, [K], 2)] for K in strikes]).T
-    assert np.all(np.abs(got[0] - want[0]) <= 1e-14 * np.abs(want[0])), model.label
-    for g, w, tol in zip(got[1:], want[1:], (1e-11, 1e-6)):
-        assert np.max(np.abs(g - w)) <= tol * np.max(np.abs(w)), model.label
+    for i, K in enumerate(np.asarray(strikes, dtype=float).tolist()):
+        one = expansion(model, setup, [K], 2)
+        assert [c[i].tobytes() for c in got] == [c[0].tobytes() for c in one], (model.label, K)
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
@@ -356,11 +395,39 @@ def test_array_call_matches_one_strike_calls(path):
 
 
 def test_drifted_array_call_matches_one_strike_calls(tmp_path, perfbench_workloads):
+    # the benchmark's drifted smiles, and 401 drifted SABR strikes, where
+    # sigma2 moved with its neighbours by up to 4.1e-5 relative when every
+    # strike was a panel edge
     for case in perfbench_workloads.EXPANSION_CASES:
         path = tmp_path / f"{case}.ini"
         path.write_text(perfbench_workloads.expansion_config(case))
         cfg = load_config(str(path))
         _assert_array_call_matches_one_strike_calls(cfg.model, cfg.setup, cfg.strikes)
+    _assert_array_call_matches_one_strike_calls(make_quadratic_sabr(0.01, 0.3, -0.3, 0.03),
+                                                MarketSetup(0.03, 0.002, -0.001),
+                                                np.linspace(0.02, 0.04, 401))
+
+
+_MODELS = {
+    "shifted_lognormal": make_shifted_lognormal(0.008, 0.1, 0.03),
+    "quadratic_sabr": make_quadratic_sabr(0.01, 0.3, -0.3, 0.03),
+    "piecewise_linear": make_piecewise_linear(0.008, 0.1, 0.2, 0.03),
+    "tabulated": make_tabulated([(0.0, 0.011), (0.02, 0.0102), (0.04, 0.0101),
+                                 (0.06, 0.0105), (0.08, 0.0112)]),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(_MODELS)), drift=st.booleans(),
+       strikes=st.lists(st.one_of(st.floats(0.001, 0.079),
+                                  st.floats(-3e-4, 3e-4).map(lambda d: 0.03 + d),
+                                  st.floats(-3e-6, 3e-6).map(lambda d: 0.03 + d),
+                                  st.just(0.03)), min_size=1, max_size=12))
+def test_every_coefficient_is_its_one_strike_call(kind, drift, strikes):
+    # strikes far out, inside the ATM switch radius and the sigma2 handover,
+    # on F0 and repeated, each side of a kink at F0, with and without drift
+    setup = MarketSetup(0.03, 0.002, -0.001) if drift else MarketSetup(0.03)
+    _assert_array_call_matches_one_strike_calls(_MODELS[kind], setup, strikes)
 
 
 def _kink_strike_set():
@@ -380,68 +447,89 @@ def test_array_call_strike_sets():
         assert all(c[0] == c[3] for c in got)
 
 
-def test_vol_calls_one_per_chain_block():
-    # sigma_D(F0), then one call per block of _BLOCK_PANELS panels on each side
-    # of F0; a side has N_PANELS panels per stretch between its off-money
-    # strikes, F0 and the sigma2 handover: 1 + 1 + 1 calls for 2 strikes,
-    # 1 + 5 + 5 for 33
+def test_vol_calls_one_per_walk_and_strike_chunk():
+    # an order-1 call evaluates sigma_D(F0), then on each side of F0 with
+    # strikes the nodes of its walk in one call and each chunk of _CHUNK
+    # strikes' panels in one call: 1 + 2 + 2 for 2 strikes, 1 + 3 + 2 for 257
+    # strikes at or above F0 and 256 below
     setup = MarketSetup(0.03, 0.002, -0.001)
-    for strikes, want in ((np.array([0.025, 0.035]), 3), (np.linspace(0.02, 0.04, 33), 11)):
+    for strikes, want in ((np.array([0.025, 0.035]), 5),
+                          (np.linspace(0.02, 0.04, 2 * _CHUNK + 1), 6)):
         m, count = counting_model(make_quadratic_sabr(0.01, 0.3, -0.3, 0.03))
-        expansion(m, setup, strikes, 2)
-        panels = [N_PANELS * (np.count_nonzero(side) + 1)
-                  for side in (strikes > 0.03, strikes < 0.03)]
-        assert count[1] == want == 1 + sum(math.ceil(p / _BLOCK_PANELS) for p in panels)
+        expansion(m, setup, strikes, 1)
+        sides = (np.count_nonzero(strikes >= 0.03), np.count_nonzero(strikes < 0.03))
+        assert count[1] == want == 1 + sum(1 + math.ceil(n / _CHUNK) for n in sides)
+    # fig1's 24 strikes take sigma_D at 705 points (54 401 when every strike
+    # was a panel edge of an 8-panel rule with 17 gaps per panel)
+    cfg = load_config(str(CONFIGS[0].parent / "fig1_shifted_lognormal.ini"))
+    m, count = counting_model(cfg.model)
+    expansion(m, cfg.setup, cfg.strikes, 1)
+    assert count[0] == 705
 
 
-def _expansion_cases(tmp_path, workloads):
-    """(model, setup, strikes): every config, the benchmark's drifted smiles,
-    the kink strike set with and without drift, and 401 drifted SABR strikes."""
-    paths = list(CONFIGS)
-    for case in workloads.EXPANSION_CASES:
-        paths.append(tmp_path / f"{case}.ini")
-        paths[-1].write_text(workloads.expansion_config(case))
-    cases = [(cfg.model, cfg.setup, cfg.strikes) for cfg in map(load_config, map(str, paths))]
-    drift = MarketSetup(0.03, 0.002, -0.001)
-    kink, strikes = _kink_strike_set()
-    cases += [(kink, MarketSetup(0.03), strikes), (kink, drift, strikes),
-              (make_quadratic_sabr(0.01, 0.3, -0.3, 0.03), drift, np.linspace(0.02, 0.04, 401))]
-    return cases
-
-
-def test_chain_blocks_keep_every_bit(tmp_path, perfbench_workloads, monkeypatch):
-    # the running sums carry from block to block, so one panel per block and
-    # one block per side give the default blocks' arrays bit for bit (order 1
-    # is order 2's first two arrays)
-    cases = _expansion_cases(tmp_path, perfbench_workloads)
-    want = [expansion(*case, order) for case in cases for order in (0, 2)]
-    for panels in (1, 10 ** 9):
-        monkeypatch.setattr(nvol.asymptotics, "_BLOCK_PANELS", panels)
-        got = [expansion(*case, order) for case in cases for order in (0, 2)]
-        assert all(np.array_equal(g, w) for gs, ws in zip(got, want) for g, w in zip(gs, ws))
+def _peak_bytes(model, setup, strikes, order):
+    """tracemalloc's peak over one expansion call, after a first call has
+    built the cached base rule."""
+    expansion(model, setup, strikes, order)
+    tracemalloc.start()
+    try:
+        expansion(model, setup, strikes, order)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_expansion_peak_memory_on_201_strikes():
     # one order-2 drifted SABR call on 201 strikes peaked at 15.6 MB when the
-    # whole chain was one block, at 1.55 MB when sigma2's z-integral walked
-    # the chain a second time, and at 1.10 MB in one walk
-    m, setup = make_quadratic_sabr(0.01, 0.3, -0.3, 0.03), MarketSetup(0.03, 0.002, -0.001)
-    strikes = np.linspace(0.02, 0.04, 201)
-    expansion(m, setup, strikes, 2)  # the cached base rule is built once
-    tracemalloc.start()
-    try:
-        expansion(m, setup, strikes, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # whole chain was one block, at 1.10 MB with strikes as panel edges walked
+    # in blocks, and at 0.45 MB with one panel per strike
+    peak = _peak_bytes(make_quadratic_sabr(0.01, 0.3, -0.3, 0.03),
+                       MarketSetup(0.03, 0.002, -0.001), np.linspace(0.02, 0.04, 201), 2)
     assert peak < 1.5e6
+
+
+def test_expansion_peak_memory_at_the_strike_cap():
+    # the same call on cli.MAX_STRIKES strikes peaks at 1.47 MB in chunks of
+    # _CHUNK strikes (14.5 MB with strikes as panel edges)
+    peak = _peak_bytes(make_quadratic_sabr(0.01, 0.3, -0.3, 0.03),
+                       MarketSetup(0.03, 0.002, -0.001),
+                       np.linspace(0.02, 0.04, MAX_STRIKES), 2)
+    assert peak < 3e6
+
+
+@pytest.mark.parametrize("sigma", [1e-2, 1e-4, 1e-6])
+def test_sigma0_of_a_lone_strike_far_from_the_money(sigma):
+    # sigma_D(S) = sigma + (S - 0.03): the reference is J in closed form at 40
+    # digits from the model's own float parameters.  With every strike on
+    # an edge of 8 equal panels, a lone strike at sigma_D(K)/sigma_D(F0) = 1e6,
+    # or near the domain's end, was 2.9e-2 off
+    import mpmath as mp
+
+    S0 = 0.03
+    m = make_shifted_lognormal(sigma - S0, 0.5, S0)
+    lo = m.positivity_domain[0]
+
+    def rel_err(K):
+        got = expansion(m, MarketSetup(S0), [K], 0)[0][0]
+        with mp.workdps(40):
+            vol = [mp.mpf(sigma - S0) + mp.mpf(L) for L in (S0, K)]
+            return float(abs(got * mp.log(vol[1] / vol[0]) / (mp.mpf(K) - S0) - 1))
+
+    # measured at most 3.4e-16, and 3.5e-15 at sigma = 1e-6, where the
+    # model's own sigma0 + 2 b S cancels
+    for ratio in (1e4, 1e6):
+        assert rel_err(S0 + (ratio - 1.0) * sigma) <= (1e-14 if sigma >= 1e-4 else 1e-12)
+    # 1 - 1e-6 of the way to the domain's end: 2.2e-13, 4.5e-11 and 4.0e-9
+    assert rel_err(S0 - (1.0 - 1e-6) * (S0 - lo)) <= 1e-7
+    # one ulp inside the end the walk still stops, where an edge no longer moves
+    assert np.isfinite(expansion(m, MarketSetup(S0), [np.nextafter(lo, S0)], 0)[0][0])
 
 
 def test_one_atm_jet_read_per_side(monkeypatch):
     # an order-2 call reads sigma_D's jet at the forward once per side of F0
     # that has strikes (the kink's from its one-sided jets), and every series
-    # of that side comes from it; the nodes, then the strikes, take one array
-    # jet each (each side here is one chain block)
+    # of that side comes from it; the walk's nodes, then each chunk's panel
+    # nodes and its strikes, take one array jet each (one chunk per side here)
     import dataclasses
 
     import nvol.asymptotics
@@ -469,7 +557,7 @@ def test_one_atm_jet_read_per_side(monkeypatch):
             expansion(m, setup, strikes, 2)
             assert reads == [(0.03, side) for side in sides], model.label
             at_forward = [(0, 4)] if not model.breakpoints else []
-            assert jets == [*at_forward, (2, 2), (1, 2)] * len(sides), model.label
+            assert jets == [*at_forward, (2, 2), (2, 2), (1, 2)] * len(sides), model.label
 
 
 def test_array_with_a_strike_off_the_domain_raises():
