@@ -47,7 +47,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# `[strikes] count` at most this many strikes, and an `mc` run at most this
+# `[strikes]` at most this many strikes, and an `mc` run at most this
 # many n_paths x strikes, so one (strikes, pairs) payoff array stays <= 128 MB
 MAX_STRIKES = 10_000
 MAX_MC_ELEMENTS = 2**25
@@ -223,10 +223,12 @@ def load_config(path: str) -> ExperimentConfig:
     cp, cfg = _read_shared(path)
     model, setup = cfg.model, cfg.setup
     strikes: list[float] = []
+    n = 0
     sec = cp["strikes"] if "strikes" in cp else {}
     if "list" in sec:
         _refuse_unread(sec, "[strikes] with a list", ("list",))
         strikes = _floats(sec["list"], "[strikes] list")
+        n, size = len(strikes), f"a list of {len(strikes)} strikes"
     elif sec:
         _refuse_unread(sec, "[strikes]", ("list", "min", "max", "count"))
         lo = _get(sec, "min", "[strikes]")
@@ -234,8 +236,11 @@ def load_config(path: str) -> ExperimentConfig:
         n = _get(sec, "count", "[strikes]", cast=int)
         if n < 2 or hi <= lo:
             raise ConfigError("[strikes]: need count >= 2 and max > min")
-        if n > MAX_STRIKES:
-            raise ConfigError(f"[strikes]: count = {n} is above the cap of {MAX_STRIKES}")
+        size = f"count = {n}"
+    # one cap for both forms, checked before a count's strikes are made
+    if n > MAX_STRIKES:
+        raise ConfigError(f"[strikes]: {size} is above the cap of {MAX_STRIKES}")
+    if n and not strikes:
         strikes = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     if not strikes:
         raise ConfigError("[strikes]: empty strike list")
@@ -316,12 +321,20 @@ def _write(text: str, out: str | None) -> None:
 
 def _asympt(order: int):
     def smiles(cfg: ExperimentConfig, seed: int):
-        # low_confidence on a breakpoint, which expansion does not warn about,
-        # and on a value a truncated series left off the positive reals
-        kink = bool(cfg.model.breakpoints)
-        return [[(vol, "ok" if 0.0 < vol < math.inf and not kink else "low_confidence")
-                 for vol in smile_from_coefficients(cfg.coefficients[:order + 1], T).tolist()]
+        # low_confidence on a breakpoint, which expansion does not warn about, on a
+        # value a truncated series left off the positive reals, and on a strike whose
+        # rounding eps |K| is above 1e-6 of its distance to a finite domain end, where
+        # sigma_D(K) is mostly rounding: on shifted log-normals with sigma_D(S0) = 1e-2
+        # .. 1e-6, sigma0 was within 5.3e-9 relative of 40 digits up to 1e-6, and up
+        # to 3.4e-3 off above it
+        ends = [end for end in cfg.model.positivity_domain if math.isfinite(end)]
+        doubt = [bool(cfg.model.breakpoints)
+                 or any(sys.float_info.epsilon * abs(K) > 1e-6 * abs(K - end) for end in ends)
+                 for K in cfg.strikes]
+        vols = [smile_from_coefficients(cfg.coefficients[:order + 1], T).tolist()
                 for T in cfg.maturities]
+        return [[(vol, "ok" if 0.0 < vol < math.inf and not low else "low_confidence")
+                 for vol, low in zip(smile, doubt)] for smile in vols]
     return smiles
 
 

@@ -98,31 +98,25 @@ def make_quadratic_sabr(sigma0: float, gamma: float, rho: float, S0: float) -> L
     if sigma0 <= 0.0:
         raise ValueError("sigma0 must be positive")
 
-    def radicand(s):
-        yy = s - S0
-        return sigma0 * sigma0 - 2.0 * rho * gamma * sigma0 * yy + gamma * gamma * yy * yy
+    # r = sigma_D solves r^2 = q with q'' = 2 gamma^2 and 2 q q'' - q'^2 = 4 delta, so
+    # r'' = delta / r^3 and each higher order follows from differentiating r^3 r'' = delta
+    delta = gamma * gamma * sigma0 * sigma0 * ((1.0 - rho) * (1.0 + rho))
 
     def v(s):
-        return np.sqrt(radicand(s))
+        yy = s - S0
+        return np.sqrt(sigma0 * sigma0 - 2.0 * rho * gamma * sigma0 * yy + gamma * gamma * yy * yy)
 
     def jet(s, n: int):
-        q = radicand(s)
-        r = np.sqrt(q)
+        r = v(s)
         out = [r]
         if n >= 1:
-            qp = -2.0 * rho * gamma * sigma0 + 2.0 * gamma * gamma * (s - S0)
-            out.append(0.5 * qp / r)
+            out.append((gamma * gamma * (s - S0) - rho * gamma * sigma0) / r)
         if n >= 2:
-            qpp = 2.0 * gamma * gamma
-            qr = q * r
-            out.append(0.5 * qpp / r - 0.25 * qp * qp / qr)
-        # products, not `**`: numpy's array power is not libm's pow bit for bit
+            out.append(delta / (r * r * r))
         if n >= 3:
-            qqr = q * q * r
-            out.append(-0.75 * qp * qpp / qr + 0.375 * qp * qp * qp / qqr)
+            out.append(-3.0 * out[1] * out[2] / r)
         if n >= 4:
-            out.append(-0.75 * qpp * qpp / qr + 2.25 * qp * qp * qpp / qqr
-                       - 0.9375 * qp * qp * qp * qp / (q * q * q * r))
+            out.append(-(4.0 * out[1] * out[3] + 3.0 * out[2] * out[2]) / r)
         return tuple(out)
 
     return LocalVolModel(vol=v, jet=jet,

@@ -426,6 +426,28 @@ def test_asympt_rows_off_the_positive_reals_are_low_confidence(tmp_path, gamma, 
     assert all(r["flag"] == "ok" for r in rows if r not in off)
 
 
+def test_asympt_rows_within_rounding_of_a_domain_end_are_low_confidence(tmp_path):
+    # sigma_D(S) = 0.01 + (S - 0.03) ends at 0.02. A strike a few ulps inside the end
+    # got an ok asympt0 row 1.55e-3 off J in closed form at 40 digits; the strikes
+    # 1e-11 inside (3.1e-9 off) and 1 - 1e-6 of the way from S0 to the end stay ok
+    from nvol.models import make_shifted_lognormal
+
+    end = make_shifted_lognormal(0.01 - 0.03, 0.5, 0.03).positivity_domain[0]
+    strikes = [0.020000000000000004, 0.02000000001, 0.03 - (1.0 - 1e-6) * (0.03 - end)]
+    p = tmp_path / "end.ini"
+    p.write_text("[model]\ntype = shifted_lognormal\nsigma0 = 0.01\nb = 0.5\n"
+                 "[market]\nS0 = 0.03\n[maturities]\nlist = 1\n"
+                 f"[strikes]\nlist = {' '.join(map(repr, strikes))}\n"
+                 "[methods]\nlist = asympt0 asympt1\n")
+    code, text = run(["smile", "--config", str(p)])
+    assert code == 0
+    rows = [ln.split(",") for ln in text.splitlines()[1:]]
+    assert [(method, flag) for _, _, method, _, flag in rows] == [
+        (method, flag) for method in ("asympt0", "asympt1")
+        for flag in ("low_confidence", "ok", "ok")]
+    assert all(0.0 < float(vol) < 0.01 for _, _, _, vol, _ in rows)
+
+
 @pytest.mark.parametrize("old, new, vol", [("sigma0 = 0.008", "sigma0 = 1e300", "inf"),
                                           ("gamma = 2", "gamma = 1e200", "nan")])
 def test_non_finite_local_vol_at_s0_exits_2(tmp_path, capsys, old, new, vol):
@@ -1400,11 +1422,14 @@ def test_bad_input_exits_naming_its_cause(tmp_path, capsys, command, text, code,
 
 @pytest.mark.parametrize("module, cap, size, text, cause", [
     ("cli", "MAX_STRIKES", 7, SMILE_CONFIG, "[strikes]: count = 7 is above the cap of 6"),
+    ("cli", "MAX_STRIKES", 7, SMILE_CONFIG.replace(
+        "min = 0.02\nmax = 0.05\ncount = 7", "list = 0.02 0.025 0.03 0.035 0.04 0.045 0.05"),
+     "[strikes]: a list of 7 strikes is above the cap of 6"),
     ("mc_oracle", "MAX_PATHS", 64, _smile_config("exact", "mc") + "[mc]\nn_paths = 64\n",
      "[mc]: n_paths must be at most MAX_PATHS = 63, got {'n_paths': 64}"),
     ("cli", "MAX_MC_ELEMENTS", 7 * 64, _smile_config("exact", "mc") + "[mc]\nn_paths = 64\n",
      "[mc]: n_paths = 64 times 7 strikes is above the cap of 447 path-strike elements"),
-], ids=["strike-count", "n-paths", "mc-elements"])
+], ids=["strike-count", "strike-list", "n-paths", "mc-elements"])
 def test_config_values_above_a_memory_cap_exit_2(tmp_path, capsys, monkeypatch, module, cap,
                                                  size, text, cause):
     # `count` and `n_paths` size arrays that used to be built before any check;
