@@ -48,7 +48,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 # `[strikes]` at most this many strikes, and an `mc` run at most this
-# many n_paths x strikes, so one (strikes, pairs) payoff array stays <= 128 MB
+# many n_paths x strikes, so one (strikes, pairs) payoff array stays <= 128 MB;
+# pricing one maturity peaks at ~3.1 such arrays (`mc_oracle._price`), ~400 MB
 MAX_STRIKES = 10_000
 MAX_MC_ELEMENTS = 2**25
 
@@ -347,15 +348,17 @@ def _oracle_smile(cfg: ExperimentConfig, T: float, priced, hits: int = 0
                   ) -> list[tuple[float, str]]:
     """The rows at T of one (price, noise level) per strike; a price that is
     not finite, as from an Euler march that exploded, is nan low_confidence,
-    and so is an ok row whose paths left the model's domain (`hits` > 0).
-    A failure carries T, which cmd_smile names."""
+    and so is an ok row whose paths left the model's domain (`hits` > 0) or
+    whose noise level is not finite (one Monte-Carlo pair has no error
+    estimate).  A failure carries T, which cmd_smile names."""
     F = cfg.setup.forward(T)
     rows = []
     try:
         for K, (price, noise) in zip(cfg.strikes, priced):
             vol, flag = (implied_vol_and_flag(price, F, K, T, noise) if math.isfinite(price)
                          else (math.nan, "low_confidence"))
-            rows.append((vol, "low_confidence" if flag == "ok" and hits else flag))
+            doubt = hits or not math.isfinite(noise)
+            rows.append((vol, "low_confidence" if flag == "ok" and doubt else flag))
     except (ValueError, ArithmeticError, RuntimeError) as e:
         e.T = T
         raise

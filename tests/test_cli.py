@@ -1236,6 +1236,24 @@ def test_mc_with_one_antithetic_pair_warns_nothing(tmp_path):
     assert [ln.split(",")[2] for ln in text.splitlines()[1:]] == ["exact", "mc"]
 
 
+def test_mc_rows_without_an_error_estimate_are_low_confidence(tmp_path):
+    # one pair's standard error is nan, so no time value can be told from
+    # noise: the rows 0.026 (vol 0.00106 against the exact 0.00846) and 0.034
+    # (vol 0) were flagged ok
+    p = tmp_path / "pair.ini"
+    p.write_text("[model]\ntype = piecewise_linear\nsigma0 = 0.008\nbL = -0.1\nbR = 0.1\n"
+                 "[market]\nS0 = 0.03\n[strikes]\nlist = 0.026 0.03 0.034\n"
+                 "[maturities]\nlist = 0.25\n[methods]\nlist = exact mc\n[mc]\nn_paths = 2\n")
+    code, text = run(["smile", "--config", str(p)])
+    assert code == 0
+    rows = [ln.split(",") for ln in text.splitlines()[1:]]
+    exact = [r for r in rows if r[2] == "exact"]
+    mc = [r for r in rows if r[2] == "mc"]
+    assert [r[4] for r in exact] == ["ok"] * 3
+    assert [(r[0], r[4]) for r in mc] == [(K, "low_confidence") for K in ("0.026", "0.03", "0.034")]
+    assert float(mc[0][3]) < 0.5 * float(exact[0][3])
+
+
 def test_sqrt_t_report_keys(tmp_path, monkeypatch):
     # stub the expensive PDE fit; this checks wiring, not numerics
     import nvol.cli as cli

@@ -1,4 +1,9 @@
+import dataclasses
 import math
+import sys
+import threading
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +11,7 @@ import pytest
 
 from nvol.bachelier import NormalQuote, bachelier_call, implied_vol_and_flag
 from nvol.exact_solutions import model2b_call_by_density, shifted_ln_exact_call
-from nvol.mc_oracle import MAX_STEPS, McSpec, _march, _price, mc_call
+from nvol.mc_oracle import MAX_STEPS, McSpec, _march, _normals, _price, mc_call
 from nvol.models import MarketSetup, make_piecewise_linear, make_shifted_lognormal
 
 
@@ -117,10 +122,8 @@ def test_strike_array_equals_one_strike_calls():
     assert type(single[0].price) is float and type(single[0].std_error) is float
 
 
-def _reference_paths(model, setup, T, spec):
+def _reference_paths(model, setup, dt, n_steps, spec):
     """The out-of-place fine, coarse and shadow marches, one array per operation."""
-    n_steps = 2 * max(1, math.ceil(T * spec.steps_per_year / 2))
-    dt = T / n_steps
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     lo, hi = model.positivity_domain
     pad = 1e-12 * max(1.0, abs(setup.S0), *(abs(x) for x in (lo, hi) if math.isfinite(x)))
@@ -151,21 +154,171 @@ def _reference_paths(model, setup, T, spec):
                                    # sigma_D = 0.0028 - 0.4 S vanishes at 0.007
                                    make_shifted_lognormal(0.0028, -0.2, 0.006),
                                    make_shifted_lognormal(0.012, 0.0, 0.03),
-                                   make_piecewise_linear(0.008, -0.1, 0.1, 0.03)],
-                         ids=["bounded_below", "bounded_above", "unbounded", "kink"])
+                                   make_piecewise_linear(0.008, -0.1, 0.1, 0.03),
+                                   # a tent, positive on (-0.01, 0.07) only
+                                   make_piecewise_linear(0.008, 0.1, -0.1, 0.03)],
+                         ids=["bounded_below", "bounded_above", "unbounded", "kink", "tent"])
 def test_in_place_march_equals_reference_bit_for_bit(model):
-    setup = MarketSetup(S0=0.006, mu0=0.001, mu1=-0.002)
-    spec = McSpec(n_paths=1_000, steps_per_year=3, seed=5)
-    (_, paths), = _march(model, setup, 2.0 / 6, (6,), spec)
-    fine, coarse, shadow, n_hits = _reference_paths(model, setup, 2.0, spec)
-    assert np.array_equal(paths.fine, fine) and np.array_equal(paths.coarse, coarse)
-    assert np.array_equal(paths.shadow, shadow) and paths.n_hits == n_hits
-    # a bounded model's paths reach its boundary: the exit count and the
-    # clamp on that side are exercised
+    dt = 1.0 / 3
+    # the normals come 16 steps a block at these path counts: a stop inside
+    # the first block, one inside the second, and a last block of 6 steps
+    stops = (6, 20, 38)
+    exits = {}
+    for setup in (MarketSetup(S0=0.006, mu0=0.001, mu1=-0.002), MarketSetup(S0=0.006)):
+        for n_paths in (2, 1_000):
+            spec = McSpec(n_paths=n_paths, steps_per_year=3, seed=5)
+            marched = []
+            for n, paths in _march(model, setup, dt, stops, spec):
+                fine, coarse, shadow, n_hits = _reference_paths(model, setup, dt, n, spec)
+                assert np.array_equal(paths.fine, fine) and np.array_equal(paths.coarse, coarse)
+                assert np.array_equal(paths.shadow, shadow) and paths.n_hits == n_hits
+                # the midpoint sum of the linear drift is the forward's drift term
+                assert paths.shadow_forward == pytest.approx(setup.forward(n * dt), rel=1e-14)
+                assert paths.T == n * dt
+                marched.append(n)
+            assert marched == list(stops)
+            exits[setup.mu0 != 0.0, n_paths] = n_hits
+    # a bounded model's drifted paths reach its boundary: the exit count and
+    # the clamp on that side are exercised
     lo, hi = model.positivity_domain
-    assert (n_hits > 0) == (math.isfinite(lo) or math.isfinite(hi))
-    # the midpoint sum of the linear drift is the forward's drift term
-    assert paths.shadow_forward == pytest.approx(setup.forward(2.0), rel=1e-14)
+    assert (exits[True, 1_000] > 0) == (math.isfinite(lo) or math.isfinite(hi))
+
+
+class _VolFails(Exception):
+    pass
+
+
+def test_no_helper_thread_outlives_a_march():
+    model = make_piecewise_linear(0.008, -0.1, 0.1, 0.03)
+    setup = MarketSetup(S0=0.03)
+    spec = McSpec(n_paths=1_000, seed=2)
+    before = threading.active_count()
+    mc_call(model, setup, np.array([0.029, 0.031]), (0.25, 0.5), spec)
+    assert threading.active_count() == before
+    # a march closed after its first stop, inside its second block of draws
+    march = _march(model, setup, 0.005, (20, 100), spec)
+    n, _ = next(march)
+    assert n == 20 and threading.active_count() == before + 1
+    march.close()
+    assert threading.active_count() == before
+    # a vol that fails on a later step: its exception reaches the caller as is
+    err = _VolFails("vol fails")
+    calls = []
+
+    def vol(s):
+        calls.append(1)
+        if len(calls) == 40:
+            raise err
+        return model.vol(s)
+
+    with pytest.raises(_VolFails) as info:
+        mc_call(dataclasses.replace(model, vol=vol), setup, 0.03, 0.5, spec)
+    assert info.value is err and len(calls) == 40
+    assert threading.active_count() == before
+
+
+def test_draw_blocks_hold_the_draws_of_one_call_a_step():
+    # up to 16 steps a block, at most 256 KB of draws, at least one step
+    for n_draw, rows in ((1, 16), (2**11, 16), (2**12, 8), (2**15, 1), (2**16, 1)):
+        blocks = [b.copy() for b in _normals(np.random.Generator(np.random.PCG64(4)),
+                                             n_draw, 3 * rows + 1)]
+        assert [b.shape for b in blocks] == [(rows, n_draw)] * 3 + [(1, n_draw)]
+        one_call_a_step = np.random.Generator(np.random.PCG64(4))
+        for row in np.concatenate(blocks):
+            assert np.array_equal(row, one_call_a_step.standard_normal(n_draw))
+
+
+def test_a_failed_draw_is_raised_in_the_caller():
+    class Rng:
+        fills = 0
+
+        def standard_normal(self, out):
+            self.fills += 1
+            if self.fills == 3:
+                self.failed_on = threading.current_thread()
+                raise err
+            out.fill(self.fills)
+
+    err = ValueError("draw fails")
+    rng = Rng()
+    before = threading.active_count()
+    blocks = []
+    with pytest.raises(ValueError) as info:
+        for block in _normals(rng, n_draw=5, n_steps=40):
+            blocks.append(block.copy())
+            time.sleep(0.02)  # the helper draws the next block meanwhile
+    assert info.value is err and rng.failed_on is not threading.current_thread()
+    assert [b.shape for b in blocks] == [(16, 5), (16, 5)]
+    assert [b[0, 0] for b in blocks] == [1.0, 2.0]
+    assert threading.active_count() == before
+
+
+def test_a_block_is_not_redrawn_while_the_caller_holds_it():
+    # the helper draws block 1 and waits; woken at block 1, it has not begun
+    # block 2 when the caller asks for it at once, so the caller draws it
+    # (slowly, on this thread) and wakes the helper again: the helper may
+    # then draw block 3, but not block 4, which goes into block 2's buffer
+    class Rng:
+        fills = 0
+
+        def standard_normal(self, out):
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.02)
+            self.fills += 1
+            out.fill(self.fills)
+
+    seen = []
+    for i, block in enumerate(_normals(Rng(), n_draw=1, n_steps=16 * 6)):
+        held = block.copy()
+        if i != 1:
+            time.sleep(0.02)
+        assert np.array_equal(block, held), i
+        seen.append(float(block[0, 0]))
+    assert seen == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+
+def test_march_bits_hold_under_fast_thread_switching():
+    # more marches than cores, each with its own helper, switching threads
+    # every microsecond: a buffer refilled while read would move the bits
+    model = make_shifted_lognormal(-0.002, 0.2, 0.03)
+    setup = MarketSetup(S0=0.006, mu0=0.001)
+    spec = McSpec(n_paths=64, steps_per_year=50, seed=9)
+    want = mc_call(model, setup, np.array([0.005, 0.006, 0.008]), 1.0, spec)
+    got = [None] * 4
+
+    def price(i):
+        got[i] = mc_call(model, setup, np.array([0.005, 0.006, 0.008]), 1.0, spec)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=price, args=(i,)) for i in range(len(got))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for res in got:
+        _assert_same(res, want)
+
+
+def test_pricing_peaks_near_three_payoff_arrays():
+    model = make_piecewise_linear(0.008, -0.1, 0.1, 0.03)
+    for n_paths, n_strikes in ((4096, 64), (1_000, 1_000)):
+        (_, paths), = _march(model, MarketSetup(S0=0.03), 0.005, (10,),
+                             McSpec(n_paths=n_paths, seed=1))
+        strikes = np.linspace(0.02, 0.04, n_strikes)
+        tracemalloc.start()
+        try:
+            _price(paths, strikes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (strikes, pairs) array of pair averages; 6.0 of them before
+        # the averages were built in place
+        assert peak <= 3.5 * (n_strikes * n_paths // 2 * 8), (n_paths, n_strikes)
 
 
 def _call_stats(p, K):
