@@ -12,9 +12,14 @@ between nodes is interpolated from nodes on one side of it only.
 
 `march` takes every maturity of a config at once: each maturity's grid is one
 block of a single tridiagonal system, so one march per grid size prices them
-all, each block to the bits it gets alone.  `richardson_prices`,
+all, each block to the bits it gets alone.  A step is two LAPACK calls on
+the stacked vector, through ctypes from the OpenBLAS numpy has loaded: dlagtm
+forms the explicit half L c, and dgttrs solves the implicit half.  Where that
+library lacks them, dgttrf and dgttrs come from scipy and numpy ufuncs form
+L c in dlagtm's order, with the same bits.  `richardson_prices`,
 `implied_smile_from_pde` and `atm_implied_vol_richardson` take a tuple of
-maturities and give one result per maturity, equal to the one-maturity call.
+maturities and give one result per maturity, equal to the one-maturity call;
+each march is read at every strike of every maturity in one call.
 """
 
 from __future__ import annotations
@@ -44,35 +49,43 @@ class PdeSolution:
     meta: dict = field(default_factory=dict)
 
     def price_at_strikes(self, strikes: Sequence[float]) -> np.ndarray:
-        """Prices at arbitrary strikes, nan off the grid.
+        """Prices at arbitrary strikes, nan off the grid: the one-row view of
+        `_prices_at`."""
+        return _prices_at(self.strikes[None], self.prices[None], [self.s0_node], strikes)[0]
 
-        Cubic Lagrange interpolation through the 4 nodes around each strike,
-        with the stencil kept on the strike's side of the S0 node; a strike
-        on a node gets that node's price exactly.
-        """
-        ks = self.strikes
-        n = len(ks)
-        j0 = self.s0_node
-        k = np.asarray(strikes, dtype=float)
-        on = (ks[0] <= k) & (k <= ks[-1])
-        k = np.where(on, k, ks[0])  # off the grid: priced at a node, then dropped
-        j = np.minimum(np.searchsorted(ks, k, side="right") - 1, n - 2)
-        # the stretch [a, b], either side of the S0 node, that holds [ks[j], ks[j+1]]
-        a, b = np.where(j < j0, 0, j0), np.where(j < j0, j0, n - 1)
-        nodes = np.maximum(a, np.minimum(j - 1, b - 3))[:, None] + np.arange(4)
-        # a stretch of fewer than 4 nodes masks the rest: their factors are
-        # 1 and their terms not added (a nan node keeps them quiet)
-        real = nodes <= b[:, None]
-        x = np.where(real, ks[np.minimum(nodes, n - 1)], math.nan).T
-        y = self.prices[np.minimum(nodes, n - 1)].T
-        p = np.zeros(k.shape)
-        for m in range(4):
-            w = np.ones(k.shape)
-            for q in range(4):
-                if q != m:
-                    w = np.where(real[:, q], w * ((k - x[q]) / (x[m] - x[q])), w)
-            p = np.where(real[:, m], p + w * y[m], p)
-        return np.where(on, p, math.nan)
+
+def _prices_at(ks: np.ndarray, prices: np.ndarray, s0_nodes: Sequence[int],
+               strikes: Sequence[float]) -> np.ndarray:
+    """Prices at the 1-d `strikes` on each row of the (m, n) grids `ks`,
+    (m, len(strikes)), nan off a row's grid.
+
+    Cubic Lagrange interpolation through the 4 nodes around each strike,
+    with the stencil kept on the strike's side of the row's S0 node; a strike
+    on a node gets that node's price exactly.  Each weight is the product of
+    its 3 factors in node order, and the price the sum of the 4 terms in node
+    order, from 0.0.
+    """
+    n = ks.shape[1]
+    k = np.asarray(strikes, dtype=float)
+    on = (ks[:, :1] <= k) & (k <= ks[:, -1:])
+    k = np.where(on, k, ks[:, :1])  # off the grid: priced at a node, then dropped
+    j = np.minimum([np.searchsorted(row, x, side="right") for row, x in zip(ks, k)], n - 1) - 1
+    # the stretch [a, b], either side of the S0 node, that holds [ks[j], ks[j+1]]
+    j0 = np.asarray(s0_nodes)[:, None]
+    a, b = np.where(j < j0, 0, j0), np.where(j < j0, j0, n - 1)
+    # the stencil, a leading axis of 4 nodes; a stretch of fewer than 4 nodes
+    # masks the rest: their factors are 1 and their terms 0, which changes no
+    # sum that starts from 0.0 (a nan node keeps them quiet)
+    nodes = np.maximum(a, np.minimum(j - 1, b - 3)) + np.arange(4)[:, None, None]
+    real = nodes <= b
+    at = np.arange(len(ks))[:, None], np.minimum(nodes, n - 1)
+    x = np.where(real, ks[at], math.nan)
+    others = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]  # of each node, in order
+    xq = x[others]
+    f = np.where(real[others], (k - xq) / (x[:, None] - xq), 1.0)
+    terms = np.where(real, f[:, 0] * f[:, 1] * f[:, 2] * prices[at], 0.0)
+    p = 0.0 + terms[0] + terms[1] + terms[2] + terms[3]
+    return np.where(on, p, math.nan)
 
 
 class GridFailure(ValueError):
@@ -145,43 +158,53 @@ def _build_strike_grid(model: LocalVolModel, setup: MarketSetup, T: float,
 
 
 # numpy's OpenBLAS exports LAPACK with 64-bit integers under these names
-_OPENBLAS_SYMBOLS = ("scipy_dgttrf_64_", "scipy_dgttrs_64_")
+_OPENBLAS_SYMBOLS = ("scipy_dgttrf_64_", "scipy_dgttrs_64_", "scipy_dlagtm_64_")
 
 
 @functools.cache
 def _openblas_lapack() -> tuple | None:
-    """dgttrf and dgttrs from the OpenBLAS that numpy has already loaded, or
-    None where that library lacks them (numpy 1.x, Accelerate or MKL builds,
-    Windows)."""
+    """dgttrf, dgttrs and dlagtm from the OpenBLAS that numpy has already
+    loaded, or None where that library lacks them (numpy 1.x, Accelerate or
+    MKL builds, Windows)."""
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        gttrf, gttrs = (getattr(lib, name) for name in _OPENBLAS_SYMBOLS)
+        routines = tuple(getattr(lib, name) for name in _OPENBLAS_SYMBOLS)
     except (AttributeError, OSError):
         return None
-    gttrf.restype = gttrs.restype = None
-    return gttrf, gttrs
+    for routine in routines:
+        routine.restype = None
+    return routines
 
 
 class _Tridiagonal:
     """One n x n tridiagonal system, held for a whole march: its float64 sub-,
     main and super-diagonals dl, d, du, which the march fills in place through
-    `blocks`, the right-hand side b, and dgttrf's pivot storage du2, ipiv.
+    `blocks`, the right-hand side b, and dgttrf's pivot storage du2, ipiv;
+    and a second tridiagonal matrix L, the explicit operator, with diagonals
+    l_dl, l_d, l_du and the product lb = L b.
 
     The LAPACK routines come through ctypes from the OpenBLAS that numpy has
-    already loaded (source "numpy-openblas"), so the PDE imports no scipy;
-    where `_openblas_lapack` finds none, from scipy.linalg.lapack (source
-    "scipy"), with the same bits.
+    already loaded (source "numpy-openblas"): dgttrf and dgttrs factor and
+    solve, and dlagtm (alpha 1, beta 0) forms L b, so the PDE imports no
+    scipy.  Where `_openblas_lapack` finds none, dgttrf and dgttrs come from
+    scipy.linalg.lapack (source "scipy"), which has no dlagtm, and numpy
+    ufuncs sum L b in dlagtm's order.  Both give the same bits, but where a
+    row's three products are all -0.0: dlagtm adds them to +0.0.
     """
 
     def __init__(self, n: int):
-        # dl and du are views of buffers one longer, which `blocks` reshapes
+        # the sub- and super-diagonals are views of buffers one longer, which
+        # `blocks` reshapes; L and lb start at zero
         self._dl, self.d, self._du, self.b = (np.empty(n) for _ in range(4))
         self.dl, self.du = self._dl[:-1], self._du[:-1]
+        self._l_dl, self.l_d, self._l_du, self.lb = np.zeros((4, n))
+        self.l_dl, self.l_du = self._l_dl[:-1], self._l_du[:-1]
         self.du2, self.ipiv = np.empty(n - 2), np.empty(n, dtype=np.int64)
         lapack = _openblas_lapack()
         if lapack is None:
             from scipy.linalg.lapack import dgttrf, dgttrs
             self.source, self._gttrf, self._gttrs = "scipy", dgttrf, dgttrs
+            self._tmp = np.empty(n - 1)
             return
         self.source = "numpy-openblas"
         # Fortran ABI: every argument by reference, then the hidden length of
@@ -190,20 +213,28 @@ class _Tridiagonal:
         # every dgttrs call, +2 us on a 15 us solve of 801 nodes.
         self._info = ctypes.c_int64()
         size, info = ctypes.byref(ctypes.c_int64(n)), ctypes.byref(self._info)
-        *lu, b = (ctypes.byref(ctypes.c_char.from_buffer(a))
-                  for a in (self.dl, self.d, self.du, self.du2, self.ipiv, self.b))
-        gttrf, gttrs = lapack
+        one, trans = ctypes.byref(ctypes.c_int64(1)), ctypes.byref(ctypes.c_char(b"N"))
+        *lu, b, l_dl, l_d, l_du, lb = (
+            ctypes.byref(ctypes.c_char.from_buffer(a))
+            for a in (self.dl, self.d, self.du, self.du2, self.ipiv, self.b,
+                      self.l_dl, self.l_d, self.l_du, self.lb))
+        gttrf, gttrs, lagtm = lapack
         self._gttrf = functools.partial(gttrf, size, *lu, info)
-        self._gttrs = functools.partial(
-            gttrs, ctypes.byref(ctypes.c_char(b"N")), size,
-            ctypes.byref(ctypes.c_int64(1)), *lu, b, size, info, ctypes.c_size_t(1))
+        self._gttrs = functools.partial(gttrs, trans, size, one, *lu, b, size, info,
+                                        ctypes.c_size_t(1))
+        # lb := 1.0 L b + 0.0 lb
+        self._lagtm = functools.partial(
+            lagtm, trans, size, one, ctypes.byref(ctypes.c_double(1.0)), l_dl, l_d, l_du,
+            b, size, ctypes.byref(ctypes.c_double(0.0)), lb, size, ctypes.c_size_t(1))
 
     def blocks(self, m: int) -> tuple[np.ndarray, ...]:
-        """dl, d, du and b as (m, n / m) views, one row per block of n / m
-        rows: d[j, i] and b[j, i] are those of row i of block j, du[j, i]
-        couples it to the row after, and dl[j, i] couples the row after it to
-        it.  The last entries of dl[-1] and du[-1] lie past the system."""
-        return tuple(a.reshape(m, -1) for a in (self._dl, self.d, self._du, self.b))
+        """dl, d, du, b, l_dl, l_d and l_du as (m, n / m) views, one row per
+        block of n / m rows: d[j, i] and b[j, i] are those of row i of block
+        j, du[j, i] couples it to the row after, and dl[j, i] couples the row
+        after it to it; likewise for L.  The last entries of dl[-1], du[-1],
+        l_dl[-1] and l_du[-1] lie past the system."""
+        return tuple(a.reshape(m, -1) for a in (self._dl, self.d, self._du, self.b,
+                                                self._l_dl, self.l_d, self._l_du))
 
     def factor(self) -> None:
         """Overwrite dl, d, du, du2 and ipiv with dgttrf's LU of the matrix;
@@ -225,20 +256,39 @@ class _Tridiagonal:
         else:
             self._gttrs()
 
+    def multiply(self) -> None:
+        """Overwrite lb with L b."""
+        if self.source == "scipy":
+            # dlagtm sums (l_dl b[i-1] + l_d b[i]) + l_du b[i+1]; the first
+            # sum commutes
+            lb, b, tmp = self.lb, self.b, self._tmp
+            np.multiply(self.l_d, b, out=lb)
+            np.multiply(self.l_dl, b[:-1], out=tmp)
+            np.add(lb[1:], tmp, out=lb[1:])
+            np.multiply(self.l_du, b[1:], out=tmp)
+            np.add(lb[:-1], tmp, out=lb[:-1])
+        else:
+            self._lagtm()
+
 
 def _schedule(maturities: Sequence[float], n_steps: int) -> tuple[np.ndarray, ...]:
-    """(t0, t1, h, theta) of every (half-)step, one row per maturity T, in
-    steps of T / n_steps: two Rannacher (implicit) steps, each in two halves,
-    damp the payoff kink; Crank-Nicolson after them."""
-    T = np.asarray(maturities, dtype=float)
-    times = np.linspace(0.0, T, n_steps + 1, axis=1)
+    """(t0, t1, h) of every (half-)step, one row per maturity T, and the
+    theta of each step, in steps of T / n_steps: two Rannacher (implicit)
+    steps, each in two halves, damp the payoff kink; Crank-Nicolson after
+    them."""
+    T = np.array(maturities, dtype=float)[:, None]
+    dt = T / n_steps
     r = min(2, n_steps)
-    halves = np.stack([times[:, :r], 0.5 * (times[:, :r] + times[:, 1:r + 1])], axis=2)
-    t0 = np.concatenate([halves.reshape(len(T), 2 * r), times[:, r:-1]], axis=1)
-    t1 = np.concatenate([t0[:, 1:], times[:, -1:]], axis=1)
-    implicit = np.arange(t0.shape[1]) < 2 * r
-    dt = (T / n_steps)[:, None]
-    return t0, t1, np.where(implicit, 0.5 * dt, dt), np.where(implicit, 1.0, 0.5)
+    # np.linspace(0, T, n_steps + 1): i dt, and T itself at the end
+    times = np.arange(n_steps + 1.0) * dt
+    times[:, -1:] = T
+    t0, t1, h = np.empty((3, len(T), n_steps + r))
+    t0[:, :2 * r:2] = times[:, :r]
+    t0[:, 1:2 * r:2] = 0.5 * (times[:, :r] + times[:, 1:r + 1])
+    t0[:, 2 * r:] = times[:, r:-1]
+    t1[:, :-1], t1[:, -1:] = t0[:, 1:], T
+    h[:, :2 * r], h[:, 2 * r:] = 0.5 * dt, dt
+    return t0, t1, h, np.where(np.arange(n_steps + r) < 2 * r, 1.0, 0.5)
 
 
 def march(model: LocalVolModel, setup: MarketSetup, maturities: Sequence[float],
@@ -265,7 +315,19 @@ def march(model: LocalVolModel, setup: MarketSetup, maturities: Sequence[float],
     LAPACK came from.
     """
     grids = [_build_strike_grid(model, setup, T, n_space, width_stdevs) for T in maturities]
-    m, n = len(grids), n_space
+    ks, prices, source = _march(model, setup, maturities, grids, n_steps)
+    return tuple(
+        PdeSolution(strikes=ks[i], T=T, prices=prices[i], s0_node=s0_node,
+                    meta={"dx": ks[i, 1] - ks[i, 0], "n_steps": n_steps,
+                          "clipped": clipped, "lapack": source})
+        for i, (T, (_, s0_node, clipped)) in enumerate(zip(maturities, grids)))
+
+
+def _march(model: LocalVolModel, setup: MarketSetup, maturities: Sequence[float],
+           grids: Sequence[tuple], n_steps: int) -> tuple[np.ndarray, np.ndarray, str]:
+    """`march` on the `_build_strike_grid` grids of `maturities`: the (m, n)
+    nodes and prices, and where the system's LAPACK came from."""
+    m = len(grids)
     ks = np.array([g[0] for g in grids])
     dx = ks[:, 1:2] - ks[:, :1]
     with np.errstate(over="ignore"):  # the check below refuses an overflow
@@ -277,62 +339,52 @@ def march(model: LocalVolModel, setup: MarketSetup, maturities: Sequence[float],
 
     diff = 0.5 * sig2 / (dx * dx)          # diffusion coefficient on d2/dK2
     diff_in = diff[:, 1:-1]
-    # interior rows of L C = diff*(C[i+1] - 2C[i] + C[i-1]) - mu*(C[i+1] - C[i-1])/(2dx)
-    # and the explicit weight (1 - theta) h, one row per block, 0 on the
-    # Dirichlet rows: the explicit half of a step runs over the stacked vector
-    # at once, and what it leaves on those rows is overwritten
-    lo_c, mid_c, hi_c, w = np.zeros((4, m, n))
-    np.multiply(-2.0, diff_in, out=mid_c[:, 1:-1])
-    lo, mid, hi, wt = (a.reshape(-1)[1:-1] for a in (lo_c, mid_c, hi_c, w))
     # the held system: its diagonals are those of I - theta h L, refilled in
     # place and factored again only when (h, theta, advection) changes: twice
     # for a constant drift, every (half-)step for mu1 != 0.  Each step builds
-    # the right-hand side in its b, the prices, and solves there.
-    system = _Tridiagonal(m * n)
-    dl, d, du, c = system.blocks(m)
-    b = system.b
-    acc, tmp = np.empty((2, m * n - 2))
+    # the right-hand side in its b, the prices, and solves there.  Interior
+    # rows of L C = diff*(C[i+1] - 2C[i] + C[i-1]) - mu*(C[i+1] - C[i-1])/(2dx);
+    # L's Dirichlet rows, like the explicit weight w = (1 - theta) h there,
+    # stay 0, so the explicit half runs over the stacked vector at once
+    system = _Tridiagonal(m * ks.shape[1])
+    dl, d, du, c, l_dl, l_d, l_du = system.blocks(m)
+    b, lb = system.b, system.lb
+    np.multiply(-2.0, diff_in, out=l_d[:, 1:-1])
+    w = np.zeros(b.size)
+    wb = w.reshape(m, -1)
     np.maximum(setup.S0 - ks, 0.0, out=c)
     # the (half-)steps: a row per block, a column per step, theta shared
     t0, t1, h, theta = _schedule(maturities, n_steps)
     adv = setup.drift(0.5 * (t0 + t1)) / (2.0 * dx)   # central first derivative
-    itm = setup.forward(t1) - ks[:, :1]                # deep ITM C = F(t1) - K
+    itm = (setup.forward(t1) - ks[:, :1]).T.copy()    # deep ITM C = F(t1) - K, a row per step
     changes = np.any((h[:, 1:] != h[:, :-1]) | (adv[:, 1:] != adv[:, :-1]), axis=0)
     changes |= theta[1:] != theta[:-1]
+    explicit = (theta < 1.0).tolist()
     for k, change in enumerate((True, *changes.tolist())):
-        th, hk = float(theta[k]), h[:, k:k + 1]
         if change:
-            np.add(diff_in, adv[:, k:k + 1], out=lo_c[:, 1:-1])        # C[i-1]
-            np.subtract(diff_in, adv[:, k:k + 1], out=hi_c[:, 1:-1])   # C[i+1]
-            w[:, 1:-1] = (1.0 - th) * hk
+            th, hk = float(theta[k]), h[:, k:k + 1]
+            np.add(diff_in, adv[:, k:k + 1], out=l_dl[:, :-2])          # C[i-1]
+            np.subtract(diff_in, adv[:, k:k + 1], out=l_du[:, 1:-1])    # C[i+1]
+            wb[:, 1:-1] = (1.0 - th) * hk
             # Dirichlet rows stay identity rows, coupled to no other block
             d[:, 0] = d[:, -1] = 1.0
-            np.multiply(mid_c[:, 1:-1], th * hk, out=d[:, 1:-1])
+            np.multiply(l_d[:, 1:-1], th * hk, out=d[:, 1:-1])
             np.subtract(1.0, d[:, 1:-1], out=d[:, 1:-1])
             du[:, 0] = du[:, -1] = dl[:, -2] = dl[:, -1] = 0.0
-            np.multiply(hi_c[:, 1:-1], -th * hk, out=du[:, 1:-1])
-            np.multiply(lo_c[:, 1:-1], -th * hk, out=dl[:, :-2])
+            np.multiply(l_du[:, 1:-1], -th * hk, out=du[:, 1:-1])
+            np.multiply(l_dl[:, :-2], -th * hk, out=dl[:, :-2])
             system.factor()
-        # (I - theta h L) c_new = (I + (1-theta) h L) c_old  (interior rows),
-        # summed in the order c + w*((lo*c[i-1] + mid*c[i]) + hi*c[i+1])
-        if th < 1.0:
-            np.multiply(lo, b[:-2], out=acc)
-            np.multiply(mid, b[1:-1], out=tmp)
-            np.add(acc, tmp, out=acc)
-            np.multiply(hi, b[2:], out=tmp)
-            np.add(acc, tmp, out=acc)
-            np.multiply(acc, wt, out=acc)
-            np.add(b[1:-1], acc, out=b[1:-1])
-        # Dirichlet boundaries: deep ITM and far OTM (C = 0)
-        c[:, 0] = itm[:, k]
-        c[:, -1] = 0.0
+        # (I - theta h L) c_new = (I + (1-theta) h L) c_old, summed in the
+        # order c + w*((l_dl*c[i-1] + l_d*c[i]) + l_du*c[i+1])
+        if explicit[k]:
+            system.multiply()
+            np.multiply(lb, w, out=lb)
+            np.add(b, lb, out=b)
+        # Dirichlet boundaries: deep ITM, and far OTM, where C = +0 stays
+        # from the payoff (a zero row of L, an identity row of the system)
+        c[:, 0] = itm[k]
         system.solve()
-
-    return tuple(
-        PdeSolution(strikes=ks[i], T=T, prices=c[i], s0_node=s0_node,
-                    meta={"dx": dx[i, 0], "n_steps": n_steps,
-                          "clipped": clipped, "lapack": system.source})
-        for i, (T, (_, s0_node, clipped)) in enumerate(zip(maturities, grids)))
+    return ks, c, system.source
 
 
 def solve_forward(model: LocalVolModel, setup: MarketSetup, T: float,
@@ -353,19 +405,25 @@ def richardson_prices(model: LocalVolModel, setup: MarketSetup,
     per maturity, from two marches over width_stdevs stdevs: 401 nodes in 32
     steps and 801 in 64, whatever T.  The error is about a dx^2 + b dt^2;
     halving dx and dt together divides both terms by 4, so (4 fine - coarse)
-    / 3 cancels both.  A forward off a grid raises ForwardOffGrid.
+    / 3 cancels both.  A forward off a grid raises ForwardOffGrid before
+    either march, and each march is read at every strike in one call.
     """
-    prices = []
-    for n_space, n_steps in ((401, 32), (801, 64)):
-        sols = march(model, setup, maturities, n_space=n_space, n_steps=n_steps,
-                     width_stdevs=width_stdevs)
-        for sol in sols:
-            F, ks = setup.forward(sol.T), sol.strikes
+    sizes = ((401, 32), (801, 64))
+    grids = []
+    for n_space, _ in sizes:
+        grids.append([_build_strike_grid(model, setup, T, n_space, width_stdevs)
+                      for T in maturities])
+        for T, (ks, _, _) in zip(maturities, grids[-1]):
+            F = setup.forward(T)
             if not ks[0] <= F <= ks[-1]:
-                raise ForwardOffGrid(f"the drifted forward {F:.6g} at T = {sol.T} lies off "
+                raise ForwardOffGrid(f"the drifted forward {F:.6g} at T = {T} lies off "
                                      f"the PDE grid [{ks[0]:.6g}, {ks[-1]:.6g}] around S0")
-        prices.append([sol.price_at_strikes(strikes) for sol in sols])
-    return tuple((4.0 * fine - coarse) / 3.0 for coarse, fine in zip(*prices))
+    prices = []
+    for size_grids, (_, n_steps) in zip(grids, sizes):
+        ks, c, _ = _march(model, setup, maturities, size_grids, n_steps)
+        prices.append(_prices_at(ks, c, [g[1] for g in size_grids], strikes))
+    coarse, fine = prices
+    return tuple((4.0 * fine - coarse) / 3.0)
 
 
 def implied_smile_from_pde(model: LocalVolModel, setup: MarketSetup,

@@ -1199,14 +1199,13 @@ def test_pde_rows_solve_a_fixed_pair_per_maturity(tmp_path, monkeypatch, lapack_
     # 0.03 -+ 0.008, so K = 0.1 is off them and the extrapolated price at
     # K = 0.037 is -2.7e-20
     grids = []
-    march = nvol.dupire_pde.march
+    marched = nvol.dupire_pde._march
 
-    def recorded(*a, **k):
-        sols = march(*a, **k)
-        grids.append([(sol.strikes.size, sol.meta["n_steps"], sol.T) for sol in sols])
-        return sols
+    def recorded(model, setup, maturities, built, n_steps):
+        grids.append([(g[0].size, n_steps, t) for g, t in zip(built, maturities)])
+        return marched(model, setup, maturities, built, n_steps)
 
-    monkeypatch.setattr(nvol.dupire_pde, "march", recorded)
+    monkeypatch.setattr(nvol.dupire_pde, "_march", recorded)
     p = tmp_path / "pde.ini"
     p.write_text(NO_TIME_VALUE.replace("0.01 0.02 0.025 0.03 0.038 0.08", "0.03 0.037 0.1")
                  .replace("0.01 1", "0.01 0.25").replace("pde mc exact", "pde"))

@@ -115,15 +115,19 @@ def test_smile_without_an_atm_vol_is_low_confidence(monkeypatch):
     assert math.isnan(atm_implied_vol(dead, setup))
 
 
-def test_forward_off_the_grid_raises():
-    # the grids are centred on S0 whatever the drift; F = 0.53 has no price
+def test_forward_off_the_grid_raises(lapack_calls):
+    # the grids are centred on S0 whatever the drift; F = 0.53 has no price,
+    # and the error comes before either march factors or solves anything
     model = constant_model(0.01)
     setup = MarketSetup(S0=0.03, mu0=0.5)
     assert math.isnan(atm_implied_vol(solve_forward(model, setup, 1.0, n_space=101), setup))
-    for call in (lambda: implied_smile_from_pde(model, setup, (1.0,), [0.05]),
+    lapack_calls["factor"].clear()
+    lapack_calls["solve"].clear()
+    for call in (lambda: implied_smile_from_pde(model, setup, (1.0, 0.25), [0.05]),
                  lambda: atm_implied_vol_richardson(model, setup, (1.0,))):
         with pytest.raises(ForwardOffGrid, match=r"forward 0.53 at T = 1.0"):
             call()
+    assert lapack_calls == {"factor": [], "solve": []}
 
 
 def test_atm_vol_between_nodes_of_drifted_kink():
@@ -192,14 +196,27 @@ KINK = make_piecewise_linear(0.008, 0.1, 0.2, 0.03)
     (make_quadratic_sabr(0.01, 0.3, -0.3, 0.03), MarketSetup(S0=0.03), [1.0], 801),
     (KINK, MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001), [0.5, 1.0, 2.0], 201),
     (KINK, MarketSetup(S0=0.03, mu0=0.002), [0.5, 1.0, 2.0], 201),
+    (make_quadratic_sabr(0.01, 0.3, -0.3, 0.03), MarketSetup(S0=0.03, mu0=0.004, mu1=-0.002),
+     [0.25, 1.0], 401),
 ])
-def test_march_bit_identical_to_per_step_banded_solve(model, setup, levels, n_space):
-    # each maturity solved on its own in 40 steps a year, at least 64
-    for T in levels:
-        n_steps = max(math.ceil(40 * T), 64)
-        sol = solve_forward(model, setup, T, n_space=n_space, n_steps=n_steps)
-        want = reference_march(model, setup, sol.strikes, T, n_steps)
-        assert np.array_equal(sol.prices, want)
+def test_march_bit_identical_to_per_step_banded_solve(both_lapacks, model, setup, levels,
+                                                      n_space):
+    # on either LAPACK, each maturity solved on its own in 40 steps a year,
+    # at least 64, and all of them stacked in one march of 64 steps; the
+    # bytes compared carry the sign of every zero, the Dirichlet rows' included
+    for source in SOURCES:
+        both_lapacks(source)
+        for T in levels:
+            n_steps = max(math.ceil(40 * T), 64)
+            sol = solve_forward(model, setup, T, n_space=n_space, n_steps=n_steps)
+            want = reference_march(model, setup, sol.strikes, T, n_steps)
+            assert sol.meta["lapack"] == source
+            assert sol.prices.tobytes() == want.tobytes()
+        for sol in march(model, setup, levels, n_space=n_space, n_steps=64):
+            want = reference_march(model, setup, sol.strikes, sol.T, 64)
+            assert sol.prices.tobytes() == want.tobytes()
+            # the far-OTM row is never written after the payoff, and stays +0
+            assert sol.prices[-1] == 0.0 and not np.signbit(sol.prices[-1])
 
 
 @pytest.mark.parametrize("model, setup, maturities, clipped", [
@@ -227,6 +244,23 @@ def test_march_blocks_equal_one_maturity_solves(lapack_calls, model, setup, matu
         assert np.array_equal(sol.strikes, one.strikes)
         assert np.array_equal(sol.prices, one.prices)
         assert sol.meta == one.meta
+
+
+@pytest.mark.parametrize("width", [8.0, 10.0])
+def test_richardson_equals_one_maturity_read_outs(width):
+    # the batched read-out of each march, row by row, is the read-out of that
+    # maturity's solve alone; strikes off a grid (at T = 0.0625 they span
+    # 0.03 -+ 0.016 and 0.03 -+ 0.02), on nodes and between them, nan and inf
+    model, setup = KINK, MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001)
+    maturities = (0.25, 0.0625, 1.0)
+    strikes = [0.005, 0.025, 0.03, 0.031, 0.0312345, 0.04, 0.07, math.nan, math.inf, -math.inf]
+    prices = richardson_prices(model, setup, maturities, strikes, width)
+    for T, got in zip(maturities, prices):
+        coarse, fine = (solve_forward(model, setup, T, n_space, n_steps, width)
+                        .price_at_strikes(strikes)
+                        for n_space, n_steps in ((401, 32), (801, 64)))
+        assert got.tobytes() == ((4.0 * fine - coarse) / 3.0).tobytes()
+    assert np.array_equal(np.isnan(prices[1]), [True] + [False] * 5 + [True] * 4)
 
 
 def test_tuple_of_maturities_equals_one_maturity_calls():
@@ -261,13 +295,13 @@ def test_atm_richardson_solves_twice_in_fixed_steps(monkeypatch, lapack_calls, T
     # dgttrs solve, and each march factors twice, even where T / 32 and
     # T / 64 are inexact (T = 0.3); a tuple stacks one block per maturity
     grids = []
+    marched = nvol.dupire_pde._march
 
-    def recorded(*a, **k):
-        sols = march(*a, **k)
-        grids.append([(sol.strikes.size, sol.meta["n_steps"], sol.T) for sol in sols])
-        return sols
+    def recorded(model, setup, maturities, built, n_steps):
+        grids.append([(g[0].size, n_steps, t) for g, t in zip(built, maturities)])
+        return marched(model, setup, maturities, built, n_steps)
 
-    monkeypatch.setattr(nvol.dupire_pde, "march", recorded)
+    monkeypatch.setattr(nvol.dupire_pde, "_march", recorded)
     setup = MarketSetup(S0=0.03)
     vol, = atm_implied_vol_richardson(KINK, setup, (T,))
     assert grids == [[(401, 32, T)], [(801, 64, T)]]
@@ -411,11 +445,15 @@ def lagrange_reference(sol, strikes):
     return np.array(out)
 
 
-@pytest.mark.parametrize("b, s0, T, j0", [
-    # S0 1, 2 and 3 nodes from a clipped left end, then from a clipped right
-    # end: stretches of 2, 3 and 4 nodes between S0 and the end
+# (b, S0, T, index of S0) of shifted log-normal grids of 51 nodes: S0 1, 2
+# and 3 nodes from a clipped left end, then from a clipped right end, so
+# stretches of 2, 3 and 4 nodes between S0 and the end
+CLIPPED_STRETCHES = [
     (0.1, -0.0099, 144.0, 1), (0.1, -0.0099, 100.0, 2), (0.1, -0.0099, 50.0, 3),
-    (-0.1, 0.0099, 144.0, 49), (-0.1, 0.0099, 100.0, 48), (-0.1, 0.0099, 50.0, 47)])
+    (-0.1, 0.0099, 144.0, 49), (-0.1, 0.0099, 100.0, 48), (-0.1, 0.0099, 50.0, 47)]
+
+
+@pytest.mark.parametrize("b, s0, T, j0", CLIPPED_STRETCHES)
 def test_price_at_strikes_equals_the_scalar_stencils(b, s0, T, j0):
     model = make_shifted_lognormal(0.008, b, 0.03)
     ks, node, clipped = _build_strike_grid(model, MarketSetup(S0=s0), T, 51, 10.0)
@@ -431,6 +469,31 @@ def test_price_at_strikes_equals_the_scalar_stencils(b, s0, T, j0):
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert np.array_equal(got[:ks.size], prices)
+
+
+def test_batched_read_out_equals_the_scalar_stencils_row_by_row():
+    # the clipped grids above, stacked as the rows of one read-out
+    grids = [_build_strike_grid(make_shifted_lognormal(0.008, b, 0.03), MarketSetup(S0=s0),
+                                T, 51, 10.0) for b, s0, T, _ in CLIPPED_STRETCHES]
+    ks = np.array([g[0] for g in grids])
+    s0_nodes = [g[1] for g in grids]
+    assert s0_nodes == [j0 for *_, j0 in CLIPPED_STRETCHES]
+    rng = np.random.default_rng(7)
+    prices = rng.normal(size=ks.shape) * rng.integers(0, 2, size=ks.shape)
+    prices[:, ::5] = -0.0
+    strikes = np.concatenate([ks.ravel(), 0.5 * (ks[:, 1:] + ks[:, :-1]).ravel(),
+                              rng.uniform(ks.min(), ks.max(), 300),
+                              [ks.min() - 1e-9, ks.max() + 1e-9, 0.0, -0.0,
+                               math.nan, math.inf, -math.inf]])
+    got = nvol.dupire_pde._prices_at(ks, prices, s0_nodes, strikes)
+    assert got.shape == (len(grids), strikes.size)
+    for row, (g, j0, p) in enumerate(zip(ks, s0_nodes, prices)):
+        sol = PdeSolution(strikes=g, T=1.0, prices=p, s0_node=j0)
+        want = lagrange_reference(sol, strikes.tolist())
+        assert got[row].tobytes() == want.tobytes()
+        assert sol.price_at_strikes(strikes).tobytes() == want.tobytes()
+        # every strike off this row's grid is nan, the others are not
+        assert np.array_equal(np.isnan(got[row]), ~((g[0] <= strikes) & (strikes <= g[-1])))
 
 
 def test_extract_local_vol_flat_surface():
@@ -470,9 +533,10 @@ def both_lapacks(monkeypatch):
     found = nvol.dupire_pde._openblas_lapack()
     if found is None:
         pytest.skip("numpy's LAPACK library exports no scipy_dgttrf_64_ / "
-                    "scipy_dgttrs_64_, so only the scipy fallback exists here")
+                    "scipy_dgttrs_64_ / scipy_dlagtm_64_, so only the scipy fallback "
+                    "exists here")
     with monkeypatch.context() as m:
-        m.setattr(nvol.dupire_pde, "_OPENBLAS_SYMBOLS", ("no_dgttrf", "no_dgttrs"))
+        m.setattr(nvol.dupire_pde, "_OPENBLAS_SYMBOLS", ("no_dgttrf", "no_dgttrs", "no_dlagtm"))
         missing = nvol.dupire_pde._openblas_lapack.__wrapped__()
     assert missing is None
     lookups = {"numpy-openblas": found, "scipy": missing}
@@ -490,7 +554,7 @@ def random_system(n, seed, source):
     system = _Tridiagonal(n)
     assert system.source == source
     rng = np.random.default_rng(seed)
-    for a in (system.dl, system.d, system.du, system.b):
+    for a in (system.dl, system.d, system.du, system.b, system.l_dl, system.l_d, system.l_du):
         a[:] = rng.normal(size=a.size)
     return system
 
@@ -513,13 +577,36 @@ def test_lapack_bindings_factor_and_solve_bit_for_bit(both_lapacks, n):
                        + np.append(0.0, ref.dl * x[:-1]), ref.b)
 
 
+@pytest.mark.parametrize("n", [3, 801, 5607])
+def test_lapack_bindings_multiply_bit_for_bit(both_lapacks, n):
+    # L b on either source, as (dl b[i-1] + d b[i]) + du b[i+1] in numpy
+    got = []
+    for source in SOURCES:
+        both_lapacks(source)
+        system = random_system(n, n, source)
+        system.lb[:] = math.nan  # beta = 0: what lb held is not read
+        system.multiply()
+        got.append(system.lb.tobytes())
+    b = system.b
+    want = system.l_d * b
+    want[1:] = system.l_dl * b[:-1] + want[1:]
+    want[:-1] += system.l_du * b[1:]
+    assert got[0] == got[1] == want.tobytes()
+
+
 @pytest.mark.parametrize("model, setup, T, clipped", [
     # T lists the maturities, each solved in 40 steps a year, at least 64
     (KINK, MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001), [0.5, 2.0], (True, False)),
     (make_quadratic_sabr(0.01, 0.3, -0.3, 0.03), MarketSetup(S0=0.03), [1.0], (False, False)),
     (make_shifted_lognormal(0.008, 0.1, 0.03), MarketSetup(S0=0.03), [10.0], (True, False)),
+    (make_quadratic_sabr(0.01, 0.3, -0.3, 0.03), MarketSetup(S0=0.03, mu0=0.004, mu1=-0.002),
+     [0.25, 1.0], (False, False)),
+    (make_shifted_lognormal(0.008, 0.1, 0.03), MarketSetup(S0=0.03, mu0=-0.001, mu1=0.002),
+     [10.0, 0.5], (True, False)),
 ])
 def test_solve_forward_same_bits_on_either_lapack(both_lapacks, model, setup, T, clipped):
+    # each maturity alone, then all stacked in one march; the bytes carry the
+    # sign of every zero, the Dirichlet rows' included
     for t in T:
         sols = {}
         for source in SOURCES:
@@ -529,7 +616,13 @@ def test_solve_forward_same_bits_on_either_lapack(both_lapacks, model, setup, T,
             assert sols[source].meta["lapack"] == source
             assert sols[source].meta["clipped"] == clipped
         a, b = sols.values()
-        assert np.array_equal(a.prices, b.prices)
+        assert a.prices.tobytes() == b.prices.tobytes()
+    stacked = {}
+    for source in SOURCES:
+        both_lapacks(source)
+        stacked[source] = march(model, setup, T, n_space=401, n_steps=64)
+    for a, b in zip(*stacked.values()):
+        assert a.prices.tobytes() == b.prices.tobytes()
 
 
 def test_singular_system_raises_on_either_lapack(both_lapacks):

@@ -339,7 +339,7 @@ def test_sqrt_t_detector_refuses_repeated_maturities_before_solving(monkeypatch)
         raise AssertionError("solved a PDE")
 
     # the detector's one call, and the march under it
-    for name in ("atm_implied_vol_richardson", "march"):
+    for name in ("atm_implied_vol_richardson", "_march"):
         monkeypatch.setattr(nvol.dupire_pde, name, no_solve)
     kink = make_piecewise_linear(0.008, -0.1, 0.1, 0.03)
     with pytest.raises(ValueError, match=r"repeated: \[0.01\]"):
