@@ -1,13 +1,19 @@
-"""In-process A/B timing of two source trees on the bundled PDE configs.
+"""In-process A/B timing of two source trees on a workload of nvol CLI runs.
 
-    python scripts/ab_inprocess.py --base REV --pairs N
+    python scripts/ab_inprocess.py --base REV --pairs N [--workload W]
 
 Exports REV's src/nvol with `git archive` into a temporary directory and
 loads it and this checkout's src/nvol side by side under two package names
 (nvol imports its own modules relatively), plus REV's tree a second time
-under a third name for an A/A control.  One pass runs every
-configs/fig*.ini through `nvol smile` and every configs/sqrtt_*.ini through
-`nvol sqrt-t`, in process and warm (one untimed pass per tree first).
+under a third name for an A/A control.  One pass runs the workload's
+invocations through `cli.main`, in process and warm (one untimed pass per
+tree first):
+
+- `pde` (the default): every configs/fig*.ini through `nvol smile` and
+  every configs/sqrtt_*.ini through `nvol sqrt-t`;
+- `expansion_mc`: the `nvol smile` runs that perfbench/workloads.py builds
+  for its `expansion_mc` workload from seed 0, the drifted expansions and
+  `mc_exact` (Monte Carlo at `--seed 0`).
 
 Each round times one A/B pair (base, head) and one A/A pair (base, copy),
 the first pass of each pair alternating between rounds.  Every pass must
@@ -16,7 +22,8 @@ It prints, for the pair ratios head / base and copy / base, the median
 with a 95% distribution-free interval (order statistics of the binomial
 sign test), the quartiles and how many pairs the second tree won.  A
 speed-up is resolved when the A/B interval lies below 1 and the A/A
-interval holds 1.
+interval holds 1.  The load averages before and after the run, and the
+CPUs the process may use, tell a busy host from a slower program.
 """
 
 import argparse
@@ -25,7 +32,9 @@ import importlib
 import importlib.util
 import io
 import math
+import os
 import pathlib
+import random
 import statistics
 import subprocess
 import sys
@@ -59,21 +68,54 @@ def load_cli(name: str, package: pathlib.Path):
     return importlib.import_module(name + ".cli")
 
 
-def timed_pass(cli, configs, out_dir: pathlib.Path) -> tuple[float, dict]:
-    """Seconds for one pass over `configs`, and the bytes each config wrote,
-    its file and then what it printed."""
+def pde_invocations(work: pathlib.Path) -> list[tuple[str, list[str]]]:
+    """(name, argv without --out) of every bundled figure and sqrt-t config."""
+    configs = [*sorted((ROOT / "configs").glob("fig*.ini")),
+               *sorted((ROOT / "configs").glob("sqrtt_*.ini"))]
+    return [(cfg.stem, ["sqrt-t" if cfg.stem.startswith("sqrtt_") else "smile",
+                        "--config", str(cfg)]) for cfg in configs]
+
+
+def expansion_mc_invocations(work: pathlib.Path) -> list[tuple[str, list[str]]]:
+    """(name, argv without --out) of the benchmark's `expansion_mc` runs,
+    their configs written under work from the benchmark's default seed 0."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    plan = workloads.make_plan("expansion_mc", ROOT, work, random.Random(0))
+    invocations = []
+    for inv in plan.invocations:
+        i = inv.argv.index("--out")
+        invocations.append((inv.name, inv.argv[:i] + inv.argv[i + 2:]))
+    return invocations
+
+
+WORKLOADS = {"pde": pde_invocations, "expansion_mc": expansion_mc_invocations}
+
+
+def host_load() -> str:
+    """The 1-, 5- and 15-minute load averages and the CPUs this process may use."""
+    load = (" ".join(f"{x:.2f}" for x in os.getloadavg())
+            if hasattr(os, "getloadavg") else "n/a")
+    cpus = (",".join(map(str, sorted(os.sched_getaffinity(0))))
+            if hasattr(os, "sched_getaffinity") else "n/a")
+    return f"load average {load}; CPUs {cpus} of {os.cpu_count()}"
+
+
+def timed_pass(cli, invocations, out_dir: pathlib.Path) -> tuple[float, dict]:
+    """Seconds for one pass over `invocations`, and the bytes each wrote,
+    its --out file and then what it printed."""
     printed = {}
     start = time.perf_counter()
-    for cfg in configs:
-        command = "sqrt-t" if cfg.stem.startswith("sqrtt_") else "smile"
+    for name, argv in invocations:
         with contextlib.redirect_stdout(io.StringIO()) as stdout:
-            rc = cli.main([command, "--config", str(cfg), "--out", str(out_dir / cfg.stem)])
+            rc = cli.main([*argv, "--out", str(out_dir / name)])
         if rc != 0:
-            raise SystemExit(f"{cli.__name__} exited {rc} on {cfg.name}")
-        printed[cfg.stem] = stdout
+            raise SystemExit(f"{cli.__name__} exited {rc} on {name}")
+        printed[name] = stdout
     elapsed = time.perf_counter() - start
-    return elapsed, {cfg.stem: (out_dir / cfg.stem).read_bytes()
-                     + printed[cfg.stem].getvalue().encode() for cfg in configs}
+    return elapsed, {name: (out_dir / name).read_bytes() + printed[name].getvalue().encode()
+                     for name, _ in invocations}
 
 
 def median_interval(ratios: list[float], level: float = 0.95) -> tuple[float, float, float]:
@@ -103,13 +145,16 @@ def run(argv=None) -> int:
                     help="git revision to compare against (default HEAD)")
     ap.add_argument("--pairs", type=int, default=50,
                     help="rounds of pairs (at least 2; default 50)")
+    ap.add_argument("--workload", choices=WORKLOADS, default="pde",
+                    help="what one pass runs (default pde)")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
-    configs = [*sorted((ROOT / "configs").glob("fig*.ini")),
-               *sorted((ROOT / "configs").glob("sqrtt_*.ini"))]
+    print(f"host before: {host_load()}")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
+        (tmp / "plan").mkdir()
+        invocations = WORKLOADS[args.workload](tmp / "plan")
         try:
             package = export(args.base, tmp / "base")
         except subprocess.CalledProcessError as e:
@@ -121,11 +166,11 @@ def run(argv=None) -> int:
         for name in trees:
             (tmp / name).mkdir(exist_ok=True)
         # the untimed first pass of each tree, and the bytes all must write
-        _, want = timed_pass(trees["base"], configs, tmp / "base")
+        _, want = timed_pass(trees["base"], invocations, tmp / "base")
         times = {name: [] for name in trees}
 
         def timed(name: str) -> float:
-            elapsed, written = timed_pass(trees[name], configs, tmp / name)
+            elapsed, written = timed_pass(trees[name], invocations, tmp / name)
             differ = [stem for stem in written if written[stem] != want[stem]]
             if differ:
                 print(f"{name} and base write different bytes for {', '.join(differ)}",
@@ -143,8 +188,9 @@ def run(argv=None) -> int:
                 order = ("base", other) if i % 2 == 0 else (other, "base")
                 t = {name: timed(name) for name in order}
                 ratios.append(t[other] / t["base"])
-    print(f"{len(configs)} configs a pass, {args.pairs} rounds; base {args.base}, "
-          f"head {ROOT / 'src' / 'nvol'}")
+    print(f"host after: {host_load()}")
+    print(f"{args.workload}: {len(invocations)} runs a pass, {args.pairs} rounds; "
+          f"base {args.base}, head {ROOT / 'src' / 'nvol'}")
     print("pass medians: " + "  ".join(f"{name} {1e3 * statistics.median(ts):.1f} ms"
                                        for name, ts in times.items()))
     print(summary("A/B head/base", ab))

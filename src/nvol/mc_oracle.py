@@ -36,13 +36,13 @@ paths whose extremes ever left the domain.  The drift is added only where
 mu0 or mu1 is nonzero.
 
 The normals are drawn one block of up to 16 steps ahead (at most 256 KB of
-draws, and at least one step) on a helper thread, into the second of two
-buffers while the march reads the first; numpy's fill releases the
-interpreter lock, so the draws overlap the Euler steps.  A block the helper
-has not begun when the march needs it is drawn on the march's thread.  The
-draws are those of one `standard_normal` call per step, in step order, so
-the bits are the same as drawing each step in turn.  Every vol evaluation,
-the negation and the sums stay on the caller's thread.
+draws, and at least one step) on a helper thread, the only user of the
+generator, into the second of two buffers while the march reads the first;
+numpy's fill releases the interpreter lock, so the draws overlap the Euler
+steps.  Block numbers go to the helper on one queue, drawn blocks come back
+on another.  The draws are those of one `standard_normal` call per step, in
+step order, so the bits are the same as drawing each step in turn.  Every
+vol evaluation, the negation and the sums stay on the caller's thread.
 
 A maturity T is marched in n = 2 ceil(T * steps_per_year / 2) steps of
 dt = T / n (n is even, so the coarse march takes whole steps; more than
@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import queue
 import threading
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
@@ -126,70 +127,49 @@ class _Paths(NamedTuple):
 
 
 def _normals(rng: np.random.Generator, n_draw: int, n_steps: int) -> Iterator[np.ndarray]:
-    """The normals of n_steps steps, n_draw a step, drawn from rng as one
-    `standard_normal` call a step in step order would draw them: yields
+    """The normals of n_steps >= 1 steps, n_draw a step, drawn from rng as
+    one `standard_normal` call a step in step order would draw them: yields
     blocks of up to _BLOCK_STEPS rows in _BLOCK_BYTES (at least one row),
     one row a step.
 
-    A helper thread draws the next block into the second of two buffers
-    while the caller reads this one (numpy's fill releases the interpreter
-    lock); a block the helper has not begun when it is asked for is drawn
-    on the caller's thread.  A block is valid until the next is asked for.
-    The helper is joined when the generator ends or is closed, and an
-    exception it raised is raised here.
+    Only a helper thread draws: the caller puts each block's number on
+    `todo` before it yields the block before, and the helper fills the block
+    into one of two buffers and answers on `done`.  A block is valid until
+    the next is asked for.  The helper is joined when the generator ends or
+    is closed, and an exception it raised is raised here.
     """
     block = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (8 * n_draw)))
     bufs = np.empty((2, block, n_draw))
-    sizes = [min(block, n_steps - start) for start in range(0, n_steps, block)]
-    drawn = 0  # blocks drawn; block j goes into bufs[j % 2]
-    allowed = 0  # the helper may draw the blocks below this one
-    stop = False
-    failure: list[BaseException] = []
-    drawing = threading.Lock()  # held while a block is drawn
-    wake = threading.Lock()  # released by the caller to wake the helper
-    wake.acquire()
-
-    def draw_below(limit):
-        nonlocal drawn
-        if drawn < limit:
-            rng.standard_normal(out=bufs[drawn % 2, :sizes[drawn]])
-            drawn += 1
+    blocks = [bufs[j % 2, :min(block, n_steps - start)]
+              for j, start in enumerate(range(0, n_steps, block))]
+    todo: queue.SimpleQueue[int | None] = queue.SimpleQueue()
+    done: queue.SimpleQueue[BaseException | None] = queue.SimpleQueue()
 
     def helper_loop():
-        while True:
-            wake.acquire()
-            if stop:
+        # block numbers, not arrays: iter() tests each item with == None
+        for j in iter(todo.get, None):
+            try:
+                rng.standard_normal(out=blocks[j])
+            except BaseException as e:  # raised in the caller
+                done.put(e)
                 return
-            with drawing:
-                try:
-                    draw_below(allowed)
-                except BaseException as e:  # raised in the caller
-                    failure.append(e)
-                    return
+            done.put(None)
 
     # a daemon, so that a march never closed cannot hold up interpreter exit
     helper = threading.Thread(target=helper_loop, name="nvol-mc-normals", daemon=True)
     helper.start()
     try:
-        for i, n in enumerate(sizes):
-            # waits while the helper draws block i, or draws it here if the
-            # helper has not begun it: a helper that is not scheduled costs
-            # no more than drawing on this thread
-            with drawing:
-                if failure:
-                    raise failure[0]
-                draw_below(i + 1)
+        todo.put(0)
+        for i, block in enumerate(blocks):
             # block i + 1 goes into the buffer of block i - 1, read by now
-            allowed = min(i + 2, len(sizes))
-            # only this thread releases `wake`: unlocked, it holds a wake-up
-            # the helper has not taken yet
-            if wake.locked():
-                wake.release()
-            yield bufs[i % 2, :n]
+            if i + 1 < len(blocks):
+                todo.put(i + 1)
+            failure = done.get()
+            if failure is not None:
+                raise failure
+            yield block
     finally:
-        stop = True
-        if wake.locked():
-            wake.release()
+        todo.put(None)
         helper.join()
 
 

@@ -253,17 +253,39 @@ def test_a_failed_draw_is_raised_in_the_caller():
     assert threading.active_count() == before
 
 
+def test_only_the_helper_draws_in_block_order_into_a_free_buffer():
+    # each fill records its thread, its buffer and the last block the caller
+    # is done with: block j goes into the buffer of block j - 2, so its fill
+    # may start only once the caller is done with that block
+    finished = -1
+    fills = []
+
+    class Rng:
+        def standard_normal(self, out):
+            fills.append((threading.current_thread(), out.ctypes.data, finished))
+            out.fill(len(fills))
+
+    held = []
+    for i, block in enumerate(_normals(Rng(), n_draw=1, n_steps=16 * 8)):
+        held.append((block.ctypes.data, float(block[0, 0])))
+        time.sleep(0.005)  # the helper draws ahead meanwhile
+        finished = i
+    assert len(fills) == len(held) == 8
+    for j, ((thread, data, done_with), block) in enumerate(zip(fills, held)):
+        assert thread is not threading.current_thread(), j
+        assert (data, j + 1.0) == block, j  # fill j is block j
+        assert done_with >= j - 2, (j, done_with)
+
+
 def test_a_block_is_not_redrawn_while_the_caller_holds_it():
-    # the helper draws block 1 and waits; woken at block 1, it has not begun
-    # block 2 when the caller asks for it at once, so the caller draws it
-    # (slowly, on this thread) and wakes the helper again: the helper may
-    # then draw block 3, but not block 4, which goes into block 2's buffer
+    # the caller holds every block but block 1 for 20 ms, time enough for
+    # the helper to draw ahead, and asks for block 2 at once: the helper may
+    # draw the next block meanwhile, but not the one after, which goes into
+    # the held block's buffer
     class Rng:
         fills = 0
 
         def standard_normal(self, out):
-            if threading.current_thread() is threading.main_thread():
-                time.sleep(0.02)
             self.fills += 1
             out.fill(self.fills)
 
