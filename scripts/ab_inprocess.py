@@ -5,15 +5,15 @@
 Exports REV's src/nvol with `git archive` into a temporary directory and
 loads it and this checkout's src/nvol side by side under two package names
 (nvol imports its own modules relatively), plus REV's tree a second time
-under a third name for an A/A control.  One pass runs the workload's
-invocations through `cli.main`, in process and warm (one untimed pass per
-tree first):
+under a third name for an A/A control.  One pass runs, through `cli.main`,
+in process and warm (one untimed pass per tree first), the invocations that
+perfbench/workloads.py builds for the benchmark workload W from seed 0, in
+that seed's order:
 
 - `pde` (the default): every configs/fig*.ini through `nvol smile` and
   every configs/sqrtt_*.ini through `nvol sqrt-t`;
-- `expansion_mc`: the `nvol smile` runs that perfbench/workloads.py builds
-  for its `expansion_mc` workload from seed 0, the drifted expansions and
-  `mc_exact` (Monte Carlo at `--seed 0`).
+- `expansion_mc`: the drifted expansions and `mc_exact` (Monte Carlo at
+  `--seed 0`) through `nvol smile`.
 
 Each round times one A/B pair (base, head) and one A/A pair (base, copy),
 the first pass of each pair alternating between rounds.  Every pass must
@@ -43,6 +43,8 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
 
 
 def export(rev: str, dest: pathlib.Path) -> pathlib.Path:
@@ -68,29 +70,15 @@ def load_cli(name: str, package: pathlib.Path):
     return importlib.import_module(name + ".cli")
 
 
-def pde_invocations(work: pathlib.Path) -> list[tuple[str, list[str]]]:
-    """(name, argv without --out) of every bundled figure and sqrt-t config."""
-    configs = [*sorted((ROOT / "configs").glob("fig*.ini")),
-               *sorted((ROOT / "configs").glob("sqrtt_*.ini"))]
-    return [(cfg.stem, ["sqrt-t" if cfg.stem.startswith("sqrtt_") else "smile",
-                        "--config", str(cfg)]) for cfg in configs]
-
-
-def expansion_mc_invocations(work: pathlib.Path) -> list[tuple[str, list[str]]]:
-    """(name, argv without --out) of the benchmark's `expansion_mc` runs,
-    their configs written under work from the benchmark's default seed 0."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
-    plan = workloads.make_plan("expansion_mc", ROOT, work, random.Random(0))
-    invocations = []
+def invocations(workload: str, work: pathlib.Path) -> list[tuple[str, list[str]]]:
+    """(name, argv without --out) of one pass of the benchmark's `workload`,
+    built from its default seed 0 with any configs it writes under work."""
+    plan = workloads.make_plan(workload, ROOT, work, random.Random(0))
+    runs = []
     for inv in plan.invocations:
         i = inv.argv.index("--out")
-        invocations.append((inv.name, inv.argv[:i] + inv.argv[i + 2:]))
-    return invocations
-
-
-WORKLOADS = {"pde": pde_invocations, "expansion_mc": expansion_mc_invocations}
+        runs.append((inv.name, inv.argv[:i] + inv.argv[i + 2:]))
+    return runs
 
 
 def host_load() -> str:
@@ -145,7 +133,7 @@ def run(argv=None) -> int:
                     help="git revision to compare against (default HEAD)")
     ap.add_argument("--pairs", type=int, default=50,
                     help="rounds of pairs (at least 2; default 50)")
-    ap.add_argument("--workload", choices=WORKLOADS, default="pde",
+    ap.add_argument("--workload", choices=workloads.WORKLOADS, default="pde",
                     help="what one pass runs (default pde)")
     args = ap.parse_args(argv)
     if args.pairs < 2:
@@ -154,7 +142,7 @@ def run(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         (tmp / "plan").mkdir()
-        invocations = WORKLOADS[args.workload](tmp / "plan")
+        runs = invocations(args.workload, tmp / "plan")
         try:
             package = export(args.base, tmp / "base")
         except subprocess.CalledProcessError as e:
@@ -166,11 +154,11 @@ def run(argv=None) -> int:
         for name in trees:
             (tmp / name).mkdir(exist_ok=True)
         # the untimed first pass of each tree, and the bytes all must write
-        _, want = timed_pass(trees["base"], invocations, tmp / "base")
+        _, want = timed_pass(trees["base"], runs, tmp / "base")
         times = {name: [] for name in trees}
 
         def timed(name: str) -> float:
-            elapsed, written = timed_pass(trees[name], invocations, tmp / name)
+            elapsed, written = timed_pass(trees[name], runs, tmp / name)
             differ = [stem for stem in written if written[stem] != want[stem]]
             if differ:
                 print(f"{name} and base write different bytes for {', '.join(differ)}",
@@ -189,7 +177,7 @@ def run(argv=None) -> int:
                 t = {name: timed(name) for name in order}
                 ratios.append(t[other] / t["base"])
     print(f"host after: {host_load()}")
-    print(f"{args.workload}: {len(invocations)} runs a pass, {args.pairs} rounds; "
+    print(f"{args.workload}: {len(runs)} runs a pass, {args.pairs} rounds; "
           f"base {args.base}, head {ROOT / 'src' / 'nvol'}")
     print("pass medians: " + "  ".join(f"{name} {1e3 * statistics.median(ts):.1f} ms"
                                        for name, ts in times.items()))
