@@ -36,13 +36,13 @@ paths whose extremes ever left the domain.  The drift is added only where
 mu0 or mu1 is nonzero.
 
 The normals are drawn one block of up to 16 steps ahead (at most 256 KB of
-draws, and at least one step) on a helper thread, the only user of the
-generator, into the second of two buffers while the march reads the first;
-numpy's fill releases the interpreter lock, so the draws overlap the Euler
-steps.  Block numbers go to the helper on one queue, drawn blocks come back
-on another.  The draws are those of one `standard_normal` call per step, in
-step order, so the bits are the same as drawing each step in turn.  Every
-vol evaluation, the negation and the sums stay on the caller's thread.
+draws, and at least one step) on a helper thread into the second of two
+buffers while the march reads the first; numpy's fill releases the
+interpreter lock, so the draws overlap the Euler steps.  A block the helper
+has not begun when the march needs it is drawn on the march's thread.  The
+draws are those of one `standard_normal` call per step, in step order, so
+the bits are the same as drawing each step in turn.  Every vol evaluation,
+the negation and the sums stay on the caller's thread.
 
 A maturity T is marched in n = 2 ceil(T * steps_per_year / 2) steps of
 dt = T / n (n is even, so the coarse march takes whole steps; more than
@@ -132,11 +132,13 @@ def _normals(rng: np.random.Generator, n_draw: int, n_steps: int) -> Iterator[np
     blocks of up to _BLOCK_STEPS rows in _BLOCK_BYTES (at least one row),
     one row a step.
 
-    Only a helper thread draws: the caller puts each block's number on
-    `todo` before it yields the block before, and the helper fills the block
-    into one of two buffers and answers on `done`.  A block is valid until
-    the next is asked for.  The helper is joined when the generator ends or
-    is closed, and an exception it raised is raised here.
+    A helper thread fills block i + 1 into the other of two buffers while
+    the caller reads block i: block numbers go to it on `todo`, and it
+    answers on `done`.  A block it has not taken off `todo` when asked for
+    is taken back and drawn here, so the caller never waits for a helper the
+    system has not run.  A block is valid until the next is asked for.  The
+    helper is joined when the generator ends or is closed, and an exception
+    it raised is raised here.
     """
     block = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (8 * n_draw)))
     bufs = np.empty((2, block, n_draw))
@@ -161,12 +163,16 @@ def _normals(rng: np.random.Generator, n_draw: int, n_steps: int) -> Iterator[np
     try:
         todo.put(0)
         for i, block in enumerate(blocks):
+            try:
+                todo.get_nowait()  # block i, not begun: draw it here
+            except queue.Empty:  # the helper took block i
+                if (failure := done.get()) is not None:
+                    raise failure
+            else:
+                rng.standard_normal(out=block)
             # block i + 1 goes into the buffer of block i - 1, read by now
             if i + 1 < len(blocks):
                 todo.put(i + 1)
-            failure = done.get()
-            if failure is not None:
-                raise failure
             yield block
     finally:
         todo.put(None)

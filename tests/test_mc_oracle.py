@@ -253,17 +253,23 @@ def test_a_failed_draw_is_raised_in_the_caller():
     assert threading.active_count() == before
 
 
-def test_only_the_helper_draws_in_block_order_into_a_free_buffer():
-    # each fill records its thread, its buffer and the last block the caller
-    # is done with: block j goes into the buffer of block j - 2, so its fill
-    # may start only once the caller is done with that block
+def test_draws_come_one_at_a_time_in_block_order_into_a_free_buffer():
+    # each fill records its thread, its buffer, the last block the caller is
+    # done with and how many fills were under way: the helper or the caller
+    # (for a block the helper has not begun) draws, never both at once, and
+    # block j goes into the buffer of block j - 2, so its fill may start
+    # only once the caller is done with that block
     finished = -1
     fills = []
+    busy = []
 
     class Rng:
         def standard_normal(self, out):
-            fills.append((threading.current_thread(), out.ctypes.data, finished))
+            busy.append(1)
+            fills.append((threading.current_thread(), out.ctypes.data, finished, len(busy)))
+            time.sleep(0.001)
             out.fill(len(fills))
+            busy.pop()
 
     held = []
     for i, block in enumerate(_normals(Rng(), n_draw=1, n_steps=16 * 8)):
@@ -271,21 +277,26 @@ def test_only_the_helper_draws_in_block_order_into_a_free_buffer():
         time.sleep(0.005)  # the helper draws ahead meanwhile
         finished = i
     assert len(fills) == len(held) == 8
-    for j, ((thread, data, done_with), block) in enumerate(zip(fills, held)):
-        assert thread is not threading.current_thread(), j
+    me = threading.current_thread()
+    for j, ((thread, data, done_with, under_way), block) in enumerate(zip(fills, held)):
+        assert thread is me or thread.name == "nvol-mc-normals", j
+        assert under_way == 1, j
         assert (data, j + 1.0) == block, j  # fill j is block j
         assert done_with >= j - 2, (j, done_with)
+    assert any(thread is not me for thread, *_ in fills)
 
 
 def test_a_block_is_not_redrawn_while_the_caller_holds_it():
-    # the caller holds every block but block 1 for 20 ms, time enough for
-    # the helper to draw ahead, and asks for block 2 at once: the helper may
-    # draw the next block meanwhile, but not the one after, which goes into
-    # the held block's buffer
+    # the helper draws block 1 and waits; woken at block 1, it has not begun
+    # block 2 when the caller asks for it at once, so the caller draws it
+    # (slowly, on this thread) and wakes the helper again: the helper may
+    # then draw block 3, but not block 4, which goes into block 2's buffer
     class Rng:
         fills = 0
 
         def standard_normal(self, out):
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.02)
             self.fills += 1
             out.fill(self.fills)
 
