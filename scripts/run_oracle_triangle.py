@@ -15,8 +15,9 @@ from nvol.models import MarketSetup, make_piecewise_linear, make_shifted_lognorm
 
 
 def pde_price(model, setup, K, T):
-    # the rule of the `pde` rows: the 401/801-node pair over 10 stdevs, extrapolated
-    return float(richardson_prices(model, setup, (T,), [K], 10.0)[0][0])
+    # the rule of the `pde` rows: the Richardson pair on the Lamperti grid
+    (prices,), _ = richardson_prices(model, setup, (T,), [K])
+    return float(prices[0])
 
 
 def run(n_cases: int = 10, seed: int = 2024) -> int:

@@ -24,7 +24,6 @@ import bisect
 import configparser
 import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -35,7 +34,8 @@ from .asymptotics import (expansion, sigma1_jump, smile_from_coefficients,
                           sqrt_t_coefficient)
 from .bachelier import (atm_lognormal_from_normal, atm_normal_from_lognormal,
                         implied_vol_and_flag)
-from .dupire_pde import (ForwardOffGrid, extract_local_vol, implied_smile_from_pde,
+from .dupire_pde import (RICHARDSON_PAIR, ForwardOffGrid, extract_local_vol,
+                         implied_smile_from_pde,
                          solve_forward)  # unused here; perfbench's self-check reads it
 from .exact_solutions import (model2b_call_by_density, shifted_ln_atm_exact_vol,
                               shifted_ln_exact_call, sqrt_t_detector)
@@ -213,8 +213,9 @@ def _read_shared(path: str) -> tuple[configparser.ConfigParser, ExperimentConfig
         raise ConfigError("[maturities]: need a non-empty list of positive maturities")
 
     if "pde" in cp:
+        (n_coarse, _), (n_fine, _) = RICHARDSON_PAIR
         print(f"note: the [pde] section of {path!r} is ignored; pde rows come from "
-              f"fixed 401- and 801-node grids", file=sys.stderr)
+              f"fixed {n_coarse}- and {n_fine}-node grids", file=sys.stderr)
     return cp, ExperimentConfig(model=model, exact_call=exact_call, setup=setup,
                                 maturities=maturities)
 
@@ -298,12 +299,15 @@ def load_config(path: str) -> ExperimentConfig:
 def _rows_text(rows: list[dict], fmt: str, columns: list[str]) -> str:
     if fmt == "json":
         return json.dumps(rows, indent=2) + "\n"
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(columns)
-    for r in rows:
-        w.writerow([r[c] if isinstance(r[c], str) else f"{r[c]:.12g}" for c in columns])
-    return buf.getvalue()
+    header = ",".join(columns) + "\n"
+    if not rows:
+        return header
+    # one format per row, a column's text as it is or its number to 12
+    # digits: the bytes of csv.writer, since no cell holds a comma, a quote
+    # or a line break
+    line = ",".join(f"{{{c}}}" if isinstance(rows[0][c], str) else f"{{{c}:.12g}}"
+                    for c in columns) + "\n"
+    return header + "".join(map(line.format_map, rows))
 
 
 def _write(text: str, out: str | None) -> None:

@@ -4,11 +4,14 @@ The call-price surface evolves in maturity under
 
     dC/dT = 1/2 sigma_D(K)^2 d2C/dK2 - mu(T) dC/dK
 
-from the payoff C(K, 0) = (S0 - K)+.  Crank-Nicolson with a Rannacher
-(implicit) start damps the kink oscillation; the initial level S0, the only
-place inside the grid where sigma_D may have a breakpoint, is a grid node so
-the derivative jump driving the sqrt(T) anomaly is not smeared, and a price
-between nodes is interpolated from nodes on one side of it only.
+from the payoff C(K, 0) = (S0 - K)+, on nodes uniform in the Lamperti
+distance y = int_S0^K dk / sigma_D(k), in which the density is close to
+Gaussian for any sigma_D, with the three-point stencil for unequal
+spacings.  Crank-Nicolson with a Rannacher (implicit) start damps the kink
+oscillation; the initial level S0, the only place inside the grid where
+sigma_D may have a breakpoint, is a grid node so the derivative jump
+driving the sqrt(T) anomaly is not smeared, and a price between nodes is
+interpolated from nodes on one side of it only.
 
 `march` takes every maturity of a config at once: each maturity's grid is one
 block of a single tridiagonal system, so one march per grid size prices them
@@ -88,6 +91,18 @@ def _prices_at(ks: np.ndarray, prices: np.ndarray, s0_nodes: Sequence[int],
     return np.where(on, p, math.nan)
 
 
+# the span of the `pde` rows and of `sqrt-t`, in stdevs sqrt(T) of the
+# Lamperti distance y either side of S0, and their (nodes, steps) pair: the
+# coarse march, then the fine one
+SPAN_STDEVS = 5.0
+RICHARDSON_PAIR = ((217, 32), (433, 64))
+# a `richardson_prices` strike this many stdevs sqrt(T) of y from an end of
+# the grid may be biased by it: 1.9e-6 at 4.5 stdevs from S0, 4.9e-8 at 4,
+# and 2.8e-9 at 3.5 in the normal vol of the symmetric kink (0.008, 0.1) at
+# T = 0.01
+EDGE_STDEVS = 1.5
+
+
 class GridFailure(ValueError):
     """No PDE grid at maturity T can be marched; the error carries that T."""
 
@@ -102,17 +117,73 @@ class GridTooNarrow(GridFailure, ArithmeticError):
     overflows: a numerical failure, and invalid input."""
 
 
-def _build_strike_grid(model: LocalVolModel, setup: MarketSetup, T: float,
-                       n_space: int, width_stdevs: float
-                       ) -> tuple[np.ndarray, int, tuple[bool, bool]]:
-    """Uniform grid spanning width_stdevs local standard deviations either
-    side of S0, clipped to the positivity domain of the model, with S0 on a
-    node.  An S0 outside that domain is refused, and so is a breakpoint of
-    sigma_D inside the grid but off S0: the uniform stencil would smear its
-    kink.
+# the pilot table's offsets from S0, in units of sigma_D(S0) sqrt(T), in
+# ratios of e^0.2: from far inside a grid step out to far past where the
+# bundled models' y reaches the span (e^10 stdevs for the fattest tail)
+_PILOT_OFFSETS = np.exp(np.arange(-40, 201) / 5.0)
+# the y step of the table that places the nodes, in units of sqrt(T): about
+# half the fine `richardson_prices` grid's.  Half or twice this step moved no
+# figure row's vol by more than 1.1e-10 or 1.8e-10
+_TABLE_STEP = 0.01
 
-    Returns the nodes, the index of the node at S0, and whether the
-    positivity domain moved the left and right ends inwards.
+
+def _lamperti_table(model: LocalVolModel, s0: float, T: float, width_stdevs: float,
+                    ends: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Strikes K and their Lamperti distances y(K) = int_S0^K dk / sigma_D(k),
+    the table that places the nodes of the grid at T: y in steps of
+    _TABLE_STEP sqrt(T) out to 1.1 width_stdevs sqrt(T) either side of S0, its
+    middle entry, or to `ends`, the domain ends a grid may reach, where y
+    stays short of that (both ends: the table spans the longer side).
+
+    A pilot table, its strikes geometric in their offset from S0 and from a
+    finite end, finds the strikes at those y; the table is the trapezoid
+    rule on the strikes so found, which lie as densely as the nodes.  Its
+    accuracy enters no price: the march solves the forward equation in K on
+    whatever nodes it is given.
+    """
+    with np.errstate(over="ignore"):
+        x = (float(model.vol(s0)) * math.sqrt(T)) * _PILOT_OFFSETS
+    x = x[np.isfinite(x)]
+    left, right = (x / (1.0 + x / abs(end - s0)) for end in ends)
+    pilot = np.concatenate([s0 - left[::-1], [s0], s0 + right])
+    y = _trapezoid_y(model, T, pilot, left.size)
+    half = math.ceil(1.1 * width_stdevs / _TABLE_STEP)
+    reach = min(1.1 * width_stdevs * math.sqrt(T), max(-y[0], y[-1]))
+    ks = np.interp(reach / half * np.arange(-half, half + 1.0), y, pilot)
+    return ks, _trapezoid_y(model, T, ks, half)
+
+
+def _trapezoid_y(model: LocalVolModel, T: float, ks: np.ndarray, s0_index: int
+                 ) -> np.ndarray:
+    """int_S0^K dk / sigma_D(k) at the sorted `ks` by the trapezoid rule, 0 at
+    ks[s0_index] = S0; GridFailure at T unless sigma_D is positive at each."""
+    sig = model.vol(ks)
+    if not (sig > 0.0).all():
+        raise GridFailure("sigma_D not finite and positive on the whole grid", T)
+    inv = 1.0 / sig
+    dy = 0.5 * np.diff(ks) * (inv[:-1] + inv[1:])
+    # summed outwards from S0 (s0_index > 0), so that a far end's |y| does
+    # not round away the steps near S0
+    left, right = np.cumsum(dy[s0_index - 1::-1]), np.cumsum(dy[s0_index:])
+    return np.concatenate([-left[::-1], [0.0], right])
+
+
+def _build_strike_grid(model: LocalVolModel, setup: MarketSetup, T: float,
+                       n_space: int, width_stdevs: float, stride: int = 1
+                       ) -> tuple[np.ndarray, int, tuple[bool, bool], float]:
+    """Grid uniform in the Lamperti distance y = int_S0^K dk / sigma_D(k),
+    spanning width_stdevs stdevs sqrt(T) of y either side of S0, with S0 on
+    a node whose index is a multiple of `stride`: its every stride-th node
+    is the grid of (n_space - 1) / stride + 1 nodes.
+
+    A finite end of the positivity domain where y stays finite, as at a
+    tabulated model's last sample, clips the span; where sigma_D falls to 0
+    at the end, y runs to infinity and the span stays inside.  An S0 outside
+    that domain is refused, and so is a breakpoint of sigma_D inside the
+    grid but off S0: the stencil would smear its kink.
+
+    Returns the nodes, the index of the node at S0, whether the domain moved
+    the left and right ends inwards, and the y step.
     """
     if n_space < 51:
         raise ValueError("need at least 51 space nodes")
@@ -121,40 +192,45 @@ def _build_strike_grid(model: LocalVolModel, setup: MarketSetup, T: float,
         raise ValueError(f"S0 = {s0!r} lies outside the positivity domain "
                          f"{model.positivity_domain} of the model")
     s0_vol = float(model.vol(s0))
-    stdev = s0_vol * math.sqrt(T)
-    want_min, want_max = s0 - width_stdevs * stdev, s0 + width_stdevs * stdev
-    lo, hi = model.positivity_domain
-    eps = 1e-12 * max(1.0, abs(s0))
-    k_min = max(want_min, lo + eps if math.isfinite(lo) else -math.inf)
-    k_max = min(want_max, hi - eps if math.isfinite(hi) else math.inf)
-    if math.isfinite(lo):
-        k_min = max(k_min, lo + 1e-9 * (k_max - lo))
-    if not math.isfinite(k_max - k_min):
+    if not math.isfinite(2.0 * width_stdevs * s0_vol * math.sqrt(T)):
         raise GridTooNarrow(f"the span about S0 = {s0!r} is not finite: sigma_D(S0) = "
                             f"{s0_vol!r} at T = {T!r}", T)
+    narrow = GridTooNarrow(f"K_min must be below K_max: the span about S0 = {s0!r} at T = "
+                           f"{T!r}, inside the domain {model.positivity_domain}, rounds away", T)
+    # where the grid may reach: inside each finite end by a rounding margin
+    lo, hi = model.positivity_domain
+    eps = 1e-12 * max(1.0, abs(s0))
+    ends = (lo + max(eps, 1e-9 * (s0 - lo)) if math.isfinite(lo) else lo,
+            hi - max(eps, 1e-9 * (hi - s0)) if math.isfinite(hi) else hi)
+    if not ends[0] < s0 < ends[1]:
+        raise narrow
+    k_tab, y_tab = _lamperti_table(model, s0, T, width_stdevs, ends)
+    want = width_stdevs * math.sqrt(T)
+    y_min, y_max = max(-want, float(y_tab[0])), min(want, float(y_tab[-1]))
+    clipped = (bool(y_min != -want), bool(y_max != want))
+    k_min, k_max = np.interp([y_min, y_max], y_tab, k_tab)
     if k_min >= k_max:
-        raise GridTooNarrow(f"K_min must be below K_max: the span about S0 = {s0!r} at T = "
-                            f"{T!r}, inside the domain {model.positivity_domain}, rounds away", T)
-    clipped = (bool(k_min != want_min), bool(k_max != want_max))
-    dx = (k_max - k_min) / (n_space - 1)
-    # move the grid so that s0 lands exactly on a node, never out through a
-    # clipped end: shift it inwards from one, shrink dx between two
-    offset = (s0 - k_min) / dx
+        raise narrow
+    dy = (y_max - y_min) / (n_space - 1)
+    # put y = 0 on a node, at a multiple of stride, never out through a
+    # clipped end: move the grid inwards from one, shrink dy between two
+    offset = -y_min / dy
     if all(clipped):
-        j = min(max(round(offset), 1), n_space - 2)
-        dx *= min(offset / j, (n_space - 1 - offset) / (n_space - 1 - j))
-        k_min, shift = s0 - j * dx, 0.0
+        j = stride * min(max(round(offset / stride), 1), (n_space - 1) // stride - 1)
+        dy *= min(offset / j, (n_space - 1 - offset) / (n_space - 1 - j))
     else:
         nearest = math.floor if clipped[0] else math.ceil if clipped[1] else round
-        shift = (offset - nearest(offset)) * dx
-    ks = k_min + shift + dx * np.arange(n_space)
+        j = stride * nearest(offset / stride)
+    ks = np.interp(dy * np.arange(-j, n_space - j), y_tab, k_tab)
+    ks[j] = s0
     if not np.all(ks[1:] > ks[:-1]):
-        raise GridTooNarrow(f"the node spacing {dx!r} rounds away at S0 = {s0!r}, T = {T!r}", T)
+        raise GridTooNarrow(f"the node spacing {s0_vol * dy!r} rounds away at S0 = {s0!r}, "
+                            f"T = {T!r}", T)
     for bp in model.breakpoints:
         if ks[0] < bp < ks[-1] and abs(bp - s0) > 1e-14:
             raise ValueError(f"sigma_D has a breakpoint at {bp!r}, inside the PDE grid "
                              f"but off S0 = {s0!r}; only a breakpoint at S0 sits on a node")
-    return ks, int(round((s0 - ks[0]) / dx)), clipped
+    return ks, j, clipped, dy
 
 
 # numpy's OpenBLAS exports LAPACK with 64-bit integers under these names
@@ -297,14 +373,15 @@ def march(model: LocalVolModel, setup: MarketSetup, maturities: Sequence[float],
     """Evolve call prices to each of `maturities` in n_steps equal steps, one
     PdeSolution per maturity, in the order given.
 
-    Each grid has n_space nodes over width_stdevs local stdevs either side of
-    S0 at its T, clipped to the positivity domain of the model
-    (`meta["clipped"]`), with S0 on a node.  The span does not depend on the
-    drift; an S0 outside the domain raises ValueError, a T too short for
-    n_space distinct nodes GridTooNarrow, and a grid on which sigma_D^2 is
-    not finite and positive GridFailure, each naming the first T that
-    fails.  The first two steps are each taken as two implicit half-steps,
-    the rest by Crank-Nicolson.
+    Each grid has n_space nodes, uniform in the Lamperti distance y over
+    width_stdevs stdevs sqrt(T) of y either side of S0 (`_build_strike_grid`),
+    with S0 on a node: `meta["dy"]` is its y step, and `meta["clipped"]`
+    says whether a domain end where y stays finite cut either end.  The
+    span does not depend on the drift; an S0 outside the domain raises
+    ValueError, a T too short for n_space distinct nodes GridTooNarrow, and
+    a grid on which sigma_D^2 is not finite and positive GridFailure, each
+    naming the first T that fails.  The first two steps are each taken as
+    two implicit half-steps, the rest by Crank-Nicolson.
 
     Every grid is one block of n_space rows of one held tridiagonal system,
     factored again only when some block's operator changes.  A block's first
@@ -318,9 +395,9 @@ def march(model: LocalVolModel, setup: MarketSetup, maturities: Sequence[float],
     ks, prices, source = _march(model, setup, maturities, grids, n_steps)
     return tuple(
         PdeSolution(strikes=ks[i], T=T, prices=prices[i], s0_node=s0_node,
-                    meta={"dx": ks[i, 1] - ks[i, 0], "n_steps": n_steps,
-                          "clipped": clipped, "lapack": source})
-        for i, (T, (_, s0_node, clipped)) in enumerate(zip(maturities, grids)))
+                    meta={"dy": dy, "n_steps": n_steps, "clipped": clipped,
+                          "lapack": source})
+        for i, (T, (_, s0_node, clipped, dy)) in enumerate(zip(maturities, grids)))
 
 
 def _march(model: LocalVolModel, setup: MarketSetup, maturities: Sequence[float],
@@ -329,7 +406,6 @@ def _march(model: LocalVolModel, setup: MarketSetup, maturities: Sequence[float]
     nodes and prices, and where the system's LAPACK came from."""
     m = len(grids)
     ks = np.array([g[0] for g in grids])
-    dx = ks[:, 1:2] - ks[:, :1]
     with np.errstate(over="ignore"):  # the check below refuses an overflow
         sig2 = model.vol(ks) ** 2
     bad = ~np.all(np.isfinite(sig2) & (sig2 > 0.0), axis=1)
@@ -337,35 +413,43 @@ def _march(model: LocalVolModel, setup: MarketSetup, maturities: Sequence[float]
         raise GridFailure("sigma_D not finite and positive on the whole grid",
                           maturities[int(bad.argmax())])
 
-    diff = 0.5 * sig2 / (dx * dx)          # diffusion coefficient on d2/dK2
-    diff_in = diff[:, 1:-1]
+    # the three-point stencil of each interior row on its spacings h-, h+:
+    # C_KK by 2 (C[i-1]/(h- s) - C[i]/(h- h+) + C[i+1]/(h+ s)), s = h- + h+,
+    # and C_K by (-h+ C[i-1]/(h- s) + (h+ - h-) C[i]/(h- h+) + h- C[i+1]/(h+ s))
+    dk = np.diff(ks, axis=1)
+    h_lo, h_hi = dk[:, :-1], dk[:, 1:]
+    g_lo, g_hi = 1.0 / (h_lo * (h_lo + h_hi)), 1.0 / (h_hi * (h_lo + h_hi))
+    diff_lo, diff_hi = sig2[:, 1:-1] * g_lo, sig2[:, 1:-1] * g_hi
+    adv_lo, adv_hi = h_hi * g_lo, h_lo * g_hi
     # the held system: its diagonals are those of I - theta h L, refilled in
-    # place and factored again only when (h, theta, advection) changes: twice
-    # for a constant drift, every (half-)step for mu1 != 0.  Each step builds
-    # the right-hand side in its b, the prices, and solves there.  Interior
-    # rows of L C = diff*(C[i+1] - 2C[i] + C[i-1]) - mu*(C[i+1] - C[i-1])/(2dx);
-    # L's Dirichlet rows, like the explicit weight w = (1 - theta) h there,
-    # stay 0, so the explicit half runs over the stacked vector at once
+    # place and factored again only when (h, theta, drift) changes: twice for
+    # a constant drift, every (half-)step for mu1 != 0.  Each step builds the
+    # right-hand side in its b, the prices, and solves there.  Interior rows
+    # of L C = 1/2 sigma_D^2 C_KK - mu C_K, the diagonal the negated sum of
+    # the off-diagonals, so L takes a constant to 0.  The system holds w L,
+    # each block's L weighted by its explicit weight w = (1 - theta) h once
+    # the implicit half is built; L's Dirichlet rows stay 0, so the explicit
+    # half runs over the stacked vector at once
     system = _Tridiagonal(m * ks.shape[1])
     dl, d, du, c, l_dl, l_d, l_du = system.blocks(m)
     b, lb = system.b, system.lb
-    np.multiply(-2.0, diff_in, out=l_d[:, 1:-1])
-    w = np.zeros(b.size)
-    wb = w.reshape(m, -1)
     np.maximum(setup.S0 - ks, 0.0, out=c)
     # the (half-)steps: a row per block, a column per step, theta shared
     t0, t1, h, theta = _schedule(maturities, n_steps)
-    adv = setup.drift(0.5 * (t0 + t1)) / (2.0 * dx)   # central first derivative
+    mu = setup.drift(0.5 * (t0 + t1))
     itm = (setup.forward(t1) - ks[:, :1]).T.copy()    # deep ITM C = F(t1) - K, a row per step
-    changes = np.any((h[:, 1:] != h[:, :-1]) | (adv[:, 1:] != adv[:, :-1]), axis=0)
+    changes = np.any((h[:, 1:] != h[:, :-1]) | (mu[:, 1:] != mu[:, :-1]), axis=0)
     changes |= theta[1:] != theta[:-1]
     explicit = (theta < 1.0).tolist()
     for k, change in enumerate((True, *changes.tolist())):
         if change:
             th, hk = float(theta[k]), h[:, k:k + 1]
-            np.add(diff_in, adv[:, k:k + 1], out=l_dl[:, :-2])          # C[i-1]
-            np.subtract(diff_in, adv[:, k:k + 1], out=l_du[:, 1:-1])    # C[i+1]
-            wb[:, 1:-1] = (1.0 - th) * hk
+            np.multiply(adv_lo, mu[:, k:k + 1], out=l_dl[:, :-2])       # C[i-1]
+            np.add(diff_lo, l_dl[:, :-2], out=l_dl[:, :-2])
+            np.multiply(adv_hi, mu[:, k:k + 1], out=l_du[:, 1:-1])      # C[i+1]
+            np.subtract(diff_hi, l_du[:, 1:-1], out=l_du[:, 1:-1])
+            np.add(l_dl[:, :-2], l_du[:, 1:-1], out=l_d[:, 1:-1])
+            np.negative(l_d[:, 1:-1], out=l_d[:, 1:-1])
             # Dirichlet rows stay identity rows, coupled to no other block
             d[:, 0] = d[:, -1] = 1.0
             np.multiply(l_d[:, 1:-1], th * hk, out=d[:, 1:-1])
@@ -374,11 +458,12 @@ def _march(model: LocalVolModel, setup: MarketSetup, maturities: Sequence[float]
             np.multiply(l_du[:, 1:-1], -th * hk, out=du[:, 1:-1])
             np.multiply(l_dl[:, :-2], -th * hk, out=dl[:, :-2])
             system.factor()
+            for row in (l_dl[:, :-2], l_d[:, 1:-1], l_du[:, 1:-1]):
+                np.multiply(row, (1.0 - th) * hk, out=row)
         # (I - theta h L) c_new = (I + (1-theta) h L) c_old, summed in the
-        # order c + w*((l_dl*c[i-1] + l_d*c[i]) + l_du*c[i+1])
+        # order c + ((w l_dl)*c[i-1] + (w l_d)*c[i]) + (w l_du)*c[i+1]
         if explicit[k]:
             system.multiply()
-            np.multiply(lb, w, out=lb)
             np.add(b, lb, out=b)
         # Dirichlet boundaries: deep ITM, and far OTM, where C = +0 stays
         # from the payoff (a zero row of L, an identity row of the system)
@@ -399,54 +484,66 @@ class ForwardOffGrid(ValueError):
 
 
 def richardson_prices(model: LocalVolModel, setup: MarketSetup,
-                      maturities: tuple[float, ...], strikes: Sequence[float],
-                      width_stdevs: float) -> tuple[np.ndarray, ...]:
-    """Call prices at the requested strikes, nan off either grid, one array
-    per maturity, from two marches over width_stdevs stdevs: 401 nodes in 32
-    steps and 801 in 64, whatever T.  The error is about a dx^2 + b dt^2;
-    halving dx and dt together divides both terms by 4, so (4 fine - coarse)
-    / 3 cancels both.  A forward off a grid raises ForwardOffGrid before
+                      maturities: tuple[float, ...], strikes: Sequence[float]
+                      ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Call prices at the requested strikes, nan off the grid, one array per
+    maturity, and per maturity the mask of the strikes whose price an end of
+    the grid may bias: those within EDGE_STDEVS stdevs of y of either end,
+    and every strike where a domain end clipped the grid, cutting off the
+    probability past it.
+
+    Two marches over SPAN_STDEVS stdevs of y, whatever T: RICHARDSON_PAIR's
+    coarse grid in its steps, and the fine grid, every other node of which
+    is a coarse node, in twice as many.  The error is about a dy^2 + b dt^2;
+    halving dy and dt together divides both terms by 4, so (4 fine - coarse)
+    / 3 cancels both.  A forward off the grid raises ForwardOffGrid before
     either march, and each march is read at every strike in one call.
     """
-    sizes = ((401, 32), (801, 64))
-    grids = []
-    for n_space, _ in sizes:
-        grids.append([_build_strike_grid(model, setup, T, n_space, width_stdevs)
-                      for T in maturities])
-        for T, (ks, _, _) in zip(maturities, grids[-1]):
-            F = setup.forward(T)
-            if not ks[0] <= F <= ks[-1]:
-                raise ForwardOffGrid(f"the drifted forward {F:.6g} at T = {T} lies off "
-                                     f"the PDE grid [{ks[0]:.6g}, {ks[-1]:.6g}] around S0")
+    (_, coarse_steps), (n_fine, fine_steps) = RICHARDSON_PAIR
+    fine = [_build_strike_grid(model, setup, T, n_fine, SPAN_STDEVS, stride=2)
+            for T in maturities]
+    for T, (ks, *_) in zip(maturities, fine):
+        F = setup.forward(T)
+        if not ks[0] <= F <= ks[-1]:
+            raise ForwardOffGrid(f"the drifted forward {F:.6g} at T = {T} lies off "
+                                 f"the PDE grid [{ks[0]:.6g}, {ks[-1]:.6g}] around S0")
+    coarse = [(ks[::2], j0 // 2, clipped, 2.0 * dy) for ks, j0, clipped, dy in fine]
     prices = []
-    for size_grids, (_, n_steps) in zip(grids, sizes):
-        ks, c, _ = _march(model, setup, maturities, size_grids, n_steps)
-        prices.append(_prices_at(ks, c, [g[1] for g in size_grids], strikes))
-    coarse, fine = prices
-    return tuple((4.0 * fine - coarse) / 3.0)
+    for grids, n_steps in ((coarse, coarse_steps), (fine, fine_steps)):
+        ks, c, _ = _march(model, setup, maturities, grids, n_steps)
+        prices.append(_prices_at(ks, c, [g[1] for g in grids], strikes))
+    coarse_prices, fine_prices = prices
+    biased = []
+    for T, (ks, _, clipped, dy) in zip(maturities, fine):
+        # each strike's y, measured from the grid's first node
+        y = np.interp(strikes, ks, dy * np.arange(n_fine))
+        edge = EDGE_STDEVS * math.sqrt(T)
+        biased.append(any(clipped) | (y < edge) | (y > dy * (n_fine - 1) - edge))
+    return tuple((4.0 * fine_prices - coarse_prices) / 3.0), tuple(biased)
 
 
 def implied_smile_from_pde(model: LocalVolModel, setup: MarketSetup,
                            maturities: tuple[float, ...], strikes: Sequence[float]
                            ) -> tuple[list[tuple[float, str]], ...]:
     """(sigma_N, flag) per strike, one list per maturity T, the `pde` rows of
-    `nvol smile`: the `richardson_prices` over 10 stdevs mapped by
-    `implied_vol_and_flag`, and ok rows far (> 6 sigma_ATM sqrt(T)) from the
-    forward low_confidence.
+    `nvol smile`: the `richardson_prices` mapped by `implied_vol_and_flag`,
+    and ok rows low_confidence where an end of the grid may bias the price
+    or far (> 6 sigma_ATM sqrt(T)) from the forward.
     """
     forwards = [setup.forward(t) for t in maturities]
     wanted = np.asarray(strikes, dtype=float)
     # every maturity's prices come at every forward; each reads its own
-    prices = richardson_prices(model, setup, maturities, np.append(wanted, forwards), 10.0)
+    prices, biased = richardson_prices(model, setup, maturities, np.append(wanted, forwards))
     smiles = []
     for i, (t, F, p) in enumerate(zip(maturities, forwards, prices)):
         atm = float(p[wanted.size + i])
         band = 6.0 * implied_vol_and_flag(atm, F, F, t)[0] * math.sqrt(t)
         smile = []
-        for k, price in zip(wanted.tolist(), p[:wanted.size].tolist()):
+        for k, price, doubt in zip(wanted.tolist(), p[:wanted.size].tolist(),
+                                   biased[i].tolist()):
             vol, flag = implied_vol_and_flag(price, F, k, t)
             # an ATM price without time value has no vol, and its band (nan) holds no strike
-            if flag == "ok" and not abs(k - F) <= band:
+            if flag == "ok" and (doubt or not abs(k - F) <= band):
                 flag = "low_confidence"
             smile.append((vol, flag))
         smiles.append(smile)
@@ -464,12 +561,12 @@ def atm_implied_vol(sol: PdeSolution, setup: MarketSetup) -> float:
 
 def atm_implied_vol_richardson(model: LocalVolModel, setup: MarketSetup,
                                maturities: tuple[float, ...]) -> tuple[float, ...]:
-    """ATM implied normal vol at each T, the `richardson_prices` price over 8
-    stdevs inverted once: +3.1e-10 from the closed forms of
-    configs/sqrtt_*.ini at each T in 1/256..1/4 (16/32 steps leave +2.2e-9,
-    64/128 steps +1.5e-10)."""
+    """ATM implied normal vol at each T, the `richardson_prices` price
+    inverted once: +4.1e-10 to +4.3e-10 from the closed forms of
+    configs/sqrtt_*.ini at each T in 1/256..1/4 (16/32 steps leave +2.5e-9,
+    64/128 steps +2.5e-10)."""
     forwards = [setup.forward(t) for t in maturities]
-    prices = richardson_prices(model, setup, maturities, forwards, 8.0)
+    prices, _ = richardson_prices(model, setup, maturities, forwards)
     return tuple(implied_vol_and_flag(float(p[i]), F, F, t)[0]
                  for i, (t, F, p) in enumerate(zip(maturities, forwards, prices)))
 

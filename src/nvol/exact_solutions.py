@@ -185,10 +185,11 @@ def _fit_loglog(ts, ds, exponent=None):
 def sqrt_t_detector(model: LocalVolModel, setup: MarketSetup, T_grid) -> FitReport:
     """Classify the small-time ATM behavior and size any sqrt(T) term.
 
-    For each maturity the forward-PDE ATM price is extrapolated from two
-    maturity-adapted grids, 401 nodes in 32 steps and 801 nodes in 64, and
-    inverted once (`atm_implied_vol_richardson`, within 5e-10 of the closed
-    forms on configs/sqrtt_*.ini).  One call takes the whole grid, so each
+    For each maturity the forward-PDE ATM price is extrapolated from the two
+    grids of `dupire_pde.richardson_prices`, uniform in the Lamperti distance
+    over the same span in stdevs whatever T, and inverted once
+    (`atm_implied_vol_richardson`, within 5e-10 of the closed forms on
+    configs/sqrtt_*.ini).  One call takes the whole grid, so each
     grid size is one march with every maturity a block of one tridiagonal
     system: two marches in all, each block priced bit for bit as its maturity
     alone.  sigma_D(S0) is subtracted, and the deviations are fitted to
@@ -210,7 +211,7 @@ def sqrt_t_detector(model: LocalVolModel, setup: MarketSetup, T_grid) -> FitRepo
     if repeated:
         raise ValueError(f"maturities must be distinct, repeated: {repeated}")
     sD0 = model.vol(setup.S0)
-    # the extrapolation keeps the O(dx^2 + dt^2) ATM bias from flattening
+    # the extrapolation keeps the O(dy^2 + dt^2) ATM bias from flattening
     # the power law at the smallest maturities
     devs = [vol - sD0 for vol in atm_implied_vol_richardson(model, setup, T_grid)]
     sign = math.copysign(1.0, devs[0])

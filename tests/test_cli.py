@@ -558,18 +558,26 @@ def test_rows_without_time_value_are_flagged(tmp_path):
     # as sigma_N = 0 flagged ok (mc, exact) or low_confidence (pde).  The kink's
     # exact time values 1.7e-17 (K=0.02) and 7.3e-34 (K=0.08) at T=0.01 are
     # below the one noise level of exact rows, max(1e-16, 1e-13 price);
-    # 2.7e-13 (K=0.025) is not
+    # 2.7e-13 (K=0.025) is not.  The pde grid at T=0.01 ends at K=0.0342,
+    # where C is held at +0, and K=0.038 lies off it
+    from nvol.dupire_pde import RICHARDSON_PAIR, SPAN_STDEVS, _build_strike_grid
+    from nvol.models import MarketSetup, make_piecewise_linear
+
+    end = float(_build_strike_grid(make_piecewise_linear(0.008, -0.1, 0.1, 0.03),
+                                   MarketSetup(0.03), 0.01, RICHARDSON_PAIR[1][0], SPAN_STDEVS,
+                                   stride=2)[0][-1])
     p = tmp_path / "ntv.ini"
-    p.write_text(NO_TIME_VALUE)
+    p.write_text(NO_TIME_VALUE.replace("0.038 0.08", f"0.038 {end!r} 0.08"))
     out = tmp_path / "ntv.csv"
     code, _ = run(["smile", "--config", str(p), "--out", str(out)])
     assert code == 0
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     by = {(r["method"], float(r["K"]), float(r["T"])): r for r in rows}
-    for key in (("mc", 0.08, 1.0), ("exact", 0.01, 0.01), ("pde", 0.038, 0.01),
+    for key in (("mc", 0.08, 1.0), ("exact", 0.01, 0.01), ("pde", float(f"{end:.12g}"), 0.01),
                 ("exact", 0.02, 0.01), ("exact", 0.08, 0.01)):
         assert by[key]["flag"] == "no_time_value", key
+    assert by[("pde", 0.038, 0.01)]["flag"] == "off_grid"
     assert by[("exact", 0.025, 0.01)]["flag"] == "ok"
     for r in rows:
         v = float(r["sigma_N"])
@@ -626,8 +634,8 @@ def test_every_row_at_its_strike_and_ok_rows_carry_a_vol(tmp_path_factory, case,
 
 
 def test_strikes_off_the_pde_grid_are_flagged(tmp_path):
-    # at T = 0.01 the grid spans 0.03 -+ 10 * 0.01 * 0.1; both strikes used to
-    # come back as its edge node, K=0.04 with sigma_N=0
+    # at T = 0.01 the grid spans 0.0252 .. 0.0353; both strikes used to come
+    # back as its edge node, with sigma_N=0
     text = SMILE_CONFIG.replace("sigma0 = 0.014", "sigma0 = 0.01")
     text = text.replace("min = 0.02\nmax = 0.05\ncount = 7", "list = 0.5 5.0")
     p = tmp_path / "far.ini"
@@ -644,13 +652,14 @@ def test_strikes_off_the_pde_grid_are_flagged(tmp_path):
 
 
 @pytest.mark.parametrize("config, bounds", [
-    ("fig1_shifted_lognormal", {10.0: 2e-8, 30.0: 1.5e-6}),
-    ("fig3_kink_bL_m10", {10.0: 1e-7})])
+    ("fig1_shifted_lognormal", {10.0: 2e-8, 30.0: 1e-8}),
+    ("fig3_kink_bL_m10", {10.0: 1e-8})])
 def test_figure_pde_rows_match_exact(tmp_path, config, bounds):
-    # the pde rows against the closed form, row by row: 7.5e-9 and 3.4e-8 at
-    # T = 10; at T = 30 the 10-stdev span cuts the fat right tail (1.2e-6).
-    # One 1601-node solve at 40 steps a year left 9.4e-8 and 5.1e-7, and
-    # nearest-node rows were up to 2.7e-5 off
+    # the pde rows against the closed form, row by row: 1.7e-9 and 3.7e-9 at
+    # T = 10, 3.3e-9 at T = 30.  A grid uniform in strike over 10 stdevs of
+    # sigma_D(S0) cut the fat right tail at T = 30 (1.2e-6) and left 3.4e-8
+    # on the kink; one 1601-node solve at 40 steps a year left 9.4e-8 and
+    # 5.1e-7, and nearest-node rows were up to 2.7e-5 off
     text = (ROOT / "configs" / f"{config}.ini").read_text()
     p = tmp_path / f"{config}.ini"
     p.write_text(text.replace("list = asympt0 pde", "list = pde exact"))
@@ -667,9 +676,48 @@ def test_figure_pde_rows_match_exact(tmp_path, config, bounds):
         assert worst < bound, (T, worst)
 
 
+def test_long_dated_atm_pde_row_matches_the_erf_formula(tmp_path):
+    # sigma_D = 0.03 + 0.4 S at T = 30: a strike grid over 10 stdevs of
+    # sigma_D(S0) cut the fat right tail, and the ok row was 3.4e-5 off; the
+    # y grid leaves 2.4e-9
+    from nvol.exact_solutions import shifted_ln_atm_exact_vol
+
+    p = tmp_path / "atm.ini"
+    p.write_text("[model]\ntype = shifted_lognormal\nsigma0 = 0.03\nb = 0.2\n[market]\nS0 = 0\n"
+                 "[strikes]\nlist = 0\n[maturities]\nlist = 30\n[methods]\nlist = pde\n")
+    out = tmp_path / "atm.json"
+    assert run(["smile", "--config", str(p), "--out", str(out), "--format", "json"])[0] == 0
+    row, = json.loads(out.read_text())
+    assert row["flag"] == "ok"
+    assert abs(row["sigma_N"] - shifted_ln_atm_exact_vol(0.03, 0.2, 30.0)) < 1e-8
+
+
+def test_fig5_far_pde_row_matches_a_wide_converged_reference():
+    # K = 0.1 at T = 10, where sigma_D has doubled: a strike grid over 10
+    # stdevs of sigma_D(S0) cut the right tail, and the ok row was 3.8e-5 off.
+    # The reference extrapolates 3201 nodes in 256 steps and 6401 in 512 over
+    # 10 stdevs of y, twice the rows' span; 6401/12801 nodes in 512/1024
+    # steps over 14 and 20 stdevs move it by under 4e-13.  The row is 9.6e-10
+    # off it
+    from nvol.bachelier import implied_vol_and_flag
+    from nvol.cli import load_config
+    from nvol.dupire_pde import implied_smile_from_pde, solve_forward
+
+    cfg = load_config(str(ROOT / "configs" / "fig5_piecewise_bL10_bR20.ini"))
+    T, K = 10.0, 0.1
+    coarse, fine = (solve_forward(cfg.model, cfg.setup, T, n_space=n, n_steps=steps,
+                                  width_stdevs=10.0).price_at_strikes([K])[0]
+                    for n, steps in ((3201, 256), (6401, 512)))
+    ref = implied_vol_and_flag((4.0 * fine - coarse) / 3.0, cfg.setup.forward(T), K, T)
+    (got,), = implied_smile_from_pde(cfg.model, cfg.setup, (T,), [K])
+    assert got[1] == ref[1] == "ok"
+    assert abs(got[0] - ref[0]) < 1e-8
+
+
 def test_fig2_pde_rows_match_a_finer_pair():
     # no closed form for SABR: the reference is the same extrapolation from
-    # 3201 nodes in 256 steps and 6401 in 512; the rows are within 7.9e-9
+    # 3201 nodes in 256 steps and 6401 in 512 over 10 stdevs of y, twice the
+    # rows' span; the rows are within 1.7e-8
     from nvol.bachelier import implied_vol_and_flag
     from nvol.cli import load_config
     from nvol.dupire_pde import implied_smile_from_pde, solve_forward
@@ -1104,8 +1152,8 @@ def test_sqrt_t_repeated_maturities_exit_2_before_any_work(tmp_path, capsys):
 
 
 def test_sqrt_t_refuses_a_forward_off_the_grid(tmp_path, capsys):
-    # the 8-stdev grids are centred on S0; with mu0 = 0.5 the forward 0.0456
-    # at T = 1/32 lies off them, where the fit used to exit 3 with "ATM
+    # the grids are centred on S0; with mu0 = 0.5 the forward 0.0339 at
+    # T = 1/128 lies off them, where the fit used to exit 3 with "ATM
     # deviation changes sign or vanishes"
     p = tmp_path / "drift.ini"
     p.write_text((ROOT / "configs" / "sqrtt_model2b.ini").read_text()
@@ -1114,7 +1162,7 @@ def test_sqrt_t_refuses_a_forward_off_the_grid(tmp_path, capsys):
     code, text = run(["sqrt-t", "--config", str(p), "--out", str(out)])
     assert code == 2 and text == "" and not out.exists()
     err = capsys.readouterr().err
-    assert "[market]" in err and "forward 0.045625 at T = 0.03125" in err, err
+    assert "[market]" in err and "forward 0.0339062 at T = 0.0078125" in err, err
 
 
 def _sqrtt_model2b_without_smile_sections() -> str:
@@ -1193,11 +1241,10 @@ def test_load_config_accepts_every_checked_in_config(config):
 
 
 def test_pde_rows_solve_a_fixed_pair_per_maturity(tmp_path, monkeypatch, lapack_calls):
-    # one march on 401 nodes in 32 steps and one on 801 in 64, each with
+    # one march on 217 nodes in 32 steps and one on 433 in 64, each with
     # every maturity a block of one system (each step count plus the two
-    # Rannacher half-steps is one dgttrs solve); at T = 0.01 the grids span
-    # 0.03 -+ 0.008, so K = 0.1 is off them and the extrapolated price at
-    # K = 0.037 is -2.7e-20
+    # Rannacher half-steps is one dgttrs solve); at T = 0.01 the grid spans
+    # 0.0258 .. 0.0342, so K = 0.037 and K = 0.1 are off it
     grids = []
     marched = nvol.dupire_pde._march
 
@@ -1212,12 +1259,12 @@ def test_pde_rows_solve_a_fixed_pair_per_maturity(tmp_path, monkeypatch, lapack_
     out = tmp_path / "pde.json"
     code, _ = run(["smile", "--config", str(p), "--out", str(out), "--format", "json"])
     assert code == 0
-    assert grids == [[(401, 32, 0.01), (401, 32, 0.25)], [(801, 64, 0.01), (801, 64, 0.25)]]
-    assert lapack_calls["solve"] == [2 * 401] * (32 + 2) + [2 * 801] * (64 + 2)
-    assert lapack_calls["factor"] == [2 * 401] * 2 + [2 * 801] * 2
+    assert grids == [[(217, 32, 0.01), (217, 32, 0.25)], [(433, 64, 0.01), (433, 64, 0.25)]]
+    assert lapack_calls["solve"] == [2 * 217] * (32 + 2) + [2 * 433] * (64 + 2)
+    assert lapack_calls["factor"] == [2 * 217] * 2 + [2 * 433] * 2
     rows = json.loads(out.read_text())
     assert [(r["T"], r["K"], r["flag"]) for r in rows] == [
-        (0.01, 0.03, "ok"), (0.01, 0.037, "no_time_value"), (0.01, 0.1, "off_grid"),
+        (0.01, 0.03, "ok"), (0.01, 0.037, "off_grid"), (0.01, 0.1, "off_grid"),
         (0.25, 0.03, "ok"), (0.25, 0.037, "ok"), (0.25, 0.1, "off_grid")]
     assert [math.isnan(r["sigma_N"]) for r in rows] == [False, True, True, False, False, True]
 
@@ -1478,3 +1525,44 @@ def test_mc_rows_whose_paths_left_the_table_are_low_confidence(tmp_path):
     assert [(T, flag) for _, T, _, _, flag in rows] == (
         [("0.5", "ok")] * 3 + [("5", "low_confidence")] * 3)
     assert all(0.008 < float(vol) < 0.0095 for _, _, _, vol, _ in rows)
+
+
+def test_pde_rows_of_a_grid_the_table_clipped_are_low_confidence(tmp_path):
+    # the table above: y from S0 = 0.03 down to its first sample is 3.1
+    # stdevs at T = 1, so the 5-stdev grid is cut there from T = 0.38 on and
+    # the probability past it is lost; at T = 5, K = 0.02 read 0.0086464 ok
+    # against 0.0087441 +- 4.8e-6 from 65536 mc paths.  At T = 0.1 the grid
+    # spans 1.6 stdevs either side
+    table = tmp_path / "vol.csv"
+    table.write_text("S,sigma_D\n0,0.012\n0.02,0.009\n0.04,0.008\n0.06,0.0095\n0.08,0.012\n")
+    p = tmp_path / "table.ini"
+    p.write_text(f"[model]\ntype = tabulated\npath = {table}\n[market]\nS0 = 0.03\n"
+                 f"[strikes]\nlist = 0.02 0.03 0.04\n[maturities]\nlist = 0.1 0.5 5\n"
+                 f"[methods]\nlist = pde\n")
+    code, text = run(["smile", "--config", str(p)])
+    assert code == 0
+    rows = [ln.split(",") for ln in text.splitlines()[1:]]
+    assert [(T, K, flag) for K, T, _, _, flag in rows if flag == "ok"] == [("0.1", "0.03", "ok")]
+    assert all(0.008 < float(vol) < 0.0087 for _, _, _, vol, _ in rows)
+
+
+@pytest.mark.parametrize("columns, cells", [
+    (["K", "T", "method", "sigma_N", "flag"],
+     [(math.nan, math.inf, "pde", -math.inf, "off_grid"), (-0.0, 1e-300, "mc", 0.0, "ok"),
+      (123456789012.5, 0.12345678901250, "exact", 2.5e-13, "no_time_value"),
+      (1.0000000000005, 5e-324, "asympt0", -123456.7890125, "low_confidence")]),
+    (["T", "dev_order0", "dev_order1", "dev_order2"],
+     [(30.0, -0.0, 1e300, -1e-300), (1.5, 1234567.890125, math.nan, 0.5)]),
+    (["K", "T", "sigma_D"], [])])
+def test_csv_rows_are_the_bytes_of_csv_writer(columns, cells):
+    # nan, +-inf, -0.0, extremes and 12-digit rounding ties, each cell
+    # formatted as the csv module wrote it before
+    from nvol.cli import _rows_text
+
+    rows = [dict(zip(columns, values)) for values in cells]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for r in rows:
+        writer.writerow([r[c] if isinstance(r[c], str) else f"{r[c]:.12g}" for c in columns])
+    assert _rows_text(rows, "csv", columns) == buf.getvalue()

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
+from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
 from nvol.bachelier import NormalQuote, bachelier_call
 import nvol.dupire_pde
-from nvol.dupire_pde import (ForwardOffGrid, GridTooNarrow, PdeSolution, _build_strike_grid,
-                             _Tridiagonal,
+from nvol.dupire_pde import (RICHARDSON_PAIR, SPAN_STDEVS, ForwardOffGrid, GridTooNarrow,
+                             PdeSolution, _build_strike_grid, _Tridiagonal,
                              atm_implied_vol, atm_implied_vol_richardson,
                              extract_local_vol, implied_smile_from_pde, march,
                              richardson_prices, solve_forward)
@@ -81,10 +82,11 @@ def test_calendar_monotonicity():
 
 
 def test_smile_flags_and_band():
-    # the grids span 0.03 -+ 0.1 and the band 0.03 -+ 0.06
+    # the grids span 0.03 -+ 0.05 and the band 0.03 -+ 0.06; strikes within
+    # 0.015 of a grid end are low_confidence
     model = constant_model(0.01)
     setup = MarketSetup(S0=0.03)
-    strikes = np.linspace(-0.0695, 0.1295, 200)
+    strikes = np.linspace(-0.0195, 0.0795, 200)
     pts, = implied_smile_from_pde(model, setup, (1.0,), strikes)
     flags = {flag for _, flag in pts}
     assert flags <= {"ok", "low_confidence", "no_time_value"}
@@ -96,7 +98,7 @@ def test_smile_flags_and_band():
     near = [pt for k, pt in zip(strikes, pts) if abs(k - 0.03) < 0.02]
     assert all(flag == "ok" for _, flag in near)
     assert all(vol == pytest.approx(0.01, abs=1e-8) for vol, _ in near)
-    far = [pt for k, pt in zip(strikes, pts) if abs(k - 0.03) > 0.07]
+    far = [pt for k, pt in zip(strikes, pts) if abs(k - 0.03) > 0.035]
     assert far and all(flag != "ok" for _, flag in far)
 
 
@@ -104,10 +106,10 @@ def test_smile_without_an_atm_vol_is_low_confidence(monkeypatch):
     # an ATM price without time value has no vol, so no strike lies in the band
     model = constant_model(0.01)
     setup = MarketSetup(S0=0.03)
-    live = richardson_prices(model, setup, (1.0,), [0.05], 10.0)[0][0]
-    # one price array per maturity, the strikes then the forward
+    (live,), _ = richardson_prices(model, setup, (1.0,), [0.05])
+    # one price array per maturity, the strikes then the forward, and its mask
     monkeypatch.setattr(nvol.dupire_pde, "richardson_prices",
-                        lambda *a: (np.array([live, 0.0]),))
+                        lambda *a: ((np.array([live[0], 0.0]),), (np.array([False, False]),)))
     assert implied_smile_from_pde(model, setup, (1.0,), [0.05]) == ([
         (pytest.approx(0.01, abs=1e-8), "low_confidence")],)
     sol = solve_forward(model, setup, 1.0, n_space=101)
@@ -154,27 +156,31 @@ def test_breakpoint_off_s0_is_refused():
 
 
 def reference_march(model, setup, ks, T, n_steps):
-    """Rannacher-started CN to T in n_steps steps of T / n_steps, with the
-    system rebuilt and solved every step."""
-    n, dx = len(ks), ks[1] - ks[0]
-    diff = 0.5 * np.array([model.vol(k) ** 2 for k in ks]) / (dx * dx)
+    """Rannacher-started CN to T in n_steps steps of T / n_steps on the nodes
+    ks, with the system rebuilt and solved every step."""
+    n = len(ks)
+    sig2 = np.array([model.vol(k) ** 2 for k in ks[1:-1]])
+    # the three-point stencil of each interior row on its spacings h-, h+
+    h_lo, h_hi = np.diff(ks)[:-1], np.diff(ks)[1:]
+    g_lo, g_hi = 1.0 / (h_lo * (h_lo + h_hi)), 1.0 / (h_hi * (h_lo + h_hi))
     times = np.linspace(0.0, T, n_steps + 1).tolist()
     dt = T / n_steps
 
     def step(c_in, t0, t1, h, theta):
-        adv = setup.drift(0.5 * (t0 + t1)) / (2.0 * dx)
-        lo_c, hi_c, mid_c = diff + adv, diff - adv, -2.0 * diff
+        mu = setup.drift(0.5 * (t0 + t1))
+        lo_c = sig2 * g_lo + mu * (h_hi * g_lo)
+        hi_c = sig2 * g_hi - mu * (h_lo * g_hi)
+        mid_c = -(lo_c + hi_c)
         rhs = c_in.copy()
         if theta < 1.0:
             w = (1.0 - theta) * h
-            rhs[1:-1] = (c_in[1:-1] + w * (lo_c[1:-1] * c_in[:-2]
-                                           + mid_c[1:-1] * c_in[1:-1]
-                                           + hi_c[1:-1] * c_in[2:]))
+            rhs[1:-1] = c_in[1:-1] + ((w * lo_c) * c_in[:-2] + (w * mid_c) * c_in[1:-1]
+                                      + (w * hi_c) * c_in[2:])
         ab = np.zeros((3, n))
         ab[1, :] = 1.0
-        ab[1, 1:-1] = 1.0 - theta * h * mid_c[1:-1]
-        ab[0, 2:] = -theta * h * hi_c[1:-1]
-        ab[2, :-2] = -theta * h * lo_c[1:-1]
+        ab[1, 1:-1] = 1.0 - theta * h * mid_c
+        ab[0, 2:] = -theta * h * hi_c
+        ab[2, :-2] = -theta * h * lo_c
         rhs[0] = setup.forward(t1) - ks[0]
         rhs[-1] = 0.0
         return solve_banded((1, 1), ab, rhs)
@@ -190,6 +196,20 @@ def reference_march(model, setup, ks, T, n_steps):
 
 
 KINK = make_piecewise_linear(0.008, 0.1, 0.2, 0.03)
+
+
+def tabulated_shifted_ln(b, end):
+    """The shifted log-normal sigma_D = 0.008 + 2 b S, tabulated from `end`
+    out to 1e9 on the other side.  The vol is positive at `end`, so y stays
+    finite there and a grid that reaches it is clipped; where sigma_D falls
+    to 0, as at the untabulated model's end, y runs to infinity instead."""
+    ends = [end, 0.0, 0.03, 1.0, 1e9] if b > 0 else [-1e9, -1.0, -0.03, 0.0, end]
+    return make_tabulated([(s, 0.008 + 2.0 * b * s) for s in ends])
+
+
+# y from S0 = 0.03 to its first sample is 6.3 stdevs at T = 1, so the
+# 10-stdev grids are clipped there from T = 0.4 on
+TABLE_LN = tabulated_shifted_ln(0.1, -0.02)
 
 
 @pytest.mark.parametrize("model, setup, levels, n_space", [
@@ -221,11 +241,11 @@ def test_march_bit_identical_to_per_step_banded_solve(both_lapacks, model, setup
 
 @pytest.mark.parametrize("model, setup, maturities, clipped", [
     # unsorted, with the kink at S0 and mu1 != 0: one factorisation per
-    # step; sigma_D vanishes at S = -0.01, which clips the grids from T = 0.5
-    (KINK, MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001), (2.0, 0.1, 0.5), (True, False, True)),
-    # sigma_D vanishes at S = -0.04, which clips the grid at T = 10 only
-    (make_shifted_lognormal(0.008, 0.1, 0.03), MarketSetup(S0=0.03), (0.1, 10.0, 0.05),
-     (False, True, False)),
+    # step; sigma_D vanishes at S = -0.01, where y runs to infinity, so no
+    # grid is clipped
+    (KINK, MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001), (2.0, 0.1, 0.5), (False, False, False)),
+    # the table's first sample clips the grid at T = 10 only
+    (TABLE_LN, MarketSetup(S0=0.03), (0.1, 10.0, 0.05), (False, True, False)),
     (make_quadratic_sabr(0.01, 0.3, -0.3, 0.03), MarketSetup(S0=0.03, mu0=0.002),
      (1.0, 0.25), (False, False)),
 ])
@@ -246,34 +266,49 @@ def test_march_blocks_equal_one_maturity_solves(lapack_calls, model, setup, matu
         assert sol.meta == one.meta
 
 
-@pytest.mark.parametrize("width", [8.0, 10.0])
-def test_richardson_equals_one_maturity_read_outs(width):
+def test_richardson_equals_one_maturity_read_outs():
     # the batched read-out of each march, row by row, is the read-out of that
-    # maturity's solve alone; strikes off a grid (at T = 0.0625 they span
-    # 0.03 -+ 0.016 and 0.03 -+ 0.02), on nodes and between them, nan and inf
+    # maturity's solves alone, whose coarse grid is every other node of the
+    # fine one; strikes off the grid (at T = 0.0625 it spans 0.0212 ..
+    # 0.0430), on nodes and between them, nan and inf
     model, setup = KINK, MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001)
     maturities = (0.25, 0.0625, 1.0)
     strikes = [0.005, 0.025, 0.03, 0.031, 0.0312345, 0.04, 0.07, math.nan, math.inf, -math.inf]
-    prices = richardson_prices(model, setup, maturities, strikes, width)
+    prices, _ = richardson_prices(model, setup, maturities, strikes)
     for T, got in zip(maturities, prices):
-        coarse, fine = (solve_forward(model, setup, T, n_space, n_steps, width)
-                        .price_at_strikes(strikes)
-                        for n_space, n_steps in ((401, 32), (801, 64)))
-        assert got.tobytes() == ((4.0 * fine - coarse) / 3.0).tobytes()
+        coarse, fine = (solve_forward(model, setup, T, n_space, n_steps, SPAN_STDEVS)
+                        for n_space, n_steps in RICHARDSON_PAIR)
+        assert np.array_equal(coarse.strikes, fine.strikes[::2])
+        want = (4.0 * fine.price_at_strikes(strikes) - coarse.price_at_strikes(strikes)) / 3.0
+        assert got.tobytes() == want.tobytes()
     assert np.array_equal(np.isnan(prices[1]), [True] + [False] * 5 + [True] * 4)
+
+
+def test_richardson_marks_strikes_an_end_of_the_grid_may_bias():
+    # a constant vol 0.01 at T = 1: the grid spans 0.03 -+ 0.05, and strikes
+    # within 0.015 of either end are marked, as is every strike of a grid
+    # that the table's first sample clipped
+    strikes = [0.03, -0.004, -0.006, 0.064, 0.066, 0.0, math.nan]
+    _, (biased,) = richardson_prices(constant_model(0.01), MarketSetup(S0=0.03), (1.0,),
+                                     strikes)
+    assert biased.tolist() == [False, False, True, False, True, False, False]
+    # the 5-stdev span reaches the table's first sample from T = 1.6 on
+    _, biased = richardson_prices(TABLE_LN, MarketSetup(S0=0.03), (0.1, 2.0), [0.03, 0.04])
+    assert [b.tolist() for b in biased] == [[False, False], [True, True]]
 
 
 def test_tuple_of_maturities_equals_one_maturity_calls():
     model, setup = KINK, MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001)
     maturities = (0.25, 0.0625, 1.0)
     strikes = [0.025, 0.03, 0.031, 0.04]
-    prices = richardson_prices(model, setup, maturities, strikes, 10.0)
+    prices, biased = richardson_prices(model, setup, maturities, strikes)
     smiles = implied_smile_from_pde(model, setup, maturities, strikes)
     vols = atm_implied_vol_richardson(model, setup, maturities)
-    assert len(prices) == len(smiles) == len(vols) == 3
+    assert len(prices) == len(biased) == len(smiles) == len(vols) == 3
     for i, T in enumerate(maturities):
-        one_prices, = richardson_prices(model, setup, (T,), strikes, 10.0)
+        (one_prices,), (one_biased,) = richardson_prices(model, setup, (T,), strikes)
         assert np.array_equal(prices[i], one_prices)
+        assert np.array_equal(biased[i], one_biased)
         assert (smiles[i],) == implied_smile_from_pde(model, setup, (T,), strikes)
         assert (vols[i],) == atm_implied_vol_richardson(model, setup, (T,))
 
@@ -290,7 +325,7 @@ def test_march_factors_once_per_operator(lapack_calls, mu0, mu1, factorizations)
 
 @pytest.mark.parametrize("T", [1.0 / 256.0, 0.25, 4.0, 0.3])
 def test_atm_richardson_solves_twice_in_fixed_steps(monkeypatch, lapack_calls, T):
-    # two marches, 401 nodes in 32 steps and 801 in 64, whatever the
+    # two marches, 217 nodes in 32 steps and 433 in 64, whatever the
     # maturities: each step count plus the two Rannacher half-steps is one
     # dgttrs solve, and each march factors twice, even where T / 32 and
     # T / 64 are inexact (T = 0.3); a tuple stacks one block per maturity
@@ -304,18 +339,18 @@ def test_atm_richardson_solves_twice_in_fixed_steps(monkeypatch, lapack_calls, T
     monkeypatch.setattr(nvol.dupire_pde, "_march", recorded)
     setup = MarketSetup(S0=0.03)
     vol, = atm_implied_vol_richardson(KINK, setup, (T,))
-    assert grids == [[(401, 32, T)], [(801, 64, T)]]
-    assert lapack_calls["solve"] == [401] * (32 + 2) + [801] * (64 + 2)
-    assert lapack_calls["factor"] == [401] * 2 + [801] * 2
+    assert grids == [[(217, 32, T)], [(433, 64, T)]]
+    assert lapack_calls["solve"] == [217] * (32 + 2) + [433] * (64 + 2)
+    assert lapack_calls["factor"] == [217] * 2 + [433] * 2
 
     grids.clear()
     lapack_calls["solve"].clear()
     lapack_calls["factor"].clear()
     assert atm_implied_vol_richardson(KINK, setup, (0.5, T, 1.0 / 64.0))[1] == vol
-    assert grids == [[(401, 32, t) for t in (0.5, T, 1.0 / 64.0)],
-                     [(801, 64, t) for t in (0.5, T, 1.0 / 64.0)]]
-    assert lapack_calls["solve"] == [3 * 401] * (32 + 2) + [3 * 801] * (64 + 2)
-    assert lapack_calls["factor"] == [3 * 401] * 2 + [3 * 801] * 2
+    assert grids == [[(217, 32, t) for t in (0.5, T, 1.0 / 64.0)],
+                     [(433, 64, t) for t in (0.5, T, 1.0 / 64.0)]]
+    assert lapack_calls["solve"] == [3 * 217] * (32 + 2) + [3 * 433] * (64 + 2)
+    assert lapack_calls["factor"] == [3 * 217] * 2 + [3 * 433] * 2
 
 
 def test_non_finite_local_vol_rejected():
@@ -331,10 +366,13 @@ def test_grid_validation():
     setup = MarketSetup(S0=0.03)
     with pytest.raises(ValueError, match="at least 51 space nodes"):
         solve_forward(model, setup, 1.0, n_space=11)
-    # a zero maturity spans no strikes, nor does one whose span rounds away
+    # a zero maturity spans no strikes, nor does one whose span rounds away,
+    # nor an S0 within rounding of a domain end
     for T in (0.0, 1e-300):
         with pytest.raises(GridTooNarrow, match="K_min must be below K_max"):
             solve_forward(model, setup, T)
+    with pytest.raises(GridTooNarrow, match="K_min must be below K_max"):
+        solve_forward(make_shifted_lognormal(0.008, 0.1, 0.03), MarketSetup(S0=-0.04 + 1e-13), 1.0)
 
 
 @pytest.mark.parametrize("model, s0", [
@@ -350,45 +388,47 @@ def test_s0_outside_the_positivity_domain_is_refused(model, s0):
 
 
 def test_positivity_clipping_in_meta():
-    # sigma_D = 0.014 + 0.2 (S - 0.03) vanishes at S = -0.04, inside the
-    # 10-stdev span 0.03 -+ 0.44 at T = 10, so the grid is cut on the left only
-    model = make_shifted_lognormal(0.014 - 0.2 * 0.03, 0.1, 0.03)
+    # the table starts at S = -0.02, 6.3 stdevs of y below S0 at T = 1 and
+    # inside the 10-stdev span at T = 10, so the grid is cut on the left only,
+    # within a node of the table's end
     setup = MarketSetup(S0=0.03)
-    sol = solve_forward(model, setup, 10.0, n_space=201, n_steps=400)
+    sol = solve_forward(TABLE_LN, setup, 10.0, n_space=201, n_steps=400)
     assert sol.meta["clipped"] == (True, False)
-    assert -0.04 < sol.strikes[0] < -0.04 + sol.meta["dx"]
-    assert solve_forward(model, setup, 0.1, n_space=201).meta["clipped"] == (False, False)
+    assert -0.02 < sol.strikes[0] < -0.02 + (sol.strikes[1] - sol.strikes[0])
+    assert solve_forward(TABLE_LN, setup, 0.1, n_space=201).meta["clipped"] == (False, False)
 
 
 def test_shifted_grid_keeps_every_node_inside_the_domain():
-    # sigma_D = 0.014 + 0.2 (S - 0.03) vanishes at S = -0.04; placing S0 on a
-    # node used to move this left-clipped grid's first node to -0.040937,
-    # where sigma_D < 0
-    model = make_shifted_lognormal(0.008, 0.1, 0.03)
+    # placing S0 on a node moves a left-clipped grid to the right, never past
+    # the table's first sample at S = -0.02
     setup = MarketSetup(S0=0.03)
-    sol = solve_forward(model, setup, 5.359, n_space=101, n_steps=215)
+    sol = solve_forward(TABLE_LN, setup, 5.359, n_space=101, n_steps=215)
     assert sol.meta["clipped"] == (True, False)
-    assert -0.04 < sol.strikes[0] < -0.04 + sol.meta["dx"]
-    assert sol.strikes[sol.s0_node] == pytest.approx(0.03, abs=1e-15)
-    assert np.all(model.vol(sol.strikes) > 0.0)
+    assert -0.02 < sol.strikes[0] < -0.02 + (sol.strikes[1] - sol.strikes[0])
+    assert sol.strikes[sol.s0_node] == 0.03
+    assert np.all(TABLE_LN.vol(sol.strikes) > 0.0)
 
 
 @pytest.mark.parametrize("n_space", [51, 400, 401])
 def test_grid_clipped_at_both_ends_stays_inside(n_space):
-    # a tent sigma_D = 0.008 - 0.2 |S - 0.03| is positive on (-0.01, 0.07) only
-    model = make_piecewise_linear(0.008, 0.1, -0.1, 0.03)
-    ks, j0, clipped = _build_strike_grid(model, MarketSetup(S0=0.03), 30.0, n_space, 10.0)
+    # a tabulated tent, positive on [-0.01, 0.07] and 7.7 stdevs of y either
+    # side of S0 at T = 1: the 10-stdev span at T = 30 is cut at both ends,
+    # and the grid stays uniform in y between them
+    model = make_tabulated([(-0.01, 0.002), (0.01, 0.006), (0.03, 0.008), (0.05, 0.006),
+                            (0.07, 0.002)])
+    ks, j0, clipped, dy = _build_strike_grid(model, MarketSetup(S0=0.03), 30.0, n_space, 10.0)
     assert clipped == (True, True)
     assert -0.01 < ks[0] and ks[-1] < 0.07 and np.all(model.vol(ks) > 0.0)
-    assert ks[j0] == pytest.approx(0.03, abs=1e-15)
-    assert np.ptp(np.diff(ks)) < 1e-15
-    assert ks[-1] - ks[0] > (1.0 - 2.0 / n_space) * 0.08
+    assert ks[j0] == 0.03
+    steps = [quad(lambda k: 1.0 / model.vol(k), a, b, epsabs=0.0, epsrel=1e-12)[0]
+             for a, b in zip(ks[:-1], ks[1:])]
+    assert np.max(np.abs(np.array(steps) / dy - 1.0)) < 1e-4
+    assert ks[0] - 2.0 * (ks[1] - ks[0]) < -0.01 and ks[-1] + 2.0 * (ks[-1] - ks[-2]) > 0.07
 
 
 def test_meta_round_trips_through_json():
     # sigma_D(S0) is a numpy float for SABR; the clipped flags stay Python bools
-    clipped = solve_forward(make_shifted_lognormal(0.008, 0.1, 0.03),
-                            MarketSetup(S0=0.03), 10.0, n_space=201, n_steps=400)
+    clipped = solve_forward(TABLE_LN, MarketSetup(S0=0.03), 10.0, n_space=201, n_steps=400)
     sabr = solve_forward(make_quadratic_sabr(0.01, 0.3, -0.3, 0.03),
                          MarketSetup(S0=0.03), 1.0, n_space=201)
     for sol, flags in ((clipped, [True, False]), (sabr, [False, False])):
@@ -445,9 +485,10 @@ def lagrange_reference(sol, strikes):
     return np.array(out)
 
 
-# (b, S0, T, index of S0) of shifted log-normal grids of 51 nodes: S0 1, 2
-# and 3 nodes from a clipped left end, then from a clipped right end, so
-# stretches of 2, 3 and 4 nodes between S0 and the end
+# (b, S0, T, index of S0) of grids of 51 nodes on the shifted log-normal
+# 0.008 + 2 b S tabulated from -+0.0284: S0 1, 2 and 3 nodes from a clipped
+# left end, then from a clipped right end, so stretches of 2, 3 and 4 nodes
+# between S0 and the end
 CLIPPED_STRETCHES = [
     (0.1, -0.0099, 144.0, 1), (0.1, -0.0099, 100.0, 2), (0.1, -0.0099, 50.0, 3),
     (-0.1, 0.0099, 144.0, 49), (-0.1, 0.0099, 100.0, 48), (-0.1, 0.0099, 50.0, 47)]
@@ -455,8 +496,8 @@ CLIPPED_STRETCHES = [
 
 @pytest.mark.parametrize("b, s0, T, j0", CLIPPED_STRETCHES)
 def test_price_at_strikes_equals_the_scalar_stencils(b, s0, T, j0):
-    model = make_shifted_lognormal(0.008, b, 0.03)
-    ks, node, clipped = _build_strike_grid(model, MarketSetup(S0=s0), T, 51, 10.0)
+    model = tabulated_shifted_ln(b, -0.0284 if b > 0 else 0.0284)
+    ks, node, clipped, _ = _build_strike_grid(model, MarketSetup(S0=s0), T, 51, 10.0)
     assert node == j0 and clipped == (b > 0, b < 0)
     rng = np.random.default_rng(j0)
     # signed prices with zeros of both signs, whose sums keep the loop's sign of zero
@@ -473,8 +514,9 @@ def test_price_at_strikes_equals_the_scalar_stencils(b, s0, T, j0):
 
 def test_batched_read_out_equals_the_scalar_stencils_row_by_row():
     # the clipped grids above, stacked as the rows of one read-out
-    grids = [_build_strike_grid(make_shifted_lognormal(0.008, b, 0.03), MarketSetup(S0=s0),
-                                T, 51, 10.0) for b, s0, T, _ in CLIPPED_STRETCHES]
+    grids = [_build_strike_grid(tabulated_shifted_ln(b, -0.0284 if b > 0 else 0.0284),
+                                MarketSetup(S0=s0), T, 51, 10.0)
+             for b, s0, T, _ in CLIPPED_STRETCHES]
     ks = np.array([g[0] for g in grids])
     s0_nodes = [g[1] for g in grids]
     assert s0_nodes == [j0 for *_, j0 in CLIPPED_STRETCHES]
@@ -596,13 +638,12 @@ def test_lapack_bindings_multiply_bit_for_bit(both_lapacks, n):
 
 @pytest.mark.parametrize("model, setup, T, clipped", [
     # T lists the maturities, each solved in 40 steps a year, at least 64
-    (KINK, MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001), [0.5, 2.0], (True, False)),
+    (KINK, MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001), [0.5, 2.0], (False, False)),
     (make_quadratic_sabr(0.01, 0.3, -0.3, 0.03), MarketSetup(S0=0.03), [1.0], (False, False)),
-    (make_shifted_lognormal(0.008, 0.1, 0.03), MarketSetup(S0=0.03), [10.0], (True, False)),
+    (TABLE_LN, MarketSetup(S0=0.03), [10.0], (True, False)),
     (make_quadratic_sabr(0.01, 0.3, -0.3, 0.03), MarketSetup(S0=0.03, mu0=0.004, mu1=-0.002),
      [0.25, 1.0], (False, False)),
-    (make_shifted_lognormal(0.008, 0.1, 0.03), MarketSetup(S0=0.03, mu0=-0.001, mu1=0.002),
-     [10.0, 0.5], (True, False)),
+    (TABLE_LN, MarketSetup(S0=0.03, mu0=-0.001, mu1=0.002), [10.0, 0.5], (True, False)),
 ])
 def test_solve_forward_same_bits_on_either_lapack(both_lapacks, model, setup, T, clipped):
     # each maturity alone, then all stacked in one march; the bytes carry the
