@@ -266,13 +266,15 @@ def test_march_blocks_equal_one_maturity_solves(lapack_calls, model, setup, matu
         assert sol.meta == one.meta
 
 
-def test_richardson_equals_one_maturity_read_outs():
+@pytest.mark.parametrize("long_T", [8.0, 10.0])
+def test_richardson_equals_one_maturity_read_outs(long_T):
     # the batched read-out of each march, row by row, is the read-out of that
     # maturity's solves alone, whose coarse grid is every other node of the
-    # fine one; strikes off the grid (at T = 0.0625 it spans 0.0212 ..
-    # 0.0430), on nodes and between them, nan and inf
+    # fine one, also with a long-dated grid in the batch; strikes off the grid
+    # (at T = 0.0625 it spans 0.0212 .. 0.0430), on nodes and between them,
+    # nan and inf
     model, setup = KINK, MarketSetup(S0=0.03, mu0=0.002, mu1=-0.001)
-    maturities = (0.25, 0.0625, 1.0)
+    maturities = (0.25, 0.0625, 1.0, long_T)
     strikes = [0.005, 0.025, 0.03, 0.031, 0.0312345, 0.04, 0.07, math.nan, math.inf, -math.inf]
     prices, _ = richardson_prices(model, setup, maturities, strikes)
     for T, got in zip(maturities, prices):
