@@ -101,6 +101,10 @@ RICHARDSON_PAIR = ((217, 32), (433, 64))
 # and 2.8e-9 at 3.5 in the normal vol of the symmetric kink (0.008, 0.1) at
 # T = 0.01
 EDGE_STDEVS = 1.5
+# and every strike may be, once the drift takes the forward path this close
+# to an end: the ATM vol of a constant vol is 5.2e-8 off with the forward 2
+# stdevs of y from an end, 1.1e-8 at 3 and 4.3e-9 at 3.5, at T = 1 and 0.01
+FORWARD_EDGE_STDEVS = 3.5
 
 
 class GridFailure(ValueError):
@@ -480,7 +484,9 @@ def solve_forward(model: LocalVolModel, setup: MarketSetup, T: float,
 
 
 class ForwardOffGrid(ValueError):
-    """The forward at T lies off the strike grid, which is centred on S0."""
+    """The forward at T lies off the strike grid, which is centred on S0, or
+    (for `atm_implied_vol_richardson`) where an end of the grid may bias its
+    price."""
 
 
 def richardson_prices(model: LocalVolModel, setup: MarketSetup,
@@ -489,8 +495,9 @@ def richardson_prices(model: LocalVolModel, setup: MarketSetup,
     """Call prices at the requested strikes, nan off the grid, one array per
     maturity, and per maturity the mask of the strikes whose price an end of
     the grid may bias: those within EDGE_STDEVS stdevs of y of either end,
-    and every strike where a domain end clipped the grid, cutting off the
-    probability past it.
+    and every strike where the forward path F(t), 0 <= t <= T, comes within
+    FORWARD_EDGE_STDEVS of an end or a domain end clipped the grid, cutting
+    off the probability past it.
 
     Two marches over SPAN_STDEVS stdevs of y, whatever T: RICHARDSON_PAIR's
     coarse grid in its steps, and the fine grid, every other node of which
@@ -513,12 +520,18 @@ def richardson_prices(model: LocalVolModel, setup: MarketSetup,
         ks, c, _ = _march(model, setup, maturities, grids, n_steps)
         prices.append(_prices_at(ks, c, [g[1] for g in grids], strikes))
     coarse_prices, fine_prices = prices
+    # the forward path F(t), 0 <= t <= T, at each fine step: its lowest and highest
+    paths = setup.forward(np.multiply.outer(maturities, np.linspace(0.0, 1.0, fine_steps + 1)))
     biased = []
-    for T, (ks, _, clipped, dy) in zip(maturities, fine):
-        # each strike's y, measured from the grid's first node
-        y = np.interp(strikes, ks, dy * np.arange(n_fine))
-        edge = EDGE_STDEVS * math.sqrt(T)
-        biased.append(any(clipped) | (y < edge) | (y > dy * (n_fine - 1) - edge))
+    for T, lo, hi, (ks, _, clipped, dy) in zip(maturities, paths.min(axis=1),
+                                               paths.max(axis=1), fine):
+        # each strike's y, and the path's, measured from the grid's first
+        # node; a path off the grid reads as an end
+        y = np.interp(np.append(strikes, (lo, hi)), ks, dy * np.arange(n_fine))
+        end = dy * (n_fine - 1)
+        edge, far = EDGE_STDEVS * math.sqrt(T), FORWARD_EDGE_STDEVS * math.sqrt(T)
+        whole = any(clipped) or y[-2] < far or y[-1] > end - far
+        biased.append(whole | (y[:-2] < edge) | (y[:-2] > end - edge))
     return tuple((4.0 * fine_prices - coarse_prices) / 3.0), tuple(biased)
 
 
@@ -564,9 +577,18 @@ def atm_implied_vol_richardson(model: LocalVolModel, setup: MarketSetup,
     """ATM implied normal vol at each T, the `richardson_prices` price
     inverted once: +4.1e-10 to +4.3e-10 from the closed forms of
     configs/sqrtt_*.ini at each T in 1/256..1/4 (16/32 steps leave +2.5e-9,
-    64/128 steps +2.5e-10)."""
+    64/128 steps +2.5e-10).  A forward whose price an end of the grid may
+    bias, as one the drift moves more than SPAN_STDEVS - FORWARD_EDGE_STDEVS
+    stdevs of y from S0, raises ForwardOffGrid naming the first such T:
+    these vols carry no flag."""
     forwards = [setup.forward(t) for t in maturities]
-    prices, _ = richardson_prices(model, setup, maturities, forwards)
+    prices, biased = richardson_prices(model, setup, maturities, forwards)
+    for i, (t, F) in enumerate(zip(maturities, forwards)):
+        if biased[i][i]:
+            raise ForwardOffGrid(f"the forward {F:.6g} at T = {t} lies where an end of the "
+                                 f"PDE grid may bias its price: its path comes within "
+                                 f"{FORWARD_EDGE_STDEVS} stdevs of y of an end, or a domain "
+                                 f"end cut the grid")
     return tuple(implied_vol_and_flag(float(p[i]), F, F, t)[0]
                  for i, (t, F, p) in enumerate(zip(maturities, forwards, prices)))
 

@@ -198,7 +198,8 @@ def sqrt_t_detector(model: LocalVolModel, setup: MarketSetup, T_grid) -> FitRepo
     with a derivative jump at the forward give p near 1/2; analytic models
     give p near 1 and the reported sqrt coefficient is then meaningless.
     Repeated maturities are refused before any solve; a forward the drift
-    moves off the grids raises `dupire_pde.ForwardOffGrid`.
+    moves off the grids, or near enough to an end of them to bias its
+    price, raises `dupire_pde.ForwardOffGrid`.
     """
     # the closed forms above do not need the PDE solver, so only this
     # analysis imports it

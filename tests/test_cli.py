@@ -1165,6 +1165,21 @@ def test_sqrt_t_refuses_a_forward_off_the_grid(tmp_path, capsys):
     assert "[market]" in err and "forward 0.0339062 at T = 0.0078125" in err, err
 
 
+def test_sqrt_t_refuses_a_forward_an_end_of_the_grid_may_bias(tmp_path, capsys):
+    # with mu0 = 0.085 every forward lies on the grids, the last, at T = 1/4,
+    # 4.3 stdevs of y from S0; from T = 1/32 on the forward path comes within
+    # 3.5 stdevs of a grid end, where the ATM vols, which carry no flag,
+    # would be biased
+    p = tmp_path / "drift.ini"
+    p.write_text((ROOT / "configs" / "sqrtt_model2b.ini").read_text()
+                 .replace("S0 = 0.03", "S0 = 0.03\nmu0 = 0.085"))
+    out = tmp_path / "fit.json"
+    code, text = run(["sqrt-t", "--config", str(p), "--out", str(out)])
+    assert code == 2 and text == "" and not out.exists()
+    err = capsys.readouterr().err
+    assert "[market]" in err and "forward 0.0326562 at T = 0.03125 lies where an end" in err, err
+
+
 def _sqrtt_model2b_without_smile_sections() -> str:
     text = (ROOT / "configs" / "sqrtt_model2b.ini").read_text()
     for section in ("[strikes]\nlist = 0.03\n", "[methods]\nlist = asympt0\n"):

@@ -8,13 +8,14 @@ from numpy.linalg import LinAlgError
 from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
-from nvol.bachelier import NormalQuote, bachelier_call
+from nvol.bachelier import NormalQuote, bachelier_call, implied_vol_and_flag
 import nvol.dupire_pde
 from nvol.dupire_pde import (RICHARDSON_PAIR, SPAN_STDEVS, ForwardOffGrid, GridTooNarrow,
                              PdeSolution, _build_strike_grid, _Tridiagonal,
                              atm_implied_vol, atm_implied_vol_richardson,
                              extract_local_vol, implied_smile_from_pde, march,
                              richardson_prices, solve_forward)
+from nvol.exact_solutions import shifted_ln_exact_call
 from nvol.models import (MarketSetup, make_piecewise_linear, make_quadratic_sabr,
                          make_shifted_lognormal, make_tabulated)
 
@@ -101,6 +102,21 @@ def test_smile_flags_and_band():
     far = [pt for k, pt in zip(strikes, pts) if abs(k - 0.03) > 0.035]
     assert far and all(flag != "ok" for _, flag in far)
 
+    # a constant vol's band lies past the edge flag; under a steeply rising
+    # vol it lies inside it.  sigma_D = 0.5 (S - 0.01) at T = 4: the band ends
+    # at 0.1452, 1.9 stdevs of y from S0, the flag starts at 3.5 stdevs (0.67)
+    model, T = make_shifted_lognormal(-0.005, 0.25, 0.03), 4.0
+    strikes = [0.14, 0.15, 0.6]
+    _, (biased,) = richardson_prices(model, setup, (T,), strikes)
+    assert not biased.any()
+    pts, = implied_smile_from_pde(model, setup, (T,), strikes)
+    assert [flag for _, flag in pts] == ["ok", "low_confidence", "low_confidence"]
+    # either side of the band the vol is the closed form's
+    for k, (vol, _) in zip(strikes[:2], pts):
+        exact = implied_vol_and_flag(shifted_ln_exact_call(-0.005, 0.25, 0.03, k, T),
+                                     0.03, k, T)[0]
+        assert vol == pytest.approx(exact, abs=1e-8)
+
 
 def test_smile_without_an_atm_vol_is_low_confidence(monkeypatch):
     # an ATM price without time value has no vol, so no strike lies in the band
@@ -130,6 +146,24 @@ def test_forward_off_the_grid_raises(lapack_calls):
         with pytest.raises(ForwardOffGrid, match=r"forward 0.53 at T = 1.0"):
             call()
     assert lapack_calls == {"factor": [], "solve": []}
+
+
+def test_atm_richardson_refuses_a_forward_an_end_of_the_grid_may_bias():
+    # the grid spans S0 = 0.03 -+ 5 stdevs of y; at T = 0.25 the forward 0.04
+    # lies 2 stdevs from S0, 3 from the end, where its ATM vol is 1.1e-8
+    # off.  The smile flags every row of that maturity, the ATM vols, which
+    # carry no flag, refuse it; at T = 0.04 the forward is 0.8 stdevs out
+    model = constant_model(0.01)
+    setup = MarketSetup(S0=0.03, mu0=0.04)
+    smiles = implied_smile_from_pde(model, setup, (0.04, 0.25), [0.03, 0.032])
+    assert [[flag for _, flag in smile] for smile in smiles] == [
+        ["ok", "ok"], ["low_confidence", "low_confidence"]]
+    assert atm_implied_vol_richardson(model, setup, (0.04,))[0] == pytest.approx(0.01, abs=1e-8)
+    with pytest.raises(ForwardOffGrid, match=r"forward 0.04 at T = 0.25 lies where an end"):
+        atm_implied_vol_richardson(model, setup, (0.04, 0.25, 1.0))
+    # every price of a grid the table's first sample cut is biased
+    with pytest.raises(ForwardOffGrid, match=r"forward 0.03 at T = 2.0 .* domain end cut"):
+        atm_implied_vol_richardson(TABLE_LN, MarketSetup(S0=0.03), (0.1, 2.0))
 
 
 def test_atm_vol_between_nodes_of_drifted_kink():
